@@ -37,6 +37,7 @@ from .pprm import PprmFunction, restrict
 from .simulate import (
     DEFAULT_ORACLE_CAP,
     detects,
+    evaluate_test_set,
     exhaustive_detectability,
 )
 
@@ -562,21 +563,25 @@ def fallback_search(
             else:
                 out.redundant[fault] = "exhaustive"
             continue
-        found = None
-        if not classify_only and attempts > 0:
+        first = None
+        if not classify_only:
+            # all draws are graded at once; the first detecting one is kept
             rng = random.Random(rng_seed * 1000003 + idx)
-            for _ in range(attempts):
-                c = "".join(rng.choice("01") for _ in range(network.p))
-                x = "".join(
-                    "1" if v == network.constant_line else rng.choice("01")
-                    for v in range(1, network.n + 1)
+            draws = [
+                TestPattern(
+                    "".join(rng.choice("01") for _ in range(network.p)),
+                    "".join(
+                        "1" if v == network.constant_line else rng.choice("01")
+                        for v in range(1, network.n + 1)
+                    ),
+                    origin="Fallback",
                 )
-                pat = TestPattern(c, x, origin="Fallback")
-                if detects(network, fault, pat, dc_policy):
-                    found = pat
-                    break
-        if found is not None:
-            out.patterns.append(found)
-        else:
+                for _ in range(attempts)
+            ]
+            verdict = evaluate_test_set(network, [fault], draws, dc_policy).verdicts[0]
+            first = verdict.pattern_index
+        if first is None:
             out.unresolved.append(fault)
+        else:
+            out.patterns.append(draws[first])
     return out

@@ -50,6 +50,7 @@ from .report import (
 )
 from .simulate import (
     DEFAULT_ORACLE_CAP,
+    MAX_ORACLE_CAP,
     Evaluation,
     FaultVerdict,
     evaluate_test_set,
@@ -71,14 +72,13 @@ class RunConfig:
     fallback: bool = True
     dedup: bool = False
     include_aux: bool = False
-    jobs: int = 1
 
     def echo(self) -> dict:
         """Configuration block for reports.
 
-        Output path and job count are left out on purpose: neither changes
-        any computed value, and reports must be byte-identical across runs
-        that differ only in where they are written or how parallel they are.
+        The output path is left out on purpose: it changes no computed
+        value, and reports must be byte-identical across runs that differ
+        only in where they are written.
         """
         out: dict = {"command": self.command}
         if self.command in ("verify", "atpg"):
@@ -199,7 +199,6 @@ def cmd_atpg(args) -> int:
         oracle_cap=args.oracle_cap,
         fallback=args.fallback,
         dedup=args.dedup,
-        jobs=args.jobs,
     )
     circuit = _load_circuit(args.circuit)
     network = expand_network(circuit)
@@ -210,9 +209,7 @@ def cmd_atpg(args) -> int:
     if cfg.fallback:
         faults = enumerate_faults(network)
         base = assemble_union(sets, dc_policy=cfg.dc_policy)
-        first = evaluate_test_set(
-            network, faults, list(base.test_set), dc_policy=cfg.dc_policy, jobs=cfg.jobs
-        )
+        first = evaluate_test_set(network, faults, list(base.test_set), dc_policy=cfg.dc_policy)
         fb = fallback_search(
             network,
             first.faults_with("undetected"),
@@ -243,22 +240,19 @@ def cmd_atpg(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_grade(args) -> int:
     cfg = RunConfig(
         command="simulate",
         dc_policy=args.dc_policy,
         oracle_cap=args.oracle_cap,
         fallback=False,
         include_aux=args.include_aux,
-        jobs=args.jobs,
     )
     circuit = _load_circuit(args.circuit)
     network = expand_network(circuit)
     faults = enumerate_faults(network, include_aux=cfg.include_aux)
     patterns = _parse_tests_for(network, _read_text(args.tests))
-    evaluation = evaluate_test_set(
-        network, faults, patterns, dc_policy=cfg.dc_policy, jobs=cfg.jobs
-    )
+    evaluation = evaluate_test_set(network, faults, patterns, dc_policy=cfg.dc_policy)
     fb = fallback_search(
         network,
         evaluation.faults_with("undetected"),
@@ -286,7 +280,6 @@ def cmd_verify(args) -> int:
         fallback=not args.no_fallback,
         dedup=args.dedup,
         include_aux=args.include_aux,
-        jobs=args.jobs,
     )
     circuit = _load_circuit(args.circuit)
     network = expand_network(circuit)
@@ -295,9 +288,7 @@ def cmd_verify(args) -> int:
     gen = generate_sets(pprms, network, cfg.sets, cfg.dc_policy)
     sets = gen.ordered_sets()
     base = assemble_union(sets, dc_policy=cfg.dc_policy)
-    first = evaluate_test_set(
-        network, faults, list(base.test_set), dc_policy=cfg.dc_policy, jobs=cfg.jobs
-    )
+    first = evaluate_test_set(network, faults, list(base.test_set), dc_policy=cfg.dc_policy)
     fb = fallback_search(
         network,
         first.faults_with("undetected"),
@@ -307,9 +298,7 @@ def cmd_verify(args) -> int:
     )
     union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=cfg.dc_policy)
     bound = check_bound(union, len(network.real_inputs()), network.p)
-    evaluation = evaluate_test_set(
-        network, faults, list(union.test_set), dc_policy=cfg.dc_policy, jobs=cfg.jobs
-    )
+    evaluation = evaluate_test_set(network, faults, list(union.test_set), dc_policy=cfg.dc_policy)
     evaluation = _apply_fallback_classification(evaluation, fb)
     report = build_coverage_report(
         circuit, network, faults, evaluation, sets, union, bound,
@@ -404,9 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--dc-policy", choices=DC_POLICIES, default="fill-zero",
                         help="how don't-care positions are instantiated")
         sp.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
-                        help="max n+p for exhaustive detectability checks")
+                        choices=range(MAX_ORACLE_CAP + 1), metavar="N",
+                        help="max n+p for exhaustive detectability checks"
+                        f" (0..{MAX_ORACLE_CAP})")
         sp.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for fault grading")
+                        help="accepted for older command lines and ignored")
 
     sp = sub.add_parser("parse", help="parse a circuit and echo its canonical form")
     sp.add_argument("circuit", help="circuit file, or - for stdin")
@@ -443,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--include-aux", action="store_true")
     add_grading(sp)
     add_out(sp)
-    sp.set_defaults(func=cmd_simulate)
+    sp.set_defaults(func=cmd_grade)
 
     sp = sub.add_parser("verify", help="generate, grade, repair, and check the bound")
     sp.add_argument("circuit")

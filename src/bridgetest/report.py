@@ -54,13 +54,54 @@ def verdict_detail(verdict: FaultVerdict) -> str:
     return f"{verdict.method}, pattern {verdict.pattern_index + 1}"
 
 
-def _circuit_block(circuit: ReversibleCircuit, network: AndExorNetwork) -> dict:
-    return {
+def _header(
+    circuit: ReversibleCircuit, network: AndExorNetwork, config: Mapping, timestamp: bool
+) -> dict:
+    report: dict = {"schema_version": SCHEMA_VERSION}
+    if timestamp:
+        report["generated_at"] = _timestamp()
+    report["circuit"] = {
         "name": circuit.name,
         "n": network.n,
         "p": network.p,
         "d": network.d,
         "constant_line": network.constant_line,
+    }
+    report["config"] = dict(config)
+    return report
+
+
+def _add_fault_counts(
+    report: dict, faults: FaultList, out_of_model: Mapping[str, int] | None
+) -> None:
+    counts = dict(faults.counts)
+    counts["total"] = len(faults)
+    report["fault_counts"] = counts
+    if out_of_model is not None:
+        oom = dict(out_of_model)
+        oom["total"] = sum(out_of_model.values())
+        report["out_of_model"] = oom
+
+
+def _sets_block(sets: Sequence[TestSet]) -> dict:
+    return {
+        ts.name: {
+            "size": len(ts),
+            "target_class": ts.target_class,
+            "patterns": [pat.line() for pat in ts],
+        }
+        for ts in sets
+    }
+
+
+def _bound_block(bound: BoundReport) -> dict:
+    return {
+        "size": bound.size,
+        "bound": bound.bound,
+        "passed": bound.passed,
+        "construction_size": bound.construction_size,
+        "fallback_count": bound.fallback_count,
+        "exceeds_construction": bound.exceeds_construction,
     }
 
 
@@ -89,26 +130,9 @@ def build_coverage_report(
     out_of_model: Mapping[str, int] | None = None,
     timestamp: bool = True,
 ) -> dict:
-    report: dict = {"schema_version": SCHEMA_VERSION}
-    if timestamp:
-        report["generated_at"] = _timestamp()
-    report["circuit"] = _circuit_block(circuit, network)
-    report["config"] = dict(config)
-    counts = dict(faults.counts)
-    counts["total"] = len(faults)
-    report["fault_counts"] = counts
-    if out_of_model is not None:
-        oom = dict(out_of_model)
-        oom["total"] = sum(out_of_model.values())
-        report["out_of_model"] = oom
-    report["test_sets"] = {
-        ts.name: {
-            "size": len(ts),
-            "target_class": ts.target_class,
-            "patterns": [pat.line() for pat in ts],
-        }
-        for ts in sets
-    }
+    report = _header(circuit, network, config, timestamp)
+    _add_fault_counts(report, faults, out_of_model)
+    report["test_sets"] = _sets_block(sets)
     report["union"] = {
         "size": len(union.test_set),
         "pre_dedup_size": union.pre_dedup_size,
@@ -119,14 +143,7 @@ def build_coverage_report(
         ],
     }
     if bound is not None:
-        report["bound"] = {
-            "size": bound.size,
-            "bound": bound.bound,
-            "passed": bound.passed,
-            "construction_size": bound.construction_size,
-            "fallback_count": bound.fallback_count,
-            "exceeds_construction": bound.exceeds_construction,
-        }
+        report["bound"] = _bound_block(bound)
     total = len(evaluation.verdicts)
     redundant = evaluation.count("redundant")
     report["coverage"] = {
@@ -155,33 +172,15 @@ def build_generation_report(
     *,
     timestamp: bool = True,
 ) -> dict:
-    report: dict = {"schema_version": SCHEMA_VERSION}
-    if timestamp:
-        report["generated_at"] = _timestamp()
-    report["circuit"] = _circuit_block(circuit, network)
-    report["config"] = dict(config)
-    report["test_sets"] = {
-        ts.name: {
-            "size": len(ts),
-            "target_class": ts.target_class,
-            "patterns": [pat.line() for pat in ts],
-        }
-        for ts in sets
-    }
+    report = _header(circuit, network, config, timestamp)
+    report["test_sets"] = _sets_block(sets)
     report["union"] = {
         "size": len(union.test_set),
         "pre_dedup_size": union.pre_dedup_size,
         "removed": union.removed,
         "fallback_count": union.fallback_count,
     }
-    report["bound"] = {
-        "size": bound.size,
-        "bound": bound.bound,
-        "passed": bound.passed,
-        "construction_size": bound.construction_size,
-        "fallback_count": bound.fallback_count,
-        "exceeds_construction": bound.exceeds_construction,
-    }
+    report["bound"] = _bound_block(bound)
     return report
 
 
@@ -193,18 +192,8 @@ def build_fault_report(
     *,
     timestamp: bool = True,
 ) -> dict:
-    report: dict = {"schema_version": SCHEMA_VERSION}
-    if timestamp:
-        report["generated_at"] = _timestamp()
-    report["circuit"] = _circuit_block(circuit, network)
-    report["config"] = dict(config)
-    counts = dict(faults.counts)
-    counts["total"] = len(faults)
-    report["fault_counts"] = counts
-    if faults.out_of_model is not None:
-        oom = dict(faults.out_of_model)
-        oom["total"] = sum(faults.out_of_model.values())
-        report["out_of_model"] = oom
+    report = _header(circuit, network, config, timestamp)
+    _add_fault_counts(report, faults, faults.out_of_model)
     rows = []
     for fault in faults:
         line_a, line_b = fault.lines()

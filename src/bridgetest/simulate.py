@@ -1,20 +1,20 @@
 """Bit-accurate good and faulty evaluation, stimulation masks, and the
 exhaustive detectability oracle.
 
-Two independent evaluation routes live here.  The pattern simulator walks
-one assignment at a time through the netlist and is what test generation
-and coverage grading use.  The oracle evaluates all full assignments at
-once on integer truth-table columns (bit v of a column is the net's value
-under assignment v) and is the ground truth for detectability claims.
+One evaluator, ``_columns``, walks the netlist over integer columns: bit t
+of a column is a net's value under assignment t.  Coverage grading packs
+the whole pattern list into columns, single-pattern queries use one-bit
+columns, and the oracle uses the truth-table columns of all 2^(n+p) full
+assignments.  The first detecting assignment is the lowest set bit of the
+output difference.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
-from .faults import BridgingFault, FaultKind, FaultList, Polarity, bridge_values
+from .faults import BridgingFault, FaultKind, FaultList, bridge_values
 from .network import AndExorNetwork
 from .patterns import TestPattern
 
@@ -35,6 +35,7 @@ __all__ = [
 
 FULL_MASK = 0b1111
 DEFAULT_ORACLE_CAP = 22
+MAX_ORACLE_CAP = 24  # a width-24 truth-table column takes 2 MiB
 
 
 @dataclass(frozen=True)
@@ -58,46 +59,105 @@ def _resolved_bits(
     return pattern.resolve(dc_policy)
 
 
-def _simulate(
+def _columns(
     network: AndExorNetwork,
-    c_bits: Sequence[int],
-    x_bits: Sequence[int],
+    c_cols: Sequence[int],
+    x_cols: Sequence[int],
+    ones: int,
     fault: BridgingFault | None,
-) -> SimulationResult:
-    x = list(x_bits)
+) -> tuple[list[int], list[int], Iterator[tuple[int, ...]]]:
+    """Evaluate the netlist on columns, with ``fault`` injected if given.
+
+    Bit t of every column is a net's value under assignment t, and ``ones``
+    has a bit set for each assignment.  Returns the x and AND-output
+    columns and an iterator over the cascade: the p target-line columns at
+    each level 0..d, the last being the outputs.  The cascade is produced
+    level by level, so a caller that only reads the outputs never holds
+    the earlier levels.
+    """
+    x = list(x_cols)
     if fault is not None and fault.kind is FaultKind.X_PAIR:
         i, j = fault.ids
         x[i - 1], x[j - 1] = bridge_values(x[i - 1], x[j - 1], fault.polarity)
 
-    a = [1 if all(x[v - 1] for v in sup) else 0 for sup in network.gate_supports]
+    a = []
+    for sup in network.gate_supports:
+        col = ones
+        for v in sup:
+            col &= x[v - 1]
+        a.append(col)
     if fault is not None and fault.kind is FaultKind.A_PAIR:
         i, j = fault.ids
         a[i - 1], a[j - 1] = bridge_values(a[i - 1], a[j - 1], fault.polarity)
 
-    intra = fault if fault is not None and fault.kind is FaultKind.INTRA_LEVEL else None
-    w = list(c_bits)
-    history = [tuple(w)]
-    if intra is not None and intra.ids[0] == 0:
-        _, j1, j2 = intra.ids
-        w[j1 - 1], w[j2 - 1] = bridge_values(w[j1 - 1], w[j2 - 1], intra.polarity)
-        history[0] = tuple(w)
-    for gate_id, target in enumerate(network.gate_targets, start=1):
-        w[target - 1] ^= a[gate_id - 1]
-        if intra is not None and intra.ids[0] == gate_id:
-            _, j1, j2 = intra.ids
-            w[j1 - 1], w[j2 - 1] = bridge_values(w[j1 - 1], w[j2 - 1], intra.polarity)
-        history.append(tuple(w))
+    intra = fault is not None and fault.kind is FaultKind.INTRA_LEVEL
 
-    cascade = tuple(tuple(col[j] for col in history) for j in range(network.p))
-    return SimulationResult(tuple(w), tuple(x), tuple(a), cascade)
+    def cascade() -> Iterator[tuple[int, ...]]:
+        w = list(c_cols)
+        for level in range(network.d + 1):
+            if level:
+                w[network.gate_targets[level - 1] - 1] ^= a[level - 1]
+            if intra and fault.ids[0] == level:
+                _, j1, j2 = fault.ids
+                w[j1 - 1], w[j2 - 1] = bridge_values(w[j1 - 1], w[j2 - 1], fault.polarity)
+            yield tuple(w)
+
+    return x, a, cascade()
+
+
+def _outputs(
+    network: AndExorNetwork,
+    c_cols: Sequence[int],
+    x_cols: Sequence[int],
+    ones: int,
+    fault: BridgingFault | None,
+) -> tuple[int, ...]:
+    """Output columns; each earlier cascade level is dropped as it passes."""
+    for w in _columns(network, c_cols, x_cols, ones, fault)[2]:
+        pass
+    return w
+
+
+def _difference(good: Sequence[int], faulty: Sequence[int]) -> int:
+    """Assignments under which some output differs."""
+    diff = 0
+    for g, f in zip(good, faulty):
+        diff |= g ^ f
+    return diff
+
+
+def _lowest(col: int) -> int:
+    return (col & -col).bit_length() - 1
+
+
+def _pack(
+    network: AndExorNetwork, patterns: Sequence[TestPattern], dc_policy: str
+) -> tuple[list[int], list[int], int]:
+    """c and x columns of a pattern list, bit t holding pattern t."""
+    rows = [_resolved_bits(network, pattern, dc_policy) for pattern in patterns]
+    c_cols = [sum(c[k] << t for t, (c, _) in enumerate(rows)) for k in range(network.p)]
+    x_cols = [sum(x[k] << t for t, (_, x) in enumerate(rows)) for k in range(network.n)]
+    return c_cols, x_cols, (1 << len(patterns)) - 1
+
+
+def _single(
+    network: AndExorNetwork,
+    pattern: TestPattern,
+    dc_policy: str,
+    fault: BridgingFault | None,
+) -> SimulationResult:
+    c, x = _resolved_bits(network, pattern, dc_policy)
+    x_vals, a, levels = _columns(network, c, x, 1, fault)
+    history = list(levels)
+    cascade = tuple(tuple(level[j] for level in history) for j in range(network.p))
+    return SimulationResult(history[-1], tuple(x_vals), tuple(a), cascade)
 
 
 def eval_good(
     network: AndExorNetwork, pattern: TestPattern, dc_policy: str = "fill-zero"
 ) -> SimulationResult:
     """Fault-free evaluation of one pattern."""
-    c, x = _resolved_bits(network, pattern, dc_policy)
-    return _simulate(network, c, x, None)
+    return _single(network, pattern, dc_policy, None)
 
 
 def eval_faulty(
@@ -113,8 +173,7 @@ def eval_faulty(
     """
     if fault.kind is FaultKind.EXOR_INTERNAL:
         raise ValueError("ExorInternal faults are graded by stimulation masks, not injection")
-    c, x = _resolved_bits(network, pattern, dc_policy)
-    return _simulate(network, c, x, fault)
+    return _single(network, pattern, dc_policy, fault)
 
 
 def detects(
@@ -125,7 +184,7 @@ def detects(
 ) -> bool:
     """True when the pattern distinguishes faulty outputs from good outputs."""
     c, x = _resolved_bits(network, pattern, dc_policy)
-    return _simulate(network, c, x, None).outputs != _simulate(network, c, x, fault).outputs
+    return _outputs(network, c, x, 1, None) != _outputs(network, c, x, 1, fault)
 
 
 def exor_stimulation_mask(
@@ -139,14 +198,7 @@ def exor_stimulation_mask(
     pattern.  A full mask (0b1111) discharges the gate's ExorInternal
     obligation.
     """
-    masks = [0] * network.d
-    for pattern in patterns:
-        sim = eval_good(network, pattern, dc_policy)
-        for gate_id, target in enumerate(network.gate_targets, start=1):
-            left = sim.cascade[target - 1][gate_id - 1]
-            right = sim.a_values[gate_id - 1]
-            masks[gate_id - 1] |= 1 << (left * 2 + right)
-    return masks
+    return evaluate_test_set(network, [], list(patterns), dc_policy).masks
 
 
 class OracleCapExceeded(RuntimeError):
@@ -201,52 +253,19 @@ def exhaustive_detectability(
     x_cols = [_input_column(network.p + i, width) for i in range(network.n)]
     ones = (1 << (1 << width)) - 1
 
-    def run(bridged: BridgingFault | None) -> list[int]:
-        x = list(x_cols)
-        if bridged is not None and bridged.kind is FaultKind.X_PAIR:
-            i, j = bridged.ids
-            x[i - 1], x[j - 1] = _bridge_cols(x[i - 1], x[j - 1], bridged.polarity)
-        a = []
-        for sup in network.gate_supports:
-            col = ones
-            for v in sup:
-                col &= x[v - 1]
-            a.append(col)
-        if bridged is not None and bridged.kind is FaultKind.A_PAIR:
-            i, j = bridged.ids
-            a[i - 1], a[j - 1] = _bridge_cols(a[i - 1], a[j - 1], bridged.polarity)
-        intra = bridged if bridged is not None and bridged.kind is FaultKind.INTRA_LEVEL else None
-        w = list(c_cols)
-        if intra is not None and intra.ids[0] == 0:
-            _, j1, j2 = intra.ids
-            w[j1 - 1], w[j2 - 1] = _bridge_cols(w[j1 - 1], w[j2 - 1], intra.polarity)
-        for gate_id, target in enumerate(network.gate_targets, start=1):
-            w[target - 1] ^= a[gate_id - 1]
-            if intra is not None and intra.ids[0] == gate_id:
-                _, j1, j2 = intra.ids
-                w[j1 - 1], w[j2 - 1] = _bridge_cols(w[j1 - 1], w[j2 - 1], intra.polarity)
-        return w
-
-    good = run(None)
-    faulty = run(fault)
-    diff = 0
-    for g, f in zip(good, faulty):
-        diff |= g ^ f
+    diff = _difference(
+        _outputs(network, c_cols, x_cols, ones, None),
+        _outputs(network, c_cols, x_cols, ones, fault),
+    )
     if network.constant_line is not None:
         diff &= x_cols[network.constant_line - 1]
     if diff == 0:
         return OracleResult("redundant")
 
-    v = (diff & -diff).bit_length() - 1
-    bits = format(v, f"0{width}b")
+    bits = format(_lowest(diff), f"0{width}b")
     return OracleResult(
         "detectable", TestPattern(bits[: network.p], bits[network.p :], origin="Fallback")
     )
-
-
-def _bridge_cols(col1: int, col2: int, polarity: Polarity) -> tuple[int, int]:
-    col = col1 & col2 if polarity is Polarity.WIRED_AND else col1 | col2
-    return col, col
 
 
 @dataclass(frozen=True)
@@ -278,69 +297,51 @@ class Evaluation:
         return [v.fault for v in self.verdicts if v.status == status]
 
 
-def _grade_fault(
-    network: AndExorNetwork,
-    fault: BridgingFault,
-    resolved: list[tuple[tuple[int, ...], tuple[int, ...]]],
-    good_outputs: list[tuple[int, ...]],
-    mask_full_at: dict[int, int],
-) -> FaultVerdict:
-    if fault.kind is FaultKind.EXOR_INTERNAL:
-        gate_id = fault.ids[0]
-        sup = network.gate_supports[gate_id - 1]
-        if network.constant_line is not None and sup <= {network.constant_line}:
-            # The AND value is pinned, so two of the four combinations can
-            # never be applied: the obligation is unsatisfiable by design.
-            return FaultVerdict(fault, "redundant", None, "constant-line")
-        at = mask_full_at.get(gate_id)
-        if at is None:
-            return FaultVerdict(fault, "undetected")
-        return FaultVerdict(fault, "detected", at, "stimulation")
-
-    for idx, (c, x) in enumerate(resolved):
-        if _simulate(network, c, x, fault).outputs != good_outputs[idx]:
-            return FaultVerdict(fault, "detected", idx, "simulation")
-    return FaultVerdict(fault, "undetected")
-
-
 def evaluate_test_set(
     network: AndExorNetwork,
     faults: FaultList | Sequence[BridgingFault],
     patterns: Sequence[TestPattern],
     dc_policy: str = "fill-zero",
-    jobs: int = 1,
 ) -> Evaluation:
     """Grade every fault against the pattern list.
 
     Detected faults record the first detecting pattern index (or, for
     ExorInternal, the index at which the stimulation mask became full).
-    Verdicts come back in fault order regardless of ``jobs``.
+    Verdicts come back in fault order.
     """
-    fault_seq = list(faults)
-    resolved = [_resolved_bits(network, pat, dc_policy) for pat in patterns]
-    good_sims = [_simulate(network, c, x, None) for c, x in resolved]
-    good_outputs = [sim.outputs for sim in good_sims]
+    c_cols, x_cols, ones = _pack(network, patterns, dc_policy)
+    _, a, levels = _columns(network, c_cols, x_cols, ones, None)
+    history = list(levels)
+    good = history[-1]
 
-    # Incremental masks so each gate knows when its obligation completed.
-    masks = [0] * network.d
-    mask_full_at: dict[int, int] = {}
-    for idx, sim in enumerate(good_sims):
-        for gate_id, target in enumerate(network.gate_targets, start=1):
-            if gate_id in mask_full_at:
-                continue
-            left = sim.cascade[target - 1][gate_id - 1]
-            right = sim.a_values[gate_id - 1]
-            masks[gate_id - 1] |= 1 << (left * 2 + right)
-            if masks[gate_id - 1] == FULL_MASK:
-                mask_full_at[gate_id] = idx
+    # Bit 2*left + right of a gate's mask is set once its EXOR has seen that
+    # input pair; a full mask completes at the latest first sighting of the four.
+    masks = []
+    full_at: dict[int, int] = {}
+    for gate_id, target in enumerate(network.gate_targets, start=1):
+        left, right = history[gate_id - 1][target - 1], a[gate_id - 1]
+        seen = (ones ^ (left | right), right & ~left, left & ~right, left & right)
+        masks.append(sum(1 << k for k, col in enumerate(seen) if col))
+        if all(seen):
+            full_at[gate_id] = max(_lowest(col) for col in seen)
 
-    def grade(fault: BridgingFault) -> FaultVerdict:
-        return _grade_fault(network, fault, resolved, good_outputs, mask_full_at)
-
-    if jobs > 1 and len(fault_seq) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            verdicts = list(pool.map(grade, fault_seq))
-    else:
-        verdicts = [grade(f) for f in fault_seq]
-
+    verdicts = []
+    for fault in faults:
+        if fault.kind is FaultKind.EXOR_INTERNAL:
+            gate_id = fault.ids[0]
+            sup = network.gate_supports[gate_id - 1]
+            if network.constant_line is not None and sup <= {network.constant_line}:
+                # The AND value is pinned, so two of the four combinations can
+                # never be applied: the obligation is unsatisfiable by design.
+                verdicts.append(FaultVerdict(fault, "redundant", None, "constant-line"))
+            elif gate_id in full_at:
+                verdicts.append(FaultVerdict(fault, "detected", full_at[gate_id], "stimulation"))
+            else:
+                verdicts.append(FaultVerdict(fault, "undetected"))
+            continue
+        diff = _difference(good, _outputs(network, c_cols, x_cols, ones, fault))
+        if diff:
+            verdicts.append(FaultVerdict(fault, "detected", _lowest(diff), "simulation"))
+        else:
+            verdicts.append(FaultVerdict(fault, "undetected"))
     return Evaluation(verdicts, masks, dc_policy)

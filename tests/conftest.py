@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from bridgetest.circuit import Gate, ReversibleCircuit, parse_circuit
+from bridgetest.circuit import Gate, ReversibleCircuit, normalize_zero_controls, parse_circuit
 
 settings.register_profile("ci", derandomize=True, deadline=None, max_examples=60)
 settings.load_profile("ci")
@@ -47,3 +47,13 @@ def random_circuit(rng: random.Random, index: int = 0, *, max_n: int = 8,
         controls = frozenset(rng.sample(range(1, n + 1), k))
         gates.append(Gate(controls, rng.randint(1, p), gid))
     return ReversibleCircuit(n, p, tuple(gates), name=f"rand{index}")
+
+
+def with_zero_control(circuit: ReversibleCircuit, rng: random.Random) -> ReversibleCircuit:
+    """``circuit`` with one 0-control gate inserted, then normalized onto a
+    constant-one line."""
+    gates = list(circuit.gates)
+    gates.insert(rng.randint(0, len(gates)), Gate(frozenset(), rng.randint(1, circuit.p), 0))
+    renumbered = tuple(Gate(g.controls, g.target, pos) for pos, g in enumerate(gates, start=1))
+    raw = ReversibleCircuit(circuit.n, circuit.p, renumbered, name=circuit.name)
+    return normalize_zero_controls(raw)

@@ -1,0 +1,111 @@
+"""Scalar reference simulator: one assignment at a time through the netlist.
+
+The library evaluates bit-packed columns; this walk is kept as the
+independent route that differential tests compare it against.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from bridgetest import (
+    FULL_MASK,
+    AndExorNetwork,
+    BridgingFault,
+    FaultKind,
+    FaultVerdict,
+    TestPattern,
+    bridge_values,
+)
+from bridgetest.simulate import SimulationResult
+
+
+def _simulate(
+    network: AndExorNetwork,
+    c_bits: Sequence[int],
+    x_bits: Sequence[int],
+    fault: BridgingFault | None,
+) -> SimulationResult:
+    x = list(x_bits)
+    if fault is not None and fault.kind is FaultKind.X_PAIR:
+        i, j = fault.ids
+        x[i - 1], x[j - 1] = bridge_values(x[i - 1], x[j - 1], fault.polarity)
+
+    a = [1 if all(x[v - 1] for v in sup) else 0 for sup in network.gate_supports]
+    if fault is not None and fault.kind is FaultKind.A_PAIR:
+        i, j = fault.ids
+        a[i - 1], a[j - 1] = bridge_values(a[i - 1], a[j - 1], fault.polarity)
+
+    intra = fault if fault is not None and fault.kind is FaultKind.INTRA_LEVEL else None
+    w = list(c_bits)
+    history = [tuple(w)]
+    if intra is not None and intra.ids[0] == 0:
+        _, j1, j2 = intra.ids
+        w[j1 - 1], w[j2 - 1] = bridge_values(w[j1 - 1], w[j2 - 1], intra.polarity)
+        history[0] = tuple(w)
+    for gate_id, target in enumerate(network.gate_targets, start=1):
+        w[target - 1] ^= a[gate_id - 1]
+        if intra is not None and intra.ids[0] == gate_id:
+            _, j1, j2 = intra.ids
+            w[j1 - 1], w[j2 - 1] = bridge_values(w[j1 - 1], w[j2 - 1], intra.polarity)
+        history.append(tuple(w))
+
+    cascade = tuple(tuple(col[j] for col in history) for j in range(network.p))
+    return SimulationResult(tuple(w), tuple(x), tuple(a), cascade)
+
+
+def reference_grade(
+    network: AndExorNetwork,
+    faults: Sequence[BridgingFault],
+    patterns: Sequence[TestPattern],
+    dc_policy: str = "fill-zero",
+) -> tuple[list[FaultVerdict], list[int]]:
+    """Verdicts and stimulation masks, one pattern and one fault at a time."""
+    resolved = [pat.resolve(dc_policy) for pat in patterns]
+    good_sims = [_simulate(network, c, x, None) for c, x in resolved]
+
+    masks = [0] * network.d
+    mask_full_at: dict[int, int] = {}
+    for idx, sim in enumerate(good_sims):
+        for gate_id, target in enumerate(network.gate_targets, start=1):
+            if gate_id in mask_full_at:
+                continue
+            left = sim.cascade[target - 1][gate_id - 1]
+            right = sim.a_values[gate_id - 1]
+            masks[gate_id - 1] |= 1 << (left * 2 + right)
+            if masks[gate_id - 1] == FULL_MASK:
+                mask_full_at[gate_id] = idx
+
+    verdicts = []
+    for fault in faults:
+        if fault.kind is FaultKind.EXOR_INTERNAL:
+            gate_id = fault.ids[0]
+            sup = network.gate_supports[gate_id - 1]
+            if network.constant_line is not None and sup <= {network.constant_line}:
+                verdicts.append(FaultVerdict(fault, "redundant", None, "constant-line"))
+            elif gate_id in mask_full_at:
+                verdicts.append(
+                    FaultVerdict(fault, "detected", mask_full_at[gate_id], "stimulation")
+                )
+            else:
+                verdicts.append(FaultVerdict(fault, "undetected"))
+            continue
+        first = next(
+            (
+                idx for idx, (c, x) in enumerate(resolved)
+                if _simulate(network, c, x, fault).outputs != good_sims[idx].outputs
+            ),
+            None,
+        )
+        if first is None:
+            verdicts.append(FaultVerdict(fault, "undetected"))
+        else:
+            verdicts.append(FaultVerdict(fault, "detected", first, "simulation"))
+    return verdicts, masks
+
+
+def reference_detects(
+    network: AndExorNetwork, fault: BridgingFault, pattern: TestPattern
+) -> bool:
+    c, x = pattern.resolve()
+    return _simulate(network, c, x, None).outputs != _simulate(network, c, x, fault).outputs

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from bridgetest import format_circuit, normalize_zero_controls, parse_circuit, parse_test_file
-from bridgetest.cli import main
+from bridgetest.cli import build_parser, main
 
 NOTPLUS_TEXT = ".n 2\n.p 1\n.gate c1 :\n.gate c1 : x1 x2\n.end\n"
 WIDE_TEXT = ".n 20\n.p 3\n.gate c1 : x1 x2\n.gate c2 : x3\n.gate c3 : x4\n.end\n"
@@ -72,6 +72,24 @@ class TestArgHandling:
     def test_empty_sets(self, capsys, bench_path):
         code, out, err = run(capsys, "atpg", str(bench_path), "--sets", ",")
         assert code == 2 and "empty --sets" in err
+
+    @pytest.mark.parametrize("cap", ["-1", "25", "40"])
+    def test_oracle_cap_out_of_range(self, capsys, monkeypatch, bench_path, cap):
+        # the truth table needs 2^(2^cap) bits, so the parser refuses wide caps
+        def refuse(*args, **kwargs):
+            raise AssertionError("oracle started")
+
+        monkeypatch.setattr("bridgetest.atpg.exhaustive_detectability", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(bench_path), "--oracle-cap", cap])
+        assert exc.value.code == 2
+        assert "--oracle-cap" in capsys.readouterr().err
+
+    def test_oracle_cap_limits_accepted(self, bench_path):
+        parser = build_parser()
+        for cap in (0, 24):
+            args = parser.parse_args(["verify", str(bench_path), "--oracle-cap", str(cap)])
+            assert args.oracle_cap == cap
 
 
 class TestFaults:

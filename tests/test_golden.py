@@ -1,0 +1,81 @@
+"""Recorded reports, replayed byte for byte.
+
+Each case runs one command line in-process with ``--no-timestamp`` and
+compares stdout and the exit code with the file of the same name under
+``tests/data/golden/``.  When an output change is intended, re-record with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from bridgetest.cli import main
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+
+# golden file name -> (exit code, argv with circuit and test files relative to DATA)
+CASES = {
+    "verify_bench7x3.json": (0, ["verify", "bench7x3.rev", "--format", "json"]),
+    "verify_bench7x3.csv": (0, ["verify", "bench7x3.rev", "--format", "csv"]),
+    "verify_bench7x3.txt": (0, ["verify", "bench7x3.rev", "--format", "text"]),
+    "verify_and2.json": (0, ["verify", "and2.rev", "--format", "json"]),
+    "verify_and2.csv": (0, ["verify", "and2.rev", "--format", "csv"]),
+    "verify_and2.txt": (0, ["verify", "and2.rev", "--format", "text"]),
+    "atpg_bench7x3.txt": (0, ["atpg", "bench7x3.rev"]),
+    "atpg_bench7x3.json": (0, ["atpg", "bench7x3.rev", "--format", "json"]),
+    # T2, T3 and T5 left out so the sets miss faults and fallback repairs them;
+    # the 0-control gate adds a constant line and a constant-line verdict
+    "atpg_rand5z_fallback.txt": (0, ["atpg", "rand5z.rev", "--fallback", "--sets", "T1,T4"]),
+    "atpg_rand5z_random.txt": (
+        0, ["atpg", "rand5z.rev", "--fallback", "--sets", "T1,T4", "--oracle-cap", "0"]
+    ),
+    "verify_rand5z.txt": (0, ["verify", "rand5z.rev", "--sets", "T1,T4"]),
+    "simulate_bench7x3_user.csv": (
+        1, ["simulate", "bench7x3.rev", "--tests", "bench7x3_user.tests", "--format", "csv"]
+    ),
+    "simulate_bench7x3_empty.csv": (
+        1, ["simulate", "bench7x3.rev", "--tests", "empty.tests", "--format", "csv"]
+    ),
+    "verify_bench7x3_fill_one.json": (
+        0, ["verify", "bench7x3.rev", "--format", "json", "--dc-policy", "fill-one"]
+    ),
+    # above the cap the random search runs and cannot prove the redundant bridge
+    "verify_and2_cap2.txt": (4, ["verify", "and2.rev", "--oracle-cap", "2"]),
+}
+
+_FILE_SUFFIXES = (".rev", ".tests")
+
+
+def _replay(argv: list[str]) -> tuple[int, str]:
+    full = [str(DATA / a) if a.endswith(_FILE_SUFFIXES) else a for a in argv]
+    full.append("--no-timestamp")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(full)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(name):
+    expected_code, argv = CASES[name]
+    code, text = _replay(argv)
+    assert code == expected_code
+    assert text == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def _record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (expected_code, argv) in sorted(CASES.items()):
+        code, text = _replay(argv)
+        (GOLDEN / name).write_text(text, encoding="utf-8")
+        flag = "" if code == expected_code else f"  (exit {code}, table says {expected_code})"
+        print(f"{name}: {len(text)} bytes{flag}")
+
+
+if __name__ == "__main__":
+    sys.exit(_record())

@@ -3,10 +3,15 @@
 import random
 
 import pytest
-from conftest import random_circuit
+from conftest import random_circuit, with_zero_control
+from hypothesis import example, given
+from hypothesis import strategies as st
+from reference_sim import _simulate, reference_detects, reference_grade
 
 from bridgetest import (
+    DC_POLICIES,
     FULL_MASK,
+    FaultKind,
     BridgingFault,
     OracleCapExceeded,
     Polarity,
@@ -205,7 +210,7 @@ class TestOracle:
         assert res.witness == TestPattern("0", "011", origin="Fallback")
 
     def test_oracle_agrees_with_scalar_search(self):
-        # dual route: truth-table columns vs one-pattern-at-a-time sweep
+        # dual route: truth-table columns vs the scalar reference simulator
         rng = random.Random(7)
         for idx in range(8):
             circuit = random_circuit(rng, idx, max_n=5, max_p=3, max_d=6, width_cap=8)
@@ -218,7 +223,7 @@ class TestOracle:
                 for v in range(1 << width):
                     bits = format(v, f"0{width}b")
                     pat = TestPattern(bits[: net.p], bits[net.p :])
-                    if detects(net, fault, pat):
+                    if reference_detects(net, fault, pat):
                         found = pat
                         break
                 if res.detectable:
@@ -265,11 +270,51 @@ class TestEvaluateTestSet:
         assert [(v.status, v.method) for v in ev.verdicts] == [("redundant", "constant-line")]
         assert ev.coverage() == 1.0
 
-    def test_jobs_equivalence(self, bench):
+    def test_verdicts_follow_fault_order(self, bench):
         net = expand_network(bench)
-        faults = enumerate_faults(net)
+        faults = list(enumerate_faults(net))
         pats = gen_corner_set(7, 3).patterns
-        seq = evaluate_test_set(net, faults, pats, jobs=1)
-        par = evaluate_test_set(net, faults, pats, jobs=4)
-        assert seq.verdicts == par.verdicts
-        assert seq.masks == par.masks
+        forward = evaluate_test_set(net, faults, pats)
+        backward = evaluate_test_set(net, faults[::-1], pats)
+        assert backward.verdicts == forward.verdicts[::-1]
+        assert backward.masks == forward.masks
+
+
+def _random_patterns(rng, net, count):
+    width = net.p + net.n
+    rows = ["".join(rng.choice("01d") for _ in range(width)) for _ in range(count)]
+    return [TestPattern(row[: net.p], row[net.p :]) for row in rows]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    zero_control=st.booleans(),
+    count=st.integers(0, 70),
+    dc_policy=st.sampled_from(DC_POLICIES),
+)
+@example(seed=1, zero_control=True, count=0, dc_policy="fill-zero")
+@example(seed=2, zero_control=False, count=1, dc_policy="fill-one")
+@example(seed=3, zero_control=True, count=70, dc_policy="fill-one")
+@example(seed=4, zero_control=False, count=65, dc_policy="fill-zero")
+def test_columns_match_scalar_reference(seed, zero_control, count, dc_policy):
+    # dual route: bit-packed columns vs the scalar reference, every fault class
+    rng = random.Random(seed)
+    circuit = random_circuit(rng, seed)
+    if zero_control:
+        circuit = with_zero_control(circuit, rng)
+    net = expand_network(circuit)
+    faults = list(enumerate_faults(net, include_aux=True))
+    patterns = _random_patterns(rng, net, count)
+
+    ev = evaluate_test_set(net, faults, patterns, dc_policy)
+    verdicts, masks = reference_grade(net, faults, patterns, dc_policy)
+    assert ev.verdicts == verdicts
+    assert ev.masks == masks
+    assert exor_stimulation_mask(net, patterns, dc_policy) == masks
+
+    for pat in patterns[:1]:
+        c, x = pat.resolve(dc_policy)
+        assert eval_good(net, pat, dc_policy) == _simulate(net, c, x, None)
+        for fault in faults:
+            if fault.kind is not FaultKind.EXOR_INTERNAL:
+                assert eval_faulty(net, fault, pat, dc_policy) == _simulate(net, c, x, fault)
