@@ -11,8 +11,11 @@ Five named sets are built per circuit:
 * T3: parity-matrix driven patterns for wired-OR input pairs.  Case (a)
   handles variables with an odd diagonal count, case (b) pairs a variable
   with an odd joint count, case (c) retries both after restricting chosen
-  variables to 0.  Every claim is confirmed by simulation before the
-  partition is refined.
+  variables to 0.  Parity rows are bitmasks read straight off the term
+  multisets.  Every claim is confirmed by simulation before the partition
+  is refined.  Case (c) ends once every open block holds only inputs that
+  no term reads (identical terms of one output cancel first); those pairs
+  still go to fallback.
 * T4: ceil(log2 p) halving patterns over the c lines with x all zero; every
   pair of cascade columns is driven to opposite values somewhere.
 * T5: n walking-zero patterns separating AND outputs with distinct support.
@@ -33,7 +36,7 @@ from typing import Iterable, Sequence
 from .faults import BridgingFault, FaultKind, Polarity
 from .network import AndExorNetwork
 from .patterns import TestPattern, TestSet
-from .pprm import PprmFunction, restrict
+from .pprm import PprmFunction
 from .simulate import (
     DEFAULT_ORACLE_CAP,
     detects,
@@ -102,20 +105,45 @@ class ParityMatrix:
         return all(all(v == 0 for v in row) for row in self.rows)
 
 
+def _mask(variables: Iterable[int]) -> int:
+    """Bitmask with bit v set for every variable x_v."""
+    mask = 0
+    for v in variables:
+        mask |= 1 << v
+    return mask
+
+
+def _parity_rows(pprm_list: Sequence[PprmFunction], zeros: int) -> dict[int, int]:
+    """Parity-matrix rows as bitmasks, with the inputs in ``zeros`` held at 0.
+
+    Terms touching ``zeros`` drop out (the zero cofactor).  Per output, row v
+    is the XOR of the masks of the surviving terms containing x_v, so its bit
+    j is the parity of the terms containing both x_v and x_j (bit v: x_v
+    alone); the returned row v ORs that over the outputs.  Variables no
+    surviving term reads are absent.
+    """
+    rows: dict[int, int] = {}
+    for f in pprm_list:
+        acc: dict[int, int] = {}
+        for term in f.term_multiset:
+            mask = _mask(term)
+            if mask & zeros:
+                continue
+            for v in term:
+                acc[v] = acc.get(v, 0) ^ mask
+        for v, row in acc.items():
+            rows[v] = rows.get(v, 0) | row
+    return rows
+
+
 def build_parity_matrix(
     pprm_list: Sequence[PprmFunction], active_vars: Iterable[int]
 ) -> ParityMatrix:
     order = tuple(sorted(active_vars))
-    outputs = range(1, len(pprm_list) + 1)
-    rows = []
-    for i in order:
-        row = []
-        for j in order:
-            vs = {i} if i == j else {i, j}
-            bit = 1 if any(count_terms(pprm_list, k, vs) % 2 for k in outputs) else 0
-            row.append(bit)
-        rows.append(tuple(row))
-    return ParityMatrix(order, tuple(rows))
+    rows = _parity_rows(pprm_list, 0)
+    return ParityMatrix(
+        order, tuple(tuple(rows.get(i, 0) >> j & 1 for j in order) for i in order)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +282,12 @@ def gen_input_or_tests(
     entry, case (b) a variable paired with an odd joint entry, and case (c)
     repeats both on the function restricted at a growing set of variables
     held at 0 (single variables in ascending order, then pairs, and so on,
-    never deeper than n - 1).  Pairs left in unsplit blocks are returned
-    for fallback.
+    never deeper than n - 1).  A restriction stage is skipped when no block
+    it leaves whole holds a variable with a nonzero parity row, and the walk
+    ends once every open block holds only inputs that no term reads, after
+    identical terms of one output cancel: holding inputs at 0 only removes
+    terms, so such a block never splits.  Pairs left in unsplit blocks are
+    returned for fallback.
     """
     aux = network.constant_line
     variables = list(network.real_inputs())
@@ -294,18 +326,30 @@ def gen_input_or_tests(
                 blocks.append(part)
         return True
 
+    # Inputs some term reads once identical terms of an output cancel; no
+    # other input gets a row under any restriction.  Rows of these inputs can
+    # still cancel with nothing held at 0 and reappear under a restriction.
+    read = _mask(v for f in pprm_list for term in f.canonical_terms for v in term)
+
+    def splittable() -> bool:
+        return any(_mask(b) & read for b in multi_blocks())
+
     def stage(restricted: frozenset) -> None:
-        multis = multi_blocks()
-        if not multis or all(b & restricted for b in multis):
+        whole = [b for b in multi_blocks() if not b & restricted]
+        if not whole:
+            return
+        rows = _parity_rows(pprm_list, _mask(restricted))
+        # cases (a) and (b) split only blocks like these
+        if not any(rows.get(v) for b in whole for v in b):
             return
         active = [v for v in variables if v not in restricted]
-        if len(active) < 2:
-            return
-        sub = [restrict(f, restricted) for f in pprm_list] if restricted else list(pprm_list)
-        parity = build_parity_matrix(sub, active)
+        active_mask = _mask(active)
+
+        def bit(i: int, k: int) -> int:
+            return rows.get(i, 0) >> k & 1
 
         for i in active:  # case (a)
-            if parity.get(i, i) != 1:
+            if not bit(i, i):
                 continue
             block = block_of(i)
             if block is None or (block & restricted):
@@ -315,15 +359,15 @@ def gen_input_or_tests(
                 patterns.append(pattern)
 
         for i in active:  # case (b)
-            if parity.get(i, i) != 0:
+            if bit(i, i):
                 continue
             block = block_of(i)
             if block is None or (block & restricted):
                 continue
-            partners = [k for k in active if k != i and parity.get(i, k) == 1]
+            partners = rows.get(i, 0) & active_mask
             if not partners:
                 continue
-            k = partners[0]
+            k = (partners & -partners).bit_length() - 1  # lowest partner
             pattern = make_pattern(restricted | {i, k})
             block_k = block_of(k)
             emitted = False
@@ -333,7 +377,7 @@ def gen_input_or_tests(
             else:
                 emitted = try_split(pattern, block, frozenset({i}))
                 if (
-                    parity.get(k, k) == 0
+                    not bit(k, k)
                     and block_k is not None
                     and not (block_k & restricted)
                     and try_split(pattern, block_k, frozenset({k}))
@@ -344,10 +388,10 @@ def gen_input_or_tests(
 
     stage(frozenset())
     for depth in range(1, len(variables)):
-        if not multi_blocks():
+        if not splittable():
             break
         for combo in itertools.combinations(variables, depth):
-            if not multi_blocks():
+            if not splittable():
                 break
             stage(frozenset(combo))
 

@@ -1,0 +1,156 @@
+"""The T3 generator as it stood before parity rows became bitmasks.
+
+``gen_input_or_tests`` below rebuilds the restricted PPRMs with
+``restrict`` and the parity matrix from ``count_terms`` for every
+restriction set, and walks every set of up to n - 1 inputs held at 0.  It is
+kept, unchanged, as the reference the fast generator in
+``bridgetest.atpg`` is compared against; ``build_parity_matrix`` is the
+``count_terms`` definition of the matrix, so the reference shares no
+parity code with the generator under test.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterable, Sequence
+
+from bridgetest.atpg import ParityMatrix, count_terms
+from bridgetest.faults import BridgingFault, Polarity
+from bridgetest.network import AndExorNetwork
+from bridgetest.patterns import TestPattern, TestSet
+from bridgetest.pprm import PprmFunction, restrict
+from bridgetest.simulate import detects
+
+
+def build_parity_matrix(
+    pprm_list: Sequence[PprmFunction], active_vars: Iterable[int]
+) -> ParityMatrix:
+    order = tuple(sorted(active_vars))
+    outputs = range(1, len(pprm_list) + 1)
+    rows = []
+    for i in order:
+        row = []
+        for j in order:
+            vs = {i} if i == j else {i, j}
+            bit = 1 if any(count_terms(pprm_list, k, vs) % 2 for k in outputs) else 0
+            row.append(bit)
+        rows.append(tuple(row))
+    return ParityMatrix(order, tuple(rows))
+
+
+def gen_input_or_tests(
+    pprm_list: Sequence[PprmFunction],
+    network: AndExorNetwork,
+    *,
+    dc_policy: str = "fill-zero",
+) -> tuple[TestSet, tuple[tuple[int, int], ...]]:
+    """Parity-driven T3 construction for wired-OR input bridges.
+
+    The generator refines a partition of the inputs; a pattern is emitted
+    only when it provably separates at least one block, which caps the set
+    at n - 1 patterns.  Case (a) splits off a variable with an odd diagonal
+    entry, case (b) a variable paired with an odd joint entry, and case (c)
+    repeats both on the function restricted at a growing set of variables
+    held at 0 (single variables in ascending order, then pairs, and so on,
+    never deeper than n - 1).  Pairs left in unsplit blocks are returned
+    for fallback.
+    """
+    aux = network.constant_line
+    variables = list(network.real_inputs())
+    p = network.p
+    patterns: list[TestPattern] = []
+    blocks: list[frozenset] = [frozenset(variables)] if len(variables) >= 2 else []
+
+    def block_of(v: int) -> frozenset | None:
+        for b in blocks:
+            if v in b:
+                return b
+        return None
+
+    def multi_blocks() -> list[frozenset]:
+        return [b for b in blocks if len(b) >= 2]
+
+    def make_pattern(zeros: frozenset) -> TestPattern:
+        bits = "".join(
+            "1" if v == aux else ("0" if v in zeros else "1") for v in range(1, network.n + 1)
+        )
+        return TestPattern("d" * p, bits, origin="T3")
+
+    def try_split(pattern: TestPattern, block: frozenset, side: frozenset) -> bool:
+        """Validate every wired-OR pair across the split; refine on success."""
+        cross = [(r, s) for r in sorted(side) for s in sorted(block - side)]
+        if not cross:
+            return False
+        if not all(
+            detects(network, BridgingFault.x_pair(r, s, Polarity.WIRED_OR), pattern, dc_policy)
+            for r, s in cross
+        ):
+            return False
+        blocks.remove(block)
+        for part in (side, block - side):
+            if len(part) >= 2:
+                blocks.append(part)
+        return True
+
+    def stage(restricted: frozenset) -> None:
+        multis = multi_blocks()
+        if not multis or all(b & restricted for b in multis):
+            return
+        active = [v for v in variables if v not in restricted]
+        if len(active) < 2:
+            return
+        sub = [restrict(f, restricted) for f in pprm_list] if restricted else list(pprm_list)
+        parity = build_parity_matrix(sub, active)
+
+        for i in active:  # case (a)
+            if parity.get(i, i) != 1:
+                continue
+            block = block_of(i)
+            if block is None or (block & restricted):
+                continue
+            pattern = make_pattern(restricted | {i})
+            if try_split(pattern, block, frozenset({i})):
+                patterns.append(pattern)
+
+        for i in active:  # case (b)
+            if parity.get(i, i) != 0:
+                continue
+            block = block_of(i)
+            if block is None or (block & restricted):
+                continue
+            partners = [k for k in active if k != i and parity.get(i, k) == 1]
+            if not partners:
+                continue
+            k = partners[0]
+            pattern = make_pattern(restricted | {i, k})
+            block_k = block_of(k)
+            emitted = False
+            if block_k is block:
+                # i and k stay joined: their own pair is not exercised here
+                emitted = try_split(pattern, block, frozenset({i, k}))
+            else:
+                emitted = try_split(pattern, block, frozenset({i}))
+                if (
+                    parity.get(k, k) == 0
+                    and block_k is not None
+                    and not (block_k & restricted)
+                    and try_split(pattern, block_k, frozenset({k}))
+                ):
+                    emitted = True
+            if emitted:
+                patterns.append(pattern)
+
+    stage(frozenset())
+    for depth in range(1, len(variables)):
+        if not multi_blocks():
+            break
+        for combo in itertools.combinations(variables, depth):
+            if not multi_blocks():
+                break
+            stage(frozenset(combo))
+
+    uncovered = []
+    for block in sorted(multi_blocks(), key=min):
+        uncovered.extend(itertools.combinations(sorted(block), 2))
+    test_set = TestSet("T3", patterns, target_class="XPair/WiredOr")
+    return test_set, tuple(sorted(uncovered))

@@ -46,6 +46,13 @@ CASES = {
     ),
     # above the cap the random search runs and cannot prove the redundant bridge
     "verify_and2_cap2.txt": (4, ["verify", "and2.rev", "--oracle-cap", "2"]),
+    # two idle inputs: T3 case (c) gives up on their block, and the oracle
+    # proves their bridges redundant, so fallback adds no pattern
+    "atpg_idle12_fallback.txt": (0, ["atpg", "idle12.rev", "--fallback"]),
+    "verify_idle12.json": (0, ["verify", "idle12.rev", "--format", "json"]),
+    # parity rows that cancel until an input is held at 0: only case (c) splits
+    "atpg_cancel4_fallback.txt": (0, ["atpg", "cancel4.rev", "--fallback"]),
+    "verify_cancel4.json": (0, ["verify", "cancel4.rev", "--format", "json"]),
 }
 
 _FILE_SUFFIXES = (".rev", ".tests")

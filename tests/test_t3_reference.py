@@ -1,0 +1,103 @@
+"""The T3 generator against its reference, and parity rows against their
+``count_terms`` definition.
+
+``reference_t3.gen_input_or_tests`` rebuilds restricted PPRMs and the whole
+parity matrix for every restriction set and walks every set; the generator
+in ``bridgetest.atpg`` reads bitmask rows and prunes the walk.  Both must
+emit the same patterns, in the same order, and leave the same pairs for
+fallback.
+"""
+
+import random
+
+from conftest import DATA, random_circuit, with_zero_control
+from hypothesis import example, given
+from hypothesis import strategies as st
+from reference_t3 import build_parity_matrix as reference_parity_matrix
+from reference_t3 import gen_input_or_tests as reference_t3
+
+from bridgetest import derive_pprm, expand_network, normalize_zero_controls, parse_circuit
+from bridgetest.atpg import _mask, _parity_rows, build_parity_matrix, gen_input_or_tests
+from bridgetest.circuit import Gate, ReversibleCircuit
+from bridgetest.pprm import restrict
+
+DC_POLICIES = ("fill-zero", "fill-one")
+
+CANCEL4 = normalize_zero_controls(
+    parse_circuit((DATA / "cancel4.rev").read_text(), allow_zero_controls=True, name="cancel4")
+)
+# x1 and x2 are read only by a gate that appears twice on c1, so no
+# restriction ever gives them a row and their block stays open
+TWICE = parse_circuit(
+    ".n 5\n.p 2\n.gate c1 : x1 x2\n.gate c2 : x3 x4\n.gate c1 : x1 x2\n"
+    ".gate c2 : x4 x5\n.gate c2 : x5\n.end\n",
+    name="twice",
+)
+
+
+def term_pool_circuit(rng: random.Random, index: int = 0) -> ReversibleCircuit:
+    """Gates drawn from a few shared product terms, some inputs idle and
+    sometimes a 0-control gate.  Shared terms make parity rows cancel: a term
+    that feeds one output twice cancels under every restriction, and
+    distinct terms can cancel with no input held at 0 and not under some
+    restriction."""
+    n = rng.randint(2, 8)
+    p = rng.randint(1, 3)
+    idle = set(rng.sample(range(1, n + 1), rng.randint(0, min(2, n - 1))))
+    used = [v for v in range(1, n + 1) if v not in idle]
+    pool = [
+        frozenset(rng.sample(used, rng.randint(1, min(3, len(used)))))
+        for _ in range(rng.randint(1, 5))
+    ]
+    gates = tuple(
+        Gate(rng.choice(pool), rng.randint(1, p), gid) for gid in range(1, rng.randint(1, 10) + 1)
+    )
+    circuit = ReversibleCircuit(n, p, gates, name=f"pool{index}")
+    return with_zero_control(circuit, rng) if rng.random() < 0.3 else circuit
+
+
+@st.composite
+def circuits(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return term_pool_circuit(random.Random(seed), seed)
+    rng = random.Random(seed)
+    circuit = random_circuit(rng, seed)
+    return with_zero_control(circuit, rng) if draw(st.booleans()) else circuit
+
+
+@given(circuit=circuits())
+@example(circuit=CANCEL4)
+@example(circuit=TWICE)
+def test_t3_matches_reference(circuit):
+    pprms, net = derive_pprm(circuit), expand_network(circuit)
+    for dc_policy in DC_POLICIES:
+        got_set, got_uncovered = gen_input_or_tests(pprms, net, dc_policy=dc_policy)
+        ref_set, ref_uncovered = reference_t3(pprms, net, dc_policy=dc_policy)
+        assert list(got_set) == list(ref_set)
+        assert got_uncovered == ref_uncovered
+
+
+def test_cancel4_needs_a_restriction():
+    pprms, net = derive_pprm(CANCEL4), expand_network(CANCEL4)
+    rows = _parity_rows(pprms, 0)
+    assert rows.get(1, 0) == rows.get(3, 0) == 0
+    assert _parity_rows(pprms, _mask({4}))[1] != 0
+    t3, uncovered = gen_input_or_tests(pprms, net)
+    assert [pat.c + pat.x for pat in t3] == ["dd11101", "dd01001"]
+    assert uncovered == ((1, 3),)
+
+
+@given(circuit=circuits(), data=st.data())
+def test_parity_rows_match_count_terms(circuit, data):
+    pprms = derive_pprm(circuit)
+    inputs = list(range(1, circuit.n + 1))
+    zeroed = frozenset(data.draw(st.lists(st.sampled_from(inputs), unique=True)))
+    active = [v for v in inputs if v not in zeroed]
+    restricted = [restrict(f, zeroed) for f in pprms]
+    expected = reference_parity_matrix(restricted, active)
+    assert build_parity_matrix(restricted, active) == expected
+    rows = _parity_rows(pprms, _mask(zeroed))
+    assert tuple(
+        tuple(rows.get(i, 0) >> j & 1 for j in expected.order) for i in expected.order
+    ) == expected.rows
