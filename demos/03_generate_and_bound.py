@@ -10,16 +10,13 @@ against 3n + ceil(log2 p) + 2.
 """
 
 from bridgetest import (
-    assemble_union,
     benchmark_circuit,
-    check_bound,
     derive_pprm,
     enumerate_faults,
-    evaluate_test_set,
     expand_network,
-    fallback_search,
     generate_sets,
 )
+from bridgetest.cli import RunConfig, run_pipeline
 
 circuit = benchmark_circuit()
 net = expand_network(circuit)
@@ -32,25 +29,22 @@ for name, ts in result.sets.items():
         print(f"  {pat.line()}")
 print()
 
-# grade the union, then let the fallback handle whatever is left
+# grade the union, let the fallback repair or classify whatever is left, and
+# check the bound: the pipeline `bridgetest verify --dedup` runs
 faults = enumerate_faults(net)
-union = assemble_union(result.ordered_sets())
-evaluation = evaluate_test_set(net, faults, union.test_set.patterns)
-missed = evaluation.faults_with("undetected")
-print(f"union of {union.pre_dedup_size}: {evaluation.count('detected')} of"
-      f" {len(faults)} faults detected, {len(missed)} left")
-
-fb = fallback_search(net, missed)
-for fault, method in fb.redundant.items():
+run = run_pipeline(net, faults, result.ordered_sets(), RunConfig("verify", dedup=True))
+evaluation = run.evaluation
+print(f"union of {run.union.pre_dedup_size}: {evaluation.count('detected')} of"
+      f" {len(faults)} faults detected, {evaluation.count('undetected')} left")
+for fault, method in run.fallback.redundant.items():
     print(f"  {fault.describe()}: redundant ({method} proof)")
-if fb.patterns:
-    print(f"  repair patterns added: {[p.line() for p in fb.patterns]}")
+if run.fallback.patterns:
+    print(f"  repair patterns added: {[p.line() for p in run.fallback.patterns]}")
 print()
 
 # the bound counts the construction before any deduplication
-report = check_bound(union, len(net.real_inputs()), net.p)
-print(f"bound: {report.size} <= {report.bound} -> {'pass' if report.passed else 'FAIL'}")
+bound = run.bound
+print(f"bound: {bound.size} <= {bound.bound} -> {'pass' if bound.passed else 'FAIL'}")
 
-# duplicates across sets can still be dropped for the actual tester load
-deduped = assemble_union(result.ordered_sets(), dedup=True)
-print(f"after dedup: {len(deduped.test_set)} patterns ({deduped.removed} removed)")
+# duplicates across sets are dropped for the actual tester load
+print(f"after dedup: {len(run.union.test_set)} patterns ({run.union.removed} removed)")

@@ -14,15 +14,13 @@ from bridgetest import (
     FaultKind,
     Gate,
     ReversibleCircuit,
-    assemble_union,
     derive_pprm,
     enumerate_faults,
-    evaluate_test_set,
     exhaustive_detectability,
     expand_network,
-    fallback_search,
     generate_sets,
 )
+from bridgetest.cli import RunConfig, run_pipeline
 
 rng = random.Random(2718)
 
@@ -43,14 +41,11 @@ for index in range(20):
     net = expand_network(circuit)
     faults = enumerate_faults(net)
 
-    result = generate_sets(derive_pprm(circuit), net)
-    base = assemble_union(result.ordered_sets())
-    first = evaluate_test_set(net, faults, base.test_set.patterns)
-    fb = fallback_search(net, first.faults_with("undetected"))
-    union = assemble_union(result.ordered_sets(), fb.patterns)
-    final = evaluate_test_set(net, faults, union.test_set.patterns)
+    # generate, grade, repair: the pipeline `bridgetest verify` runs
+    sets = generate_sets(derive_pprm(circuit), net).ordered_sets()
+    run = run_pipeline(net, faults, sets, RunConfig("verify"))
 
-    status = {v.fault: v.status for v in final.verdicts}
+    status = {v.fault: v.status for v in run.evaluation.verdicts}
     for fault in faults:
         if fault.kind is FaultKind.EXOR_INTERNAL:
             continue

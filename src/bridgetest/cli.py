@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,7 +87,6 @@ class RunConfig:
         out["dc_policy"] = self.dc_policy
         if self.command in ("verify", "simulate", "atpg"):
             out["oracle_cap"] = self.oracle_cap
-        if self.command in ("verify", "simulate", "atpg"):
             out["fallback"] = self.fallback
         if self.command in ("verify", "atpg"):
             out["dedup"] = self.dedup
@@ -123,17 +123,47 @@ def _parse_sets(arg: str) -> tuple[str, ...]:
     return names
 
 
-def _apply_fallback_classification(evaluation: Evaluation, fb) -> Evaluation:
-    """Rewrite leftover undetected verdicts that fallback classified."""
-    unresolved = set(fb.unresolved)
-    verdicts = []
-    for v in evaluation.verdicts:
-        if v.status == "undetected" and v.fault in fb.redundant:
-            v = FaultVerdict(v.fault, "redundant", None, fb.redundant[v.fault])
-        elif v.status == "undetected" and v.fault in unresolved:
-            v = FaultVerdict(v.fault, "unresolved", None, None)
-        verdicts.append(v)
-    return Evaluation(tuple(verdicts), evaluation.masks, evaluation.dc_policy)
+PipelineResult = namedtuple("PipelineResult", "sets union evaluation fallback bound")
+
+
+def run_pipeline(network, faults, sets: list[TestSet], cfg: RunConfig) -> PipelineResult:
+    """Grade the union of ``sets``, repair or classify its misses, check the bound.
+
+    The union is graded once.  Fallback then handles the undetected faults
+    (repair patterns only when ``cfg.fallback``).  If it appended patterns,
+    only those faults are graded again, against the final union: dedup keeps
+    first occurrences in order, so the graded base is a prefix of the final
+    union and earlier verdicts and pattern indices stay valid.  The EXOR
+    masks come from that second grading.  With ``faults`` None nothing is
+    graded and fallback does not run.
+    """
+    dc = cfg.dc_policy
+    union = assemble_union(sets, dedup=cfg.dedup, dc_policy=dc)
+    evaluation = fb = None
+    if faults is not None:
+        evaluation = evaluate_test_set(network, faults, list(union.test_set), dc_policy=dc)
+        missed = evaluation.faults_with("undetected")
+        fb = fallback_search(
+            network, missed, cfg.oracle_cap, dc_policy=dc, classify_only=not cfg.fallback
+        )
+        final = evaluation
+        if fb.patterns:
+            union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=dc)
+            final = evaluate_test_set(network, missed, list(union.test_set), dc_policy=dc)
+        regraded = {v.fault: v for v in final.verdicts}
+        unresolved = set(fb.unresolved)
+        verdicts = []
+        for v in evaluation.verdicts:
+            if v.status == "undetected":
+                v = regraded[v.fault]
+            if v.status == "undetected" and v.fault in fb.redundant:
+                v = FaultVerdict(v.fault, "redundant", None, fb.redundant[v.fault])
+            elif v.status == "undetected" and v.fault in unresolved:
+                v = FaultVerdict(v.fault, "unresolved", None, None)
+            verdicts.append(v)
+        evaluation = Evaluation(verdicts, final.masks, dc)
+    bound = check_bound(union, len(network.real_inputs()), network.p)
+    return PipelineResult(sets, union, evaluation, fb, bound)
 
 
 def _coverage_exit(evaluation: Evaluation) -> int:
@@ -203,22 +233,11 @@ def cmd_atpg(args) -> int:
     circuit = _load_circuit(args.circuit)
     network = expand_network(circuit)
     pprms = derive_pprm(circuit)
-    gen = generate_sets(pprms, network, cfg.sets, cfg.dc_policy)
-    sets = gen.ordered_sets()
-    fb_patterns: list[TestPattern] = []
-    if cfg.fallback:
-        faults = enumerate_faults(network)
-        base = assemble_union(sets, dc_policy=cfg.dc_policy)
-        first = evaluate_test_set(network, faults, list(base.test_set), dc_policy=cfg.dc_policy)
-        fb = fallback_search(
-            network,
-            first.faults_with("undetected"),
-            cfg.oracle_cap,
-            dc_policy=cfg.dc_policy,
-        )
-        fb_patterns = fb.patterns
-    union = assemble_union(sets, fb_patterns, dedup=cfg.dedup, dc_policy=cfg.dc_policy)
-    bound = check_bound(union, len(network.real_inputs()), network.p)
+    sets = generate_sets(pprms, network, cfg.sets, cfg.dc_policy).ordered_sets()
+    # without repair patterns the union needs no grading
+    faults = enumerate_faults(network) if cfg.fallback else None
+    run = run_pipeline(network, faults, sets, cfg)
+    union, bound = run.union, run.bound
     if args.format == "text":
         header = [
             f"# {circuit.name or 'circuit'}: n={network.n} p={network.p} d={network.d}",
@@ -252,23 +271,13 @@ def cmd_grade(args) -> int:
     network = expand_network(circuit)
     faults = enumerate_faults(network, include_aux=cfg.include_aux)
     patterns = _parse_tests_for(network, _read_text(args.tests))
-    evaluation = evaluate_test_set(network, faults, patterns, dc_policy=cfg.dc_policy)
-    fb = fallback_search(
-        network,
-        evaluation.faults_with("undetected"),
-        cfg.oracle_cap,
-        dc_policy=cfg.dc_policy,
-        classify_only=True,
-    )
-    evaluation = _apply_fallback_classification(evaluation, fb)
-    user_set = TestSet("User", list(patterns))
-    union = assemble_union([user_set], dc_policy=cfg.dc_policy)
+    run = run_pipeline(network, faults, [TestSet("User", patterns)], cfg)
     report = build_coverage_report(
-        circuit, network, faults, evaluation, [user_set], union, None,
+        circuit, network, faults, run.evaluation, run.sets, run.union, None,
         cfg.echo(), timestamp=not args.no_timestamp,
     )
     _write_text(args.out, render_report(report, args.format))
-    return _coverage_exit(evaluation)
+    return _coverage_exit(run.evaluation)
 
 
 def cmd_verify(args) -> int:
@@ -285,27 +294,14 @@ def cmd_verify(args) -> int:
     network = expand_network(circuit)
     pprms = derive_pprm(circuit)
     faults = enumerate_faults(network, include_aux=cfg.include_aux)
-    gen = generate_sets(pprms, network, cfg.sets, cfg.dc_policy)
-    sets = gen.ordered_sets()
-    base = assemble_union(sets, dc_policy=cfg.dc_policy)
-    first = evaluate_test_set(network, faults, list(base.test_set), dc_policy=cfg.dc_policy)
-    fb = fallback_search(
-        network,
-        first.faults_with("undetected"),
-        cfg.oracle_cap,
-        dc_policy=cfg.dc_policy,
-        classify_only=not cfg.fallback,
-    )
-    union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=cfg.dc_policy)
-    bound = check_bound(union, len(network.real_inputs()), network.p)
-    evaluation = evaluate_test_set(network, faults, list(union.test_set), dc_policy=cfg.dc_policy)
-    evaluation = _apply_fallback_classification(evaluation, fb)
+    sets = generate_sets(pprms, network, cfg.sets, cfg.dc_policy).ordered_sets()
+    run = run_pipeline(network, faults, sets, cfg)
     report = build_coverage_report(
-        circuit, network, faults, evaluation, sets, union, bound,
+        circuit, network, faults, run.evaluation, sets, run.union, run.bound,
         cfg.echo(), timestamp=not args.no_timestamp,
     )
     _write_text(args.out, render_report(report, args.format))
-    return _coverage_exit(evaluation)
+    return _coverage_exit(run.evaluation)
 
 
 def cmd_bench(args) -> int:

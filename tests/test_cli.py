@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from bridgetest import format_circuit, normalize_zero_controls, parse_circuit, parse_test_file
+from bridgetest import cli, format_circuit, normalize_zero_controls, parse_circuit, parse_test_file
 from bridgetest.cli import build_parser, main
+from conftest import DATA
 
 NOTPLUS_TEXT = ".n 2\n.p 1\n.gate c1 :\n.gate c1 : x1 x2\n.end\n"
 WIDE_TEXT = ".n 20\n.p 3\n.gate c1 : x1 x2\n.gate c2 : x3\n.gate c3 : x4\n.end\n"
@@ -210,19 +211,28 @@ class TestSimulateAndVerify:
         assert rows[("XPair", "x1", "x2", "WiredAnd")] == "Redundant"
         assert rows[("XPair", "x1", "x2", "WiredOr")] == "Detected"
 
-    def test_simulate_round_trips_verify(self, capsys, tmp_path, bench_path):
-        tests_file = tmp_path / "bench.tests"
-        code = main(["atpg", str(bench_path), "-o", str(tests_file)])
+    # without --fallback, atpg leaves out the repair patterns verify adds, so
+    # the rand5z round trip needs it
+    @pytest.mark.parametrize("circuit, options", [
+        pytest.param("bench7x3.rev", [], id="bench7x3"),
+        pytest.param("rand5z.rev", ["--sets", "T1,T4", "--fallback"], id="rand5z"),
+    ])
+    def test_simulate_round_trips_verify(self, capsys, tmp_path, circuit, options):
+        circuit_path = DATA / circuit
+        tests_file = tmp_path / "round.tests"
+        code = main(["atpg", str(circuit_path), *options, "-o", str(tests_file)])
         assert code == 0
         capsys.readouterr()
 
         code, sim_out, _ = run(
-            capsys, "simulate", str(bench_path), "--tests", str(tests_file),
+            capsys, "simulate", str(circuit_path), "--tests", str(tests_file),
             "-f", "json", "--no-timestamp",
         )
         assert code == 0
+        verify_options = [o for o in options if o != "--fallback"]
         code, ver_out, _ = run(
-            capsys, "verify", str(bench_path), "-f", "json", "--no-timestamp"
+            capsys, "verify", str(circuit_path), *verify_options, "-f", "json",
+            "--no-timestamp",
         )
         assert code == 0
         sim = json.loads(sim_out)
@@ -285,6 +295,38 @@ class TestSimulateAndVerify:
         # every pattern gained the mandatory 1 on the constant line
         pats = report["test_sets"]["User"]["patterns"]
         assert pats == ["0001", "0011", "0101", "0111", "1001", "1111"]
+
+
+class TestGradeCount:
+    @pytest.fixture
+    def grades(self, monkeypatch):
+        calls = []
+        grade = cli.evaluate_test_set
+
+        def recording(network, faults, patterns, *args, **kwargs):
+            evaluation = grade(network, faults, patterns, *args, **kwargs)
+            calls.append((list(faults), evaluation))
+            return evaluation
+
+        monkeypatch.setattr(cli, "evaluate_test_set", recording)
+        return calls
+
+    def test_verify_grades_once(self, capsys, grades):
+        code, _, _ = run(capsys, "verify", str(DATA / "bench7x3.rev"))
+        assert code == 0
+        assert len(grades) == 1
+
+    def test_verify_regrades_only_the_misses(self, capsys, grades):
+        code, _, _ = run(capsys, "verify", str(DATA / "rand5z.rev"), "--sets", "T1,T4")
+        assert code == 0
+        assert len(grades) == 2
+        (_, first), (second_faults, _) = grades
+        assert second_faults == first.faults_with("undetected")
+
+    def test_atpg_without_fallback_grades_nothing(self, capsys, grades):
+        code, _, _ = run(capsys, "atpg", str(DATA / "bench7x3.rev"))
+        assert code == 0
+        assert grades == []
 
 
 class TestDeterminism:

@@ -53,6 +53,14 @@ CASES = {
     # parity rows that cancel until an input is held at 0: only case (c) splits
     "atpg_cancel4_fallback.txt": (0, ["atpg", "cancel4.rev", "--fallback"]),
     "verify_cancel4.json": (0, ["verify", "cancel4.rev", "--format", "json"]),
+    # dedup drops repeats across T3 and T5 while fallback appends patterns,
+    # so the final union differs from the concatenation of its parts
+    "verify_idle12_dedup.json": (
+        0, ["verify", "idle12.rev", "--sets", "T3,T5", "--dedup", "--format", "json"]
+    ),
+    # misses are classified but not repaired: exit 1, and the constant line's
+    # bridge is still proven redundant
+    "verify_rand5z_nofallback.txt": (1, ["verify", "rand5z.rev", "--sets", "T1,T4", "--no-fallback"]),
 }
 
 _FILE_SUFFIXES = (".rev", ".tests")
