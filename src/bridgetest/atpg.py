@@ -37,12 +37,7 @@ from .faults import BridgingFault, FaultKind, Polarity
 from .network import AndExorNetwork
 from .patterns import TestPattern, TestSet
 from .pprm import PprmFunction
-from .simulate import (
-    DEFAULT_ORACLE_CAP,
-    detects,
-    evaluate_test_set,
-    exhaustive_detectability,
-)
+from .simulate import DEFAULT_ORACLE_CAP, detects, exhaustive_detectability, grade_columns
 
 __all__ = [
     "count_terms",
@@ -587,6 +582,7 @@ def fallback_search(
     out = FallbackResult()
     corners_added = False
     width = network.n + network.p
+    pinned = None if network.constant_line is None else network.p + network.constant_line - 1
     for idx, fault in enumerate(uncovered_faults):
         if fault.kind is FaultKind.EXOR_INTERNAL:
             support = network.gate_supports[fault.ids[0] - 1]
@@ -609,23 +605,24 @@ def fallback_search(
             continue
         first = None
         if not classify_only:
-            # all draws are graded at once; the first detecting one is kept
+            # Draw t fills bit t of the c columns then the x columns, one
+            # rng.choice per line except the constant line, which stays 1.
+            # All draws are graded at once; the first detecting one is kept.
             rng = random.Random(rng_seed * 1000003 + idx)
-            draws = [
-                TestPattern(
-                    "".join(rng.choice("01") for _ in range(network.p)),
-                    "".join(
-                        "1" if v == network.constant_line else rng.choice("01")
-                        for v in range(1, network.n + 1)
-                    ),
-                    origin="Fallback",
-                )
-                for _ in range(attempts)
-            ]
-            verdict = evaluate_test_set(network, [fault], draws, dc_policy).verdicts[0]
-            first = verdict.pattern_index
+            ones = (1 << attempts) - 1
+            cols = [ones if k == pinned else 0 for k in range(width)]
+            drawn = [k for k in range(width) if k != pinned]
+            for t in range(attempts):
+                for k in drawn:
+                    if rng.choice("01") == "1":
+                        cols[k] |= 1 << t
+            grading = grade_columns(network, [fault], cols[: network.p], cols[network.p :], ones)
+            first = grading.verdicts[0].pattern_index
         if first is None:
             out.unresolved.append(fault)
         else:
-            out.patterns.append(draws[first])
+            bits = "".join(str(col >> first & 1) for col in cols)
+            out.patterns.append(
+                TestPattern(bits[: network.p], bits[network.p :], origin="Fallback")
+            )
     return out

@@ -1,18 +1,24 @@
 """Bit-accurate good and faulty evaluation, stimulation masks, and the
 exhaustive detectability oracle.
 
-One evaluator, ``_columns``, walks the netlist over integer columns: bit t
-of a column is a net's value under assignment t.  Coverage grading packs
-the whole pattern list into columns, single-pattern queries use one-bit
-columns, and the oracle uses the truth-table columns of all 2^(n+p) full
-assignments.  The first detecting assignment is the lowest set bit of the
-output difference.
+One fault-free evaluator, ``_columns``, walks the netlist over integer
+columns: bit t of a column is a net's value under assignment t.  Coverage
+grading packs the whole pattern list into columns, single-pattern queries
+use one-bit columns, and the oracle uses the truth-table columns of all
+2^(n+p) full assignments, built only where a fault reads them.
+
+Detection never re-walks a faulty netlist.  Each output is c_j XOR the AND
+outputs of the gates targeting j, so a bridge changes an output by the XOR
+of the changes it makes to the nets feeding it, and ``_fault_difference``
+reads those changes off the fault-free columns.  The first detecting
+assignment is the lowest set bit of that difference.  Injection stays only
+in ``eval_faulty``, which returns every faulty net.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .faults import BridgingFault, FaultKind, FaultList, bridge_values
 from .network import AndExorNetwork
@@ -105,24 +111,107 @@ def _columns(
     return x, a, cascade()
 
 
-def _outputs(
-    network: AndExorNetwork,
-    c_cols: Sequence[int],
-    x_cols: Sequence[int],
-    ones: int,
-    fault: BridgingFault | None,
-) -> tuple[int, ...]:
-    """Output columns; each earlier cascade level is dropped as it passes."""
-    for w in _columns(network, c_cols, x_cols, ones, fault)[2]:
-        pass
-    return w
+class _Good:
+    """Fault-free columns, as ``_fault_difference`` reads them.
+
+    ``cols`` holds the c columns then the x columns.  ``a`` and ``levels``
+    (cascade levels 0..d) are the AND outputs and wires when the caller has
+    evaluated the whole netlist; otherwise each read computes what it needs
+    from ``cols``.  Without ``ones`` the columns are the truth table of all
+    2^(n+p) assignments.
+    """
+
+    def __init__(
+        self,
+        network: AndExorNetwork,
+        cols: Sequence[int] | Mapping[int, int],
+        ones: int | None = None,
+        a: Sequence[int] | None = None,
+        levels: Sequence[tuple[int, ...]] | None = None,
+    ) -> None:
+        self.network = network
+        self.cols = cols
+        self._ones = ones
+        self.a = a
+        self.levels = levels
+
+    @property
+    def ones(self) -> int:
+        if self._ones is None:
+            self._ones = (1 << (1 << (self.network.n + self.network.p))) - 1
+        return self._ones
+
+    def x(self, i: int) -> int:
+        return self.cols[self.network.p + i - 1]
+
+    def and_out(self, gate_id: int) -> int:
+        if self.a is not None:
+            return self.a[gate_id - 1]
+        # read every input before the first AND, so no partial product is
+        # held while a truth-table column is being built
+        col, *rest = [self.x(v) for v in self.network.gate_supports[gate_id - 1]] or [self.ones]
+        for other in rest:
+            col &= other
+        return col
+
+    def wire(self, level: int, j: int) -> int:
+        if self.levels is not None:
+            return self.levels[level][j - 1]
+        col = self.cols[j - 1]
+        for gate_id, target in enumerate(self.network.gate_targets[:level], start=1):
+            if target == j:
+                col ^= self.and_out(gate_id)
+        return col
 
 
-def _difference(good: Sequence[int], faulty: Sequence[int]) -> int:
-    """Assignments under which some output differs."""
+class _TruthColumns(dict):
+    """Truth-table columns by position from the left, each built on first read."""
+
+    def __init__(self, width: int) -> None:
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, pos: int) -> int:
+        col = self[pos] = _input_column(pos, self.width)
+        return col
+
+
+def _fault_difference(good: _Good, fault: BridgingFault) -> int:
+    """Assignments under which ``fault`` changes some output.
+
+    A bridge moves its two nets by disjoint amounts whose OR is v1 XOR v2,
+    and the cascade passes each change on unchanged to its own output.  So
+    an APair differs where a_i XOR a_j is set and an IntraLevel where its
+    two wires differ.  An XPair changes each gate that reads x_i or x_j; the
+    changes of the gates on one target XOR into that output's change, and
+    the outputs' changes are ORed.
+    """
+    if fault.kind is FaultKind.A_PAIR:
+        i, j = fault.ids
+        return good.and_out(i) ^ good.and_out(j)
+    if fault.kind is FaultKind.INTRA_LEVEL:
+        level, j1, j2 = fault.ids
+        return good.wire(level, j1) ^ good.wire(level, j2)
+    if fault.kind is not FaultKind.X_PAIR:
+        raise ValueError("ExorInternal faults are graded by stimulation masks, not injection")
+
+    i, j = fault.ids
+    xi, xj = good.x(i), good.x(j)
+    v, _ = bridge_values(xi, xj, fault.polarity)
+    # a gate reading x_i only sees x_i become v, and one reading both sees x_i & x_j become v
+    change = {frozenset((i,)): xi ^ v, frozenset((j,)): xj ^ v, frozenset((i, j)): (xi & xj) ^ v}
+    pair = frozenset(fault.ids)
+    deltas: dict[int, int] = {}
+    for sup, target in zip(good.network.gate_supports, good.network.gate_targets):
+        col = change.get(sup & pair)
+        if not col:
+            continue
+        for u in sup - pair:
+            col &= good.x(u)
+        deltas[target] = deltas.get(target, 0) ^ col
     diff = 0
-    for g, f in zip(good, faulty):
-        diff |= g ^ f
+    for col in deltas.values():
+        diff |= col
     return diff
 
 
@@ -182,9 +271,12 @@ def detects(
     pattern: TestPattern,
     dc_policy: str = "fill-zero",
 ) -> bool:
-    """True when the pattern distinguishes faulty outputs from good outputs."""
+    """True when the pattern distinguishes faulty outputs from good outputs.
+
+    ExorInternal has no faulty outputs, so passing one is a usage error.
+    """
     c, x = _resolved_bits(network, pattern, dc_policy)
-    return _outputs(network, c, x, 1, None) != _outputs(network, c, x, 1, fault)
+    return _fault_difference(_Good(network, c + x, 1), fault) != 0
 
 
 def exor_stimulation_mask(
@@ -249,16 +341,11 @@ def exhaustive_detectability(
     if width > cap:
         raise OracleCapExceeded(f"n + p = {width} exceeds oracle cap {cap}")
 
-    c_cols = [_input_column(j, width) for j in range(network.p)]
-    x_cols = [_input_column(network.p + i, width) for i in range(network.n)]
-    ones = (1 << (1 << width)) - 1
-
-    diff = _difference(
-        _outputs(network, c_cols, x_cols, ones, None),
-        _outputs(network, c_cols, x_cols, ones, fault),
-    )
+    # only the columns the fault reads are built, and they are freed before
+    # the constant line's column is
+    diff = _fault_difference(_Good(network, _TruthColumns(width)), fault)
     if network.constant_line is not None:
-        diff &= x_cols[network.constant_line - 1]
+        diff &= _input_column(network.p + network.constant_line - 1, width)
     if diff == 0:
         return OracleResult("redundant")
 
@@ -309,10 +396,21 @@ def evaluate_test_set(
     ExorInternal, the index at which the stimulation mask became full).
     Verdicts come back in fault order.
     """
-    c_cols, x_cols, ones = _pack(network, patterns, dc_policy)
+    return grade_columns(network, faults, *_pack(network, patterns, dc_policy), dc_policy)
+
+
+def grade_columns(
+    network: AndExorNetwork,
+    faults: FaultList | Sequence[BridgingFault],
+    c_cols: list[int],
+    x_cols: list[int],
+    ones: int,
+    dc_policy: str = "fill-zero",
+) -> Evaluation:
+    """``evaluate_test_set`` on packed columns, bit t holding pattern t."""
     _, a, levels = _columns(network, c_cols, x_cols, ones, None)
     history = list(levels)
-    good = history[-1]
+    good = _Good(network, c_cols + x_cols, ones, a, history)
 
     # Bit 2*left + right of a gate's mask is set once its EXOR has seen that
     # input pair; a full mask completes at the latest first sighting of the four.
@@ -339,7 +437,7 @@ def evaluate_test_set(
             else:
                 verdicts.append(FaultVerdict(fault, "undetected"))
             continue
-        diff = _difference(good, _outputs(network, c_cols, x_cols, ones, fault))
+        diff = _fault_difference(good, fault)
         if diff:
             verdicts.append(FaultVerdict(fault, "detected", _lowest(diff), "simulation"))
         else:

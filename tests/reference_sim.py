@@ -1,7 +1,9 @@
-"""Scalar reference simulator: one assignment at a time through the netlist.
+"""Reference routes that differential tests compare the library against.
 
-The library evaluates bit-packed columns; this walk is kept as the
-independent route that differential tests compare it against.
+The scalar simulator walks one assignment at a time through the netlist.
+The library evaluates bit-packed columns and reads each bridge's output
+difference off the fault-free columns; the scalar walk and the
+injection-based oracle below are the independent routes.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from typing import Sequence
 
 from bridgetest import (
     FULL_MASK,
+    OracleResult,
     AndExorNetwork,
     BridgingFault,
     FaultKind,
@@ -17,7 +20,7 @@ from bridgetest import (
     TestPattern,
     bridge_values,
 )
-from bridgetest.simulate import SimulationResult
+from bridgetest.simulate import SimulationResult, _columns, _input_column
 
 
 def _simulate(
@@ -109,3 +112,43 @@ def reference_detects(
 ) -> bool:
     c, x = pattern.resolve()
     return _simulate(network, c, x, None).outputs != _simulate(network, c, x, fault).outputs
+
+
+def _outputs(network, c_cols, x_cols, ones, fault):
+    for w in _columns(network, c_cols, x_cols, ones, fault)[2]:
+        pass
+    return w
+
+
+def injected_difference(
+    network: AndExorNetwork,
+    c_cols: Sequence[int],
+    x_cols: Sequence[int],
+    ones: int,
+    fault: BridgingFault,
+) -> int:
+    """Assignments under which some output differs, by walking the netlist
+    once fault-free and once with the bridge injected."""
+    diff = 0
+    for good, faulty in zip(
+        _outputs(network, c_cols, x_cols, ones, None),
+        _outputs(network, c_cols, x_cols, ones, fault),
+    ):
+        diff |= good ^ faulty
+    return diff
+
+
+def reference_oracle(network: AndExorNetwork, fault: BridgingFault) -> OracleResult:
+    """The exhaustive oracle by injection over every truth-table column."""
+    width = network.n + network.p
+    c_cols = [_input_column(j, width) for j in range(network.p)]
+    x_cols = [_input_column(network.p + i, width) for i in range(network.n)]
+    diff = injected_difference(network, c_cols, x_cols, (1 << (1 << width)) - 1, fault)
+    if network.constant_line is not None:
+        diff &= x_cols[network.constant_line - 1]
+    if diff == 0:
+        return OracleResult("redundant")
+    bits = format((diff & -diff).bit_length() - 1, f"0{width}b")
+    return OracleResult(
+        "detectable", TestPattern(bits[: network.p], bits[network.p :], origin="Fallback")
+    )

@@ -1,7 +1,10 @@
 """Test-set construction: counts, parity matrix, the five sets, union,
 size bound, and fallback repair."""
 
+import random
+
 import pytest
+from conftest import random_circuit, with_zero_control
 
 from bridgetest import (
     BridgingFault,
@@ -15,6 +18,8 @@ from bridgetest import (
     count_union,
     derive_pprm,
     detects,
+    enumerate_faults,
+    evaluate_test_set,
     expand_network,
     fallback_search,
     gen_cascade_pair_tests,
@@ -410,6 +415,45 @@ class TestFallbackSearch:
         a = fallback_search(net, [or_fault])
         b = fallback_search(net, [or_fault])
         assert [p.line() for p in a.patterns] == [p.line() for p in b.patterns]
+
+    @pytest.mark.parametrize("zero_control", [False, True])
+    def test_random_draws_match_string_construction(self, zero_control):
+        # the column-packed draws pick the same pattern as building each draw
+        # as a string, one rng.choice per line except the constant line
+        def string_search(net, faults, seed=271828, attempts=512):
+            patterns, unresolved = [], []
+            for idx, fault in enumerate(faults):
+                if any(detects(net, fault, pat) for pat in patterns):
+                    continue
+                rng = random.Random(seed * 1000003 + idx)
+                draws = [
+                    TestPattern(
+                        "".join(rng.choice("01") for _ in range(net.p)),
+                        "".join(
+                            "1" if v == net.constant_line else rng.choice("01")
+                            for v in range(1, net.n + 1)
+                        ),
+                        origin="Fallback",
+                    )
+                    for _ in range(attempts)
+                ]
+                first = evaluate_test_set(net, [fault], draws).verdicts[0].pattern_index
+                if first is None:
+                    unresolved.append(fault)
+                else:
+                    patterns.append(draws[first])
+            return patterns, unresolved
+
+        rng = random.Random(31)
+        for idx in range(6):
+            circuit = random_circuit(rng, idx, max_n=6, max_p=3, max_d=8, width_cap=8)
+            if zero_control:
+                circuit = with_zero_control(circuit, rng)
+            net = expand_network(circuit)
+            faults = [f for f in enumerate_faults(net) if f.kind.value != "ExorInternal"]
+            fb = fallback_search(net, faults, oracle_cap=0)
+            assert (fb.patterns, fb.unresolved) == string_search(net, faults)
+            assert fb.patterns and (net.constant_line is not None) == zero_control
 
     def test_zero_attempts_leaves_unresolved(self):
         text = ".n 20\n.p 3\n.gate c1 : x1 x2\n.gate c2 : x3\n.gate c3 : x4\n.end\n"

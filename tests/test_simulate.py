@@ -155,6 +155,8 @@ class TestInjection:
             eval_faulty(twoline, BridgingFault.exor_internal(1), TestPattern("00", "1"))
         with pytest.raises(ValueError, match="stimulation masks"):
             exhaustive_detectability(twoline, BridgingFault.exor_internal(1))
+        with pytest.raises(ValueError, match="stimulation masks"):
+            detects(twoline, BridgingFault.exor_internal(1), TestPattern("00", "1"))
 
 
 class TestStimulationMasks:
