@@ -12,16 +12,13 @@ from .atpg import (
     BoundReport,
     FallbackResult,
     GenerationResult,
-    ParityMatrix,
     PartitionTree,
     SET_NAMES,
     UnionResult,
     assemble_union,
-    build_parity_matrix,
     ceil_log2,
     check_bound,
     count_terms,
-    count_union,
     fallback_search,
     gen_cascade_pair_tests,
     gen_corner_set,
@@ -57,13 +54,12 @@ from .patterns import (
     format_patterns,
     parse_test_file,
 )
-from .pprm import PprmFunction, derive_pprm, restrict
+from .pprm import PprmFunction, derive_pprm
 from .simulate import (
     DEFAULT_ORACLE_CAP,
     FULL_MASK,
     Evaluation,
     FaultVerdict,
-    OracleCapExceeded,
     OracleResult,
     detects,
     eval_faulty,
@@ -81,7 +77,7 @@ __all__ = [
     "CircuitError", "ParseError", "Gate", "ReversibleCircuit",
     "parse_circuit", "format_circuit", "normalize_zero_controls",
     # pprm
-    "PprmFunction", "derive_pprm", "restrict",
+    "PprmFunction", "derive_pprm",
     # network
     "AndExorNetwork", "expand_network",
     # faults
@@ -92,12 +88,11 @@ __all__ = [
     "parse_test_file", "format_patterns",
     # simulate
     "DEFAULT_ORACLE_CAP", "FULL_MASK", "Evaluation", "FaultVerdict",
-    "OracleResult", "OracleCapExceeded",
+    "OracleResult",
     "eval_good", "eval_faulty", "detects", "exor_stimulation_mask",
     "exhaustive_detectability", "evaluate_test_set",
     # atpg
-    "SET_NAMES", "ParityMatrix", "build_parity_matrix",
-    "count_terms", "count_union",
+    "SET_NAMES", "count_terms",
     "PartitionTree", "GenerationResult", "generate_sets",
     "gen_corner_set", "gen_input_and_tests", "gen_input_or_tests",
     "gen_cascade_pair_tests", "gen_walking_zero_tests",

@@ -13,9 +13,8 @@ Five named sets are built per circuit:
   with an odd joint count, case (c) retries both after restricting chosen
   variables to 0.  Parity rows are bitmasks read straight off the term
   multisets.  Every claim is confirmed by simulation before the partition
-  is refined.  Case (c) ends once every open block holds only inputs that
-  no term reads (identical terms of one output cancel first); those pairs
-  still go to fallback.
+  is refined.  Case (c) ends once every wired-OR pair left in an open
+  block is redundant; those pairs still go to fallback.
 * T4: ceil(log2 p) halving patterns over the c lines with x all zero; every
   pair of cascade columns is driven to opposite values somewhere.
 * T5: n walking-zero patterns separating AND outputs with distinct support.
@@ -28,6 +27,7 @@ Fallback repair consults the exhaustive oracle per missed fault.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field, replace
@@ -41,9 +41,6 @@ from .simulate import DEFAULT_ORACLE_CAP, detects, exhaustive_detectability, gra
 
 __all__ = [
     "count_terms",
-    "count_union",
-    "ParityMatrix",
-    "build_parity_matrix",
     "TreeNode",
     "PartitionTree",
     "gen_corner_set",
@@ -76,30 +73,6 @@ def count_terms(pprm_list: Sequence[PprmFunction], k: int, variables: Iterable[i
     return sum(1 for t in f.term_multiset if need <= t)
 
 
-def count_union(pprm_list: Sequence[PprmFunction], k: int, i: int, j: int) -> int:
-    """Inclusion-exclusion count of terms containing x_i or x_j."""
-    return (
-        count_terms(pprm_list, k, {i})
-        + count_terms(pprm_list, k, {j})
-        - count_terms(pprm_list, k, {i, j})
-    )
-
-
-@dataclass(frozen=True)
-class ParityMatrix:
-    """Symmetric 0/1 matrix: entry (i,j) is 1 when some output has an odd
-    number of terms containing both x_i and x_j (just x_i on the diagonal)."""
-
-    order: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
-
-    def get(self, i: int, j: int) -> int:
-        return self.rows[self.order.index(i)][self.order.index(j)]
-
-    def is_zero(self) -> bool:
-        return all(all(v == 0 for v in row) for row in self.rows)
-
-
 def _mask(variables: Iterable[int]) -> int:
     """Bitmask with bit v set for every variable x_v."""
     mask = 0
@@ -129,16 +102,6 @@ def _parity_rows(pprm_list: Sequence[PprmFunction], zeros: int) -> dict[int, int
         for v, row in acc.items():
             rows[v] = rows.get(v, 0) | row
     return rows
-
-
-def build_parity_matrix(
-    pprm_list: Sequence[PprmFunction], active_vars: Iterable[int]
-) -> ParityMatrix:
-    order = tuple(sorted(active_vars))
-    rows = _parity_rows(pprm_list, 0)
-    return ParityMatrix(
-        order, tuple(tuple(rows.get(i, 0) >> j & 1 for j in order) for i in order)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +242,9 @@ def gen_input_or_tests(
     held at 0 (single variables in ascending order, then pairs, and so on,
     never deeper than n - 1).  A restriction stage is skipped when no block
     it leaves whole holds a variable with a nonzero parity row, and the walk
-    ends once every open block holds only inputs that no term reads, after
-    identical terms of one output cancel: holding inputs at 0 only removes
-    terms, so such a block never splits.  Pairs left in unsplit blocks are
-    returned for fallback.
+    ends once the oracle proves every wired-OR pair in each open block
+    redundant: every split leaves a pair across it, so such a block never
+    splits.  Pairs left in unsplit blocks are returned for fallback.
     """
     aux = network.constant_line
     variables = list(network.real_inputs())
@@ -321,13 +283,16 @@ def gen_input_or_tests(
                 blocks.append(part)
         return True
 
-    # Inputs some term reads once identical terms of an output cancel; no
-    # other input gets a row under any restriction.  Rows of these inputs can
-    # still cancel with nothing held at 0 and reappear under a restriction.
-    read = _mask(v for f in pprm_list for term in f.canonical_terms for v in term)
+    # every split leaves a pair across it, so a block whose wired-OR pairs
+    # are all redundant never splits
+    @functools.cache
+    def has_detectable_pair(block: frozenset) -> bool:
+        pairs = itertools.combinations(sorted(block), 2)
+        faults = (BridgingFault.x_pair(r, s, Polarity.WIRED_OR) for r, s in pairs)
+        return any(exhaustive_detectability(network, f).detectable for f in faults)
 
     def splittable() -> bool:
-        return any(_mask(b) & read for b in multi_blocks())
+        return any(has_detectable_pair(b) for b in multi_blocks())
 
     def stage(restricted: frozenset) -> None:
         whole = [b for b in multi_blocks() if not b & restricted]
@@ -568,9 +533,9 @@ def fallback_search(
 ) -> FallbackResult:
     """Repair coverage for faults the construction missed.
 
-    Within the oracle cap each fault gets an exhaustive verdict: a witness
-    pattern or a redundancy proof (``redundant`` maps the fault to the
-    proving method).  Above the cap a seeded random search runs for
+    Up to width ``oracle_cap`` each fault gets the oracle's exact verdict: a
+    witness pattern or a redundancy proof (``redundant`` maps the fault to
+    the proving method).  Above it a seeded random search runs for
     ``attempts`` patterns per fault and gives up as unresolved.  Unmet
     ExorInternal obligations are repaired by appending the corner set,
     whose patterns provably complete every reachable mask.
@@ -596,7 +561,7 @@ def fallback_search(
         if any(detects(network, fault, pat, dc_policy) for pat in out.patterns):
             continue
         if width <= oracle_cap:
-            res = exhaustive_detectability(network, fault, oracle_cap)
+            res = exhaustive_detectability(network, fault)
             if res.detectable:
                 if not classify_only:
                     out.patterns.append(res.witness)

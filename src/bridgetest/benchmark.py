@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .atpg import build_parity_matrix, count_terms
+from .atpg import _mask, _parity_rows, count_terms
 from .circuit import ReversibleCircuit, parse_circuit
-from .pprm import PprmFunction, derive_pprm, restrict
+from .pprm import PprmFunction, derive_pprm
 
 __all__ = [
     "BENCHMARK_TEXT",
@@ -179,7 +179,11 @@ def tabulated_discrepancies(circuit: ReversibleCircuit) -> list[dict]:
     if not is_benchmark(circuit):
         return []
     pprms = derive_pprm(circuit)
-    restricted = [restrict(f, {1}) for f in pprms]
+    # x1 = 0 drops the terms that contain x1
+    restricted = [
+        PprmFunction.from_terms(f.output_index, (t for t in f.term_multiset if 1 not in t))
+        for f in pprms
+    ]
     out: list[dict] = []
 
     full = derived_term_counts(pprms, range(1, 8))
@@ -202,11 +206,11 @@ def tabulated_discrepancies(circuit: ReversibleCircuit) -> list[dict]:
                 "derived": sub[cell],
             })
 
-    parity = build_parity_matrix(pprms, range(1, 8))
+    parity = _parity_rows(pprms, 0)
     for r, i in enumerate(range(1, 8)):
         for s, j in enumerate(range(1, 8)):
             ref_bit = int(REFERENCE_PARITY_ROWS[r][s])
-            got = parity.rows[r][s]
+            got = parity.get(i, 0) >> j & 1
             if got != ref_bit:
                 out.append({
                     "table": "parity",
@@ -215,11 +219,11 @@ def tabulated_discrepancies(circuit: ReversibleCircuit) -> list[dict]:
                     "derived": got,
                 })
 
-    sub_parity = build_parity_matrix(restricted, range(2, 8))
+    sub_parity = _parity_rows(pprms, _mask({1}))
     for r, i in enumerate(range(2, 8)):
         for s, j in enumerate(range(2, 8)):
             ref_bit = int(REFERENCE_RESTRICTED_PARITY_ROWS[r][s])
-            got = sub_parity.rows[r][s]
+            got = sub_parity.get(i, 0) >> j & 1
             if got != ref_bit:
                 out.append({
                     "table": "restricted-parity",

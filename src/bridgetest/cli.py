@@ -390,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="how don't-care positions are instantiated")
         sp.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
                         choices=range(MAX_ORACLE_CAP + 1), metavar="N",
-                        help="max n+p for exhaustive detectability checks"
-                        f" (0..{MAX_ORACLE_CAP})")
+                        help="max n+p for exact oracle verdicts in fallback;"
+                        f" wider circuits get a seeded random search (0..{MAX_ORACLE_CAP})")
         sp.add_argument("--jobs", type=int, default=1,
                         help="accepted for older command lines and ignored")
 

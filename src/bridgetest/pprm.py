@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .circuit import ReversibleCircuit
 
-__all__ = ["Term", "PprmFunction", "derive_pprm", "restrict"]
+__all__ = ["Term", "PprmFunction", "derive_pprm"]
 
 Term = frozenset  # frozenset[int] of x indices
 
@@ -55,9 +55,3 @@ def derive_pprm(circuit: ReversibleCircuit) -> list[PprmFunction]:
         per_output[gate.target].append(gate.controls)
     return [PprmFunction.from_terms(j, per_output[j]) for j in range(1, circuit.p + 1)]
 
-
-def restrict(pprm: PprmFunction, zeroed: Iterable[int]) -> PprmFunction:
-    """Cofactor at zero: drop every term that mentions a zeroed variable."""
-    dead = frozenset(zeroed)
-    kept = tuple(t for t in pprm.term_multiset if not (t & dead))
-    return PprmFunction.from_terms(pprm.output_index, kept)

@@ -3,22 +3,24 @@ exhaustive detectability oracle.
 
 One fault-free evaluator, ``_columns``, walks the netlist over integer
 columns: bit t of a column is a net's value under assignment t.  Coverage
-grading packs the whole pattern list into columns, single-pattern queries
-use one-bit columns, and the oracle uses the truth-table columns of all
-2^(n+p) full assignments, built only where a fault reads them.
+grading packs the whole pattern list into columns and single-pattern
+queries use one-bit columns.
 
 Detection never re-walks a faulty netlist.  Each output is c_j XOR the AND
 outputs of the gates targeting j, so a bridge changes an output by the XOR
-of the changes it makes to the nets feeding it, and ``_fault_difference``
-reads those changes off the fault-free columns.  The first detecting
-assignment is the lowest set bit of that difference.  Injection stays only
-in ``eval_faulty``, which returns every faulty net.
+of the changes it makes to the nets feeding it, and ``_output_changes``
+reads those changes off the fault-free values with ``^ & |`` alone.  On
+columns, the first detecting assignment is the lowest set bit of their OR.
+The oracle runs the same closed form on GF(2) polynomials (``_Anf``) in the
+pattern positions, which cover every assignment at once: a fault is
+redundant exactly when every change is the zero polynomial.  Injection
+stays only in ``eval_faulty``, which returns every faulty net.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .faults import BridgingFault, FaultKind, FaultList, bridge_values
 from .network import AndExorNetwork
@@ -31,7 +33,6 @@ __all__ = [
     "detects",
     "exor_stimulation_mask",
     "FULL_MASK",
-    "OracleCapExceeded",
     "OracleResult",
     "exhaustive_detectability",
     "FaultVerdict",
@@ -41,7 +42,7 @@ __all__ = [
 
 FULL_MASK = 0b1111
 DEFAULT_ORACLE_CAP = 22
-MAX_ORACLE_CAP = 24  # a width-24 truth-table column takes 2 MiB
+MAX_ORACLE_CAP = 24  # the widest --oracle-cap the command line accepts
 
 
 @dataclass(frozen=True)
@@ -111,50 +112,74 @@ def _columns(
     return x, a, cascade()
 
 
-class _Good:
-    """Fault-free columns, as ``_fault_difference`` reads them.
+class _Anf(frozenset):
+    """A multilinear polynomial over GF(2): the set of its monomials.
 
-    ``cols`` holds the c columns then the x columns.  ``a`` and ``levels``
-    (cascade levels 0..d) are the AND outputs and wires when the caller has
-    evaluated the whole netlist; otherwise each read computes what it needs
-    from ``cols``.  Without ``ones`` the columns are the truth table of all
-    2^(n+p) assignments.
+    A monomial is a bitmask of pattern positions (bit k for the k-th symbol
+    from the left, c lines first), and the empty monomial 0 is the constant
+    1.  ``^`` adds, ``&`` multiplies with repeated monomials cancelling, and
+    ``|`` is a ^ b ^ ab, so the closed form runs on these unchanged.
+    """
+
+    @classmethod
+    def sum(cls, monomials: Iterable[int]) -> "_Anf":
+        odd: set[int] = set()
+        for m in monomials:
+            odd ^= {m}
+        return cls(odd)
+
+    def __xor__(self, other: "_Anf") -> "_Anf":
+        return _Anf(frozenset.__xor__(self, other))
+
+    def __and__(self, other: "_Anf") -> "_Anf":
+        return _Anf.sum(m | k for m in self for k in other)
+
+    def __or__(self, other: "_Anf") -> "_Anf":
+        return self ^ other ^ (self & other)
+
+    def at(self, bit: int, value: int) -> "_Anf":
+        """The cofactor with the position ``bit`` fixed to ``value``."""
+        if value:
+            return _Anf.sum(m & ~bit for m in self)
+        return _Anf(m for m in self if not m & bit)
+
+
+class _Good:
+    """Fault-free values, as ``_output_changes`` reads them.
+
+    The values are integer columns or ``_Anf`` polynomials.  ``cols`` holds
+    the c values then the x values, and ``ones`` is the value of an AND with
+    no inputs.  ``a`` and ``levels`` (cascade levels 0..d) are the AND
+    outputs and wires when the caller has evaluated the whole netlist;
+    otherwise each read computes what it needs from ``cols``.
     """
 
     def __init__(
         self,
         network: AndExorNetwork,
-        cols: Sequence[int] | Mapping[int, int],
-        ones: int | None = None,
+        cols: Sequence[int | _Anf],
+        ones: int | _Anf,
         a: Sequence[int] | None = None,
         levels: Sequence[tuple[int, ...]] | None = None,
     ) -> None:
         self.network = network
         self.cols = cols
-        self._ones = ones
+        self.ones = ones
         self.a = a
         self.levels = levels
 
-    @property
-    def ones(self) -> int:
-        if self._ones is None:
-            self._ones = (1 << (1 << (self.network.n + self.network.p))) - 1
-        return self._ones
-
-    def x(self, i: int) -> int:
+    def x(self, i: int) -> int | _Anf:
         return self.cols[self.network.p + i - 1]
 
-    def and_out(self, gate_id: int) -> int:
+    def and_out(self, gate_id: int) -> int | _Anf:
         if self.a is not None:
             return self.a[gate_id - 1]
-        # read every input before the first AND, so no partial product is
-        # held while a truth-table column is being built
-        col, *rest = [self.x(v) for v in self.network.gate_supports[gate_id - 1]] or [self.ones]
-        for other in rest:
-            col &= other
+        col = self.ones
+        for v in self.network.gate_supports[gate_id - 1]:
+            col &= self.x(v)
         return col
 
-    def wire(self, level: int, j: int) -> int:
+    def wire(self, level: int, j: int) -> int | _Anf:
         if self.levels is not None:
             return self.levels[level][j - 1]
         col = self.cols[j - 1]
@@ -164,34 +189,21 @@ class _Good:
         return col
 
 
-class _TruthColumns(dict):
-    """Truth-table columns by position from the left, each built on first read."""
-
-    def __init__(self, width: int) -> None:
-        super().__init__()
-        self.width = width
-
-    def __missing__(self, pos: int) -> int:
-        col = self[pos] = _input_column(pos, self.width)
-        return col
-
-
-def _fault_difference(good: _Good, fault: BridgingFault) -> int:
-    """Assignments under which ``fault`` changes some output.
+def _output_changes(good: _Good, fault: BridgingFault) -> list[int | _Anf]:
+    """The changes ``fault`` makes to the outputs; it shows wherever one is set.
 
     A bridge moves its two nets by disjoint amounts whose OR is v1 XOR v2,
     and the cascade passes each change on unchanged to its own output.  So
-    an APair differs where a_i XOR a_j is set and an IntraLevel where its
-    two wires differ.  An XPair changes each gate that reads x_i or x_j; the
-    changes of the gates on one target XOR into that output's change, and
-    the outputs' changes are ORed.
+    an APair gives one entry, a_i XOR a_j, and an IntraLevel the XOR of its
+    two wires.  An XPair changes each gate that reads x_i or x_j, and the
+    changes of the gates on one target XOR into that output's entry.
     """
     if fault.kind is FaultKind.A_PAIR:
         i, j = fault.ids
-        return good.and_out(i) ^ good.and_out(j)
+        return [good.and_out(i) ^ good.and_out(j)]
     if fault.kind is FaultKind.INTRA_LEVEL:
         level, j1, j2 = fault.ids
-        return good.wire(level, j1) ^ good.wire(level, j2)
+        return [good.wire(level, j1) ^ good.wire(level, j2)]
     if fault.kind is not FaultKind.X_PAIR:
         raise ValueError("ExorInternal faults are graded by stimulation masks, not injection")
 
@@ -201,16 +213,21 @@ def _fault_difference(good: _Good, fault: BridgingFault) -> int:
     # a gate reading x_i only sees x_i become v, and one reading both sees x_i & x_j become v
     change = {frozenset((i,)): xi ^ v, frozenset((j,)): xj ^ v, frozenset((i, j)): (xi & xj) ^ v}
     pair = frozenset(fault.ids)
-    deltas: dict[int, int] = {}
+    deltas: dict[int, int | _Anf] = {}
     for sup, target in zip(good.network.gate_supports, good.network.gate_targets):
         col = change.get(sup & pair)
         if not col:
             continue
         for u in sup - pair:
             col &= good.x(u)
-        deltas[target] = deltas.get(target, 0) ^ col
+        deltas[target] = deltas[target] ^ col if target in deltas else col
+    return list(deltas.values())
+
+
+def _fault_difference(good: _Good, fault: BridgingFault) -> int:
+    """Assignments under which ``fault`` changes some output."""
     diff = 0
-    for col in deltas.values():
+    for col in _output_changes(good, fault):
         diff |= col
     return diff
 
@@ -293,10 +310,6 @@ def exor_stimulation_mask(
     return evaluate_test_set(network, [], list(patterns), dc_policy).masks
 
 
-class OracleCapExceeded(RuntimeError):
-    """The exhaustive oracle refuses inputs wider than its cap."""
-
-
 @dataclass(frozen=True)
 class OracleResult:
     status: str  # "detectable" or "redundant"
@@ -307,49 +320,33 @@ class OracleResult:
         return self.status == "detectable"
 
 
-def _input_column(pos_from_left: int, width: int) -> int:
-    # Truth-table column of one input over all 2^width assignments, built by
-    # doubling.  Assignment v is bit v; the leftmost pattern symbol is the
-    # most significant bit of v, so smaller v means lexicographically
-    # smaller pattern.
-    bit = width - 1 - pos_from_left
-    run = 1 << bit
-    col = ((1 << run) - 1) << run
-    span = run << 1
-    total = 1 << width
-    while span < total:
-        col |= col << span
-        span <<= 1
-    return col
+def exhaustive_detectability(network: AndExorNetwork, fault: BridgingFault) -> OracleResult:
+    """Decide the fault over every full assignment; the witness is the
+    lexicographically least detecting pattern.
 
-
-def exhaustive_detectability(
-    network: AndExorNetwork,
-    fault: BridgingFault,
-    cap: int = DEFAULT_ORACLE_CAP,
-) -> OracleResult:
-    """Try every full assignment; first detecting pattern in lexicographic order.
-
-    Assignments are ordered with the c bits most significant, matching the
-    pattern string layout.  A constant-one line is pinned: assignments that
-    drive it to 0 are never counted as witnesses.  Raises OracleCapExceeded
-    when n + p exceeds ``cap``; callers must surface that, not skip it.
+    Each output change is a GF(2) polynomial in the pattern positions, and
+    a reduced polynomial is zero only if it is zero everywhere.  The witness
+    fixes the positions from the left: 0 whenever some change stays nonzero,
+    else 1.  A constant-one line is the constant 1 polynomial and stays 1 in
+    the witness.
     """
-    if fault.kind is FaultKind.EXOR_INTERNAL:
-        raise ValueError("ExorInternal faults are graded by stimulation masks, not injection")
     width = network.n + network.p
-    if width > cap:
-        raise OracleCapExceeded(f"n + p = {width} exceeds oracle cap {cap}")
-
-    # only the columns the fault reads are built, and they are freed before
-    # the constant line's column is
-    diff = _fault_difference(_Good(network, _TruthColumns(width)), fault)
-    if network.constant_line is not None:
-        diff &= _input_column(network.p + network.constant_line - 1, width)
-    if diff == 0:
+    pinned = None if network.constant_line is None else network.p + network.constant_line - 1
+    one = _Anf({0})
+    cols = [one if k == pinned else _Anf({1 << k}) for k in range(width)]
+    changes = [f for f in _output_changes(_Good(network, cols, one), fault) if f]
+    if not changes:
         return OracleResult("redundant")
 
-    bits = format(_lowest(diff), f"0{width}b")
+    bits = ""
+    for k in range(width):
+        at_zero = [f.at(1 << k, 0) for f in changes]
+        if k != pinned and any(at_zero):
+            bits += "0"
+            changes = [f for f in at_zero if f]
+        else:
+            bits += "1"
+            changes = [g for g in (f.at(1 << k, 1) for f in changes) if g]
     return OracleResult(
         "detectable", TestPattern(bits[: network.p], bits[network.p :], origin="Fallback")
     )

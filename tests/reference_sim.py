@@ -3,7 +3,9 @@
 The scalar simulator walks one assignment at a time through the netlist.
 The library evaluates bit-packed columns and reads each bridge's output
 difference off the fault-free columns; the scalar walk and the
-injection-based oracle below are the independent routes.
+injection-based oracle below are the independent routes.  The library's
+oracle decides on GF(2) polynomials; ``truth_table_detectability`` runs the
+same closed form on the truth-table columns of every assignment instead.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from bridgetest import (
     TestPattern,
     bridge_values,
 )
-from bridgetest.simulate import SimulationResult, _columns, _input_column
+from bridgetest.simulate import SimulationResult, _columns, _fault_difference, _Good
 
 
 def _simulate(
@@ -138,17 +140,59 @@ def injected_difference(
     return diff
 
 
+def _input_column(pos_from_left: int, width: int) -> int:
+    # Truth-table column of one input over all 2^width assignments, built by
+    # doubling.  Assignment v is bit v; the leftmost pattern symbol is the
+    # most significant bit of v, so smaller v means lexicographically
+    # smaller pattern.
+    bit = width - 1 - pos_from_left
+    run = 1 << bit
+    col = ((1 << run) - 1) << run
+    span = run << 1
+    total = 1 << width
+    while span < total:
+        col |= col << span
+        span <<= 1
+    return col
+
+
+class TruthColumns(dict):
+    """Truth-table columns by position from the left, each built on first read."""
+
+    def __init__(self, width: int) -> None:
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, pos: int) -> int:
+        col = self[pos] = _input_column(pos, self.width)
+        return col
+
+
+def _witness(network: AndExorNetwork, diff: int) -> OracleResult:
+    """The lowest assignment in ``diff`` that holds a constant line at 1."""
+    if network.constant_line is not None:
+        diff &= _input_column(network.p + network.constant_line - 1, network.n + network.p)
+    if diff == 0:
+        return OracleResult("redundant")
+    bits = format((diff & -diff).bit_length() - 1, f"0{network.n + network.p}b")
+    return OracleResult(
+        "detectable", TestPattern(bits[: network.p], bits[network.p :], origin="Fallback")
+    )
+
+
 def reference_oracle(network: AndExorNetwork, fault: BridgingFault) -> OracleResult:
     """The exhaustive oracle by injection over every truth-table column."""
     width = network.n + network.p
     c_cols = [_input_column(j, width) for j in range(network.p)]
     x_cols = [_input_column(network.p + i, width) for i in range(network.n)]
-    diff = injected_difference(network, c_cols, x_cols, (1 << (1 << width)) - 1, fault)
-    if network.constant_line is not None:
-        diff &= x_cols[network.constant_line - 1]
-    if diff == 0:
-        return OracleResult("redundant")
-    bits = format((diff & -diff).bit_length() - 1, f"0{width}b")
-    return OracleResult(
-        "detectable", TestPattern(bits[: network.p], bits[network.p :], origin="Fallback")
-    )
+    ones = (1 << (1 << width)) - 1
+    return _witness(network, injected_difference(network, c_cols, x_cols, ones, fault))
+
+
+def truth_table_detectability(network: AndExorNetwork, fault: BridgingFault) -> OracleResult:
+    """The closed form on the truth-table columns of all 2^(n+p) assignments,
+    built only where the fault reads them; the lowest detecting assignment
+    is the witness."""
+    width = network.n + network.p
+    good = _Good(network, TruthColumns(width), (1 << (1 << width)) - 1)
+    return _witness(network, _fault_difference(good, fault))

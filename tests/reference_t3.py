@@ -4,22 +4,42 @@
 ``restrict`` and the parity matrix from ``count_terms`` for every
 restriction set, and walks every set of up to n - 1 inputs held at 0.  It is
 kept, unchanged, as the reference the fast generator in
-``bridgetest.atpg`` is compared against; ``build_parity_matrix`` is the
-``count_terms`` definition of the matrix, so the reference shares no
-parity code with the generator under test.
+``bridgetest.atpg`` is compared against; ``restrict``, ``ParityMatrix`` and
+``build_parity_matrix`` (the ``count_terms`` definition of the matrix) live
+here, so the reference shares no parity code with the generator under test.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from bridgetest.atpg import ParityMatrix, count_terms
+from bridgetest.atpg import count_terms
 from bridgetest.faults import BridgingFault, Polarity
 from bridgetest.network import AndExorNetwork
 from bridgetest.patterns import TestPattern, TestSet
-from bridgetest.pprm import PprmFunction, restrict
+from bridgetest.pprm import PprmFunction
 from bridgetest.simulate import detects
+
+
+def restrict(pprm: PprmFunction, zeroed: Iterable[int]) -> PprmFunction:
+    """Cofactor at zero: drop every term that mentions a zeroed variable."""
+    dead = frozenset(zeroed)
+    kept = tuple(t for t in pprm.term_multiset if not (t & dead))
+    return PprmFunction.from_terms(pprm.output_index, kept)
+
+
+@dataclass(frozen=True)
+class ParityMatrix:
+    """Symmetric 0/1 matrix: entry (i,j) is 1 when some output has an odd
+    number of terms containing both x_i and x_j (just x_i on the diagonal)."""
+
+    order: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+
+    def get(self, i: int, j: int) -> int:
+        return self.rows[self.order.index(i)][self.order.index(j)]
 
 
 def build_parity_matrix(

@@ -18,7 +18,6 @@ from bridgetest import (
     Polarity,
     assemble_union,
     bridge_values,
-    build_parity_matrix,
     ceil_log2,
     check_bound,
     derive_pprm,
@@ -34,6 +33,7 @@ from bridgetest import (
     parse_circuit,
     tabulated_discrepancies,
 )
+from bridgetest.atpg import _parity_rows
 from bridgetest.benchmark import REFERENCE_PARITY_ROWS, REFERENCE_T2_X, REFERENCE_T3_X
 from bridgetest.cli import main
 
@@ -110,7 +110,10 @@ def test_criterion_1_fixture_sets(bench):
 
 def test_criterion_2_parity_fidelity(bench):
     pprms = derive_pprm(bench)
-    matrix = build_parity_matrix(pprms, range(1, 8))
+    rows = _parity_rows(pprms, 0)
+
+    def entry(i: int, j: int) -> int:
+        return rows.get(i, 0) >> j & 1
 
     # independent oracle straight off the gate list, no product-term layer
     per_target: dict[int, list[frozenset]] = {1: [], 2: [], 3: []}
@@ -130,18 +133,18 @@ def test_criterion_2_parity_fidelity(bench):
 
     for i in range(1, 8):
         for j in range(1, 8):
-            assert matrix.get(i, j) == oracle_bit(i, j), (i, j)
+            assert entry(i, j) == oracle_bit(i, j), (i, j)
 
     # agreement cells
-    assert matrix.get(3, 3) == 1
-    assert matrix.get(4, 4) == 1
-    assert matrix.get(7, 7) == 1
-    assert matrix.get(1, 2) == 0
-    assert matrix.get(2, 6) == 1
+    assert entry(3, 3) == 1
+    assert entry(4, 4) == 1
+    assert entry(7, 7) == 1
+    assert entry(1, 2) == 0
+    assert entry(2, 6) == 1
 
     # known-discrepant cells: recomputed value wins, tabulated value is
     # flagged in the discrepancy notes
-    assert matrix.get(5, 5) == 0
+    assert entry(5, 5) == 0
     assert int(REFERENCE_PARITY_ROWS[4][4]) == 1
     noted = {
         (d["table"], d["cell"]): (d["reference"], d["derived"])

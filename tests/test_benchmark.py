@@ -1,5 +1,7 @@
 """Built-in benchmark and its shipped reference tables."""
 
+from reference_t3 import restrict
+
 from bridgetest import BENCHMARK_TEXT, benchmark_circuit, derive_pprm, tabulated_discrepancies
 from bridgetest.benchmark import (
     REFERENCE_PARITY_ROWS,
@@ -12,7 +14,6 @@ from bridgetest.benchmark import (
     is_benchmark,
 )
 from bridgetest.circuit import parse_circuit
-from bridgetest.pprm import restrict
 
 
 def test_text_matches_data_file(bench):

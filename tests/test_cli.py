@@ -76,7 +76,7 @@ class TestArgHandling:
 
     @pytest.mark.parametrize("cap", ["-1", "25", "40"])
     def test_oracle_cap_out_of_range(self, capsys, monkeypatch, bench_path, cap):
-        # the truth table needs 2^(2^cap) bits, so the parser refuses wide caps
+        # the parser refuses a cap outside 0..24 before any oracle call
         def refuse(*args, **kwargs):
             raise AssertionError("oracle started")
 

@@ -2,16 +2,24 @@
 
 ``simulate._fault_difference`` reads a bridge's output difference off the
 fault-free columns.  These tests hold it to the walk that injects the
-bridge and evaluates the netlist again, as integers, and hold the oracle
-built on it to the injection-based oracle in ``reference_sim``.
+bridge and evaluates the netlist again, as integers.  They hold the oracle,
+which runs the same closed form on GF(2) polynomials, to the
+injection-based oracle and to the closed form on truth-table columns in
+``reference_sim``, and bound its memory independently of the width.
 """
 
+import itertools
 import random
 import tracemalloc
 
 import pytest
 from conftest import random_circuit, with_zero_control
-from reference_sim import injected_difference, reference_oracle
+from reference_sim import (
+    TruthColumns,
+    injected_difference,
+    reference_oracle,
+    truth_table_detectability,
+)
 
 from bridgetest import (
     DC_POLICIES,
@@ -19,12 +27,15 @@ from bridgetest import (
     FaultKind,
     Polarity,
     TestPattern,
+    detects,
     enumerate_faults,
     exhaustive_detectability,
     expand_network,
+    normalize_zero_controls,
 )
+from bridgetest.circuit import Gate, ReversibleCircuit
 from bridgetest.network import AndExorNetwork
-from bridgetest.simulate import _columns, _fault_difference, _Good, _pack, _TruthColumns
+from bridgetest.simulate import _Anf, _columns, _fault_difference, _Good, _pack
 
 
 def _networks(count, seed):
@@ -45,7 +56,7 @@ def _bridges(net):
 def _assert_closed_form(net, c_cols, x_cols, ones, lazy_cols=None):
     _, a, levels = _columns(net, c_cols, x_cols, ones, None)
     walked = _Good(net, c_cols + x_cols, ones, a, list(levels))
-    lazy = _Good(net, c_cols + x_cols, ones) if lazy_cols is None else _Good(net, lazy_cols)
+    lazy = _Good(net, c_cols + x_cols if lazy_cols is None else lazy_cols, ones)
     for fault in _bridges(net):
         want = injected_difference(net, c_cols, x_cols, ones, fault)
         assert _fault_difference(walked, fault) == want, fault.describe()
@@ -66,10 +77,10 @@ def test_matches_injection_on_truth_tables():
     for _, net in _networks(40, 99):
         width = net.n + net.p
         assert width <= 10
-        cols = _TruthColumns(width)
+        cols = TruthColumns(width)
         c_cols = [cols[k] for k in range(net.p)]
         x_cols = [cols[net.p + k] for k in range(net.n)]
-        _assert_closed_form(net, c_cols, x_cols, (1 << (1 << width)) - 1, _TruthColumns(width))
+        _assert_closed_form(net, c_cols, x_cols, (1 << (1 << width)) - 1, TruthColumns(width))
 
 
 def test_oracle_matches_injection_oracle():
@@ -78,19 +89,93 @@ def test_oracle_matches_injection_oracle():
             assert exhaustive_detectability(net, fault) == reference_oracle(net, fault)
 
 
-@pytest.mark.parametrize("constant_line", [None, 17])
-def test_apair_oracle_memory(constant_line):
-    # one truth-table column at width 20 holds 2^20 bits; an APair call holds
-    # the input columns of both supports and a few more, never the netlist
-    supports = (frozenset({1, 2, 3}), frozenset({3, 4, 5, 6}), frozenset({7, 8}))
-    net = AndExorNetwork(17, 3, supports, (1, 2, 1), constant_line)
-    fault = BridgingFault.a_pair(1, 2, Polarity.WIRED_OR)
+def _evaluate(poly, assignment):
+    # a monomial is 1 when every position it names is set in the assignment
+    return sum(m & assignment == m for m in poly) & 1
+
+
+def test_anf_arithmetic_matches_evaluation():
+    rng = random.Random(3)
+    polys = [_Anf(rng.sample(range(16), rng.randint(0, 6))) for _ in range(30)]
+    for a, b in itertools.product(polys, repeat=2):
+        for v in range(16):
+            x, y = _evaluate(a, v), _evaluate(b, v)
+            assert _evaluate(a ^ b, v) == x ^ y
+            assert _evaluate(a & b, v) == x & y
+            assert _evaluate(a | b, v) == x | y
+    for a in polys:
+        for bit in (1, 2, 4, 8):
+            for v in range(16):
+                assert _evaluate(a.at(bit, 0), v) == _evaluate(a, v & ~bit)
+                assert _evaluate(a.at(bit, 1), v) == _evaluate(a, v | bit)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polynomial_oracle_matches_truth_tables(seed):
+    for _, net in _networks(100, 1000 + seed):
+        for fault in _bridges(net):
+            got = exhaustive_detectability(net, fault)
+            assert got == truth_table_detectability(net, fault), fault.describe()
+
+
+def _shared_term_circuit(rng, n, p, zero_control):
+    # gates drawn from 7 product terms, each input in two of them, as the
+    # width-22 circuits of the benchmark's verify-shared workload: gates that
+    # share a term make redundant APairs
+    pairs = list(itertools.combinations(range(7), 2))
+    while True:
+        member = dict(zip(range(1, n + 1), rng.sample(pairs, n)))
+        pool = [frozenset(v for v in member if k in member[v]) for k in range(7)]
+        if all(pool) and len(set(pool)) == 7:
+            break
+    uses = [(term, target) for term, count in zip(pool, (2, 2, 1, 1, 1, 1, 1))
+            for target in rng.sample(range(1, p + 1), count)]
+    rng.shuffle(uses)
+    if zero_control:
+        uses.insert(rng.randrange(len(uses) + 1), (frozenset(), rng.randint(1, p)))
+    gates = tuple(Gate(term, target, gid) for gid, (term, target) in enumerate(uses, start=1))
+    return normalize_zero_controls(ReversibleCircuit(n, p, gates, name="shared"))
+
+
+@pytest.mark.parametrize("zero_control", [False, True])
+def test_polynomial_oracle_matches_truth_tables_at_width_22(zero_control):
+    rng = random.Random(22 + zero_control)
+    net = expand_network(_shared_term_circuit(rng, 18 - zero_control, 4, zero_control))
+    assert net.n + net.p == 22
+    faults = _bridges(net)
+    apairs = [f for f in faults if f.kind is FaultKind.A_PAIR]
+    redundant = 0
+    for fault in apairs + rng.sample(faults, 12):
+        got = exhaustive_detectability(net, fault)
+        assert got == truth_table_detectability(net, fault), fault.describe()
+        redundant += not got.detectable
+    assert redundant >= 2
+
+
+def _oracle_peak(net, fault):
     tracemalloc.start()
     try:
-        result = exhaustive_detectability(net, fault, cap=20)
+        result = exhaustive_detectability(net, fault)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.detectable
-    column = (1 << 20) // 8
-    assert peak < (len(supports[0] | supports[1]) + 4) * column
+    assert detects(net, fault, result.witness)
+    return peak
+
+
+# at width 64 a truth-table column would hold 2^64 bits; a polynomial
+# holds a few monomials of the gates the fault reaches
+WIDE_SUPPORTS = (frozenset(range(1, 21)), frozenset(range(15, 40)), frozenset({40, 50, 60}))
+
+
+@pytest.mark.parametrize("constant_line", [None, 17])
+def test_apair_oracle_memory(constant_line):
+    net = AndExorNetwork(60, 4, WIDE_SUPPORTS, (1, 2, 1), constant_line)
+    assert _oracle_peak(net, BridgingFault.a_pair(1, 2, Polarity.WIRED_OR)) < 64 * 1024
+
+
+@pytest.mark.parametrize("constant_line", [None, 17])
+def test_xpair_oracle_memory(constant_line):
+    net = AndExorNetwork(60, 4, WIDE_SUPPORTS, (1, 2, 1), constant_line)
+    assert _oracle_peak(net, BridgingFault.x_pair(18, 40, Polarity.WIRED_AND)) < 64 * 1024

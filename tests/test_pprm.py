@@ -1,13 +1,15 @@
-"""Product-term derivation, canonicalization, and zero-cofactor restriction."""
+"""Product-term derivation, canonicalization, and the zero-cofactor
+restriction that the T3 reference uses."""
 
 import random
 
-from bridgetest.pprm import PprmFunction, Term, derive_pprm, restrict
+from bridgetest.pprm import PprmFunction, Term, derive_pprm
 from bridgetest.network import expand_network
 from bridgetest.patterns import TestPattern
 from bridgetest.simulate import eval_good
 
 from conftest import random_circuit
+from reference_t3 import restrict
 
 
 def test_derive_benchmark_term_multisets(bench):

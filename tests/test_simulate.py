@@ -13,7 +13,6 @@ from bridgetest import (
     FULL_MASK,
     FaultKind,
     BridgingFault,
-    OracleCapExceeded,
     Polarity,
     TestPattern,
     derive_pprm,
@@ -195,11 +194,6 @@ class TestOracle:
         net = expand_network(and2)
         res = exhaustive_detectability(net, BridgingFault.x_pair(1, 2, AND))
         assert res.status == "redundant" and res.witness is None
-
-    def test_cap_enforced(self, bench):
-        net = expand_network(bench)
-        with pytest.raises(OracleCapExceeded, match="exceeds oracle cap"):
-            exhaustive_detectability(net, BridgingFault.x_pair(1, 2, AND), cap=5)
 
     def test_constant_line_pinned(self):
         text = ".n 2\n.p 1\n.gate c1 :\n.gate c1 : x1 x2\n.end\n"

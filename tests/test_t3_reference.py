@@ -10,16 +10,16 @@ fallback.
 
 import random
 
+import pytest
 from conftest import DATA, random_circuit, with_zero_control
 from hypothesis import example, given
 from hypothesis import strategies as st
-from reference_t3 import build_parity_matrix as reference_parity_matrix
+from reference_t3 import build_parity_matrix, restrict
 from reference_t3 import gen_input_or_tests as reference_t3
 
 from bridgetest import derive_pprm, expand_network, normalize_zero_controls, parse_circuit
-from bridgetest.atpg import _mask, _parity_rows, build_parity_matrix, gen_input_or_tests
+from bridgetest.atpg import _mask, _parity_rows, gen_input_or_tests
 from bridgetest.circuit import Gate, ReversibleCircuit
-from bridgetest.pprm import restrict
 
 DC_POLICIES = ("fill-zero", "fill-one")
 
@@ -88,15 +88,44 @@ def test_cancel4_needs_a_restriction():
     assert uncovered == ((1, 3),)
 
 
+def or_chain(n: int) -> ReversibleCircuit:
+    """c1 = x1 XOR x2 XOR x1x2, whose wired-OR pair (1, 2) is redundant,
+    and a chain of 2-input gates over x3..xn on c2."""
+    lines = [f".n {n}", ".p 2", ".gate c1 : x1", ".gate c1 : x2", ".gate c1 : x1 x2"]
+    lines += [f".gate c2 : x{v} x{v + 1}" for v in range(3, n)]
+    return parse_circuit("\n".join(lines + [".end", ""]), name=f"orchain{n}")
+
+
+@pytest.mark.parametrize("n", [10, 16])
+def test_case_c_ends_at_redundant_blocks(monkeypatch, n):
+    # x1 and x2 are read by terms, so term occurrence alone would keep the
+    # block {1, 2} open through all 2^(n-1) restriction sets
+    circuit = or_chain(n)
+    pprms, net = derive_pprm(circuit), expand_network(circuit)
+    calls = []
+
+    def counted(pprm_list, zeros):
+        calls.append(zeros)
+        return _parity_rows(pprm_list, zeros)
+
+    monkeypatch.setattr("bridgetest.atpg._parity_rows", counted)
+    t3, uncovered = gen_input_or_tests(pprms, net)
+    assert len(calls) == 1
+    assert uncovered == ((1, 2),)
+    assert len(t3) == n - 2
+    if n == 10:
+        ref_set, ref_uncovered = reference_t3(pprms, net)
+        assert list(t3) == list(ref_set)
+        assert uncovered == ref_uncovered
+
+
 @given(circuit=circuits(), data=st.data())
 def test_parity_rows_match_count_terms(circuit, data):
     pprms = derive_pprm(circuit)
     inputs = list(range(1, circuit.n + 1))
     zeroed = frozenset(data.draw(st.lists(st.sampled_from(inputs), unique=True)))
     active = [v for v in inputs if v not in zeroed]
-    restricted = [restrict(f, zeroed) for f in pprms]
-    expected = reference_parity_matrix(restricted, active)
-    assert build_parity_matrix(restricted, active) == expected
+    expected = build_parity_matrix([restrict(f, zeroed) for f in pprms], active)
     rows = _parity_rows(pprms, _mask(zeroed))
     assert tuple(
         tuple(rows.get(i, 0) >> j & 1 for j in expected.order) for i in expected.order
