@@ -12,7 +12,6 @@ from .atpg import (
     BoundReport,
     FallbackResult,
     GenerationResult,
-    PartitionTree,
     SET_NAMES,
     UnionResult,
     assemble_union,
@@ -93,7 +92,7 @@ __all__ = [
     "exhaustive_detectability", "evaluate_test_set",
     # atpg
     "SET_NAMES", "count_terms",
-    "PartitionTree", "GenerationResult", "generate_sets",
+    "GenerationResult", "generate_sets",
     "gen_corner_set", "gen_input_and_tests", "gen_input_or_tests",
     "gen_cascade_pair_tests", "gen_walking_zero_tests",
     "UnionResult", "assemble_union", "ceil_log2",

@@ -4,10 +4,10 @@ Five named sets are built per circuit:
 
 * T1: the four all-zero/all-one corner patterns.  Across them every gate's
   EXOR sees all four input combinations, discharging ExorInternal.
-* T2: support-guided binary splitting of the input set.  Each accepted
-  pattern drives one gate's support to 1 and everything else to 0, and is
-  kept only if simulation confirms it detects every wired-AND input pair
-  across the split.
+* T2: support-guided binary splitting of the input set, depth first with
+  the supported side first.  Each accepted pattern drives one gate's
+  support to 1 and everything else to 0, and is kept only if simulation
+  confirms it detects every wired-AND input pair across the split.
 * T3: parity-matrix driven patterns for wired-OR input pairs.  Case (a)
   handles variables with an odd diagonal count, case (b) pairs a variable
   with an odd joint count, case (c) retries both after restricting chosen
@@ -19,9 +19,11 @@ Five named sets are built per circuit:
   pair of cascade columns is driven to opposite values somewhere.
 * T5: n walking-zero patterns separating AND outputs with distinct support.
 
-T2 and T3 each refine a partition of the inputs and therefore emit at most
-n - 1 patterns; with T1's 4, T4's ceil(log2 p), and T5's n, the union stays
-within 3n + ceil(log2 p) + 2 whenever no fallback pattern is needed.
+T2 and T3 each refine one partition of the inputs (``_Partition``), which
+checks a candidate split with one fault-free read of its pattern, so each
+emits at most n - 1 patterns; with T1's 4, T4's ceil(log2 p), and T5's n,
+the union stays within 3n + ceil(log2 p) + 2 whenever no fallback pattern
+is needed.
 Fallback repair consults the exhaustive oracle per missed fault.
 """
 
@@ -37,12 +39,16 @@ from .faults import BridgingFault, FaultKind, Polarity
 from .network import AndExorNetwork
 from .patterns import TestPattern, TestSet
 from .pprm import PprmFunction
-from .simulate import DEFAULT_ORACLE_CAP, detects, exhaustive_detectability, grade_columns
+from .simulate import (
+    DEFAULT_ORACLE_CAP,
+    detects,
+    detects_all,
+    exhaustive_detectability,
+    grade_columns,
+)
 
 __all__ = [
     "count_terms",
-    "TreeNode",
-    "PartitionTree",
     "gen_corner_set",
     "gen_input_and_tests",
     "gen_input_or_tests",
@@ -120,49 +126,52 @@ def gen_corner_set(n: int, p: int, *, constant_line: int | None = None) -> TestS
 
 
 # ---------------------------------------------------------------------------
-# T2
+# T2, and the input partition it shares with T3
 
-@dataclass
-class TreeNode:
-    block: tuple[int, ...]
-    gate_id: int | None = None
-    pattern: TestPattern | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None and self.right is None
+def _input_pattern(network: AndExorNetwork, ones: frozenset, origin: str) -> TestPattern:
+    """The inputs in ``ones`` and the constant line at 1, the other inputs at
+    0 and the c lines don't-care."""
+    aux = network.constant_line
+    bits = "".join("1" if v in ones or v == aux else "0" for v in range(1, network.n + 1))
+    return TestPattern("d" * network.p, bits, origin=origin)
 
 
-@dataclass
-class PartitionTree:
-    """Binary refinement tree over the input indices built by T2."""
+class _Partition:
+    """Open blocks of a partition of the real inputs, refined only by
+    patterns shown to detect every bridge of one polarity across the split.
 
-    root: TreeNode | None
+    Every open block holds at least two inputs; singletons are closed.
+    """
 
-    def _walk(self):
-        stack = [self.root] if self.root else []
-        while stack:
-            node = stack.pop()
-            yield node
-            if node.left:
-                stack.append(node.left)
-            if node.right:
-                stack.append(node.right)
+    def __init__(self, network: AndExorNetwork, polarity: Polarity, dc_policy: str) -> None:
+        self.network = network
+        self.polarity = polarity
+        self.dc_policy = dc_policy
+        inputs = frozenset(network.real_inputs())
+        self.blocks: list[frozenset] = [inputs] if len(inputs) >= 2 else []
 
-    def internal_count(self) -> int:
-        return sum(1 for node in self._walk() if not node.is_leaf)
+    def block_of(self, v: int) -> frozenset | None:
+        return next((b for b in self.blocks if v in b), None)
 
-    def stuck_blocks(self) -> list[tuple[int, ...]]:
-        """Leaves that still hold more than one variable."""
-        return sorted(node.block for node in self._walk() if node.is_leaf and len(node.block) > 1)
+    def split(self, pattern: TestPattern, block: frozenset, side: frozenset) -> bool:
+        """Split ``block`` into ``side`` and the rest if ``pattern`` detects
+        every bridge across them; True when it did."""
+        rest = block - side
+        if not rest:
+            return False
+        cross = [
+            BridgingFault.x_pair(r, s, self.polarity) for r in sorted(side) for s in sorted(rest)
+        ]
+        if not detects_all(self.network, cross, pattern, self.dc_policy):
+            return False
+        self.blocks.remove(block)
+        self.blocks.extend(part for part in (side, rest) if len(part) >= 2)
+        return True
 
-    def uncovered_pairs(self) -> list[tuple[int, int]]:
-        pairs = []
-        for block in self.stuck_blocks():
-            pairs.extend(itertools.combinations(block, 2))
-        return sorted(pairs)
+    def uncovered(self) -> tuple[tuple[int, int], ...]:
+        """The input pairs no split has separated, sorted."""
+        pairs = (pair for b in self.blocks for pair in itertools.combinations(sorted(b), 2))
+        return tuple(sorted(pairs))
 
 
 def gen_input_and_tests(
@@ -170,57 +179,36 @@ def gen_input_and_tests(
     network: AndExorNetwork,
     *,
     dc_policy: str = "fill-zero",
-) -> tuple[TestSet, PartitionTree]:
+) -> tuple[TestSet, tuple[tuple[int, int], ...]]:
     """Binary-split T2 construction for wired-AND input bridges.
 
-    For the current block, gates whose support properly intersects it are
-    tried smallest support first (gate id breaks ties).  The candidate
-    pattern sets the gate's support to 1 and every other input to 0; it is
-    accepted only if simulation confirms detection of every wired-AND pair
-    across the induced split.  Blocks no candidate can split are left as
-    stuck leaves for fallback.
+    Blocks are split depth first, the gate-supported side before the rest.
+    For each block, gates whose support properly intersects it are tried
+    smallest support first (the lowest gate id breaks ties; a support equal
+    to an earlier one is not tried again).  The candidate pattern sets the
+    gate's support to 1 and every other input to 0; it splits the block only
+    if simulation confirms detection of every wired-AND pair across the
+    split.  Pairs left in blocks no candidate can split are returned for
+    fallback.
     """
-    aux = network.constant_line
-    variables = network.real_inputs()
+    partition = _Partition(network, Polarity.WIRED_AND, dc_policy)
     patterns: list[TestPattern] = []
-
-    candidates = sorted(
-        (len(sup), gid) for gid, sup in enumerate(network.gate_supports, start=1)
-    )
-
-    def make_pattern(support: frozenset) -> TestPattern:
-        bits = "".join(
-            "1" if v == aux or v in support else "0" for v in range(1, network.n + 1)
-        )
-        return TestPattern("d" * network.p, bits, origin="T2")
-
-    def split(block: tuple[int, ...]) -> TreeNode:
-        if len(block) <= 1:
-            return TreeNode(block=block)
-        bset = frozenset(block)
-        for _, gid in candidates:
-            support = network.gate_supports[gid - 1]
-            inter = (support - {aux}) & bset
-            if not inter or inter == bset:
+    supports = sorted(dict.fromkeys(network.gate_supports), key=len)
+    todo = list(partition.blocks)
+    while todo:
+        block = todo.pop()
+        for support in supports:
+            side = support & block
+            if not side or side == block:
                 continue
-            pattern = make_pattern(support)
-            targeted = [
-                (r, s) for r in sorted(inter) for s in sorted(bset - inter)
-            ]
-            if not all(
-                detects(network, BridgingFault.x_pair(r, s, Polarity.WIRED_AND), pattern, dc_policy)
-                for r, s in targeted
-            ):
-                continue
-            patterns.append(pattern)
-            left = split(tuple(sorted(inter)))
-            right = split(tuple(sorted(bset - inter)))
-            return TreeNode(block=block, gate_id=gid, pattern=pattern, left=left, right=right)
-        return TreeNode(block=block)
+            pattern = _input_pattern(network, support, "T2")
+            if partition.split(pattern, block, side):
+                patterns.append(pattern)
+                todo.extend(part for part in (block - side, side) if len(part) >= 2)
+                break
 
-    root = split(tuple(variables)) if variables else None
     test_set = TestSet("T2", patterns, target_class="XPair/WiredAnd")
-    return test_set, PartitionTree(root)
+    return test_set, partition.uncovered()
 
 
 # ---------------------------------------------------------------------------
@@ -246,42 +234,9 @@ def gen_input_or_tests(
     redundant: every split leaves a pair across it, so such a block never
     splits.  Pairs left in unsplit blocks are returned for fallback.
     """
-    aux = network.constant_line
     variables = list(network.real_inputs())
-    p = network.p
+    partition = _Partition(network, Polarity.WIRED_OR, dc_policy)
     patterns: list[TestPattern] = []
-    blocks: list[frozenset] = [frozenset(variables)] if len(variables) >= 2 else []
-
-    def block_of(v: int) -> frozenset | None:
-        for b in blocks:
-            if v in b:
-                return b
-        return None
-
-    def multi_blocks() -> list[frozenset]:
-        return [b for b in blocks if len(b) >= 2]
-
-    def make_pattern(zeros: frozenset) -> TestPattern:
-        bits = "".join(
-            "1" if v == aux else ("0" if v in zeros else "1") for v in range(1, network.n + 1)
-        )
-        return TestPattern("d" * p, bits, origin="T3")
-
-    def try_split(pattern: TestPattern, block: frozenset, side: frozenset) -> bool:
-        """Validate every wired-OR pair across the split; refine on success."""
-        cross = [(r, s) for r in sorted(side) for s in sorted(block - side)]
-        if not cross:
-            return False
-        if not all(
-            detects(network, BridgingFault.x_pair(r, s, Polarity.WIRED_OR), pattern, dc_policy)
-            for r, s in cross
-        ):
-            return False
-        blocks.remove(block)
-        for part in (side, block - side):
-            if len(part) >= 2:
-                blocks.append(part)
-        return True
 
     # every split leaves a pair across it, so a block whose wired-OR pairs
     # are all redundant never splits
@@ -292,10 +247,10 @@ def gen_input_or_tests(
         return any(exhaustive_detectability(network, f).detectable for f in faults)
 
     def splittable() -> bool:
-        return any(has_detectable_pair(b) for b in multi_blocks())
+        return any(has_detectable_pair(b) for b in partition.blocks)
 
     def stage(restricted: frozenset) -> None:
-        whole = [b for b in multi_blocks() if not b & restricted]
+        whole = [b for b in partition.blocks if not b & restricted]
         if not whole:
             return
         rows = _parity_rows(pprm_list, _mask(restricted))
@@ -304,6 +259,7 @@ def gen_input_or_tests(
             return
         active = [v for v in variables if v not in restricted]
         active_mask = _mask(active)
+        ones = frozenset(active)
 
         def bit(i: int, k: int) -> int:
             return rows.get(i, 0) >> k & 1
@@ -311,36 +267,35 @@ def gen_input_or_tests(
         for i in active:  # case (a)
             if not bit(i, i):
                 continue
-            block = block_of(i)
+            block = partition.block_of(i)
             if block is None or (block & restricted):
                 continue
-            pattern = make_pattern(restricted | {i})
-            if try_split(pattern, block, frozenset({i})):
+            pattern = _input_pattern(network, ones - {i}, "T3")
+            if partition.split(pattern, block, frozenset({i})):
                 patterns.append(pattern)
 
         for i in active:  # case (b)
             if bit(i, i):
                 continue
-            block = block_of(i)
+            block = partition.block_of(i)
             if block is None or (block & restricted):
                 continue
             partners = rows.get(i, 0) & active_mask
             if not partners:
                 continue
             k = (partners & -partners).bit_length() - 1  # lowest partner
-            pattern = make_pattern(restricted | {i, k})
-            block_k = block_of(k)
-            emitted = False
+            pattern = _input_pattern(network, ones - {i, k}, "T3")
+            block_k = partition.block_of(k)
             if block_k is block:
                 # i and k stay joined: their own pair is not exercised here
-                emitted = try_split(pattern, block, frozenset({i, k}))
+                emitted = partition.split(pattern, block, frozenset({i, k}))
             else:
-                emitted = try_split(pattern, block, frozenset({i}))
+                emitted = partition.split(pattern, block, frozenset({i}))
                 if (
                     not bit(k, k)
                     and block_k is not None
                     and not (block_k & restricted)
-                    and try_split(pattern, block_k, frozenset({k}))
+                    and partition.split(pattern, block_k, frozenset({k}))
                 ):
                     emitted = True
             if emitted:
@@ -355,11 +310,8 @@ def gen_input_or_tests(
                 break
             stage(frozenset(combo))
 
-    uncovered = []
-    for block in sorted(multi_blocks(), key=min):
-        uncovered.extend(itertools.combinations(sorted(block), 2))
     test_set = TestSet("T3", patterns, target_class="XPair/WiredOr")
-    return test_set, tuple(sorted(uncovered))
+    return test_set, partition.uncovered()
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +354,6 @@ def gen_walking_zero_tests(n: int, p: int, *, constant_line: int | None = None) 
 @dataclass
 class GenerationResult:
     sets: dict[str, TestSet]
-    tree: PartitionTree | None = None
     t2_uncovered: tuple[tuple[int, int], ...] = ()
     t3_uncovered: tuple[tuple[int, int], ...] = ()
 
@@ -426,10 +377,8 @@ def generate_sets(
     if "T1" in wanted:
         result.sets["T1"] = gen_corner_set(network.n, network.p, constant_line=aux)
     if "T2" in wanted:
-        t2, tree = gen_input_and_tests(pprm_list, network, dc_policy=dc_policy)
+        t2, result.t2_uncovered = gen_input_and_tests(pprm_list, network, dc_policy=dc_policy)
         result.sets["T2"] = t2
-        result.tree = tree
-        result.t2_uncovered = tuple(tree.uncovered_pairs())
     if "T3" in wanted:
         t3, uncovered = gen_input_or_tests(pprm_list, network, dc_policy=dc_policy)
         result.sets["T3"] = t3

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from .atpg import BoundReport, UnionResult
 from .circuit import ReversibleCircuit
-from .faults import FaultList
+from .faults import BridgingFault, FaultList
 from .network import AndExorNetwork
 from .patterns import TestSet
 from .simulate import Evaluation, FaultVerdict
@@ -105,16 +105,30 @@ def _bound_block(bound: BoundReport) -> dict:
     }
 
 
-def _verdict_row(verdict: FaultVerdict) -> dict:
-    line_a, line_b = verdict.fault.lines()
+def _union_block(union: UnionResult) -> dict:
     return {
-        "class": verdict.fault.kind.value,
+        "size": len(union.test_set),
+        "pre_dedup_size": union.pre_dedup_size,
+        "removed": union.removed,
+        "fallback_count": union.fallback_count,
+    }
+
+
+def _fault_row(fault: BridgingFault) -> dict:
+    line_a, line_b = fault.lines()
+    return {
+        "class": fault.kind.value,
         "line_a": line_a,
         "line_b": line_b,
-        "polarity": verdict.fault.polarity.value if verdict.fault.polarity else "",
-        "verdict": _STATUS_LABEL[verdict.status],
-        "detail": verdict_detail(verdict),
+        "polarity": fault.polarity.value if fault.polarity else "",
     }
+
+
+def _verdict_row(verdict: FaultVerdict) -> dict:
+    row = _fault_row(verdict.fault)
+    row["verdict"] = _STATUS_LABEL[verdict.status]
+    row["detail"] = verdict_detail(verdict)
+    return row
 
 
 def build_coverage_report(
@@ -133,15 +147,10 @@ def build_coverage_report(
     report = _header(circuit, network, config, timestamp)
     _add_fault_counts(report, faults, out_of_model)
     report["test_sets"] = _sets_block(sets)
-    report["union"] = {
-        "size": len(union.test_set),
-        "pre_dedup_size": union.pre_dedup_size,
-        "removed": union.removed,
-        "fallback_count": union.fallback_count,
-        "patterns": [
-            {"pattern": pat.line(), "origin": pat.origin} for pat in union.test_set
-        ],
-    }
+    report["union"] = _union_block(union)
+    report["union"]["patterns"] = [
+        {"pattern": pat.line(), "origin": pat.origin} for pat in union.test_set
+    ]
     if bound is not None:
         report["bound"] = _bound_block(bound)
     total = len(evaluation.verdicts)
@@ -174,12 +183,7 @@ def build_generation_report(
 ) -> dict:
     report = _header(circuit, network, config, timestamp)
     report["test_sets"] = _sets_block(sets)
-    report["union"] = {
-        "size": len(union.test_set),
-        "pre_dedup_size": union.pre_dedup_size,
-        "removed": union.removed,
-        "fallback_count": union.fallback_count,
-    }
+    report["union"] = _union_block(union)
     report["bound"] = _bound_block(bound)
     return report
 
@@ -194,16 +198,7 @@ def build_fault_report(
 ) -> dict:
     report = _header(circuit, network, config, timestamp)
     _add_fault_counts(report, faults, faults.out_of_model)
-    rows = []
-    for fault in faults:
-        line_a, line_b = fault.lines()
-        rows.append({
-            "class": fault.kind.value,
-            "line_a": line_a,
-            "line_b": line_b,
-            "polarity": fault.polarity.value if fault.polarity else "",
-        })
-    report["faults"] = rows
+    report["faults"] = [_fault_row(fault) for fault in faults]
     return report
 
 

@@ -20,7 +20,7 @@ stays only in ``eval_faulty``, which returns every faulty net.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .faults import BridgingFault, FaultKind, FaultList, bridge_values
 from .network import AndExorNetwork
@@ -31,6 +31,7 @@ __all__ = [
     "eval_good",
     "eval_faulty",
     "detects",
+    "detects_all",
     "exor_stimulation_mask",
     "FULL_MASK",
     "OracleResult",
@@ -42,7 +43,6 @@ __all__ = [
 
 FULL_MASK = 0b1111
 DEFAULT_ORACLE_CAP = 22
-MAX_ORACLE_CAP = 24  # the widest --oracle-cap the command line accepts
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,13 @@ def _columns(
     x_cols: Sequence[int],
     ones: int,
     fault: BridgingFault | None,
-) -> tuple[list[int], list[int], Iterator[tuple[int, ...]]]:
+) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
     """Evaluate the netlist on columns, with ``fault`` injected if given.
 
     Bit t of every column is a net's value under assignment t, and ``ones``
     has a bit set for each assignment.  Returns the x and AND-output
-    columns and an iterator over the cascade: the p target-line columns at
-    each level 0..d, the last being the outputs.  The cascade is produced
-    level by level, so a caller that only reads the outputs never holds
-    the earlier levels.
+    columns and the cascade: the p target-line columns at each level 0..d,
+    the last being the outputs.
     """
     x = list(x_cols)
     if fault is not None and fault.kind is FaultKind.X_PAIR:
@@ -98,18 +96,16 @@ def _columns(
         a[i - 1], a[j - 1] = bridge_values(a[i - 1], a[j - 1], fault.polarity)
 
     intra = fault is not None and fault.kind is FaultKind.INTRA_LEVEL
-
-    def cascade() -> Iterator[tuple[int, ...]]:
-        w = list(c_cols)
-        for level in range(network.d + 1):
-            if level:
-                w[network.gate_targets[level - 1] - 1] ^= a[level - 1]
-            if intra and fault.ids[0] == level:
-                _, j1, j2 = fault.ids
-                w[j1 - 1], w[j2 - 1] = bridge_values(w[j1 - 1], w[j2 - 1], fault.polarity)
-            yield tuple(w)
-
-    return x, a, cascade()
+    w = list(c_cols)
+    levels = []
+    for level in range(network.d + 1):
+        if level:
+            w[network.gate_targets[level - 1] - 1] ^= a[level - 1]
+        if intra and fault.ids[0] == level:
+            _, j1, j2 = fault.ids
+            w[j1 - 1], w[j2 - 1] = bridge_values(w[j1 - 1], w[j2 - 1], fault.polarity)
+        levels.append(tuple(w))
+    return x, a, levels
 
 
 class _Anf(frozenset):
@@ -254,9 +250,8 @@ def _single(
 ) -> SimulationResult:
     c, x = _resolved_bits(network, pattern, dc_policy)
     x_vals, a, levels = _columns(network, c, x, 1, fault)
-    history = list(levels)
-    cascade = tuple(tuple(level[j] for level in history) for j in range(network.p))
-    return SimulationResult(history[-1], tuple(x_vals), tuple(a), cascade)
+    cascade = tuple(tuple(level[j] for level in levels) for j in range(network.p))
+    return SimulationResult(levels[-1], tuple(x_vals), tuple(a), cascade)
 
 
 def eval_good(
@@ -282,6 +277,23 @@ def eval_faulty(
     return _single(network, pattern, dc_policy, fault)
 
 
+def detects_all(
+    network: AndExorNetwork,
+    faults: Iterable[BridgingFault],
+    pattern: TestPattern,
+    dc_policy: str = "fill-zero",
+) -> bool:
+    """True when the pattern detects every fault in ``faults``.
+
+    The pattern is resolved once and every fault's difference is read off
+    the same fault-free values.  ExorInternal has no faulty outputs, so
+    passing one is a usage error.
+    """
+    c, x = _resolved_bits(network, pattern, dc_policy)
+    good = _Good(network, c + x, 1)
+    return all(_fault_difference(good, fault) for fault in faults)
+
+
 def detects(
     network: AndExorNetwork,
     fault: BridgingFault,
@@ -292,8 +304,7 @@ def detects(
 
     ExorInternal has no faulty outputs, so passing one is a usage error.
     """
-    c, x = _resolved_bits(network, pattern, dc_policy)
-    return _fault_difference(_Good(network, c + x, 1), fault) != 0
+    return detects_all(network, [fault], pattern, dc_policy)
 
 
 def exor_stimulation_mask(
@@ -406,15 +417,14 @@ def grade_columns(
 ) -> Evaluation:
     """``evaluate_test_set`` on packed columns, bit t holding pattern t."""
     _, a, levels = _columns(network, c_cols, x_cols, ones, None)
-    history = list(levels)
-    good = _Good(network, c_cols + x_cols, ones, a, history)
+    good = _Good(network, c_cols + x_cols, ones, a, levels)
 
     # Bit 2*left + right of a gate's mask is set once its EXOR has seen that
     # input pair; a full mask completes at the latest first sighting of the four.
     masks = []
     full_at: dict[int, int] = {}
     for gate_id, target in enumerate(network.gate_targets, start=1):
-        left, right = history[gate_id - 1][target - 1], a[gate_id - 1]
+        left, right = levels[gate_id - 1][target - 1], a[gate_id - 1]
         seen = (ones ^ (left | right), right & ~left, left & ~right, left & right)
         masks.append(sum(1 << k for k, col in enumerate(seen) if col))
         if all(seen):

@@ -30,6 +30,7 @@ from bridgetest import (
     parse_circuit,
 )
 from bridgetest.atpg import _parity_rows
+from bridgetest.simulate import detects_all
 
 AND = Polarity.WIRED_AND
 OR = Polarity.WIRED_OR
@@ -141,7 +142,7 @@ class TestInputAndSet:
         # frozen construction output (differs from the shipped worked set in
         # its last two rows; coverage is verified pairwise below)  [DERIVED]
         pprms, net = bench_parts
-        ts, tree = gen_input_and_tests(pprms, net)
+        ts, uncovered = gen_input_and_tests(pprms, net)
         assert [p.x for p in ts] == [
             "1000000",
             "0100000",
@@ -151,9 +152,7 @@ class TestInputAndSet:
             "0011000",
         ]
         assert all(p.c == "ddd" and p.origin == "T2" for p in ts)
-        assert tree.internal_count() == 6
-        assert tree.stuck_blocks() == []
-        assert tree.uncovered_pairs() == []
+        assert uncovered == ()
 
     def test_benchmark_covers_all_wired_and_pairs(self, bench_parts):
         pprms, net = bench_parts
@@ -166,18 +165,17 @@ class TestInputAndSet:
     def test_unsplittable_block(self, and2):
         # the only gate's support equals the whole block: nothing can split
         pprms, net = derive_pprm(and2), expand_network(and2)
-        ts, tree = gen_input_and_tests(pprms, net)
+        ts, uncovered = gen_input_and_tests(pprms, net)
         assert ts.lines() == []
-        assert tree.stuck_blocks() == [(1, 2)]
-        assert tree.uncovered_pairs() == [(1, 2)]
+        assert uncovered == ((1, 2),)
 
     def test_candidate_rejected_then_accepted(self):
         # f1 cancels to 0, so the single-control candidates detect nothing
         # and the two-control gate must carry the first split
         pprms, net = _parts(DUP_TEXT)
-        ts, tree = gen_input_and_tests(pprms, net)
+        ts, uncovered = gen_input_and_tests(pprms, net)
         assert [p.x for p in ts] == ["110"]
-        assert tree.stuck_blocks() == [(1, 2)]
+        assert uncovered == ((1, 2),)
 
 
 class TestInputOrSet:
@@ -288,13 +286,42 @@ class TestGenerateSets:
         assert sizes == {"T1": 4, "T2": 6, "T3": 6, "T4": 2, "T5": 7}
         assert result.t2_uncovered == ()
         assert result.t3_uncovered == ()
-        assert result.tree is not None
 
     def test_selector(self, bench_parts):
         pprms, net = bench_parts
         result = generate_sets(pprms, net, ["T1", "T4"])
         assert list(result.sets) == ["T1", "T4"]
-        assert result.tree is None
+        assert result.t2_uncovered == result.t3_uncovered == ()
+
+    def test_one_fault_free_read_per_candidate(self, monkeypatch, bench_parts):
+        # each candidate split is checked against all its cross pairs in one
+        # detects_all call; only fallback calls detects
+        def refuse(*args, **kwargs):
+            raise AssertionError("generate_sets called detects")
+
+        calls = []
+
+        def recorded(network, faults, pattern, dc_policy):
+            faults = list(faults)
+            calls.append((pattern.x, [f.ids for f in faults]))
+            return detects_all(network, faults, pattern, dc_policy)
+
+        monkeypatch.setattr("bridgetest.atpg.detects", refuse)
+        monkeypatch.setattr("bridgetest.atpg.detects_all", recorded)
+        generate_sets(*bench_parts)
+        assert calls
+        calls.clear()
+        generate_sets(*_parts(DUP_TEXT))
+        # T2: x1 alone detects nothing (f1 cancels), x1 x2 splits off x3, and
+        # gate 2's support repeats gate 1's, so it is not tried again; T3:
+        # case (a) splits off x1, then x2
+        assert calls == [
+            ("100", [(1, 2), (1, 3)]),
+            ("110", [(1, 3), (2, 3)]),
+            ("100", [(1, 2)]),
+            ("011", [(1, 2), (1, 3)]),
+            ("101", [(2, 3)]),
+        ]
 
     def test_unknown_name(self, bench_parts):
         pprms, net = bench_parts

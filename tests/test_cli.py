@@ -74,9 +74,9 @@ class TestArgHandling:
         code, out, err = run(capsys, "atpg", str(bench_path), "--sets", ",")
         assert code == 2 and "empty --sets" in err
 
-    @pytest.mark.parametrize("cap", ["-1", "25", "40"])
+    @pytest.mark.parametrize("cap", ["-1"])
     def test_oracle_cap_out_of_range(self, capsys, monkeypatch, bench_path, cap):
-        # the parser refuses a cap outside 0..24 before any oracle call
+        # the parser refuses a negative cap before any oracle call
         def refuse(*args, **kwargs):
             raise AssertionError("oracle started")
 
@@ -91,6 +91,30 @@ class TestArgHandling:
         for cap in (0, 24):
             args = parser.parse_args(["verify", str(bench_path), "--oracle-cap", str(cap)])
             assert args.oracle_cap == cap
+
+    @pytest.mark.parametrize("cap", ["25", "40"])
+    def test_oracle_cap_above_24_accepted(self, capsys, bench_path, cap):
+        code, out, err = run(
+            capsys, "verify", str(bench_path), "--oracle-cap", cap, "-f", "json", "--no-timestamp"
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["config"]["oracle_cap"] == int(cap)
+
+    def test_oracle_cap_reaches_width_26(self, capsys, tmp_path):
+        # gates 1 and 2 share x1 x2, so three bridges are redundant; at n + p
+        # = 26 only a cap of 26 or more lets the oracle prove it
+        lines = [".n 24", ".p 2", ".gate c1 : x1 x2", ".gate c2 : x1 x2"]
+        lines += [f".gate c{1 + k % 2} : x{k}" for k in range(3, 25)]
+        circuit = tmp_path / "shared24.rev"
+        circuit.write_text("\n".join(lines + [".end", ""]))
+        argv = ["verify", str(circuit), "-f", "json", "--no-timestamp"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 4
+        assert json.loads(out)["coverage"]["unresolved"] == 3
+        code, out, _ = run(capsys, *argv, "--oracle-cap", "26")
+        assert code == 0
+        coverage = json.loads(out)["coverage"]
+        assert (coverage["redundant"], coverage["unresolved"]) == (3, 0)
 
 
 class TestFaults:

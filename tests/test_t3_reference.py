@@ -1,10 +1,12 @@
-"""The T3 generator against its reference, and parity rows against their
-``count_terms`` definition.
+"""The T2 and T3 generators against their references, and parity rows
+against their ``count_terms`` definition.
 
 ``reference_t3.gen_input_or_tests`` rebuilds restricted PPRMs and the whole
 parity matrix for every restriction set and walks every set; the generator
-in ``bridgetest.atpg`` reads bitmask rows and prunes the walk.  Both must
-emit the same patterns, in the same order, and leave the same pairs for
+in ``bridgetest.atpg`` reads bitmask rows and prunes the walk.
+``reference_t2.gen_input_and_tests`` splits blocks recursively into a tree
+and checks each cross pair on its own.  Each generator must emit the same
+patterns as its reference, in the same order, and leave the same pairs for
 fallback.
 """
 
@@ -14,11 +16,12 @@ import pytest
 from conftest import DATA, random_circuit, with_zero_control
 from hypothesis import example, given
 from hypothesis import strategies as st
+from reference_t2 import gen_input_and_tests as reference_t2
 from reference_t3 import build_parity_matrix, restrict
 from reference_t3 import gen_input_or_tests as reference_t3
 
 from bridgetest import derive_pprm, expand_network, normalize_zero_controls, parse_circuit
-from bridgetest.atpg import _mask, _parity_rows, gen_input_or_tests
+from bridgetest.atpg import _mask, _parity_rows, gen_input_and_tests, gen_input_or_tests
 from bridgetest.circuit import Gate, ReversibleCircuit
 
 DC_POLICIES = ("fill-zero", "fill-one")
@@ -33,6 +36,11 @@ TWICE = parse_circuit(
     ".gate c2 : x4 x5\n.gate c2 : x5\n.end\n",
     name="twice",
 )
+# f1 cancels to 0, so T2 rejects the single-control candidates first
+DUP = parse_circuit(
+    ".n 3\n.p 2\n.gate c1 : x1\n.gate c1 : x1\n.gate c2 : x1 x2\n.end\n", name="dup"
+)
+AND2 = parse_circuit((DATA / "and2.rev").read_text(), name="and2")
 
 
 def term_pool_circuit(rng: random.Random, index: int = 0) -> ReversibleCircuit:
@@ -76,6 +84,18 @@ def test_t3_matches_reference(circuit):
         ref_set, ref_uncovered = reference_t3(pprms, net, dc_policy=dc_policy)
         assert list(got_set) == list(ref_set)
         assert got_uncovered == ref_uncovered
+
+
+@given(circuit=circuits())
+@example(circuit=DUP)
+@example(circuit=AND2)
+def test_t2_matches_reference(circuit):
+    pprms, net = derive_pprm(circuit), expand_network(circuit)
+    for dc_policy in DC_POLICIES:
+        got_set, got_uncovered = gen_input_and_tests(pprms, net, dc_policy=dc_policy)
+        ref_set, ref_tree = reference_t2(pprms, net, dc_policy=dc_policy)
+        assert list(got_set) == list(ref_set)
+        assert got_uncovered == tuple(ref_tree.uncovered_pairs())
 
 
 def test_cancel4_needs_a_restriction():
