@@ -7,7 +7,7 @@ Five named sets are built per circuit:
 * T2: support-guided binary splitting of the input set, depth first with
   the supported side first.  Each accepted pattern drives one gate's
   support to 1 and everything else to 0, and is kept only if simulation
-  confirms it detects every wired-AND input pair across the split.
+  confirms it detects a wired-AND bridge from each input it moves.
 * T3: parity-matrix driven patterns for wired-OR input pairs.  Case (a)
   handles variables with an odd diagonal count, case (b) pairs a variable
   with an odd joint count, case (c) retries both after restricting chosen
@@ -20,10 +20,10 @@ Five named sets are built per circuit:
 * T5: n walking-zero patterns separating AND outputs with distinct support.
 
 T2 and T3 each refine one partition of the inputs (``_Partition``), which
-checks a candidate split with one fault-free read of its pattern, so each
-emits at most n - 1 patterns; with T1's 4, T4's ceil(log2 p), and T5's n,
-the union stays within 3n + ceil(log2 p) + 2 whenever no fallback pattern
-is needed.
+checks a candidate split with one bridge per input on the split-off side,
+so each emits at most n - 1 patterns; with T1's 4, T4's ceil(log2 p), and
+T5's n, the union stays within 3n + ceil(log2 p) + 2 whenever no fallback
+pattern is needed.
 Fallback repair consults the exhaustive oracle per missed fault.
 """
 
@@ -39,13 +39,7 @@ from .faults import BridgingFault, FaultKind, Polarity
 from .network import AndExorNetwork
 from .patterns import TestPattern, TestSet
 from .pprm import PprmFunction
-from .simulate import (
-    DEFAULT_ORACLE_CAP,
-    detects,
-    detects_all,
-    exhaustive_detectability,
-    grade_columns,
-)
+from .simulate import DEFAULT_ORACLE_CAP, detects, exhaustive_detectability, grade_columns
 
 __all__ = [
     "count_terms",
@@ -140,13 +134,16 @@ class _Partition:
     """Open blocks of a partition of the real inputs, refined only by
     patterns shown to detect every bridge of one polarity across the split.
 
-    Every open block holds at least two inputs; singletons are closed.
+    A candidate pattern holds the split-off side at one value and the rest
+    of the block at the other, the value the bridge pulls both ends to.  An
+    input bridge changes only what reads x, and candidates leave only the c
+    lines don't-care, so no fill policy can change a check.  Every open
+    block holds at least two inputs; singletons are closed.
     """
 
-    def __init__(self, network: AndExorNetwork, polarity: Polarity, dc_policy: str) -> None:
+    def __init__(self, network: AndExorNetwork, polarity: Polarity) -> None:
         self.network = network
         self.polarity = polarity
-        self.dc_policy = dc_policy
         inputs = frozenset(network.real_inputs())
         self.blocks: list[frozenset] = [inputs] if len(inputs) >= 2 else []
 
@@ -159,11 +156,13 @@ class _Partition:
         rest = block - side
         if not rest:
             return False
-        cross = [
-            BridgingFault.x_pair(r, s, self.polarity) for r in sorted(side) for s in sorted(rest)
-        ]
-        if not detects_all(self.network, cross, pattern, self.dc_policy):
-            return False
+        # A bridge (r, s) across the split leaves s where it is and moves r
+        # to the rest's value, so every partner s gives the same faulty
+        # circuit: one partner per moved input decides all of r's pairs.
+        partner = min(rest)
+        for r in sorted(side):
+            if not detects(self.network, BridgingFault.x_pair(r, partner, self.polarity), pattern):
+                return False
         self.blocks.remove(block)
         self.blocks.extend(part for part in (side, rest) if len(part) >= 2)
         return True
@@ -174,12 +173,7 @@ class _Partition:
         return tuple(sorted(pairs))
 
 
-def gen_input_and_tests(
-    pprm_list: Sequence[PprmFunction],
-    network: AndExorNetwork,
-    *,
-    dc_policy: str = "fill-zero",
-) -> tuple[TestSet, tuple[tuple[int, int], ...]]:
+def gen_input_and_tests(network: AndExorNetwork) -> tuple[TestSet, tuple[tuple[int, int], ...]]:
     """Binary-split T2 construction for wired-AND input bridges.
 
     Blocks are split depth first, the gate-supported side before the rest.
@@ -188,10 +182,10 @@ def gen_input_and_tests(
     to an earlier one is not tried again).  The candidate pattern sets the
     gate's support to 1 and every other input to 0; it splits the block only
     if simulation confirms detection of every wired-AND pair across the
-    split.  Pairs left in blocks no candidate can split are returned for
-    fallback.
+    split, which takes one pair per input of the block the gate reads.
+    Pairs left in blocks no candidate can split are returned for fallback.
     """
-    partition = _Partition(network, Polarity.WIRED_AND, dc_policy)
+    partition = _Partition(network, Polarity.WIRED_AND)
     patterns: list[TestPattern] = []
     supports = sorted(dict.fromkeys(network.gate_supports), key=len)
     todo = list(partition.blocks)
@@ -215,10 +209,7 @@ def gen_input_and_tests(
 # T3
 
 def gen_input_or_tests(
-    pprm_list: Sequence[PprmFunction],
-    network: AndExorNetwork,
-    *,
-    dc_policy: str = "fill-zero",
+    pprm_list: Sequence[PprmFunction], network: AndExorNetwork
 ) -> tuple[TestSet, tuple[tuple[int, int], ...]]:
     """Parity-driven T3 construction for wired-OR input bridges.
 
@@ -235,7 +226,7 @@ def gen_input_or_tests(
     splits.  Pairs left in unsplit blocks are returned for fallback.
     """
     variables = list(network.real_inputs())
-    partition = _Partition(network, Polarity.WIRED_OR, dc_policy)
+    partition = _Partition(network, Polarity.WIRED_OR)
     patterns: list[TestPattern] = []
 
     # every split leaves a pair across it, so a block whose wired-OR pairs
@@ -365,7 +356,6 @@ def generate_sets(
     pprm_list: Sequence[PprmFunction],
     network: AndExorNetwork,
     selector: Iterable[str] = SET_NAMES,
-    dc_policy: str = "fill-zero",
 ) -> GenerationResult:
     """Build the selected named sets for one netlist."""
     wanted = list(selector)
@@ -377,12 +367,9 @@ def generate_sets(
     if "T1" in wanted:
         result.sets["T1"] = gen_corner_set(network.n, network.p, constant_line=aux)
     if "T2" in wanted:
-        t2, result.t2_uncovered = gen_input_and_tests(pprm_list, network, dc_policy=dc_policy)
-        result.sets["T2"] = t2
+        result.sets["T2"], result.t2_uncovered = gen_input_and_tests(network)
     if "T3" in wanted:
-        t3, uncovered = gen_input_or_tests(pprm_list, network, dc_policy=dc_policy)
-        result.sets["T3"] = t3
-        result.t3_uncovered = uncovered
+        result.sets["T3"], result.t3_uncovered = gen_input_or_tests(pprm_list, network)
     if "T4" in wanted:
         result.sets["T4"] = gen_cascade_pair_tests(network.p, network.n, constant_line=aux)
     if "T5" in wanted:
@@ -475,7 +462,6 @@ def fallback_search(
     uncovered_faults: Sequence[BridgingFault],
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     *,
-    dc_policy: str = "fill-zero",
     rng_seed: int = 271828,
     attempts: int = 512,
     classify_only: bool = False,
@@ -507,7 +493,8 @@ def fallback_search(
                     out.patterns.append(replace(pat, origin="Fallback"))
                 corners_added = True
             continue
-        if any(detects(network, fault, pat, dc_policy) for pat in out.patterns):
+        # fallback patterns have no don't-care to resolve
+        if any(detects(network, fault, pat) for pat in out.patterns):
             continue
         if width <= oracle_cap:
             res = exhaustive_detectability(network, fault)

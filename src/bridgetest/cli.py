@@ -142,9 +142,7 @@ def run_pipeline(network, faults, sets: list[TestSet], cfg: RunConfig) -> Pipeli
     if faults is not None:
         evaluation = evaluate_test_set(network, faults, list(union.test_set), dc_policy=dc)
         missed = evaluation.faults_with("undetected")
-        fb = fallback_search(
-            network, missed, cfg.oracle_cap, dc_policy=dc, classify_only=not cfg.fallback
-        )
+        fb = fallback_search(network, missed, cfg.oracle_cap, classify_only=not cfg.fallback)
         final = evaluation
         if fb.patterns:
             union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=dc)
@@ -160,7 +158,7 @@ def run_pipeline(network, faults, sets: list[TestSet], cfg: RunConfig) -> Pipeli
             elif v.status == "undetected" and v.fault in unresolved:
                 v = FaultVerdict(v.fault, "unresolved", None, None)
             verdicts.append(v)
-        evaluation = Evaluation(verdicts, final.masks, dc)
+        evaluation = Evaluation(verdicts, final.masks)
     bound = check_bound(union, len(network.real_inputs()), network.p)
     return PipelineResult(sets, union, evaluation, fb, bound)
 
@@ -232,7 +230,7 @@ def cmd_atpg(args) -> int:
     circuit = _load_circuit(args.circuit)
     network = expand_network(circuit)
     pprms = derive_pprm(circuit)
-    sets = generate_sets(pprms, network, cfg.sets, cfg.dc_policy).ordered_sets()
+    sets = generate_sets(pprms, network, cfg.sets).ordered_sets()
     # without repair patterns the union needs no grading
     faults = enumerate_faults(network) if cfg.fallback else None
     run = run_pipeline(network, faults, sets, cfg)
@@ -293,7 +291,7 @@ def cmd_verify(args) -> int:
     network = expand_network(circuit)
     pprms = derive_pprm(circuit)
     faults = enumerate_faults(network, include_aux=cfg.include_aux)
-    sets = generate_sets(pprms, network, cfg.sets, cfg.dc_policy).ordered_sets()
+    sets = generate_sets(pprms, network, cfg.sets).ordered_sets()
     run = run_pipeline(network, faults, sets, cfg)
     report = build_coverage_report(
         circuit, network, faults, run.evaluation, sets, run.union, run.bound,
@@ -311,8 +309,8 @@ def cmd_bench(args) -> int:
     network = expand_network(circuit)
     pprms = derive_pprm(circuit)
     gen = generate_sets(pprms, network)
-    generated_t2 = [pat.x for pat in gen.sets["T2"]]
-    generated_t3 = [pat.x for pat in gen.sets["T3"]]
+    t2 = tuple(pat.x for pat in gen.sets["T2"])
+    t3 = tuple(pat.x for pat in gen.sets["T3"])
     cells = tabulated_discrepancies(circuit)
     if args.format == "json":
         report = {
@@ -321,25 +319,9 @@ def cmd_bench(args) -> int:
                 "name": circuit.name, "n": network.n,
                 "p": network.p, "d": network.d,
             },
-            "discrepancies": [
-                {
-                    "table": c["table"],
-                    "cell": list(c["cell"]),
-                    "reference": list(c["reference"]) if isinstance(c["reference"], tuple) else c["reference"],
-                    "derived": list(c["derived"]) if isinstance(c["derived"], tuple) else c["derived"],
-                }
-                for c in cells
-            ],
-            "t2": {
-                "generated": generated_t2,
-                "reference": list(REFERENCE_T2_X),
-                "match": generated_t2 == list(REFERENCE_T2_X),
-            },
-            "t3": {
-                "generated": generated_t3,
-                "reference": list(REFERENCE_T3_X),
-                "match": generated_t3 == list(REFERENCE_T3_X),
-            },
+            "discrepancies": cells,
+            "t2": {"generated": t2, "reference": REFERENCE_T2_X, "match": t2 == REFERENCE_T2_X},
+            "t3": {"generated": t3, "reference": REFERENCE_T3_X, "match": t3 == REFERENCE_T3_X},
         }
         _write_text(args.out, render_report(report, "json"))
         return EXIT_OK
@@ -352,10 +334,7 @@ def cmd_bench(args) -> int:
         lines.append(
             f"  {c['table']} {c['cell']}: tabulated {c['reference']}, derived {c['derived']}"
         )
-    for name, generated, reference in (
-        ("T2", generated_t2, list(REFERENCE_T2_X)),
-        ("T3", generated_t3, list(REFERENCE_T3_X)),
-    ):
+    for name, generated, reference in (("T2", t2, REFERENCE_T2_X), ("T3", t3, REFERENCE_T3_X)):
         verdict = "matches" if generated == reference else "differs from"
         lines.append(f"{name} generated {verdict} the tabulated set")
         lines.append(f"  generated: {' '.join(generated)}")
@@ -368,7 +347,10 @@ def cmd_bench(args) -> int:
 # parser
 
 def _oracle_cap(text: str) -> int:
-    cap = int(text)
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if cap < 0:
         raise argparse.ArgumentTypeError(f"must be 0 or more, got {cap}")
     return cap

@@ -31,7 +31,6 @@ __all__ = [
     "eval_good",
     "eval_faulty",
     "detects",
-    "detects_all",
     "exor_stimulation_mask",
     "FULL_MASK",
     "OracleResult",
@@ -277,23 +276,6 @@ def eval_faulty(
     return _single(network, pattern, dc_policy, fault)
 
 
-def detects_all(
-    network: AndExorNetwork,
-    faults: Iterable[BridgingFault],
-    pattern: TestPattern,
-    dc_policy: str = "fill-zero",
-) -> bool:
-    """True when the pattern detects every fault in ``faults``.
-
-    The pattern is resolved once and every fault's difference is read off
-    the same fault-free values.  ExorInternal has no faulty outputs, so
-    passing one is a usage error.
-    """
-    c, x = _resolved_bits(network, pattern, dc_policy)
-    good = _Good(network, c + x, 1)
-    return all(_fault_difference(good, fault) for fault in faults)
-
-
 def detects(
     network: AndExorNetwork,
     fault: BridgingFault,
@@ -304,7 +286,8 @@ def detects(
 
     ExorInternal has no faulty outputs, so passing one is a usage error.
     """
-    return detects_all(network, [fault], pattern, dc_policy)
+    c, x = _resolved_bits(network, pattern, dc_policy)
+    return _fault_difference(_Good(network, c + x, 1), fault) != 0
 
 
 def exor_stimulation_mask(
@@ -377,7 +360,6 @@ class Evaluation:
 
     verdicts: list[FaultVerdict]
     masks: list[int]
-    dc_policy: str = "fill-zero"
 
     def count(self, status: str) -> int:
         return sum(1 for v in self.verdicts if v.status == status)
@@ -404,7 +386,7 @@ def evaluate_test_set(
     ExorInternal, the index at which the stimulation mask became full).
     Verdicts come back in fault order.
     """
-    return grade_columns(network, faults, *_pack(network, patterns, dc_policy), dc_policy)
+    return grade_columns(network, faults, *_pack(network, patterns, dc_policy))
 
 
 def grade_columns(
@@ -413,7 +395,6 @@ def grade_columns(
     c_cols: list[int],
     x_cols: list[int],
     ones: int,
-    dc_policy: str = "fill-zero",
 ) -> Evaluation:
     """``evaluate_test_set`` on packed columns, bit t holding pattern t."""
     _, a, levels = _columns(network, c_cols, x_cols, ones, None)
@@ -449,4 +430,4 @@ def grade_columns(
             verdicts.append(FaultVerdict(fault, "detected", _lowest(diff), "simulation"))
         else:
             verdicts.append(FaultVerdict(fault, "undetected"))
-    return Evaluation(verdicts, masks, dc_policy)
+    return Evaluation(verdicts, masks)

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_circuit, with_zero_control
 
 from bridgetest import (
+    DC_POLICIES,
     BridgingFault,
     Polarity,
     TestPattern,
@@ -30,7 +31,6 @@ from bridgetest import (
     parse_circuit,
 )
 from bridgetest.atpg import _parity_rows
-from bridgetest.simulate import detects_all
 
 AND = Polarity.WIRED_AND
 OR = Polarity.WIRED_OR
@@ -141,8 +141,8 @@ class TestInputAndSet:
     def test_benchmark_patterns(self, bench_parts):
         # frozen construction output (differs from the shipped worked set in
         # its last two rows; coverage is verified pairwise below)  [DERIVED]
-        pprms, net = bench_parts
-        ts, uncovered = gen_input_and_tests(pprms, net)
+        _, net = bench_parts
+        ts, uncovered = gen_input_and_tests(net)
         assert [p.x for p in ts] == [
             "1000000",
             "0100000",
@@ -155,8 +155,8 @@ class TestInputAndSet:
         assert uncovered == ()
 
     def test_benchmark_covers_all_wired_and_pairs(self, bench_parts):
-        pprms, net = bench_parts
-        ts, _ = gen_input_and_tests(pprms, net)
+        _, net = bench_parts
+        ts, _ = gen_input_and_tests(net)
         for i in range(1, 8):
             for j in range(i + 1, 8):
                 fault = BridgingFault.x_pair(i, j, AND)
@@ -164,16 +164,15 @@ class TestInputAndSet:
 
     def test_unsplittable_block(self, and2):
         # the only gate's support equals the whole block: nothing can split
-        pprms, net = derive_pprm(and2), expand_network(and2)
-        ts, uncovered = gen_input_and_tests(pprms, net)
+        ts, uncovered = gen_input_and_tests(expand_network(and2))
         assert ts.lines() == []
         assert uncovered == ((1, 2),)
 
     def test_candidate_rejected_then_accepted(self):
         # f1 cancels to 0, so the single-control candidates detect nothing
         # and the two-control gate must carry the first split
-        pprms, net = _parts(DUP_TEXT)
-        ts, uncovered = gen_input_and_tests(pprms, net)
+        _, net = _parts(DUP_TEXT)
+        ts, uncovered = gen_input_and_tests(net)
         assert [p.x for p in ts] == ["110"]
         assert uncovered == ((1, 2),)
 
@@ -294,34 +293,64 @@ class TestGenerateSets:
         assert result.t2_uncovered == result.t3_uncovered == ()
 
     def test_one_fault_free_read_per_candidate(self, monkeypatch, bench_parts):
-        # each candidate split is checked against all its cross pairs in one
-        # detects_all call; only fallback calls detects
-        def refuse(*args, **kwargs):
-            raise AssertionError("generate_sets called detects")
-
+        # a candidate split reads one bridge (r, min(rest)) per moved input r,
+        # in ascending r, and stops at the first miss
         calls = []
 
-        def recorded(network, faults, pattern, dc_policy):
-            faults = list(faults)
-            calls.append((pattern.x, [f.ids for f in faults]))
-            return detects_all(network, faults, pattern, dc_policy)
+        def recorded(network, fault, pattern, dc_policy="fill-zero"):
+            shown = detects(network, fault, pattern, dc_policy)
+            calls.append((pattern.x, fault.ids, shown))
+            return shown
 
-        monkeypatch.setattr("bridgetest.atpg.detects", refuse)
-        monkeypatch.setattr("bridgetest.atpg.detects_all", recorded)
+        monkeypatch.setattr("bridgetest.atpg.detects", recorded)
         generate_sets(*bench_parts)
         assert calls
+        for (x, (r, s), shown), (next_x, (next_r, next_s), _) in zip(calls, calls[1:]):
+            if (next_x, next_s) == (x, s):
+                assert shown and next_r > r
         calls.clear()
         generate_sets(*_parts(DUP_TEXT))
         # T2: x1 alone detects nothing (f1 cancels), x1 x2 splits off x3, and
         # gate 2's support repeats gate 1's, so it is not tried again; T3:
         # case (a) splits off x1, then x2
         assert calls == [
-            ("100", [(1, 2), (1, 3)]),
-            ("110", [(1, 3), (2, 3)]),
-            ("100", [(1, 2)]),
-            ("011", [(1, 2), (1, 3)]),
-            ("101", [(2, 3)]),
+            ("100", (1, 2), False),
+            ("110", (1, 3), True),
+            ("110", (2, 3), True),
+            ("100", (1, 2), False),
+            ("011", (1, 2), True),
+            ("101", (2, 3), True),
         ]
+
+    @pytest.mark.parametrize("zero_control", [False, True])
+    def test_one_partner_decides_a_moved_input(self, zero_control):
+        # with the side at v and the rest at 1 - v, the bridge that pulls
+        # both ends to 1 - v moves only r, whichever partner s it has
+        rng = random.Random(9 + zero_control)
+        for index in range(120):
+            circuit = random_circuit(rng, index)
+            if zero_control:
+                circuit = with_zero_control(circuit, rng)
+            net = expand_network(circuit)
+            inputs = net.real_inputs()
+            if len(inputs) < 2:
+                continue
+            side = set(rng.sample(inputs, rng.randint(1, len(inputs) - 1)))
+            rest = [s for s in inputs if s not in side]
+            v = rng.randint(0, 1)
+            x = "".join(
+                "1" if i == net.constant_line else str(v if i in side else 1 - v)
+                for i in range(1, net.n + 1)
+            )
+            pattern = TestPattern("".join(rng.choice("01d") for _ in range(net.p)), x)
+            polarity = AND if v else OR
+            for dc_policy in DC_POLICIES:
+                for r in side:
+                    seen = {
+                        detects(net, BridgingFault.x_pair(r, s, polarity), pattern, dc_policy)
+                        for s in rest
+                    }
+                    assert len(seen) == 1, (circuit.name, r, x, dc_policy)
 
     def test_unknown_name(self, bench_parts):
         pprms, net = bench_parts

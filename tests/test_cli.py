@@ -86,6 +86,15 @@ class TestArgHandling:
         assert exc.value.code == 2
         assert "--oracle-cap" in capsys.readouterr().err
 
+    def test_oracle_cap_not_an_int(self, capsys, bench_path):
+        # worded like argparse's own int check, e.g. for --jobs
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(bench_path), "--oracle-cap", "abc"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "invalid int value: 'abc'" in err
+        assert "_oracle_cap" not in err
+
     def test_oracle_cap_limits_accepted(self, bench_path):
         parser = build_parser()
         for cap in (0, 24):

@@ -61,6 +61,10 @@ CASES = {
     # misses are classified but not repaired: exit 1, and the constant line's
     # bridge is still proven redundant
     "verify_rand5z_nofallback.txt": (1, ["verify", "rand5z.rev", "--sets", "T1,T4", "--no-fallback"]),
+    # the built-in benchmark: tabulated cells against recomputation, and the
+    # generated T2/T3 x parts against the tabulated sets
+    "bench.txt": (0, ["bench"]),
+    "bench.json": (0, ["bench", "--format", "json"]),
 }
 
 _FILE_SUFFIXES = (".rev", ".tests")

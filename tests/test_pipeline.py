@@ -34,7 +34,7 @@ def reference(network, faults, sets, cfg):
     base = assemble_union(sets, dc_policy=dc)
     first = evaluate_test_set(network, faults, list(base.test_set), dc_policy=dc)
     fb = fallback_search(network, first.faults_with("undetected"), cfg.oracle_cap,
-                         dc_policy=dc, classify_only=not cfg.fallback)
+                         classify_only=not cfg.fallback)
     union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=dc)
     bound = check_bound(union, len(network.real_inputs()), network.p)
     final = evaluate_test_set(network, faults, list(union.test_set), dc_policy=dc)
@@ -45,7 +45,7 @@ def reference(network, faults, sets, cfg):
         elif v.status == "undetected" and v.fault in fb.unresolved:
             v = FaultVerdict(v.fault, "unresolved", None, None)
         verdicts.append(v)
-    return Evaluation(verdicts, final.masks, dc), union, bound
+    return Evaluation(verdicts, final.masks), union, bound
 
 
 def _circuits(count):
@@ -66,7 +66,7 @@ def test_pipeline_matches_reference_sequence():
             SELECTIONS, (False, True), (True, False), (DEFAULT_ORACLE_CAP, 0)
         ):
             cfg = RunConfig("verify", names, dc, cap, fallback, dedup)
-            sets = generate_sets(pprms, network, names, dc).ordered_sets()
+            sets = generate_sets(pprms, network, names).ordered_sets()
             expected, union, bound = reference(network, faults, sets, cfg)
             run = run_pipeline(network, faults, sets, cfg)
             label = (circuit.name, names, dedup, fallback, cap)

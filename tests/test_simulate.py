@@ -28,7 +28,6 @@ from bridgetest import (
     parse_circuit,
 )
 from bridgetest.atpg import gen_corner_set
-from bridgetest.simulate import detects_all
 
 AND = Polarity.WIRED_AND
 OR = Polarity.WIRED_OR
@@ -110,16 +109,6 @@ class TestInjection:
         pat = TestPattern("0", "01")
         assert eval_faulty(net, fault, pat).outputs == (0,)
         assert not detects(net, fault, pat)
-
-    def test_detects_all_needs_every_fault(self, and2):
-        # on 01 the wired-OR bridge shows and the wired-AND one is masked
-        net = expand_network(and2)
-        pat = TestPattern("0", "01")
-        shown, masked = BridgingFault.x_pair(1, 2, OR), BridgingFault.x_pair(1, 2, AND)
-        assert detects_all(net, [shown], pat)
-        assert not detects_all(net, [shown, masked], pat)
-        assert not detects_all(net, [masked, shown], pat)
-        assert detects_all(net, [], pat)
 
     def test_a_pair(self):
         net = _net(".n 2\n.p 1\n.gate c1 : x1\n.gate c1 : x2\n.end\n")
