@@ -237,9 +237,6 @@ def gen_input_or_tests(
         faults = (BridgingFault.x_pair(r, s, Polarity.WIRED_OR) for r, s in pairs)
         return any(exhaustive_detectability(network, f).detectable for f in faults)
 
-    def splittable() -> bool:
-        return any(has_detectable_pair(b) for b in partition.blocks)
-
     def stage(restricted: frozenset) -> None:
         whole = [b for b in partition.blocks if not b & restricted]
         if not whole:
@@ -293,13 +290,13 @@ def gen_input_or_tests(
                 patterns.append(pattern)
 
     stage(frozenset())
-    for depth in range(1, len(variables)):
-        if not splittable():
+    deeper = itertools.chain.from_iterable(
+        itertools.combinations(variables, depth) for depth in range(1, len(variables))
+    )
+    for restricted in deeper:
+        if not any(has_detectable_pair(b) for b in partition.blocks):
             break
-        for combo in itertools.combinations(variables, depth):
-            if not splittable():
-                break
-            stage(frozenset(combo))
+        stage(frozenset(restricted))
 
     test_set = TestSet("T3", patterns, target_class="XPair/WiredOr")
     return test_set, partition.uncovered()
@@ -382,7 +379,6 @@ class UnionResult:
     test_set: TestSet
     pre_dedup_size: int
     fallback_count: int
-    dedup: bool = False
     removed: int = 0
 
 
@@ -412,7 +408,7 @@ def assemble_union(
             seen.add(key)
             kept.append(pat)
         ordered = kept
-    return UnionResult(TestSet("Union", ordered), pre, len(fallback), dedup, removed)
+    return UnionResult(TestSet("Union", ordered), pre, len(fallback), removed)
 
 
 def ceil_log2(p: int) -> int:
@@ -450,6 +446,11 @@ def check_bound(union: UnionResult, n: int, p: int) -> BoundReport:
     )
 
 
+# the over-cap random search: its seed and the draws it grades per fault
+_RANDOM_SEED = 271828
+_RANDOM_DRAWS = 512
+
+
 @dataclass
 class FallbackResult:
     patterns: list[TestPattern] = field(default_factory=list)
@@ -462,16 +463,14 @@ def fallback_search(
     uncovered_faults: Sequence[BridgingFault],
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     *,
-    rng_seed: int = 271828,
-    attempts: int = 512,
     classify_only: bool = False,
 ) -> FallbackResult:
-    """Repair coverage for faults the construction missed.
+    """Repair coverage for the faults grading left undetected.
 
     Up to width ``oracle_cap`` each fault gets the oracle's exact verdict: a
     witness pattern or a redundancy proof (``redundant`` maps the fault to
-    the proving method).  Above it a seeded random search runs for
-    ``attempts`` patterns per fault and gives up as unresolved.  Unmet
+    the proving method).  Above it a seeded random search grades 512 draws
+    per fault and gives up as unresolved.  Unmet
     ExorInternal obligations are repaired by appending the corner set,
     whose patterns provably complete every reachable mask.
 
@@ -485,10 +484,7 @@ def fallback_search(
     pinned = None if network.constant_line is None else network.p + network.constant_line - 1
     for idx, fault in enumerate(uncovered_faults):
         if fault.kind is FaultKind.EXOR_INTERNAL:
-            support = network.gate_supports[fault.ids[0] - 1]
-            if network.constant_line is not None and support <= {network.constant_line}:
-                out.redundant[fault] = "constant-line"
-            elif not classify_only and not corners_added:
+            if not classify_only and not corners_added:
                 for pat in gen_corner_set(network.n, network.p, constant_line=network.constant_line):
                     out.patterns.append(replace(pat, origin="Fallback"))
                 corners_added = True
@@ -509,11 +505,11 @@ def fallback_search(
             # Draw t fills bit t of the c columns then the x columns, one
             # rng.choice per line except the constant line, which stays 1.
             # All draws are graded at once; the first detecting one is kept.
-            rng = random.Random(rng_seed * 1000003 + idx)
-            ones = (1 << attempts) - 1
+            rng = random.Random(_RANDOM_SEED * 1000003 + idx)
+            ones = (1 << _RANDOM_DRAWS) - 1
             cols = [ones if k == pinned else 0 for k in range(width)]
             drawn = [k for k in range(width) if k != pinned]
-            for t in range(attempts):
+            for t in range(_RANDOM_DRAWS):
                 for k in drawn:
                     if rng.choice("01") == "1":
                         cols[k] |= 1 << t

@@ -184,51 +184,26 @@ def tabulated_discrepancies(circuit: ReversibleCircuit) -> list[dict]:
         PprmFunction.from_terms(f.output_index, (t for t in f.term_multiset if 1 not in t))
         for f in pprms
     ]
-    out: list[dict] = []
 
-    full = derived_term_counts(pprms, range(1, 8))
-    for cell, reference in sorted(REFERENCE_TERM_COUNTS.items()):
-        if full[cell] != reference:
-            out.append({
-                "table": "term-counts",
-                "cell": cell,
-                "reference": reference,
-                "derived": full[cell],
-            })
+    def tabulated_bits(rows: Sequence[str], variables: range) -> dict:
+        return {(i, j): int(b) for row, i in zip(rows, variables) for b, j in zip(row, variables)}
 
-    sub = derived_term_counts(restricted, range(2, 8))
-    for cell, reference in sorted(REFERENCE_RESTRICTED_TERM_COUNTS.items()):
-        if sub[cell] != reference:
-            out.append({
-                "table": "restricted-term-counts",
-                "cell": cell,
-                "reference": reference,
-                "derived": sub[cell],
-            })
+    def derived_bits(zeros: int, variables: range) -> dict:
+        rows = _parity_rows(pprms, zeros)
+        return {(i, j): rows.get(i, 0) >> j & 1 for i in variables for j in variables}
 
-    parity = _parity_rows(pprms, 0)
-    for r, i in enumerate(range(1, 8)):
-        for s, j in enumerate(range(1, 8)):
-            ref_bit = int(REFERENCE_PARITY_ROWS[r][s])
-            got = parity.get(i, 0) >> j & 1
-            if got != ref_bit:
-                out.append({
-                    "table": "parity",
-                    "cell": (i, j),
-                    "reference": ref_bit,
-                    "derived": got,
-                })
-
-    sub_parity = _parity_rows(pprms, _mask({1}))
-    for r, i in enumerate(range(2, 8)):
-        for s, j in enumerate(range(2, 8)):
-            ref_bit = int(REFERENCE_RESTRICTED_PARITY_ROWS[r][s])
-            got = sub_parity.get(i, 0) >> j & 1
-            if got != ref_bit:
-                out.append({
-                    "table": "restricted-parity",
-                    "cell": (i, j),
-                    "reference": ref_bit,
-                    "derived": got,
-                })
-    return out
+    full, sub = range(1, 8), range(2, 8)
+    tables = (
+        ("term-counts", REFERENCE_TERM_COUNTS, derived_term_counts(pprms, full)),
+        ("restricted-term-counts", REFERENCE_RESTRICTED_TERM_COUNTS,
+         derived_term_counts(restricted, sub)),
+        ("parity", tabulated_bits(REFERENCE_PARITY_ROWS, full), derived_bits(0, full)),
+        ("restricted-parity", tabulated_bits(REFERENCE_RESTRICTED_PARITY_ROWS, sub),
+         derived_bits(_mask({1}), sub)),
+    )
+    return [
+        {"table": table, "cell": cell, "reference": reference, "derived": derived[cell]}
+        for table, tabulated, derived in tables
+        for cell, reference in sorted(tabulated.items())
+        if derived[cell] != reference
+    ]

@@ -10,6 +10,7 @@ fault's detectability could not be resolved.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import namedtuple
 from dataclasses import dataclass
@@ -122,7 +123,7 @@ def _parse_sets(arg: str) -> tuple[str, ...]:
     return names
 
 
-PipelineResult = namedtuple("PipelineResult", "sets union evaluation fallback bound")
+PipelineResult = namedtuple("PipelineResult", "union evaluation fallback bound")
 
 
 def run_pipeline(network, faults, sets: list[TestSet], cfg: RunConfig) -> PipelineResult:
@@ -160,7 +161,7 @@ def run_pipeline(network, faults, sets: list[TestSet], cfg: RunConfig) -> Pipeli
             verdicts.append(v)
         evaluation = Evaluation(verdicts, final.masks)
     bound = check_bound(union, len(network.real_inputs()), network.p)
-    return PipelineResult(sets, union, evaluation, fb, bound)
+    return PipelineResult(union, evaluation, fb, bound)
 
 
 def _coverage_exit(evaluation: Evaluation) -> int:
@@ -267,10 +268,10 @@ def cmd_grade(args) -> int:
     circuit = _load_circuit(args.circuit)
     network = expand_network(circuit)
     faults = enumerate_faults(network, include_aux=cfg.include_aux)
-    patterns = _parse_tests_for(network, _read_text(args.tests))
-    run = run_pipeline(network, faults, [TestSet("User", patterns)], cfg)
+    sets = [TestSet("User", _parse_tests_for(network, _read_text(args.tests)))]
+    run = run_pipeline(network, faults, sets, cfg)
     report = build_coverage_report(
-        circuit, network, faults, run.evaluation, run.sets, run.union, None,
+        circuit, network, faults, run.evaluation, sets, run.union, None,
         cfg.echo(), timestamp=not args.no_timestamp,
     )
     _write_text(args.out, render_report(report, args.format))
@@ -356,7 +357,10 @@ def _oracle_cap(text: str) -> int:
     return cap
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call: ``parse_args`` leaves it unchanged, and no caller adds to it."""
     ap = argparse.ArgumentParser(
         prog="bridgetest",
         description="Bridging-fault test generation and fault simulation"

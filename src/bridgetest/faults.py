@@ -154,38 +154,28 @@ def enumerate_faults(
     the cross-category bridge counts that the model does not target.
     """
     n, p, d = network.n, network.p, network.d
-    faults: list[BridgingFault] = []
-
-    for gate_id in range(1, d + 1):
-        faults.append(BridgingFault.exor_internal(gate_id))
-    exor_count = d
-
     x_lines = list(range(1, n + 1)) if include_aux else list(network.real_inputs())
-    x_count = 0
-    for i, j in itertools.combinations(x_lines, 2):
-        for pol in _POLARITIES:
-            faults.append(BridgingFault.x_pair(i, j, pol))
-            x_count += 1
-
-    intra_count = 0
-    for level in range(0, d + 1):
-        for j1, j2 in itertools.combinations(range(1, p + 1), 2):
-            for pol in _POLARITIES:
-                faults.append(BridgingFault.intra_level(level, j1, j2, pol))
-                intra_count += 1
-
-    a_count = 0
-    for i, j in itertools.combinations(range(1, d + 1), 2):
-        for pol in _POLARITIES:
-            faults.append(BridgingFault.a_pair(i, j, pol))
-            a_count += 1
-
-    counts = {
-        FaultKind.EXOR_INTERNAL.value: exor_count,
-        FaultKind.X_PAIR.value: x_count,
-        FaultKind.INTRA_LEVEL.value: intra_count,
-        FaultKind.A_PAIR.value: a_count,
+    by_kind = {
+        FaultKind.EXOR_INTERNAL: [BridgingFault.exor_internal(g) for g in range(1, d + 1)],
+        FaultKind.X_PAIR: [
+            BridgingFault.x_pair(i, j, pol)
+            for i, j in itertools.combinations(x_lines, 2)
+            for pol in _POLARITIES
+        ],
+        FaultKind.INTRA_LEVEL: [
+            BridgingFault.intra_level(level, j1, j2, pol)
+            for level in range(d + 1)
+            for j1, j2 in itertools.combinations(range(1, p + 1), 2)
+            for pol in _POLARITIES
+        ],
+        FaultKind.A_PAIR: [
+            BridgingFault.a_pair(i, j, pol)
+            for i, j in itertools.combinations(range(1, d + 1), 2)
+            for pol in _POLARITIES
+        ],
     }
+    faults = tuple(itertools.chain.from_iterable(by_kind.values()))
+    counts = {kind.value: len(group) for kind, group in by_kind.items()}
 
     out_of_model = None
     if record_out_of_model:
@@ -197,4 +187,4 @@ def enumerate_faults(
             "a-w": d * n_w * 2,
         }
 
-    return FaultList(tuple(faults), counts, out_of_model)
+    return FaultList(faults, counts, out_of_model)

@@ -107,12 +107,12 @@ def parse_test_file(text: str, n: int, p: int) -> list[TestPattern]:
     return out
 
 
-def format_patterns(patterns: Sequence[TestPattern], *, annotate: bool = True) -> str:
-    """Emit patterns one per line, optionally with origin comments."""
+def format_patterns(patterns: Sequence[TestPattern]) -> str:
+    """Emit patterns one per line, with a comment line where the origin changes."""
     lines = []
     last_origin = None
     for pat in patterns:
-        if annotate and pat.origin != last_origin:
+        if pat.origin != last_origin:
             lines.append(f"# {pat.origin}")
             last_origin = pat.origin
         lines.append(pat.line())

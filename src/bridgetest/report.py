@@ -71,15 +71,13 @@ def _header(
     return report
 
 
-def _add_fault_counts(
-    report: dict, faults: FaultList, out_of_model: Mapping[str, int] | None
-) -> None:
+def _add_fault_counts(report: dict, faults: FaultList) -> None:
     counts = dict(faults.counts)
     counts["total"] = len(faults)
     report["fault_counts"] = counts
-    if out_of_model is not None:
-        oom = dict(out_of_model)
-        oom["total"] = sum(out_of_model.values())
+    if faults.out_of_model is not None:
+        oom = dict(faults.out_of_model)
+        oom["total"] = sum(faults.out_of_model.values())
         report["out_of_model"] = oom
 
 
@@ -141,11 +139,10 @@ def build_coverage_report(
     bound: BoundReport | None,
     config: Mapping,
     *,
-    out_of_model: Mapping[str, int] | None = None,
     timestamp: bool = True,
 ) -> dict:
     report = _header(circuit, network, config, timestamp)
-    _add_fault_counts(report, faults, out_of_model)
+    _add_fault_counts(report, faults)
     report["test_sets"] = _sets_block(sets)
     report["union"] = _union_block(union)
     report["union"]["patterns"] = [
@@ -197,7 +194,7 @@ def build_fault_report(
     timestamp: bool = True,
 ) -> dict:
     report = _header(circuit, network, config, timestamp)
-    _add_fault_counts(report, faults, faults.out_of_model)
+    _add_fault_counts(report, faults)
     report["faults"] = [_fault_row(fault) for fault in faults]
     return report
 

@@ -27,7 +27,6 @@ from bridgetest import (
     gen_input_or_tests,
     gen_walking_zero_tests,
     generate_sets,
-    normalize_zero_controls,
     parse_circuit,
 )
 from bridgetest.atpg import _parity_rows
@@ -438,16 +437,6 @@ class TestFallbackSearch:
         fb2 = fallback_search(net, missed, classify_only=True)
         assert fb2.patterns == []
 
-    def test_constant_line_obligation_is_redundant(self):
-        circuit = normalize_zero_controls(
-            parse_circuit(".n 1\n.p 1\n.gate c1 :\n.end\n", allow_zero_controls=True)
-        )
-        net = expand_network(circuit)
-        fault = BridgingFault.exor_internal(1)
-        fb = fallback_search(net, [fault])
-        assert fb.patterns == []
-        assert fb.redundant == {fault: "constant-line"}
-
     def test_wide_circuit_random_path(self):
         # n + p = 23 sits above the oracle cap: detectable faults get seeded
         # random witnesses, unprovable ones come back unresolved
@@ -507,10 +496,3 @@ class TestFallbackSearch:
             fb = fallback_search(net, faults, oracle_cap=0)
             assert (fb.patterns, fb.unresolved) == string_search(net, faults)
             assert fb.patterns and (net.constant_line is not None) == zero_control
-
-    def test_zero_attempts_leaves_unresolved(self):
-        text = ".n 20\n.p 3\n.gate c1 : x1 x2\n.gate c2 : x3\n.gate c3 : x4\n.end\n"
-        net = expand_network(parse_circuit(text))
-        or_fault = BridgingFault.x_pair(1, 2, OR)
-        fb = fallback_search(net, [or_fault], attempts=0)
-        assert fb.patterns == [] and fb.unresolved == [or_fault]

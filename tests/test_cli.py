@@ -55,6 +55,17 @@ class TestParse:
 
 
 class TestArgHandling:
+    def test_parser_built_once(self, capsys):
+        # the cached parser must come out of a rejected command line unchanged
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(DATA / "and2.rev"), "--format", "xml"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(capsys, "verify", str(DATA / "and2.rev"), "--no-timestamp")
+        assert (code, err) == (0, "")
+        assert out == (DATA / "golden" / "verify_and2.txt").read_text(encoding="utf-8")
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -65,6 +65,11 @@ CASES = {
     # generated T2/T3 x parts against the tabulated sets
     "bench.txt": (0, ["bench"]),
     "bench.json": (0, ["bench", "--format", "json"]),
+    # the fault universe: class counts, the out-of-model tally, the constant
+    # line paired in input bridges, and the csv rows
+    "faults_bench7x3_oom.txt": (0, ["faults", "bench7x3.rev", "--out-of-model"]),
+    "faults_rand5z_aux.json": (0, ["faults", "rand5z.rev", "--include-aux", "--format", "json"]),
+    "faults_and2.csv": (0, ["faults", "and2.rev", "--format", "csv"]),
 }
 
 _FILE_SUFFIXES = (".rev", ".tests")
