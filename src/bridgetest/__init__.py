@@ -56,16 +56,12 @@ from .patterns import (
 from .pprm import PprmFunction, derive_pprm
 from .simulate import (
     DEFAULT_ORACLE_CAP,
-    FULL_MASK,
     Evaluation,
     FaultVerdict,
     OracleResult,
     detects,
-    eval_faulty,
-    eval_good,
     evaluate_test_set,
     exhaustive_detectability,
-    exor_stimulation_mask,
 )
 
 __version__ = "0.1.0"
@@ -86,10 +82,8 @@ __all__ = [
     "DC_POLICIES", "TestPattern", "TestSet", "TestFileError",
     "parse_test_file", "format_patterns",
     # simulate
-    "DEFAULT_ORACLE_CAP", "FULL_MASK", "Evaluation", "FaultVerdict",
-    "OracleResult",
-    "eval_good", "eval_faulty", "detects", "exor_stimulation_mask",
-    "exhaustive_detectability", "evaluate_test_set",
+    "DEFAULT_ORACLE_CAP", "Evaluation", "FaultVerdict", "OracleResult",
+    "detects", "exhaustive_detectability", "evaluate_test_set",
     # atpg
     "SET_NAMES", "count_terms",
     "GenerationResult", "generate_sets",

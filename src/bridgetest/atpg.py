@@ -514,7 +514,7 @@ def fallback_search(
                     if rng.choice("01") == "1":
                         cols[k] |= 1 << t
             grading = grade_columns(network, [fault], cols[: network.p], cols[network.p :], ones)
-            first = grading.verdicts[0].pattern_index
+            first = grading.first[0]
         if first is None:
             out.unresolved.append(fault)
         else:

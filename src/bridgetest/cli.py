@@ -52,8 +52,11 @@ from .report import (
 )
 from .simulate import (
     DEFAULT_ORACLE_CAP,
+    METHODS,
+    REDUNDANT,
+    UNDETECTED,
+    UNRESOLVED,
     Evaluation,
-    FaultVerdict,
     evaluate_test_set,
 )
 
@@ -131,35 +134,38 @@ def run_pipeline(network, faults, sets: list[TestSet], cfg: RunConfig) -> Pipeli
 
     The union is graded once.  Fallback then handles the undetected faults
     (repair patterns only when ``cfg.fallback``).  If it appended patterns,
-    only those faults are graded again, against the final union: dedup keeps
-    first occurrences in order, so the graded base is a prefix of the final
-    union and earlier verdicts and pattern indices stay valid.  The EXOR
-    masks come from that second grading.  With ``faults`` None nothing is
-    graded and fallback does not run.
+    only those faults are graded again, against the final union, and their
+    verdicts are merged back by fault index: dedup keeps first occurrences
+    in order, so the graded base is a prefix of the final union and earlier
+    verdicts and pattern indices stay valid.  The EXOR masks come from that
+    second grading.  With ``faults`` None nothing is graded and fallback
+    does not run.
     """
     dc = cfg.dc_policy
     union = assemble_union(sets, dedup=cfg.dedup, dc_policy=dc)
     evaluation = fb = None
     if faults is not None:
         evaluation = evaluate_test_set(network, faults, list(union.test_set), dc_policy=dc)
-        missed = evaluation.faults_with("undetected")
-        fb = fallback_search(network, missed, cfg.oracle_cap, classify_only=not cfg.fallback)
-        final = evaluation
+        missed = [k for k, status in enumerate(evaluation.status) if status == UNDETECTED]
+        missed_faults = evaluation.faults_with("undetected")
+        fb = fallback_search(network, missed_faults, cfg.oracle_cap, classify_only=not cfg.fallback)
+        regraded = Evaluation(missed_faults, evaluation.masks)  # all undetected, as graded
         if fb.patterns:
             union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=dc)
-            final = evaluate_test_set(network, missed, list(union.test_set), dc_policy=dc)
-        regraded = {v.fault: v for v in final.verdicts}
+            regraded = evaluate_test_set(network, missed_faults, list(union.test_set), dc_policy=dc)
+        merged = Evaluation(faults, regraded.masks)
+        merged.status[:], merged.method[:], merged.first[:] = (
+            evaluation.status, evaluation.method, evaluation.first
+        )
         unresolved = set(fb.unresolved)
-        verdicts = []
-        for v in evaluation.verdicts:
-            if v.status == "undetected":
-                v = regraded[v.fault]
-            if v.status == "undetected" and v.fault in fb.redundant:
-                v = FaultVerdict(v.fault, "redundant", None, fb.redundant[v.fault])
-            elif v.status == "undetected" and v.fault in unresolved:
-                v = FaultVerdict(v.fault, "unresolved", None, None)
-            verdicts.append(v)
-        evaluation = Evaluation(verdicts, final.masks)
+        for pos, (k, fault) in enumerate(zip(missed, missed_faults)):
+            status, method, first = regraded.status[pos], regraded.method[pos], regraded.first[pos]
+            if status == UNDETECTED and fault in fb.redundant:
+                status, method = REDUNDANT, METHODS.index(fb.redundant[fault])
+            elif status == UNDETECTED and fault in unresolved:
+                status = UNRESOLVED
+            merged.status[k], merged.method[k], merged.first[k] = status, method, first
+        evaluation = merged
     bound = check_bound(union, len(network.real_inputs()), network.p)
     return PipelineResult(union, evaluation, fb, bound)
 

@@ -19,9 +19,9 @@ categories are outside the model and can only be tallied, not targeted.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
 
 from .network import AndExorNetwork
 
@@ -102,14 +102,7 @@ class BridgingFault:
 
     def lines(self) -> tuple[str, str]:
         """Compact net names of the two bridged nets (one net for ExorInternal)."""
-        if self.kind is FaultKind.EXOR_INTERNAL:
-            return f"g{self.ids[0]}", ""
-        if self.kind is FaultKind.X_PAIR:
-            return f"x{self.ids[0]}", f"x{self.ids[1]}"
-        if self.kind is FaultKind.A_PAIR:
-            return f"a{self.ids[0]}", f"a{self.ids[1]}"
-        level, j1, j2 = self.ids
-        return f"w{j1}@{level}", f"w{j2}@{level}"
+        return net_names(self.kind, self.ids)
 
     def describe(self) -> str:
         a, b = self.lines()
@@ -118,25 +111,97 @@ class BridgingFault:
         return f"{self.kind.value} ({a},{b}) {self.polarity.value}"
 
 
-@dataclass(frozen=True)
-class FaultList:
-    """Deterministically ordered fault universe of one netlist."""
-
-    faults: tuple[BridgingFault, ...]
-    counts: Mapping[str, int]
-    out_of_model: Mapping[str, int] | None = None
-
-    def __len__(self) -> int:
-        return len(self.faults)
-
-    def __iter__(self) -> Iterator[BridgingFault]:
-        return iter(self.faults)
-
-    def __getitem__(self, idx: int) -> BridgingFault:
-        return self.faults[idx]
+def net_names(kind: FaultKind, ids: tuple[int, ...]) -> tuple[str, str]:
+    """Net names of a fault's two bridged nets, "" for ExorInternal's second."""
+    if kind is FaultKind.EXOR_INTERNAL:
+        return f"g{ids[0]}", ""
+    if kind is FaultKind.X_PAIR:
+        return f"x{ids[0]}", f"x{ids[1]}"
+    if kind is FaultKind.A_PAIR:
+        return f"a{ids[0]}", f"a{ids[1]}"
+    level, j1, j2 = ids
+    return f"w{j1}@{level}", f"w{j2}@{level}"
 
 
 _POLARITIES = (Polarity.WIRED_AND, Polarity.WIRED_OR)
+
+
+def _nth_pair(lines: Sequence[int], k: int) -> tuple[int, int]:
+    """The k-th pair of ``itertools.combinations(lines, 2)``."""
+    for a in range(len(lines)):
+        if k < len(lines) - 1 - a:
+            return lines[a], lines[a + 1 + k]
+        k -= len(lines) - 1 - a
+    raise IndexError("pair index out of range")
+
+
+class FaultList(Sequence[BridgingFault]):
+    """Deterministically ordered fault universe of one netlist, as an
+    indexed view over its four class ranges.
+
+    ExorInternal has one entry per gate.  Each bridged pair of the other
+    classes has two consecutive entries, WiredAnd then WiredOr, so class,
+    pair and polarity are arithmetic on the index, and a ``BridgingFault``
+    is built only when one is read.  ``groups`` walks the ranges one gate or
+    pair at a time: an APair or IntraLevel bridge changes the outputs by the
+    XOR of its two nets whatever its polarity, so one read of the pair
+    decides both of its entries.
+    """
+
+    def __init__(
+        self,
+        network: AndExorNetwork,
+        x_lines: Sequence[int],
+        out_of_model: Mapping[str, int] | None = None,
+    ) -> None:
+        self.d = d = network.d
+        self.out_of_model = out_of_model
+        # (kind, lines paired, levels or (None,)) of each pair class, in order
+        self._blocks = (
+            (FaultKind.X_PAIR, tuple(x_lines), (None,)),
+            (FaultKind.INTRA_LEVEL, tuple(range(1, network.p + 1)), tuple(range(d + 1))),
+            (FaultKind.A_PAIR, tuple(range(1, d + 1)), (None,)),
+        )
+        self.counts = {FaultKind.EXOR_INTERNAL.value: d}
+        for kind, lines, levels in self._blocks:
+            self.counts[kind.value] = len(lines) * (len(lines) - 1) * len(levels)
+        self._len = sum(self.counts.values())
+
+    def __len__(self) -> int:
+        return self._len
+
+    def groups(self) -> Iterator[tuple[FaultKind, tuple[int, ...], int, tuple]]:
+        """``(kind, ids, k, polarities)`` per gate or bridged pair, in order:
+        entries k, k + 1, ... are that gate or pair with each polarity."""
+        for gate_id in range(1, self.d + 1):
+            yield FaultKind.EXOR_INTERNAL, (gate_id,), gate_id - 1, (None,)
+        k = self.d
+        for kind, lines, levels in self._blocks:
+            for level in levels:
+                for pair in itertools.combinations(lines, 2):
+                    yield kind, pair if level is None else (level, *pair), k, _POLARITIES
+                    k += 2
+
+    def __iter__(self) -> Iterator[BridgingFault]:
+        for kind, ids, _, polarities in self.groups():
+            for polarity in polarities:
+                yield BridgingFault(kind, ids, polarity)
+
+    def __getitem__(self, idx: int) -> BridgingFault:
+        if not -self._len <= idx < self._len:
+            raise IndexError("fault index out of range")
+        idx %= self._len
+        if idx < self.d:
+            return BridgingFault(FaultKind.EXOR_INTERNAL, (idx + 1,))
+        k, polarity = divmod(idx - self.d, 2)
+        for kind, lines, levels in self._blocks:
+            per_level = len(lines) * (len(lines) - 1) // 2
+            if k < per_level * len(levels):
+                level, k = divmod(k, per_level)
+                pair = _nth_pair(lines, k)
+                ids = pair if levels[level] is None else (levels[level], *pair)
+                return BridgingFault(kind, ids, _POLARITIES[polarity])
+            k -= per_level * len(levels)
 
 
 def enumerate_faults(
@@ -145,7 +210,7 @@ def enumerate_faults(
     include_aux: bool = False,
     record_out_of_model: bool = False,
 ) -> FaultList:
-    """Enumerate the complete in-model fault universe in canonical order.
+    """The complete in-model fault universe in canonical order.
 
     Order: ExorInternal by gate id, then XPair, IntraLevel, APair, each in
     lexicographic index order with WiredAnd before WiredOr.  The constant
@@ -153,38 +218,9 @@ def enumerate_faults(
     ``include_aux`` is set.  ``record_out_of_model`` additionally tallies
     the cross-category bridge counts that the model does not target.
     """
-    n, p, d = network.n, network.p, network.d
-    x_lines = list(range(1, n + 1)) if include_aux else list(network.real_inputs())
-    by_kind = {
-        FaultKind.EXOR_INTERNAL: [BridgingFault.exor_internal(g) for g in range(1, d + 1)],
-        FaultKind.X_PAIR: [
-            BridgingFault.x_pair(i, j, pol)
-            for i, j in itertools.combinations(x_lines, 2)
-            for pol in _POLARITIES
-        ],
-        FaultKind.INTRA_LEVEL: [
-            BridgingFault.intra_level(level, j1, j2, pol)
-            for level in range(d + 1)
-            for j1, j2 in itertools.combinations(range(1, p + 1), 2)
-            for pol in _POLARITIES
-        ],
-        FaultKind.A_PAIR: [
-            BridgingFault.a_pair(i, j, pol)
-            for i, j in itertools.combinations(range(1, d + 1), 2)
-            for pol in _POLARITIES
-        ],
-    }
-    faults = tuple(itertools.chain.from_iterable(by_kind.values()))
-    counts = {kind.value: len(group) for kind, group in by_kind.items()}
-
+    x_lines = range(1, network.n + 1) if include_aux else network.real_inputs()
     out_of_model = None
     if record_out_of_model:
-        n_x = len(x_lines)
-        n_w = p * (d + 1)
-        out_of_model = {
-            "x-a": n_x * d * 2,
-            "x-w": n_x * n_w * 2,
-            "a-w": d * n_w * 2,
-        }
-
-    return FaultList(faults, counts, out_of_model)
+        n_x, n_w, d = len(x_lines), network.p * (network.d + 1), network.d
+        out_of_model = {"x-a": n_x * d * 2, "x-w": n_x * n_w * 2, "a-w": d * n_w * 2}
+    return FaultList(network, x_lines, out_of_model)

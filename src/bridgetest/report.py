@@ -1,8 +1,15 @@
 """Coverage report assembly and rendering (json, csv, text).
 
-Reports are plain dicts built in a fixed key order so that json output is
-byte-stable for a given run configuration.  The timestamp is the only
-non-deterministic field and the caller can leave it out.
+A report is a dict in a fixed key order, so that json output is
+byte-stable for a given run configuration.  Its last entry, the fault or
+verdict rows, is a ``Rows`` view that builds them from the fault list and
+the evaluation one class range at a time, where one read decided both
+polarities of each APair and IntraLevel pair.  Every row value is program
+vocabulary (class, net names such as ``a3`` or ``w2@5``, polarity, status,
+method and pattern ordinal) and needs no escaping, so each json row comes
+from one fixed template and ``json.dumps(indent=2)`` encodes only the
+header.  The timestamp is the only non-deterministic field and the caller
+can leave it out.
 """
 
 from __future__ import annotations
@@ -10,15 +17,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterator, Mapping, Sequence
 from datetime import datetime, timezone
-from typing import Mapping, Sequence
 
 from .atpg import BoundReport, UnionResult
 from .circuit import ReversibleCircuit
-from .faults import BridgingFault, FaultList
+from .faults import FaultList, Polarity, net_names
 from .network import AndExorNetwork
 from .patterns import TestSet
-from .simulate import Evaluation, FaultVerdict
+from .simulate import METHODS, STATUSES, Evaluation, FaultVerdict
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -33,25 +40,65 @@ __all__ = [
 SCHEMA_VERSION = 1
 REPORT_FORMATS = ("json", "csv", "text")
 
-_STATUS_LABEL = {
-    "detected": "Detected",
-    "undetected": "Undetected",
-    "redundant": "Redundant",
-    "unresolved": "Unresolved",
-}
+_STATUS_LABELS = tuple(status.capitalize() for status in STATUSES)
+_POLARITY_LABELS = {None: "", **{polarity: polarity.value for polarity in Polarity}}
+_FAULT_KEYS = ("class", "line_a", "line_b", "polarity")
+_VERDICT_KEYS = _FAULT_KEYS + ("verdict", "detail")
 
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _detail(method: str | None, pattern_index: int | None) -> str:
+    if method is None:
+        return ""
+    if pattern_index is None:
+        return method
+    return f"{method}, pattern {pattern_index + 1}"
+
+
 def verdict_detail(verdict: FaultVerdict) -> str:
     """Human-oriented one-liner: proof method plus 1-based pattern ordinal."""
-    if verdict.method is None:
-        return ""
-    if verdict.pattern_index is None:
-        return verdict.method
-    return f"{verdict.method}, pattern {verdict.pattern_index + 1}"
+    return _detail(verdict.method, verdict.pattern_index)
+
+
+class Rows(Sequence):
+    """A report's fault rows, or its verdict rows when ``evaluation`` is
+    given, built from the fault list as they are read: bare ``tuples`` for
+    the renderers, else one dict per row keyed by ``keys``.  Rows compare
+    equal to the list of their dicts, which is what json output loads as.
+    """
+
+    def __init__(self, faults: FaultList, evaluation: Evaluation | None = None) -> None:
+        self.faults, self.evaluation = faults, evaluation
+        self.keys = _FAULT_KEYS if evaluation is None else _VERDICT_KEYS
+
+    def __len__(self) -> int:
+        return len(self.faults)
+
+    def _verdict(self, k: int) -> tuple[str, ...]:
+        ev = self.evaluation
+        if ev is None:
+            return ()
+        return _STATUS_LABELS[ev.status[k]], _detail(METHODS[ev.method[k]], ev.first[k])
+
+    def tuples(self) -> Iterator[tuple[str, ...]]:
+        for kind, ids, k, polarities in self.faults.groups():
+            head = (kind.value, *net_names(kind, ids))
+            for k, polarity in enumerate(polarities, k):
+                yield (*head, _POLARITY_LABELS[polarity], *self._verdict(k))
+
+    def __iter__(self) -> Iterator[dict]:
+        return (dict(zip(self.keys, row)) for row in self.tuples())
+
+    def __getitem__(self, k: int) -> dict:
+        fault = self.faults[k]
+        row = (fault.kind.value, *fault.lines(), _POLARITY_LABELS[fault.polarity])
+        return dict(zip(self.keys, row + self._verdict(k)))
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == other
 
 
 def _header(
@@ -72,13 +119,10 @@ def _header(
 
 
 def _add_fault_counts(report: dict, faults: FaultList) -> None:
-    counts = dict(faults.counts)
-    counts["total"] = len(faults)
-    report["fault_counts"] = counts
+    report["fault_counts"] = {**faults.counts, "total": len(faults)}
     if faults.out_of_model is not None:
-        oom = dict(faults.out_of_model)
-        oom["total"] = sum(faults.out_of_model.values())
-        report["out_of_model"] = oom
+        oom = faults.out_of_model
+        report["out_of_model"] = {**oom, "total": sum(oom.values())}
 
 
 def _sets_block(sets: Sequence[TestSet]) -> dict:
@@ -112,23 +156,6 @@ def _union_block(union: UnionResult) -> dict:
     }
 
 
-def _fault_row(fault: BridgingFault) -> dict:
-    line_a, line_b = fault.lines()
-    return {
-        "class": fault.kind.value,
-        "line_a": line_a,
-        "line_b": line_b,
-        "polarity": fault.polarity.value if fault.polarity else "",
-    }
-
-
-def _verdict_row(verdict: FaultVerdict) -> dict:
-    row = _fault_row(verdict.fault)
-    row["verdict"] = _STATUS_LABEL[verdict.status]
-    row["detail"] = verdict_detail(verdict)
-    return row
-
-
 def build_coverage_report(
     circuit: ReversibleCircuit,
     network: AndExorNetwork,
@@ -150,7 +177,7 @@ def build_coverage_report(
     ]
     if bound is not None:
         report["bound"] = _bound_block(bound)
-    total = len(evaluation.verdicts)
+    total = len(evaluation.status)
     redundant = evaluation.count("redundant")
     report["coverage"] = {
         "total": total,
@@ -164,7 +191,7 @@ def build_coverage_report(
     report["exor_masks"] = {
         f"g{gate_id}": mask for gate_id, mask in enumerate(evaluation.masks, start=1)
     }
-    report["verdicts"] = [_verdict_row(v) for v in evaluation.verdicts]
+    report["verdicts"] = Rows(faults, evaluation)
     return report
 
 
@@ -195,33 +222,38 @@ def build_fault_report(
 ) -> dict:
     report = _header(circuit, network, config, timestamp)
     _add_fault_counts(report, faults)
-    report["faults"] = [_fault_row(fault) for fault in faults]
+    report["faults"] = Rows(faults)
     return report
 
 
 # ---------------------------------------------------------------------------
 # rendering
 
+def _row_key(report: dict) -> str | None:
+    return next((key for key in ("verdicts", "faults") if key in report), None)
+
+
 def _render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    key = _row_key(report)
+    if key is None:
+        return json.dumps(report, indent=2) + "\n"
+    # the rows come last: encode the header, then splice them in before its "\n}"
+    rows = report[key]
+    head = json.dumps({k: v for k, v in report.items() if k != key}, indent=2)
+    template = "    {\n" + ",\n".join(f'      "{name}": "%s"' for name in rows.keys) + "\n    }"
+    body = ",\n".join([template % row for row in rows.tuples()])
+    body = f"[\n{body}\n  ]" if body else "[]"
+    return f'{head[:-2]},\n  "{key}": {body}\n}}\n'
 
 
 def _render_csv(report: dict) -> str:
+    key = _row_key(report)
+    if key is None:
+        raise ValueError("report has no row section for csv output")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if "verdicts" in report:
-        writer.writerow(["class", "line_a", "line_b", "polarity", "verdict", "detail"])
-        for row in report["verdicts"]:
-            writer.writerow([
-                row["class"], row["line_a"], row["line_b"],
-                row["polarity"], row["verdict"], row["detail"],
-            ])
-    elif "faults" in report:
-        writer.writerow(["class", "line_a", "line_b", "polarity"])
-        for row in report["faults"]:
-            writer.writerow([row["class"], row["line_a"], row["line_b"], row["polarity"]])
-    else:
-        raise ValueError("report has no row section for csv output")
+    writer.writerow(report[key].keys)
+    writer.writerows(report[key].tuples())
     return buf.getvalue()
 
 
@@ -267,16 +299,15 @@ def _render_text(report: dict) -> str:
             f" ({cov['fraction'] * 100:.2f}%); redundant {cov['redundant']},"
             f" undetected {cov['undetected']}, unresolved {cov['unresolved']}"
         )
-        for row in report["verdicts"]:
-            if row["verdict"] == "Detected":
+        for kind, *nets, verdict, detail in report["verdicts"].tuples():
+            if verdict == "Detected":
                 continue
-            where = " ".join(s for s in (row["line_a"], row["line_b"], row["polarity"]) if s)
-            detail = f" ({row['detail']})" if row["detail"] else ""
-            lines.append(f"  {row['verdict'].lower()}: {row['class']} {where}{detail}")
+            where = " ".join(s for s in nets if s)
+            detail = f" ({detail})" if detail else ""
+            lines.append(f"  {verdict.lower()}: {kind} {where}{detail}")
     if "faults" in report and "coverage" not in report:
-        for row in report["faults"]:
-            where = " ".join(s for s in (row["line_a"], row["line_b"], row["polarity"]) if s)
-            lines.append(f"  {row['class']} {where}")
+        for kind, *nets in report["faults"].tuples():
+            lines.append(f"  {kind} {' '.join(s for s in nets if s)}")
     return "\n".join(lines) + "\n"
 
 

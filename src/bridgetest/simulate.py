@@ -13,8 +13,7 @@ reads those changes off the fault-free values with ``^ & |`` alone.  On
 columns, the first detecting assignment is the lowest set bit of their OR.
 The oracle runs the same closed form on GF(2) polynomials (``_Anf``) in the
 pattern positions, which cover every assignment at once: a fault is
-redundant exactly when every change is the zero polynomial.  Injection
-stays only in ``eval_faulty``, which returns every faulty net.
+redundant exactly when every change is the zero polynomial.
 """
 
 from __future__ import annotations
@@ -22,17 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .faults import BridgingFault, FaultKind, FaultList, bridge_values
+from .faults import BridgingFault, FaultKind, FaultList, Polarity, bridge_values
 from .network import AndExorNetwork
 from .patterns import TestPattern
 
 __all__ = [
-    "SimulationResult",
-    "eval_good",
-    "eval_faulty",
     "detects",
-    "exor_stimulation_mask",
-    "FULL_MASK",
     "OracleResult",
     "exhaustive_detectability",
     "FaultVerdict",
@@ -40,18 +34,7 @@ __all__ = [
     "evaluate_test_set",
 ]
 
-FULL_MASK = 0b1111
 DEFAULT_ORACLE_CAP = 22
-
-
-@dataclass(frozen=True)
-class SimulationResult:
-    """Values of every net after one evaluation."""
-
-    outputs: tuple[int, ...]
-    x_values: tuple[int, ...]
-    a_values: tuple[int, ...]
-    cascade: tuple[tuple[int, ...], ...]  # cascade[j-1][level]
 
 
 def _resolved_bits(
@@ -63,48 +46,6 @@ def _resolved_bits(
             f"network has p={network.p} n={network.n}"
         )
     return pattern.resolve(dc_policy)
-
-
-def _columns(
-    network: AndExorNetwork,
-    c_cols: Sequence[int],
-    x_cols: Sequence[int],
-    ones: int,
-    fault: BridgingFault | None,
-) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
-    """Evaluate the netlist on columns, with ``fault`` injected if given.
-
-    Bit t of every column is a net's value under assignment t, and ``ones``
-    has a bit set for each assignment.  Returns the x and AND-output
-    columns and the cascade: the p target-line columns at each level 0..d,
-    the last being the outputs.
-    """
-    x = list(x_cols)
-    if fault is not None and fault.kind is FaultKind.X_PAIR:
-        i, j = fault.ids
-        x[i - 1], x[j - 1] = bridge_values(x[i - 1], x[j - 1], fault.polarity)
-
-    a = []
-    for sup in network.gate_supports:
-        col = ones
-        for v in sup:
-            col &= x[v - 1]
-        a.append(col)
-    if fault is not None and fault.kind is FaultKind.A_PAIR:
-        i, j = fault.ids
-        a[i - 1], a[j - 1] = bridge_values(a[i - 1], a[j - 1], fault.polarity)
-
-    intra = fault is not None and fault.kind is FaultKind.INTRA_LEVEL
-    w = list(c_cols)
-    levels = []
-    for level in range(network.d + 1):
-        if level:
-            w[network.gate_targets[level - 1] - 1] ^= a[level - 1]
-        if intra and fault.ids[0] == level:
-            _, j1, j2 = fault.ids
-            w[j1 - 1], w[j2 - 1] = bridge_values(w[j1 - 1], w[j2 - 1], fault.polarity)
-        levels.append(tuple(w))
-    return x, a, levels
 
 
 class _Anf(frozenset):
@@ -184,8 +125,10 @@ class _Good:
         return col
 
 
-def _output_changes(good: _Good, fault: BridgingFault) -> list[int | _Anf]:
-    """The changes ``fault`` makes to the outputs; it shows wherever one is set.
+def _output_changes(
+    good: _Good, kind: FaultKind, ids: tuple[int, ...], polarity: Polarity | None
+) -> list[int | _Anf]:
+    """The changes a fault makes to the outputs; it shows wherever one is set.
 
     A bridge moves its two nets by disjoint amounts whose OR is v1 XOR v2,
     and the cascade passes each change on unchanged to its own output.  So
@@ -193,36 +136,39 @@ def _output_changes(good: _Good, fault: BridgingFault) -> list[int | _Anf]:
     two wires.  An XPair changes each gate that reads x_i or x_j, and the
     changes of the gates on one target XOR into that output's entry.
     """
-    if fault.kind is FaultKind.A_PAIR:
-        i, j = fault.ids
+    if kind is FaultKind.A_PAIR:
+        i, j = ids
         return [good.and_out(i) ^ good.and_out(j)]
-    if fault.kind is FaultKind.INTRA_LEVEL:
-        level, j1, j2 = fault.ids
+    if kind is FaultKind.INTRA_LEVEL:
+        level, j1, j2 = ids
         return [good.wire(level, j1) ^ good.wire(level, j2)]
-    if fault.kind is not FaultKind.X_PAIR:
+    if kind is not FaultKind.X_PAIR:
         raise ValueError("ExorInternal faults are graded by stimulation masks, not injection")
 
-    i, j = fault.ids
+    i, j = ids
     xi, xj = good.x(i), good.x(j)
-    v, _ = bridge_values(xi, xj, fault.polarity)
-    # a gate reading x_i only sees x_i become v, and one reading both sees x_i & x_j become v
-    change = {frozenset((i,)): xi ^ v, frozenset((j,)): xj ^ v, frozenset((i, j)): (xi & xj) ^ v}
-    pair = frozenset(fault.ids)
+    v, _ = bridge_values(xi, xj, polarity)
+    # a gate reading x_i only sees x_i become v, and one reading both sees
+    # x_i & x_j become v; the key says whether a gate reads x_i and x_j
+    change = {(True, False): xi ^ v, (False, True): xj ^ v, (True, True): (xi & xj) ^ v}
     deltas: dict[int, int | _Anf] = {}
     for sup, target in zip(good.network.gate_supports, good.network.gate_targets):
-        col = change.get(sup & pair)
+        col = change.get((i in sup, j in sup))
         if not col:
             continue
-        for u in sup - pair:
-            col &= good.x(u)
+        for u in sup:
+            if u != i and u != j:
+                col &= good.x(u)
         deltas[target] = deltas[target] ^ col if target in deltas else col
     return list(deltas.values())
 
 
-def _fault_difference(good: _Good, fault: BridgingFault) -> int:
-    """Assignments under which ``fault`` changes some output."""
+def _fault_difference(
+    good: _Good, kind: FaultKind, ids: tuple[int, ...], polarity: Polarity | None
+) -> int:
+    """Assignments under which the fault changes some output."""
     diff = 0
-    for col in _output_changes(good, fault):
+    for col in _output_changes(good, kind, ids, polarity):
         diff |= col
     return diff
 
@@ -241,41 +187,6 @@ def _pack(
     return c_cols, x_cols, (1 << len(patterns)) - 1
 
 
-def _single(
-    network: AndExorNetwork,
-    pattern: TestPattern,
-    dc_policy: str,
-    fault: BridgingFault | None,
-) -> SimulationResult:
-    c, x = _resolved_bits(network, pattern, dc_policy)
-    x_vals, a, levels = _columns(network, c, x, 1, fault)
-    cascade = tuple(tuple(level[j] for level in levels) for j in range(network.p))
-    return SimulationResult(levels[-1], tuple(x_vals), tuple(a), cascade)
-
-
-def eval_good(
-    network: AndExorNetwork, pattern: TestPattern, dc_policy: str = "fill-zero"
-) -> SimulationResult:
-    """Fault-free evaluation of one pattern."""
-    return _single(network, pattern, dc_policy, None)
-
-
-def eval_faulty(
-    network: AndExorNetwork,
-    fault: BridgingFault,
-    pattern: TestPattern,
-    dc_policy: str = "fill-zero",
-) -> SimulationResult:
-    """Evaluation with one injected bridge.
-
-    ExorInternal is an exhaustive-stimulation obligation, not an injectable
-    defect, so passing one here is a usage error.
-    """
-    if fault.kind is FaultKind.EXOR_INTERNAL:
-        raise ValueError("ExorInternal faults are graded by stimulation masks, not injection")
-    return _single(network, pattern, dc_policy, fault)
-
-
 def detects(
     network: AndExorNetwork,
     fault: BridgingFault,
@@ -287,21 +198,7 @@ def detects(
     ExorInternal has no faulty outputs, so passing one is a usage error.
     """
     c, x = _resolved_bits(network, pattern, dc_policy)
-    return _fault_difference(_Good(network, c + x, 1), fault) != 0
-
-
-def exor_stimulation_mask(
-    network: AndExorNetwork,
-    patterns: Iterable[TestPattern],
-    dc_policy: str = "fill-zero",
-) -> list[int]:
-    """4-bit mask per gate of the (left,right) EXOR input combinations seen.
-
-    Bit (2*left + right) is set when the combination occurred under some
-    pattern.  A full mask (0b1111) discharges the gate's ExorInternal
-    obligation.
-    """
-    return evaluate_test_set(network, [], list(patterns), dc_policy).masks
+    return _fault_difference(_Good(network, c + x, 1), fault.kind, fault.ids, fault.polarity) != 0
 
 
 @dataclass(frozen=True)
@@ -328,7 +225,8 @@ def exhaustive_detectability(network: AndExorNetwork, fault: BridgingFault) -> O
     pinned = None if network.constant_line is None else network.p + network.constant_line - 1
     one = _Anf({0})
     cols = [one if k == pinned else _Anf({1 << k}) for k in range(width)]
-    changes = [f for f in _output_changes(_Good(network, cols, one), fault) if f]
+    good = _Good(network, cols, one)
+    changes = [f for f in _output_changes(good, fault.kind, fault.ids, fault.polarity) if f]
     if not changes:
         return OracleResult("redundant")
 
@@ -351,27 +249,47 @@ class FaultVerdict:
     fault: BridgingFault
     status: str  # "detected" | "undetected" | "redundant" | "unresolved"
     pattern_index: int | None = None
-    method: str | None = None  # "simulation" | "stimulation" | "exhaustive" | "random" | "constant-line"
+    method: str | None = None  # "simulation" | "stimulation" | "exhaustive" | "constant-line"
 
 
-@dataclass
+STATUSES = ("undetected", "detected", "redundant", "unresolved")
+UNDETECTED, DETECTED, REDUNDANT, UNRESOLVED = range(4)
+METHODS = (None, "simulation", "stimulation", "exhaustive", "constant-line")
+_SIMULATION, _STIMULATION, _CONSTANT_LINE = 1, 2, 4  # indices into METHODS
+
+
 class Evaluation:
-    """Per-fault verdicts of one test set, in fault-enumeration order."""
+    """Per-fault verdicts of one test set, in the order of ``faults``.
 
-    verdicts: list[FaultVerdict]
-    masks: list[int]
+    They are kept as parallel arrays: codes into ``STATUSES`` and
+    ``METHODS``, and the first detecting pattern index (None when there is
+    none).  ``verdicts`` builds the ``FaultVerdict`` list on each read.
+    """
+
+    def __init__(self, faults: FaultList | Sequence[BridgingFault], masks: list[int]) -> None:
+        self.faults = faults
+        self.masks = masks
+        self.status = bytearray(len(faults))
+        self.method = bytearray(len(faults))
+        self.first: list[int | None] = [None] * len(faults)
+
+    @property
+    def verdicts(self) -> list[FaultVerdict]:
+        return [
+            FaultVerdict(fault, STATUSES[s], first, METHODS[m])
+            for fault, s, first, m in zip(self.faults, self.status, self.first, self.method)
+        ]
 
     def count(self, status: str) -> int:
-        return sum(1 for v in self.verdicts if v.status == status)
+        return self.status.count(STATUSES.index(status))
 
     def coverage(self) -> float:
-        testable = len(self.verdicts) - self.count("redundant")
-        if testable == 0:
-            return 1.0
-        return self.count("detected") / testable
+        testable = len(self.status) - self.count("redundant")
+        return self.count("detected") / testable if testable else 1.0
 
     def faults_with(self, status: str) -> list[BridgingFault]:
-        return [v.fault for v in self.verdicts if v.status == status]
+        code = STATUSES.index(status)
+        return [self.faults[k] for k, s in enumerate(self.status) if s == code]
 
 
 def evaluate_test_set(
@@ -396,38 +314,52 @@ def grade_columns(
     x_cols: list[int],
     ones: int,
 ) -> Evaluation:
-    """``evaluate_test_set`` on packed columns, bit t holding pattern t."""
-    _, a, levels = _columns(network, c_cols, x_cols, ones, None)
-    good = _Good(network, c_cols + x_cols, ones, a, levels)
+    """``evaluate_test_set`` on packed columns, bit t holding pattern t.
 
-    # Bit 2*left + right of a gate's mask is set once its EXOR has seen that
-    # input pair; a full mask completes at the latest first sighting of the four.
-    masks = []
+    Faults are read a group at a time: ``FaultList.groups``, or one fault
+    per group for a plain list.  An APair or IntraLevel bridge changes the
+    outputs by the XOR of its two nets whatever its polarity, so one read of
+    the pair decides both polarities; an XPair is read once per polarity.
+    """
+    cols = c_cols + x_cols
+    a = [_Good(network, cols, ones).and_out(gate_id) for gate_id in range(1, network.d + 1)]
+
+    # Walk the cascade, keeping the wires of every level 0..d.  Bit
+    # 2*left + right of a gate's mask is set once its EXOR has seen that input
+    # pair; a full mask completes at the latest first sighting of the four.
+    wires, levels, masks = list(c_cols), [tuple(c_cols)], []
     full_at: dict[int, int] = {}
     for gate_id, target in enumerate(network.gate_targets, start=1):
-        left, right = levels[gate_id - 1][target - 1], a[gate_id - 1]
+        left, right = wires[target - 1], a[gate_id - 1]
         seen = (ones ^ (left | right), right & ~left, left & ~right, left & right)
         masks.append(sum(1 << k for k, col in enumerate(seen) if col))
         if all(seen):
             full_at[gate_id] = max(_lowest(col) for col in seen)
+        wires[target - 1] ^= right
+        levels.append(tuple(wires))
+    good = _Good(network, cols, ones, a, levels)
 
-    verdicts = []
-    for fault in faults:
-        if fault.kind is FaultKind.EXOR_INTERNAL:
-            gate_id = fault.ids[0]
+    ev = Evaluation(faults, masks)
+    status, method, first = ev.status, ev.method, ev.first
+    if isinstance(faults, FaultList):
+        groups = faults.groups()
+    else:
+        groups = ((f.kind, f.ids, k, (f.polarity,)) for k, f in enumerate(faults))
+    for kind, ids, k, polarities in groups:
+        if kind is FaultKind.EXOR_INTERNAL:
+            gate_id = ids[0]
             sup = network.gate_supports[gate_id - 1]
             if network.constant_line is not None and sup <= {network.constant_line}:
                 # The AND value is pinned, so two of the four combinations can
                 # never be applied: the obligation is unsatisfiable by design.
-                verdicts.append(FaultVerdict(fault, "redundant", None, "constant-line"))
+                status[k], method[k] = REDUNDANT, _CONSTANT_LINE
             elif gate_id in full_at:
-                verdicts.append(FaultVerdict(fault, "detected", full_at[gate_id], "stimulation"))
-            else:
-                verdicts.append(FaultVerdict(fault, "undetected"))
+                status[k], method[k], first[k] = DETECTED, _STIMULATION, full_at[gate_id]
             continue
-        diff = _fault_difference(good, fault)
-        if diff:
-            verdicts.append(FaultVerdict(fault, "detected", _lowest(diff), "simulation"))
-        else:
-            verdicts.append(FaultVerdict(fault, "undetected"))
-    return Evaluation(verdicts, masks)
+        diff = None
+        for k, polarity in enumerate(polarities, k):
+            if diff is None or kind is FaultKind.X_PAIR:
+                diff = _fault_difference(good, kind, ids, polarity)
+            if diff:
+                status[k], method[k], first[k] = DETECTED, _SIMULATION, _lowest(diff)
+    return ev

@@ -2,18 +2,20 @@
 
 The scalar simulator walks one assignment at a time through the netlist.
 The library evaluates bit-packed columns and reads each bridge's output
-difference off the fault-free columns; the scalar walk and the
-injection-based oracle below are the independent routes.  The library's
+difference off the fault-free columns; the scalar walk, the column walk
+with the bridge injected (``eval_good``, ``eval_faulty``,
+``injected_difference``) and the injection-based oracle below are the
+independent routes.  The library's
 oracle decides on GF(2) polynomials; ``truth_table_detectability`` runs the
 same closed form on the truth-table columns of every assignment instead.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from bridgetest import (
-    FULL_MASK,
     OracleResult,
     AndExorNetwork,
     BridgingFault,
@@ -21,8 +23,112 @@ from bridgetest import (
     FaultVerdict,
     TestPattern,
     bridge_values,
+    evaluate_test_set,
 )
-from bridgetest.simulate import SimulationResult, _columns, _fault_difference, _Good
+from bridgetest.simulate import _fault_difference, _Good, _resolved_bits
+
+FULL_MASK = 0b1111
+
+
+@dataclass(frozen=True)
+class SimulationResult:
+    """Values of every net after one evaluation."""
+
+    outputs: tuple[int, ...]
+    x_values: tuple[int, ...]
+    a_values: tuple[int, ...]
+    cascade: tuple[tuple[int, ...], ...]  # cascade[j-1][level]
+
+
+def _columns(
+    network: AndExorNetwork,
+    c_cols: Sequence[int],
+    x_cols: Sequence[int],
+    ones: int,
+    fault: BridgingFault | None,
+) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
+    """Evaluate the netlist on columns, with ``fault`` injected if given.
+
+    Bit t of every column is a net's value under assignment t, and ``ones``
+    has a bit set for each assignment.  Returns the x and AND-output
+    columns and the cascade: the p target-line columns at each level 0..d,
+    the last being the outputs.
+    """
+    x = list(x_cols)
+    if fault is not None and fault.kind is FaultKind.X_PAIR:
+        i, j = fault.ids
+        x[i - 1], x[j - 1] = bridge_values(x[i - 1], x[j - 1], fault.polarity)
+
+    a = []
+    for sup in network.gate_supports:
+        col = ones
+        for v in sup:
+            col &= x[v - 1]
+        a.append(col)
+    if fault is not None and fault.kind is FaultKind.A_PAIR:
+        i, j = fault.ids
+        a[i - 1], a[j - 1] = bridge_values(a[i - 1], a[j - 1], fault.polarity)
+
+    intra = fault is not None and fault.kind is FaultKind.INTRA_LEVEL
+    w = list(c_cols)
+    levels = []
+    for level in range(network.d + 1):
+        if level:
+            w[network.gate_targets[level - 1] - 1] ^= a[level - 1]
+        if intra and fault.ids[0] == level:
+            _, j1, j2 = fault.ids
+            w[j1 - 1], w[j2 - 1] = bridge_values(w[j1 - 1], w[j2 - 1], fault.polarity)
+        levels.append(tuple(w))
+    return x, a, levels
+
+
+def _single(
+    network: AndExorNetwork,
+    pattern: TestPattern,
+    dc_policy: str,
+    fault: BridgingFault | None,
+) -> SimulationResult:
+    c, x = _resolved_bits(network, pattern, dc_policy)
+    x_vals, a, levels = _columns(network, c, x, 1, fault)
+    cascade = tuple(tuple(level[j] for level in levels) for j in range(network.p))
+    return SimulationResult(levels[-1], tuple(x_vals), tuple(a), cascade)
+
+
+def eval_good(
+    network: AndExorNetwork, pattern: TestPattern, dc_policy: str = "fill-zero"
+) -> SimulationResult:
+    """Fault-free evaluation of one pattern."""
+    return _single(network, pattern, dc_policy, None)
+
+
+def eval_faulty(
+    network: AndExorNetwork,
+    fault: BridgingFault,
+    pattern: TestPattern,
+    dc_policy: str = "fill-zero",
+) -> SimulationResult:
+    """Evaluation with one injected bridge.
+
+    ExorInternal is an exhaustive-stimulation obligation, not an injectable
+    defect, so passing one here is a usage error.
+    """
+    if fault.kind is FaultKind.EXOR_INTERNAL:
+        raise ValueError("ExorInternal faults are graded by stimulation masks, not injection")
+    return _single(network, pattern, dc_policy, fault)
+
+
+def exor_stimulation_mask(
+    network: AndExorNetwork,
+    patterns: Iterable[TestPattern],
+    dc_policy: str = "fill-zero",
+) -> list[int]:
+    """4-bit mask per gate of the (left,right) EXOR input combinations seen.
+
+    Bit (2*left + right) is set when the combination occurred under some
+    pattern.  A full mask (0b1111) discharges the gate's ExorInternal
+    obligation.
+    """
+    return evaluate_test_set(network, [], list(patterns), dc_policy).masks
 
 
 def _simulate(
@@ -195,4 +301,4 @@ def truth_table_detectability(network: AndExorNetwork, fault: BridgingFault) -> 
     is the witness."""
     width = network.n + network.p
     good = _Good(network, TruthColumns(width), (1 << (1 << width)) - 1)
-    return _witness(network, _fault_difference(good, fault))
+    return _witness(network, _fault_difference(good, fault.kind, fault.ids, fault.polarity))

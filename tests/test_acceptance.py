@@ -10,9 +10,9 @@ import time
 
 import pytest
 from conftest import random_circuit
+from reference_sim import FULL_MASK, exor_stimulation_mask
 
 from bridgetest import (
-    FULL_MASK,
     BridgingFault,
     FaultKind,
     Polarity,
@@ -25,7 +25,6 @@ from bridgetest import (
     enumerate_faults,
     evaluate_test_set,
     exhaustive_detectability,
-    exor_stimulation_mask,
     expand_network,
     fallback_search,
     gen_cascade_pair_tests,

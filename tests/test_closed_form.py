@@ -16,6 +16,7 @@ import pytest
 from conftest import random_circuit, with_zero_control
 from reference_sim import (
     TruthColumns,
+    _columns,
     injected_difference,
     reference_oracle,
     truth_table_detectability,
@@ -35,7 +36,7 @@ from bridgetest import (
 )
 from bridgetest.circuit import Gate, ReversibleCircuit
 from bridgetest.network import AndExorNetwork
-from bridgetest.simulate import _Anf, _columns, _fault_difference, _Good, _pack
+from bridgetest.simulate import _Anf, _fault_difference, _Good, _pack
 
 
 def _networks(count, seed):
@@ -59,8 +60,9 @@ def _assert_closed_form(net, c_cols, x_cols, ones, lazy_cols=None):
     lazy = _Good(net, c_cols + x_cols if lazy_cols is None else lazy_cols, ones)
     for fault in _bridges(net):
         want = injected_difference(net, c_cols, x_cols, ones, fault)
-        assert _fault_difference(walked, fault) == want, fault.describe()
-        assert _fault_difference(lazy, fault) == want, fault.describe()
+        bridge = (fault.kind, fault.ids, fault.polarity)
+        assert _fault_difference(walked, *bridge) == want, fault.describe()
+        assert _fault_difference(lazy, *bridge) == want, fault.describe()
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -70,6 +70,19 @@ CASES = {
     "faults_bench7x3_oom.txt": (0, ["faults", "bench7x3.rev", "--out-of-model"]),
     "faults_rand5z_aux.json": (0, ["faults", "rand5z.rev", "--include-aux", "--format", "json"]),
     "faults_and2.csv": (0, ["faults", "and2.rev", "--format", "csv"]),
+    # verdict row shapes: Unresolved rows above the cap, aux XPairs with
+    # Redundant rows from both proof methods, Undetected rows with no
+    # patterns, a user test file in text, and an empty verdict list
+    "verify_and2_cap2.json": (4, ["verify", "and2.rev", "--oracle-cap", "2", "--format", "json"]),
+    "verify_and2_cap2.csv": (4, ["verify", "and2.rev", "--oracle-cap", "2", "--format", "csv"]),
+    "verify_rand5z_aux.csv": (0, ["verify", "rand5z.rev", "--include-aux", "--format", "csv"]),
+    "simulate_bench7x3_empty.json": (
+        1, ["simulate", "bench7x3.rev", "--tests", "empty.tests", "--format", "json"]
+    ),
+    "simulate_bench7x3_user.txt": (
+        1, ["simulate", "bench7x3.rev", "--tests", "bench7x3_user.tests", "--format", "text"]
+    ),
+    "verify_empty1.json": (0, ["verify", "empty1.rev", "--format", "json"]),
 }
 
 _FILE_SUFFIXES = (".rev", ".tests")

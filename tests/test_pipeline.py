@@ -23,7 +23,7 @@ from bridgetest import (
     generate_sets,
 )
 from bridgetest.cli import RunConfig, run_pipeline
-from bridgetest.simulate import DEFAULT_ORACLE_CAP, Evaluation, FaultVerdict
+from bridgetest.simulate import DEFAULT_ORACLE_CAP, FaultVerdict
 from conftest import random_circuit, with_zero_control
 
 SELECTIONS = (SET_NAMES, ("T1", "T4"), ("T3", "T5"), ("T4",))
@@ -45,7 +45,7 @@ def reference(network, faults, sets, cfg):
         elif v.status == "undetected" and v.fault in fb.unresolved:
             v = FaultVerdict(v.fault, "unresolved", None, None)
         verdicts.append(v)
-    return Evaluation(verdicts, final.masks), union, bound
+    return verdicts, final.masks, union, bound
 
 
 def _circuits(count):
@@ -67,11 +67,11 @@ def test_pipeline_matches_reference_sequence():
         ):
             cfg = RunConfig("verify", names, dc, cap, fallback, dedup)
             sets = generate_sets(pprms, network, names).ordered_sets()
-            expected, union, bound = reference(network, faults, sets, cfg)
+            verdicts, masks, union, bound = reference(network, faults, sets, cfg)
             run = run_pipeline(network, faults, sets, cfg)
             label = (circuit.name, names, dedup, fallback, cap)
-            assert list(run.evaluation.verdicts) == expected.verdicts, label
-            assert run.evaluation.masks == expected.masks, label
+            assert run.evaluation.verdicts == verdicts, label
+            assert run.evaluation.masks == masks, label
             assert run.union == union and run.bound == bound, label
             both += union.removed > 0 and union.fallback_count > 0
     assert both >= 5

@@ -6,9 +6,9 @@ import random
 from bridgetest.pprm import PprmFunction, Term, derive_pprm
 from bridgetest.network import expand_network
 from bridgetest.patterns import TestPattern
-from bridgetest.simulate import eval_good
 
 from conftest import random_circuit
+from reference_sim import eval_good
 from reference_t3 import restrict
 
 

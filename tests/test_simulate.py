@@ -6,11 +6,18 @@ import pytest
 from conftest import random_circuit, with_zero_control
 from hypothesis import example, given
 from hypothesis import strategies as st
-from reference_sim import _simulate, reference_detects, reference_grade
+from reference_sim import (
+    FULL_MASK,
+    _simulate,
+    eval_faulty,
+    eval_good,
+    exor_stimulation_mask,
+    reference_detects,
+    reference_grade,
+)
 
 from bridgetest import (
     DC_POLICIES,
-    FULL_MASK,
     FaultKind,
     BridgingFault,
     Polarity,
@@ -18,11 +25,8 @@ from bridgetest import (
     derive_pprm,
     detects,
     enumerate_faults,
-    eval_faulty,
-    eval_good,
     evaluate_test_set,
     exhaustive_detectability,
-    exor_stimulation_mask,
     expand_network,
     normalize_zero_controls,
     parse_circuit,
