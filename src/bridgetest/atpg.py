@@ -480,6 +480,8 @@ def fallback_search(
     """
     out = FallbackResult()
     corners_added = False
+    # oracle verdicts; both polarities of an APair or IntraLevel share one
+    proofs: dict[tuple, bool] = {}
     width = network.n + network.p
     pinned = None if network.constant_line is None else network.p + network.constant_line - 1
     for idx, fault in enumerate(uncovered_faults):
@@ -489,16 +491,21 @@ def fallback_search(
                     out.patterns.append(replace(pat, origin="Fallback"))
                 corners_added = True
             continue
+        pair = (fault.kind, fault.ids, fault.kind is FaultKind.X_PAIR and fault.polarity)
+        if pair in proofs:
+            if not proofs[pair]:  # a detectable pair's witness is kept, or not wanted
+                out.redundant[fault] = "exhaustive"
+            continue
         # fallback patterns have no don't-care to resolve
         if any(detects(network, fault, pat) for pat in out.patterns):
             continue
         if width <= oracle_cap:
             res = exhaustive_detectability(network, fault)
-            if res.detectable:
-                if not classify_only:
-                    out.patterns.append(res.witness)
-            else:
+            proofs[pair] = res.detectable
+            if not res.detectable:
                 out.redundant[fault] = "exhaustive"
+            elif not classify_only:
+                out.patterns.append(res.witness)
             continue
         first = None
         if not classify_only:

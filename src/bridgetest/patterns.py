@@ -61,8 +61,7 @@ class TestPattern:
         return self.c + self.x
 
     def resolved_line(self, dc_policy: str = "fill-zero") -> str:
-        c, x = self.resolve(dc_policy)
-        return "".join(map(str, c)) + "".join(map(str, x))
+        return self.line().translate({ord("d"): str(_FILL[dc_policy])})
 
 
 @dataclass

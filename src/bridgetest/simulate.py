@@ -1,27 +1,29 @@
 """Bit-accurate good and faulty evaluation, stimulation masks, and the
 exhaustive detectability oracle.
 
-One fault-free evaluator, ``_columns``, walks the netlist over integer
-columns: bit t of a column is a net's value under assignment t.  Coverage
-grading packs the whole pattern list into columns and single-pattern
-queries use one-bit columns.
+Fault-free values are integer columns, bit t holding a net's value under
+assignment t: grading packs the pattern list into columns and keeps every
+net of one walk, and single-pattern queries use one-bit columns.
 
 Detection never re-walks a faulty netlist.  Each output is c_j XOR the AND
 outputs of the gates targeting j, so a bridge changes an output by the XOR
 of the changes it makes to the nets feeding it, and ``_output_changes``
-reads those changes off the fault-free values with ``^ & |`` alone.  On
-columns, the first detecting assignment is the lowest set bit of their OR.
-The oracle runs the same closed form on GF(2) polynomials (``_Anf``) in the
-pattern positions, which cover every assignment at once: a fault is
-redundant exactly when every change is the zero polynomial.
+reads those changes off the fault-free values with ``^ & |`` alone: a
+bridge between two inputs flips at most one, changing the outputs where
+they are sensitive to it.  On columns, the first detecting assignment is
+the lowest set bit of their OR.  The oracle runs the same closed form on
+GF(2) polynomials (``_Anf``) in the pattern positions, which cover every
+assignment at once: a fault is redundant exactly when every change is zero.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .faults import BridgingFault, FaultKind, FaultList, Polarity, bridge_values
+from .faults import BridgingFault, FaultKind, FaultList, Polarity
 from .network import AndExorNetwork
 from .patterns import TestPattern
 
@@ -35,17 +37,6 @@ __all__ = [
 ]
 
 DEFAULT_ORACLE_CAP = 22
-
-
-def _resolved_bits(
-    network: AndExorNetwork, pattern: TestPattern, dc_policy: str
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if len(pattern.c) != network.p or len(pattern.x) != network.n:
-        raise ValueError(
-            f"pattern dimension mismatch: got p={len(pattern.c)} n={len(pattern.x)}, "
-            f"network has p={network.p} n={network.n}"
-        )
-    return pattern.resolve(dc_policy)
 
 
 class _Anf(frozenset):
@@ -103,17 +94,38 @@ class _Good:
         self.ones = ones
         self.a = a
         self.levels = levels
+        self._sensitivity: dict[int, list[int | _Anf]] = {}
 
     def x(self, i: int) -> int | _Anf:
         return self.cols[self.network.p + i - 1]
 
+    def product(self, inputs: Iterable[int]) -> int | _Anf:
+        col = self.ones
+        for v in inputs:
+            col &= self.x(v)
+        return col
+
     def and_out(self, gate_id: int) -> int | _Anf:
         if self.a is not None:
             return self.a[gate_id - 1]
-        col = self.ones
-        for v in self.network.gate_supports[gate_id - 1]:
-            col &= self.x(v)
-        return col
+        return self.product(self.network.gate_supports[gate_id - 1])
+
+    def sensitivity(self, v: int) -> list[int | _Anf]:
+        """Where the outputs flip with x_v, computed once: per target t, the
+        XOR of AND(sup(g) - {v}) over the gates g on t that read x_v.
+        Integer columns OR the targets into one; polynomials keep each.
+        """
+        if v not in self._sensitivity:
+            per_target: dict[int, int | _Anf] = {}
+            for sup, target in zip(self.network.gate_supports, self.network.gate_targets):
+                if v in sup:
+                    col = self.product(sup - {v})
+                    per_target[target] = per_target[target] ^ col if target in per_target else col
+            sens = list(per_target.values())
+            if not isinstance(self.ones, _Anf):
+                sens = [functools.reduce(operator.or_, sens, 0)]
+            self._sensitivity[v] = sens
+        return self._sensitivity[v]
 
     def wire(self, level: int, j: int) -> int | _Anf:
         if self.levels is not None:
@@ -133,8 +145,8 @@ def _output_changes(
     A bridge moves its two nets by disjoint amounts whose OR is v1 XOR v2,
     and the cascade passes each change on unchanged to its own output.  So
     an APair gives one entry, a_i XOR a_j, and an IntraLevel the XOR of its
-    two wires.  An XPair changes each gate that reads x_i or x_j, and the
-    changes of the gates on one target XOR into that output's entry.
+    two wires.  Where x_i != x_j an XPair flips the input at 1 (wired-AND)
+    or at 0 (wired-OR), changing the outputs sensitive to that input.
     """
     if kind is FaultKind.A_PAIR:
         i, j = ids
@@ -147,30 +159,18 @@ def _output_changes(
 
     i, j = ids
     xi, xj = good.x(i), good.x(j)
-    v, _ = bridge_values(xi, xj, polarity)
-    # a gate reading x_i only sees x_i become v, and one reading both sees
-    # x_i & x_j become v; the key says whether a gate reads x_i and x_j
-    change = {(True, False): xi ^ v, (False, True): xj ^ v, (True, True): (xi & xj) ^ v}
-    deltas: dict[int, int | _Anf] = {}
-    for sup, target in zip(good.network.gate_supports, good.network.gate_targets):
-        col = change.get((i in sup, j in sup))
-        if not col:
-            continue
-        for u in sup:
-            if u != i and u != j:
-                col &= good.x(u)
-        deltas[target] = deltas[target] ^ col if target in deltas else col
-    return list(deltas.values())
+    only_i, only_j = xi & (good.ones ^ xj), xj & (good.ones ^ xi)
+    if polarity is Polarity.WIRED_OR:
+        only_i, only_j = only_j, only_i  # x_j pulled up where only x_i is 1
+    flips = ((only_i, i), (only_j, j))
+    return [where & col for where, v in flips if where for col in good.sensitivity(v)]
 
 
 def _fault_difference(
     good: _Good, kind: FaultKind, ids: tuple[int, ...], polarity: Polarity | None
 ) -> int:
     """Assignments under which the fault changes some output."""
-    diff = 0
-    for col in _output_changes(good, kind, ids, polarity):
-        diff |= col
-    return diff
+    return functools.reduce(operator.or_, _output_changes(good, kind, ids, polarity), 0)
 
 
 def _lowest(col: int) -> int:
@@ -181,10 +181,17 @@ def _pack(
     network: AndExorNetwork, patterns: Sequence[TestPattern], dc_policy: str
 ) -> tuple[list[int], list[int], int]:
     """c and x columns of a pattern list, bit t holding pattern t."""
-    rows = [_resolved_bits(network, pattern, dc_policy) for pattern in patterns]
-    c_cols = [sum(c[k] << t for t, (c, _) in enumerate(rows)) for k in range(network.p)]
-    x_cols = [sum(x[k] << t for t, (_, x) in enumerate(rows)) for k in range(network.n)]
-    return c_cols, x_cols, (1 << len(patterns)) - 1
+    lines = []
+    for pattern in patterns:
+        if len(pattern.c) != network.p or len(pattern.x) != network.n:
+            raise ValueError(
+                f"pattern dimension mismatch: got p={len(pattern.c)} n={len(pattern.x)}, "
+                f"network has p={network.p} n={network.n}"
+            )
+        lines.append(pattern.resolved_line(dc_policy))
+    # the last pattern leads each column's digits, so pattern t is bit t
+    cols = [int("".join(col), 2) for col in zip(*lines[::-1])] or [0] * (network.p + network.n)
+    return cols[: network.p], cols[network.p :], (1 << len(patterns)) - 1
 
 
 def detects(
@@ -197,8 +204,9 @@ def detects(
 
     ExorInternal has no faulty outputs, so passing one is a usage error.
     """
-    c, x = _resolved_bits(network, pattern, dc_policy)
-    return _fault_difference(_Good(network, c + x, 1), fault.kind, fault.ids, fault.polarity) != 0
+    c, x, ones = _pack(network, [pattern], dc_policy)
+    good = _Good(network, c + x, ones)
+    return _fault_difference(good, fault.kind, fault.ids, fault.polarity) != 0
 
 
 @dataclass(frozen=True)
@@ -319,10 +327,11 @@ def grade_columns(
     Faults are read a group at a time: ``FaultList.groups``, or one fault
     per group for a plain list.  An APair or IntraLevel bridge changes the
     outputs by the XOR of its two nets whatever its polarity, so one read of
-    the pair decides both polarities; an XPair is read once per polarity.
+    the pair decides both polarities.  An XPair is read once per polarity,
+    from the sensitivity columns of its two inputs.
     """
     cols = c_cols + x_cols
-    a = [_Good(network, cols, ones).and_out(gate_id) for gate_id in range(1, network.d + 1)]
+    a = [_Good(network, cols, ones).product(sup) for sup in network.gate_supports]
 
     # Walk the cascade, keeping the wires of every level 0..d.  Bit
     # 2*left + right of a gate's mask is set once its EXOR has seen that input

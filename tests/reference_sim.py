@@ -25,7 +25,7 @@ from bridgetest import (
     bridge_values,
     evaluate_test_set,
 )
-from bridgetest.simulate import _fault_difference, _Good, _resolved_bits
+from bridgetest.simulate import _fault_difference, _Good, _pack
 
 FULL_MASK = 0b1111
 
@@ -80,6 +80,13 @@ def _columns(
             w[j1 - 1], w[j2 - 1] = bridge_values(w[j1 - 1], w[j2 - 1], fault.polarity)
         levels.append(tuple(w))
     return x, a, levels
+
+
+def _resolved_bits(
+    network: AndExorNetwork, pattern: TestPattern, dc_policy: str
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    _pack(network, [pattern], dc_policy)  # the library's dimension check
+    return pattern.resolve(dc_policy)
 
 
 def _single(

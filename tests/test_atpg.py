@@ -9,6 +9,7 @@ from conftest import random_circuit, with_zero_control
 from bridgetest import (
     DC_POLICIES,
     BridgingFault,
+    FaultKind,
     Polarity,
     TestPattern,
     assemble_union,
@@ -29,6 +30,7 @@ from bridgetest import (
     generate_sets,
     parse_circuit,
 )
+from bridgetest import atpg
 from bridgetest.atpg import _parity_rows
 
 AND = Polarity.WIRED_AND
@@ -427,6 +429,29 @@ class TestFallbackSearch:
         fault = BridgingFault.x_pair(1, 2, OR)
         fb = fallback_search(net, [fault, fault])
         assert len(fb.patterns) == 1
+
+    @pytest.mark.parametrize("classify_only", [False, True])
+    def test_one_proof_per_apair_or_intra_level_pair(self, monkeypatch, classify_only):
+        # both polarities of an APair or IntraLevel change the outputs alike,
+        # so one oracle call decides the pair; an XPair's polarities differ
+        calls = []
+        oracle = atpg.exhaustive_detectability
+        monkeypatch.setattr(
+            atpg, "exhaustive_detectability", lambda net, f: calls.append(f) or oracle(net, f)
+        )
+        net = expand_network(parse_circuit(DUP_TEXT))
+        redundant_pair = [BridgingFault.a_pair(1, 2, AND), BridgingFault.a_pair(1, 2, OR)]
+        detectable_pair = [BridgingFault.a_pair(1, 3, AND), BridgingFault.a_pair(1, 3, OR)]
+        intra = [BridgingFault.intra_level(0, 1, 2, AND), BridgingFault.intra_level(0, 1, 2, OR)]
+        xpairs = [BridgingFault.x_pair(1, 2, AND), BridgingFault.x_pair(1, 2, OR)]
+        missed = redundant_pair + detectable_pair + intra + xpairs
+        fb = fallback_search(net, missed, classify_only=classify_only)
+        pairs = [f for f in calls if f.kind is not FaultKind.X_PAIR]
+        assert pairs == [redundant_pair[0], detectable_pair[0], intra[0]]
+        if classify_only:  # no witness is kept to catch the other XPair
+            assert calls[3:] == xpairs
+        assert fb.redundant == dict.fromkeys(redundant_pair + xpairs[:1], "exhaustive")
+        assert len(fb.patterns) == (0 if classify_only else 2)
 
     def test_exor_obligation_appends_corners_once(self):
         net = expand_network(parse_circuit(".n 1\n.p 2\n.gate c1 : x1\n.gate c2 : x1\n.end\n"))

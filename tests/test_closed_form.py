@@ -1,7 +1,8 @@
 """Closed-form bridge differences against the injection walk.
 
 ``simulate._fault_difference`` reads a bridge's output difference off the
-fault-free columns.  These tests hold it to the walk that injects the
+fault-free columns, an input bridge's from the outputs' sensitivity to the
+one input it flips.  These tests hold it to the walk that injects the
 bridge and evaluates the netlist again, as integers.  They hold the oracle,
 which runs the same closed form on GF(2) polynomials, to the
 injection-based oracle and to the closed form on truth-table columns in
@@ -30,9 +31,11 @@ from bridgetest import (
     TestPattern,
     detects,
     enumerate_faults,
+    evaluate_test_set,
     exhaustive_detectability,
     expand_network,
     normalize_zero_controls,
+    parse_circuit,
 )
 from bridgetest.circuit import Gate, ReversibleCircuit
 from bridgetest.network import AndExorNetwork
@@ -89,6 +92,76 @@ def test_oracle_matches_injection_oracle():
     for _, net in _networks(40, 5):
         for fault in _bridges(net):
             assert exhaustive_detectability(net, fault) == reference_oracle(net, fault)
+
+
+# Hand-built XPair cases for the sensitivity read: x1 and x2 in one gate;
+# two equal gates on one target whose sensitivities cancel, so (x1, x2) is
+# redundant in both polarities; a 0-control gate moved onto the constant line.
+BOTH_IN_ONE_GATE = ".n 3\n.p 2\n.gate c1 : x1 x2 x3\n.gate c2 : x2\n.gate c1 : x1\n.end\n"
+CANCELLING = ".n 3\n.p 2\n.gate c1 : x1 x2\n.gate c2 : x3\n.gate c1 : x1 x2\n.end\n"
+ZERO_CONTROL = ".n 2\n.p 2\n.gate c1 : x1\n.gate c2 :\n.gate c2 : x1 x2\n.end\n"
+
+
+def _hand_built(text):
+    circuit = parse_circuit(text, allow_zero_controls=True)
+    return expand_network(normalize_zero_controls(circuit))
+
+
+@pytest.mark.parametrize("text", [BOTH_IN_ONE_GATE, CANCELLING, ZERO_CONTROL])
+def test_hand_built_xpairs_match_injection(text):
+    net = _hand_built(text)
+    width = net.n + net.p
+    rows = ["".join(row) for row in itertools.product("01d", repeat=width)]
+    patterns = [TestPattern(row[: net.p], row[net.p :]) for row in rows]
+    for dc_policy in DC_POLICIES:
+        _assert_closed_form(net, *_pack(net, patterns, dc_policy))
+    cols = TruthColumns(width)
+    c_cols = [cols[k] for k in range(net.p)]
+    x_cols = [cols[net.p + k] for k in range(net.n)]
+    _assert_closed_form(net, c_cols, x_cols, (1 << (1 << width)) - 1, TruthColumns(width))
+    for fault in _bridges(net):
+        assert exhaustive_detectability(net, fault) == reference_oracle(net, fault)
+
+
+def test_hand_built_verdicts():
+    both = _hand_built(BOTH_IN_ONE_GATE)
+    cancelling = _hand_built(CANCELLING)
+    zero = _hand_built(ZERO_CONTROL)
+    assert zero.constant_line == 3
+    for polarity in Polarity:
+        pair = BridgingFault.x_pair(1, 2, polarity)
+        assert exhaustive_detectability(both, pair).detectable
+        assert not exhaustive_detectability(cancelling, pair).detectable
+        assert exhaustive_detectability(cancelling, BridgingFault.x_pair(1, 3, polarity)).detectable
+        # the constant line stays 1 in a witness: where x_i = 0, wired-AND
+        # pulls x3 down, which c2 shows through gate 2, and wired-OR pulls
+        # x_i up
+        for i in (1, 2):
+            result = exhaustive_detectability(zero, BridgingFault.x_pair(i, 3, polarity))
+            assert result.detectable and result.witness.x[2] == "1"
+
+
+def test_grading_computes_each_sensitivity_once(monkeypatch):
+    # count the AND products behind the sensitivity columns, not the reads:
+    # computing each input's columns once takes one product per gate input
+    products = []
+    product = _Good.product
+
+    def counting(good, inputs):
+        if good.a is not None:  # the graded values, not the walk that made them
+            products.append(inputs)
+        return product(good, inputs)
+
+    monkeypatch.setattr(_Good, "product", counting)
+    rng = random.Random(12)
+    circuit = random_circuit(rng, 0, max_n=8, max_p=3, max_d=12, width_cap=11)
+    net = expand_network(circuit)
+    faults = enumerate_faults(net)
+    xpairs = [f for f in faults if f.kind is FaultKind.X_PAIR]
+    rows = ["".join(rng.choice("01") for _ in range(net.p + net.n)) for _ in range(40)]
+    evaluation = evaluate_test_set(net, faults, [TestPattern(r[: net.p], r[net.p :]) for r in rows])
+    assert 0 < len(products) <= sum(len(sup) for sup in net.gate_supports) < len(xpairs)
+    assert evaluation.count("detected") > 0
 
 
 def _evaluate(poly, assignment):
