@@ -101,8 +101,11 @@ class BridgingFault:
         return BridgingFault(FaultKind.INTRA_LEVEL, (level, lo, hi), polarity)
 
     def lines(self) -> tuple[str, str]:
-        """Compact net names of the two bridged nets (one net for ExorInternal)."""
-        return net_names(self.kind, self.ids)
+        """Compact net names of the two bridged nets, "" for ExorInternal's second."""
+        if self.kind is FaultKind.EXOR_INTERNAL:
+            return f"g{self.ids[0]}", ""
+        *level, i, j = self.ids
+        return _NET_NAMES[self.kind].format(i, *level), _NET_NAMES[self.kind].format(j, *level)
 
     def describe(self) -> str:
         a, b = self.lines()
@@ -111,19 +114,9 @@ class BridgingFault:
         return f"{self.kind.value} ({a},{b}) {self.polarity.value}"
 
 
-def net_names(kind: FaultKind, ids: tuple[int, ...]) -> tuple[str, str]:
-    """Net names of a fault's two bridged nets, "" for ExorInternal's second."""
-    if kind is FaultKind.EXOR_INTERNAL:
-        return f"g{ids[0]}", ""
-    if kind is FaultKind.X_PAIR:
-        return f"x{ids[0]}", f"x{ids[1]}"
-    if kind is FaultKind.A_PAIR:
-        return f"a{ids[0]}", f"a{ids[1]}"
-    level, j1, j2 = ids
-    return f"w{j1}@{level}", f"w{j2}@{level}"
-
-
 _POLARITIES = (Polarity.WIRED_AND, Polarity.WIRED_OR)
+# the name of net v of a pair class, as str.format(v, level)
+_NET_NAMES = {FaultKind.X_PAIR: "x{}", FaultKind.INTRA_LEVEL: "w{}@{}", FaultKind.A_PAIR: "a{}"}
 
 
 def _nth_pair(lines: Sequence[int], k: int) -> tuple[int, int]:
@@ -181,6 +174,14 @@ class FaultList(Sequence[BridgingFault]):
                 for pair in itertools.combinations(lines, 2):
                     yield kind, pair if level is None else (level, *pair), k, _POLARITIES
                     k += 2
+
+    def pair_names(self) -> Iterator[tuple[str, str, str]]:
+        """(class, line_a, line_b) per pair in ``groups`` order, names formatted once."""
+        for kind, lines, levels in self._blocks:
+            label = kind.value
+            for level in levels:
+                names = [_NET_NAMES[kind].format(v, level) for v in lines]
+                yield from ((label, a, b) for a, b in itertools.combinations(names, 2))
 
     def __iter__(self) -> Iterator[BridgingFault]:
         for kind, ids, _, polarities in self.groups():

@@ -21,8 +21,8 @@ __all__ = [
 ]
 
 DC_POLICIES = ("fill-zero", "fill-one")
-_FILL = {"fill-zero": 0, "fill-one": 1}
-_SYMBOLS = frozenset("01d")
+# str.translate tables that resolve don't-cares, one per fill policy
+FILL_TABLES = {"fill-zero": str.maketrans("d", "0"), "fill-one": str.maketrans("d", "1")}
 
 ORIGINS = ("T1", "T2", "T3", "T4", "T5", "Fallback", "User")
 
@@ -45,23 +45,20 @@ class TestPattern:
 
     def __post_init__(self) -> None:
         for part in (self.c, self.x):
-            bad = set(part) - _SYMBOLS
-            if bad:
-                raise ValueError(f"bad pattern symbol {sorted(bad)!r}")
+            if part.strip("01d"):
+                raise ValueError(f"bad pattern symbol {sorted(set(part) - set('01d'))!r}")
         if self.origin not in ORIGINS:
             raise ValueError(f"unknown origin tag {self.origin!r}")
 
     def resolve(self, dc_policy: str = "fill-zero") -> tuple[tuple[int, ...], tuple[int, ...]]:
-        fill = _FILL[dc_policy]
-        c = tuple(fill if ch == "d" else int(ch) for ch in self.c)
-        x = tuple(fill if ch == "d" else int(ch) for ch in self.x)
-        return c, x
+        bits = tuple(map(int, self.resolved_line(dc_policy)))
+        return bits[: len(self.c)], bits[len(self.c) :]
 
     def line(self) -> str:
         return self.c + self.x
 
     def resolved_line(self, dc_policy: str = "fill-zero") -> str:
-        return self.line().translate({ord("d"): str(_FILL[dc_policy])})
+        return self.line().translate(FILL_TABLES[dc_policy])
 
 
 @dataclass
@@ -95,9 +92,8 @@ def parse_test_file(text: str, n: int, p: int) -> list[TestPattern]:
         token = "".join(body.split())
         if not token:
             continue
-        bad = set(token) - _SYMBOLS
-        if bad:
-            raise TestFileError(f"bad symbol {sorted(bad)[0]!r}", lineno)
+        if token.strip("01d"):
+            raise TestFileError(f"bad symbol {sorted(set(token) - set('01d'))[0]!r}", lineno)
         if len(token) != p + n:
             raise TestFileError(
                 f"pattern has {len(token)} symbols, expected {p + n} (p={p} then n={n})", lineno

@@ -2,14 +2,14 @@
 
 A report is a dict in a fixed key order, so that json output is
 byte-stable for a given run configuration.  Its last entry, the fault or
-verdict rows, is a ``Rows`` view that builds them from the fault list and
-the evaluation one class range at a time, where one read decided both
-polarities of each APair and IntraLevel pair.  Every row value is program
-vocabulary (class, net names such as ``a3`` or ``w2@5``, polarity, status,
-method and pattern ordinal) and needs no escaping, so each json row comes
-from one fixed template and ``json.dumps(indent=2)`` encodes only the
-header.  The timestamp is the only non-deterministic field and the caller
-can leave it out.
+verdict rows, is a ``Rows`` view over the fault list and the evaluation.
+Each row is a fault part (class, net names such as ``a3`` or ``w2@5``
+formatted once per render, polarity) and a verdict part, formatted once per
+distinct (status, method, first pattern).  Only the verdict part goes
+through the csv module, as its detail ("simulation, pattern 3") holds a
+comma; class labels and net names never need quoting.  No row value needs
+json escaping, so ``json.dumps(indent=2)`` encodes only the header.  The
+timestamp is the only non-deterministic field and the caller can omit it.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Iterator, Mapping, Sequence
+import operator
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from datetime import datetime, timezone
 
 from .atpg import BoundReport, UnionResult
 from .circuit import ReversibleCircuit
-from .faults import FaultList, Polarity, net_names
+from .faults import FaultKind, FaultList, Polarity
 from .network import AndExorNetwork
 from .patterns import TestSet
 from .simulate import METHODS, STATUSES, Evaluation, FaultVerdict
@@ -65,10 +66,9 @@ def verdict_detail(verdict: FaultVerdict) -> str:
 
 class Rows(Sequence):
     """A report's fault rows, or its verdict rows when ``evaluation`` is
-    given, built from the fault list as they are read: bare ``tuples`` for
-    the renderers, else one dict per row keyed by ``keys``.  Rows compare
-    equal to the list of their dicts, which is what json output loads as.
-    """
+    given, built as they are read: strings (``joined``) for json and csv,
+    ``tuples`` for text, else dicts keyed by ``keys``.  Rows compare equal to
+    the list of their dicts, which is what json output loads as."""
 
     def __init__(self, faults: FaultList, evaluation: Evaluation | None = None) -> None:
         self.faults, self.evaluation = faults, evaluation
@@ -77,28 +77,45 @@ class Rows(Sequence):
     def __len__(self) -> int:
         return len(self.faults)
 
-    def _verdict(self, k: int) -> tuple[str, ...]:
-        ev = self.evaluation
-        if ev is None:
-            return ()
-        return _STATUS_LABELS[ev.status[k]], _detail(METHODS[ev.method[k]], ev.first[k])
-
     def tuples(self) -> Iterator[tuple[str, ...]]:
-        for kind, ids, k, polarities in self.faults.groups():
-            head = (kind.value, *net_names(kind, ids))
-            for k, polarity in enumerate(polarities, k):
-                yield (*head, _POLARITY_LABELS[polarity], *self._verdict(k))
+        return self.joined(tuple, tuple, [(label,) for label in _POLARITY_LABELS.values()])
 
     def __iter__(self) -> Iterator[dict]:
         return (dict(zip(self.keys, row)) for row in self.tuples())
 
     def __getitem__(self, k: int) -> dict:
-        fault = self.faults[k]
+        fault, ev = self.faults[k], self.evaluation
         row = (fault.kind.value, *fault.lines(), _POLARITY_LABELS[fault.polarity])
-        return dict(zip(self.keys, row + self._verdict(k)))
+        if ev is not None:
+            row += (_STATUS_LABELS[ev.status[k]], _detail(METHODS[ev.method[k]], ev.first[k]))
+        return dict(zip(self.keys, row))
 
     def __eq__(self, other: object) -> bool:
         return list(self) == other
+
+    def joined(
+        self, head: Callable, verdict_part: Callable, labels: Iterable = _POLARITY_LABELS.values()
+    ) -> Iterator:
+        """Each row as ``head((class, line_a, line_b))`` + its label from ``labels``
+        (ExorInternal, WiredAnd, WiredOr) + ``verdict_part((verdict, detail))``,
+        called once per distinct verdict, or ``verdict_part(())`` on fault rows."""
+        ev = self.evaluation
+        if ev is None:
+            end = verdict_part(())
+            return self._fault_parts(head, [label + end for label in labels])
+        parts = {(s, m, i): verdict_part((_STATUS_LABELS[s], _detail(METHODS[m], i)))
+                 for s, m, i in set(zip(ev.status, ev.method, ev.first))}
+        verdicts = map(parts.__getitem__, zip(ev.status, ev.method, ev.first))
+        return map(operator.add, self._fault_parts(head, labels), verdicts)
+
+    def _fault_parts(self, head: Callable, labels: Iterable) -> Iterator:
+        exor, wired_and, wired_or = labels
+        for gate_id in range(1, self.faults.d + 1):
+            yield head((FaultKind.EXOR_INTERNAL.value, f"g{gate_id}", "")) + exor
+        for names in self.faults.pair_names():
+            pair = head(names)  # each pair's entries are WiredAnd then WiredOr
+            yield pair + wired_and
+            yield pair + wired_or
 
 
 def _header(
@@ -233,15 +250,27 @@ def _row_key(report: dict) -> str | None:
     return next((key for key in ("verdicts", "faults") if key in report), None)
 
 
+_JSON_HEAD = "    {\n" + "".join(f'      "{key}": "%s",\n' for key in _FAULT_KEYS[:3])
+_JSON_HEAD += '      "polarity": "'
+
+
+def _json_verdict(fields: tuple[str, ...]) -> str:
+    end = '",\n      "verdict": "%s",\n      "detail": "%s"\n    }' if fields else '"\n    }'
+    return end % fields
+
+
+def _csv_verdict(fields: tuple[str, ...]) -> str:
+    csv.writer(buf := io.StringIO(), lineterminator="\n").writerow(fields)
+    return ("," if fields else "") + buf.getvalue()
+
+
 def _render_json(report: dict) -> str:
     key = _row_key(report)
     if key is None:
         return json.dumps(report, indent=2) + "\n"
     # the rows come last: encode the header, then splice them in before its "\n}"
-    rows = report[key]
     head = json.dumps({k: v for k, v in report.items() if k != key}, indent=2)
-    template = "    {\n" + ",\n".join(f'      "{name}": "%s"' for name in rows.keys) + "\n    }"
-    body = ",\n".join([template % row for row in rows.tuples()])
+    body = ",\n".join(report[key].joined(_JSON_HEAD.__mod__, _json_verdict))
     body = f"[\n{body}\n  ]" if body else "[]"
     return f'{head[:-2]},\n  "{key}": {body}\n}}\n'
 
@@ -250,10 +279,9 @@ def _render_csv(report: dict) -> str:
     key = _row_key(report)
     if key is None:
         raise ValueError("report has no row section for csv output")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(report[key].keys)
-    writer.writerows(report[key].tuples())
+    buf = io.StringIO()  # holds the text, not a list of rows, before the copy out
+    buf.write(",".join(report[key].keys) + "\n")
+    buf.writelines(report[key].joined("%s,%s,%s,".__mod__, _csv_verdict))
     return buf.getvalue()
 
 

@@ -1,11 +1,11 @@
-"""Bit-accurate good and faulty evaluation, stimulation masks, and the
+"""Bridge detection from fault-free values, stimulation masks, and the
 exhaustive detectability oracle.
 
 Fault-free values are integer columns, bit t holding a net's value under
 assignment t: grading packs the pattern list into columns and keeps every
 net of one walk, and single-pattern queries use one-bit columns.
 
-Detection never re-walks a faulty netlist.  Each output is c_j XOR the AND
+No faulty netlist is ever evaluated.  Each output is c_j XOR the AND
 outputs of the gates targeting j, so a bridge changes an output by the XOR
 of the changes it makes to the nets feeding it, and ``_output_changes``
 reads those changes off the fault-free values with ``^ & |`` alone: a
@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .faults import BridgingFault, FaultKind, FaultList, Polarity
 from .network import AndExorNetwork
-from .patterns import TestPattern
+from .patterns import FILL_TABLES, TestPattern
 
 __all__ = [
     "detects",
@@ -180,18 +180,18 @@ def _lowest(col: int) -> int:
 def _pack(
     network: AndExorNetwork, patterns: Sequence[TestPattern], dc_policy: str
 ) -> tuple[list[int], list[int], int]:
-    """c and x columns of a pattern list, bit t holding pattern t."""
-    lines = []
+    """c and x columns of a pattern list, bit t holding pattern t: with the lines
+    joined last pattern first, column k is ``text[k::p + n]`` read in binary."""
+    p, n = network.p, network.n
     for pattern in patterns:
-        if len(pattern.c) != network.p or len(pattern.x) != network.n:
+        if len(pattern.c) != p or len(pattern.x) != n:
             raise ValueError(
                 f"pattern dimension mismatch: got p={len(pattern.c)} n={len(pattern.x)}, "
-                f"network has p={network.p} n={network.n}"
+                f"network has p={p} n={n}"
             )
-        lines.append(pattern.resolved_line(dc_policy))
-    # the last pattern leads each column's digits, so pattern t is bit t
-    cols = [int("".join(col), 2) for col in zip(*lines[::-1])] or [0] * (network.p + network.n)
-    return cols[: network.p], cols[network.p :], (1 << len(patterns)) - 1
+    text = "".join([pat.c + pat.x for pat in reversed(patterns)]).translate(FILL_TABLES[dc_policy])
+    cols = [int(text[k :: p + n] or "0", 2) for k in range(p + n)]
+    return cols[:p], cols[p:], (1 << len(patterns)) - 1
 
 
 def detects(

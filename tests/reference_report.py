@@ -82,8 +82,20 @@ def verdict_detail(verdict: FaultVerdict) -> str:
     return f"{verdict.method}, pattern {verdict.pattern_index + 1}"
 
 
+def _net_names(fault: BridgingFault) -> tuple[str, str]:
+    ids = fault.ids
+    if fault.kind is FaultKind.EXOR_INTERNAL:
+        return f"g{ids[0]}", ""
+    if fault.kind is FaultKind.X_PAIR:
+        return f"x{ids[0]}", f"x{ids[1]}"
+    if fault.kind is FaultKind.A_PAIR:
+        return f"a{ids[0]}", f"a{ids[1]}"
+    level, j1, j2 = ids
+    return f"w{j1}@{level}", f"w{j2}@{level}"
+
+
 def _fault_row(fault: BridgingFault) -> dict:
-    line_a, line_b = fault.lines()
+    line_a, line_b = _net_names(fault)
     return {
         "class": fault.kind.value,
         "line_a": line_a,

@@ -8,6 +8,8 @@ with the bridge injected (``eval_good``, ``eval_faulty``,
 independent routes.  The library's
 oracle decides on GF(2) polynomials; ``truth_table_detectability`` runs the
 same closed form on the truth-table columns of every assignment instead.
+The library packs patterns by slicing one resolved string; ``resolve_bits``
+and ``reference_pack`` fill don't-cares and set column bits one at a time.
 """
 
 from __future__ import annotations
@@ -82,11 +84,34 @@ def _columns(
     return x, a, levels
 
 
+def resolve_bits(
+    pattern: TestPattern, dc_policy: str = "fill-zero"
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pattern's c and x bits, don't-cares filled one symbol at a time."""
+    fill = {"fill-zero": 0, "fill-one": 1}[dc_policy]
+    c = tuple(fill if ch == "d" else int(ch) for ch in pattern.c)
+    x = tuple(fill if ch == "d" else int(ch) for ch in pattern.x)
+    return c, x
+
+
+def reference_pack(
+    network: AndExorNetwork, patterns: Sequence[TestPattern], dc_policy: str
+) -> tuple[list[int], list[int], int]:
+    """``_pack`` bit by bit: bit t of each column is pattern t's symbol."""
+    c_cols, x_cols = [0] * network.p, [0] * network.n
+    for t, pattern in enumerate(patterns):
+        c, x = resolve_bits(pattern, dc_policy)
+        for cols, bits in ((c_cols, c), (x_cols, x)):
+            for k, bit in enumerate(bits):
+                cols[k] |= bit << t
+    return c_cols, x_cols, (1 << len(patterns)) - 1
+
+
 def _resolved_bits(
     network: AndExorNetwork, pattern: TestPattern, dc_policy: str
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     _pack(network, [pattern], dc_policy)  # the library's dimension check
-    return pattern.resolve(dc_policy)
+    return resolve_bits(pattern, dc_policy)
 
 
 def _single(
@@ -179,7 +204,7 @@ def reference_grade(
     dc_policy: str = "fill-zero",
 ) -> tuple[list[FaultVerdict], list[int]]:
     """Verdicts and stimulation masks, one pattern and one fault at a time."""
-    resolved = [pat.resolve(dc_policy) for pat in patterns]
+    resolved = [resolve_bits(pat, dc_policy) for pat in patterns]
     good_sims = [_simulate(network, c, x, None) for c, x in resolved]
 
     masks = [0] * network.d
@@ -225,7 +250,7 @@ def reference_grade(
 def reference_detects(
     network: AndExorNetwork, fault: BridgingFault, pattern: TestPattern
 ) -> bool:
-    c, x = pattern.resolve()
+    c, x = resolve_bits(pattern)
     return _simulate(network, c, x, None).outputs != _simulate(network, c, x, fault).outputs
 
 

@@ -5,7 +5,15 @@ import json
 
 import pytest
 
-from bridgetest import cli, format_circuit, normalize_zero_controls, parse_circuit, parse_test_file
+import bridgetest
+from bridgetest import (
+    TestPattern,
+    cli,
+    format_circuit,
+    normalize_zero_controls,
+    parse_circuit,
+    parse_test_file,
+)
 from bridgetest.cli import build_parser, main
 from conftest import DATA
 
@@ -416,3 +424,28 @@ class TestBench:
         assert report["t2"]["reference"] == [
             "1000000", "0100000", "0001000", "0000100", "0011000", "0001001",
         ]
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # the first bad symbol in sorted order is named, after comments and blanks
+    ("# user file\n\n0000000000\n00y0x00000\n", 4, "bad symbol 'x'"),
+    ("000 0000000  # spaced\n1111111111\n  0d0 1\t1 \n", 3,
+     "pattern has 5 symbols, expected 10 (p=3 then n=7)"),
+    ("0000000000\n0000000000d\n", 2, "pattern has 11 symbols, expected 10 (p=3 then n=7)"),
+])
+def test_test_file_errors_name_their_line(text, line, message):
+    with pytest.raises(bridgetest.TestFileError) as err:
+        parse_test_file(text, 7, 3)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("c, x, message", [
+    ("0x", "1", "bad pattern symbol ['x']"),
+    ("01", "zd y", "bad pattern symbol [' ', 'y', 'z']"),
+    ("2", "3", "bad pattern symbol ['2']"),  # the c part is checked first
+])
+def test_bad_pattern_symbols_are_listed(c, x, message):
+    with pytest.raises(ValueError) as err:
+        TestPattern(c, x)
+    assert str(err.value) == message

@@ -16,15 +16,18 @@ from reference_report import dict_rows, eager_faults, reference_render
 from reference_sim import reference_grade
 
 from bridgetest import (
+    DC_POLICIES,
     SET_NAMES,
     FaultKind,
     TestPattern,
+    TestSet,
     derive_pprm,
     enumerate_faults,
     evaluate_test_set,
     expand_network,
     generate_sets,
     parse_circuit,
+    parse_test_file,
 )
 from bridgetest.cli import RunConfig, run_pipeline
 from bridgetest.report import (
@@ -96,9 +99,25 @@ def test_grading_matches_scalar_reference(seed):
 _RUNS = ((SET_NAMES, True, 22), (("T1", "T4"), False, 22), (("T1", "T4"), True, 0))
 
 
+def _test_file(rng, net, count):
+    """A random {0,1,d} test file, with a comment, blank lines and spacing."""
+    rows = ["".join(rng.choice("01d") for _ in range(net.p + net.n)) for _ in range(count)]
+    rows = [f"{row[: net.p]} {row[net.p :]}  # pattern {t + 1}" for t, row in enumerate(rows)]
+    return "# user patterns\n\n" + "\n".join(rows) + "\n"
+
+
+def _assert_verdicts_render_like_reference(report, faults, evaluation):
+    reference = dict_rows(report, faults, evaluation)
+    rows = report["verdicts"]
+    assert rows == reference["verdicts"]
+    assert [rows[k] for k in range(len(rows))] == reference["verdicts"]
+    for fmt in REPORT_FORMATS:
+        assert render_report(report, fmt) == reference_render(reference, fmt)
+
+
 def test_reports_match_reference_renderer():
-    statuses = set()
-    for _, circuit in _circuits(5, 6):
+    statuses, methods = set(), set()
+    for rng, circuit in _circuits(5, 6):
         net = expand_network(circuit)
         pprms = derive_pprm(circuit)
         for include_aux in (False, True):
@@ -118,11 +137,21 @@ def test_reports_match_reference_renderer():
                     circuit, net, faults, run.evaluation, sets, run.union, run.bound,
                     cfg.echo(), timestamp=False,
                 )
-                reference = dict_rows(report, faults, run.evaluation)
-                rows = report["verdicts"]
-                assert rows == reference["verdicts"]
-                assert [rows[k] for k in range(len(rows))] == reference["verdicts"]
-                for fmt in REPORT_FORMATS:
-                    assert render_report(report, fmt) == reference_render(reference, fmt)
+                _assert_verdicts_render_like_reference(report, faults, run.evaluation)
                 statuses.update(v.status for v in run.evaluation.verdicts)
+
+            # simulate-style: a user test file, graded without fallback
+            for dc_policy in DC_POLICIES:
+                text = _test_file(rng, net, rng.randint(0, 30))
+                sets = [TestSet("User", parse_test_file(text, net.n, net.p))]
+                cfg = RunConfig("simulate", dc_policy=dc_policy, fallback=False,
+                                include_aux=include_aux)
+                run = run_pipeline(net, faults, sets, cfg)
+                report = build_coverage_report(
+                    circuit, net, faults, run.evaluation, sets, run.union, None,
+                    cfg.echo(), timestamp=False,
+                )
+                _assert_verdicts_render_like_reference(report, faults, run.evaluation)
+                methods.update(v.method for v in run.evaluation.verdicts)
     assert statuses == {"detected", "undetected", "redundant", "unresolved"}
+    assert methods == {None, "simulation", "stimulation", "exhaustive", "constant-line"}

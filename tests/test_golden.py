@@ -38,6 +38,11 @@ CASES = {
     "simulate_bench7x3_user.csv": (
         1, ["simulate", "bench7x3.rev", "--tests", "bench7x3_user.tests", "--format", "csv"]
     ),
+    # no other simulate case fills don't-cares with 1
+    "simulate_bench7x3_user_fill_one.csv": (
+        1, ["simulate", "bench7x3.rev", "--tests", "bench7x3_user.tests", "--format", "csv",
+            "--dc-policy", "fill-one"]
+    ),
     "simulate_bench7x3_empty.csv": (
         1, ["simulate", "bench7x3.rev", "--tests", "empty.tests", "--format", "csv"]
     ),

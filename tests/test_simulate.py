@@ -1,6 +1,7 @@
 """Pattern simulator, fault injection, stimulation masks, and the oracle."""
 
 import random
+import re
 
 import pytest
 from conftest import random_circuit, with_zero_control
@@ -14,6 +15,8 @@ from reference_sim import (
     exor_stimulation_mask,
     reference_detects,
     reference_grade,
+    reference_pack,
+    resolve_bits,
 )
 
 from bridgetest import (
@@ -32,6 +35,7 @@ from bridgetest import (
     parse_circuit,
 )
 from bridgetest.atpg import gen_corner_set
+from bridgetest.simulate import _pack
 
 AND = Polarity.WIRED_AND
 OR = Polarity.WIRED_OR
@@ -314,7 +318,31 @@ def test_columns_match_scalar_reference(seed, zero_control, count, dc_policy):
 
     for pat in patterns[:1]:
         c, x = pat.resolve(dc_policy)
+        assert (c, x) == resolve_bits(pat, dc_policy)
         assert eval_good(net, pat, dc_policy) == _simulate(net, c, x, None)
         for fault in faults:
             if fault.kind is not FaultKind.EXOR_INTERNAL:
                 assert eval_faulty(net, fault, pat, dc_policy) == _simulate(net, c, x, fault)
+
+
+@pytest.mark.parametrize("dc_policy", DC_POLICIES)
+@pytest.mark.parametrize("count", (0, 1, 512))
+@pytest.mark.parametrize("zero_control", (False, True))
+def test_pack_matches_reference_resolution(dc_policy, count, zero_control):
+    rng = random.Random(count)
+    circuit = random_circuit(rng, count)
+    if zero_control:
+        circuit = with_zero_control(circuit, rng)
+    net = expand_network(circuit)
+    assert (net.constant_line is not None) == zero_control
+    patterns = _random_patterns(rng, net, count)
+    assert _pack(net, patterns, dc_policy) == reference_pack(net, patterns, dc_policy)
+
+
+@pytest.mark.parametrize("c, x", [("0", "1"), ("000", "1"), ("00", ""), ("000", ""), ("0", "11")])
+def test_pack_rejects_wrong_width(twoline, c, x):
+    # ("000", "") and ("0", "11") have the full width but split it wrongly
+    message = f"pattern dimension mismatch: got p={len(c)} n={len(x)}, network has p=2 n=1"
+    good = TestPattern("00", "1")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _pack(twoline, [good, TestPattern(c, x), good], "fill-zero")
