@@ -6,8 +6,8 @@ Five named sets are built per circuit:
   EXOR sees all four input combinations, discharging ExorInternal.
 * T2: support-guided binary splitting of the input set, depth first with
   the supported side first.  Each accepted pattern drives one gate's
-  support to 1 and everything else to 0, and is kept only if simulation
-  confirms it detects a wired-AND bridge from each input it moves.
+  support to 1 and everything else to 0, and is kept only if it detects
+  the wired-AND bridges across the split (see ``_Partition``).
 * T3: parity-matrix driven patterns for wired-OR input pairs.  Case (a)
   handles variables with an odd diagonal count, case (b) pairs a variable
   with an odd joint count, case (c) retries both after restricting chosen
@@ -19,9 +19,10 @@ Five named sets are built per circuit:
   pair of cascade columns is driven to opposite values somewhere.
 * T5: n walking-zero patterns separating AND outputs with distinct support.
 
-T2 and T3 each refine one partition of the inputs (``_Partition``), which
-checks a candidate split with one bridge per input on the split-off side,
-so each emits at most n - 1 patterns; with T1's 4, T4's ceil(log2 p), and
+T2 and T3 each refine one partition of the inputs (``_Partition``), and
+check a candidate split on one fault-free evaluation: a bridge across it
+moves one input, so it shows where the outputs are sensitive to that input.
+Each set emits at most n - 1 patterns; with T1's 4, T4's ceil(log2 p), and
 T5's n, the union stays within 3n + ceil(log2 p) + 2 whenever no fallback
 pattern is needed.
 Fallback repair consults the exhaustive oracle per missed fault.
@@ -39,7 +40,8 @@ from .faults import BridgingFault, FaultKind, Polarity
 from .network import AndExorNetwork
 from .patterns import TestPattern, TestSet
 from .pprm import PprmFunction
-from .simulate import DEFAULT_ORACLE_CAP, detects, exhaustive_detectability, grade_columns
+from .simulate import (DEFAULT_ORACLE_CAP, _Good, _pack, detects, exhaustive_detectability,
+                       grade_columns)
 
 __all__ = [
     "count_terms",
@@ -135,10 +137,10 @@ class _Partition:
     patterns shown to detect every bridge of one polarity across the split.
 
     A candidate pattern holds the split-off side at one value and the rest
-    of the block at the other, the value the bridge pulls both ends to.  An
-    input bridge changes only what reads x, and candidates leave only the c
-    lines don't-care, so no fill policy can change a check.  Every open
-    block holds at least two inputs; singletons are closed.
+    of the block at the other, the value the bridge pulls both ends to, so
+    it splits where the outputs are sensitive to every input on the side.
+    That reads only x, and candidates leave only the c lines don't-care, so
+    no fill policy can change a check.  Open blocks hold two inputs or more.
     """
 
     def __init__(self, network: AndExorNetwork, polarity: Polarity) -> None:
@@ -156,13 +158,12 @@ class _Partition:
         rest = block - side
         if not rest:
             return False
-        # A bridge (r, s) across the split leaves s where it is and moves r
-        # to the rest's value, so every partner s gives the same faulty
-        # circuit: one partner per moved input decides all of r's pairs.
-        partner = min(rest)
-        for r in sorted(side):
-            if not detects(self.network, BridgingFault.x_pair(r, partner, self.polarity), pattern):
-                return False
+        # A bridge (r, s) across the split moves only r, to the rest's value,
+        # so it shows where the outputs are sensitive to x_r, whatever s is.
+        c, x, ones = _pack(self.network, [pattern], "fill-zero")
+        good = _Good(self.network, c + x, ones)
+        if not all(good.sensitivity(r)[0] for r in sorted(side)):
+            return False
         self.blocks.remove(block)
         self.blocks.extend(part for part in (side, rest) if len(part) >= 2)
         return True

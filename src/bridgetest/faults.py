@@ -132,13 +132,11 @@ class FaultList(Sequence[BridgingFault]):
     """Deterministically ordered fault universe of one netlist, as an
     indexed view over its four class ranges.
 
-    ExorInternal has one entry per gate.  Each bridged pair of the other
-    classes has two consecutive entries, WiredAnd then WiredOr, so class,
-    pair and polarity are arithmetic on the index, and a ``BridgingFault``
-    is built only when one is read.  ``groups`` walks the ranges one gate or
-    pair at a time: an APair or IntraLevel bridge changes the outputs by the
-    XOR of its two nets whatever its polarity, so one read of the pair
-    decides both of its entries.
+    ExorInternal has one entry per gate, first.  Each bridged pair of the
+    other classes has two consecutive entries, WiredAnd then WiredOr, so
+    class, pair and polarity are arithmetic on the index, and a
+    ``BridgingFault`` is built only when one is read.  ``blocks`` gives the
+    pair classes as line ranges, so a reader can walk a whole class at once.
     """
 
     def __init__(
@@ -149,7 +147,6 @@ class FaultList(Sequence[BridgingFault]):
     ) -> None:
         self.d = d = network.d
         self.out_of_model = out_of_model
-        # (kind, lines paired, levels or (None,)) of each pair class, in order
         self._blocks = (
             (FaultKind.X_PAIR, tuple(x_lines), (None,)),
             (FaultKind.INTRA_LEVEL, tuple(range(1, network.p + 1)), tuple(range(d + 1))),
@@ -163,20 +160,14 @@ class FaultList(Sequence[BridgingFault]):
     def __len__(self) -> int:
         return self._len
 
-    def groups(self) -> Iterator[tuple[FaultKind, tuple[int, ...], int, tuple]]:
-        """``(kind, ids, k, polarities)`` per gate or bridged pair, in order:
-        entries k, k + 1, ... are that gate or pair with each polarity."""
-        for gate_id in range(1, self.d + 1):
-            yield FaultKind.EXOR_INTERNAL, (gate_id,), gate_id - 1, (None,)
-        k = self.d
-        for kind, lines, levels in self._blocks:
-            for level in levels:
-                for pair in itertools.combinations(lines, 2):
-                    yield kind, pair if level is None else (level, *pair), k, _POLARITIES
-                    k += 2
+    def blocks(self) -> tuple[tuple[FaultKind, tuple[int, ...], tuple[int | None, ...]], ...]:
+        """``(kind, lines, levels)`` per pair class, in order after the d
+        ExorInternal entries: for each level (None for XPair and APair), the
+        pairs of ``itertools.combinations(lines, 2)``, two entries each."""
+        return self._blocks
 
     def pair_names(self) -> Iterator[tuple[str, str, str]]:
-        """(class, line_a, line_b) per pair in ``groups`` order, names formatted once."""
+        """(class, line_a, line_b) per pair in index order, names formatted once."""
         for kind, lines, levels in self._blocks:
             label = kind.value
             for level in levels:
@@ -184,9 +175,13 @@ class FaultList(Sequence[BridgingFault]):
                 yield from ((label, a, b) for a, b in itertools.combinations(names, 2))
 
     def __iter__(self) -> Iterator[BridgingFault]:
-        for kind, ids, _, polarities in self.groups():
-            for polarity in polarities:
-                yield BridgingFault(kind, ids, polarity)
+        for gate_id in range(1, self.d + 1):
+            yield BridgingFault(FaultKind.EXOR_INTERNAL, (gate_id,))
+        for kind, lines, levels in self._blocks:
+            for level in levels:
+                for pair in itertools.combinations(lines, 2):
+                    ids = pair if level is None else (level, *pair)
+                    yield from (BridgingFault(kind, ids, polarity) for polarity in _POLARITIES)
 
     def __getitem__(self, idx: int) -> BridgingFault:
         if not -self._len <= idx < self._len:

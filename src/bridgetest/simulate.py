@@ -6,19 +6,20 @@ assignment t: grading packs the pattern list into columns and keeps every
 net of one walk, and single-pattern queries use one-bit columns.
 
 No faulty netlist is ever evaluated.  Each output is c_j XOR the AND
-outputs of the gates targeting j, so a bridge changes an output by the XOR
-of the changes it makes to the nets feeding it, and ``_output_changes``
-reads those changes off the fault-free values with ``^ & |`` alone: a
-bridge between two inputs flips at most one, changing the outputs where
-they are sensitive to it.  On columns, the first detecting assignment is
-the lowest set bit of their OR.  The oracle runs the same closed form on
-GF(2) polynomials (``_Anf``) in the pattern positions, which cover every
-assignment at once: a fault is redundant exactly when every change is zero.
+outputs of the gates targeting j, so a bridge changes the outputs by the
+XOR of its two nets (APair, IntraLevel), or, for an XPair, by flipping one
+input where the two differ, wherever the outputs are sensitive to it.
+Grading walks a ``FaultList`` a class block at a time over tables built
+once per call.  ``_output_changes`` reads one fault; ``detects``, plain
+fault lists and the oracle share it, the oracle on GF(2) polynomials
+(``_Anf``) in the pattern positions, which cover every assignment at once:
+a fault is redundant exactly when every change is zero.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -173,10 +174,6 @@ def _fault_difference(
     return functools.reduce(operator.or_, _output_changes(good, kind, ids, polarity), 0)
 
 
-def _lowest(col: int) -> int:
-    return (col & -col).bit_length() - 1
-
-
 def _pack(
     network: AndExorNetwork, patterns: Sequence[TestPattern], dc_policy: str
 ) -> tuple[list[int], list[int], int]:
@@ -324,11 +321,12 @@ def grade_columns(
 ) -> Evaluation:
     """``evaluate_test_set`` on packed columns, bit t holding pattern t.
 
-    Faults are read a group at a time: ``FaultList.groups``, or one fault
-    per group for a plain list.  An APair or IntraLevel bridge changes the
-    outputs by the XOR of its two nets whatever its polarity, so one read of
-    the pair decides both polarities.  An XPair is read once per polarity,
-    from the sensitivity columns of its two inputs.
+    A ``FaultList`` is graded a class block at a time (``FaultList.blocks``).
+    An APair or IntraLevel pair changes the outputs by the XOR of its two
+    nets whatever its polarity, so one ``^`` decides both entries.  An XPair
+    (i, j) flips x_i where x_i = 1 and x_j = 0 under wired-AND, and x_j
+    there under wired-OR, where the outputs are sensitive to the flipped
+    input.  A plain fault list is read one fault at a time.
     """
     cols = c_cols + x_cols
     a = [_Good(network, cols, ones).product(sup) for sup in network.gate_supports]
@@ -343,32 +341,52 @@ def grade_columns(
         seen = (ones ^ (left | right), right & ~left, left & ~right, left & right)
         masks.append(sum(1 << k for k, col in enumerate(seen) if col))
         if all(seen):
-            full_at[gate_id] = max(_lowest(col) for col in seen)
+            full_at[gate_id] = max((col & -col).bit_length() - 1 for col in seen)
         wires[target - 1] ^= right
         levels.append(tuple(wires))
     good = _Good(network, cols, ones, a, levels)
 
     ev = Evaluation(faults, masks)
     status, method, first = ev.status, ev.method, ev.first
-    if isinstance(faults, FaultList):
-        groups = faults.groups()
-    else:
-        groups = ((f.kind, f.ids, k, (f.polarity,)) for k, f in enumerate(faults))
-    for kind, ids, k, polarities in groups:
-        if kind is FaultKind.EXOR_INTERNAL:
-            gate_id = ids[0]
-            sup = network.gate_supports[gate_id - 1]
-            if network.constant_line is not None and sup <= {network.constant_line}:
-                # The AND value is pinned, so two of the four combinations can
-                # never be applied: the obligation is unsatisfiable by design.
-                status[k], method[k] = REDUNDANT, _CONSTANT_LINE
-            elif gate_id in full_at:
-                status[k], method[k], first[k] = DETECTED, _STIMULATION, full_at[gate_id]
+
+    def exor_internal(k: int, gate_id: int) -> None:
+        sup = network.gate_supports[gate_id - 1]
+        if network.constant_line is not None and sup <= {network.constant_line}:
+            # The AND value is pinned, so two of the four combinations can
+            # never be applied: the obligation is unsatisfiable by design.
+            status[k], method[k] = REDUNDANT, _CONSTANT_LINE
+        elif gate_id in full_at:
+            status[k], method[k], first[k] = DETECTED, _STIMULATION, full_at[gate_id]
+
+    if not isinstance(faults, FaultList):
+        for k, f in enumerate(faults):
+            if f.kind is FaultKind.EXOR_INTERNAL:
+                exor_internal(k, f.ids[0])
+            elif diff := _fault_difference(good, f.kind, f.ids, f.polarity):
+                status[k], method[k] = DETECTED, _SIMULATION
+                first[k] = (diff & -diff).bit_length() - 1
+        return ev
+
+    for gate_id in range(1, network.d + 1):
+        exor_internal(gate_id - 1, gate_id)
+    k = network.d
+    for kind, lines, block_levels in faults.blocks():
+        if kind is FaultKind.X_PAIR:
+            # per input v: x_v, its complement, and S_v where x_v is 1 and where it is 0
+            tables = [(xv, ones ^ xv, xv & sv, (ones ^ xv) & sv)
+                      for xv, sv in ((good.x(v), good.sensitivity(v)[0]) for v in lines)]
+            for (xi, ni, ui, di), (xj, nj, uj, dj) in itertools.combinations(tables, 2):
+                for diff in (ui & nj | uj & ni, di & xj | dj & xi):  # WiredAnd, WiredOr
+                    if diff:
+                        status[k], method[k] = DETECTED, _SIMULATION
+                        first[k] = (diff & -diff).bit_length() - 1
+                    k += 1
             continue
-        diff = None
-        for k, polarity in enumerate(polarities, k):
-            if diff is None or kind is FaultKind.X_PAIR:
-                diff = _fault_difference(good, kind, ids, polarity)
-            if diff:
-                status[k], method[k], first[k] = DETECTED, _SIMULATION, _lowest(diff)
+        for level in block_levels:  # every wire of the level, or every AND output
+            for u, w in itertools.combinations(a if level is None else levels[level], 2):
+                if diff := u ^ w:
+                    status[k] = status[k + 1] = DETECTED
+                    method[k] = method[k + 1] = _SIMULATION
+                    first[k] = first[k + 1] = (diff & -diff).bit_length() - 1
+                k += 2
     return ev

@@ -30,7 +30,7 @@ from bridgetest import (
     generate_sets,
     parse_circuit,
 )
-from bridgetest import atpg
+from bridgetest import atpg, simulate
 from bridgetest.atpg import _parity_rows
 
 AND = Polarity.WIRED_AND
@@ -294,34 +294,72 @@ class TestGenerateSets:
         assert result.t2_uncovered == result.t3_uncovered == ()
 
     def test_one_fault_free_read_per_candidate(self, monkeypatch, bench_parts):
-        # a candidate split reads one bridge (r, min(rest)) per moved input r,
-        # in ascending r, and stops at the first miss
+        # a candidate split reads the sensitivity of each moved input r off
+        # one fault-free evaluation, in ascending r, and stops at the first miss
         calls = []
 
-        def recorded(network, fault, pattern, dc_policy="fill-zero"):
-            shown = detects(network, fault, pattern, dc_policy)
-            calls.append((pattern.x, fault.ids, shown))
-            return shown
+        class Recorded(simulate._Good):
+            def sensitivity(self, v):
+                sens = super().sensitivity(v)
+                x = "".join(str(bit) for bit in self.cols[self.network.p :])
+                calls.append((self, x, v, bool(sens[0])))
+                return sens
 
-        monkeypatch.setattr("bridgetest.atpg.detects", recorded)
+        monkeypatch.setattr("bridgetest.atpg._Good", Recorded)
         generate_sets(*bench_parts)
         assert calls
-        for (x, (r, s), shown), (next_x, (next_r, next_s), _) in zip(calls, calls[1:]):
-            if (next_x, next_s) == (x, s):
+        for (good, x, r, shown), (next_good, _, next_r, _) in zip(calls, calls[1:]):
+            if next_good is good:
                 assert shown and next_r > r
         calls.clear()
         generate_sets(*_parts(DUP_TEXT))
         # T2: x1 alone detects nothing (f1 cancels), x1 x2 splits off x3, and
         # gate 2's support repeats gate 1's, so it is not tried again; T3:
         # case (a) splits off x1, then x2
-        assert calls == [
-            ("100", (1, 2), False),
-            ("110", (1, 3), True),
-            ("110", (2, 3), True),
-            ("100", (1, 2), False),
-            ("011", (1, 2), True),
-            ("101", (2, 3), True),
+        assert [call[1:] for call in calls] == [
+            ("100", 1, False),
+            ("110", 1, True),
+            ("110", 2, True),
+            ("100", 1, False),
+            ("011", 1, True),
+            ("101", 2, True),
         ]
+
+    @pytest.mark.parametrize("zero_control", [False, True])
+    def test_split_decides_like_detects(self, monkeypatch, zero_control):
+        # each accepted or refused split is the verdict of detects on the
+        # bridge (r, min(rest)) for every moved input r, in T2 and T3 and on
+        # a random side of the whole input set
+        split = atpg._Partition.split
+        decisions = []
+
+        def checked(self, pattern, block, side):
+            rest = block - side
+            expected = bool(rest) and all(
+                detects(self.network, BridgingFault.x_pair(r, min(rest), self.polarity), pattern)
+                for r in side
+            )
+            accepted = split(self, pattern, block, side)
+            assert accepted == expected, (pattern, sorted(block), sorted(side))
+            decisions.append((self.polarity, accepted))
+            return accepted
+
+        monkeypatch.setattr(atpg._Partition, "split", checked)
+        rng = random.Random(41 + zero_control)
+        for index in range(60):
+            circuit = random_circuit(rng, index)
+            if zero_control:
+                circuit = with_zero_control(circuit, rng)
+            net = expand_network(circuit)
+            assert (net.constant_line is not None) == zero_control
+            generate_sets(derive_pprm(circuit), net, ("T2", "T3"))
+            inputs = frozenset(net.real_inputs())
+            if len(inputs) >= 2:
+                side = frozenset(rng.sample(sorted(inputs), rng.randint(1, len(inputs) - 1)))
+                v = rng.randint(0, 1)
+                pattern = atpg._input_pattern(net, side if v else inputs - side, "T2")
+                atpg._Partition(net, AND if v else OR).split(pattern, inputs, side)
+        assert set(decisions) == {(p, ok) for p in (AND, OR) for ok in (False, True)}
 
     @pytest.mark.parametrize("zero_control", [False, True])
     def test_one_partner_decides_a_moved_input(self, zero_control):

@@ -9,9 +9,10 @@ fault and one pattern at a time.  Report rows come from one template;
 """
 
 import random
+from collections import defaultdict
 
 import pytest
-from conftest import random_circuit, with_zero_control
+from conftest import DATA, random_circuit, with_zero_control
 from reference_report import dict_rows, eager_faults, reference_render
 from reference_sim import reference_grade
 
@@ -26,6 +27,7 @@ from bridgetest import (
     evaluate_test_set,
     expand_network,
     generate_sets,
+    normalize_zero_controls,
     parse_circuit,
     parse_test_file,
 )
@@ -80,7 +82,7 @@ def test_grading_matches_scalar_reference(seed):
         faults = enumerate_faults(net, include_aux=True)
         patterns = _patterns(rng, net, rng.randint(0, 40))
         verdicts, masks = reference_grade(net, list(faults), patterns)
-        for graded in (faults, list(faults)):  # one grading loop serves both
+        for graded in (faults, list(faults)):  # the class-block walk and the per-fault read
             ev = evaluate_test_set(net, graded, patterns)
             assert ev.verdicts == verdicts
             assert ev.masks == masks
@@ -93,6 +95,44 @@ def test_grading_matches_scalar_reference(seed):
             and_.pattern_index != or_.pattern_index for and_, or_ in zip(xpairs[::2], xpairs[1::2])
         )
     assert split_xpairs > 0
+
+
+# x3 and x4 drive no gate (every bridge between them is redundant), gates 1
+# and 2 share a support (APair a1 a2 is redundant), and gate 4's 0-control
+# puts it on a constant-one line x5
+_REDUNDANT_TEXT = """.n 4
+.p 2
+.gate c1 : x1 x2
+.gate c2 : x1 x2
+.gate c1 : x1
+.gate c2 :
+.end
+"""
+
+
+@pytest.mark.parametrize("include_aux", (False, True))
+@pytest.mark.parametrize("dc_policy", DC_POLICIES)
+def test_grading_edge_cases_match_scalar_reference(include_aux, dc_policy):
+    rng = random.Random(include_aux)
+    outcomes = defaultdict(set)  # statuses seen per fault class
+    texts = (_REDUNDANT_TEXT, (DATA / "rand5z.rev").read_text())
+    for text in texts:
+        circuit = normalize_zero_controls(parse_circuit(text, allow_zero_controls=True))
+        net = expand_network(circuit)
+        assert net.constant_line is not None
+        faults = enumerate_faults(net, include_aux=include_aux)
+        for count in (0, 1, 16):
+            patterns = _patterns(rng, net, count)
+            verdicts, masks = reference_grade(net, list(faults), patterns, dc_policy)
+            for graded in (faults, list(faults)):
+                ev = evaluate_test_set(net, graded, patterns, dc_policy)
+                assert ev.verdicts == verdicts, (net.n, include_aux, dc_policy, count)
+                assert ev.masks == masks
+            for v in verdicts:
+                outcomes[v.fault.kind].add(v.status)
+    for kind in (FaultKind.X_PAIR, FaultKind.INTRA_LEVEL, FaultKind.A_PAIR):
+        assert outcomes[kind] == {"detected", "undetected"}, kind
+    assert outcomes[FaultKind.EXOR_INTERNAL] == {"detected", "undetected", "redundant"}
 
 
 # (sets, fallback, oracle cap): repaired, classified only, and over the cap
