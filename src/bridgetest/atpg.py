@@ -14,7 +14,7 @@ Five named sets are built per circuit:
   variables to 0.  Parity rows are bitmasks read straight off the term
   multisets.  Every claim is confirmed by simulation before the partition
   is refined.  Case (c) ends once every wired-OR pair left in an open
-  block is redundant; those pairs still go to fallback.
+  block is redundant; grading leaves those pairs undetected for fallback.
 * T4: ceil(log2 p) halving patterns over the c lines with x all zero; every
   pair of cascade columns is driven to opposite values somewhere.
 * T5: n walking-zero patterns separating AND outputs with distinct support.
@@ -25,7 +25,8 @@ moves one input, so it shows where the outputs are sensitive to that input.
 Each set emits at most n - 1 patterns; with T1's 4, T4's ceil(log2 p), and
 T5's n, the union stays within 3n + ceil(log2 p) + 2 whenever no fallback
 pattern is needed.
-Fallback repair consults the exhaustive oracle per missed fault.
+Fallback repair reads each missed fault once against the repair patterns
+appended so far, and consults the exhaustive oracle for the rest.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ from .faults import BridgingFault, FaultKind, Polarity
 from .network import AndExorNetwork
 from .patterns import TestPattern, TestSet
 from .pprm import PprmFunction
-from .simulate import (DEFAULT_ORACLE_CAP, _Good, _pack, detects, exhaustive_detectability,
-                       grade_columns)
+from .simulate import (DEFAULT_ORACLE_CAP, _fault_difference, _Good, _pack,
+                       exhaustive_detectability)
+from .simulate import detects  # noqa: F401  (kept: perfbench/spans.py patches atpg.detects)
 
 __all__ = [
     "count_terms",
@@ -184,7 +186,8 @@ def gen_input_and_tests(network: AndExorNetwork) -> tuple[TestSet, tuple[tuple[i
     gate's support to 1 and every other input to 0; it splits the block only
     if simulation confirms detection of every wired-AND pair across the
     split, which takes one pair per input of the block the gate reads.
-    Pairs left in blocks no candidate can split are returned for fallback.
+    Pairs left in blocks no candidate can split go to the caller as
+    ``t2_uncovered``; fallback sees them only as grading misses.
     """
     partition = _Partition(network, Polarity.WIRED_AND)
     patterns: list[TestPattern] = []
@@ -224,7 +227,8 @@ def gen_input_or_tests(
     it leaves whole holds a variable with a nonzero parity row, and the walk
     ends once the oracle proves every wired-OR pair in each open block
     redundant: every split leaves a pair across it, so such a block never
-    splits.  Pairs left in unsplit blocks are returned for fallback.
+    splits.  Pairs left in unsplit blocks go to the caller as
+    ``t3_uncovered``; fallback sees them only as grading misses.
     """
     variables = list(network.real_inputs())
     partition = _Partition(network, Polarity.WIRED_OR)
@@ -468,28 +472,37 @@ def fallback_search(
 ) -> FallbackResult:
     """Repair coverage for the faults grading left undetected.
 
-    Up to width ``oracle_cap`` each fault gets the oracle's exact verdict: a
-    witness pattern or a redundancy proof (``redundant`` maps the fault to
-    the proving method).  Above it a seeded random search grades 512 draws
-    per fault and gives up as unresolved.  Unmet
-    ExorInternal obligations are repaired by appending the corner set,
-    whose patterns provably complete every reachable mask.
+    Each fault is read once against the repair patterns appended so far,
+    packed as columns, and skipped if they detect it.  Up to width
+    ``oracle_cap`` the others get the oracle's exact verdict: a witness
+    pattern or a redundancy proof (``redundant`` maps the fault to the
+    proving method).  Above it a seeded random search reads 512 draws per
+    fault at once and gives up as unresolved.  Unmet ExorInternal
+    obligations are repaired by appending the corner set, whose patterns
+    provably complete every reachable mask.
 
     With ``classify_only`` no patterns are ever added; redundancy and
     unresolved classifications still come out, so a fixed test set can be
     graded with the same verdict vocabulary the repair path uses.
     """
     out = FallbackResult()
+    width = network.n + network.p
+    repairs = None  # the patterns appended so far, packed; read only once there are any
+
+    def append(patterns: Iterable[TestPattern]) -> _Good:  # no don't-care to resolve
+        out.patterns.extend(patterns)
+        c, x, ones = _pack(network, out.patterns, "fill-zero")
+        return _Good(network, c + x, ones)
+
     corners_added = False
     # oracle verdicts; both polarities of an APair or IntraLevel share one
     proofs: dict[tuple, bool] = {}
-    width = network.n + network.p
     pinned = None if network.constant_line is None else network.p + network.constant_line - 1
     for idx, fault in enumerate(uncovered_faults):
         if fault.kind is FaultKind.EXOR_INTERNAL:
             if not classify_only and not corners_added:
-                for pat in gen_corner_set(network.n, network.p, constant_line=network.constant_line):
-                    out.patterns.append(replace(pat, origin="Fallback"))
+                corners = gen_corner_set(network.n, network.p, constant_line=network.constant_line)
+                repairs = append(replace(pat, origin="Fallback") for pat in corners)
                 corners_added = True
             continue
         pair = (fault.kind, fault.ids, fault.kind is FaultKind.X_PAIR and fault.polarity)
@@ -497,8 +510,7 @@ def fallback_search(
             if not proofs[pair]:  # a detectable pair's witness is kept, or not wanted
                 out.redundant[fault] = "exhaustive"
             continue
-        # fallback patterns have no don't-care to resolve
-        if any(detects(network, fault, pat) for pat in out.patterns):
+        if out.patterns and _fault_difference(repairs, fault.kind, fault.ids, fault.polarity):
             continue
         if width <= oracle_cap:
             res = exhaustive_detectability(network, fault)
@@ -506,13 +518,13 @@ def fallback_search(
             if not res.detectable:
                 out.redundant[fault] = "exhaustive"
             elif not classify_only:
-                out.patterns.append(res.witness)
+                repairs = append([res.witness])
             continue
-        first = None
+        diff = 0
         if not classify_only:
             # Draw t fills bit t of the c columns then the x columns, one
             # rng.choice per line except the constant line, which stays 1.
-            # All draws are graded at once; the first detecting one is kept.
+            # All draws are read at once; the first detecting one is kept.
             rng = random.Random(_RANDOM_SEED * 1000003 + idx)
             ones = (1 << _RANDOM_DRAWS) - 1
             cols = [ones if k == pinned else 0 for k in range(width)]
@@ -521,13 +533,12 @@ def fallback_search(
                 for k in drawn:
                     if rng.choice("01") == "1":
                         cols[k] |= 1 << t
-            grading = grade_columns(network, [fault], cols[: network.p], cols[network.p :], ones)
-            first = grading.first[0]
-        if first is None:
+            draws = _Good(network, cols, ones)
+            diff = _fault_difference(draws, fault.kind, fault.ids, fault.polarity)
+        if not diff:
             out.unresolved.append(fault)
         else:
+            first = (diff & -diff).bit_length() - 1
             bits = "".join(str(col >> first & 1) for col in cols)
-            out.patterns.append(
-                TestPattern(bits[: network.p], bits[network.p :], origin="Fallback")
-            )
+            repairs = append([TestPattern(bits[: network.p], bits[network.p :], origin="Fallback")])
     return out

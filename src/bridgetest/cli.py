@@ -134,11 +134,11 @@ def run_pipeline(network, faults, sets: list[TestSet], cfg: RunConfig) -> Pipeli
 
     The union is graded once.  Fallback then handles the undetected faults
     (repair patterns only when ``cfg.fallback``).  If it appended patterns,
-    only those faults are graded again, against the final union, and their
-    verdicts are merged back by fault index: dedup keeps first occurrences
-    in order, so the graded base is a prefix of the final union and earlier
-    verdicts and pattern indices stay valid.  The EXOR masks come from that
-    second grading.  With ``faults`` None nothing is graded and fallback
+    the whole fault list is graded again against the final union: dedup
+    keeps first occurrences in order, so the graded base is a prefix of the
+    final union and every verdict and pattern index of the first grading
+    stays.  A miss still undetected then takes fallback's proof method, or
+    ``unresolved``.  With ``faults`` None nothing is graded and fallback
     does not run.
     """
     dc = cfg.dc_policy
@@ -149,23 +149,15 @@ def run_pipeline(network, faults, sets: list[TestSet], cfg: RunConfig) -> Pipeli
         missed = [k for k, status in enumerate(evaluation.status) if status == UNDETECTED]
         missed_faults = evaluation.faults_with("undetected")
         fb = fallback_search(network, missed_faults, cfg.oracle_cap, classify_only=not cfg.fallback)
-        regraded = Evaluation(missed_faults, evaluation.masks)  # all undetected, as graded
         if fb.patterns:
             union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=dc)
-            regraded = evaluate_test_set(network, missed_faults, list(union.test_set), dc_policy=dc)
-        merged = Evaluation(faults, regraded.masks)
-        merged.status[:], merged.method[:], merged.first[:] = (
-            evaluation.status, evaluation.method, evaluation.first
-        )
-        unresolved = set(fb.unresolved)
-        for pos, (k, fault) in enumerate(zip(missed, missed_faults)):
-            status, method, first = regraded.status[pos], regraded.method[pos], regraded.first[pos]
-            if status == UNDETECTED and fault in fb.redundant:
-                status, method = REDUNDANT, METHODS.index(fb.redundant[fault])
-            elif status == UNDETECTED and fault in unresolved:
-                status = UNRESOLVED
-            merged.status[k], merged.method[k], merged.first[k] = status, method, first
-        evaluation = merged
+            evaluation = evaluate_test_set(network, faults, list(union.test_set), dc_policy=dc)
+        status, method, unresolved = evaluation.status, evaluation.method, set(fb.unresolved)
+        for k, fault in zip(missed, missed_faults):
+            if status[k] == UNDETECTED and fault in fb.redundant:
+                status[k], method[k] = REDUNDANT, METHODS.index(fb.redundant[fault])
+            elif status[k] == UNDETECTED and fault in unresolved:
+                status[k] = UNRESOLVED
     bound = check_bound(union, len(network.real_inputs()), network.p)
     return PipelineResult(union, evaluation, fb, bound)
 

@@ -18,6 +18,7 @@ categories are outside the model and can only be tallied, not targeted.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -119,15 +120,6 @@ _POLARITIES = (Polarity.WIRED_AND, Polarity.WIRED_OR)
 _NET_NAMES = {FaultKind.X_PAIR: "x{}", FaultKind.INTRA_LEVEL: "w{}@{}", FaultKind.A_PAIR: "a{}"}
 
 
-def _nth_pair(lines: Sequence[int], k: int) -> tuple[int, int]:
-    """The k-th pair of ``itertools.combinations(lines, 2)``."""
-    for a in range(len(lines)):
-        if k < len(lines) - 1 - a:
-            return lines[a], lines[a + 1 + k]
-        k -= len(lines) - 1 - a
-    raise IndexError("pair index out of range")
-
-
 class FaultList(Sequence[BridgingFault]):
     """Deterministically ordered fault universe of one netlist, as an
     indexed view over its four class ranges.
@@ -153,6 +145,9 @@ class FaultList(Sequence[BridgingFault]):
             (FaultKind.A_PAIR, tuple(range(1, d + 1)), (None,)),
         )
         self.counts = {FaultKind.EXOR_INTERNAL.value: d}
+        # per block, the index of the first pair (a, b) of each row a
+        self._row_starts = [list(itertools.accumulate(range(len(lines) - 1, 0, -1), initial=0))
+                            for _, lines, _ in self._blocks]
         for kind, lines, levels in self._blocks:
             self.counts[kind.value] = len(lines) * (len(lines) - 1) * len(levels)
         self._len = sum(self.counts.values())
@@ -190,11 +185,12 @@ class FaultList(Sequence[BridgingFault]):
         if idx < self.d:
             return BridgingFault(FaultKind.EXOR_INTERNAL, (idx + 1,))
         k, polarity = divmod(idx - self.d, 2)
-        for kind, lines, levels in self._blocks:
-            per_level = len(lines) * (len(lines) - 1) // 2
+        for (kind, lines, levels), starts in zip(self._blocks, self._row_starts):
+            per_level = starts[-1]
             if k < per_level * len(levels):
                 level, k = divmod(k, per_level)
-                pair = _nth_pair(lines, k)
+                a = bisect.bisect_right(starts, k) - 1
+                pair = lines[a], lines[a + 1 + k - starts[a]]
                 ids = pair if levels[level] is None else (levels[level], *pair)
                 return BridgingFault(kind, ids, _POLARITIES[polarity])
             k -= per_level * len(levels)

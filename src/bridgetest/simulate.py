@@ -11,9 +11,9 @@ XOR of its two nets (APair, IntraLevel), or, for an XPair, by flipping one
 input where the two differ, wherever the outputs are sensitive to it.
 Grading walks a ``FaultList`` a class block at a time over tables built
 once per call.  ``_output_changes`` reads one fault; ``detects``, plain
-fault lists and the oracle share it, the oracle on GF(2) polynomials
-(``_Anf``) in the pattern positions, which cover every assignment at once:
-a fault is redundant exactly when every change is zero.
+fault lists, fallback repair and the oracle share it, the oracle on GF(2)
+polynomials (``_Anf``) in the pattern positions, which cover every
+assignment at once: a fault is redundant exactly when every change is zero.
 """
 
 from __future__ import annotations
@@ -303,31 +303,19 @@ def evaluate_test_set(
     patterns: Sequence[TestPattern],
     dc_policy: str = "fill-zero",
 ) -> Evaluation:
-    """Grade every fault against the pattern list.
+    """Grade every fault against the pattern list, verdicts in fault order.
 
-    Detected faults record the first detecting pattern index (or, for
-    ExorInternal, the index at which the stimulation mask became full).
-    Verdicts come back in fault order.
-    """
-    return grade_columns(network, faults, *_pack(network, patterns, dc_policy))
-
-
-def grade_columns(
-    network: AndExorNetwork,
-    faults: FaultList | Sequence[BridgingFault],
-    c_cols: list[int],
-    x_cols: list[int],
-    ones: int,
-) -> Evaluation:
-    """``evaluate_test_set`` on packed columns, bit t holding pattern t.
-
-    A ``FaultList`` is graded a class block at a time (``FaultList.blocks``).
+    The patterns are packed into columns, bit t holding pattern t.  A
+    detected fault records the first detecting pattern index; ExorInternal
+    records the index at which its stimulation mask became full.  A
+    ``FaultList`` is graded a class block at a time (``FaultList.blocks``).
     An APair or IntraLevel pair changes the outputs by the XOR of its two
     nets whatever its polarity, so one ``^`` decides both entries.  An XPair
     (i, j) flips x_i where x_i = 1 and x_j = 0 under wired-AND, and x_j
     there under wired-OR, where the outputs are sensitive to the flipped
     input.  A plain fault list is read one fault at a time.
     """
+    c_cols, x_cols, ones = _pack(network, patterns, dc_policy)
     cols = c_cols + x_cols
     a = [_Good(network, cols, ones).product(sup) for sup in network.gate_supports]
 

@@ -10,22 +10,31 @@ oracle decides on GF(2) polynomials; ``truth_table_detectability`` runs the
 same closed form on the truth-table columns of every assignment instead.
 The library packs patterns by slicing one resolved string; ``resolve_bits``
 and ``reference_pack`` fill don't-cares and set column bits one at a time.
+The library's fallback reads each miss once against all repair patterns,
+packed, and remembers oracle verdicts; ``reference_fallback`` asks
+``detects`` pattern by pattern, proves every fault again, and builds each
+random draw as a string.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from bridgetest import (
     OracleResult,
     AndExorNetwork,
     BridgingFault,
+    FallbackResult,
     FaultKind,
     FaultVerdict,
     TestPattern,
     bridge_values,
+    detects,
     evaluate_test_set,
+    exhaustive_detectability,
+    gen_corner_set,
 )
 from bridgetest.simulate import _fault_difference, _Good, _pack
 
@@ -334,3 +343,56 @@ def truth_table_detectability(network: AndExorNetwork, fault: BridgingFault) -> 
     width = network.n + network.p
     good = _Good(network, TruthColumns(width), (1 << (1 << width)) - 1)
     return _witness(network, _fault_difference(good, fault.kind, fault.ids, fault.polarity))
+
+
+def reference_fallback(
+    network: AndExorNetwork,
+    faults: Sequence[BridgingFault],
+    oracle_cap: int,
+    classify_only: bool = False,
+) -> FallbackResult:
+    """``fallback_search`` with no proof cache, one pattern at a time.
+
+    Proving a pair's second polarity again changes nothing: it is either
+    detected by the first polarity's witness or redundant like it.  Above
+    ``oracle_cap`` the 512 draws of fault ``idx`` are strings, one
+    ``rng.choice`` per line except the constant line, which stays 1.
+    """
+    out = FallbackResult()
+    corners_added = False
+    for idx, fault in enumerate(faults):
+        if fault.kind is FaultKind.EXOR_INTERNAL:
+            if not classify_only and not corners_added:
+                corners = gen_corner_set(network.n, network.p, constant_line=network.constant_line)
+                out.patterns.extend(replace(pat, origin="Fallback") for pat in corners)
+                corners_added = True
+            continue
+        if any(detects(network, fault, pat) for pat in out.patterns):
+            continue
+        if network.n + network.p <= oracle_cap:
+            res = exhaustive_detectability(network, fault)
+            if not res.detectable:
+                out.redundant[fault] = "exhaustive"
+            elif not classify_only:
+                out.patterns.append(res.witness)
+            continue
+        first = None
+        if not classify_only:
+            rng = random.Random(271828 * 1000003 + idx)
+            draws = [
+                TestPattern(
+                    "".join(rng.choice("01") for _ in range(network.p)),
+                    "".join(
+                        "1" if v == network.constant_line else rng.choice("01")
+                        for v in range(1, network.n + 1)
+                    ),
+                    origin="Fallback",
+                )
+                for _ in range(512)
+            ]
+            first = evaluate_test_set(network, [fault], draws).verdicts[0].pattern_index
+        if first is None:
+            out.unresolved.append(fault)
+        else:
+            out.patterns.append(draws[first])
+    return out

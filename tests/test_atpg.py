@@ -1,10 +1,12 @@
 """Test-set construction: counts, parity matrix, the five sets, union,
 size bound, and fallback repair."""
 
+import itertools
 import random
 
 import pytest
 from conftest import random_circuit, with_zero_control
+from reference_sim import reference_fallback
 
 from bridgetest import (
     DC_POLICIES,
@@ -38,6 +40,26 @@ OR = Polarity.WIRED_OR
 
 XOR3_TEXT = ".n 3\n.p 1\n.gate c1 : x1\n.gate c1 : x2\n.gate c1 : x3\n.end\n"
 DUP_TEXT = ".n 3\n.p 2\n.gate c1 : x1\n.gate c1 : x1\n.gate c2 : x1 x2\n.end\n"
+# a T1,T4 union misses every XPair and APair here: 252 faults, 16 repairs
+REPAIR_TEXT = """.n 7
+.p 4
+.gate c1 : x1 x2 x3 x4
+.gate c2 : x3 x4 x6
+.gate c3 : x2
+.gate c1 : x5 x6
+.gate c3 : x1 x3 x6
+.gate c3 : x2 x3
+.gate c2 : x2 x5
+.gate c3 : x2 x4 x6 x7
+.gate c3 : x1
+.gate c4 : x2 x3 x5 x7
+.gate c1 : x1 x2 x3
+.gate c3 : x2 x4
+.gate c1 : x4 x5
+.gate c4 : x1 x3 x5 x6
+.gate c4 : x2 x4
+.end
+"""
 
 
 @pytest.fixture(scope="module")
@@ -525,30 +547,6 @@ class TestFallbackSearch:
     def test_random_draws_match_string_construction(self, zero_control):
         # the column-packed draws pick the same pattern as building each draw
         # as a string, one rng.choice per line except the constant line
-        def string_search(net, faults, seed=271828, attempts=512):
-            patterns, unresolved = [], []
-            for idx, fault in enumerate(faults):
-                if any(detects(net, fault, pat) for pat in patterns):
-                    continue
-                rng = random.Random(seed * 1000003 + idx)
-                draws = [
-                    TestPattern(
-                        "".join(rng.choice("01") for _ in range(net.p)),
-                        "".join(
-                            "1" if v == net.constant_line else rng.choice("01")
-                            for v in range(1, net.n + 1)
-                        ),
-                        origin="Fallback",
-                    )
-                    for _ in range(attempts)
-                ]
-                first = evaluate_test_set(net, [fault], draws).verdicts[0].pattern_index
-                if first is None:
-                    unresolved.append(fault)
-                else:
-                    patterns.append(draws[first])
-            return patterns, unresolved
-
         rng = random.Random(31)
         for idx in range(6):
             circuit = random_circuit(rng, idx, max_n=6, max_p=3, max_d=8, width_cap=8)
@@ -557,5 +555,70 @@ class TestFallbackSearch:
             net = expand_network(circuit)
             faults = [f for f in enumerate_faults(net) if f.kind.value != "ExorInternal"]
             fb = fallback_search(net, faults, oracle_cap=0)
-            assert (fb.patterns, fb.unresolved) == string_search(net, faults)
+            ref = reference_fallback(net, faults, 0)
+            assert (fb.patterns, fb.unresolved) == (ref.patterns, ref.unresolved)
             assert fb.patterns and (net.constant_line is not None) == zero_control
+
+    def test_matches_reference_fallback(self):
+        # the misses of a T1,T4 union, repaired or classified, by the oracle
+        # or by random draws: the same patterns, proofs and unresolved faults.
+        # Every other pair of circuits also lists its ExorInternal faults
+        # first, so the pairs are read against the corner set as well.
+        # reused: misses that a repair pattern appended for another fault detects
+        seen = dict.fromkeys(("patterns", "corners", "reused", "redundant", "unresolved"), 0)
+        rng = random.Random(515)
+        for idx in range(24):
+            circuit = random_circuit(rng, idx, max_n=6, max_p=3, max_d=10, width_cap=9)
+            if idx % 2:
+                circuit = with_zero_control(circuit, rng)
+            net = expand_network(circuit)
+            sets = generate_sets(derive_pprm(circuit), net, ("T1", "T4")).ordered_sets()
+            union = assemble_union(sets).test_set
+            faults = enumerate_faults(net)
+            pairs = evaluate_test_set(net, faults, list(union)).faults_with("undetected")
+            exor = [faults[k] for k in range(net.d)] if idx % 4 >= 2 else []
+            missed = exor + pairs
+            assert all(f.kind is not FaultKind.EXOR_INTERNAL for f in pairs)
+            for classify_only, cap in itertools.product((False, True), (0, 22)):
+                fb = fallback_search(net, missed, cap, classify_only=classify_only)
+                ref = reference_fallback(net, missed, cap, classify_only)
+                assert fb == ref, (idx, classify_only, cap)
+                seen["patterns"] += len(fb.patterns)
+                seen["redundant"] += len(fb.redundant)
+                seen["unresolved"] += len(fb.unresolved)
+                if not classify_only:  # the reference settles each pair miss one way
+                    corners = 4 * (len(pairs) < len(missed))
+                    settled = len(fb.patterns) - corners + len(fb.redundant) + len(fb.unresolved)
+                    seen["corners"] += corners
+                    seen["reused"] += len(pairs) - settled
+        assert all(seen.values()), seen
+
+    def test_one_pack_per_append_and_no_detects_call(self, monkeypatch):
+        # every miss is read against the packed repair patterns: nothing
+        # calls detects, and the repairs are packed again only on an append
+        packs = []  # the number of patterns packed, per call
+        pack = atpg._pack
+
+        def counted_pack(network, patterns, dc_policy):
+            packs.append(len(patterns))
+            return pack(network, patterns, dc_policy)
+
+        monkeypatch.setattr(atpg, "_pack", counted_pack)
+
+        def no_detects(*args, **kwargs):
+            raise AssertionError("fallback called detects")
+
+        monkeypatch.setattr(atpg, "detects", no_detects)
+        monkeypatch.setattr(simulate, "detects", no_detects)
+        circuit = parse_circuit(REPAIR_TEXT)
+        net = expand_network(circuit)
+        sets = generate_sets(derive_pprm(circuit), net, ("T1", "T4")).ordered_sets()
+        union = assemble_union(sets).test_set
+        missed = evaluate_test_set(net, enumerate_faults(net), list(union)).faults_with(
+            "undetected"
+        )
+        assert len(missed) >= 100
+        assert all(f.kind is not FaultKind.EXOR_INTERNAL for f in missed)
+        fb = fallback_search(net, missed)
+        assert len(fb.patterns) >= 10
+        assert packs == list(range(1, len(fb.patterns) + 1))  # one pattern per append

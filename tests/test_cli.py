@@ -210,8 +210,20 @@ class TestAtpg:
         assert out_plain == out_fb
         assert len(parse_test_file(out_fb, 2, 1)) == 7
 
+    def test_bound_overrun_warns_on_stderr(self, capsys, bench_path):
+        # T1 and T4 miss some faults, and the repair patterns push the
+        # union past 3n + ceil(log2 p) + 2; the warning does not fail the run
+        code, _, err = run(capsys, "atpg", str(bench_path), "--fallback", "--sets", "T1,T4")
+        assert code == 0
+        assert err == "warning: union size 26 exceeds bound 25\n"
+
 
 class TestSimulateAndVerify:
+    def test_verify_dedup_summary(self, capsys, and2_path):
+        code, out, _ = run(capsys, "verify", str(and2_path), "--dedup")
+        assert code == 0
+        assert "\nunion: 6 patterns (pre-dedup 7, fallback 0, deduplicated away 1)\n" in out
+
     def test_verify_benchmark(self, capsys, bench_path):
         code, out, err = run(
             capsys, "verify", str(bench_path), "-f", "json", "--no-timestamp"
@@ -357,7 +369,7 @@ class TestGradeCount:
 
         def recording(network, faults, patterns, *args, **kwargs):
             evaluation = grade(network, faults, patterns, *args, **kwargs)
-            calls.append((list(faults), evaluation))
+            calls.append((faults, list(patterns), evaluation))
             return evaluation
 
         monkeypatch.setattr(cli, "evaluate_test_set", recording)
@@ -368,12 +380,20 @@ class TestGradeCount:
         assert code == 0
         assert len(grades) == 1
 
-    def test_verify_regrades_only_the_misses(self, capsys, grades):
+    def test_verify_regrades_the_final_union(self, capsys, grades, monkeypatch):
+        repairs = []
+        search = cli.fallback_search
+
+        def recording(*args, **kwargs):
+            repairs.append(search(*args, **kwargs))
+            return repairs[-1]
+
+        monkeypatch.setattr(cli, "fallback_search", recording)
         code, _, _ = run(capsys, "verify", str(DATA / "rand5z.rev"), "--sets", "T1,T4")
         assert code == 0
-        assert len(grades) == 2
-        (_, first), (second_faults, _) = grades
-        assert second_faults == first.faults_with("undetected")
+        (faults, base, _), (second_faults, final, _) = grades
+        assert second_faults is faults
+        assert repairs[0].patterns and final == base + repairs[0].patterns
 
     def test_atpg_without_fallback_grades_nothing(self, capsys, grades):
         code, _, _ = run(capsys, "atpg", str(DATA / "bench7x3.rev"))

@@ -74,6 +74,22 @@ def test_fault_list_matches_eager_enumeration(include_aux, out_of_model):
                 faults[outside]
 
 
+# one 300-line block each: XPair over 300 inputs, IntraLevel over 300
+# target lines, APair over 300 gates
+_WIDE_TEXTS = (
+    ".n 300\n.p 1\n.gate c1 : x1\n.end\n",
+    ".n 1\n.p 300\n.end\n",
+    ".n 1\n.p 1\n" + ".gate c1 : x1\n" * 300 + ".end\n",
+)
+
+
+@pytest.mark.parametrize("text", _WIDE_TEXTS, ids=("XPair", "IntraLevel", "APair"))
+def test_fault_list_indexing_on_a_wide_block(text):
+    faults = enumerate_faults(expand_network(parse_circuit(text)))
+    assert len(faults) >= 300 * 299
+    assert [faults[k] for k in range(len(faults))] == list(faults)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_grading_matches_scalar_reference(seed):
     split_xpairs = 0  # XPairs whose two polarities are first detected apart

@@ -1,11 +1,12 @@
 """``run_pipeline`` against the sequence it replaced.
 
 The reference below is the generate → grade → fallback → regrade sequence
-the commands used to spell out: grade the base union, run fallback on the
-misses, grade the whole final union again, then classify what fallback
-proved.  The pipeline grades the union once and regrades only the misses,
-so the two must agree on every verdict, pattern index, mask, union and
-bound.
+the commands used to spell out: grade the base union, repair the misses
+with ``reference_fallback`` (one ``detects`` call per repair pattern, no
+proof cache), grade the whole final union again, then classify what
+fallback proved.  The pipeline grades the final union again only when
+fallback appended patterns, so the two must agree on every verdict,
+pattern index, mask, union and bound.
 """
 
 import itertools
@@ -19,12 +20,12 @@ from bridgetest import (
     enumerate_faults,
     evaluate_test_set,
     expand_network,
-    fallback_search,
     generate_sets,
 )
 from bridgetest.cli import RunConfig, run_pipeline
 from bridgetest.simulate import DEFAULT_ORACLE_CAP, FaultVerdict
 from conftest import random_circuit, with_zero_control
+from reference_sim import reference_fallback
 
 SELECTIONS = (SET_NAMES, ("T1", "T4"), ("T3", "T5"), ("T4",))
 
@@ -33,8 +34,8 @@ def reference(network, faults, sets, cfg):
     dc = cfg.dc_policy
     base = assemble_union(sets, dc_policy=dc)
     first = evaluate_test_set(network, faults, list(base.test_set), dc_policy=dc)
-    fb = fallback_search(network, first.faults_with("undetected"), cfg.oracle_cap,
-                         classify_only=not cfg.fallback)
+    fb = reference_fallback(network, first.faults_with("undetected"), cfg.oracle_cap,
+                            not cfg.fallback)
     union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=dc)
     bound = check_bound(union, len(network.real_inputs()), network.p)
     final = evaluate_test_set(network, faults, list(union.test_set), dc_policy=dc)
