@@ -4,8 +4,8 @@ Injecting bridging faults and grading a test set
 
 Shows the four fault classes on a small circuit: what a wired-AND or
 wired-OR short does to the two nets, how a single pattern is judged from
-the closed-form output change, and how a whole pattern list is graded in
-one call.
+the closed-form output change, and how a whole pattern list, as rows of
+c symbols then x symbols, is graded in one call.
 """
 
 from bridgetest import (
@@ -26,8 +26,8 @@ net = expand_network(circuit)
 
 # the wired semantics themselves: both nets take the AND (or OR)
 for pol in (Polarity.WIRED_AND, Polarity.WIRED_OR):
-    rows = [bridge_values(a, b, pol) for a in (0, 1) for b in (0, 1)]
-    print(f"{pol.value}: 00 01 10 11 -> " + " ".join(f"{x}{y}" for x, y in rows))
+    pairs = [bridge_values(a, b, pol) for a in (0, 1) for b in (0, 1)]
+    print(f"{pol.value}: 00 01 10 11 -> " + " ".join(f"{x}{y}" for x, y in pairs))
 print()
 
 # a bridge between the two AND outputs, wired-AND polarity.  One of the two
@@ -42,11 +42,11 @@ print(f"pattern {pattern.line()}: a={tuple(a)}, output change a1 XOR a2 = {a[0] 
 print(f"detected: {detects(net, fault, pattern)}")
 print()
 
-# the full universe for this netlist, graded against three patterns
+# the full universe for this netlist, graded against three rows (c1 x1 x2)
 faults = enumerate_faults(net)
 print(f"fault universe: {dict(faults.counts)}")
-patterns = [TestPattern("0", "10"), TestPattern("0", "01"), TestPattern("1", "11")]
-evaluation = evaluate_test_set(net, faults, patterns)
+rows = ["010", "001", "111"]
+evaluation = evaluate_test_set(net, faults, rows)
 for verdict in evaluation.verdicts:
     where = verdict.fault.describe()
     extra = f" (pattern {verdict.pattern_index + 1})" if verdict.pattern_index is not None else ""
@@ -57,7 +57,7 @@ print()
 # a gate all four input combinations.  The corner set exists for exactly that.
 from bridgetest import gen_corner_set
 
-with_corners = patterns + list(gen_corner_set(net.n, net.p).patterns)
+with_corners = rows + gen_corner_set(net.n, net.p).rows
 evaluation = evaluate_test_set(net, faults, with_corners)
 print(f"with the corner set added: {evaluation.count('detected')} of"
       f" {len(faults)} detected, masks = {[bin(m) for m in evaluation.masks]}")

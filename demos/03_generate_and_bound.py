@@ -24,9 +24,9 @@ pprms = derive_pprm(circuit)
 
 result = generate_sets(pprms, net)
 for name, ts in result.sets.items():
-    print(f"{name} ({ts.target_class}): {len(ts)} patterns")
-    for pat in ts:
-        print(f"  {pat.line()}")
+    print(f"{name} ({ts.target_class}): {len(ts)} patterns, c1..c3 then x1..x7")
+    for row in ts.rows:
+        print(f"  {row}")
 print()
 
 # grade the union, let the fallback repair or classify whatever is left, and
@@ -39,7 +39,7 @@ print(f"union of {run.union.pre_dedup_size}: {evaluation.count('detected')} of"
 for fault, method in run.fallback.redundant.items():
     print(f"  {fault.describe()}: redundant ({method} proof)")
 if run.fallback.patterns:
-    print(f"  repair patterns added: {[p.line() for p in run.fallback.patterns]}")
+    print(f"  repair patterns added: {run.fallback.patterns}")
 print()
 
 # the bound counts the construction before any deduplication

@@ -34,12 +34,12 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .faults import BridgingFault, FaultKind, Polarity
 from .network import AndExorNetwork
-from .patterns import TestPattern, TestSet
+from .patterns import FILL_TABLES, TestSet
 from .pprm import PprmFunction
 from .simulate import (DEFAULT_ORACLE_CAP, _fault_difference, _Good, _pack,
                        exhaustive_detectability)
@@ -115,23 +115,19 @@ def gen_corner_set(n: int, p: int, *, constant_line: int | None = None) -> TestS
     """Four corner patterns; the constant line, if any, stays at 1."""
     zero_x = "".join("1" if v == constant_line else "0" for v in range(1, n + 1))
     one_x = "1" * n
-    rows = [("0" * p, zero_x), ("0" * p, one_x), ("1" * p, zero_x), ("1" * p, one_x)]
-    return TestSet(
-        "T1",
-        [TestPattern(c, x, origin="T1") for c, x in rows],
-        target_class=FaultKind.EXOR_INTERNAL.value,
-    )
+    rows = ["0" * p + zero_x, "0" * p + one_x, "1" * p + zero_x, "1" * p + one_x]
+    return TestSet("T1", rows, target_class=FaultKind.EXOR_INTERNAL.value)
 
 
 # ---------------------------------------------------------------------------
 # T2, and the input partition it shares with T3
 
-def _input_pattern(network: AndExorNetwork, ones: frozenset, origin: str) -> TestPattern:
-    """The inputs in ``ones`` and the constant line at 1, the other inputs at
-    0 and the c lines don't-care."""
+def _input_pattern(network: AndExorNetwork, ones: frozenset) -> str:
+    """The row with the inputs in ``ones`` and the constant line at 1, the
+    other inputs at 0 and the c lines don't-care."""
     aux = network.constant_line
     bits = "".join("1" if v in ones or v == aux else "0" for v in range(1, network.n + 1))
-    return TestPattern("d" * network.p, bits, origin=origin)
+    return "d" * network.p + bits
 
 
 class _Partition:
@@ -154,15 +150,15 @@ class _Partition:
     def block_of(self, v: int) -> frozenset | None:
         return next((b for b in self.blocks if v in b), None)
 
-    def split(self, pattern: TestPattern, block: frozenset, side: frozenset) -> bool:
-        """Split ``block`` into ``side`` and the rest if ``pattern`` detects
+    def split(self, row: str, block: frozenset, side: frozenset) -> bool:
+        """Split ``block`` into ``side`` and the rest if ``row`` detects
         every bridge across them; True when it did."""
         rest = block - side
         if not rest:
             return False
         # A bridge (r, s) across the split moves only r, to the rest's value,
         # so it shows where the outputs are sensitive to x_r, whatever s is.
-        c, x, ones = _pack(self.network, [pattern], "fill-zero")
+        c, x, ones = _pack(self.network, [row], "fill-zero")
         good = _Good(self.network, c + x, ones)
         if not all(good.sensitivity(r)[0] for r in sorted(side)):
             return False
@@ -190,7 +186,7 @@ def gen_input_and_tests(network: AndExorNetwork) -> tuple[TestSet, tuple[tuple[i
     ``t2_uncovered``; fallback sees them only as grading misses.
     """
     partition = _Partition(network, Polarity.WIRED_AND)
-    patterns: list[TestPattern] = []
+    patterns: list[str] = []
     supports = sorted(dict.fromkeys(network.gate_supports), key=len)
     todo = list(partition.blocks)
     while todo:
@@ -199,7 +195,7 @@ def gen_input_and_tests(network: AndExorNetwork) -> tuple[TestSet, tuple[tuple[i
             side = support & block
             if not side or side == block:
                 continue
-            pattern = _input_pattern(network, support, "T2")
+            pattern = _input_pattern(network, support)
             if partition.split(pattern, block, side):
                 patterns.append(pattern)
                 todo.extend(part for part in (block - side, side) if len(part) >= 2)
@@ -232,7 +228,7 @@ def gen_input_or_tests(
     """
     variables = list(network.real_inputs())
     partition = _Partition(network, Polarity.WIRED_OR)
-    patterns: list[TestPattern] = []
+    patterns: list[str] = []
 
     # every split leaves a pair across it, so a block whose wired-OR pairs
     # are all redundant never splits
@@ -263,7 +259,7 @@ def gen_input_or_tests(
             block = partition.block_of(i)
             if block is None or (block & restricted):
                 continue
-            pattern = _input_pattern(network, ones - {i}, "T3")
+            pattern = _input_pattern(network, ones - {i})
             if partition.split(pattern, block, frozenset({i})):
                 patterns.append(pattern)
 
@@ -277,7 +273,7 @@ def gen_input_or_tests(
             if not partners:
                 continue
             k = (partners & -partners).bit_length() - 1  # lowest partner
-            pattern = _input_pattern(network, ones - {i, k}, "T3")
+            pattern = _input_pattern(network, ones - {i, k})
             block_k = partition.block_of(k)
             if block_k is block:
                 # i and k stay joined: their own pair is not exercised here
@@ -323,7 +319,7 @@ def gen_cascade_pair_tests(p: int, n: int, *, constant_line: int | None = None) 
     for r in range(1, k + 1):
         run = 1 << (k - r)
         row = ("1" * run + "0" * run) * (1 << (r - 1))
-        rows.append(TestPattern(row[:p], x_bits, origin="T4"))
+        rows.append(row[:p] + x_bits)
     return TestSet("T4", rows, target_class=FaultKind.INTRA_LEVEL.value)
 
 
@@ -337,7 +333,7 @@ def gen_walking_zero_tests(n: int, p: int, *, constant_line: int | None = None) 
         if i == constant_line:
             continue
         bits = "".join("0" if v == i else "1" for v in range(1, n + 1))
-        patterns.append(TestPattern("d" * p, bits, origin="T5"))
+        patterns.append("d" * p + bits)
     return TestSet("T5", patterns, target_class=FaultKind.A_PAIR.value)
 
 
@@ -385,35 +381,34 @@ class UnionResult:
     pre_dedup_size: int
     fallback_count: int
     removed: int = 0
+    # per row: its set's name, or "Fallback"; set by assemble_union, not a parameter
+    origins: list[str] = field(default_factory=list, init=False)
 
 
 def assemble_union(
     sets: Sequence[TestSet],
-    fallback: Sequence[TestPattern] = (),
+    fallback: Sequence[str] = (),
     *,
     dedup: bool = False,
     dc_policy: str = "fill-zero",
 ) -> UnionResult:
-    """Concatenate the named sets in order, then fallback patterns.
+    """Concatenate the named sets' rows in order, then the fallback rows.
 
     The pre-deduplication size is recorded for the bound check even when
-    ``dedup`` drops patterns that collide after don't-care instantiation.
+    ``dedup`` keeps only the first of the rows that collide after
+    don't-care instantiation.
     """
-    ordered = [pat for ts in sets for pat in ts] + list(fallback)
-    pre = len(ordered)
-    removed = 0
+    rows = [row for ts in sets for row in ts.rows] + list(fallback)
+    origins = [ts.name for ts in sets for _ in ts.rows] + ["Fallback"] * len(fallback)
+    pre = len(rows)
     if dedup:
-        seen: set[str] = set()
-        kept = []
-        for pat in ordered:
-            key = pat.resolved_line(dc_policy)
-            if key in seen:
-                removed += 1
-                continue
-            seen.add(key)
-            kept.append(pat)
-        ordered = kept
-    return UnionResult(TestSet("Union", ordered), pre, len(fallback), removed)
+        first: dict[str, int] = {}  # filled row -> its first index, in row order
+        for k, row in enumerate(rows):
+            first.setdefault(row.translate(FILL_TABLES[dc_policy]), k)
+        rows, origins = [rows[k] for k in first.values()], [origins[k] for k in first.values()]
+    union = UnionResult(TestSet("Union", rows), pre, len(fallback), pre - len(rows))
+    union.origins = origins
+    return union
 
 
 def ceil_log2(p: int) -> int:
@@ -458,7 +453,7 @@ _RANDOM_DRAWS = 512
 
 @dataclass
 class FallbackResult:
-    patterns: list[TestPattern] = field(default_factory=list)
+    patterns: list[str] = field(default_factory=list)  # repair rows
     redundant: dict[BridgingFault, str] = field(default_factory=dict)
     unresolved: list[BridgingFault] = field(default_factory=list)
 
@@ -472,14 +467,14 @@ def fallback_search(
 ) -> FallbackResult:
     """Repair coverage for the faults grading left undetected.
 
-    Each fault is read once against the repair patterns appended so far,
+    Each fault is read once against the repair rows appended so far,
     packed as columns, and skipped if they detect it.  Up to width
     ``oracle_cap`` the others get the oracle's exact verdict: a witness
     pattern or a redundancy proof (``redundant`` maps the fault to the
-    proving method).  Above it a seeded random search reads 512 draws per
-    fault at once and gives up as unresolved.  Unmet ExorInternal
-    obligations are repaired by appending the corner set, whose patterns
-    provably complete every reachable mask.
+    proving method); a witness goes in as its row.  Above it a seeded random
+    search reads 512 draws per fault at once and gives up as unresolved.
+    Unmet ExorInternal obligations are repaired by appending the corner
+    set's rows, which provably complete every reachable mask.
 
     With ``classify_only`` no patterns are ever added; redundancy and
     unresolved classifications still come out, so a fixed test set can be
@@ -487,10 +482,10 @@ def fallback_search(
     """
     out = FallbackResult()
     width = network.n + network.p
-    repairs = None  # the patterns appended so far, packed; read only once there are any
+    repairs = None  # the rows appended so far, packed; read only once there are any
 
-    def append(patterns: Iterable[TestPattern]) -> _Good:  # no don't-care to resolve
-        out.patterns.extend(patterns)
+    def append(rows: Iterable[str]) -> _Good:  # no don't-care to resolve
+        out.patterns.extend(rows)
         c, x, ones = _pack(network, out.patterns, "fill-zero")
         return _Good(network, c + x, ones)
 
@@ -502,7 +497,7 @@ def fallback_search(
         if fault.kind is FaultKind.EXOR_INTERNAL:
             if not classify_only and not corners_added:
                 corners = gen_corner_set(network.n, network.p, constant_line=network.constant_line)
-                repairs = append(replace(pat, origin="Fallback") for pat in corners)
+                repairs = append(corners.rows)
                 corners_added = True
             continue
         pair = (fault.kind, fault.ids, fault.kind is FaultKind.X_PAIR and fault.polarity)
@@ -518,7 +513,7 @@ def fallback_search(
             if not res.detectable:
                 out.redundant[fault] = "exhaustive"
             elif not classify_only:
-                repairs = append([res.witness])
+                repairs = append([res.witness.line()])
             continue
         diff = 0
         if not classify_only:
@@ -539,6 +534,5 @@ def fallback_search(
             out.unresolved.append(fault)
         else:
             first = (diff & -diff).bit_length() - 1
-            bits = "".join(str(col >> first & 1) for col in cols)
-            repairs = append([TestPattern(bits[: network.p], bits[network.p :], origin="Fallback")])
+            repairs = append(["".join(str(col >> first & 1) for col in cols)])
     return out

@@ -102,13 +102,13 @@ class ReversibleCircuit:
         return tuple(i for i in range(1, self.n + 1) if i != self.constant_line)
 
 
-_DIRECTIVE_INT = re.compile(r"^(\.[np])\s+(\d+)\s*$")
 _C_TOKEN = re.compile(r"^c(\d+)$")
 _X_TOKEN = re.compile(r"^x(\d+)$")
 
 
-def _tokens_with_columns(line: str) -> list[tuple[str, int]]:
-    return [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", line)]
+def _column(line: str, k: int) -> int:
+    """1-based column of the k-th token of ``line``, found only for an error."""
+    return [m.start() + 1 for m in re.finditer(r"\S+", line)][k]
 
 
 def parse_circuit(
@@ -129,75 +129,74 @@ def parse_circuit(
     for lineno, raw in enumerate(text.splitlines(), start=1):
         last_line = lineno
         line = raw.split("#", 1)[0]
-        toks = _tokens_with_columns(line)
+        toks = line.split()
         if not toks:
             continue
-        head, head_col = toks[0]
+        head = toks[0]
         if ended:
-            raise ParseError("content after .end", lineno, head_col)
+            raise ParseError("content after .end", lineno, _column(line, 0))
 
         if head in (".n", ".p"):
-            if len(toks) != 2 or not toks[1][0].isdigit():
-                raise ParseError(f"{head} expects one integer", lineno, head_col)
-            value = int(toks[1][0])
+            if len(toks) != 2 or not toks[1].isdigit():
+                raise ParseError(f"{head} expects one integer", lineno, _column(line, 0))
+            value = int(toks[1])
             if value < 1:
-                raise ParseError(f"{head} must be at least 1", lineno, toks[1][1])
+                raise ParseError(f"{head} must be at least 1", lineno, _column(line, 1))
             if head == ".n":
                 if n is not None:
-                    raise ParseError("duplicate .n", lineno, head_col)
+                    raise ParseError("duplicate .n", lineno, _column(line, 0))
                 n = value
             else:
                 if p is not None:
-                    raise ParseError("duplicate .p", lineno, head_col)
+                    raise ParseError("duplicate .p", lineno, _column(line, 0))
                 if n is None:
-                    raise ParseError(".n must come before .p", lineno, head_col)
+                    raise ParseError(".n must come before .p", lineno, _column(line, 0))
                 p = value
             continue
 
         if head == ".end":
             if len(toks) != 1:
-                raise ParseError(".end takes no arguments", lineno, toks[1][1])
+                raise ParseError(".end takes no arguments", lineno, _column(line, 1))
             if n is None or p is None:
-                raise ParseError(".end before .n and .p", lineno, head_col)
+                raise ParseError(".end before .n and .p", lineno, _column(line, 0))
             ended = True
             continue
 
         if head == ".gate":
             if n is None or p is None:
-                raise ParseError(".gate before .n and .p", lineno, head_col)
-            if len(toks) < 3 or toks[2][0] != ":":
-                raise ParseError(".gate expects 'c<j> : x<i> ...'", lineno, head_col)
-            tgt_tok, tgt_col = toks[1]
-            if _X_TOKEN.match(tgt_tok):
-                raise ParseError(f"target must be a c line (got '{tgt_tok}')", lineno, tgt_col)
-            m = _C_TOKEN.match(tgt_tok)
+                raise ParseError(".gate before .n and .p", lineno, _column(line, 0))
+            if len(toks) < 3 or toks[2] != ":":
+                raise ParseError(".gate expects 'c<j> : x<i> ...'", lineno, _column(line, 0))
+            tgt = toks[1]
+            if _X_TOKEN.match(tgt):
+                raise ParseError(f"target must be a c line (got '{tgt}')", lineno, _column(line, 1))
+            m = _C_TOKEN.match(tgt)
             if not m:
-                raise ParseError(f"bad target token '{tgt_tok}'", lineno, tgt_col)
+                raise ParseError(f"bad target token '{tgt}'", lineno, _column(line, 1))
             target = int(m.group(1))
             if not (1 <= target <= p):
-                raise ParseError(f"target c{target} out of range 1..{p}", lineno, tgt_col)
+                raise ParseError(f"target c{target} out of range 1..{p}", lineno, _column(line, 1))
 
             controls: list[int] = []
-            for tok, col in toks[3:]:
+            for k, tok in enumerate(toks[3:], start=3):
                 if _C_TOKEN.match(tok):
-                    raise ParseError(f"control on target line '{tok}'", lineno, col)
+                    raise ParseError(f"control on target line '{tok}'", lineno, _column(line, k))
                 m = _X_TOKEN.match(tok)
                 if not m:
-                    raise ParseError(f"bad control token '{tok}'", lineno, col)
+                    raise ParseError(f"bad control token '{tok}'", lineno, _column(line, k))
                 v = int(m.group(1))
                 if not (1 <= v <= n):
-                    raise ParseError(f"control x{v} out of range 1..{n}", lineno, col)
+                    raise ParseError(f"control x{v} out of range 1..{n}", lineno, _column(line, k))
                 if v in controls:
-                    raise ParseError(f"duplicate control x{v}", lineno, col)
+                    raise ParseError(f"duplicate control x{v}", lineno, _column(line, k))
                 controls.append(v)
             if not controls and not allow_zero_controls:
-                raise ParseError(
-                    "gate has no controls (0-CNOT); normalization is disabled", lineno, head_col
-                )
+                raise ParseError("gate has no controls (0-CNOT); normalization is disabled",
+                                 lineno, _column(line, 0))
             gates.append(Gate(frozenset(controls), target, len(gates) + 1))
             continue
 
-        raise ParseError(f"unknown directive '{head}'", lineno, head_col)
+        raise ParseError(f"unknown directive '{head}'", lineno, _column(line, 0))
 
     if n is None or p is None:
         raise ParseError("missing .n or .p", last_line + 1)

@@ -37,7 +37,6 @@ from .network import expand_network
 from .patterns import (
     DC_POLICIES,
     TestFileError,
-    TestPattern,
     TestSet,
     format_patterns,
     parse_test_file,
@@ -145,13 +144,13 @@ def run_pipeline(network, faults, sets: list[TestSet], cfg: RunConfig) -> Pipeli
     union = assemble_union(sets, dedup=cfg.dedup, dc_policy=dc)
     evaluation = fb = None
     if faults is not None:
-        evaluation = evaluate_test_set(network, faults, list(union.test_set), dc_policy=dc)
+        evaluation = evaluate_test_set(network, faults, union.test_set.rows, dc_policy=dc)
         missed = [k for k, status in enumerate(evaluation.status) if status == UNDETECTED]
         missed_faults = evaluation.faults_with("undetected")
         fb = fallback_search(network, missed_faults, cfg.oracle_cap, classify_only=not cfg.fallback)
         if fb.patterns:
             union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=dc)
-            evaluation = evaluate_test_set(network, faults, list(union.test_set), dc_policy=dc)
+            evaluation = evaluate_test_set(network, faults, union.test_set.rows, dc_policy=dc)
         status, method, unresolved = evaluation.status, evaluation.method, set(fb.unresolved)
         for k, fault in zip(missed, missed_faults):
             if status[k] == UNDETECTED and fault in fb.redundant:
@@ -170,7 +169,7 @@ def _coverage_exit(evaluation: Evaluation) -> int:
     return EXIT_OK
 
 
-def _parse_tests_for(network, text: str) -> list[TestPattern]:
+def _parse_tests_for(network, text: str) -> list[str]:
     """Parse a test file sized for the network.
 
     When normalization added a constant line, files written for the
@@ -179,16 +178,9 @@ def _parse_tests_for(network, text: str) -> list[TestPattern]:
     """
     n, p = network.n, network.p
     if network.constant_line == n:
-        width = None
-        for raw in text.splitlines():
-            row = raw.split("#", 1)[0]
-            row = "".join(row.split())
-            if row:
-                width = len(row)
-                break
-        if width == p + n - 1:
-            short = parse_test_file(text, n - 1, p)
-            return [TestPattern(q.c, q.x + "1", origin=q.origin) for q in short]
+        rows = ("".join(raw.split("#", 1)[0].split()) for raw in text.splitlines())
+        if len(next(filter(None, rows), "")) == p + n - 1:
+            return [row + "1" for row in parse_test_file(text, n - 1, p)]
     return parse_test_file(text, n, p)
 
 
@@ -239,7 +231,7 @@ def cmd_atpg(args) -> int:
             f"# {circuit.name or 'circuit'}: n={network.n} p={network.p} d={network.d}",
             f"# columns: {network.p} c lines then {network.n} x lines",
         ]
-        body = format_patterns(list(union.test_set))
+        body = format_patterns(union)
         _write_text(args.out, "\n".join(header) + "\n" + body)
     else:
         report = build_generation_report(
@@ -308,8 +300,8 @@ def cmd_bench(args) -> int:
     network = expand_network(circuit)
     pprms = derive_pprm(circuit)
     gen = generate_sets(pprms, network)
-    t2 = tuple(pat.x for pat in gen.sets["T2"])
-    t3 = tuple(pat.x for pat in gen.sets["T3"])
+    t2 = tuple(row[network.p :] for row in gen.sets["T2"].rows)
+    t3 = tuple(row[network.p :] for row in gen.sets["T3"].rows)
     cells = tabulated_discrepancies(circuit)
     if args.format == "json":
         report = {

@@ -1,15 +1,21 @@
 """Test patterns with don't-care bits, and the test-set file format.
 
-A pattern is a symbol string over {0,1,d}: first the p target-line bits,
-then the n input bits.  Don't-care symbols are instantiated at simulation
-time by a fill policy.  Test-set files hold one pattern per line; '#'
-starts a comment.
+A pattern is a row: a symbol string over {0,1,d}, first the p target-line
+symbols, then the n input symbols, exactly the text of one test-file line.
+Pattern lists are lists of rows from parsing to the report; rows are
+checked where their text comes in.  Don't-care symbols are instantiated at
+simulation time by a fill policy.  Test-set files hold one pattern per
+line; '#' starts a comment.  ``TestPattern`` is one pattern split into its
+c and x parts, as ``detects`` takes it and the oracle's witness holds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
+
+if TYPE_CHECKING:
+    from .atpg import UnionResult
 
 __all__ = [
     "DC_POLICIES",
@@ -63,52 +69,52 @@ class TestPattern:
 
 @dataclass
 class TestSet:
-    """A named, ordered collection of patterns aimed at one fault class."""
+    """A named, ordered list of rows aimed at one fault class; the name is
+    the rows' origin."""
 
     __test__ = False  # domain class, not a pytest suite
 
     name: str
-    patterns: list[TestPattern] = field(default_factory=list)
+    rows: list[str] = field(default_factory=list)
     target_class: str = ""
 
     def __len__(self) -> int:
-        return len(self.patterns)
+        return len(self.rows)
 
-    def __iter__(self) -> Iterator[TestPattern]:
-        return iter(self.patterns)
-
-    def __getitem__(self, idx: int) -> TestPattern:
-        return self.patterns[idx]
-
-    def lines(self) -> list[str]:
-        return [t.line() for t in self.patterns]
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.rows)
 
 
-def parse_test_file(text: str, n: int, p: int) -> list[TestPattern]:
-    """Read a test-set file; every pattern must carry exactly p + n symbols."""
-    out: list[TestPattern] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        token = "".join(body.split())
-        if not token:
-            continue
-        if token.strip("01d"):
-            raise TestFileError(f"bad symbol {sorted(set(token) - set('01d'))[0]!r}", lineno)
-        if len(token) != p + n:
-            raise TestFileError(
-                f"pattern has {len(token)} symbols, expected {p + n} (p={p} then n={n})", lineno
-            )
-        out.append(TestPattern(token[:p], token[p:], origin="User"))
-    return out
+_SYMBOLS = str.maketrans("", "", "01d")  # deletes every valid symbol
 
 
-def format_patterns(patterns: Sequence[TestPattern]) -> str:
-    """Emit patterns one per line, with a comment line where the origin changes."""
+def parse_test_file(text: str, n: int, p: int) -> list[str]:
+    """Read a test-set file into rows; every row must carry exactly p + n symbols.
+
+    The rows are checked in bulk; only a file that fails is walked line by
+    line for the first bad one.
+    """
+    tokens = ["".join(raw.split("#", 1)[0].split()) for raw in text.splitlines()]
+    rows = [token for token in tokens if token]
+    if "".join(rows).translate(_SYMBOLS) or set(map(len, rows)) - {p + n}:
+        for lineno, token in enumerate(tokens, start=1):
+            if token.strip("01d"):
+                raise TestFileError(f"bad symbol {sorted(set(token) - set('01d'))[0]!r}", lineno)
+            if token and len(token) != p + n:
+                raise TestFileError(
+                    f"pattern has {len(token)} symbols, expected {p + n} (p={p} then n={n})",
+                    lineno,
+                )
+    return rows
+
+
+def format_patterns(union: UnionResult) -> str:
+    """Emit the union's rows one per line, with a comment line where the origin changes."""
     lines = []
     last_origin = None
-    for pat in patterns:
-        if pat.origin != last_origin:
-            lines.append(f"# {pat.origin}")
-            last_origin = pat.origin
-        lines.append(pat.line())
+    for row, origin in zip(union.test_set.rows, union.origins):
+        if origin != last_origin:
+            lines.append(f"# {origin}")
+            last_origin = origin
+        lines.append(row)
     return "\n".join(lines) + "\n" if lines else ""

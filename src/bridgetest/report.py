@@ -147,7 +147,7 @@ def _sets_block(sets: Sequence[TestSet]) -> dict:
         ts.name: {
             "size": len(ts),
             "target_class": ts.target_class,
-            "patterns": [pat.line() for pat in ts],
+            "patterns": list(ts.rows),
         }
         for ts in sets
     }
@@ -190,7 +190,8 @@ def build_coverage_report(
     report["test_sets"] = _sets_block(sets)
     report["union"] = _union_block(union)
     report["union"]["patterns"] = [
-        {"pattern": pat.line(), "origin": pat.origin} for pat in union.test_set
+        {"pattern": row, "origin": origin}
+        for row, origin in zip(union.test_set.rows, union.origins)
     ]
     if bound is not None:
         report["bound"] = _bound_block(bound)

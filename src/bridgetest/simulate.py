@@ -2,8 +2,8 @@
 exhaustive detectability oracle.
 
 Fault-free values are integer columns, bit t holding a net's value under
-assignment t: grading packs the pattern list into columns and keeps every
-net of one walk, and single-pattern queries use one-bit columns.
+assignment t: grading packs the rows into columns and keeps every net of
+one walk, and single-pattern queries use one-bit columns.
 
 No faulty netlist is ever evaluated.  Each output is c_j XOR the AND
 outputs of the gates targeting j, so a bridge changes the outputs by the
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 DEFAULT_ORACLE_CAP = 22
+_BITS = str.maketrans("", "", "01")  # deletes filled symbols
 
 
 class _Anf(frozenset):
@@ -175,20 +176,20 @@ def _fault_difference(
 
 
 def _pack(
-    network: AndExorNetwork, patterns: Sequence[TestPattern], dc_policy: str
+    network: AndExorNetwork, rows: Sequence[str], dc_policy: str
 ) -> tuple[list[int], list[int], int]:
-    """c and x columns of a pattern list, bit t holding pattern t: with the lines
-    joined last pattern first, column k is ``text[k::p + n]`` read in binary."""
+    """c and x columns of a row list, bit t holding row t: with the rows
+    joined last row first, column k is ``text[k::p + n]`` read in binary.
+    Rows must be p + n long and all 0 or 1 once filled (``int`` reads ``_``)."""
     p, n = network.p, network.n
-    for pattern in patterns:
-        if len(pattern.c) != p or len(pattern.x) != n:
-            raise ValueError(
-                f"pattern dimension mismatch: got p={len(pattern.c)} n={len(pattern.x)}, "
-                f"network has p={p} n={n}"
-            )
-    text = "".join([pat.c + pat.x for pat in reversed(patterns)]).translate(FILL_TABLES[dc_policy])
+    if set(map(len, rows)) - {p + n}:
+        row = next(row for row in rows if len(row) != p + n)
+        raise ValueError(f"pattern has {len(row)} symbols, expected {p + n} (p={p} then n={n})")
+    text = "".join(reversed(rows)).translate(FILL_TABLES[dc_policy])
+    if text.translate(_BITS):
+        raise ValueError(f"bad pattern symbol {sorted(set(text) - set('01'))!r}")
     cols = [int(text[k :: p + n] or "0", 2) for k in range(p + n)]
-    return cols[:p], cols[p:], (1 << len(patterns)) - 1
+    return cols[:p], cols[p:], (1 << len(rows)) - 1
 
 
 def detects(
@@ -201,7 +202,10 @@ def detects(
 
     ExorInternal has no faulty outputs, so passing one is a usage error.
     """
-    c, x, ones = _pack(network, [pattern], dc_policy)
+    if (len(pattern.c), len(pattern.x)) != (network.p, network.n):
+        raise ValueError(f"pattern dimension mismatch: got p={len(pattern.c)} n={len(pattern.x)},"
+                         f" network has p={network.p} n={network.n}")
+    c, x, ones = _pack(network, [pattern.line()], dc_policy)
     good = _Good(network, c + x, ones)
     return _fault_difference(good, fault.kind, fault.ids, fault.polarity) != 0
 
@@ -300,12 +304,12 @@ class Evaluation:
 def evaluate_test_set(
     network: AndExorNetwork,
     faults: FaultList | Sequence[BridgingFault],
-    patterns: Sequence[TestPattern],
+    rows: Sequence[str],
     dc_policy: str = "fill-zero",
 ) -> Evaluation:
-    """Grade every fault against the pattern list, verdicts in fault order.
+    """Grade every fault against the rows, verdicts in fault order.
 
-    The patterns are packed into columns, bit t holding pattern t.  A
+    The rows are packed into columns, bit t holding row t.  A
     detected fault records the first detecting pattern index; ExorInternal
     records the index at which its stimulation mask became full.  A
     ``FaultList`` is graded a class block at a time (``FaultList.blocks``).
@@ -315,7 +319,7 @@ def evaluate_test_set(
     there under wired-OR, where the outputs are sensitive to the flipped
     input.  A plain fault list is read one fault at a time.
     """
-    c_cols, x_cols, ones = _pack(network, patterns, dc_policy)
+    c_cols, x_cols, ones = _pack(network, rows, dc_policy)
     cols = c_cols + x_cols
     a = [_Good(network, cols, ones).product(sup) for sup in network.gate_supports]
 

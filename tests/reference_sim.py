@@ -8,18 +8,18 @@ with the bridge injected (``eval_good``, ``eval_faulty``,
 independent routes.  The library's
 oracle decides on GF(2) polynomials; ``truth_table_detectability`` runs the
 same closed form on the truth-table columns of every assignment instead.
-The library packs patterns by slicing one resolved string; ``resolve_bits``
-and ``reference_pack`` fill don't-cares and set column bits one at a time.
-The library's fallback reads each miss once against all repair patterns,
-packed, and remembers oracle verdicts; ``reference_fallback`` asks
-``detects`` pattern by pattern, proves every fault again, and builds each
-random draw as a string.
+The library packs rows by slicing one resolved string; ``resolve_bits``
+and ``reference_pack`` split each row into a ``TestPattern``, fill
+don't-cares and set column bits one at a time.  The library's fallback
+reads each miss once against all repair rows, packed, and remembers oracle
+verdicts; ``reference_fallback`` asks ``detects`` pattern by pattern,
+proves every fault again, and builds each random draw as a string.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from bridgetest import (
@@ -36,7 +36,7 @@ from bridgetest import (
     exhaustive_detectability,
     gen_corner_set,
 )
-from bridgetest.simulate import _fault_difference, _Good, _pack
+from bridgetest.simulate import _fault_difference, _Good
 
 FULL_MASK = 0b1111
 
@@ -93,6 +93,11 @@ def _columns(
     return x, a, levels
 
 
+def as_pattern(network: AndExorNetwork, row: str) -> TestPattern:
+    """The row split into its c and x parts."""
+    return TestPattern(row[: network.p], row[network.p :])
+
+
 def resolve_bits(
     pattern: TestPattern, dc_policy: str = "fill-zero"
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -104,22 +109,23 @@ def resolve_bits(
 
 
 def reference_pack(
-    network: AndExorNetwork, patterns: Sequence[TestPattern], dc_policy: str
+    network: AndExorNetwork, rows: Sequence[str], dc_policy: str
 ) -> tuple[list[int], list[int], int]:
-    """``_pack`` bit by bit: bit t of each column is pattern t's symbol."""
+    """``_pack`` bit by bit: bit t of each column is row t's symbol."""
     c_cols, x_cols = [0] * network.p, [0] * network.n
-    for t, pattern in enumerate(patterns):
-        c, x = resolve_bits(pattern, dc_policy)
+    for t, row in enumerate(rows):
+        c, x = resolve_bits(as_pattern(network, row), dc_policy)
         for cols, bits in ((c_cols, c), (x_cols, x)):
             for k, bit in enumerate(bits):
                 cols[k] |= bit << t
-    return c_cols, x_cols, (1 << len(patterns)) - 1
+    return c_cols, x_cols, (1 << len(rows)) - 1
 
 
 def _resolved_bits(
     network: AndExorNetwork, pattern: TestPattern, dc_policy: str
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    _pack(network, [pattern], dc_policy)  # the library's dimension check
+    if (len(pattern.c), len(pattern.x)) != (network.p, network.n):
+        raise ValueError("pattern dimension mismatch")
     return resolve_bits(pattern, dc_policy)
 
 
@@ -160,7 +166,7 @@ def eval_faulty(
 
 def exor_stimulation_mask(
     network: AndExorNetwork,
-    patterns: Iterable[TestPattern],
+    rows: Iterable[str],
     dc_policy: str = "fill-zero",
 ) -> list[int]:
     """4-bit mask per gate of the (left,right) EXOR input combinations seen.
@@ -169,7 +175,7 @@ def exor_stimulation_mask(
     pattern.  A full mask (0b1111) discharges the gate's ExorInternal
     obligation.
     """
-    return evaluate_test_set(network, [], list(patterns), dc_policy).masks
+    return evaluate_test_set(network, [], list(rows), dc_policy).masks
 
 
 def _simulate(
@@ -209,11 +215,11 @@ def _simulate(
 def reference_grade(
     network: AndExorNetwork,
     faults: Sequence[BridgingFault],
-    patterns: Sequence[TestPattern],
+    rows: Sequence[str],
     dc_policy: str = "fill-zero",
 ) -> tuple[list[FaultVerdict], list[int]]:
     """Verdicts and stimulation masks, one pattern and one fault at a time."""
-    resolved = [resolve_bits(pat, dc_policy) for pat in patterns]
+    resolved = [resolve_bits(as_pattern(network, row), dc_policy) for row in rows]
     good_sims = [_simulate(network, c, x, None) for c, x in resolved]
 
     masks = [0] * network.d
@@ -364,29 +370,26 @@ def reference_fallback(
         if fault.kind is FaultKind.EXOR_INTERNAL:
             if not classify_only and not corners_added:
                 corners = gen_corner_set(network.n, network.p, constant_line=network.constant_line)
-                out.patterns.extend(replace(pat, origin="Fallback") for pat in corners)
+                out.patterns.extend(corners.rows)
                 corners_added = True
             continue
-        if any(detects(network, fault, pat) for pat in out.patterns):
+        if any(detects(network, fault, as_pattern(network, row)) for row in out.patterns):
             continue
         if network.n + network.p <= oracle_cap:
             res = exhaustive_detectability(network, fault)
             if not res.detectable:
                 out.redundant[fault] = "exhaustive"
             elif not classify_only:
-                out.patterns.append(res.witness)
+                out.patterns.append(res.witness.line())
             continue
         first = None
         if not classify_only:
             rng = random.Random(271828 * 1000003 + idx)
             draws = [
-                TestPattern(
-                    "".join(rng.choice("01") for _ in range(network.p)),
-                    "".join(
-                        "1" if v == network.constant_line else rng.choice("01")
-                        for v in range(1, network.n + 1)
-                    ),
-                    origin="Fallback",
+                "".join(rng.choice("01") for _ in range(network.p))
+                + "".join(
+                    "1" if v == network.constant_line else rng.choice("01")
+                    for v in range(1, network.n + 1)
                 )
                 for _ in range(512)
             ]

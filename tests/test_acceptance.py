@@ -10,7 +10,7 @@ import time
 
 import pytest
 from conftest import random_circuit
-from reference_sim import FULL_MASK, exor_stimulation_mask
+from reference_sim import FULL_MASK, as_pattern, exor_stimulation_mask
 
 from bridgetest import (
     BridgingFault,
@@ -60,11 +60,11 @@ def test_criterion_1_fixture_sets(bench):
 
     # T1, T4, T5 must reproduce the worked tables byte for byte,
     # don't-care symbols included
-    assert sets["T1"].lines() == [
+    assert sets["T1"].rows == [
         "0000000000", "0001111111", "1110000000", "1111111111",
     ]
-    assert sets["T4"].lines() == ["1100000000", "1010000000"]
-    assert sets["T5"].lines() == [
+    assert sets["T4"].rows == ["1100000000", "1010000000"]
+    assert sets["T5"].rows == [
         "ddd0111111", "ddd1011111", "ddd1101111", "ddd1110111",
         "ddd1111011", "ddd1111101", "ddd1111110",
     ]
@@ -76,12 +76,12 @@ def test_criterion_1_fixture_sets(bench):
     for i in range(1, 8):
         for j in range(i + 1, 8):
             assert any(
-                detects(net, BridgingFault.x_pair(i, j, AND), pat)
-                for pat in sets["T2"]
+                detects(net, BridgingFault.x_pair(i, j, AND), as_pattern(net, row))
+                for row in sets["T2"]
             ), f"wired-AND pair ({i},{j}) missed by T2"
             assert any(
-                detects(net, BridgingFault.x_pair(i, j, OR), pat)
-                for pat in sets["T3"]
+                detects(net, BridgingFault.x_pair(i, j, OR), as_pattern(net, row))
+                for row in sets["T3"]
             ), f"wired-OR pair ({i},{j}) missed by T3"
 
     union = assemble_union(result.ordered_sets())
@@ -93,8 +93,8 @@ def test_criterion_1_fixture_sets(bench):
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"fixture generation took {elapsed:.2f}s"
 
-    t2_match = [p.x for p in sets["T2"]] == list(REFERENCE_T2_X)
-    t3_match = [p.x for p in sets["T3"]] == list(REFERENCE_T3_X)
+    t2_match = [row[3:] for row in sets["T2"]] == list(REFERENCE_T2_X)
+    t3_match = [row[3:] for row in sets["T3"]] == list(REFERENCE_T3_X)
     _ok(
         "criterion 1: PASS - sets sized 4/6/6/2/7, T1/T4/T5 byte-identical,"
         " T2 covers 21 wired-AND and T3 covers 21 wired-OR pairs,"
@@ -186,10 +186,10 @@ def sweep():
         sets = result.ordered_sets()
 
         base = assemble_union(sets)
-        first = evaluate_test_set(net, faults, base.test_set.patterns)
+        first = evaluate_test_set(net, faults, base.test_set.rows)
         fb = fallback_search(net, first.faults_with("undetected"))
         union = assemble_union(sets, fb.patterns)
-        final = evaluate_test_set(net, faults, union.test_set.patterns)
+        final = evaluate_test_set(net, faults, union.test_set.rows)
 
         if fb.unresolved:
             stats["unresolved"].append((circuit.name, fb.unresolved))
@@ -205,7 +205,7 @@ def sweep():
             if fault in fb.redundant and oracle.detectable:
                 stats["unconfirmed_redundant"].append((circuit.name, fault))
 
-        masks = exor_stimulation_mask(net, result.sets["T1"].patterns)
+        masks = exor_stimulation_mask(net, result.sets["T1"].rows)
         if masks != [FULL_MASK] * net.d:
             stats["mask_violations"].append(circuit.name)
 
@@ -275,12 +275,12 @@ def test_criterion_6_t4_distinctness():
     for p in range(1, 65):
         ts = gen_cascade_pair_tests(p, 1)
         assert len(ts) == ceil_log2(p)
-        codes = [tuple(pat.c[j] for pat in ts) for j in range(p)]
+        codes = [tuple(row[j] for row in ts) for j in range(p)]
         assert len(set(codes)) == p, f"duplicate column code at p={p}"
         for a in range(p):
             for b in range(a + 1, p):
-                assert any(pat.c[a] != pat.c[b] for pat in ts)
-    assert [pat.c for pat in gen_cascade_pair_tests(3, 1)] == ["110", "101"]
+                assert any(row[a] != row[b] for row in ts)
+    assert gen_cascade_pair_tests(3, 1).rows == ["1100", "1010"]
     _ok(
         "criterion 6: PASS - pairwise-distinct column codes for p = 1..64,"
         " every c pair driven opposite somewhere, p=3 gives {110, 101}"

@@ -6,7 +6,7 @@ import random
 
 import pytest
 from conftest import random_circuit, with_zero_control
-from reference_sim import reference_fallback
+from reference_sim import as_pattern, reference_fallback
 
 from bridgetest import (
     DC_POLICIES,
@@ -147,17 +147,16 @@ class TestCornerSet:
     def test_benchmark(self):
         ts = gen_corner_set(7, 3)
         assert ts.name == "T1" and ts.target_class == "ExorInternal"
-        assert ts.lines() == [
+        assert ts.rows == [
             "0000000000",
             "0001111111",
             "1110000000",
             "1111111111",
         ]
-        assert all(p.origin == "T1" for p in ts)
 
     def test_constant_line_held_high(self):
         ts = gen_corner_set(2, 1, constant_line=2)
-        assert ts.lines() == ["001", "011", "101", "111"]
+        assert ts.rows == ["001", "011", "101", "111"]
 
 
 class TestInputAndSet:
@@ -166,15 +165,14 @@ class TestInputAndSet:
         # its last two rows; coverage is verified pairwise below)  [DERIVED]
         _, net = bench_parts
         ts, uncovered = gen_input_and_tests(net)
-        assert [p.x for p in ts] == [
-            "1000000",
-            "0100000",
-            "0001000",
-            "0000100",
-            "0100010",
-            "0011000",
+        assert ts.name == "T2" and ts.rows == [
+            "ddd1000000",
+            "ddd0100000",
+            "ddd0001000",
+            "ddd0000100",
+            "ddd0100010",
+            "ddd0011000",
         ]
-        assert all(p.c == "ddd" and p.origin == "T2" for p in ts)
         assert uncovered == ()
 
     def test_benchmark_covers_all_wired_and_pairs(self, bench_parts):
@@ -183,12 +181,12 @@ class TestInputAndSet:
         for i in range(1, 8):
             for j in range(i + 1, 8):
                 fault = BridgingFault.x_pair(i, j, AND)
-                assert any(detects(net, fault, p) for p in ts), (i, j)
+                assert any(detects(net, fault, as_pattern(net, row)) for row in ts), (i, j)
 
     def test_unsplittable_block(self, and2):
         # the only gate's support equals the whole block: nothing can split
         ts, uncovered = gen_input_and_tests(expand_network(and2))
-        assert ts.lines() == []
+        assert ts.rows == []
         assert uncovered == ((1, 2),)
 
     def test_candidate_rejected_then_accepted(self):
@@ -196,7 +194,7 @@ class TestInputAndSet:
         # and the two-control gate must carry the first split
         _, net = _parts(DUP_TEXT)
         ts, uncovered = gen_input_and_tests(net)
-        assert [p.x for p in ts] == ["110"]
+        assert ts.rows == ["dd110"]
         assert uncovered == ((1, 2),)
 
 
@@ -205,15 +203,14 @@ class TestInputOrSet:
         # four case-(a) splits, one case (b), one case (c) at x1 = 0  [DERIVED]
         pprms, net = bench_parts
         ts, uncovered = gen_input_or_tests(pprms, net)
-        assert [p.x for p in ts] == [
-            "1101111",
-            "1110111",
-            "1111101",
-            "1111110",
-            "1011011",
-            "0011101",
+        assert ts.name == "T3" and ts.rows == [
+            "ddd1101111",
+            "ddd1110111",
+            "ddd1111101",
+            "ddd1111110",
+            "ddd1011011",
+            "ddd0011101",
         ]
-        assert all(p.c == "ddd" and p.origin == "T3" for p in ts)
         assert uncovered == ()
 
     def test_benchmark_covers_all_wired_or_pairs(self, bench_parts):
@@ -222,14 +219,14 @@ class TestInputOrSet:
         for i in range(1, 8):
             for j in range(i + 1, 8):
                 fault = BridgingFault.x_pair(i, j, OR)
-                assert any(detects(net, fault, p) for p in ts), (i, j)
+                assert any(detects(net, fault, as_pattern(net, row)) for row in ts), (i, j)
 
     def test_emission_is_partition_gated(self):
         # x = 110 would detect the pairs it leaves joined, but no block
         # split justifies it, so the generator stays at n - 1 patterns
         pprms, net = _parts(XOR3_TEXT)
         ts, uncovered = gen_input_or_tests(pprms, net)
-        assert [p.x for p in ts] == ["011", "101"]
+        assert ts.rows == ["d011", "d101"]
         assert uncovered == ()
         probe = TestPattern("d", "110")
         assert detects(net, BridgingFault.x_pair(1, 3, OR), probe)
@@ -238,13 +235,13 @@ class TestInputOrSet:
     def test_case_a_on_and2(self, and2):
         pprms, net = derive_pprm(and2), expand_network(and2)
         ts, uncovered = gen_input_or_tests(pprms, net)
-        assert [p.x for p in ts] == ["01"]
+        assert ts.rows == ["d01"]
         assert uncovered == ()
 
     def test_duplicate_terms_cancel_into_case_a(self):
         pprms, net = _parts(DUP_TEXT)
         ts, uncovered = gen_input_or_tests(pprms, net)
-        assert [p.x for p in ts] == ["011", "101"]
+        assert ts.rows == ["dd011", "dd101"]
         assert uncovered == ()
 
     def test_size_within_partition_budget(self, bench_parts):
@@ -256,47 +253,45 @@ class TestInputOrSet:
 class TestCascadePairSet:
     def test_benchmark(self):
         ts = gen_cascade_pair_tests(3, 7)
-        assert ts.lines() == ["1100000000", "1010000000"]
-        assert all(p.origin == "T4" for p in ts)
+        assert ts.name == "T4" and ts.rows == ["1100000000", "1010000000"]
 
     def test_p_one_needs_nothing(self):
-        assert gen_cascade_pair_tests(1, 2).lines() == []
+        assert gen_cascade_pair_tests(1, 2).rows == []
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 7, 8, 16])
     def test_column_codes_distinct(self, p):
         ts = gen_cascade_pair_tests(p, 1)
         assert len(ts) == ceil_log2(p)
-        codes = [tuple(pat.c[j] for pat in ts) for j in range(p)]
+        codes = [tuple(row[j] for row in ts) for j in range(p)]
         assert len(set(codes)) == p
         # distinct codes mean every pair differs in some pattern
         for a in range(p):
             for b in range(a + 1, p):
                 assert any(
-                    pat.c[a] != pat.c[b] for pat in ts
+                    row[a] != row[b] for row in ts
                 ), (a + 1, b + 1)
 
     def test_constant_line_held_high(self):
         ts = gen_cascade_pair_tests(2, 3, constant_line=3)
-        assert ts.lines() == ["10001"]
+        assert ts.rows == ["10001"]
 
 
 class TestWalkingZeroSet:
     def test_benchmark(self):
         ts = gen_walking_zero_tests(7, 3)
-        assert [p.x for p in ts] == [
-            "0111111",
-            "1011111",
-            "1101111",
-            "1110111",
-            "1111011",
-            "1111101",
-            "1111110",
+        assert ts.name == "T5" and ts.rows == [
+            "ddd0111111",
+            "ddd1011111",
+            "ddd1101111",
+            "ddd1110111",
+            "ddd1111011",
+            "ddd1111101",
+            "ddd1111110",
         ]
-        assert all(p.c == "ddd" and p.origin == "T5" for p in ts)
 
     def test_constant_line_skipped(self):
         ts = gen_walking_zero_tests(3, 1, constant_line=3)
-        assert [p.x for p in ts] == ["011", "101"]
+        assert ts.rows == ["d011", "d101"]
 
 
 class TestGenerateSets:
@@ -355,14 +350,15 @@ class TestGenerateSets:
         split = atpg._Partition.split
         decisions = []
 
-        def checked(self, pattern, block, side):
+        def checked(self, row, block, side):
             rest = block - side
+            pattern = as_pattern(self.network, row)
             expected = bool(rest) and all(
                 detects(self.network, BridgingFault.x_pair(r, min(rest), self.polarity), pattern)
                 for r in side
             )
-            accepted = split(self, pattern, block, side)
-            assert accepted == expected, (pattern, sorted(block), sorted(side))
+            accepted = split(self, row, block, side)
+            assert accepted == expected, (row, sorted(block), sorted(side))
             decisions.append((self.polarity, accepted))
             return accepted
 
@@ -379,8 +375,8 @@ class TestGenerateSets:
             if len(inputs) >= 2:
                 side = frozenset(rng.sample(sorted(inputs), rng.randint(1, len(inputs) - 1)))
                 v = rng.randint(0, 1)
-                pattern = atpg._input_pattern(net, side if v else inputs - side, "T2")
-                atpg._Partition(net, AND if v else OR).split(pattern, inputs, side)
+                row = atpg._input_pattern(net, side if v else inputs - side)
+                atpg._Partition(net, AND if v else OR).split(row, inputs, side)
         assert set(decisions) == {(p, ok) for p in (AND, OR) for ok in (False, True)}
 
     @pytest.mark.parametrize("zero_control", [False, True])
@@ -441,7 +437,8 @@ class TestUnionAndBound:
         assert union.pre_dedup_size == 25
         assert union.removed == 4
         assert len(union.test_set) == 21
-        lines = [p.resolved_line() for p in union.test_set]
+        assert union.origins == ["T1"] * 4 + ["T2"] * 6 + ["T3"] * 6 + ["T4"] * 2 + ["T5"] * 3
+        lines = [row.replace("d", "0") for row in union.test_set]
         assert len(set(lines)) == 21
         # the bound still judges the pre-dedup size
         assert check_bound(union, 7, 3).size == 25
@@ -449,8 +446,8 @@ class TestUnionAndBound:
     def test_fallback_counts_separately(self, bench_parts):
         pprms, net = bench_parts
         result = generate_sets(pprms, net)
-        extra = [TestPattern("000", "1111111", origin="Fallback")]
-        union = assemble_union(result.ordered_sets(), extra)
+        union = assemble_union(result.ordered_sets(), ["0001111111"])
+        assert union.origins[-2:] == ["T5", "Fallback"]
         assert union.pre_dedup_size == 26
         assert union.fallback_count == 1
         report = check_bound(union, 7, 3)
@@ -471,8 +468,7 @@ class TestFallbackSearch:
         net = expand_network(and2)
         missed = [BridgingFault.x_pair(1, 2, OR), BridgingFault.x_pair(1, 2, AND)]
         fb = fallback_search(net, missed)
-        assert [p.line() for p in fb.patterns] == ["001"]
-        assert fb.patterns[0].origin == "Fallback"
+        assert fb.patterns == ["001"]
         assert fb.redundant == {missed[1]: "exhaustive"}
         assert fb.unresolved == []
 
@@ -517,8 +513,7 @@ class TestFallbackSearch:
         net = expand_network(parse_circuit(".n 1\n.p 2\n.gate c1 : x1\n.gate c2 : x1\n.end\n"))
         missed = [BridgingFault.exor_internal(1), BridgingFault.exor_internal(2)]
         fb = fallback_search(net, missed)
-        assert [p.line() for p in fb.patterns] == ["000", "001", "110", "111"]
-        assert all(p.origin == "Fallback" for p in fb.patterns)
+        assert fb.patterns == ["000", "001", "110", "111"]
         fb2 = fallback_search(net, missed, classify_only=True)
         assert fb2.patterns == []
 
@@ -531,7 +526,7 @@ class TestFallbackSearch:
         and_fault = BridgingFault.x_pair(1, 2, AND)
         fb = fallback_search(net, [or_fault, and_fault])
         assert len(fb.patterns) == 1
-        assert detects(net, or_fault, fb.patterns[0])
+        assert detects(net, or_fault, as_pattern(net, fb.patterns[0]))
         assert fb.unresolved == [and_fault]
         assert fb.redundant == {}
 
@@ -541,7 +536,7 @@ class TestFallbackSearch:
         or_fault = BridgingFault.x_pair(1, 2, OR)
         a = fallback_search(net, [or_fault])
         b = fallback_search(net, [or_fault])
-        assert [p.line() for p in a.patterns] == [p.line() for p in b.patterns]
+        assert a.patterns == b.patterns
 
     @pytest.mark.parametrize("zero_control", [False, True])
     def test_random_draws_match_string_construction(self, zero_control):
@@ -575,7 +570,7 @@ class TestFallbackSearch:
             sets = generate_sets(derive_pprm(circuit), net, ("T1", "T4")).ordered_sets()
             union = assemble_union(sets).test_set
             faults = enumerate_faults(net)
-            pairs = evaluate_test_set(net, faults, list(union)).faults_with("undetected")
+            pairs = evaluate_test_set(net, faults, union.rows).faults_with("undetected")
             exor = [faults[k] for k in range(net.d)] if idx % 4 >= 2 else []
             missed = exor + pairs
             assert all(f.kind is not FaultKind.EXOR_INTERNAL for f in pairs)
@@ -596,12 +591,12 @@ class TestFallbackSearch:
     def test_one_pack_per_append_and_no_detects_call(self, monkeypatch):
         # every miss is read against the packed repair patterns: nothing
         # calls detects, and the repairs are packed again only on an append
-        packs = []  # the number of patterns packed, per call
+        packs = []  # the number of rows packed, per call
         pack = atpg._pack
 
-        def counted_pack(network, patterns, dc_policy):
-            packs.append(len(patterns))
-            return pack(network, patterns, dc_policy)
+        def counted_pack(network, rows, dc_policy):
+            packs.append(len(rows))
+            return pack(network, rows, dc_policy)
 
         monkeypatch.setattr(atpg, "_pack", counted_pack)
 
@@ -614,7 +609,7 @@ class TestFallbackSearch:
         net = expand_network(circuit)
         sets = generate_sets(derive_pprm(circuit), net, ("T1", "T4")).ordered_sets()
         union = assemble_union(sets).test_set
-        missed = evaluate_test_set(net, enumerate_faults(net), list(union)).faults_with(
+        missed = evaluate_test_set(net, enumerate_faults(net), union.rows).faults_with(
             "undetected"
         )
         assert len(missed) >= 100

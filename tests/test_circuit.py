@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bridgetest.circuit import (
@@ -17,6 +17,7 @@ from bridgetest.circuit import (
 )
 
 from conftest import random_circuit
+from reference_circuit import reference_parse_circuit
 
 
 def test_parse_benchmark(bench):
@@ -155,3 +156,63 @@ def test_round_trip_property(n, p, rnd):
     )
     c = ReversibleCircuit(n, p, gates)
     assert parse_circuit(format_circuit(c)) == c
+
+
+# Whitespace that str.split and regex \s both split on; several of these also
+# end a line for str.splitlines, so a separator can split a line in two.
+_SPACES = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000")
+_ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029")
+_TOKENS = (".n", ".p", ".gate", ".end", ":", "c1", "c2", "c0", "c9", "x1", "x2", "x0", "x9",
+           "0", "2", "-1", "²", "x1:", "foo", ".wires")
+
+
+@st.composite
+def circuit_texts(draw):
+    """Circuit text: a valid netlist, then a few token and line mutations,
+    printed with mixed whitespace, comments and line endings."""
+    n, p = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    lines = [[".n", str(n)], [".p", str(p)]]
+    for _ in range(draw(st.integers(0, 4))):
+        controls = draw(st.lists(st.integers(1, n), unique=True, max_size=n))
+        lines.append([".gate", f"c{draw(st.integers(1, p))}", ":"] + [f"x{v}" for v in controls])
+    lines.append([".end"])
+    for _ in range(draw(st.integers(0, 3))):
+        line = lines[draw(st.integers(0, len(lines) - 1))]
+        at = draw(st.integers(0, len(line)))
+        edit = draw(st.sampled_from(("replace", "insert", "delete", "copy line", "drop line")))
+        if edit == "replace" and at < len(line):
+            line[at] = draw(st.sampled_from(_TOKENS))
+        elif edit == "insert":
+            line.insert(at, draw(st.sampled_from(_TOKENS)))
+        elif edit == "delete" and at < len(line):
+            del line[at]
+        elif edit == "copy line":
+            lines.insert(draw(st.integers(0, len(lines))), list(line))
+        elif edit == "drop line":
+            lines.remove(line)
+    text = ""
+    for line in lines:
+        text += draw(st.sampled_from(("", " ", "\t", "\xa0")))
+        text += "".join(token + draw(st.sampled_from((" ",) * 8 + _SPACES)) for token in line)
+        text += draw(st.sampled_from(("", "", "# note", "#x1 : c1")))
+        text += draw(st.sampled_from(_ENDS))
+    return text
+
+
+def _parse_outcome(parse, text, allow_zero_controls):
+    try:
+        return parse(text, allow_zero_controls=allow_zero_controls)
+    except ValueError as err:  # CircuitError, ParseError, or int() of a digit like '²'
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+
+
+@given(circuit_texts(), st.booleans())
+@example(".n 2\xa0\n.p\x1c1\n.gate c1\u3000:\tx1 x2\x85.end\n", False)
+@example(".n 2\n.p 1\n.gate  c1 :   x1 x2\u2028.end extra\n", False)
+@example(".n 2\n.p 1\n.gate c1 :\x0b.end\n", False)
+@example("\t.n 2\n.p 1\n.gate c1 : c2\n.end\n", True)
+@example(".n ²\n.p 1\n.end\n", False)
+def test_parser_matches_reference(text, allow_zero_controls):
+    # str.split columns found on error only vs regex columns for every line
+    got = _parse_outcome(parse_circuit, text, allow_zero_controls)
+    assert got == _parse_outcome(reference_parse_circuit, text, allow_zero_controls)

@@ -176,10 +176,10 @@ class TestAtpg:
     def test_text_is_a_valid_test_file(self, capsys, bench_path):
         code, out, err = run(capsys, "atpg", str(bench_path))
         assert code == 0 and err == ""
-        patterns = parse_test_file(out, 7, 3)
-        assert len(patterns) == 25
-        assert patterns[0].line() == "0000000000"
-        assert patterns[4].line() == "ddd1000000"
+        rows = parse_test_file(out, 7, 3)
+        assert len(rows) == 25
+        assert rows[0] == "0000000000"
+        assert rows[4] == "ddd1000000"
         # origin sections are announced as comments
         assert "# T1" in out and "# T5" in out
 
@@ -199,8 +199,7 @@ class TestAtpg:
 
     def test_sets_selection(self, capsys, bench_path):
         code, out, err = run(capsys, "atpg", str(bench_path), "--sets", "T4")
-        patterns = parse_test_file(out, 7, 3)
-        assert [p.line() for p in patterns] == ["1100000000", "1010000000"]
+        assert parse_test_file(out, 7, 3) == ["1100000000", "1010000000"]
 
     def test_fallback_adds_nothing_when_covered(self, capsys, and2_path):
         code_plain, out_plain, _ = run(capsys, "atpg", str(and2_path))
@@ -219,6 +218,26 @@ class TestAtpg:
 
 
 class TestSimulateAndVerify:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_simulate_builds_no_pattern_per_row(self, capsys, monkeypatch, tmp_path, fmt):
+        # from file text to the report, rows stay strings: the file repeated
+        # ten times builds as many TestPatterns as the file once
+        built = []
+        check = TestPattern.__post_init__
+        monkeypatch.setattr(TestPattern, "__post_init__",
+                            lambda pat: built.append(pat) or check(pat))
+        text = (DATA / "bench7x3_user.tests").read_text()
+        counts = []
+        for copies in (1, 10):
+            tests = tmp_path / f"user{copies}.tests"
+            tests.write_text(text * copies)
+            built.clear()
+            code, out, _ = run(capsys, "simulate", str(DATA / "bench7x3.rev"), "--tests",
+                               str(tests), "--format", fmt)
+            assert code == 1 and out
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
     def test_verify_dedup_summary(self, capsys, and2_path):
         code, out, _ = run(capsys, "verify", str(and2_path), "--dedup")
         assert code == 0
@@ -367,9 +386,9 @@ class TestGradeCount:
         calls = []
         grade = cli.evaluate_test_set
 
-        def recording(network, faults, patterns, *args, **kwargs):
-            evaluation = grade(network, faults, patterns, *args, **kwargs)
-            calls.append((faults, list(patterns), evaluation))
+        def recording(network, faults, rows, *args, **kwargs):
+            evaluation = grade(network, faults, rows, *args, **kwargs)
+            calls.append((faults, list(rows), evaluation))
             return evaluation
 
         monkeypatch.setattr(cli, "evaluate_test_set", recording)

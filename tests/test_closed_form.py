@@ -28,7 +28,6 @@ from bridgetest import (
     BridgingFault,
     FaultKind,
     Polarity,
-    TestPattern,
     detects,
     enumerate_faults,
     evaluate_test_set,
@@ -73,9 +72,8 @@ def test_matches_injection_on_packed_patterns(seed):
     for rng, net in _networks(20, seed):
         count = rng.randint(0, 70)
         rows = ["".join(rng.choice("01d") for _ in range(net.p + net.n)) for _ in range(count)]
-        patterns = [TestPattern(row[: net.p], row[net.p :]) for row in rows]
         for dc_policy in DC_POLICIES:
-            _assert_closed_form(net, *_pack(net, patterns, dc_policy))
+            _assert_closed_form(net, *_pack(net, rows, dc_policy))
 
 
 def test_matches_injection_on_truth_tables():
@@ -112,9 +110,8 @@ def test_hand_built_xpairs_match_injection(text):
     net = _hand_built(text)
     width = net.n + net.p
     rows = ["".join(row) for row in itertools.product("01d", repeat=width)]
-    patterns = [TestPattern(row[: net.p], row[net.p :]) for row in rows]
     for dc_policy in DC_POLICIES:
-        _assert_closed_form(net, *_pack(net, patterns, dc_policy))
+        _assert_closed_form(net, *_pack(net, rows, dc_policy))
     cols = TruthColumns(width)
     c_cols = [cols[k] for k in range(net.p)]
     x_cols = [cols[net.p + k] for k in range(net.n)]
@@ -159,7 +156,7 @@ def test_grading_computes_each_sensitivity_once(monkeypatch):
     faults = enumerate_faults(net)
     xpairs = [f for f in faults if f.kind is FaultKind.X_PAIR]
     rows = ["".join(rng.choice("01") for _ in range(net.p + net.n)) for _ in range(40)]
-    evaluation = evaluate_test_set(net, faults, [TestPattern(r[: net.p], r[net.p :]) for r in rows])
+    evaluation = evaluate_test_set(net, faults, rows)
     assert 0 < len(products) <= sum(len(sup) for sup in net.gate_supports) < len(xpairs)
     assert evaluation.count("detected") > 0
 

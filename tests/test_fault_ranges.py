@@ -20,7 +20,6 @@ from bridgetest import (
     DC_POLICIES,
     SET_NAMES,
     FaultKind,
-    TestPattern,
     TestSet,
     derive_pprm,
     enumerate_faults,
@@ -47,9 +46,8 @@ def _circuits(seed, count):
         yield rng, with_zero_control(circuit, rng) if index % 2 else circuit
 
 
-def _patterns(rng, net, count):
-    rows = ["".join(rng.choice("01d") for _ in range(net.p + net.n)) for _ in range(count)]
-    return [TestPattern(row[: net.p], row[net.p :]) for row in rows]
+def _rows(rng, net, count):
+    return ["".join(rng.choice("01d") for _ in range(net.p + net.n)) for _ in range(count)]
 
 
 @pytest.mark.parametrize("include_aux", (False, True))
@@ -96,10 +94,10 @@ def test_grading_matches_scalar_reference(seed):
     for rng, circuit in _circuits(seed, 8):
         net = expand_network(circuit)
         faults = enumerate_faults(net, include_aux=True)
-        patterns = _patterns(rng, net, rng.randint(0, 40))
-        verdicts, masks = reference_grade(net, list(faults), patterns)
+        rows = _rows(rng, net, rng.randint(0, 40))
+        verdicts, masks = reference_grade(net, list(faults), rows)
         for graded in (faults, list(faults)):  # the class-block walk and the per-fault read
-            ev = evaluate_test_set(net, graded, patterns)
+            ev = evaluate_test_set(net, graded, rows)
             assert ev.verdicts == verdicts
             assert ev.masks == masks
             for status in ("detected", "undetected", "redundant", "unresolved"):
@@ -138,10 +136,10 @@ def test_grading_edge_cases_match_scalar_reference(include_aux, dc_policy):
         assert net.constant_line is not None
         faults = enumerate_faults(net, include_aux=include_aux)
         for count in (0, 1, 16):
-            patterns = _patterns(rng, net, count)
-            verdicts, masks = reference_grade(net, list(faults), patterns, dc_policy)
+            rows = _rows(rng, net, count)
+            verdicts, masks = reference_grade(net, list(faults), rows, dc_policy)
             for graded in (faults, list(faults)):
-                ev = evaluate_test_set(net, graded, patterns, dc_policy)
+                ev = evaluate_test_set(net, graded, rows, dc_policy)
                 assert ev.verdicts == verdicts, (net.n, include_aux, dc_policy, count)
                 assert ev.masks == masks
             for v in verdicts:

@@ -88,6 +88,17 @@ CASES = {
         1, ["simulate", "bench7x3.rev", "--tests", "bench7x3_user.tests", "--format", "text"]
     ),
     "verify_empty1.json": (0, ["verify", "empty1.rev", "--format", "json"]),
+    # a user file's test_sets and union pattern blocks
+    "simulate_bench7x3_user.json": (
+        1, ["simulate", "bench7x3.rev", "--tests", "bench7x3_user.tests", "--format", "json"]
+    ),
+    # rows written for the un-normalized width, padded with the constant 1;
+    # comments, blank lines, tabs and spaces inside rows
+    "simulate_rand5z_short.json": (
+        1, ["simulate", "rand5z.rev", "--tests", "rand5z_short.tests", "--format", "json"]
+    ),
+    # dedup drops T5 rows that repeat T3 ones: the origin comments stay put
+    "atpg_bench7x3_dedup.txt": (0, ["atpg", "bench7x3.rev", "--dedup"]),
 }
 
 _FILE_SUFFIXES = (".rev", ".tests")
@@ -108,6 +119,10 @@ def test_report_matches_golden(name):
     code, text = _replay(argv)
     assert code == expected_code
     assert text == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_every_golden_has_a_case():
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(CASES)
 
 
 def _record() -> None:

@@ -33,12 +33,12 @@ SELECTIONS = (SET_NAMES, ("T1", "T4"), ("T3", "T5"), ("T4",))
 def reference(network, faults, sets, cfg):
     dc = cfg.dc_policy
     base = assemble_union(sets, dc_policy=dc)
-    first = evaluate_test_set(network, faults, list(base.test_set), dc_policy=dc)
+    first = evaluate_test_set(network, faults, base.test_set.rows, dc_policy=dc)
     fb = reference_fallback(network, first.faults_with("undetected"), cfg.oracle_cap,
                             not cfg.fallback)
     union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=dc)
     bound = check_bound(union, len(network.real_inputs()), network.p)
-    final = evaluate_test_set(network, faults, list(union.test_set), dc_policy=dc)
+    final = evaluate_test_set(network, faults, union.test_set.rows, dc_policy=dc)
     verdicts = []
     for v in final.verdicts:
         if v.status == "undetected" and v.fault in fb.redundant:

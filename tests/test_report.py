@@ -34,7 +34,7 @@ def bench_report(bench):
     faults = enumerate_faults(net)
     result = generate_sets(pprms, net)
     union = assemble_union(result.ordered_sets())
-    evaluation = evaluate_test_set(net, faults, union.test_set.patterns)
+    evaluation = evaluate_test_set(net, faults, union.test_set.rows)
     bound = check_bound(union, 7, 3)
     report = build_coverage_report(
         bench, net, faults, evaluation, result.ordered_sets(), union, bound,
@@ -151,11 +151,7 @@ def test_text_bound_fail_and_fallback_note(bench, bench_report):
     net = expand_network(bench)
     pprms = derive_pprm(bench)
     result = generate_sets(pprms, net)
-    from bridgetest import TestPattern
-
-    union = assemble_union(
-        result.ordered_sets(), [TestPattern("000", "1111111", origin="Fallback")]
-    )
+    union = assemble_union(result.ordered_sets(), ["0001111111"])
     gen = build_generation_report(
         bench, net, result.ordered_sets(), union, check_bound(union, 7, 3),
         {}, timestamp=False,

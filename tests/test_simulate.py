@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from reference_sim import (
     FULL_MASK,
     _simulate,
+    as_pattern,
     eval_faulty,
     eval_good,
     exor_stimulation_mask,
@@ -169,18 +170,18 @@ class TestInjection:
 class TestStimulationMasks:
     def test_corners_fill_benchmark_masks(self, bench):
         net = expand_network(bench)
-        corners = gen_corner_set(7, 3).patterns
+        corners = gen_corner_set(7, 3).rows
         assert exor_stimulation_mask(net, corners) == [FULL_MASK] * 19
 
     def test_partial_masks(self, twoline):
         # all-zero pattern stimulates only (left, right) = (0, 0)
-        assert exor_stimulation_mask(twoline, [TestPattern("00", "0")]) == [0b0001, 0b0001]
+        assert exor_stimulation_mask(twoline, ["000"]) == [0b0001, 0b0001]
         # x=1 under c=00: gate 1 sees (0,1); gate 2 sees (0,1) on its own target
-        masks = exor_stimulation_mask(twoline, [TestPattern("00", "1")])
+        masks = exor_stimulation_mask(twoline, ["001"])
         assert masks == [0b0010, 0b0010]
 
     def test_masks_accumulate(self, twoline):
-        corners = gen_corner_set(1, 2).patterns
+        corners = gen_corner_set(1, 2).rows
         assert exor_stimulation_mask(twoline, corners) == [FULL_MASK, FULL_MASK]
 
 
@@ -241,7 +242,7 @@ class TestEvaluateTestSet:
     def test_benchmark_with_corners(self, bench):
         net = expand_network(bench)
         faults = enumerate_faults(net)
-        ev = evaluate_test_set(net, faults, gen_corner_set(7, 3).patterns)
+        ev = evaluate_test_set(net, faults, gen_corner_set(7, 3).rows)
         assert ev.masks == [FULL_MASK] * 19
         for v in ev.verdicts[:19]:
             assert v.status == "detected" and v.method == "stimulation"
@@ -249,8 +250,7 @@ class TestEvaluateTestSet:
     def test_detection_records_first_pattern(self, and2):
         net = expand_network(and2)
         fault = BridgingFault.x_pair(1, 2, OR)
-        pats = [TestPattern("0", "00"), TestPattern("0", "01"), TestPattern("0", "10")]
-        ev = evaluate_test_set(net, [fault], pats)
+        ev = evaluate_test_set(net, [fault], ["000", "001", "010"])
         assert ev.verdicts[0].status == "detected"
         assert ev.verdicts[0].pattern_index == 1
         assert ev.verdicts[0].method == "simulation"
@@ -258,7 +258,7 @@ class TestEvaluateTestSet:
     def test_undetected_and_coverage(self, and2):
         net = expand_network(and2)
         fault = BridgingFault.x_pair(1, 2, OR)
-        ev = evaluate_test_set(net, [fault], [TestPattern("0", "00")])
+        ev = evaluate_test_set(net, [fault], ["000"])
         assert ev.verdicts[0].status == "undetected"
         assert ev.count("undetected") == 1
         assert ev.coverage() == 0.0
@@ -270,24 +270,23 @@ class TestEvaluateTestSet:
         )
         net = expand_network(circuit)
         faults = enumerate_faults(net)
-        ev = evaluate_test_set(net, faults, gen_corner_set(2, 1, constant_line=2).patterns)
+        ev = evaluate_test_set(net, faults, gen_corner_set(2, 1, constant_line=2).rows)
         assert [(v.status, v.method) for v in ev.verdicts] == [("redundant", "constant-line")]
         assert ev.coverage() == 1.0
 
     def test_verdicts_follow_fault_order(self, bench):
         net = expand_network(bench)
         faults = list(enumerate_faults(net))
-        pats = gen_corner_set(7, 3).patterns
+        pats = gen_corner_set(7, 3).rows
         forward = evaluate_test_set(net, faults, pats)
         backward = evaluate_test_set(net, faults[::-1], pats)
         assert backward.verdicts == forward.verdicts[::-1]
         assert backward.masks == forward.masks
 
 
-def _random_patterns(rng, net, count):
+def _random_rows(rng, net, count):
     width = net.p + net.n
-    rows = ["".join(rng.choice("01d") for _ in range(width)) for _ in range(count)]
-    return [TestPattern(row[: net.p], row[net.p :]) for row in rows]
+    return ["".join(rng.choice("01d") for _ in range(width)) for _ in range(count)]
 
 
 @given(
@@ -308,15 +307,15 @@ def test_columns_match_scalar_reference(seed, zero_control, count, dc_policy):
         circuit = with_zero_control(circuit, rng)
     net = expand_network(circuit)
     faults = list(enumerate_faults(net, include_aux=True))
-    patterns = _random_patterns(rng, net, count)
+    rows = _random_rows(rng, net, count)
 
-    ev = evaluate_test_set(net, faults, patterns, dc_policy)
-    verdicts, masks = reference_grade(net, faults, patterns, dc_policy)
+    ev = evaluate_test_set(net, faults, rows, dc_policy)
+    verdicts, masks = reference_grade(net, faults, rows, dc_policy)
     assert ev.verdicts == verdicts
     assert ev.masks == masks
-    assert exor_stimulation_mask(net, patterns, dc_policy) == masks
+    assert exor_stimulation_mask(net, rows, dc_policy) == masks
 
-    for pat in patterns[:1]:
+    for pat in [as_pattern(net, row) for row in rows[:1]]:
         c, x = pat.resolve(dc_policy)
         assert (c, x) == resolve_bits(pat, dc_policy)
         assert eval_good(net, pat, dc_policy) == _simulate(net, c, x, None)
@@ -335,14 +334,28 @@ def test_pack_matches_reference_resolution(dc_policy, count, zero_control):
         circuit = with_zero_control(circuit, rng)
     net = expand_network(circuit)
     assert (net.constant_line is not None) == zero_control
-    patterns = _random_patterns(rng, net, count)
-    assert _pack(net, patterns, dc_policy) == reference_pack(net, patterns, dc_policy)
+    rows = _random_rows(rng, net, count)
+    assert _pack(net, rows, dc_policy) == reference_pack(net, rows, dc_policy)
 
 
-@pytest.mark.parametrize("c, x", [("0", "1"), ("000", "1"), ("00", ""), ("000", ""), ("0", "11")])
+@pytest.mark.parametrize("c, x", [("0", "1"), ("000", "1"), ("00", "")])
 def test_pack_rejects_wrong_width(twoline, c, x):
-    # ("000", "") and ("0", "11") have the full width but split it wrongly
-    message = f"pattern dimension mismatch: got p={len(c)} n={len(x)}, network has p=2 n=1"
-    good = TestPattern("00", "1")
+    message = f"pattern has {len(c + x)} symbols, expected 3 (p=2 then n=1)"
     with pytest.raises(ValueError, match=re.escape(message)):
-        _pack(twoline, [good, TestPattern(c, x), good], "fill-zero")
+        _pack(twoline, ["001", c + x, "001"], "fill-zero")
+
+
+@pytest.mark.parametrize("row", ["0_1", "01 ", "0x1", "+01"])
+@pytest.mark.parametrize("dc_policy", DC_POLICIES)
+def test_pack_rejects_bad_symbols(twoline, row, dc_policy):
+    # int(..., 2) alone would read "0_1", " 01" or "+01"
+    with pytest.raises(ValueError, match="bad pattern symbol"):
+        _pack(twoline, ["0d1", row], dc_policy)
+
+
+@pytest.mark.parametrize("c, x", [("000", ""), ("0", "11")])
+def test_detects_rejects_wrong_split(twoline, c, x):
+    # the full width, split wrongly
+    message = f"pattern dimension mismatch: got p={len(c)} n={len(x)}, network has p=2 n=1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        detects(twoline, BridgingFault.intra_level(0, 1, 2, AND), TestPattern(c, x))
