@@ -36,8 +36,8 @@ run = run_pipeline(net, faults, result.ordered_sets(), RunConfig("verify", dedup
 evaluation = run.evaluation
 print(f"union of {run.union.pre_dedup_size}: {evaluation.count('detected')} of"
       f" {len(faults)} faults detected, {evaluation.count('undetected')} left")
-for fault, method in run.fallback.redundant.items():
-    print(f"  {fault.describe()}: redundant ({method} proof)")
+for k in run.fallback.redundant:  # fault indices, each proved by the exhaustive oracle
+    print(f"  {faults[k].describe()}: redundant (exhaustive proof)")
 if run.fallback.patterns:
     print(f"  repair patterns added: {run.fallback.patterns}")
 print()

@@ -25,8 +25,9 @@ moves one input, so it shows where the outputs are sensitive to that input.
 Each set emits at most n - 1 patterns; with T1's 4, T4's ceil(log2 p), and
 T5's n, the union stays within 3n + ceil(log2 p) + 2 whenever no fallback
 pattern is needed.
-Fallback repair reads each missed fault once against the repair patterns
-appended so far, and consults the exhaustive oracle for the rest.
+Fallback repair finds the misses by index in a graded ``Evaluation``, reads
+each once against the repair patterns appended so far, consults the
+exhaustive oracle for the rest, and returns its verdicts as index lists.
 """
 
 from __future__ import annotations
@@ -35,14 +36,14 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .faults import BridgingFault, FaultKind, Polarity
 from .network import AndExorNetwork
 from .patterns import FILL_TABLES, TestSet
 from .pprm import PprmFunction
-from .simulate import (DEFAULT_ORACLE_CAP, _fault_difference, _Good, _pack,
-                       exhaustive_detectability)
+from .simulate import (DEFAULT_ORACLE_CAP, UNDETECTED, Evaluation, _fault_difference, _Good,
+                       _pack, exhaustive_detectability)
 from .simulate import detects  # noqa: F401  (kept: perfbench/spans.py patches atpg.detects)
 
 __all__ = [
@@ -453,26 +454,31 @@ _RANDOM_DRAWS = 512
 
 @dataclass
 class FallbackResult:
-    patterns: list[str] = field(default_factory=list)  # repair rows
-    redundant: dict[BridgingFault, str] = field(default_factory=dict)
-    unresolved: list[BridgingFault] = field(default_factory=list)
+    """Repair rows, and the fault indices proved redundant (all by the
+    exhaustive oracle) or left unresolved, each in ascending order."""
+
+    patterns: list[str] = field(default_factory=list)
+    redundant: list[int] = field(default_factory=list)
+    unresolved: list[int] = field(default_factory=list)
 
 
 def fallback_search(
     network: AndExorNetwork,
-    uncovered_faults: Sequence[BridgingFault],
+    evaluation: Evaluation,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     *,
     classify_only: bool = False,
 ) -> FallbackResult:
     """Repair coverage for the faults grading left undetected.
 
-    Each fault is read once against the repair rows appended so far,
-    packed as columns, and skipped if they detect it.  Up to width
-    ``oracle_cap`` the others get the oracle's exact verdict: a witness
-    pattern or a redundancy proof (``redundant`` maps the fault to the
-    proving method); a witness goes in as its row.  Above it a seeded random
-    search reads 512 draws per fault at once and gives up as unresolved.
+    The misses are the ``undetected`` entries of the graded ``evaluation``,
+    visited in index order.  Each is read once against the repair rows
+    appended so far, packed as columns, and skipped if they detect it.  Up
+    to width ``oracle_cap`` the others get the oracle's exact verdict: a
+    witness pattern, which goes in as its row, or a redundancy proof.  Both
+    entries of an APair or IntraLevel pair take the verdict the oracle gave
+    the first.  Above the cap a random search, seeded by the miss's ordinal
+    among all misses, reads 512 draws at once and gives up as unresolved.
     Unmet ExorInternal obligations are repaired by appending the corner
     set's rows, which provably complete every reachable mask.
 
@@ -480,6 +486,7 @@ def fallback_search(
     unresolved classifications still come out, so a fixed test set can be
     graded with the same verdict vocabulary the repair path uses.
     """
+    faults, status = evaluation.faults, evaluation.status
     out = FallbackResult()
     width = network.n + network.p
     repairs = None  # the rows appended so far, packed; read only once there are any
@@ -489,29 +496,35 @@ def fallback_search(
         c, x, ones = _pack(network, out.patterns, "fill-zero")
         return _Good(network, c + x, ones)
 
+    def misses() -> Iterator[int]:
+        k = status.find(UNDETECTED)
+        while k >= 0:
+            yield k
+            k = status.find(UNDETECTED, k + 1)
+
     corners_added = False
-    # oracle verdicts; both polarities of an APair or IntraLevel share one
-    proofs: dict[tuple, bool] = {}
+    decided, detectable = None, False  # the last pair the oracle decided, and its verdict
     pinned = None if network.constant_line is None else network.p + network.constant_line - 1
-    for idx, fault in enumerate(uncovered_faults):
-        if fault.kind is FaultKind.EXOR_INTERNAL:
+    for idx, k in enumerate(misses()):
+        if k < faults.d:  # an ExorInternal obligation
             if not classify_only and not corners_added:
                 corners = gen_corner_set(network.n, network.p, constant_line=network.constant_line)
                 repairs = append(corners.rows)
                 corners_added = True
             continue
-        pair = (fault.kind, fault.ids, fault.kind is FaultKind.X_PAIR and fault.polarity)
-        if pair in proofs:
-            if not proofs[pair]:  # a detectable pair's witness is kept, or not wanted
-                out.redundant[fault] = "exhaustive"
+        kind, ids, polarity = faults.entry(k)
+        pair = (kind, ids, kind is FaultKind.X_PAIR and polarity)
+        if pair == decided:
+            if not detectable:  # a detectable pair's witness is kept, or not wanted
+                out.redundant.append(k)
             continue
-        if out.patterns and _fault_difference(repairs, fault.kind, fault.ids, fault.polarity):
+        if out.patterns and _fault_difference(repairs, kind, ids, polarity):
             continue
         if width <= oracle_cap:
-            res = exhaustive_detectability(network, fault)
-            proofs[pair] = res.detectable
+            res = exhaustive_detectability(network, BridgingFault(kind, ids, polarity))
+            decided, detectable = pair, res.detectable
             if not res.detectable:
-                out.redundant[fault] = "exhaustive"
+                out.redundant.append(k)
             elif not classify_only:
                 repairs = append([res.witness.line()])
             continue
@@ -522,16 +535,16 @@ def fallback_search(
             # All draws are read at once; the first detecting one is kept.
             rng = random.Random(_RANDOM_SEED * 1000003 + idx)
             ones = (1 << _RANDOM_DRAWS) - 1
-            cols = [ones if k == pinned else 0 for k in range(width)]
-            drawn = [k for k in range(width) if k != pinned]
+            cols = [ones if j == pinned else 0 for j in range(width)]
+            drawn = [j for j in range(width) if j != pinned]
             for t in range(_RANDOM_DRAWS):
-                for k in drawn:
+                for j in drawn:
                     if rng.choice("01") == "1":
-                        cols[k] |= 1 << t
+                        cols[j] |= 1 << t
             draws = _Good(network, cols, ones)
-            diff = _fault_difference(draws, fault.kind, fault.ids, fault.polarity)
+            diff = _fault_difference(draws, kind, ids, polarity)
         if not diff:
-            out.unresolved.append(fault)
+            out.unresolved.append(k)
         else:
             first = (diff & -diff).bit_length() - 1
             repairs = append(["".join(str(col >> first & 1) for col in cols)])

@@ -132,30 +132,29 @@ def run_pipeline(network, faults, sets: list[TestSet], cfg: RunConfig) -> Pipeli
     """Grade the union of ``sets``, repair or classify its misses, check the bound.
 
     The union is graded once.  Fallback then handles the undetected faults
-    (repair patterns only when ``cfg.fallback``).  If it appended patterns,
-    the whole fault list is graded again against the final union: dedup
-    keeps first occurrences in order, so the graded base is a prefix of the
-    final union and every verdict and pattern index of the first grading
-    stays.  A miss still undetected then takes fallback's proof method, or
-    ``unresolved``.  With ``faults`` None nothing is graded and fallback
-    does not run.
+    (repair patterns only when ``cfg.fallback``) and returns fault indices.
+    If it appended patterns, the whole fault list is graded again against
+    the final union: dedup keeps first occurrences in order, so the graded
+    base is a prefix of the final union and every verdict and pattern index
+    of the first grading stays.  A miss still undetected then takes
+    fallback's ``exhaustive`` proof, or ``unresolved``.  With ``faults``
+    None nothing is graded and fallback does not run.
     """
     dc = cfg.dc_policy
     union = assemble_union(sets, dedup=cfg.dedup, dc_policy=dc)
     evaluation = fb = None
     if faults is not None:
         evaluation = evaluate_test_set(network, faults, union.test_set.rows, dc_policy=dc)
-        missed = [k for k, status in enumerate(evaluation.status) if status == UNDETECTED]
-        missed_faults = evaluation.faults_with("undetected")
-        fb = fallback_search(network, missed_faults, cfg.oracle_cap, classify_only=not cfg.fallback)
+        fb = fallback_search(network, evaluation, cfg.oracle_cap, classify_only=not cfg.fallback)
         if fb.patterns:
             union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=dc)
             evaluation = evaluate_test_set(network, faults, union.test_set.rows, dc_policy=dc)
-        status, method, unresolved = evaluation.status, evaluation.method, set(fb.unresolved)
-        for k, fault in zip(missed, missed_faults):
-            if status[k] == UNDETECTED and fault in fb.redundant:
-                status[k], method[k] = REDUNDANT, METHODS.index(fb.redundant[fault])
-            elif status[k] == UNDETECTED and fault in unresolved:
+        status, method = evaluation.status, evaluation.method
+        for k in fb.redundant:
+            if status[k] == UNDETECTED:
+                status[k], method[k] = REDUNDANT, METHODS.index("exhaustive")
+        for k in fb.unresolved:
+            if status[k] == UNDETECTED:
                 status[k] = UNRESOLVED
     bound = check_bound(union, len(network.real_inputs()), network.p)
     return PipelineResult(union, evaluation, fb, bound)

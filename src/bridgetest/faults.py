@@ -126,7 +126,7 @@ class FaultList(Sequence[BridgingFault]):
 
     ExorInternal has one entry per gate, first.  Each bridged pair of the
     other classes has two consecutive entries, WiredAnd then WiredOr, so
-    class, pair and polarity are arithmetic on the index, and a
+    class, pair and polarity are arithmetic on the index (``entry``), and a
     ``BridgingFault`` is built only when one is read.  ``blocks`` gives the
     pair classes as line ranges, so a reader can walk a whole class at once.
     """
@@ -178,12 +178,13 @@ class FaultList(Sequence[BridgingFault]):
                     ids = pair if level is None else (level, *pair)
                     yield from (BridgingFault(kind, ids, polarity) for polarity in _POLARITIES)
 
-    def __getitem__(self, idx: int) -> BridgingFault:
+    def entry(self, idx: int) -> tuple[FaultKind, tuple[int, ...], Polarity | None]:
+        """``(kind, ids, polarity)`` of entry ``idx``, with no ``BridgingFault`` built."""
         if not -self._len <= idx < self._len:
             raise IndexError("fault index out of range")
         idx %= self._len
         if idx < self.d:
-            return BridgingFault(FaultKind.EXOR_INTERNAL, (idx + 1,))
+            return FaultKind.EXOR_INTERNAL, (idx + 1,), None
         k, polarity = divmod(idx - self.d, 2)
         for (kind, lines, levels), starts in zip(self._blocks, self._row_starts):
             per_level = starts[-1]
@@ -192,8 +193,11 @@ class FaultList(Sequence[BridgingFault]):
                 a = bisect.bisect_right(starts, k) - 1
                 pair = lines[a], lines[a + 1 + k - starts[a]]
                 ids = pair if levels[level] is None else (levels[level], *pair)
-                return BridgingFault(kind, ids, _POLARITIES[polarity])
+                return kind, ids, _POLARITIES[polarity]
             k -= per_level * len(levels)
+
+    def __getitem__(self, idx: int) -> BridgingFault:
+        return BridgingFault(*self.entry(idx))
 
 
 def enumerate_faults(

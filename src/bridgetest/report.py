@@ -26,12 +26,11 @@ from .circuit import ReversibleCircuit
 from .faults import FaultKind, FaultList, Polarity
 from .network import AndExorNetwork
 from .patterns import TestSet
-from .simulate import METHODS, STATUSES, Evaluation, FaultVerdict
+from .simulate import METHODS, STATUSES, Evaluation
 
 __all__ = [
     "SCHEMA_VERSION",
     "REPORT_FORMATS",
-    "verdict_detail",
     "build_coverage_report",
     "build_generation_report",
     "build_fault_report",
@@ -52,16 +51,12 @@ def _timestamp() -> str:
 
 
 def _detail(method: str | None, pattern_index: int | None) -> str:
+    """A verdict's detail cell: proof method plus 1-based pattern ordinal."""
     if method is None:
         return ""
     if pattern_index is None:
         return method
     return f"{method}, pattern {pattern_index + 1}"
-
-
-def verdict_detail(verdict: FaultVerdict) -> str:
-    """Human-oriented one-liner: proof method plus 1-based pattern ordinal."""
-    return _detail(verdict.method, verdict.pattern_index)
 
 
 class Rows(Sequence):

@@ -10,10 +10,11 @@ outputs of the gates targeting j, so a bridge changes the outputs by the
 XOR of its two nets (APair, IntraLevel), or, for an XPair, by flipping one
 input where the two differ, wherever the outputs are sensitive to it.
 Grading walks a ``FaultList`` a class block at a time over tables built
-once per call.  ``_output_changes`` reads one fault; ``detects``, plain
-fault lists, fallback repair and the oracle share it, the oracle on GF(2)
-polynomials (``_Anf``) in the pattern positions, which cover every
-assignment at once: a fault is redundant exactly when every change is zero.
+once per call, and records verdicts by fault index.  ``_output_changes``
+reads one fault; ``detects``, fallback repair and the oracle share it, the
+oracle on GF(2) polynomials (``_Anf``) in the pattern positions, which
+cover every assignment at once: a fault is redundant exactly when every
+change is zero.
 """
 
 from __future__ import annotations
@@ -268,14 +269,16 @@ _SIMULATION, _STIMULATION, _CONSTANT_LINE = 1, 2, 4  # indices into METHODS
 
 
 class Evaluation:
-    """Per-fault verdicts of one test set, in the order of ``faults``.
+    """Per-fault verdicts of one test set, indexed like the ``FaultList``.
 
     They are kept as parallel arrays: codes into ``STATUSES`` and
     ``METHODS``, and the first detecting pattern index (None when there is
-    none).  ``verdicts`` builds the ``FaultVerdict`` list on each read.
+    none).  A reader finds the entries of one verdict by index, for example
+    with ``status.find(UNDETECTED, k)``; ``verdicts`` builds the
+    ``FaultVerdict`` list on each read.
     """
 
-    def __init__(self, faults: FaultList | Sequence[BridgingFault], masks: list[int]) -> None:
+    def __init__(self, faults: FaultList, masks: list[int]) -> None:
         self.faults = faults
         self.masks = masks
         self.status = bytearray(len(faults))
@@ -296,14 +299,10 @@ class Evaluation:
         testable = len(self.status) - self.count("redundant")
         return self.count("detected") / testable if testable else 1.0
 
-    def faults_with(self, status: str) -> list[BridgingFault]:
-        code = STATUSES.index(status)
-        return [self.faults[k] for k, s in enumerate(self.status) if s == code]
-
 
 def evaluate_test_set(
     network: AndExorNetwork,
-    faults: FaultList | Sequence[BridgingFault],
+    faults: FaultList,
     rows: Sequence[str],
     dc_policy: str = "fill-zero",
 ) -> Evaluation:
@@ -311,13 +310,13 @@ def evaluate_test_set(
 
     The rows are packed into columns, bit t holding row t.  A
     detected fault records the first detecting pattern index; ExorInternal
-    records the index at which its stimulation mask became full.  A
-    ``FaultList`` is graded a class block at a time (``FaultList.blocks``).
-    An APair or IntraLevel pair changes the outputs by the XOR of its two
-    nets whatever its polarity, so one ``^`` decides both entries.  An XPair
-    (i, j) flips x_i where x_i = 1 and x_j = 0 under wired-AND, and x_j
-    there under wired-OR, where the outputs are sensitive to the flipped
-    input.  A plain fault list is read one fault at a time.
+    records the index at which its stimulation mask became full.  The
+    ``FaultList`` is graded a class block at a time (``FaultList.blocks``),
+    so no ``BridgingFault`` is built.  An APair or IntraLevel pair changes
+    the outputs by the XOR of its two nets whatever its polarity, so one
+    ``^`` decides both entries.  An XPair (i, j) flips x_i where x_i = 1 and
+    x_j = 0 under wired-AND, and x_j there under wired-OR, where the outputs
+    are sensitive to the flipped input.
     """
     c_cols, x_cols, ones = _pack(network, rows, dc_policy)
     cols = c_cols + x_cols
@@ -341,26 +340,13 @@ def evaluate_test_set(
     ev = Evaluation(faults, masks)
     status, method, first = ev.status, ev.method, ev.first
 
-    def exor_internal(k: int, gate_id: int) -> None:
-        sup = network.gate_supports[gate_id - 1]
+    for k, sup in enumerate(network.gate_supports):  # ExorInternal, entry k is gate k + 1
         if network.constant_line is not None and sup <= {network.constant_line}:
             # The AND value is pinned, so two of the four combinations can
             # never be applied: the obligation is unsatisfiable by design.
             status[k], method[k] = REDUNDANT, _CONSTANT_LINE
-        elif gate_id in full_at:
-            status[k], method[k], first[k] = DETECTED, _STIMULATION, full_at[gate_id]
-
-    if not isinstance(faults, FaultList):
-        for k, f in enumerate(faults):
-            if f.kind is FaultKind.EXOR_INTERNAL:
-                exor_internal(k, f.ids[0])
-            elif diff := _fault_difference(good, f.kind, f.ids, f.polarity):
-                status[k], method[k] = DETECTED, _SIMULATION
-                first[k] = (diff & -diff).bit_length() - 1
-        return ev
-
-    for gate_id in range(1, network.d + 1):
-        exor_internal(gate_id - 1, gate_id)
+        elif k + 1 in full_at:
+            status[k], method[k], first[k] = DETECTED, _STIMULATION, full_at[k + 1]
     k = network.d
     for kind, lines, block_levels in faults.blocks():
         if kind is FaultKind.X_PAIR:

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import settings
 
 from bridgetest.circuit import Gate, ReversibleCircuit, normalize_zero_controls, parse_circuit
+from bridgetest.faults import enumerate_faults
+from bridgetest.network import AndExorNetwork
+from bridgetest.simulate import DETECTED, UNDETECTED, Evaluation
 
 settings.register_profile("ci", derandomize=True, deadline=None, max_examples=60)
 settings.load_profile("ci")
@@ -57,3 +60,12 @@ def with_zero_control(circuit: ReversibleCircuit, rng: random.Random) -> Reversi
     renumbered = tuple(Gate(g.controls, g.target, pos) for pos, g in enumerate(gates, start=1))
     raw = ReversibleCircuit(circuit.n, circuit.p, renumbered, name=circuit.name)
     return normalize_zero_controls(raw)
+
+
+def evaluation_missing(network: AndExorNetwork, missed) -> Evaluation:
+    """An evaluation over ``enumerate_faults(network)`` in which exactly the
+    faults in ``missed`` are undetected; every other entry reads detected."""
+    faults = enumerate_faults(network)
+    ev = Evaluation(faults, [])
+    ev.status[:] = bytes(UNDETECTED if f in missed else DETECTED for f in faults)
+    return ev

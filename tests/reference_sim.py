@@ -11,27 +11,29 @@ same closed form on the truth-table columns of every assignment instead.
 The library packs rows by slicing one resolved string; ``resolve_bits``
 and ``reference_pack`` split each row into a ``TestPattern``, fill
 don't-cares and set column bits one at a time.  The library's fallback
-reads each miss once against all repair rows, packed, and remembers oracle
-verdicts; ``reference_fallback`` asks ``detects`` pattern by pattern,
-proves every fault again, and builds each random draw as a string.
+finds the misses by index in a graded evaluation, reads each once against
+all repair rows, packed, and remembers the last oracle verdict;
+``reference_fallback`` takes a list of missed faults, asks ``detects``
+pattern by pattern, proves every fault again, builds each random draw as a
+string and picks one by injection.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from bridgetest import (
     OracleResult,
     AndExorNetwork,
     BridgingFault,
-    FallbackResult,
     FaultKind,
     FaultVerdict,
     TestPattern,
     bridge_values,
     detects,
+    enumerate_faults,
     evaluate_test_set,
     exhaustive_detectability,
     gen_corner_set,
@@ -175,7 +177,7 @@ def exor_stimulation_mask(
     pattern.  A full mask (0b1111) discharges the gate's ExorInternal
     obligation.
     """
-    return evaluate_test_set(network, [], list(rows), dc_policy).masks
+    return evaluate_test_set(network, enumerate_faults(network), list(rows), dc_policy).masks
 
 
 def _simulate(
@@ -351,20 +353,32 @@ def truth_table_detectability(network: AndExorNetwork, fault: BridgingFault) -> 
     return _witness(network, _fault_difference(good, fault.kind, fault.ids, fault.polarity))
 
 
+@dataclass
+class ReferenceFallback:
+    """``reference_fallback``'s result: repair rows, and the faults proved
+    redundant or left unresolved, in the order they were met."""
+
+    patterns: list[str] = field(default_factory=list)
+    redundant: list[BridgingFault] = field(default_factory=list)
+    unresolved: list[BridgingFault] = field(default_factory=list)
+
+
 def reference_fallback(
     network: AndExorNetwork,
     faults: Sequence[BridgingFault],
     oracle_cap: int,
     classify_only: bool = False,
-) -> FallbackResult:
-    """``fallback_search`` with no proof cache, one pattern at a time.
+) -> ReferenceFallback:
+    """``fallback_search`` over a list of misses, with no proof cache, one
+    pattern at a time.
 
     Proving a pair's second polarity again changes nothing: it is either
     detected by the first polarity's witness or redundant like it.  Above
-    ``oracle_cap`` the 512 draws of fault ``idx`` are strings, one
-    ``rng.choice`` per line except the constant line, which stays 1.
+    ``oracle_cap`` the 512 draws of the ``idx``-th miss are strings, one
+    ``rng.choice`` per line except the constant line, which stays 1, and
+    the first draw the injected bridge changes is kept.
     """
-    out = FallbackResult()
+    out = ReferenceFallback()
     corners_added = False
     for idx, fault in enumerate(faults):
         if fault.kind is FaultKind.EXOR_INTERNAL:
@@ -378,11 +392,11 @@ def reference_fallback(
         if network.n + network.p <= oracle_cap:
             res = exhaustive_detectability(network, fault)
             if not res.detectable:
-                out.redundant[fault] = "exhaustive"
+                out.redundant.append(fault)
             elif not classify_only:
                 out.patterns.append(res.witness.line())
             continue
-        first = None
+        diff = 0
         if not classify_only:
             rng = random.Random(271828 * 1000003 + idx)
             draws = [
@@ -393,9 +407,9 @@ def reference_fallback(
                 )
                 for _ in range(512)
             ]
-            first = evaluate_test_set(network, [fault], draws).verdicts[0].pattern_index
-        if first is None:
+            diff = injected_difference(network, *reference_pack(network, draws, "fill-zero"), fault)
+        if not diff:
             out.unresolved.append(fault)
         else:
-            out.patterns.append(draws[first])
+            out.patterns.append(draws[(diff & -diff).bit_length() - 1])
     return out

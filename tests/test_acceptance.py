@@ -9,7 +9,7 @@ import random
 import time
 
 import pytest
-from conftest import random_circuit
+from conftest import evaluation_missing, random_circuit
 from reference_sim import FULL_MASK, as_pattern, exor_stimulation_mask
 
 from bridgetest import (
@@ -35,6 +35,7 @@ from bridgetest import (
 from bridgetest.atpg import _parity_rows
 from bridgetest.benchmark import REFERENCE_PARITY_ROWS, REFERENCE_T2_X, REFERENCE_T3_X
 from bridgetest.cli import main
+from bridgetest.simulate import DETECTED
 
 AND = Polarity.WIRED_AND
 OR = Polarity.WIRED_OR
@@ -187,22 +188,22 @@ def sweep():
 
         base = assemble_union(sets)
         first = evaluate_test_set(net, faults, base.test_set.rows)
-        fb = fallback_search(net, first.faults_with("undetected"))
+        fb = fallback_search(net, first)
         union = assemble_union(sets, fb.patterns)
         final = evaluate_test_set(net, faults, union.test_set.rows)
 
         if fb.unresolved:
-            stats["unresolved"].append((circuit.name, fb.unresolved))
+            stats["unresolved"].append((circuit.name, [faults[k] for k in fb.unresolved]))
 
-        status = {v.fault: v.status for v in final.verdicts}
-        for fault in faults:
+        redundant = set(fb.redundant)
+        for k, fault in enumerate(faults):
             if fault.kind is FaultKind.EXOR_INTERNAL:
                 continue
             stats["faults_checked"] += 1
             oracle = exhaustive_detectability(net, fault)
-            if oracle.detectable and status[fault] != "detected":
+            if oracle.detectable and final.status[k] != DETECTED:
                 stats["coverage_misses"].append((circuit.name, fault))
-            if fault in fb.redundant and oracle.detectable:
+            if k in redundant and oracle.detectable:
                 stats["unconfirmed_redundant"].append((circuit.name, fault))
 
         masks = exor_stimulation_mask(net, result.sets["T1"].rows)
@@ -334,8 +335,9 @@ def test_criterion_8_redundancy(tmp_path, and2_path, capsys):
     net = expand_network(parse_circuit(and2_path.read_text()))
     fault = BridgingFault.x_pair(1, 2, AND)
     assert not exhaustive_detectability(net, fault).detectable
-    fb = fallback_search(net, [fault])
-    assert fb.redundant == {fault: "exhaustive"} and fb.patterns == []
+    ev = evaluation_missing(net, [fault])
+    fb = fallback_search(net, ev)
+    assert [ev.faults[k] for k in fb.redundant] == [fault] and fb.patterns == []
     _ok(
         "criterion 8: PASS - (x1,x2) wired-AND reported Redundant with an"
         " exhaustive proof and verify exits 0"

@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from conftest import random_circuit, with_zero_control
+from conftest import evaluation_missing, random_circuit, with_zero_control
 from reference_sim import as_pattern, reference_fallback
 
 from bridgetest import (
@@ -34,6 +34,7 @@ from bridgetest import (
 )
 from bridgetest import atpg, simulate
 from bridgetest.atpg import _parity_rows
+from bridgetest.simulate import UNDETECTED
 
 AND = Polarity.WIRED_AND
 OR = Polarity.WIRED_OR
@@ -467,24 +468,36 @@ class TestFallbackSearch:
     def test_oracle_witness_and_redundancy(self, and2):
         net = expand_network(and2)
         missed = [BridgingFault.x_pair(1, 2, OR), BridgingFault.x_pair(1, 2, AND)]
-        fb = fallback_search(net, missed)
+        ev = evaluation_missing(net, missed)
+        fb = fallback_search(net, ev)
         assert fb.patterns == ["001"]
-        assert fb.redundant == {missed[1]: "exhaustive"}
+        assert [ev.faults[k] for k in fb.redundant] == [missed[1]]
         assert fb.unresolved == []
 
     def test_classify_only_adds_nothing(self, and2):
         net = expand_network(and2)
         missed = [BridgingFault.x_pair(1, 2, OR), BridgingFault.x_pair(1, 2, AND)]
-        fb = fallback_search(net, missed, classify_only=True)
+        ev = evaluation_missing(net, missed)
+        fb = fallback_search(net, ev, classify_only=True)
         assert fb.patterns == []
-        assert fb.redundant == {missed[1]: "exhaustive"}
+        assert [ev.faults[k] for k in fb.redundant] == [missed[1]]
         assert fb.unresolved == []
 
-    def test_greedy_reuse_of_appended_patterns(self, and2):
-        net = expand_network(and2)
-        fault = BridgingFault.x_pair(1, 2, OR)
-        fb = fallback_search(net, [fault, fault])
-        assert len(fb.patterns) == 1
+    def test_greedy_reuse_of_appended_patterns(self, monkeypatch):
+        # the first miss's witness also detects the second, a different pair:
+        # one oracle call, one pattern
+        calls = []
+        oracle = atpg.exhaustive_detectability
+        monkeypatch.setattr(
+            atpg, "exhaustive_detectability", lambda net, f: calls.append(f) or oracle(net, f)
+        )
+        net = expand_network(parse_circuit(DUP_TEXT))
+        missed = [BridgingFault.x_pair(1, 3, AND), BridgingFault.x_pair(2, 3, AND)]
+        fb = fallback_search(net, evaluation_missing(net, missed))
+        assert calls == missed[:1]
+        assert fb.patterns == ["00110"]
+        assert detects(net, missed[1], as_pattern(net, fb.patterns[0]))
+        assert (fb.redundant, fb.unresolved) == ([], [])
 
     @pytest.mark.parametrize("classify_only", [False, True])
     def test_one_proof_per_apair_or_intra_level_pair(self, monkeypatch, classify_only):
@@ -500,42 +513,43 @@ class TestFallbackSearch:
         detectable_pair = [BridgingFault.a_pair(1, 3, AND), BridgingFault.a_pair(1, 3, OR)]
         intra = [BridgingFault.intra_level(0, 1, 2, AND), BridgingFault.intra_level(0, 1, 2, OR)]
         xpairs = [BridgingFault.x_pair(1, 2, AND), BridgingFault.x_pair(1, 2, OR)]
-        missed = redundant_pair + detectable_pair + intra + xpairs
-        fb = fallback_search(net, missed, classify_only=classify_only)
-        pairs = [f for f in calls if f.kind is not FaultKind.X_PAIR]
-        assert pairs == [redundant_pair[0], detectable_pair[0], intra[0]]
-        if classify_only:  # no witness is kept to catch the other XPair
-            assert calls[3:] == xpairs
-        assert fb.redundant == dict.fromkeys(redundant_pair + xpairs[:1], "exhaustive")
-        assert len(fb.patterns) == (0 if classify_only else 2)
+        ev = evaluation_missing(net, redundant_pair + detectable_pair + intra + xpairs)
+        fb = fallback_search(net, ev, classify_only=classify_only)
+        # index order: XPair, IntraLevel, APair; no witness detects a later miss
+        assert calls == xpairs + [intra[0], redundant_pair[0], detectable_pair[0]]
+        assert [ev.faults[k] for k in fb.redundant] == xpairs[:1] + redundant_pair
+        assert fb.redundant == sorted(fb.redundant) and fb.unresolved == []
+        assert len(fb.patterns) == (0 if classify_only else 3)
 
     def test_exor_obligation_appends_corners_once(self):
         net = expand_network(parse_circuit(".n 1\n.p 2\n.gate c1 : x1\n.gate c2 : x1\n.end\n"))
         missed = [BridgingFault.exor_internal(1), BridgingFault.exor_internal(2)]
-        fb = fallback_search(net, missed)
+        fb = fallback_search(net, evaluation_missing(net, missed))
         assert fb.patterns == ["000", "001", "110", "111"]
-        fb2 = fallback_search(net, missed, classify_only=True)
+        fb2 = fallback_search(net, evaluation_missing(net, missed), classify_only=True)
         assert fb2.patterns == []
 
     def test_wide_circuit_random_path(self):
         # n + p = 23 sits above the oracle cap: detectable faults get seeded
-        # random witnesses, unprovable ones come back unresolved
+        # random witnesses, unprovable ones come back unresolved.  Index order
+        # meets the unprovable WiredAnd first, so WiredOr draws with seed 1.
         text = ".n 20\n.p 3\n.gate c1 : x1 x2\n.gate c2 : x3\n.gate c3 : x4\n.end\n"
         net = expand_network(parse_circuit(text))
         or_fault = BridgingFault.x_pair(1, 2, OR)
         and_fault = BridgingFault.x_pair(1, 2, AND)
-        fb = fallback_search(net, [or_fault, and_fault])
+        ev = evaluation_missing(net, [or_fault, and_fault])
+        fb = fallback_search(net, ev)
         assert len(fb.patterns) == 1
         assert detects(net, or_fault, as_pattern(net, fb.patterns[0]))
-        assert fb.unresolved == [and_fault]
-        assert fb.redundant == {}
+        assert [ev.faults[k] for k in fb.unresolved] == [and_fault]
+        assert fb.redundant == []
 
     def test_wide_circuit_determinism(self):
         text = ".n 20\n.p 3\n.gate c1 : x1 x2\n.gate c2 : x3\n.gate c3 : x4\n.end\n"
         net = expand_network(parse_circuit(text))
         or_fault = BridgingFault.x_pair(1, 2, OR)
-        a = fallback_search(net, [or_fault])
-        b = fallback_search(net, [or_fault])
+        a = fallback_search(net, evaluation_missing(net, [or_fault]))
+        b = fallback_search(net, evaluation_missing(net, [or_fault]))
         assert a.patterns == b.patterns
 
     @pytest.mark.parametrize("zero_control", [False, True])
@@ -549,16 +563,21 @@ class TestFallbackSearch:
                 circuit = with_zero_control(circuit, rng)
             net = expand_network(circuit)
             faults = [f for f in enumerate_faults(net) if f.kind.value != "ExorInternal"]
-            fb = fallback_search(net, faults, oracle_cap=0)
-            ref = reference_fallback(net, faults, 0)
-            assert (fb.patterns, fb.unresolved) == (ref.patterns, ref.unresolved)
-            assert fb.patterns and (net.constant_line is not None) == zero_control
+            ev = evaluation_missing(net, set(faults))
+            for classify_only in (False, True):
+                fb = fallback_search(net, ev, oracle_cap=0, classify_only=classify_only)
+                ref = reference_fallback(net, faults, 0, classify_only)
+                assert fb.patterns == ref.patterns
+                assert [ev.faults[k] for k in fb.unresolved] == ref.unresolved
+                assert fb.redundant == ref.redundant == []
+                assert bool(fb.patterns) != classify_only
+            assert (net.constant_line is not None) == zero_control
 
     def test_matches_reference_fallback(self):
         # the misses of a T1,T4 union, repaired or classified, by the oracle
         # or by random draws: the same patterns, proofs and unresolved faults.
-        # Every other pair of circuits also lists its ExorInternal faults
-        # first, so the pairs are read against the corner set as well.
+        # Every other pair of circuits also marks its ExorInternal entries
+        # undetected, so the pairs are read against the corner set as well.
         # reused: misses that a repair pattern appended for another fault detects
         seen = dict.fromkeys(("patterns", "corners", "reused", "redundant", "unresolved"), 0)
         rng = random.Random(515)
@@ -570,22 +589,28 @@ class TestFallbackSearch:
             sets = generate_sets(derive_pprm(circuit), net, ("T1", "T4")).ordered_sets()
             union = assemble_union(sets).test_set
             faults = enumerate_faults(net)
-            pairs = evaluate_test_set(net, faults, union.rows).faults_with("undetected")
-            exor = [faults[k] for k in range(net.d)] if idx % 4 >= 2 else []
-            missed = exor + pairs
-            assert all(f.kind is not FaultKind.EXOR_INTERNAL for f in pairs)
-            for classify_only, cap in itertools.product((False, True), (0, 22)):
-                fb = fallback_search(net, missed, cap, classify_only=classify_only)
+            ev = evaluate_test_set(net, faults, union.rows)
+            pairs = ev.status.count(UNDETECTED)
+            assert UNDETECTED not in ev.status[: net.d]
+            if idx % 4 >= 2:
+                ev.status[: net.d] = bytes([UNDETECTED]) * net.d
+            missed = [faults[k] for k, s in enumerate(ev.status) if s == UNDETECTED]
+            for classify_only, cap in itertools.product((False, True), (0, 22, 1000)):
+                fb = fallback_search(net, ev, cap, classify_only=classify_only)
                 ref = reference_fallback(net, missed, cap, classify_only)
-                assert fb == ref, (idx, classify_only, cap)
+                got = (fb.patterns, [faults[k] for k in fb.redundant],
+                       [faults[k] for k in fb.unresolved])
+                assert got == (ref.patterns, ref.redundant, ref.unresolved), (idx, classify_only, cap)
+                assert fb.redundant == sorted(fb.redundant)
+                assert fb.unresolved == sorted(fb.unresolved)
                 seen["patterns"] += len(fb.patterns)
                 seen["redundant"] += len(fb.redundant)
                 seen["unresolved"] += len(fb.unresolved)
                 if not classify_only:  # the reference settles each pair miss one way
-                    corners = 4 * (len(pairs) < len(missed))
+                    corners = 4 * (pairs < len(missed))
                     settled = len(fb.patterns) - corners + len(fb.redundant) + len(fb.unresolved)
                     seen["corners"] += corners
-                    seen["reused"] += len(pairs) - settled
+                    seen["reused"] += pairs - settled
         assert all(seen.values()), seen
 
     def test_one_pack_per_append_and_no_detects_call(self, monkeypatch):
@@ -609,11 +634,9 @@ class TestFallbackSearch:
         net = expand_network(circuit)
         sets = generate_sets(derive_pprm(circuit), net, ("T1", "T4")).ordered_sets()
         union = assemble_union(sets).test_set
-        missed = evaluate_test_set(net, enumerate_faults(net), union.rows).faults_with(
-            "undetected"
-        )
-        assert len(missed) >= 100
-        assert all(f.kind is not FaultKind.EXOR_INTERNAL for f in missed)
-        fb = fallback_search(net, missed)
+        ev = evaluate_test_set(net, enumerate_faults(net), union.rows)
+        assert ev.status.count(UNDETECTED) >= 100
+        assert UNDETECTED not in ev.status[: net.d]
+        fb = fallback_search(net, ev)
         assert len(fb.patterns) >= 10
         assert packs == list(range(1, len(fb.patterns) + 1))  # one pattern per append

@@ -96,14 +96,11 @@ def test_grading_matches_scalar_reference(seed):
         faults = enumerate_faults(net, include_aux=True)
         rows = _rows(rng, net, rng.randint(0, 40))
         verdicts, masks = reference_grade(net, list(faults), rows)
-        for graded in (faults, list(faults)):  # the class-block walk and the per-fault read
-            ev = evaluate_test_set(net, graded, rows)
-            assert ev.verdicts == verdicts
-            assert ev.masks == masks
-            for status in ("detected", "undetected", "redundant", "unresolved"):
-                marked = [v.fault for v in verdicts if v.status == status]
-                assert ev.count(status) == len(marked)
-                assert ev.faults_with(status) == marked
+        ev = evaluate_test_set(net, faults, rows)
+        assert ev.verdicts == verdicts
+        assert ev.masks == masks
+        for status in ("detected", "undetected", "redundant", "unresolved"):
+            assert ev.count(status) == sum(v.status == status for v in verdicts)
         xpairs = [v for v in verdicts if v.fault.kind is FaultKind.X_PAIR]
         split_xpairs += sum(
             and_.pattern_index != or_.pattern_index for and_, or_ in zip(xpairs[::2], xpairs[1::2])
@@ -138,10 +135,9 @@ def test_grading_edge_cases_match_scalar_reference(include_aux, dc_policy):
         for count in (0, 1, 16):
             rows = _rows(rng, net, count)
             verdicts, masks = reference_grade(net, list(faults), rows, dc_policy)
-            for graded in (faults, list(faults)):
-                ev = evaluate_test_set(net, graded, rows, dc_policy)
-                assert ev.verdicts == verdicts, (net.n, include_aux, dc_policy, count)
-                assert ev.masks == masks
+            ev = evaluate_test_set(net, faults, rows, dc_policy)
+            assert ev.verdicts == verdicts, (net.n, include_aux, dc_policy, count)
+            assert ev.masks == masks
             for v in verdicts:
                 outcomes[v.fault.kind].add(v.status)
     for kind in (FaultKind.X_PAIR, FaultKind.INTRA_LEVEL, FaultKind.A_PAIR):

@@ -99,6 +99,22 @@ CASES = {
     ),
     # dedup drops T5 rows that repeat T3 ones: the origin comments stay put
     "atpg_bench7x3_dedup.txt": (0, ["atpg", "bench7x3.rev", "--dedup"]),
+    # many misses above the cap: every repair row comes from the random
+    # search, seeded by the miss's ordinal among all misses
+    "atpg_rand8x4_random.txt": (
+        0, ["atpg", "rand8x4.rev", "--fallback", "--sets", "T1,T4", "--oracle-cap", "0"]
+    ),
+    "verify_rand8x4_cap0.txt": (
+        4, ["verify", "rand8x4.rev", "--sets", "T1,T4", "--oracle-cap", "0", "--format", "text"]
+    ),
+    # hundreds of oracle witnesses and proofs: the repair order and the
+    # redundant verdicts of both entries of a pair
+    "atpg_rand24x8_fallback.txt": (
+        0, ["atpg", "rand24x8.rev", "--fallback", "--sets", "T1,T4", "--oracle-cap", "1000"]
+    ),
+    "verify_rand24x8_cap1000.txt": (
+        0, ["verify", "rand24x8.rev", "--sets", "T1,T4", "--oracle-cap", "1000", "--format", "text"]
+    ),
 }
 
 _FILE_SUFFIXES = (".rev", ".tests")

@@ -14,6 +14,7 @@ import random
 
 from bridgetest import (
     SET_NAMES,
+    BridgingFault,
     assemble_union,
     check_bound,
     derive_pprm,
@@ -21,10 +22,12 @@ from bridgetest import (
     evaluate_test_set,
     expand_network,
     generate_sets,
+    parse_circuit,
 )
+from bridgetest import atpg
 from bridgetest.cli import RunConfig, run_pipeline
-from bridgetest.simulate import DEFAULT_ORACLE_CAP, FaultVerdict
-from conftest import random_circuit, with_zero_control
+from bridgetest.simulate import DEFAULT_ORACLE_CAP, UNDETECTED, FaultVerdict
+from conftest import DATA, random_circuit, with_zero_control
 from reference_sim import reference_fallback
 
 SELECTIONS = (SET_NAMES, ("T1", "T4"), ("T3", "T5"), ("T4",))
@@ -34,15 +37,15 @@ def reference(network, faults, sets, cfg):
     dc = cfg.dc_policy
     base = assemble_union(sets, dc_policy=dc)
     first = evaluate_test_set(network, faults, base.test_set.rows, dc_policy=dc)
-    fb = reference_fallback(network, first.faults_with("undetected"), cfg.oracle_cap,
-                            not cfg.fallback)
+    missed = [faults[k] for k, status in enumerate(first.status) if status == UNDETECTED]
+    fb = reference_fallback(network, missed, cfg.oracle_cap, not cfg.fallback)
     union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=dc)
     bound = check_bound(union, len(network.real_inputs()), network.p)
     final = evaluate_test_set(network, faults, union.test_set.rows, dc_policy=dc)
     verdicts = []
     for v in final.verdicts:
         if v.status == "undetected" and v.fault in fb.redundant:
-            v = FaultVerdict(v.fault, "redundant", None, fb.redundant[v.fault])
+            v = FaultVerdict(v.fault, "redundant", None, "exhaustive")
         elif v.status == "undetected" and v.fault in fb.unresolved:
             v = FaultVerdict(v.fault, "unresolved", None, None)
         verdicts.append(v)
@@ -77,3 +80,21 @@ def test_pipeline_matches_reference_sequence():
             both += union.removed > 0 and union.fallback_count > 0
     assert both >= 5
 
+
+def test_one_fault_object_per_oracle_call(monkeypatch):
+    # fallback decodes its misses by index: the only BridgingFault a repair
+    # run builds is the one handed to the oracle
+    circuit = parse_circuit((DATA / "rand8x4.rev").read_text())
+    network = expand_network(circuit)
+    faults = enumerate_faults(network)
+    cfg = RunConfig("atpg", ("T1", "T4"))
+    sets = generate_sets(derive_pprm(circuit), network, cfg.sets).ordered_sets()
+    built, calls = [], []
+    post_init, oracle = BridgingFault.__post_init__, atpg.exhaustive_detectability
+    monkeypatch.setattr(BridgingFault, "__post_init__",
+                        lambda f: built.append(f) or post_init(f))
+    monkeypatch.setattr(atpg, "exhaustive_detectability",
+                        lambda net, f: calls.append(f) or oracle(net, f))
+    run = run_pipeline(network, faults, sets, cfg)
+    assert run.fallback.patterns and len(calls) > 10
+    assert built == calls

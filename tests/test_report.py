@@ -5,9 +5,6 @@ import json
 import pytest
 
 from bridgetest import (
-    FaultVerdict,
-    BridgingFault,
-    Polarity,
     assemble_union,
     check_bound,
     derive_pprm,
@@ -23,7 +20,7 @@ from bridgetest.report import (
     build_fault_report,
     build_generation_report,
     render_report,
-    verdict_detail,
+    _detail,
 )
 
 
@@ -44,13 +41,9 @@ def bench_report(bench):
 
 
 def test_verdict_detail_strings():
-    fault = BridgingFault.x_pair(1, 2, Polarity.WIRED_AND)
-    assert verdict_detail(FaultVerdict(fault, "undetected")) == ""
-    assert verdict_detail(FaultVerdict(fault, "redundant", None, "exhaustive")) == "exhaustive"
-    assert (
-        verdict_detail(FaultVerdict(fault, "detected", 4, "simulation"))
-        == "simulation, pattern 5"
-    )
+    assert _detail(None, None) == ""
+    assert _detail("exhaustive", None) == "exhaustive"
+    assert _detail("simulation", 4) == "simulation, pattern 5"
 
 
 def test_coverage_report_shape(bench_report):

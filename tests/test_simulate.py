@@ -249,20 +249,23 @@ class TestEvaluateTestSet:
 
     def test_detection_records_first_pattern(self, and2):
         net = expand_network(and2)
-        fault = BridgingFault.x_pair(1, 2, OR)
-        ev = evaluate_test_set(net, [fault], ["000", "001", "010"])
-        assert ev.verdicts[0].status == "detected"
-        assert ev.verdicts[0].pattern_index == 1
-        assert ev.verdicts[0].method == "simulation"
+        faults = enumerate_faults(net)
+        k = faults.index(BridgingFault.x_pair(1, 2, OR))
+        ev = evaluate_test_set(net, faults, ["000", "001", "010"])
+        assert ev.verdicts[k].status == "detected"
+        assert ev.verdicts[k].pattern_index == 1
+        assert ev.verdicts[k].method == "simulation"
 
     def test_undetected_and_coverage(self, and2):
+        # ExorInternal g1, then XPair (x1,x2) WiredAnd and WiredOr: "000"
+        # detects none of them
         net = expand_network(and2)
-        fault = BridgingFault.x_pair(1, 2, OR)
-        ev = evaluate_test_set(net, [fault], ["000"])
-        assert ev.verdicts[0].status == "undetected"
-        assert ev.count("undetected") == 1
+        faults = enumerate_faults(net)
+        k = faults.index(BridgingFault.x_pair(1, 2, OR))
+        ev = evaluate_test_set(net, faults, ["000"])
+        assert ev.verdicts[k].status == "undetected"
+        assert ev.count("undetected") == len(faults) == 3
         assert ev.coverage() == 0.0
-        assert ev.faults_with("undetected") == [fault]
 
     def test_constant_line_obligation_redundant(self):
         circuit = normalize_zero_controls(
@@ -273,15 +276,6 @@ class TestEvaluateTestSet:
         ev = evaluate_test_set(net, faults, gen_corner_set(2, 1, constant_line=2).rows)
         assert [(v.status, v.method) for v in ev.verdicts] == [("redundant", "constant-line")]
         assert ev.coverage() == 1.0
-
-    def test_verdicts_follow_fault_order(self, bench):
-        net = expand_network(bench)
-        faults = list(enumerate_faults(net))
-        pats = gen_corner_set(7, 3).rows
-        forward = evaluate_test_set(net, faults, pats)
-        backward = evaluate_test_set(net, faults[::-1], pats)
-        assert backward.verdicts == forward.verdicts[::-1]
-        assert backward.masks == forward.masks
 
 
 def _random_rows(rng, net, count):
@@ -306,7 +300,7 @@ def test_columns_match_scalar_reference(seed, zero_control, count, dc_policy):
     if zero_control:
         circuit = with_zero_control(circuit, rng)
     net = expand_network(circuit)
-    faults = list(enumerate_faults(net, include_aux=True))
+    faults = enumerate_faults(net, include_aux=True)
     rows = _random_rows(rng, net, count)
 
     ev = evaluate_test_set(net, faults, rows, dc_policy)
