@@ -35,8 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .faults import BridgingFault, FaultKind, Polarity
 from .network import AndExorNetwork
@@ -341,8 +340,7 @@ def gen_walking_zero_tests(n: int, p: int, *, constant_line: int | None = None) 
 # ---------------------------------------------------------------------------
 # pipeline helpers
 
-@dataclass
-class GenerationResult:
+class GenerationResult(NamedTuple):
     sets: dict[str, TestSet]
     t2_uncovered: tuple[tuple[int, int], ...] = ()
     t3_uncovered: tuple[tuple[int, int], ...] = ()
@@ -362,28 +360,27 @@ def generate_sets(
     if unknown:
         raise ValueError(f"unknown test-set name(s): {', '.join(unknown)}")
     aux = network.constant_line
-    result = GenerationResult(sets={})
+    sets: dict[str, TestSet] = {}
+    t2_uncovered = t3_uncovered = ()
     if "T1" in wanted:
-        result.sets["T1"] = gen_corner_set(network.n, network.p, constant_line=aux)
+        sets["T1"] = gen_corner_set(network.n, network.p, constant_line=aux)
     if "T2" in wanted:
-        result.sets["T2"], result.t2_uncovered = gen_input_and_tests(network)
+        sets["T2"], t2_uncovered = gen_input_and_tests(network)
     if "T3" in wanted:
-        result.sets["T3"], result.t3_uncovered = gen_input_or_tests(pprm_list, network)
+        sets["T3"], t3_uncovered = gen_input_or_tests(pprm_list, network)
     if "T4" in wanted:
-        result.sets["T4"] = gen_cascade_pair_tests(network.p, network.n, constant_line=aux)
+        sets["T4"] = gen_cascade_pair_tests(network.p, network.n, constant_line=aux)
     if "T5" in wanted:
-        result.sets["T5"] = gen_walking_zero_tests(network.n, network.p, constant_line=aux)
-    return result
+        sets["T5"] = gen_walking_zero_tests(network.n, network.p, constant_line=aux)
+    return GenerationResult(sets, t2_uncovered, t3_uncovered)
 
 
-@dataclass
-class UnionResult:
+class UnionResult(NamedTuple):
     test_set: TestSet
     pre_dedup_size: int
     fallback_count: int
     removed: int = 0
-    # per row: its set's name, or "Fallback"; set by assemble_union, not a parameter
-    origins: list[str] = field(default_factory=list, init=False)
+    origins: Sequence[str] = ()  # per row: its set's name, or "Fallback"
 
 
 def assemble_union(
@@ -407,9 +404,7 @@ def assemble_union(
         for k, row in enumerate(rows):
             first.setdefault(row.translate(FILL_TABLES[dc_policy]), k)
         rows, origins = [rows[k] for k in first.values()], [origins[k] for k in first.values()]
-    union = UnionResult(TestSet("Union", rows), pre, len(fallback), pre - len(rows))
-    union.origins = origins
-    return union
+    return UnionResult(TestSet("Union", rows), pre, len(fallback), pre - len(rows), origins)
 
 
 def ceil_log2(p: int) -> int:
@@ -418,8 +413,7 @@ def ceil_log2(p: int) -> int:
     return (p - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     size: int
     bound: int
     passed: bool
@@ -452,14 +446,13 @@ _RANDOM_SEED = 271828
 _RANDOM_DRAWS = 512
 
 
-@dataclass
-class FallbackResult:
+class FallbackResult(NamedTuple):
     """Repair rows, and the fault indices proved redundant (all by the
     exhaustive oracle) or left unresolved, each in ascending order."""
 
-    patterns: list[str] = field(default_factory=list)
-    redundant: list[int] = field(default_factory=list)
-    unresolved: list[int] = field(default_factory=list)
+    patterns: list[str]
+    redundant: list[int]
+    unresolved: list[int]
 
 
 def fallback_search(
@@ -487,13 +480,15 @@ def fallback_search(
     graded with the same verdict vocabulary the repair path uses.
     """
     faults, status = evaluation.faults, evaluation.status
-    out = FallbackResult()
+    patterns: list[str] = []
+    redundant: list[int] = []
+    unresolved: list[int] = []
     width = network.n + network.p
     repairs = None  # the rows appended so far, packed; read only once there are any
 
     def append(rows: Iterable[str]) -> _Good:  # no don't-care to resolve
-        out.patterns.extend(rows)
-        c, x, ones = _pack(network, out.patterns, "fill-zero")
+        patterns.extend(rows)
+        c, x, ones = _pack(network, patterns, "fill-zero")
         return _Good(network, c + x, ones)
 
     def misses() -> Iterator[int]:
@@ -516,15 +511,15 @@ def fallback_search(
         pair = (kind, ids, kind is FaultKind.X_PAIR and polarity)
         if pair == decided:
             if not detectable:  # a detectable pair's witness is kept, or not wanted
-                out.redundant.append(k)
+                redundant.append(k)
             continue
-        if out.patterns and _fault_difference(repairs, kind, ids, polarity):
+        if patterns and _fault_difference(repairs, kind, ids, polarity):
             continue
         if width <= oracle_cap:
             res = exhaustive_detectability(network, BridgingFault(kind, ids, polarity))
             decided, detectable = pair, res.detectable
             if not res.detectable:
-                out.redundant.append(k)
+                redundant.append(k)
             elif not classify_only:
                 repairs = append([res.witness.line()])
             continue
@@ -544,8 +539,8 @@ def fallback_search(
             draws = _Good(network, cols, ones)
             diff = _fault_difference(draws, kind, ids, polarity)
         if not diff:
-            out.unresolved.append(k)
+            unresolved.append(k)
         else:
             first = (diff & -diff).bit_length() - 1
             repairs = append(["".join(str(col >> first & 1) for col in cols)])
-    return out
+    return FallbackResult(patterns, redundant, unresolved)

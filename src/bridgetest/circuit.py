@@ -19,7 +19,7 @@ and both must come before the first gate.  ``.end`` closes the file.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "CircuitError",
@@ -45,8 +45,7 @@ class ParseError(CircuitError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """A single k-CNOT: the AND of the control inputs, XORed onto one target line.
 
     ``id`` is the gate's 1-based position in circuit order and names its
@@ -61,8 +60,7 @@ class Gate:
         return tuple(sorted(self.controls))
 
 
-@dataclass(frozen=True)
-class ReversibleCircuit:
+class ReversibleCircuit(NamedTuple):
     """An ordered list of k-CNOT gates over n inputs and p target lines."""
 
     n: int

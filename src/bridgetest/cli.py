@@ -13,8 +13,8 @@ import argparse
 import functools
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .atpg import (
@@ -66,8 +66,7 @@ EXIT_IO = 3
 EXIT_UNRESOLVED = 4
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     sets: tuple[str, ...] = SET_NAMES
     dc_policy: str = "fill-zero"

@@ -21,8 +21,8 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .network import AndExorNetwork
 
@@ -54,8 +54,15 @@ def bridge_values(v1: int, v2: int, polarity: Polarity) -> tuple[int, int]:
     return v, v
 
 
-@dataclass(frozen=True)
-class BridgingFault:
+# the fields of BridgingFault; a NamedTuple cannot define __new__, so the
+# subclass validates them there
+class _Fault(NamedTuple):
+    kind: FaultKind
+    ids: tuple[int, ...]
+    polarity: Polarity | None = None
+
+
+class BridgingFault(_Fault):
     """One fault instance.
 
     ``ids`` is the class-specific index tuple: (gate,) for ExorInternal,
@@ -63,24 +70,24 @@ class BridgingFault:
     for IntraLevel.  ExorInternal carries no polarity.
     """
 
-    kind: FaultKind
-    ids: tuple[int, ...]
-    polarity: Polarity | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind is FaultKind.EXOR_INTERNAL:
-            if len(self.ids) != 1 or self.polarity is not None:
+    def __new__(cls, kind: FaultKind, ids: tuple[int, ...],
+                polarity: Polarity | None = None) -> "BridgingFault":
+        if kind is FaultKind.EXOR_INTERNAL:
+            if len(ids) != 1 or polarity is not None:
                 raise ValueError("ExorInternal takes a single gate id and no polarity")
-        elif self.kind in (FaultKind.X_PAIR, FaultKind.A_PAIR):
-            if len(self.ids) != 2 or self.ids[0] >= self.ids[1]:
-                raise ValueError(f"{self.kind.value} needs an ordered index pair")
-            if self.polarity is None:
-                raise ValueError(f"{self.kind.value} needs a polarity")
+        elif kind in (FaultKind.X_PAIR, FaultKind.A_PAIR):
+            if len(ids) != 2 or ids[0] >= ids[1]:
+                raise ValueError(f"{kind.value} needs an ordered index pair")
+            if polarity is None:
+                raise ValueError(f"{kind.value} needs a polarity")
         else:
-            if len(self.ids) != 3 or self.ids[1] >= self.ids[2] or self.ids[0] < 0:
+            if len(ids) != 3 or ids[1] >= ids[2] or ids[0] < 0:
                 raise ValueError("IntraLevel needs (level, j1, j2) with j1 < j2")
-            if self.polarity is None:
+            if polarity is None:
                 raise ValueError("IntraLevel needs a polarity")
+        return tuple.__new__(cls, (kind, ids, polarity))
 
     @staticmethod
     def exor_internal(gate_id: int) -> "BridgingFault":

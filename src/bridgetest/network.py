@@ -8,15 +8,14 @@ A(L) on its right input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuit import ReversibleCircuit
 
 __all__ = ["AndExorNetwork", "expand_network"]
 
 
-@dataclass(frozen=True)
-class AndExorNetwork:
+class AndExorNetwork(NamedTuple):
     n: int
     p: int
     gate_supports: tuple[frozenset, ...]

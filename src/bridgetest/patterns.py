@@ -11,8 +11,7 @@ c and x parts, as ``detects`` takes it and the oracle's witness holds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 if TYPE_CHECKING:
     from .atpg import UnionResult
@@ -39,22 +38,26 @@ class TestFileError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class TestPattern:
-    """One stimulus: c bits then x bits, symbols over {0,1,d}."""
-
-    __test__ = False  # domain class, not a pytest suite
-
+# the fields of TestPattern, validated in the subclass's __new__
+class _Pattern(NamedTuple):
     c: str
     x: str
     origin: str = "User"
 
-    def __post_init__(self) -> None:
-        for part in (self.c, self.x):
+
+class TestPattern(_Pattern):
+    """One stimulus: c bits then x bits, symbols over {0,1,d}."""
+
+    __slots__ = ()
+    __test__ = False  # domain class, not a pytest suite
+
+    def __new__(cls, c: str, x: str, origin: str = "User") -> "TestPattern":
+        for part in (c, x):
             if part.strip("01d"):
                 raise ValueError(f"bad pattern symbol {sorted(set(part) - set('01d'))!r}")
-        if self.origin not in ORIGINS:
-            raise ValueError(f"unknown origin tag {self.origin!r}")
+        if origin not in ORIGINS:
+            raise ValueError(f"unknown origin tag {origin!r}")
+        return tuple.__new__(cls, (c, x, origin))
 
     def resolve(self, dc_policy: str = "fill-zero") -> tuple[tuple[int, ...], tuple[int, ...]]:
         bits = tuple(map(int, self.resolved_line(dc_policy)))
@@ -67,16 +70,27 @@ class TestPattern:
         return self.line().translate(FILL_TABLES[dc_policy])
 
 
-@dataclass
 class TestSet:
     """A named, ordered list of rows aimed at one fault class; the name is
-    the rows' origin."""
+    the rows' origin.  Its length and iteration are the rows'."""
 
+    __slots__ = ("name", "rows", "target_class")
     __test__ = False  # domain class, not a pytest suite
 
-    name: str
-    rows: list[str] = field(default_factory=list)
-    target_class: str = ""
+    def __init__(self, name: str, rows: list[str] | None = None, target_class: str = "") -> None:
+        self.name = name
+        self.rows = [] if rows is None else rows
+        self.target_class = target_class
+
+    def __repr__(self) -> str:
+        return (f"TestSet(name={self.name!r}, rows={self.rows!r},"
+                f" target_class={self.target_class!r})")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TestSet:
+            return NotImplemented
+        return (self.name, self.rows, self.target_class) == (
+            other.name, other.rows, other.target_class)
 
     def __len__(self) -> int:
         return len(self.rows)

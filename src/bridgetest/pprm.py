@@ -9,8 +9,7 @@ terms mod 2 and sorts what survives.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .circuit import ReversibleCircuit
 
@@ -26,8 +25,7 @@ def _canonical(terms: Iterable[Term]) -> tuple[Term, ...]:
     return tuple(odd)
 
 
-@dataclass(frozen=True)
-class PprmFunction:
+class PprmFunction(NamedTuple):
     """One output as an XOR of positive product terms over the x inputs."""
 
     output_index: int

@@ -22,8 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .faults import BridgingFault, FaultKind, FaultList, Polarity
 from .network import AndExorNetwork
@@ -81,7 +80,8 @@ class _Good:
     the c values then the x values, and ``ones`` is the value of an AND with
     no inputs.  ``a`` and ``levels`` (cascade levels 0..d) are the AND
     outputs and wires when the caller has evaluated the whole netlist;
-    otherwise each read computes what it needs from ``cols``.
+    otherwise each read computes what it needs from ``cols``, and keeps the
+    AND outputs and sensitivities it computed.
     """
 
     def __init__(
@@ -97,6 +97,7 @@ class _Good:
         self.ones = ones
         self.a = a
         self.levels = levels
+        self._and: dict[int, int | _Anf] = {}
         self._sensitivity: dict[int, list[int | _Anf]] = {}
 
     def x(self, i: int) -> int | _Anf:
@@ -111,7 +112,9 @@ class _Good:
     def and_out(self, gate_id: int) -> int | _Anf:
         if self.a is not None:
             return self.a[gate_id - 1]
-        return self.product(self.network.gate_supports[gate_id - 1])
+        if gate_id not in self._and:
+            self._and[gate_id] = self.product(self.network.gate_supports[gate_id - 1])
+        return self._and[gate_id]
 
     def sensitivity(self, v: int) -> list[int | _Anf]:
         """Where the outputs flip with x_v, computed once: per target t, the
@@ -211,8 +214,7 @@ def detects(
     return _fault_difference(good, fault.kind, fault.ids, fault.polarity) != 0
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     status: str  # "detectable" or "redundant"
     witness: TestPattern | None = None
 
@@ -254,8 +256,7 @@ def exhaustive_detectability(network: AndExorNetwork, fault: BridgingFault) -> O
     )
 
 
-@dataclass(frozen=True)
-class FaultVerdict:
+class FaultVerdict(NamedTuple):
     fault: BridgingFault
     status: str  # "detected" | "undetected" | "redundant" | "unresolved"
     pattern_index: int | None = None

@@ -223,9 +223,9 @@ class TestSimulateAndVerify:
         # from file text to the report, rows stay strings: the file repeated
         # ten times builds as many TestPatterns as the file once
         built = []
-        check = TestPattern.__post_init__
-        monkeypatch.setattr(TestPattern, "__post_init__",
-                            lambda pat: built.append(pat) or check(pat))
+        new = TestPattern.__new__
+        monkeypatch.setattr(TestPattern, "__new__", lambda cls, *args, **kw:
+                            built.append(new(cls, *args, **kw)) or built[-1])
         text = (DATA / "bench7x3_user.tests").read_text()
         counts = []
         for copies in (1, 10):

@@ -90,9 +90,9 @@ def test_one_fault_object_per_oracle_call(monkeypatch):
     cfg = RunConfig("atpg", ("T1", "T4"))
     sets = generate_sets(derive_pprm(circuit), network, cfg.sets).ordered_sets()
     built, calls = [], []
-    post_init, oracle = BridgingFault.__post_init__, atpg.exhaustive_detectability
-    monkeypatch.setattr(BridgingFault, "__post_init__",
-                        lambda f: built.append(f) or post_init(f))
+    new, oracle = BridgingFault.__new__, atpg.exhaustive_detectability
+    monkeypatch.setattr(BridgingFault, "__new__",
+                        lambda cls, *args, **kw: built.append(new(cls, *args, **kw)) or built[-1])
     monkeypatch.setattr(atpg, "exhaustive_detectability",
                         lambda net, f: calls.append(f) or oracle(net, f))
     run = run_pipeline(network, faults, sets, cfg)

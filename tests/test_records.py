@@ -1,0 +1,128 @@
+"""Record types: what they print, hash and refuse, and what the CLI loads.
+
+The records are ``typing.NamedTuple``s (``TestSet`` is a plain class), so
+that starting the CLI does not import ``dataclasses``.  They keep the
+dataclass repr, equality, field-tuple hash and read-only fields.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from bridgetest import (
+    AndExorNetwork,
+    BoundReport,
+    BridgingFault,
+    FallbackResult,
+    FaultKind,
+    FaultVerdict,
+    Gate,
+    GenerationResult,
+    OracleResult,
+    Polarity,
+    PprmFunction,
+    ReversibleCircuit,
+    TestPattern,
+    TestSet,
+    UnionResult,
+)
+from bridgetest.cli import RunConfig
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# one instance of each record type, and the repr its dataclass printed
+RECORDS = [
+    (Gate(frozenset({1, 2}), 1, 1),
+     "Gate(controls=frozenset({1, 2}), target=1, id=1)"),
+    (ReversibleCircuit(2, 1, (Gate(frozenset({1}), 1, 1),), name="t"),
+     "ReversibleCircuit(n=2, p=1, gates=(Gate(controls=frozenset({1}), target=1, id=1),),"
+     " name='t', constant_line=None)"),
+    (AndExorNetwork(2, 1, (frozenset({1}),), (1,)),
+     "AndExorNetwork(n=2, p=1, gate_supports=(frozenset({1}),), gate_targets=(1,),"
+     " constant_line=None)"),
+    (PprmFunction(1, (frozenset({1}),), (frozenset({1}),)),
+     "PprmFunction(output_index=1, term_multiset=(frozenset({1}),),"
+     " canonical_terms=(frozenset({1}),))"),
+    (BridgingFault(FaultKind.A_PAIR, (1, 2), Polarity.WIRED_OR),
+     "BridgingFault(kind=<FaultKind.A_PAIR: 'APair'>, ids=(1, 2),"
+     " polarity=<Polarity.WIRED_OR: 'WiredOr'>)"),
+    (TestPattern("1", "0d"), "TestPattern(c='1', x='0d', origin='User')"),
+    (OracleResult("detectable", TestPattern("1", "01", "Fallback")),
+     "OracleResult(status='detectable', witness=TestPattern(c='1', x='01', origin='Fallback'))"),
+    (FaultVerdict(BridgingFault.exor_internal(3), "detected", 0, "stimulation"),
+     "FaultVerdict(fault=BridgingFault(kind=<FaultKind.EXOR_INTERNAL: 'ExorInternal'>,"
+     " ids=(3,), polarity=None), status='detected', pattern_index=0, method='stimulation')"),
+    (BoundReport(7, 9, True, 0, 7, False),
+     "BoundReport(size=7, bound=9, passed=True, fallback_count=0, construction_size=7,"
+     " exceeds_construction=False)"),
+    (RunConfig("verify"),
+     "RunConfig(command='verify', sets=('T1', 'T2', 'T3', 'T4', 'T5'), dc_policy='fill-zero',"
+     " oracle_cap=22, fallback=True, dedup=False, include_aux=False)"),
+    (GenerationResult({"T5": TestSet("T5", ["d01"], "APair")}, ((1, 2),)),
+     "GenerationResult(sets={'T5': TestSet(name='T5', rows=['d01'], target_class='APair')},"
+     " t2_uncovered=((1, 2),), t3_uncovered=())"),
+    (UnionResult(TestSet("Union", ["101"]), 1, 0, 0, ["T1"]),
+     "UnionResult(test_set=TestSet(name='Union', rows=['101'], target_class=''),"
+     " pre_dedup_size=1, fallback_count=0, removed=0, origins=['T1'])"),
+    (FallbackResult(["101"], [4], []),
+     "FallbackResult(patterns=['101'], redundant=[4], unresolved=[])"),
+]
+# the records whose fields are all hashable
+HASHABLE = (Gate, ReversibleCircuit, AndExorNetwork, PprmFunction, BridgingFault, TestPattern,
+            OracleResult, FaultVerdict, BoundReport, RunConfig)
+
+
+@pytest.mark.parametrize("record, text", RECORDS, ids=lambda r: type(r).__name__)
+def test_record_semantics(record, text):
+    assert repr(record) == text
+    fields = tuple(getattr(record, name) for name in record._fields)
+    assert record == type(record)(*fields)
+    if isinstance(record, HASHABLE):
+        assert hash(record) == hash(fields)
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], fields[0])
+
+
+@pytest.mark.parametrize("args, message", [
+    ((FaultKind.EXOR_INTERNAL, (1,), Polarity.WIRED_AND),
+     "ExorInternal takes a single gate id and no polarity"),
+    ((FaultKind.X_PAIR, (2, 1), Polarity.WIRED_AND), "XPair needs an ordered index pair"),
+    ((FaultKind.A_PAIR, (1, 2)), "APair needs a polarity"),
+    ((FaultKind.INTRA_LEVEL, (1, 2, 2), Polarity.WIRED_OR),
+     r"IntraLevel needs \(level, j1, j2\) with j1 < j2"),
+    ((FaultKind.INTRA_LEVEL, (1, 1, 2)), "IntraLevel needs a polarity"),
+])
+def test_fault_errors(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BridgingFault(*args)
+
+
+def test_pattern_errors():
+    with pytest.raises(ValueError, match=r"^bad pattern symbol \['2', 'x'\]$"):
+        TestPattern("0", "x12")
+    with pytest.raises(ValueError, match="^unknown origin tag 'T9'$"):
+        TestPattern("0", "1", origin="T9")
+
+
+def test_test_set_is_its_rows():
+    empty = TestSet("T2", [])
+    assert not empty and len(empty) == 0 and list(empty) == []
+    assert repr(empty) == "TestSet(name='T2', rows=[], target_class='')"
+    full = TestSet("T4", ["01", "10"], "IntraLevel")
+    assert full and len(full) == 2 and list(full) == ["01", "10"]
+    assert full == TestSet("T4", ["01", "10"], "IntraLevel") != TestSet("T4", ["01"])
+    full.rows.append("11")  # its rows stay a list the caller may extend
+    assert len(full) == 3
+
+
+def test_cli_start_loads_no_dataclasses():
+    # pytest imports dataclasses and inspect itself, so ask a fresh interpreter
+    code = ("import sys, bridgetest.cli as c; c.build_parser();"
+            " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
