@@ -3,15 +3,14 @@ Injecting bridging faults and grading a test set
 ================================================
 
 Shows the four fault classes on a small circuit: what a wired-AND or
-wired-OR short does to the two nets, how a single pattern is judged from
-the closed-form output change, and how a whole pattern list, as rows of
-c symbols then x symbols, is graded in one call.
+wired-OR short does to the two nets, how a single pattern, a row of c
+symbols then x symbols, is judged from the closed-form output change, and
+how a whole list of rows is graded in one call.
 """
 
 from bridgetest import (
     BridgingFault,
     Polarity,
-    TestPattern,
     bridge_values,
     detects,
     enumerate_faults,
@@ -35,11 +34,11 @@ print()
 # on, so whatever the polarity the output changes by a1 XOR a2: the
 # fault-free AND outputs decide detection without a faulty evaluation.
 fault = BridgingFault.a_pair(1, 2, Polarity.WIRED_AND)
-pattern = TestPattern("0", "10")
-c, x = pattern.resolve()
-a = [int(all(x[v - 1] for v in support)) for support in net.gate_supports]
-print(f"pattern {pattern.line()}: a={tuple(a)}, output change a1 XOR a2 = {a[0] ^ a[1]}")
-print(f"detected: {detects(net, fault, pattern)}")
+row = "010"  # c1 then x1 x2
+x = row[net.p :]
+a = [int(all(x[v - 1] == "1" for v in support)) for support in net.gate_supports]
+print(f"pattern {row}: a={tuple(a)}, output change a1 XOR a2 = {a[0] ^ a[1]}")
+print(f"detected: {detects(net, fault, row)}")
 print()
 
 # the full universe for this netlist, graded against three rows (c1 x1 x2)

@@ -48,7 +48,6 @@ from .network import AndExorNetwork, expand_network
 from .patterns import (
     DC_POLICIES,
     TestFileError,
-    TestPattern,
     TestSet,
     format_patterns,
     parse_test_file,
@@ -79,7 +78,7 @@ __all__ = [
     "Polarity", "FaultKind", "BridgingFault", "FaultList",
     "bridge_values", "enumerate_faults",
     # patterns
-    "DC_POLICIES", "TestPattern", "TestSet", "TestFileError",
+    "DC_POLICIES", "TestSet", "TestFileError",
     "parse_test_file", "format_patterns",
     # simulate
     "DEFAULT_ORACLE_CAP", "Evaluation", "FaultVerdict", "OracleResult",

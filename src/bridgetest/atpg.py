@@ -521,7 +521,7 @@ def fallback_search(
             if not res.detectable:
                 redundant.append(k)
             elif not classify_only:
-                repairs = append([res.witness.line()])
+                repairs = append([res.witness])
             continue
         diff = 0
         if not classify_only:

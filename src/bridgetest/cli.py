@@ -121,6 +121,9 @@ def _parse_sets(arg: str) -> tuple[str, ...]:
     names = tuple(s.strip() for s in arg.split(",") if s.strip())
     if not names:
         raise ValueError("empty --sets selection")
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        raise ValueError(f"duplicate test-set name(s): {', '.join(duplicates)}")
     return names
 
 
@@ -253,6 +256,8 @@ def cmd_grade(args) -> int:
         fallback=False,
         include_aux=args.include_aux,
     )
+    if args.circuit == args.tests == "-":
+        raise ValueError("the circuit and --tests cannot both be read from stdin")
     circuit = _load_circuit(args.circuit)
     network = expand_network(circuit)
     faults = enumerate_faults(network, include_aux=cfg.include_aux)

@@ -5,13 +5,12 @@ symbols, then the n input symbols, exactly the text of one test-file line.
 Pattern lists are lists of rows from parsing to the report; rows are
 checked where their text comes in.  Don't-care symbols are instantiated at
 simulation time by a fill policy.  Test-set files hold one pattern per
-line; '#' starts a comment.  ``TestPattern`` is one pattern split into its
-c and x parts, as ``detects`` takes it and the oracle's witness holds it.
+line; '#' starts a comment.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     from .atpg import UnionResult
@@ -19,7 +18,6 @@ if TYPE_CHECKING:
 __all__ = [
     "DC_POLICIES",
     "TestFileError",
-    "TestPattern",
     "TestSet",
     "parse_test_file",
     "format_patterns",
@@ -29,45 +27,11 @@ DC_POLICIES = ("fill-zero", "fill-one")
 # str.translate tables that resolve don't-cares, one per fill policy
 FILL_TABLES = {"fill-zero": str.maketrans("d", "0"), "fill-one": str.maketrans("d", "1")}
 
-ORIGINS = ("T1", "T2", "T3", "T4", "T5", "Fallback", "User")
-
 
 class TestFileError(ValueError):
     def __init__(self, message: str, line: int) -> None:
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-# the fields of TestPattern, validated in the subclass's __new__
-class _Pattern(NamedTuple):
-    c: str
-    x: str
-    origin: str = "User"
-
-
-class TestPattern(_Pattern):
-    """One stimulus: c bits then x bits, symbols over {0,1,d}."""
-
-    __slots__ = ()
-    __test__ = False  # domain class, not a pytest suite
-
-    def __new__(cls, c: str, x: str, origin: str = "User") -> "TestPattern":
-        for part in (c, x):
-            if part.strip("01d"):
-                raise ValueError(f"bad pattern symbol {sorted(set(part) - set('01d'))!r}")
-        if origin not in ORIGINS:
-            raise ValueError(f"unknown origin tag {origin!r}")
-        return tuple.__new__(cls, (c, x, origin))
-
-    def resolve(self, dc_policy: str = "fill-zero") -> tuple[tuple[int, ...], tuple[int, ...]]:
-        bits = tuple(map(int, self.resolved_line(dc_policy)))
-        return bits[: len(self.c)], bits[len(self.c) :]
-
-    def line(self) -> str:
-        return self.c + self.x
-
-    def resolved_line(self, dc_policy: str = "fill-zero") -> str:
-        return self.line().translate(FILL_TABLES[dc_policy])
 
 
 class TestSet:

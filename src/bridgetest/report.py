@@ -59,34 +59,17 @@ def _detail(method: str | None, pattern_index: int | None) -> str:
     return f"{method}, pattern {pattern_index + 1}"
 
 
-class Rows(Sequence):
+class Rows:
     """A report's fault rows, or its verdict rows when ``evaluation`` is
     given, built as they are read: strings (``joined``) for json and csv,
-    ``tuples`` for text, else dicts keyed by ``keys``.  Rows compare equal to
-    the list of their dicts, which is what json output loads as."""
+    ``tuples`` for text.  ``keys`` names the fields of a row."""
 
     def __init__(self, faults: FaultList, evaluation: Evaluation | None = None) -> None:
         self.faults, self.evaluation = faults, evaluation
         self.keys = _FAULT_KEYS if evaluation is None else _VERDICT_KEYS
 
-    def __len__(self) -> int:
-        return len(self.faults)
-
     def tuples(self) -> Iterator[tuple[str, ...]]:
         return self.joined(tuple, tuple, [(label,) for label in _POLARITY_LABELS.values()])
-
-    def __iter__(self) -> Iterator[dict]:
-        return (dict(zip(self.keys, row)) for row in self.tuples())
-
-    def __getitem__(self, k: int) -> dict:
-        fault, ev = self.faults[k], self.evaluation
-        row = (fault.kind.value, *fault.lines(), _POLARITY_LABELS[fault.polarity])
-        if ev is not None:
-            row += (_STATUS_LABELS[ev.status[k]], _detail(METHODS[ev.method[k]], ev.first[k]))
-        return dict(zip(self.keys, row))
-
-    def __eq__(self, other: object) -> bool:
-        return list(self) == other
 
     def joined(
         self, head: Callable, verdict_part: Callable, labels: Iterable = _POLARITY_LABELS.values()

@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .faults import BridgingFault, FaultKind, FaultList, Polarity
 from .network import AndExorNetwork
-from .patterns import FILL_TABLES, TestPattern
+from .patterns import FILL_TABLES
 
 __all__ = [
     "detects",
@@ -78,25 +78,16 @@ class _Good:
 
     The values are integer columns or ``_Anf`` polynomials.  ``cols`` holds
     the c values then the x values, and ``ones`` is the value of an AND with
-    no inputs.  ``a`` and ``levels`` (cascade levels 0..d) are the AND
-    outputs and wires when the caller has evaluated the whole netlist;
-    otherwise each read computes what it needs from ``cols``, and keeps the
-    AND outputs and sensitivities it computed.
+    no inputs.  Each read computes what it needs from ``cols``, and keeps
+    the AND outputs and sensitivities it computed.
     """
 
     def __init__(
-        self,
-        network: AndExorNetwork,
-        cols: Sequence[int | _Anf],
-        ones: int | _Anf,
-        a: Sequence[int] | None = None,
-        levels: Sequence[tuple[int, ...]] | None = None,
+        self, network: AndExorNetwork, cols: Sequence[int | _Anf], ones: int | _Anf
     ) -> None:
         self.network = network
         self.cols = cols
         self.ones = ones
-        self.a = a
-        self.levels = levels
         self._and: dict[int, int | _Anf] = {}
         self._sensitivity: dict[int, list[int | _Anf]] = {}
 
@@ -110,8 +101,6 @@ class _Good:
         return col
 
     def and_out(self, gate_id: int) -> int | _Anf:
-        if self.a is not None:
-            return self.a[gate_id - 1]
         if gate_id not in self._and:
             self._and[gate_id] = self.product(self.network.gate_supports[gate_id - 1])
         return self._and[gate_id]
@@ -134,8 +123,6 @@ class _Good:
         return self._sensitivity[v]
 
     def wire(self, level: int, j: int) -> int | _Anf:
-        if self.levels is not None:
-            return self.levels[level][j - 1]
         col = self.cols[j - 1]
         for gate_id, target in enumerate(self.network.gate_targets[:level], start=1):
             if target == j:
@@ -199,24 +186,21 @@ def _pack(
 def detects(
     network: AndExorNetwork,
     fault: BridgingFault,
-    pattern: TestPattern,
+    row: str,
     dc_policy: str = "fill-zero",
 ) -> bool:
-    """True when the pattern distinguishes faulty outputs from good outputs.
+    """True when the row distinguishes faulty outputs from good outputs.
 
     ExorInternal has no faulty outputs, so passing one is a usage error.
     """
-    if (len(pattern.c), len(pattern.x)) != (network.p, network.n):
-        raise ValueError(f"pattern dimension mismatch: got p={len(pattern.c)} n={len(pattern.x)},"
-                         f" network has p={network.p} n={network.n}")
-    c, x, ones = _pack(network, [pattern.line()], dc_policy)
+    c, x, ones = _pack(network, [row], dc_policy)
     good = _Good(network, c + x, ones)
     return _fault_difference(good, fault.kind, fault.ids, fault.polarity) != 0
 
 
 class OracleResult(NamedTuple):
     status: str  # "detectable" or "redundant"
-    witness: TestPattern | None = None
+    witness: str | None = None  # the witness row
 
     @property
     def detectable(self) -> bool:
@@ -225,7 +209,7 @@ class OracleResult(NamedTuple):
 
 def exhaustive_detectability(network: AndExorNetwork, fault: BridgingFault) -> OracleResult:
     """Decide the fault over every full assignment; the witness is the
-    lexicographically least detecting pattern.
+    lexicographically least detecting row.
 
     Each output change is a GF(2) polynomial in the pattern positions, and
     a reduced polynomial is zero only if it is zero everywhere.  The witness
@@ -251,9 +235,7 @@ def exhaustive_detectability(network: AndExorNetwork, fault: BridgingFault) -> O
         else:
             bits += "1"
             changes = [g for g in (f.at(1 << k, 1) for f in changes) if g]
-    return OracleResult(
-        "detectable", TestPattern(bits[: network.p], bits[network.p :], origin="Fallback")
-    )
+    return OracleResult("detectable", bits)
 
 
 class FaultVerdict(NamedTuple):
@@ -320,8 +302,8 @@ def evaluate_test_set(
     are sensitive to the flipped input.
     """
     c_cols, x_cols, ones = _pack(network, rows, dc_policy)
-    cols = c_cols + x_cols
-    a = [_Good(network, cols, ones).product(sup) for sup in network.gate_supports]
+    good = _Good(network, c_cols + x_cols, ones)
+    a = [good.product(sup) for sup in network.gate_supports]
 
     # Walk the cascade, keeping the wires of every level 0..d.  Bit
     # 2*left + right of a gate's mask is set once its EXOR has seen that input
@@ -336,7 +318,6 @@ def evaluate_test_set(
             full_at[gate_id] = max((col & -col).bit_length() - 1 for col in seen)
         wires[target - 1] ^= right
         levels.append(tuple(wires))
-    good = _Good(network, cols, ones, a, levels)
 
     ev = Evaluation(faults, masks)
     status, method, first = ev.status, ev.method, ev.first

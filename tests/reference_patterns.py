@@ -1,5 +1,4 @@
-"""The test-file parser as it stood when it checked one line at a time and
-built a ``TestPattern`` per row.
+"""The test-file parser as it stood when it checked one line at a time.
 
 ``parse_test_file`` in ``bridgetest.patterns`` checks every row at once and
 walks the lines only to name the first bad one.  Differential tests compare
@@ -9,12 +8,12 @@ and message.
 
 from __future__ import annotations
 
-from bridgetest.patterns import TestFileError, TestPattern
+from bridgetest.patterns import TestFileError
 
 
-def reference_parse_test_file(text: str, n: int, p: int) -> list[TestPattern]:
-    """Read a test-set file; every pattern must carry exactly p + n symbols."""
-    out: list[TestPattern] = []
+def reference_parse_test_file(text: str, n: int, p: int) -> list[str]:
+    """Read a test-set file; every row must carry exactly p + n symbols."""
+    out: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
         token = "".join(body.split())
@@ -26,5 +25,5 @@ def reference_parse_test_file(text: str, n: int, p: int) -> list[TestPattern]:
             raise TestFileError(
                 f"pattern has {len(token)} symbols, expected {p + n} (p={p} then n={n})", lineno
             )
-        out.append(TestPattern(token[:p], token[p:], origin="User"))
+        out.append(token)
     return out

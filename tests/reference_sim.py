@@ -9,7 +9,7 @@ independent routes.  The library's
 oracle decides on GF(2) polynomials; ``truth_table_detectability`` runs the
 same closed form on the truth-table columns of every assignment instead.
 The library packs rows by slicing one resolved string; ``resolve_bits``
-and ``reference_pack`` split each row into a ``TestPattern``, fill
+and ``reference_pack`` split each row into its c and x parts, fill
 don't-cares and set column bits one at a time.  The library's fallback
 finds the misses by index in a graded evaluation, reads each once against
 all repair rows, packed, and remembers the last oracle verdict;
@@ -30,7 +30,6 @@ from bridgetest import (
     BridgingFault,
     FaultKind,
     FaultVerdict,
-    TestPattern,
     bridge_values,
     detects,
     enumerate_faults,
@@ -95,18 +94,13 @@ def _columns(
     return x, a, levels
 
 
-def as_pattern(network: AndExorNetwork, row: str) -> TestPattern:
-    """The row split into its c and x parts."""
-    return TestPattern(row[: network.p], row[network.p :])
-
-
 def resolve_bits(
-    pattern: TestPattern, dc_policy: str = "fill-zero"
+    network: AndExorNetwork, row: str, dc_policy: str = "fill-zero"
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The pattern's c and x bits, don't-cares filled one symbol at a time."""
+    """The row's c and x bits, don't-cares filled one symbol at a time."""
     fill = {"fill-zero": 0, "fill-one": 1}[dc_policy]
-    c = tuple(fill if ch == "d" else int(ch) for ch in pattern.c)
-    x = tuple(fill if ch == "d" else int(ch) for ch in pattern.x)
+    c = tuple(fill if ch == "d" else int(ch) for ch in row[: network.p])
+    x = tuple(fill if ch == "d" else int(ch) for ch in row[network.p :])
     return c, x
 
 
@@ -116,44 +110,38 @@ def reference_pack(
     """``_pack`` bit by bit: bit t of each column is row t's symbol."""
     c_cols, x_cols = [0] * network.p, [0] * network.n
     for t, row in enumerate(rows):
-        c, x = resolve_bits(as_pattern(network, row), dc_policy)
+        c, x = resolve_bits(network, row, dc_policy)
         for cols, bits in ((c_cols, c), (x_cols, x)):
             for k, bit in enumerate(bits):
                 cols[k] |= bit << t
     return c_cols, x_cols, (1 << len(rows)) - 1
 
 
-def _resolved_bits(
-    network: AndExorNetwork, pattern: TestPattern, dc_policy: str
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if (len(pattern.c), len(pattern.x)) != (network.p, network.n):
-        raise ValueError("pattern dimension mismatch")
-    return resolve_bits(pattern, dc_policy)
-
-
 def _single(
     network: AndExorNetwork,
-    pattern: TestPattern,
+    row: str,
     dc_policy: str,
     fault: BridgingFault | None,
 ) -> SimulationResult:
-    c, x = _resolved_bits(network, pattern, dc_policy)
+    if len(row) != network.p + network.n:
+        raise ValueError("pattern dimension mismatch")
+    c, x = resolve_bits(network, row, dc_policy)
     x_vals, a, levels = _columns(network, c, x, 1, fault)
     cascade = tuple(tuple(level[j] for level in levels) for j in range(network.p))
     return SimulationResult(levels[-1], tuple(x_vals), tuple(a), cascade)
 
 
 def eval_good(
-    network: AndExorNetwork, pattern: TestPattern, dc_policy: str = "fill-zero"
+    network: AndExorNetwork, row: str, dc_policy: str = "fill-zero"
 ) -> SimulationResult:
-    """Fault-free evaluation of one pattern."""
-    return _single(network, pattern, dc_policy, None)
+    """Fault-free evaluation of one row."""
+    return _single(network, row, dc_policy, None)
 
 
 def eval_faulty(
     network: AndExorNetwork,
     fault: BridgingFault,
-    pattern: TestPattern,
+    row: str,
     dc_policy: str = "fill-zero",
 ) -> SimulationResult:
     """Evaluation with one injected bridge.
@@ -163,7 +151,7 @@ def eval_faulty(
     """
     if fault.kind is FaultKind.EXOR_INTERNAL:
         raise ValueError("ExorInternal faults are graded by stimulation masks, not injection")
-    return _single(network, pattern, dc_policy, fault)
+    return _single(network, row, dc_policy, fault)
 
 
 def exor_stimulation_mask(
@@ -221,7 +209,7 @@ def reference_grade(
     dc_policy: str = "fill-zero",
 ) -> tuple[list[FaultVerdict], list[int]]:
     """Verdicts and stimulation masks, one pattern and one fault at a time."""
-    resolved = [resolve_bits(as_pattern(network, row), dc_policy) for row in rows]
+    resolved = [resolve_bits(network, row, dc_policy) for row in rows]
     good_sims = [_simulate(network, c, x, None) for c, x in resolved]
 
     masks = [0] * network.d
@@ -264,10 +252,8 @@ def reference_grade(
     return verdicts, masks
 
 
-def reference_detects(
-    network: AndExorNetwork, fault: BridgingFault, pattern: TestPattern
-) -> bool:
-    c, x = resolve_bits(pattern)
+def reference_detects(network: AndExorNetwork, fault: BridgingFault, row: str) -> bool:
+    c, x = resolve_bits(network, row)
     return _simulate(network, c, x, None).outputs != _simulate(network, c, x, fault).outputs
 
 
@@ -329,10 +315,8 @@ def _witness(network: AndExorNetwork, diff: int) -> OracleResult:
         diff &= _input_column(network.p + network.constant_line - 1, network.n + network.p)
     if diff == 0:
         return OracleResult("redundant")
-    bits = format((diff & -diff).bit_length() - 1, f"0{network.n + network.p}b")
-    return OracleResult(
-        "detectable", TestPattern(bits[: network.p], bits[network.p :], origin="Fallback")
-    )
+    row = format((diff & -diff).bit_length() - 1, f"0{network.n + network.p}b")
+    return OracleResult("detectable", row)
 
 
 def reference_oracle(network: AndExorNetwork, fault: BridgingFault) -> OracleResult:
@@ -387,14 +371,14 @@ def reference_fallback(
                 out.patterns.extend(corners.rows)
                 corners_added = True
             continue
-        if any(detects(network, fault, as_pattern(network, row)) for row in out.patterns):
+        if any(detects(network, fault, row) for row in out.patterns):
             continue
         if network.n + network.p <= oracle_cap:
             res = exhaustive_detectability(network, fault)
             if not res.detectable:
                 out.redundant.append(fault)
             elif not classify_only:
-                out.patterns.append(res.witness.line())
+                out.patterns.append(res.witness)
             continue
         diff = 0
         if not classify_only:

@@ -2,7 +2,7 @@
 
 ``gen_input_and_tests`` below splits blocks recursively into a
 ``PartitionTree`` and checks each cross pair with its own ``detects`` call.
-It is kept, unchanged but for the rows its set returns, as the reference
+It is kept, unchanged but for its patterns being rows, as the reference
 the generator in ``bridgetest.atpg`` is compared against: both must emit
 the same patterns, in the same order, and leave the same pairs for fallback.
 """
@@ -15,7 +15,7 @@ from typing import Sequence
 
 from bridgetest.faults import BridgingFault, Polarity
 from bridgetest.network import AndExorNetwork
-from bridgetest.patterns import TestPattern, TestSet
+from bridgetest.patterns import TestSet
 from bridgetest.pprm import PprmFunction
 from bridgetest.simulate import detects
 
@@ -24,7 +24,7 @@ from bridgetest.simulate import detects
 class TreeNode:
     block: tuple[int, ...]
     gate_id: int | None = None
-    pattern: TestPattern | None = None
+    pattern: str | None = None
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
 
@@ -80,17 +80,17 @@ def gen_input_and_tests(
     """
     aux = network.constant_line
     variables = network.real_inputs()
-    patterns: list[TestPattern] = []
+    patterns: list[str] = []
 
     candidates = sorted(
         (len(sup), gid) for gid, sup in enumerate(network.gate_supports, start=1)
     )
 
-    def make_pattern(support: frozenset) -> TestPattern:
+    def make_pattern(support: frozenset) -> str:
         bits = "".join(
             "1" if v == aux or v in support else "0" for v in range(1, network.n + 1)
         )
-        return TestPattern("d" * network.p, bits, origin="T2")
+        return "d" * network.p + bits
 
     def split(block: tuple[int, ...]) -> TreeNode:
         if len(block) <= 1:
@@ -117,5 +117,5 @@ def gen_input_and_tests(
         return TreeNode(block=block)
 
     root = split(tuple(variables)) if variables else None
-    test_set = TestSet("T2", [pat.line() for pat in patterns], target_class="XPair/WiredAnd")
+    test_set = TestSet("T2", patterns, target_class="XPair/WiredAnd")
     return test_set, PartitionTree(root)

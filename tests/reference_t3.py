@@ -3,7 +3,7 @@
 ``gen_input_or_tests`` below rebuilds the restricted PPRMs with
 ``restrict`` and the parity matrix from ``count_terms`` for every
 restriction set, and walks every set of up to n - 1 inputs held at 0.  It is
-kept, unchanged but for the rows its set returns, as the reference the fast
+kept, unchanged but for its patterns being rows, as the reference the fast
 generator in ``bridgetest.atpg`` is compared against; ``restrict``,
 ``ParityMatrix`` and ``build_parity_matrix`` (the ``count_terms``
 definition of the matrix) live here, so the reference shares no parity
@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from bridgetest.atpg import count_terms
 from bridgetest.faults import BridgingFault, Polarity
 from bridgetest.network import AndExorNetwork
-from bridgetest.patterns import TestPattern, TestSet
+from bridgetest.patterns import TestSet
 from bridgetest.pprm import PprmFunction
 from bridgetest.simulate import detects
 
@@ -79,7 +79,7 @@ def gen_input_or_tests(
     aux = network.constant_line
     variables = list(network.real_inputs())
     p = network.p
-    patterns: list[TestPattern] = []
+    patterns: list[str] = []
     blocks: list[frozenset] = [frozenset(variables)] if len(variables) >= 2 else []
 
     def block_of(v: int) -> frozenset | None:
@@ -91,13 +91,13 @@ def gen_input_or_tests(
     def multi_blocks() -> list[frozenset]:
         return [b for b in blocks if len(b) >= 2]
 
-    def make_pattern(zeros: frozenset) -> TestPattern:
+    def make_pattern(zeros: frozenset) -> str:
         bits = "".join(
             "1" if v == aux else ("0" if v in zeros else "1") for v in range(1, network.n + 1)
         )
-        return TestPattern("d" * p, bits, origin="T3")
+        return "d" * p + bits
 
-    def try_split(pattern: TestPattern, block: frozenset, side: frozenset) -> bool:
+    def try_split(pattern: str, block: frozenset, side: frozenset) -> bool:
         """Validate every wired-OR pair across the split; refine on success."""
         cross = [(r, s) for r in sorted(side) for s in sorted(block - side)]
         if not cross:
@@ -173,5 +173,5 @@ def gen_input_or_tests(
     uncovered = []
     for block in sorted(multi_blocks(), key=min):
         uncovered.extend(itertools.combinations(sorted(block), 2))
-    test_set = TestSet("T3", [pat.line() for pat in patterns], target_class="XPair/WiredOr")
+    test_set = TestSet("T3", patterns, target_class="XPair/WiredOr")
     return test_set, tuple(sorted(uncovered))

@@ -10,7 +10,7 @@ import time
 
 import pytest
 from conftest import evaluation_missing, random_circuit
-from reference_sim import FULL_MASK, as_pattern, exor_stimulation_mask
+from reference_sim import FULL_MASK, exor_stimulation_mask
 
 from bridgetest import (
     BridgingFault,
@@ -77,11 +77,11 @@ def test_criterion_1_fixture_sets(bench):
     for i in range(1, 8):
         for j in range(i + 1, 8):
             assert any(
-                detects(net, BridgingFault.x_pair(i, j, AND), as_pattern(net, row))
+                detects(net, BridgingFault.x_pair(i, j, AND), row)
                 for row in sets["T2"]
             ), f"wired-AND pair ({i},{j}) missed by T2"
             assert any(
-                detects(net, BridgingFault.x_pair(i, j, OR), as_pattern(net, row))
+                detects(net, BridgingFault.x_pair(i, j, OR), row)
                 for row in sets["T3"]
             ), f"wired-OR pair ({i},{j}) missed by T3"
 

@@ -6,14 +6,13 @@ import random
 
 import pytest
 from conftest import evaluation_missing, random_circuit, with_zero_control
-from reference_sim import as_pattern, reference_fallback
+from reference_sim import reference_fallback
 
 from bridgetest import (
     DC_POLICIES,
     BridgingFault,
     FaultKind,
     Polarity,
-    TestPattern,
     assemble_union,
     ceil_log2,
     check_bound,
@@ -182,7 +181,7 @@ class TestInputAndSet:
         for i in range(1, 8):
             for j in range(i + 1, 8):
                 fault = BridgingFault.x_pair(i, j, AND)
-                assert any(detects(net, fault, as_pattern(net, row)) for row in ts), (i, j)
+                assert any(detects(net, fault, row) for row in ts), (i, j)
 
     def test_unsplittable_block(self, and2):
         # the only gate's support equals the whole block: nothing can split
@@ -220,7 +219,7 @@ class TestInputOrSet:
         for i in range(1, 8):
             for j in range(i + 1, 8):
                 fault = BridgingFault.x_pair(i, j, OR)
-                assert any(detects(net, fault, as_pattern(net, row)) for row in ts), (i, j)
+                assert any(detects(net, fault, row) for row in ts), (i, j)
 
     def test_emission_is_partition_gated(self):
         # x = 110 would detect the pairs it leaves joined, but no block
@@ -229,7 +228,7 @@ class TestInputOrSet:
         ts, uncovered = gen_input_or_tests(pprms, net)
         assert ts.rows == ["d011", "d101"]
         assert uncovered == ()
-        probe = TestPattern("d", "110")
+        probe = "d110"
         assert detects(net, BridgingFault.x_pair(1, 3, OR), probe)
         assert detects(net, BridgingFault.x_pair(2, 3, OR), probe)
 
@@ -353,9 +352,8 @@ class TestGenerateSets:
 
         def checked(self, row, block, side):
             rest = block - side
-            pattern = as_pattern(self.network, row)
             expected = bool(rest) and all(
-                detects(self.network, BridgingFault.x_pair(r, min(rest), self.polarity), pattern)
+                detects(self.network, BridgingFault.x_pair(r, min(rest), self.polarity), row)
                 for r in side
             )
             accepted = split(self, row, block, side)
@@ -400,7 +398,7 @@ class TestGenerateSets:
                 "1" if i == net.constant_line else str(v if i in side else 1 - v)
                 for i in range(1, net.n + 1)
             )
-            pattern = TestPattern("".join(rng.choice("01d") for _ in range(net.p)), x)
+            pattern = "".join(rng.choice("01d") for _ in range(net.p)) + x
             polarity = AND if v else OR
             for dc_policy in DC_POLICIES:
                 for r in side:
@@ -496,7 +494,7 @@ class TestFallbackSearch:
         fb = fallback_search(net, evaluation_missing(net, missed))
         assert calls == missed[:1]
         assert fb.patterns == ["00110"]
-        assert detects(net, missed[1], as_pattern(net, fb.patterns[0]))
+        assert detects(net, missed[1], fb.patterns[0])
         assert (fb.redundant, fb.unresolved) == ([], [])
 
     @pytest.mark.parametrize("classify_only", [False, True])
@@ -540,7 +538,7 @@ class TestFallbackSearch:
         ev = evaluation_missing(net, [or_fault, and_fault])
         fb = fallback_search(net, ev)
         assert len(fb.patterns) == 1
-        assert detects(net, or_fault, as_pattern(net, fb.patterns[0]))
+        assert detects(net, or_fault, fb.patterns[0])
         assert [ev.faults[k] for k in fb.unresolved] == [and_fault]
         assert fb.redundant == []
 

@@ -2,12 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import bridgetest
 from bridgetest import (
-    TestPattern,
+    AndExorNetwork,
+    BridgingFault,
+    Polarity,
     cli,
     format_circuit,
     normalize_zero_controls,
@@ -15,6 +20,7 @@ from bridgetest import (
     parse_test_file,
 )
 from bridgetest.cli import build_parser, main
+from bridgetest.simulate import _Good
 from conftest import DATA
 
 NOTPLUS_TEXT = ".n 2\n.p 1\n.gate c1 :\n.gate c1 : x1 x2\n.end\n"
@@ -92,6 +98,13 @@ class TestArgHandling:
     def test_empty_sets(self, capsys, bench_path):
         code, out, err = run(capsys, "atpg", str(bench_path), "--sets", ",")
         assert code == 2 and "empty --sets" in err
+
+    @pytest.mark.parametrize("command", ["atpg", "verify"])
+    def test_duplicate_set_names(self, capsys, bench_path, command):
+        # refused like an unknown name, not built once and echoed twice
+        code, out, err = run(capsys, command, str(bench_path), "--sets", "T2,T1,T2,T1")
+        assert (code, out) == (2, "")
+        assert err == "error: duplicate test-set name(s): T1, T2\n"
 
     @pytest.mark.parametrize("cap", ["-1"])
     def test_oracle_cap_out_of_range(self, capsys, monkeypatch, bench_path, cap):
@@ -220,12 +233,13 @@ class TestAtpg:
 class TestSimulateAndVerify:
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_simulate_builds_no_pattern_per_row(self, capsys, monkeypatch, tmp_path, fmt):
-        # from file text to the report, rows stay strings: the file repeated
-        # ten times builds as many TestPatterns as the file once
+        # from file text to the report, rows stay strings and are graded as
+        # packed columns: the file repeated ten times builds as many tables
+        # of fault-free values as the file once
         built = []
-        new = TestPattern.__new__
-        monkeypatch.setattr(TestPattern, "__new__", lambda cls, *args, **kw:
-                            built.append(new(cls, *args, **kw)) or built[-1])
+        init = _Good.__init__
+        monkeypatch.setattr(_Good, "__init__", lambda self, *args:
+                            built.append(init(self, *args)))
         text = (DATA / "bench7x3_user.tests").read_text()
         counts = []
         for copies in (1, 10):
@@ -236,7 +250,7 @@ class TestSimulateAndVerify:
                                str(tests), "--format", fmt)
             assert code == 1 and out
             counts.append(len(built))
-        assert counts[0] == counts[1]
+        assert counts[0] == counts[1] > 0
 
     def test_verify_dedup_summary(self, capsys, and2_path):
         code, out, _ = run(capsys, "verify", str(and2_path), "--dedup")
@@ -324,6 +338,16 @@ class TestSimulateAndVerify:
         assert sim["verdicts"] == ver["verdicts"]
         assert sim["coverage"] == ver["coverage"]
         assert sim["exor_masks"] == ver["exor_masks"]
+
+    def test_simulate_refuses_stdin_for_both_files(self, capsys, monkeypatch):
+        # one stream cannot hold the circuit and the tests: refused before
+        # anything is read, rather than grading an empty test set
+        stdin = io.StringIO((DATA / "and2.rev").read_text())
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "simulate", "-", "--tests", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: the circuit and --tests cannot both be read from stdin\n"
+        assert stdin.tell() == 0
 
     def test_simulate_undetected_exit_1(self, capsys, tmp_path, bench_path):
         tests_file = tmp_path / "weak.tests"
@@ -420,6 +444,29 @@ class TestGradeCount:
         assert grades == []
 
 
+class TestModuleEntry:
+    """``python -m bridgetest`` runs the same main() in a fresh interpreter."""
+
+    def run_module(self, *argv):
+        root = DATA.parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        )
+        return subprocess.run([sys.executable, "-m", "bridgetest", *argv], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_verify_prints_the_golden_report(self):
+        proc = self.run_module("verify", "tests/data/and2.rev", "--no-timestamp")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (DATA / "golden" / "verify_and2.txt").read_text(encoding="utf-8")
+
+    def test_missing_circuit_exits_3(self):
+        proc = self.run_module("verify", "tests/data/no_such_circuit.rev")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("error:")
+
+
 class TestDeterminism:
     def test_verify_byte_identical(self, tmp_path, bench_path):
         out1 = tmp_path / "a.json"
@@ -482,9 +529,12 @@ def test_test_file_errors_name_their_line(text, line, message):
 @pytest.mark.parametrize("c, x, message", [
     ("0x", "1", "bad pattern symbol ['x']"),
     ("01", "zd y", "bad pattern symbol [' ', 'y', 'z']"),
-    ("2", "3", "bad pattern symbol ['2']"),  # the c part is checked first
+    ("2", "3", "bad pattern symbol ['2', '3']"),  # the c and x parts alike
 ])
 def test_bad_pattern_symbols_are_listed(c, x, message):
+    # a row of the network's width, with symbols other than 0, 1 and d:
+    # it is refused before the fault is read
+    net = AndExorNetwork(len(x), len(c), (), ())
     with pytest.raises(ValueError) as err:
-        TestPattern(c, x)
+        bridgetest.detects(net, BridgingFault.a_pair(1, 2, Polarity.WIRED_AND), c + x)
     assert str(err.value) == message

@@ -17,7 +17,6 @@ import pytest
 from conftest import random_circuit, with_zero_control
 from reference_sim import (
     TruthColumns,
-    _columns,
     injected_difference,
     reference_oracle,
     truth_table_detectability,
@@ -57,13 +56,10 @@ def _bridges(net):
 
 
 def _assert_closed_form(net, c_cols, x_cols, ones, lazy_cols=None):
-    _, a, levels = _columns(net, c_cols, x_cols, ones, None)
-    walked = _Good(net, c_cols + x_cols, ones, a, list(levels))
     lazy = _Good(net, c_cols + x_cols if lazy_cols is None else lazy_cols, ones)
     for fault in _bridges(net):
         want = injected_difference(net, c_cols, x_cols, ones, fault)
         bridge = (fault.kind, fault.ids, fault.polarity)
-        assert _fault_difference(walked, *bridge) == want, fault.describe()
         assert _fault_difference(lazy, *bridge) == want, fault.describe()
 
 
@@ -135,18 +131,18 @@ def test_hand_built_verdicts():
         # x_i up
         for i in (1, 2):
             result = exhaustive_detectability(zero, BridgingFault.x_pair(i, 3, polarity))
-            assert result.detectable and result.witness.x[2] == "1"
+            assert result.detectable and result.witness[zero.p + 2] == "1"
 
 
 def test_grading_computes_each_sensitivity_once(monkeypatch):
-    # count the AND products behind the sensitivity columns, not the reads:
-    # computing each input's columns once takes one product per gate input
+    # count the AND products, not the reads: the AND outputs take one per
+    # gate, and computing each input's sensitivity columns once takes one
+    # per gate input
     products = []
     product = _Good.product
 
     def counting(good, inputs):
-        if good.a is not None:  # the graded values, not the walk that made them
-            products.append(inputs)
+        products.append(inputs)
         return product(good, inputs)
 
     monkeypatch.setattr(_Good, "product", counting)
@@ -157,7 +153,8 @@ def test_grading_computes_each_sensitivity_once(monkeypatch):
     xpairs = [f for f in faults if f.kind is FaultKind.X_PAIR]
     rows = ["".join(rng.choice("01") for _ in range(net.p + net.n)) for _ in range(40)]
     evaluation = evaluate_test_set(net, faults, rows)
-    assert 0 < len(products) <= sum(len(sup) for sup in net.gate_supports) < len(xpairs)
+    sensitivity_products = len(products) - net.d
+    assert 0 < sensitivity_products <= sum(len(sup) for sup in net.gate_supports) < len(xpairs)
     assert evaluation.count("detected") > 0
 
 

@@ -36,7 +36,7 @@ def file_texts(draw):
 
 def _outcome(parse, text, n, p):
     try:
-        return [row if isinstance(row, str) else row.line() for row in parse(text, n, p)]
+        return parse(text, n, p)
     except bridgetest.TestFileError as err:
         return err.line, str(err)
 

@@ -5,7 +5,6 @@ import random
 
 from bridgetest.pprm import PprmFunction, Term, derive_pprm
 from bridgetest.network import expand_network
-from bridgetest.patterns import TestPattern
 
 from conftest import random_circuit
 from reference_sim import eval_good
@@ -63,8 +62,7 @@ def test_evaluate_matches_gate_level_simulation(bench):
     rng = random.Random(3)
     for _ in range(200):
         x = [rng.randint(0, 1) for _ in range(7)]
-        pattern = TestPattern("000", "".join(map(str, x)))
-        outputs = eval_good(net, pattern).outputs
+        outputs = eval_good(net, "000" + "".join(map(str, x))).outputs
         assert [f.evaluate(x) for f in pprms] == list(outputs)
 
 
@@ -76,8 +74,7 @@ def test_evaluate_matches_simulation_random_circuits():
         pprms = derive_pprm(c)
         for _ in range(20):
             x = [rng.randint(0, 1) for _ in range(c.n)]
-            pattern = TestPattern("0" * c.p, "".join(map(str, x)))
-            outputs = eval_good(net, pattern).outputs
+            outputs = eval_good(net, "0" * c.p + "".join(map(str, x))).outputs
             assert [f.evaluate(x) for f in pprms] == list(outputs)
 
 

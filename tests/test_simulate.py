@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from reference_sim import (
     FULL_MASK,
     _simulate,
-    as_pattern,
     eval_faulty,
     eval_good,
     exor_stimulation_mask,
@@ -25,7 +24,6 @@ from bridgetest import (
     FaultKind,
     BridgingFault,
     Polarity,
-    TestPattern,
     derive_pprm,
     detects,
     enumerate_faults,
@@ -34,6 +32,7 @@ from bridgetest import (
     expand_network,
     normalize_zero_controls,
     parse_circuit,
+    parse_test_file,
 )
 from bridgetest.atpg import gen_corner_set
 from bridgetest.simulate import _pack
@@ -61,8 +60,7 @@ class TestGoodEvaluation:
         for _ in range(200):
             c = [rng.randint(0, 1) for _ in range(3)]
             x = [rng.randint(0, 1) for _ in range(7)]
-            pat = TestPattern("".join(map(str, c)), "".join(map(str, x)))
-            sim = eval_good(net, pat)
+            sim = eval_good(net, "".join(map(str, c + x)))
             expect = tuple(c[j] ^ pprms[j].evaluate(x) for j in range(3))
             assert sim.outputs == expect
 
@@ -75,28 +73,27 @@ class TestGoodEvaluation:
             for _ in range(20):
                 c = [rng.randint(0, 1) for _ in range(circuit.p)]
                 x = [rng.randint(0, 1) for _ in range(circuit.n)]
-                pat = TestPattern("".join(map(str, c)), "".join(map(str, x)))
-                got = eval_good(net, pat).outputs
+                got = eval_good(net, "".join(map(str, c + x))).outputs
                 expect = tuple(
                     c[j] ^ pprms[j].evaluate(x) for j in range(circuit.p)
                 )
                 assert got == expect
 
     def test_cascade_and_intermediate_values(self, twoline):
-        sim = eval_good(twoline, TestPattern("00", "1"))
+        sim = eval_good(twoline, "001")
         assert sim.x_values == (1,)
         assert sim.a_values == (1, 1)
         assert sim.cascade == ((0, 1, 1), (0, 0, 1))
         assert sim.outputs == (1, 1)
 
     def test_dc_policy_resolution(self, twoline):
-        assert eval_good(twoline, TestPattern("dd", "d")).outputs == (0, 0)
-        assert eval_good(twoline, TestPattern("dd", "d"), "fill-one").outputs == (0, 0)
-        assert eval_good(twoline, TestPattern("0d", "d"), "fill-one").outputs == (1, 0)
+        assert eval_good(twoline, "ddd").outputs == (0, 0)
+        assert eval_good(twoline, "ddd", "fill-one").outputs == (0, 0)
+        assert eval_good(twoline, "0dd", "fill-one").outputs == (1, 0)
 
     def test_dimension_mismatch(self, twoline):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            eval_good(twoline, TestPattern("0", "1"))
+            eval_good(twoline, "01")
 
 
 class TestInjection:
@@ -104,7 +101,7 @@ class TestInjection:
         # f1 = x1 x2; bridging the two inputs wired-OR turns 01 into 11
         net = expand_network(and2)
         fault = BridgingFault.x_pair(1, 2, OR)
-        pat = TestPattern("0", "01")
+        pat = "001"
         assert eval_good(net, pat).outputs == (0,)
         faulty = eval_faulty(net, fault, pat)
         assert faulty.x_values == (1, 1)
@@ -115,7 +112,7 @@ class TestInjection:
         # same stimulus wired-AND lands on 00: the AND output cannot change
         net = expand_network(and2)
         fault = BridgingFault.x_pair(1, 2, AND)
-        pat = TestPattern("0", "01")
+        pat = "001"
         assert eval_faulty(net, fault, pat).outputs == (0,)
         assert not detects(net, fault, pat)
 
@@ -123,7 +120,7 @@ class TestInjection:
         net = _net(".n 2\n.p 1\n.gate c1 : x1\n.gate c1 : x2\n.end\n")
         fault_and = BridgingFault.a_pair(1, 2, AND)
         fault_or = BridgingFault.a_pair(1, 2, OR)
-        pat = TestPattern("0", "10")  # a = (1, 0), good output 1
+        pat = "010"  # a = (1, 0), good output 1
         assert eval_good(net, pat).outputs == (1,)
         sim = eval_faulty(net, fault_and, pat)
         assert sim.a_values == (0, 0)
@@ -131,11 +128,11 @@ class TestInjection:
         assert eval_faulty(net, fault_or, pat).a_values == (1, 1)
         assert eval_faulty(net, fault_or, pat).outputs == (0,)
         # equal AND values mask the bridge
-        assert not detects(net, fault_or, TestPattern("0", "11"))
+        assert not detects(net, fault_or, "011")
 
     def test_intra_level_zero_hits_initial_column(self, twoline):
         fault = BridgingFault.intra_level(0, 1, 2, OR)
-        pat = TestPattern("01", "1")
+        pat = "011"
         assert eval_good(twoline, pat).outputs == (1, 0)
         sim = eval_faulty(twoline, fault, pat)
         assert sim.cascade[0][0] == 1 and sim.cascade[1][0] == 1
@@ -144,27 +141,27 @@ class TestInjection:
     def test_intra_level_mid_cascade(self, twoline):
         fault = BridgingFault.intra_level(1, 1, 2, AND)
         # level 1 sits between the two gates: W(1,1)=1, W(2,1)=0 under c=00
-        pat = TestPattern("00", "1")
+        pat = "001"
         sim = eval_faulty(twoline, fault, pat)
         assert sim.cascade == ((0, 0, 0), (0, 0, 1))
         assert sim.outputs == (0, 1)
         assert detects(twoline, fault, pat)
         # but the same fault is invisible when both wires agree
         # (c=10, x=1: gate 1 clears W(1,1) to 0 = W(2,1))
-        assert not detects(twoline, fault, TestPattern("10", "1"))
+        assert not detects(twoline, fault, "101")
 
     def test_intra_level_at_outputs(self, twoline):
         fault = BridgingFault.intra_level(2, 1, 2, AND)
-        assert not detects(twoline, fault, TestPattern("00", "1"))  # both end 1
-        assert detects(twoline, fault, TestPattern("01", "1"))  # (1,0) -> (0,0)
+        assert not detects(twoline, fault, "001")  # both end 1
+        assert detects(twoline, fault, "011")  # (1,0) -> (0,0)
 
     def test_exor_internal_not_injectable(self, twoline):
         with pytest.raises(ValueError, match="stimulation masks"):
-            eval_faulty(twoline, BridgingFault.exor_internal(1), TestPattern("00", "1"))
+            eval_faulty(twoline, BridgingFault.exor_internal(1), "001")
         with pytest.raises(ValueError, match="stimulation masks"):
             exhaustive_detectability(twoline, BridgingFault.exor_internal(1))
         with pytest.raises(ValueError, match="stimulation masks"):
-            detects(twoline, BridgingFault.exor_internal(1), TestPattern("00", "1"))
+            detects(twoline, BridgingFault.exor_internal(1), "001")
 
 
 class TestStimulationMasks:
@@ -192,11 +189,12 @@ class TestOracle:
         res = exhaustive_detectability(net, fault)
         assert res.detectable
         assert res.witness is not None and detects(net, fault, res.witness)
+        # the witness is a row, as a test file holds it
+        assert parse_test_file(res.witness, net.n, net.p) == [res.witness]
         # nothing lexicographically earlier detects
-        v = int(res.witness.line(), 2)
+        v = int(res.witness, 2)
         for u in range(v):
-            bits = format(u, "03b")
-            assert not detects(net, fault, TestPattern(bits[:1], bits[1:]))
+            assert not detects(net, fault, format(u, "03b"))
 
     def test_redundant_verdict(self, and2):
         # wired-AND across the inputs of a single 2-input AND changes nothing
@@ -211,8 +209,8 @@ class TestOracle:
         res = exhaustive_detectability(net, BridgingFault.x_pair(1, 2, OR))
         assert res.detectable
         # the witness must hold the constant line at 1
-        assert res.witness.x[2] == "1"
-        assert res.witness == TestPattern("0", "011", origin="Fallback")
+        assert res.witness[net.p + 2] == "1"
+        assert res.witness == "0011"
 
     def test_oracle_agrees_with_scalar_search(self):
         # dual route: truth-table columns vs the scalar reference simulator
@@ -226,14 +224,13 @@ class TestOracle:
                 width = net.n + net.p
                 found = None
                 for v in range(1 << width):
-                    bits = format(v, f"0{width}b")
-                    pat = TestPattern(bits[: net.p], bits[net.p :])
-                    if reference_detects(net, fault, pat):
-                        found = pat
+                    row = format(v, f"0{width}b")
+                    if reference_detects(net, fault, row):
+                        found = row
                         break
                 if res.detectable:
                     assert found is not None
-                    assert found.line() == res.witness.line()
+                    assert found == res.witness
                 else:
                     assert found is None
 
@@ -309,13 +306,12 @@ def test_columns_match_scalar_reference(seed, zero_control, count, dc_policy):
     assert ev.masks == masks
     assert exor_stimulation_mask(net, rows, dc_policy) == masks
 
-    for pat in [as_pattern(net, row) for row in rows[:1]]:
-        c, x = pat.resolve(dc_policy)
-        assert (c, x) == resolve_bits(pat, dc_policy)
-        assert eval_good(net, pat, dc_policy) == _simulate(net, c, x, None)
+    for row in rows[:1]:
+        c, x = resolve_bits(net, row, dc_policy)
+        assert eval_good(net, row, dc_policy) == _simulate(net, c, x, None)
         for fault in faults:
             if fault.kind is not FaultKind.EXOR_INTERNAL:
-                assert eval_faulty(net, fault, pat, dc_policy) == _simulate(net, c, x, fault)
+                assert eval_faulty(net, fault, row, dc_policy) == _simulate(net, c, x, fault)
 
 
 @pytest.mark.parametrize("dc_policy", DC_POLICIES)
@@ -345,11 +341,3 @@ def test_pack_rejects_bad_symbols(twoline, row, dc_policy):
     # int(..., 2) alone would read "0_1", " 01" or "+01"
     with pytest.raises(ValueError, match="bad pattern symbol"):
         _pack(twoline, ["0d1", row], dc_policy)
-
-
-@pytest.mark.parametrize("c, x", [("000", ""), ("0", "11")])
-def test_detects_rejects_wrong_split(twoline, c, x):
-    # the full width, split wrongly
-    message = f"pattern dimension mismatch: got p={len(c)} n={len(x)}, network has p=2 n=1"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        detects(twoline, BridgingFault.intra_level(0, 1, 2, AND), TestPattern(c, x))
