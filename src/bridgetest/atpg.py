@@ -19,9 +19,10 @@ Five named sets are built per circuit:
   pair of cascade columns is driven to opposite values somewhere.
 * T5: n walking-zero patterns separating AND outputs with distinct support.
 
-T2 and T3 each refine one partition of the inputs (``_Partition``), and
-check a candidate split on one fault-free evaluation: a bridge across it
-moves one input, so it shows where the outputs are sensitive to that input.
+T2 and T3 each refine one partition of the inputs (``_Partition``).  A
+bridge across a candidate split moves one input, so it shows where the
+outputs are sensitive to that input; T2's candidates, and each T3 stage's,
+are checked as the bits of one packed fault-free evaluation.
 Each set emits at most n - 1 patterns; with T1's 4, T4's ceil(log2 p), and
 T5's n, the union stays within 3n + ceil(log2 p) + 2 whenever no fallback
 pattern is needed.
@@ -125,9 +126,8 @@ def gen_corner_set(n: int, p: int, *, constant_line: int | None = None) -> TestS
 def _input_pattern(network: AndExorNetwork, ones: frozenset) -> str:
     """The row with the inputs in ``ones`` and the constant line at 1, the
     other inputs at 0 and the c lines don't-care."""
-    aux = network.constant_line
-    bits = "".join("1" if v in ones or v == aux else "0" for v in range(1, network.n + 1))
-    return "d" * network.p + bits
+    mask = _mask(ones) | 1 << (network.constant_line or 0)  # bit v for x_v; bit 0 is dropped
+    return "d" * network.p + format(mask >> 1, f"0{network.n}b")[::-1]
 
 
 class _Partition:
@@ -138,7 +138,11 @@ class _Partition:
     of the block at the other, the value the bridge pulls both ends to, so
     it splits where the outputs are sensitive to every input on the side.
     That reads only x, and candidates leave only the c lines don't-care, so
-    no fill policy can change a check.  Open blocks hold two inputs or more.
+    no fill policy can change a check.  The first ``split`` after ``offer``
+    packs the offered rows into one fault-free evaluation; candidate k's
+    verdict on an input is bit k of its sensitivity column, each computed
+    once per batch.  A row not offered is packed alone.  Open blocks hold
+    two inputs or more.
     """
 
     def __init__(self, network: AndExorNetwork, polarity: Polarity) -> None:
@@ -146,6 +150,12 @@ class _Partition:
         self.polarity = polarity
         inputs = frozenset(network.real_inputs())
         self.blocks: list[frozenset] = [inputs] if len(inputs) >= 2 else []
+        self._offered: Iterable[str] = ()
+        self._bit: dict[str, int] | None = {}  # packed row -> its bit; None until packed
+
+    def offer(self, rows: Iterable[str]) -> None:
+        """Candidate rows for the next splits, read only once one is tried."""
+        self._offered, self._bit = rows, None
 
     def block_of(self, v: int) -> frozenset | None:
         return next((b for b in self.blocks if v in b), None)
@@ -156,11 +166,15 @@ class _Partition:
         rest = block - side
         if not rest:
             return False
+        while self._bit is None or row not in self._bit:  # the offered rows, else this one
+            rows = list(dict.fromkeys(self._offered if self._bit is None else [row]))
+            c, x, ones = _pack(self.network, rows, "fill-zero")
+            self._good = _Good(self.network, c + x, ones)
+            self._bit = {r: k for k, r in enumerate(rows)}
         # A bridge (r, s) across the split moves only r, to the rest's value,
         # so it shows where the outputs are sensitive to x_r, whatever s is.
-        c, x, ones = _pack(self.network, [row], "fill-zero")
-        good = _Good(self.network, c + x, ones)
-        if not all(good.sensitivity(r)[0] for r in sorted(side)):
+        k, sensitivity = self._bit[row], self._good.sensitivity
+        if not all(sensitivity(r)[0] >> k & 1 for r in sorted(side)):
             return False
         self.blocks.remove(block)
         self.blocks.extend(part for part in (side, rest) if len(part) >= 2)
@@ -188,14 +202,15 @@ def gen_input_and_tests(network: AndExorNetwork) -> tuple[TestSet, tuple[tuple[i
     partition = _Partition(network, Polarity.WIRED_AND)
     patterns: list[str] = []
     supports = sorted(dict.fromkeys(network.gate_supports), key=len)
+    candidates = {support: _input_pattern(network, support) for support in supports}
+    partition.offer(candidates.values())
     todo = list(partition.blocks)
     while todo:
         block = todo.pop()
-        for support in supports:
+        for support, pattern in candidates.items():
             side = support & block
             if not side or side == block:
                 continue
-            pattern = _input_pattern(network, support)
             if partition.split(pattern, block, side):
                 patterns.append(pattern)
                 todo.extend(part for part in (block - side, side) if len(part) >= 2)
@@ -250,45 +265,31 @@ def gen_input_or_tests(
         active_mask = _mask(active)
         ones = frozenset(active)
 
-        def bit(i: int, k: int) -> int:
-            return rows.get(i, 0) >> k & 1
+        # i -> k: i itself for case (a), an odd diagonal entry, else case
+        # (b)'s lowest partner with an odd joint entry
+        pair: dict[int, int] = {}
+        for i in active:
+            if odd := rows.get(i, 0) & active_mask:
+                pair[i] = i if odd >> i & 1 else (odd & -odd).bit_length() - 1
+        candidate = functools.cache(lambda i: _input_pattern(network, ones - {i, pair[i]}))
+        partition.offer(map(candidate, pair))
 
-        for i in active:  # case (a)
-            if not bit(i, i):
-                continue
-            block = partition.block_of(i)
-            if block is None or (block & restricted):
-                continue
-            pattern = _input_pattern(network, ones - {i})
-            if partition.split(pattern, block, frozenset({i})):
-                patterns.append(pattern)
-
-        for i in active:  # case (b)
-            if bit(i, i):
-                continue
-            block = partition.block_of(i)
-            if block is None or (block & restricted):
-                continue
-            partners = rows.get(i, 0) & active_mask
-            if not partners:
-                continue
-            k = (partners & -partners).bit_length() - 1  # lowest partner
-            pattern = _input_pattern(network, ones - {i, k})
-            block_k = partition.block_of(k)
-            if block_k is block:
-                # i and k stay joined: their own pair is not exercised here
-                emitted = partition.split(pattern, block, frozenset({i, k}))
-            else:
-                emitted = partition.split(pattern, block, frozenset({i}))
-                if (
-                    not bit(k, k)
-                    and block_k is not None
-                    and not (block_k & restricted)
-                    and partition.split(pattern, block_k, frozenset({k}))
-                ):
-                    emitted = True
-            if emitted:
-                patterns.append(pattern)
+        for case_a in (True, False):  # case (a) first
+            for i in [i for i, k in pair.items() if (i == k) is case_a]:
+                k, block = pair[i], partition.block_of(i)
+                if block is None or block & restricted:
+                    continue
+                pattern, block_k = candidate(i), partition.block_of(k)
+                if block_k is block:
+                    # case (a), or i and k stay joined: their own pair is not
+                    # exercised here
+                    emitted = partition.split(pattern, block, frozenset({i, k}))
+                else:
+                    emitted = partition.split(pattern, block, frozenset({i}))
+                    if pair.get(k) != k and block_k is not None and not block_k & restricted:
+                        emitted = partition.split(pattern, block_k, frozenset({k})) or emitted
+                if emitted:
+                    patterns.append(pattern)
 
     stage(frozenset())
     deeper = itertools.chain.from_iterable(
@@ -332,8 +333,7 @@ def gen_walking_zero_tests(n: int, p: int, *, constant_line: int | None = None) 
     for i in range(1, n + 1):
         if i == constant_line:
             continue
-        bits = "".join("0" if v == i else "1" for v in range(1, n + 1))
-        patterns.append("d" * p + bits)
+        patterns.append("d" * p + "1" * (i - 1) + "0" + "1" * (n - i))
     return TestSet("T5", patterns, target_class=FaultKind.A_PAIR.value)
 
 

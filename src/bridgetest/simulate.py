@@ -3,7 +3,8 @@ exhaustive detectability oracle.
 
 Fault-free values are integer columns, bit t holding a net's value under
 assignment t: grading packs the rows into columns and keeps every net of
-one walk, and single-pattern queries use one-bit columns.
+one walk, the T2/T3 generators a batch of candidate rows, and
+single-pattern queries use one-bit columns.  All read per-network tables.
 
 No faulty netlist is ever evaluated.  Each output is c_j XOR the AND
 outputs of the gates targeting j, so a bridge changes the outputs by the
@@ -73,13 +74,27 @@ class _Anf(frozenset):
         return _Anf(m for m in self if not m & bit)
 
 
+@functools.lru_cache(maxsize=4)  # an op reads one network throughout
+def _gate_tables(network: AndExorNetwork) -> tuple[tuple, tuple]:
+    """Indices into ``_Good.cols``: per gate, its support's columns; per
+    input v (entry v), ``(target, the other columns)`` per gate reading x_v."""
+    p = network.p
+    supports, readers = [], [[] for _ in range(network.n + 1)]
+    for sup, target in zip(network.gate_supports, network.gate_targets):
+        columns = tuple([p + v - 1 for v in sup])
+        supports.append(columns)
+        for i, k in enumerate(columns):
+            readers[k - p + 1].append((target, columns[:i] + columns[i + 1 :]))
+    return tuple(supports), tuple(map(tuple, readers))
+
+
 class _Good:
     """Fault-free values, as ``_output_changes`` reads them.
 
     The values are integer columns or ``_Anf`` polynomials.  ``cols`` holds
     the c values then the x values, and ``ones`` is the value of an AND with
-    no inputs.  Each read computes what it needs from ``cols``, and keeps
-    the AND outputs and sensitivities it computed.
+    no inputs.  Each read takes its products over ``_gate_tables``, and
+    keeps the AND outputs and sensitivities it computed.
     """
 
     def __init__(
@@ -88,21 +103,22 @@ class _Good:
         self.network = network
         self.cols = cols
         self.ones = ones
+        self.supports, self._readers = _gate_tables(network)
         self._and: dict[int, int | _Anf] = {}
         self._sensitivity: dict[int, list[int | _Anf]] = {}
 
     def x(self, i: int) -> int | _Anf:
         return self.cols[self.network.p + i - 1]
 
-    def product(self, inputs: Iterable[int]) -> int | _Anf:
+    def product(self, columns: Iterable[int]) -> int | _Anf:
         col = self.ones
-        for v in inputs:
-            col &= self.x(v)
+        for k in columns:
+            col &= self.cols[k]
         return col
 
     def and_out(self, gate_id: int) -> int | _Anf:
         if gate_id not in self._and:
-            self._and[gate_id] = self.product(self.network.gate_supports[gate_id - 1])
+            self._and[gate_id] = self.product(self.supports[gate_id - 1])
         return self._and[gate_id]
 
     def sensitivity(self, v: int) -> list[int | _Anf]:
@@ -112,10 +128,9 @@ class _Good:
         """
         if v not in self._sensitivity:
             per_target: dict[int, int | _Anf] = {}
-            for sup, target in zip(self.network.gate_supports, self.network.gate_targets):
-                if v in sup:
-                    col = self.product(sup - {v})
-                    per_target[target] = per_target[target] ^ col if target in per_target else col
+            for target, others in self._readers[v]:
+                col = self.product(others)
+                per_target[target] = per_target[target] ^ col if target in per_target else col
             sens = list(per_target.values())
             if not isinstance(self.ones, _Anf):
                 sens = [functools.reduce(operator.or_, sens, 0)]
@@ -183,6 +198,16 @@ def _pack(
     return cols[:p], cols[p:], (1 << len(rows)) - 1
 
 
+def _check_lines(network: AndExorNetwork, fault: BridgingFault) -> None:
+    """Refuse a fault whose ids (ordered, any level at least 0) name an
+    input, gate, line or level the network does not have."""
+    kind, ids, intra = fault.kind, fault.ids, fault.kind is FaultKind.INTRA_LEVEL
+    top = network.n if kind is FaultKind.X_PAIR else network.p if intra else network.d
+    if min(ids[-2:]) < 1 or ids[-1] > top or (intra and ids[0] > network.d):
+        raise ValueError(f"{fault.describe()} is not a fault of a network with "
+                         f"n={network.n}, p={network.p} and d={network.d}")
+
+
 def detects(
     network: AndExorNetwork,
     fault: BridgingFault,
@@ -191,9 +216,11 @@ def detects(
 ) -> bool:
     """True when the row distinguishes faulty outputs from good outputs.
 
-    ExorInternal has no faulty outputs, so passing one is a usage error.
+    ExorInternal has no faulty outputs, so passing one is a usage error,
+    as is a fault whose lines are not in the network.
     """
     c, x, ones = _pack(network, [row], dc_policy)
+    _check_lines(network, fault)
     good = _Good(network, c + x, ones)
     return _fault_difference(good, fault.kind, fault.ids, fault.polarity) != 0
 
@@ -215,8 +242,9 @@ def exhaustive_detectability(network: AndExorNetwork, fault: BridgingFault) -> O
     a reduced polynomial is zero only if it is zero everywhere.  The witness
     fixes the positions from the left: 0 whenever some change stays nonzero,
     else 1.  A constant-one line is the constant 1 polynomial and stays 1 in
-    the witness.
+    the witness.  A fault whose lines are not in the network is refused.
     """
+    _check_lines(network, fault)
     width = network.n + network.p
     pinned = None if network.constant_line is None else network.p + network.constant_line - 1
     one = _Anf({0})
@@ -303,7 +331,7 @@ def evaluate_test_set(
     """
     c_cols, x_cols, ones = _pack(network, rows, dc_policy)
     good = _Good(network, c_cols + x_cols, ones)
-    a = [good.product(sup) for sup in network.gate_supports]
+    a = [good.product(columns) for columns in good.supports]
 
     # Walk the cascade, keeping the wires of every level 0..d.  Bit
     # 2*left + right of a gate's mask is set once its EXOR has seen that input

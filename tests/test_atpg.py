@@ -3,9 +3,12 @@ size bound, and fallback repair."""
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from conftest import evaluation_missing, random_circuit, with_zero_control
+from hypothesis import given
+from hypothesis import strategies as st
 from reference_sim import reference_fallback
 
 from bridgetest import (
@@ -311,29 +314,55 @@ class TestGenerateSets:
         assert result.t2_uncovered == result.t3_uncovered == ()
 
     def test_one_fault_free_read_per_candidate(self, monkeypatch, bench_parts):
-        # a candidate split reads the sensitivity of each moved input r off
-        # one fault-free evaluation, in ascending r, and stops at the first miss
-        calls = []
+        # T2 packs its candidates into one fault-free evaluation, and each T3
+        # stage that tries a split into at most one; a candidate split reads
+        # its bit of the sensitivity of each moved input r, in ascending r,
+        # and stops at the first miss
+        offers, splits, built, reads = [], [], [], []
+        offer, split = atpg._Partition.offer, atpg._Partition.split
+
+        def recorded_offer(partition, rows):
+            offers.append(partition.polarity)
+            offer(partition, rows)
+
+        def recorded_split(partition, row, block, side):
+            splits.append((len(offers), row))
+            return split(partition, row, block, side)
 
         class Recorded(simulate._Good):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(len(offers))
+
             def sensitivity(self, v):
                 sens = super().sensitivity(v)
-                x = "".join(str(bit) for bit in self.cols[self.network.p :])
-                calls.append((self, x, v, bool(sens[0])))
+                # the candidate's bit is the one whose packed x spells its row's
+                x = splits[-1][1][self.network.p :]
+                bits = range(self.ones.bit_length())
+                k, = (k for k in bits if [col >> k & 1 for col in self.cols[self.network.p :]]
+                      == [int(b) for b in x])
+                reads.append((len(splits), x, v, bool(sens[0] >> k & 1)))
                 return sens
 
+        monkeypatch.setattr(atpg._Partition, "offer", recorded_offer)
+        monkeypatch.setattr(atpg._Partition, "split", recorded_split)
         monkeypatch.setattr("bridgetest.atpg._Good", Recorded)
         generate_sets(*bench_parts)
-        assert calls
-        for (good, x, r, shown), (next_good, _, next_r, _) in zip(calls, calls[1:]):
-            if next_good is good:
+        assert offers[0] is AND and set(offers[1:]) == {OR}
+        assert built.count(1) == 1  # T2
+        # one evaluation per offer at most, and only for an offer a split read
+        assert len(built) == len(set(built)) and set(built) <= {stage for stage, _ in splits}
+        assert len(built) > 2 and len(splits) > len(built)
+        for (split_k, _, r, shown), (next_k, _, next_r, _) in zip(reads, reads[1:]):
+            if next_k == split_k:
                 assert shown and next_r > r
-        calls.clear()
+        del offers[:], splits[:], built[:], reads[:]
         generate_sets(*_parts(DUP_TEXT))
+        assert built == [1, 2]
         # T2: x1 alone detects nothing (f1 cancels), x1 x2 splits off x3, and
         # gate 2's support repeats gate 1's, so it is not tried again; T3:
         # case (a) splits off x1, then x2
-        assert [call[1:] for call in calls] == [
+        assert [read[1:] for read in reads] == [
             ("100", 1, False),
             ("110", 1, True),
             ("110", 2, True),
@@ -377,6 +406,29 @@ class TestGenerateSets:
                 row = atpg._input_pattern(net, side if v else inputs - side)
                 atpg._Partition(net, AND if v else OR).split(row, inputs, side)
         assert set(decisions) == {(p, ok) for p in (AND, OR) for ok in (False, True)}
+
+    @given(seed=st.integers(0, 2**32 - 1), zero_control=st.booleans())
+    def test_batched_splits_match_one_row_detects(self, seed, zero_control):
+        # every split T2 and T3 decide off a packed batch is the verdict of
+        # detects on that one row, for each moved input r and each partner s
+        rng = random.Random(seed)
+        circuit = random_circuit(rng, seed, max_d=14)
+        if zero_control:
+            circuit = with_zero_control(circuit, rng)
+        net = expand_network(circuit)
+        split = atpg._Partition.split
+
+        def checked(partition, row, block, side):
+            rest = block - side
+            expected = bool(rest) and all(
+                detects(net, BridgingFault.x_pair(r, s, partition.polarity), row)
+                for r in side for s in rest
+            )
+            assert split(partition, row, block, side) == expected, (row, sorted(side))
+            return expected
+
+        with mock.patch.object(atpg._Partition, "split", checked):
+            generate_sets(derive_pprm(circuit), net, ("T2", "T3"))
 
     @pytest.mark.parametrize("zero_control", [False, True])
     def test_one_partner_decides_a_moved_input(self, zero_control):

@@ -12,6 +12,7 @@ injection-based oracle and to the closed form on truth-table columns in
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from conftest import random_circuit, with_zero_control
@@ -37,7 +38,7 @@ from bridgetest import (
 )
 from bridgetest.circuit import Gate, ReversibleCircuit
 from bridgetest.network import AndExorNetwork
-from bridgetest.simulate import _Anf, _fault_difference, _Good, _pack
+from bridgetest.simulate import _Anf, _fault_difference, _gate_tables, _Good, _pack
 
 
 def _networks(count, seed):
@@ -135,15 +136,15 @@ def test_hand_built_verdicts():
 
 
 def test_grading_computes_each_sensitivity_once(monkeypatch):
-    # count the AND products, not the reads: the AND outputs take one per
-    # gate, and computing each input's sensitivity columns once takes one
-    # per gate input
+    # count the table products, not the reads: the AND outputs take one per
+    # gate support, and computing each input's sensitivity columns once takes
+    # at most one per (input, gate reading it) entry of the reader table
     products = []
     product = _Good.product
 
-    def counting(good, inputs):
-        products.append(inputs)
-        return product(good, inputs)
+    def counting(good, columns):
+        products.append(columns)
+        return product(good, columns)
 
     monkeypatch.setattr(_Good, "product", counting)
     rng = random.Random(12)
@@ -153,8 +154,12 @@ def test_grading_computes_each_sensitivity_once(monkeypatch):
     xpairs = [f for f in faults if f.kind is FaultKind.X_PAIR]
     rows = ["".join(rng.choice("01") for _ in range(net.p + net.n)) for _ in range(40)]
     evaluation = evaluate_test_set(net, faults, rows)
-    sensitivity_products = len(products) - net.d
-    assert 0 < sensitivity_products <= sum(len(sup) for sup in net.gate_supports) < len(xpairs)
+    supports, readers = _gate_tables(net)
+    assert products[: net.d] == list(supports)
+    entries = Counter(others for per_input in readers for _, others in per_input)
+    sensitivity_products = Counter(products[net.d :])
+    assert not sensitivity_products - entries  # every product is a table entry, read once
+    assert 0 < sensitivity_products.total() <= sum(len(sup) for sup in net.gate_supports) < len(xpairs)
     assert evaluation.count("detected") > 0
 
 

@@ -212,6 +212,29 @@ class TestOracle:
         assert res.witness[net.p + 2] == "1"
         assert res.witness == "0011"
 
+    @pytest.mark.parametrize("fault", [
+        BridgingFault.intra_level(0, 1, 3, AND),  # no line c3: was read as x1's column
+        BridgingFault.intra_level(3, 1, 2, OR),  # levels run 0..d
+        BridgingFault.a_pair(1, 5, AND),  # no gate 5: was an IndexError
+        BridgingFault.a_pair(0, 1, OR),
+        BridgingFault.x_pair(1, 3, OR),
+        BridgingFault.exor_internal(3),
+    ])
+    def test_faults_outside_the_network_are_refused(self, fault):
+        net = _net(".n 2\n.p 2\n.gate c1 : x1\n.gate c2 : x2\n.end\n")
+        message = rf"^{re.escape(fault.describe())} is not a fault of a network with n=2, p=2 and d=2$"
+        with pytest.raises(ValueError, match=message):
+            detects(net, fault, "0010")
+        with pytest.raises(ValueError, match=message):
+            exhaustive_detectability(net, fault)
+
+    def test_faults_on_the_network_edges_are_read(self):
+        net = _net(".n 2\n.p 2\n.gate c1 : x1\n.gate c2 : x2\n.end\n")
+        for fault in (BridgingFault.intra_level(2, 1, 2, AND), BridgingFault.a_pair(1, 2, OR),
+                      BridgingFault.x_pair(1, 2, OR)):
+            res = exhaustive_detectability(net, fault)
+            assert res.detectable and detects(net, fault, res.witness)
+
     def test_oracle_agrees_with_scalar_search(self):
         # dual route: truth-table columns vs the scalar reference simulator
         rng = random.Random(7)
