@@ -39,6 +39,7 @@ from .patterns import (
     TestFileError,
     TestSet,
     format_patterns,
+    line_tokens,
     parse_test_file,
 )
 from .pprm import derive_pprm
@@ -103,10 +104,13 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    # a slice at a time, so that encoding never copies the whole text at once
+    slices = (text[k : k + (1 << 20)] for k in range(0, len(text), 1 << 20))
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(slices)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(slices)
 
 
 def _load_circuit(path: str, *, normalize: bool = True):
@@ -178,10 +182,8 @@ def _parse_tests_for(network, text: str) -> list[str]:
     mandatory 1 on that line.
     """
     n, p = network.n, network.p
-    if network.constant_line == n:
-        rows = ("".join(raw.split("#", 1)[0].split()) for raw in text.splitlines())
-        if len(next(filter(None, rows), "")) == p + n - 1:
-            return [row + "1" for row in parse_test_file(text, n - 1, p)]
+    if network.constant_line == n and len(next(filter(None, line_tokens(text)), "")) == p + n - 1:
+        return [row + "1" for row in parse_test_file(text, n - 1, p)]
     return parse_test_file(text, n, p)
 
 

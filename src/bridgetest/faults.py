@@ -168,13 +168,15 @@ class FaultList(Sequence[BridgingFault]):
         pairs of ``itertools.combinations(lines, 2)``, two entries each."""
         return self._blocks
 
-    def pair_names(self) -> Iterator[tuple[str, str, str]]:
+    def pair_names(self) -> list[tuple[str, str, str]]:
         """(class, line_a, line_b) per pair in index order, names formatted once."""
+        out = []
         for kind, lines, levels in self._blocks:
-            label = kind.value
+            label, name = kind.value, _NET_NAMES[kind].format
             for level in levels:
-                names = [_NET_NAMES[kind].format(v, level) for v in lines]
-                yield from ((label, a, b) for a, b in itertools.combinations(names, 2))
+                names = [name(v, level) for v in lines]
+                out += [(label, a, b) for a, b in itertools.combinations(names, 2)]
+        return out
 
     def __iter__(self) -> Iterator[BridgingFault]:
         for gate_id in range(1, self.d + 1):

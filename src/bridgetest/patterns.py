@@ -10,6 +10,7 @@ line; '#' starts a comment.
 
 from __future__ import annotations
 
+import re
 from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
@@ -64,6 +65,21 @@ class TestSet:
 
 
 _SYMBOLS = str.maketrans("", "", "01d")  # deletes every valid symbol
+_BLANKS = str.maketrans("", "", "\t\x0b\x0c\r\x1c\x1d\x1e\x1f ")  # ASCII whitespace but "\n"
+_COMMENT = re.compile("#.*")
+
+
+def line_tokens(text: str) -> list[str]:
+    """Each line of a test file without its comment and whitespace: whole-text
+    passes, or ``str.split`` per line when a symbol other than 0, 1, d and
+    ASCII whitespace is left, so that Unicode whitespace goes too."""
+    lines = "\n".join(text.splitlines())
+    if "#" in lines:
+        lines = _COMMENT.sub("", lines)
+    tokens = lines.translate(_BLANKS).split("\n")
+    if "".join(tokens).translate(_SYMBOLS):
+        tokens = ["".join(line.split()) for line in lines.split("\n")]
+    return tokens
 
 
 def parse_test_file(text: str, n: int, p: int) -> list[str]:
@@ -72,8 +88,8 @@ def parse_test_file(text: str, n: int, p: int) -> list[str]:
     The rows are checked in bulk; only a file that fails is walked line by
     line for the first bad one.
     """
-    tokens = ["".join(raw.split("#", 1)[0].split()) for raw in text.splitlines()]
-    rows = [token for token in tokens if token]
+    tokens = line_tokens(text)
+    rows = list(filter(None, tokens))
     if "".join(rows).translate(_SYMBOLS) or set(map(len, rows)) - {p + n}:
         for lineno, token in enumerate(tokens, start=1):
             if token.strip("01d"):

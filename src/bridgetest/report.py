@@ -2,31 +2,33 @@
 
 A report is a dict in a fixed key order, so that json output is
 byte-stable for a given run configuration.  Its last entry, the fault or
-verdict rows, is a ``Rows`` view over the fault list and the evaluation.
-Each row is a fault part (class, net names such as ``a3`` or ``w2@5``
-formatted once per render, polarity) and a verdict part, formatted once per
-distinct (status, method, first pattern).  Only the verdict part goes
-through the csv module, as its detail ("simulation, pattern 3") holds a
-comma; class labels and net names never need quoting.  No row value needs
-json escaping, so ``json.dumps(indent=2)`` encodes only the header.  The
-timestamp is the only non-deterministic field and the caller can omit it.
+verdict rows, is a ``Rows`` view over the fault list and the evaluation,
+and the union's patterns are a ``UnionRows`` view that only json reads.
+A render is one ``"".join`` over a flat list of two pieces per row: its
+head (class and net names such as ``a3`` or ``w2@5``, one string shared by
+a pair's two polarity rows), then its polarity label and verdict cell,
+encoded once per distinct verdict.  Only the cells go through the csv
+module, as their detail ("simulation, pattern 3") holds a comma; class
+labels and net names never need quoting.  No row value needs json
+escaping, and ``_json`` writes the header as ``json.dumps(indent=2)`` does.
+The timestamp, the only non-deterministic field, can be left out.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
-import operator
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+import re
+from collections.abc import Callable, Mapping, Sequence
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .atpg import BoundReport, UnionResult
 from .circuit import ReversibleCircuit
 from .faults import FaultKind, FaultList, Polarity
 from .network import AndExorNetwork
 from .patterns import TestSet
-from .simulate import METHODS, STATUSES, Evaluation
+from .simulate import DETECTED, METHODS, STATUSES, Evaluation
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -42,8 +44,8 @@ REPORT_FORMATS = ("json", "csv", "text")
 
 _STATUS_LABELS = tuple(status.capitalize() for status in STATUSES)
 _POLARITY_LABELS = {None: "", **{polarity: polarity.value for polarity in Polarity}}
-_FAULT_KEYS = ("class", "line_a", "line_b", "polarity")
-_VERDICT_KEYS = _FAULT_KEYS + ("verdict", "detail")
+_EXOR = FaultKind.EXOR_INTERNAL.value
+_MISS = re.compile(b"[^%c]" % DETECTED)  # a status byte other than detected
 
 
 def _timestamp() -> str:
@@ -61,39 +63,57 @@ def _detail(method: str | None, pattern_index: int | None) -> str:
 
 class Rows:
     """A report's fault rows, or its verdict rows when ``evaluation`` is
-    given, built as they are read: strings (``joined``) for json and csv,
-    ``tuples`` for text.  ``keys`` names the fields of a row."""
+    given, built as they are read: ``pieces`` of text to join."""
 
     def __init__(self, faults: FaultList, evaluation: Evaluation | None = None) -> None:
         self.faults, self.evaluation = faults, evaluation
-        self.keys = _FAULT_KEYS if evaluation is None else _VERDICT_KEYS
 
-    def tuples(self) -> Iterator[tuple[str, ...]]:
-        return self.joined(tuple, tuple, [(label,) for label in _POLARITY_LABELS.values()])
-
-    def joined(
-        self, head: Callable, verdict_part: Callable, labels: Iterable = _POLARITY_LABELS.values()
-    ) -> Iterator:
-        """Each row as ``head((class, line_a, line_b))`` + its label from ``labels``
-        (ExorInternal, WiredAnd, WiredOr) + ``verdict_part((verdict, detail))``,
-        called once per distinct verdict, or ``verdict_part(())`` on fault rows."""
+    def pieces(self, head: Callable, encode: Callable,
+               labels: Sequence = tuple(_POLARITY_LABELS.values())) -> list[str]:
+        """Two strings per row: ``head((class, line_a, line_b))``, then its
+        label out of ``labels`` (ExorInternal, WiredAnd, WiredOr) and its
+        cell.  ``encode`` is called once, on the distinct (verdict, detail)
+        pairs, or on ``[()]`` for fault rows, and returns their cells."""
+        d, pairs = self.faults.d, (len(self.faults) - self.faults.d) // 2
+        out: list = [None] * (2 * len(self.faults))
+        out[0 : 2 * d : 2] = [head((_EXOR, f"g{g}", "")) for g in range(1, d + 1)]
+        out[2 * d :: 4] = out[2 * d + 2 :: 4] = list(map(head, self.faults.pair_names()))
         ev = self.evaluation
         if ev is None:
-            end = verdict_part(())
-            return self._fault_parts(head, [label + end for label in labels])
-        parts = {(s, m, i): verdict_part((_STATUS_LABELS[s], _detail(METHODS[m], i)))
-                 for s, m, i in set(zip(ev.status, ev.method, ev.first))}
-        verdicts = map(parts.__getitem__, zip(ev.status, ev.method, ev.first))
-        return map(operator.add, self._fault_parts(head, labels), verdicts)
+            end = encode([()])[0]
+            out[1 : 2 * d : 2], out[2 * d + 1 :: 4], out[2 * d + 3 :: 4] = (
+                [label + end] * count for label, count in zip(labels, (d, pairs, pairs)))
+            return out
+        # Outside ExorInternal, a detected entry is detected by simulation at
+        # its first pattern, so most cells follow from ``first``; the
+        # ExorInternal entries and the misses are patched in.
+        patched = [*range(d), *map(re.Match.start, _MISS.finditer(ev.status))]
+        keys = [*{(ev.status[k], ev.method[k], ev.first[k]) for k in patched}]
+        firsts = [*set(ev.first) - {None}]
+        cells = encode([(_STATUS_LABELS[s], _detail(METHODS[m], i)) for s, m, i in keys]
+                       + [("Detected", _detail("simulation", i)) for i in firsts])
+        for k, label in ((d, labels[1]), (d + 1, labels[2])):  # WiredAnd, then WiredOr rows
+            tails = dict(zip(firsts, map(label.__add__, cells[len(keys) :])))
+            out[2 * k + 1 :: 4] = map(tails.get, ev.first[k::2])
+        patches = dict(zip(keys, cells))
+        for k in patched:
+            label = labels[0] if k < d else labels[1 + (k - d) % 2]
+            out[2 * k + 1] = label + patches[ev.status[k], ev.method[k], ev.first[k]]
+        return out
 
-    def _fault_parts(self, head: Callable, labels: Iterable) -> Iterator:
-        exor, wired_and, wired_or = labels
-        for gate_id in range(1, self.faults.d + 1):
-            yield head((FaultKind.EXOR_INTERNAL.value, f"g{gate_id}", "")) + exor
-        for names in self.faults.pair_names():
-            pair = head(names)  # each pair's entries are WiredAnd then WiredOr
-            yield pair + wired_and
-            yield pair + wired_or
+
+class UnionRows:
+    """The union's rows and their origins, which only json reads, as one
+    ``{"pattern", "origin"}`` object per row."""
+
+    def __init__(self, union: UnionResult) -> None:
+        self.rows, self.origins = union.test_set.rows, union.origins
+
+    def json(self, indent: str) -> str:
+        row = '{0}  {{{0}    "pattern": %s,{0}    "origin": %s{0}  }}'.format(indent)
+        pairs = zip(map(_json_str, self.rows), map(_json_str, self.origins))
+        body = ",".join([row % pair for pair in pairs])
+        return f"[{body}{indent}]" if body else "[]"
 
 
 def _header(
@@ -102,13 +122,8 @@ def _header(
     report: dict = {"schema_version": SCHEMA_VERSION}
     if timestamp:
         report["generated_at"] = _timestamp()
-    report["circuit"] = {
-        "name": circuit.name,
-        "n": network.n,
-        "p": network.p,
-        "d": network.d,
-        "constant_line": network.constant_line,
-    }
+    report["circuit"] = {"name": circuit.name, "n": network.n, "p": network.p, "d": network.d,
+                         "constant_line": network.constant_line}
     report["config"] = dict(config)
     return report
 
@@ -121,85 +136,47 @@ def _add_fault_counts(report: dict, faults: FaultList) -> None:
 
 
 def _sets_block(sets: Sequence[TestSet]) -> dict:
-    return {
-        ts.name: {
-            "size": len(ts),
-            "target_class": ts.target_class,
-            "patterns": list(ts.rows),
-        }
-        for ts in sets
-    }
+    return {ts.name: {"size": len(ts), "target_class": ts.target_class, "patterns": ts.rows}
+            for ts in sets}
 
 
 def _bound_block(bound: BoundReport) -> dict:
-    return {
-        "size": bound.size,
-        "bound": bound.bound,
-        "passed": bound.passed,
-        "construction_size": bound.construction_size,
-        "fallback_count": bound.fallback_count,
-        "exceeds_construction": bound.exceeds_construction,
-    }
+    return {"size": bound.size, "bound": bound.bound, "passed": bound.passed,
+            "construction_size": bound.construction_size, "fallback_count": bound.fallback_count,
+            "exceeds_construction": bound.exceeds_construction}
 
 
 def _union_block(union: UnionResult) -> dict:
-    return {
-        "size": len(union.test_set),
-        "pre_dedup_size": union.pre_dedup_size,
-        "removed": union.removed,
-        "fallback_count": union.fallback_count,
-    }
+    return {"size": len(union.test_set), "pre_dedup_size": union.pre_dedup_size,
+            "removed": union.removed, "fallback_count": union.fallback_count}
 
 
 def build_coverage_report(
-    circuit: ReversibleCircuit,
-    network: AndExorNetwork,
-    faults: FaultList,
-    evaluation: Evaluation,
-    sets: Sequence[TestSet],
-    union: UnionResult,
-    bound: BoundReport | None,
-    config: Mapping,
-    *,
-    timestamp: bool = True,
+    circuit: ReversibleCircuit, network: AndExorNetwork, faults: FaultList,
+    evaluation: Evaluation, sets: Sequence[TestSet], union: UnionResult,
+    bound: BoundReport | None, config: Mapping, *, timestamp: bool = True,
 ) -> dict:
     report = _header(circuit, network, config, timestamp)
     _add_fault_counts(report, faults)
     report["test_sets"] = _sets_block(sets)
-    report["union"] = _union_block(union)
-    report["union"]["patterns"] = [
-        {"pattern": row, "origin": origin}
-        for row, origin in zip(union.test_set.rows, union.origins)
-    ]
+    report["union"] = {**_union_block(union), "patterns": UnionRows(union)}
     if bound is not None:
         report["bound"] = _bound_block(bound)
     total = len(evaluation.status)
     redundant = evaluation.count("redundant")
     report["coverage"] = {
-        "total": total,
-        "testable": total - redundant,
-        "detected": evaluation.count("detected"),
-        "undetected": evaluation.count("undetected"),
-        "redundant": redundant,
-        "unresolved": evaluation.count("unresolved"),
-        "fraction": round(evaluation.coverage(), 6),
+        "total": total, "testable": total - redundant, "detected": evaluation.count("detected"),
+        "undetected": evaluation.count("undetected"), "redundant": redundant,
+        "unresolved": evaluation.count("unresolved"), "fraction": round(evaluation.coverage(), 6),
     }
-    report["exor_masks"] = {
-        f"g{gate_id}": mask for gate_id, mask in enumerate(evaluation.masks, start=1)
-    }
+    report["exor_masks"] = {f"g{g}": mask for g, mask in enumerate(evaluation.masks, start=1)}
     report["verdicts"] = Rows(faults, evaluation)
     return report
 
 
 def build_generation_report(
-    circuit: ReversibleCircuit,
-    network: AndExorNetwork,
-    sets: Sequence[TestSet],
-    union: UnionResult,
-    bound: BoundReport,
-    config: Mapping,
-    *,
-    timestamp: bool = True,
+    circuit: ReversibleCircuit, network: AndExorNetwork, sets: Sequence[TestSet],
+    union: UnionResult, bound: BoundReport, config: Mapping, *, timestamp: bool = True,
 ) -> dict:
     report = _header(circuit, network, config, timestamp)
     report["test_sets"] = _sets_block(sets)
@@ -209,12 +186,8 @@ def build_generation_report(
 
 
 def build_fault_report(
-    circuit: ReversibleCircuit,
-    network: AndExorNetwork,
-    faults: FaultList,
-    config: Mapping,
-    *,
-    timestamp: bool = True,
+    circuit: ReversibleCircuit, network: AndExorNetwork, faults: FaultList, config: Mapping,
+    *, timestamp: bool = True,
 ) -> dict:
     report = _header(circuit, network, config, timestamp)
     _add_fault_counts(report, faults)
@@ -229,39 +202,64 @@ def _row_key(report: dict) -> str | None:
     return next((key for key in ("verdicts", "faults") if key in report), None)
 
 
-_JSON_HEAD = "    {\n" + "".join(f'      "{key}": "%s",\n' for key in _FAULT_KEYS[:3])
-_JSON_HEAD += '      "polarity": "'
+_JSON_WORDS = {"None": "null", "True": "true", "False": "false",
+               "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_verdict(fields: tuple[str, ...]) -> str:
-    end = '",\n      "verdict": "%s",\n      "detail": "%s"\n    }' if fields else '"\n    }'
-    return end % fields
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for str-keyed dicts, lists, tuples,
+    strings, ints, floats, bools and None, and for a ``UnionRows`` view."""
+    inner = indent + "  "
+    if isinstance(value, str):
+        return _json_str(value)
+    if isinstance(value, dict):
+        items = ",".join([f"{inner}{_json_str(k)}: {_json(v, inner)}" for k, v in value.items()])
+        return f"{{{items}{indent}}}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = ",".join([inner + _json(v, inner) for v in value])
+        return f"[{items}{indent}]" if items else "[]"
+    if value is None or isinstance(value, (int, float)):  # a bool is an int
+        return _JSON_WORDS.get(text := repr(value), text)
+    return value.json(indent)
 
 
-def _csv_verdict(fields: tuple[str, ...]) -> str:
-    csv.writer(buf := io.StringIO(), lineterminator="\n").writerow(fields)
-    return ("," if fields else "") + buf.getvalue()
+_JSON_HEAD = ('    {\n      "class": "%s",\n      "line_a": "%s",\n      "line_b": "%s",\n'
+              '      "polarity": "')
+
+
+def _json_cells(fields: list[tuple[str, ...]]) -> list[str]:
+    end = '",\n      "verdict": "%s",\n      "detail": "%s"\n    },\n'
+    return [end % cell if cell else '"\n    },\n' for cell in fields]
+
+
+def _csv_cells(fields: list[tuple[str, ...]]) -> list[str]:
+    csv.writer(buf := io.StringIO(), lineterminator="\n").writerows(fields)
+    lines = buf.getvalue().splitlines(True)
+    return [("," if cell else "") + line for cell, line in zip(fields, lines)]
 
 
 def _render_json(report: dict) -> str:
     key = _row_key(report)
     if key is None:
-        return json.dumps(report, indent=2) + "\n"
-    # the rows come last: encode the header, then splice them in before its "\n}"
-    head = json.dumps({k: v for k, v in report.items() if k != key}, indent=2)
-    body = ",\n".join(report[key].joined(_JSON_HEAD.__mod__, _json_verdict))
-    body = f"[\n{body}\n  ]" if body else "[]"
-    return f'{head[:-2]},\n  "{key}": {body}\n}}\n'
+        return _json(report) + "\n"
+    # the rows come last: encode the header, then join them in before its "\n}"
+    head = _json({k: v for k, v in report.items() if k != key})
+    pieces = report[key].pieces(_JSON_HEAD.__mod__, _json_cells)
+    if not pieces:
+        return f'{head[:-2]},\n  "{key}": []\n}}\n'
+    pieces[-1] = pieces[-1][:-2] + "\n  ]\n}\n"  # the last row takes no comma
+    pieces.insert(0, f'{head[:-2]},\n  "{key}": [\n')
+    return "".join(pieces)
 
 
 def _render_csv(report: dict) -> str:
     key = _row_key(report)
     if key is None:
         raise ValueError("report has no row section for csv output")
-    buf = io.StringIO()  # holds the text, not a list of rows, before the copy out
-    buf.write(",".join(report[key].keys) + "\n")
-    buf.writelines(report[key].joined("%s,%s,%s,".__mod__, _csv_verdict))
-    return buf.getvalue()
+    pieces = report[key].pieces(",".join, _csv_cells, (",", ",WiredAnd", ",WiredOr"))
+    pieces.insert(0, "class,line_a,line_b,polarity,verdict,detail\n" if key == "verdicts"
+                  else "class,line_a,line_b,polarity\n")
+    return "".join(pieces)
 
 
 def _count_phrase(counts: Mapping[str, int]) -> str:
@@ -306,15 +304,17 @@ def _render_text(report: dict) -> str:
             f" ({cov['fraction'] * 100:.2f}%); redundant {cov['redundant']},"
             f" undetected {cov['undetected']}, unresolved {cov['unresolved']}"
         )
-        for kind, *nets, verdict, detail in report["verdicts"].tuples():
-            if verdict == "Detected":
-                continue
-            where = " ".join(s for s in nets if s)
+        ev, faults = report["verdicts"].evaluation, report["verdicts"].faults
+        for k in map(re.Match.start, _MISS.finditer(ev.status)):
+            fault, detail = faults[k], _detail(METHODS[ev.method[k]], ev.first[k])
+            where = " ".join(filter(None, (*fault.lines(), _POLARITY_LABELS[fault.polarity])))
             detail = f" ({detail})" if detail else ""
-            lines.append(f"  {verdict.lower()}: {kind} {where}{detail}")
+            lines.append(f"  {STATUSES[ev.status[k]]}: {fault.kind.value} {where}{detail}")
     if "faults" in report and "coverage" not in report:
-        for kind, *nets in report["faults"].tuples():
-            lines.append(f"  {kind} {' '.join(s for s in nets if s)}")
+        pieces = report["faults"].pieces(lambda names: "  " + " ".join(filter(None, names)),
+                                         lambda _: ["\n"], ("", " WiredAnd", " WiredOr"))
+        pieces.insert(0, "\n".join(lines) + "\n")
+        return "".join(pieces)
     return "\n".join(lines) + "\n"
 
 

@@ -3,10 +3,10 @@
 ``eager_faults`` builds every ``BridgingFault`` of a netlist up front, in
 canonical order, as enumeration did before ``FaultList`` became an indexed
 view over class ranges.  ``dict_rows`` builds one dict per fault or verdict,
-and ``reference_render`` encodes a report whose rows are such dicts with
-``json.dumps(indent=2)``, a per-row csv writer, or per-row text lines, as
-reporting did before rows came from one template.  Differential tests
-compare the library against both.
+and per union row, and ``reference_render`` encodes a report whose rows are
+such dicts with ``json.dumps(indent=2)``, a per-row csv writer, or per-row
+text lines, as reporting did before rows came from one template.
+Differential tests compare the library against both.
 """
 
 from __future__ import annotations
@@ -111,14 +111,20 @@ def _verdict_row(verdict: FaultVerdict) -> dict:
     return row
 
 
-def dict_rows(report: dict, faults, evaluation: Evaluation | None = None) -> dict:
+def dict_rows(report: dict, faults, evaluation: Evaluation | None = None, union=None) -> dict:
     """``report`` with its row section replaced by one dict per fault, or
-    per verdict of ``evaluation`` when it is given."""
+    per verdict of ``evaluation`` when it is given, and the union's
+    patterns by one dict per row and origin of ``union`` when it is given."""
     out = dict(report)
     if evaluation is None:
         out["faults"] = [_fault_row(fault) for fault in faults]
     else:
         out["verdicts"] = [_verdict_row(v) for v in evaluation.verdicts]
+    if union is not None:
+        out["union"] = {**report["union"], "patterns": [
+            {"pattern": row, "origin": origin}
+            for row, origin in zip(union.test_set.rows, union.origins, strict=True)
+        ]}
     return out
 
 

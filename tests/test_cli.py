@@ -252,6 +252,21 @@ class TestSimulateAndVerify:
             counts.append(len(built))
         assert counts[0] == counts[1] > 0
 
+    def test_circuit_name_needs_escaping(self, capsys, tmp_path, and2_path):
+        # the file stem is the circuit's name, and json must escape it
+        circuit = tmp_path / 'say "héllo".rev'
+        circuit.write_text(and2_path.read_text())
+        outputs = {}
+        for fmt in ("json", "csv", "text"):
+            code, outputs[fmt], err = run(capsys, "verify", str(circuit), "-f", fmt)
+            assert (code, err) == (0, "")
+        out = outputs["json"]
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+        assert json.loads(out)["circuit"]["name"] == 'say "héllo"'
+        assert '"name": "say \\"h\\u00e9llo\\"",' in out
+        assert outputs["csv"].startswith("class,line_a,line_b,polarity,verdict,detail\n")
+        assert '\ncircuit: say "héllo"  n=2  p=1  d=1\n' in outputs["text"]
+
     def test_verify_dedup_summary(self, capsys, and2_path):
         code, out, _ = run(capsys, "verify", str(and2_path), "--dedup")
         assert code == 0

@@ -157,8 +157,8 @@ def _test_file(rng, net, count):
     return "# user patterns\n\n" + "\n".join(rows) + "\n"
 
 
-def _assert_verdicts_render_like_reference(report, faults, evaluation):
-    reference = dict_rows(report, faults, evaluation)
+def _assert_verdicts_render_like_reference(report, faults, evaluation, union):
+    reference = dict_rows(report, faults, evaluation, union)
     assert json.loads(render_report(report, "json")) == reference
     for fmt in REPORT_FORMATS:
         assert render_report(report, fmt) == reference_render(reference, fmt)
@@ -186,7 +186,7 @@ def test_reports_match_reference_renderer():
                     circuit, net, faults, run.evaluation, sets, run.union, run.bound,
                     cfg.echo(), timestamp=False,
                 )
-                _assert_verdicts_render_like_reference(report, faults, run.evaluation)
+                _assert_verdicts_render_like_reference(report, faults, run.evaluation, run.union)
                 statuses.update(v.status for v in run.evaluation.verdicts)
 
             # simulate-style: a user test file, graded without fallback
@@ -200,7 +200,7 @@ def test_reports_match_reference_renderer():
                     circuit, net, faults, run.evaluation, sets, run.union, None,
                     cfg.echo(), timestamp=False,
                 )
-                _assert_verdicts_render_like_reference(report, faults, run.evaluation)
+                _assert_verdicts_render_like_reference(report, faults, run.evaluation, run.union)
                 methods.update(v.method for v in run.evaluation.verdicts)
     assert statuses == {"detected", "undetected", "redundant", "unresolved"}
     assert methods == {None, "simulation", "stimulation", "exhaustive", "constant-line"}

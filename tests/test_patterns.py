@@ -8,8 +8,8 @@ import bridgetest
 from bridgetest import parse_test_file
 
 # whitespace inside rows; several of these also end a line for str.splitlines
-_SPACES = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000")
-_ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029")
+_SPACES = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000")
+_ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
 
 @st.composite
@@ -48,6 +48,7 @@ def _outcome(parse, text, n, p):
 @example(("000\n00x0\n", 2, 1))  # a later line with a bad symbol and the wrong width
 @example(("0 0\r\n0\x0b00\x1c0d\u20280 1 1\x85", 2, 1))  # line ends inside rows
 @example(("\xa0 0d1 \u3000# c\n\n", 2, 1))
+@example(("0\x1f0 1\t# c\x1d1 1\x1f1\r\n", 2, 1))  # separators str.split drops
 def test_parser_matches_reference(case):
     # the bulk check and the line walk against one line at a time
     text, n, p = case

@@ -12,6 +12,9 @@ pattern index, mask, union and bound.
 import itertools
 import random
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from bridgetest import (
     SET_NAMES,
     BridgingFault,
@@ -21,6 +24,7 @@ from bridgetest import (
     enumerate_faults,
     evaluate_test_set,
     expand_network,
+    format_circuit,
     generate_sets,
     parse_circuit,
 )
@@ -98,3 +102,24 @@ def test_one_fault_object_per_oracle_call(monkeypatch):
     run = run_pipeline(network, faults, sets, cfg)
     assert run.fallback.patterns and len(calls) > 10
     assert built == calls
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_five_sets_detect_every_detectable_fault_within_the_bound(seed, zero_control):
+    # The paper's theorem: T1-T5 detect every detectable single bridging
+    # fault with at most 3n + ceil(log2 p) + 2 patterns.  With the oracle
+    # cap at the width, every miss is proved redundant, so fallback
+    # appends nothing.
+    rng = random.Random(seed)
+    circuit = random_circuit(rng, seed)
+    if zero_control:
+        circuit = with_zero_control(circuit, rng)
+    network = expand_network(circuit)
+    cfg = RunConfig("verify", oracle_cap=network.n + network.p)
+    sets = generate_sets(derive_pprm(circuit), network).ordered_sets()
+    run = run_pipeline(network, enumerate_faults(network), sets, cfg)
+    label = format_circuit(circuit)
+    assert run.union.fallback_count == 0, label
+    bound = 3 * len(network.real_inputs()) + (network.p - 1).bit_length() + 2
+    assert run.bound.passed and len(run.union.test_set) <= bound == run.bound.bound, label
+    assert run.evaluation.count("undetected") == run.evaluation.count("unresolved") == 0, label

@@ -5,6 +5,8 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from bridgetest import (
     assemble_union,
@@ -23,16 +25,22 @@ from bridgetest.report import (
     build_generation_report,
     render_report,
     _detail,
+    _json,
 )
 
 
 @pytest.fixture(scope="module")
-def bench_report(bench):
+def bench_union(bench):
+    return assemble_union(generate_sets(derive_pprm(bench), expand_network(bench)).ordered_sets())
+
+
+@pytest.fixture(scope="module")
+def bench_report(bench, bench_union):
     net = expand_network(bench)
     pprms = derive_pprm(bench)
     faults = enumerate_faults(net)
     result = generate_sets(pprms, net)
-    union = assemble_union(result.ordered_sets())
+    union = bench_union
     evaluation = evaluate_test_set(net, faults, union.test_set.rows)
     bound = check_bound(union, 7, 3)
     report = build_coverage_report(
@@ -90,15 +98,49 @@ def test_timestamp_toggle(bench, bench_report):
     assert "generated_at" not in bench_report
 
 
-def test_json_round_trip_and_stability(bench_report):
+def test_json_round_trip_and_stability(bench_report, bench_union):
     text = render_report(bench_report, "json")
     assert text.endswith("\n")
     loaded = json.loads(text)
-    # the rows load as the csv rows do, and the rest as the report holds it
+    # the rows load as the csv rows do, the union's patterns as its rows and
+    # origins, and the rest as the report holds it
     csv_rows = csv.DictReader(io.StringIO(render_report(bench_report, "csv")))
     assert loaded.pop("verdicts") == list(csv_rows)
-    assert loaded == {key: value for key, value in bench_report.items() if key != "verdicts"}
+    union_rows = zip(bench_union.test_set.rows, bench_union.origins, strict=True)
+    assert loaded["union"].pop("patterns") == [
+        {"pattern": row, "origin": origin} for row, origin in union_rows
+    ]
+    expected = {key: value for key, value in bench_report.items() if key != "verdicts"}
+    expected["union"] = {k: v for k, v in expected["union"].items() if k != "patterns"}
+    assert loaded == expected
     assert render_report(bench_report, "json") == text
+
+
+class _Unreadable:
+    def __getattr__(self, name):
+        raise AssertionError(f"read {name!r} of the union rows")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_csv_and_text_never_read_the_union_rows(bench_report, fmt):
+    report = {**bench_report, "union": {**bench_report["union"], "patterns": _Unreadable()}}
+    assert render_report(report, fmt) == render_report(bench_report, fmt)
+    with pytest.raises(AssertionError, match="of the union rows"):
+        render_report(report, "json")
+
+
+def _json_values():
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    return st.recursive(scalars, lambda inner: (
+        st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4)), max_leaves=20)
+
+
+@given(_json_values())
+@example({"": [], "é\"\\\n\x00\u2028": {}, "k": (True, False, None, -1, 0.1, 1e100, -0.0)})
+@example(["\ud800", "\U0001f600", [[{}]], ()])
+def test_json_emitter_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2)
 
 
 def test_csv_verdicts(bench_report):
