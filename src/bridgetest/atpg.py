@@ -21,8 +21,8 @@ Five named sets are built per circuit:
 
 T2 and T3 each refine one partition of the inputs (``_Partition``).  A
 bridge across a candidate split moves one input, so it shows where the
-outputs are sensitive to that input; T2's candidates, and each T3 stage's,
-are checked as the bits of one packed fault-free evaluation.
+outputs are sensitive to that input, a parity count over the gate
+supports held as bitmasks: no candidate is evaluated.
 Each set emits at most n - 1 patterns; with T1's 4, T4's ceil(log2 p), and
 T5's n, the union stays within 3n + ceil(log2 p) + 2 whenever no fallback
 pattern is needed.
@@ -42,8 +42,8 @@ from .faults import BridgingFault, FaultKind, Polarity
 from .network import AndExorNetwork
 from .patterns import FILL_TABLES, TestSet
 from .pprm import PprmFunction
-from .simulate import (DEFAULT_ORACLE_CAP, UNDETECTED, Evaluation, _fault_difference, _Good,
-                       _pack, exhaustive_detectability)
+from .simulate import (DEFAULT_ORACLE_CAP, UNDETECTED, Evaluation, _change_monomials,
+                       _fault_difference, _gate_tables, _Good, _pack, exhaustive_detectability)
 from .simulate import detects  # noqa: F401  (kept: perfbench/spans.py patches atpg.detects)
 
 __all__ = [
@@ -123,66 +123,66 @@ def gen_corner_set(n: int, p: int, *, constant_line: int | None = None) -> TestS
 # ---------------------------------------------------------------------------
 # T2, and the input partition it shares with T3
 
-def _input_pattern(network: AndExorNetwork, ones: frozenset) -> str:
-    """The row with the inputs in ``ones`` and the constant line at 1, the
-    other inputs at 0 and the c lines don't-care."""
-    mask = _mask(ones) | 1 << (network.constant_line or 0)  # bit v for x_v; bit 0 is dropped
-    return "d" * network.p + format(mask >> 1, f"0{network.n}b")[::-1]
+def _input_pattern(network: AndExorNetwork, ones: int) -> str:
+    """The row with the inputs in the mask ``ones`` (bit v for x_v; bit 0
+    is dropped) at 1, the other inputs at 0 and the c lines don't-care."""
+    return "d" * network.p + format(ones >> 1, f"0{network.n}b")[::-1]
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 class _Partition:
     """Open blocks of a partition of the real inputs, refined only by
     patterns shown to detect every bridge of one polarity across the split.
 
-    A candidate pattern holds the split-off side at one value and the rest
-    of the block at the other, the value the bridge pulls both ends to, so
-    it splits where the outputs are sensitive to every input on the side.
-    That reads only x, and candidates leave only the c lines don't-care, so
-    no fill policy can change a check.  The first ``split`` after ``offer``
-    packs the offered rows into one fault-free evaluation; candidate k's
-    verdict on an input is bit k of its sensitivity column, each computed
-    once per batch.  A row not offered is packed alone.  Open blocks hold
-    two inputs or more.
+    Blocks and sides are bitmasks, bit v for x_v.  A candidate pattern
+    holds the split-off side at one value and the rest of the block at the
+    other, the value the bridge pulls both ends to, so it splits where the
+    outputs are sensitive to every input on the side.  A candidate is the
+    mask ``ones`` of its x inputs at 1, the constant line included, and
+    leaves only the c lines don't-care, so no fill policy can change a
+    check and nothing is evaluated.  Open blocks hold two inputs or more.
     """
 
     def __init__(self, network: AndExorNetwork, polarity: Polarity) -> None:
         self.network = network
         self.polarity = polarity
-        inputs = frozenset(network.real_inputs())
-        self.blocks: list[frozenset] = [inputs] if len(inputs) >= 2 else []
-        self._offered: Iterable[str] = ()
-        self._bit: dict[str, int] | None = {}  # packed row -> its bit; None until packed
+        self._readers = _gate_tables(network)[1]
+        inputs = _mask(network.real_inputs())
+        self.blocks: list[int] = [inputs] if inputs & (inputs - 1) else []
 
-    def offer(self, rows: Iterable[str]) -> None:
-        """Candidate rows for the next splits, read only once one is tried."""
-        self._offered, self._bit = rows, None
+    def block_of(self, v: int) -> int | None:
+        return next((b for b in self.blocks if b >> v & 1), None)
 
-    def block_of(self, v: int) -> frozenset | None:
-        return next((b for b in self.blocks if v in b), None)
+    def sensitive(self, ones: int, r: int) -> bool:
+        """True when the outputs flip with x_r under ``ones``: some target
+        has an odd number of gates reading x_r with their other inputs at 1."""
+        odd = 0  # bit t: the parity on target t
+        for target, _, others in self._readers[r]:
+            if others & ones == others:
+                odd ^= 1 << target
+        return odd != 0
 
-    def split(self, row: str, block: frozenset, side: frozenset) -> bool:
-        """Split ``block`` into ``side`` and the rest if ``row`` detects
-        every bridge across them; True when it did."""
-        rest = block - side
+    def split(self, ones: int, block: int, side: int) -> bool:
+        """Split ``block`` into ``side`` and the rest if the candidate
+        ``ones`` detects every bridge across them; True when it did."""
+        rest = block & ~side
         if not rest:
             return False
-        while self._bit is None or row not in self._bit:  # the offered rows, else this one
-            rows = list(dict.fromkeys(self._offered if self._bit is None else [row]))
-            c, x, ones = _pack(self.network, rows, "fill-zero")
-            self._good = _Good(self.network, c + x, ones)
-            self._bit = {r: k for k, r in enumerate(rows)}
         # A bridge (r, s) across the split moves only r, to the rest's value,
         # so it shows where the outputs are sensitive to x_r, whatever s is.
-        k, sensitivity = self._bit[row], self._good.sensitivity
-        if not all(sensitivity(r)[0] >> k & 1 for r in sorted(side)):
+        if not all(self.sensitive(ones, r) for r in _bits(side)):
             return False
         self.blocks.remove(block)
-        self.blocks.extend(part for part in (side, rest) if len(part) >= 2)
+        self.blocks += [part for part in (side, rest) if part & (part - 1)]
         return True
 
     def uncovered(self) -> tuple[tuple[int, int], ...]:
         """The input pairs no split has separated, sorted."""
-        pairs = (pair for b in self.blocks for pair in itertools.combinations(sorted(b), 2))
+        pairs = (pair for b in self.blocks for pair in itertools.combinations(_bits(b), 2))
         return tuple(sorted(pairs))
 
 
@@ -194,26 +194,25 @@ def gen_input_and_tests(network: AndExorNetwork) -> tuple[TestSet, tuple[tuple[i
     smallest support first (the lowest gate id breaks ties; a support equal
     to an earlier one is not tried again).  The candidate pattern sets the
     gate's support to 1 and every other input to 0; it splits the block only
-    if simulation confirms detection of every wired-AND pair across the
-    split, which takes one pair per input of the block the gate reads.
+    if it provably detects every wired-AND pair across the split, which
+    takes one pair per input of the block the gate reads.
     Pairs left in blocks no candidate can split go to the caller as
     ``t2_uncovered``; fallback sees them only as grading misses.
     """
     partition = _Partition(network, Polarity.WIRED_AND)
     patterns: list[str] = []
-    supports = sorted(dict.fromkeys(network.gate_supports), key=len)
-    candidates = {support: _input_pattern(network, support) for support in supports}
-    partition.offer(candidates.values())
+    pin = 1 << (network.constant_line or 0)  # the constant line stays 1
+    candidates = dict.fromkeys(m | pin for m in sorted(_gate_tables(network)[2], key=int.bit_count))
     todo = list(partition.blocks)
     while todo:
         block = todo.pop()
-        for support, pattern in candidates.items():
-            side = support & block
+        for ones in candidates:
+            side = ones & block
             if not side or side == block:
                 continue
-            if partition.split(pattern, block, side):
-                patterns.append(pattern)
-                todo.extend(part for part in (block - side, side) if len(part) >= 2)
+            if partition.split(ones, block, side):
+                patterns.append(_input_pattern(network, ones))
+                todo += [part for part in (block & ~side, side) if part & (part - 1)]
                 break
 
     test_set = TestSet("T2", patterns, target_class="XPair/WiredAnd")
@@ -244,26 +243,27 @@ def gen_input_or_tests(
     variables = list(network.real_inputs())
     partition = _Partition(network, Polarity.WIRED_OR)
     patterns: list[str] = []
+    pin = 1 << (network.constant_line or 0)  # the constant line stays 1
 
     # every split leaves a pair across it, so a block whose wired-OR pairs
     # are all redundant never splits
     @functools.cache
-    def has_detectable_pair(block: frozenset) -> bool:
-        pairs = itertools.combinations(sorted(block), 2)
+    def has_detectable_pair(block: int) -> bool:
+        pairs = itertools.combinations(_bits(block), 2)
         faults = (BridgingFault.x_pair(r, s, Polarity.WIRED_OR) for r, s in pairs)
         return any(exhaustive_detectability(network, f).detectable for f in faults)
 
-    def stage(restricted: frozenset) -> None:
+    def stage(restricted: int) -> None:
         whole = [b for b in partition.blocks if not b & restricted]
         if not whole:
             return
-        rows = _parity_rows(pprm_list, _mask(restricted))
+        rows = _parity_rows(pprm_list, restricted)
         # cases (a) and (b) split only blocks like these
-        if not any(rows.get(v) for b in whole for v in b):
+        read = _mask(v for v, row in rows.items() if row)
+        if not any(b & read for b in whole):
             return
-        active = [v for v in variables if v not in restricted]
+        active = [v for v in variables if not restricted >> v & 1]
         active_mask = _mask(active)
-        ones = frozenset(active)
 
         # i -> k: i itself for case (a), an odd diagonal entry, else case
         # (b)'s lowest partner with an odd joint entry
@@ -271,34 +271,32 @@ def gen_input_or_tests(
         for i in active:
             if odd := rows.get(i, 0) & active_mask:
                 pair[i] = i if odd >> i & 1 else (odd & -odd).bit_length() - 1
-        candidate = functools.cache(lambda i: _input_pattern(network, ones - {i, pair[i]}))
-        partition.offer(map(candidate, pair))
 
         for case_a in (True, False):  # case (a) first
             for i in [i for i, k in pair.items() if (i == k) is case_a]:
                 k, block = pair[i], partition.block_of(i)
                 if block is None or block & restricted:
                     continue
-                pattern, block_k = candidate(i), partition.block_of(k)
-                if block_k is block:
+                ones, block_k = (active_mask | pin) & ~(1 << i | 1 << k), partition.block_of(k)
+                if block_k == block:
                     # case (a), or i and k stay joined: their own pair is not
                     # exercised here
-                    emitted = partition.split(pattern, block, frozenset({i, k}))
+                    emitted = partition.split(ones, block, 1 << i | 1 << k)
                 else:
-                    emitted = partition.split(pattern, block, frozenset({i}))
+                    emitted = partition.split(ones, block, 1 << i)
                     if pair.get(k) != k and block_k is not None and not block_k & restricted:
-                        emitted = partition.split(pattern, block_k, frozenset({k})) or emitted
+                        emitted = partition.split(ones, block_k, 1 << k) or emitted
                 if emitted:
-                    patterns.append(pattern)
+                    patterns.append(_input_pattern(network, ones))
 
-    stage(frozenset())
+    stage(0)
     deeper = itertools.chain.from_iterable(
         itertools.combinations(variables, depth) for depth in range(1, len(variables))
     )
     for restricted in deeper:
         if not any(has_detectable_pair(b) for b in partition.blocks):
             break
-        stage(frozenset(restricted))
+        stage(_mask(restricted))
 
     test_set = TestSet("T3", patterns, target_class="XPair/WiredOr")
     return test_set, partition.uncovered()
@@ -471,7 +469,8 @@ def fallback_search(
     witness pattern, which goes in as its row, or a redundancy proof.  Both
     entries of an APair or IntraLevel pair take the verdict the oracle gave
     the first.  Above the cap a random search, seeded by the miss's ordinal
-    among all misses, reads 512 draws at once and gives up as unresolved.
+    among all misses, reads 512 draws at once and gives up as unresolved,
+    drawing nothing when the changes have no monomial (a redundant miss).
     Unmet ExorInternal obligations are repaired by appending the corner
     set's rows, which provably complete every reachable mask.
 
@@ -524,7 +523,7 @@ def fallback_search(
                 repairs = append([res.witness])
             continue
         diff = 0
-        if not classify_only:
+        if not classify_only and _change_monomials(network, kind, ids, polarity):
             # Draw t fills bit t of the c columns then the x columns, one
             # rng.choice per line except the constant line, which stays 1.
             # All draws are read at once; the first detecting one is kept.

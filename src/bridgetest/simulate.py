@@ -3,19 +3,18 @@ exhaustive detectability oracle.
 
 Fault-free values are integer columns, bit t holding a net's value under
 assignment t: grading packs the rows into columns and keeps every net of
-one walk, the T2/T3 generators a batch of candidate rows, and
-single-pattern queries use one-bit columns.  All read per-network tables.
+one walk, and single-pattern queries use one-bit columns.  All read
+per-network tables.
 
 No faulty netlist is ever evaluated.  Each output is c_j XOR the AND
 outputs of the gates targeting j, so a bridge changes the outputs by the
 XOR of its two nets (APair, IntraLevel), or, for an XPair, by flipping one
 input where the two differ, wherever the outputs are sensitive to it.
 Grading walks a ``FaultList`` a class block at a time over tables built
-once per call, and records verdicts by fault index.  ``_output_changes``
-reads one fault; ``detects``, fallback repair and the oracle share it, the
-oracle on GF(2) polynomials (``_Anf``) in the pattern positions, which
-cover every assignment at once: a fault is redundant exactly when every
-change is zero.
+once per call, and records verdicts by fault index.  ``_fault_difference``
+reads one fault for ``detects`` and fallback repair.  The oracle reads the
+monomials of the output changes off the gate supports, which covers every
+assignment at once: a fault is redundant exactly when none is left.
 """
 
 from __future__ import annotations
@@ -42,102 +41,66 @@ DEFAULT_ORACLE_CAP = 22
 _BITS = str.maketrans("", "", "01")  # deletes filled symbols
 
 
-class _Anf(frozenset):
-    """A multilinear polynomial over GF(2): the set of its monomials.
-
-    A monomial is a bitmask of pattern positions (bit k for the k-th symbol
-    from the left, c lines first), and the empty monomial 0 is the constant
-    1.  ``^`` adds, ``&`` multiplies with repeated monomials cancelling, and
-    ``|`` is a ^ b ^ ab, so the closed form runs on these unchanged.
-    """
-
-    @classmethod
-    def sum(cls, monomials: Iterable[int]) -> "_Anf":
-        odd: set[int] = set()
-        for m in monomials:
-            odd ^= {m}
-        return cls(odd)
-
-    def __xor__(self, other: "_Anf") -> "_Anf":
-        return _Anf(frozenset.__xor__(self, other))
-
-    def __and__(self, other: "_Anf") -> "_Anf":
-        return _Anf.sum(m | k for m in self for k in other)
-
-    def __or__(self, other: "_Anf") -> "_Anf":
-        return self ^ other ^ (self & other)
-
-    def at(self, bit: int, value: int) -> "_Anf":
-        """The cofactor with the position ``bit`` fixed to ``value``."""
-        if value:
-            return _Anf.sum(m & ~bit for m in self)
-        return _Anf(m for m in self if not m & bit)
-
-
 @functools.lru_cache(maxsize=4)  # an op reads one network throughout
-def _gate_tables(network: AndExorNetwork) -> tuple[tuple, tuple]:
-    """Indices into ``_Good.cols``: per gate, its support's columns; per
-    input v (entry v), ``(target, the other columns)`` per gate reading x_v."""
+def _gate_tables(network: AndExorNetwork) -> tuple[tuple, tuple, tuple]:
+    """Per gate, its support as indices into ``_Good.cols``; per input v
+    (entry v), ``(target, the other columns, their mask)`` per gate reading
+    x_v; per gate, its support as a mask.  A mask has bit v for x_v."""
     p = network.p
-    supports, readers = [], [[] for _ in range(network.n + 1)]
+    supports, readers, masks = [], [[] for _ in range(network.n + 1)], []
     for sup, target in zip(network.gate_supports, network.gate_targets):
-        columns = tuple([p + v - 1 for v in sup])
+        columns, mask = tuple([p + v - 1 for v in sup]), sum(1 << v for v in sup)
         supports.append(columns)
-        for i, k in enumerate(columns):
-            readers[k - p + 1].append((target, columns[:i] + columns[i + 1 :]))
-    return tuple(supports), tuple(map(tuple, readers))
+        masks.append(mask)
+        for i, v in enumerate(sup):
+            readers[v].append((target, columns[:i] + columns[i + 1 :], mask ^ 1 << v))
+    return tuple(supports), tuple(map(tuple, readers)), tuple(masks)
 
 
 class _Good:
-    """Fault-free values, as ``_output_changes`` reads them.
+    """Fault-free values as integer columns, as ``_fault_difference`` reads
+    them.
 
-    The values are integer columns or ``_Anf`` polynomials.  ``cols`` holds
-    the c values then the x values, and ``ones`` is the value of an AND with
-    no inputs.  Each read takes its products over ``_gate_tables``, and
-    keeps the AND outputs and sensitivities it computed.
+    ``cols`` holds the c columns then the x columns, and ``ones`` has a bit
+    set for each assignment.  Each read takes its products over
+    ``_gate_tables``, and keeps the AND outputs and sensitivities it
+    computed.
     """
 
-    def __init__(
-        self, network: AndExorNetwork, cols: Sequence[int | _Anf], ones: int | _Anf
-    ) -> None:
+    def __init__(self, network: AndExorNetwork, cols: Sequence[int], ones: int) -> None:
         self.network = network
         self.cols = cols
         self.ones = ones
-        self.supports, self._readers = _gate_tables(network)
-        self._and: dict[int, int | _Anf] = {}
-        self._sensitivity: dict[int, list[int | _Anf]] = {}
+        self.supports, self._readers, _ = _gate_tables(network)
+        self._and: dict[int, int] = {}
+        self._sensitivity: dict[int, int] = {}
 
-    def x(self, i: int) -> int | _Anf:
+    def x(self, i: int) -> int:
         return self.cols[self.network.p + i - 1]
 
-    def product(self, columns: Iterable[int]) -> int | _Anf:
+    def product(self, columns: Iterable[int]) -> int:
         col = self.ones
         for k in columns:
             col &= self.cols[k]
         return col
 
-    def and_out(self, gate_id: int) -> int | _Anf:
+    def and_out(self, gate_id: int) -> int:
         if gate_id not in self._and:
             self._and[gate_id] = self.product(self.supports[gate_id - 1])
         return self._and[gate_id]
 
-    def sensitivity(self, v: int) -> list[int | _Anf]:
-        """Where the outputs flip with x_v, computed once: per target t, the
-        XOR of AND(sup(g) - {v}) over the gates g on t that read x_v.
-        Integer columns OR the targets into one; polynomials keep each.
-        """
+    def sensitivity(self, v: int) -> int:
+        """Where the outputs flip with x_v, computed once: the OR over the
+        targets t of the XOR of AND(sup(g) - {v}) over the gates g on t
+        that read x_v."""
         if v not in self._sensitivity:
-            per_target: dict[int, int | _Anf] = {}
-            for target, others in self._readers[v]:
-                col = self.product(others)
-                per_target[target] = per_target[target] ^ col if target in per_target else col
-            sens = list(per_target.values())
-            if not isinstance(self.ones, _Anf):
-                sens = [functools.reduce(operator.or_, sens, 0)]
-            self._sensitivity[v] = sens
+            per_target: dict[int, int] = {}
+            for target, others, _ in self._readers[v]:
+                per_target[target] = per_target.get(target, 0) ^ self.product(others)
+            self._sensitivity[v] = functools.reduce(operator.or_, per_target.values(), 0)
         return self._sensitivity[v]
 
-    def wire(self, level: int, j: int) -> int | _Anf:
+    def wire(self, level: int, j: int) -> int:
         col = self.cols[j - 1]
         for gate_id, target in enumerate(self.network.gate_targets[:level], start=1):
             if target == j:
@@ -145,23 +108,24 @@ class _Good:
         return col
 
 
-def _output_changes(
+def _fault_difference(
     good: _Good, kind: FaultKind, ids: tuple[int, ...], polarity: Polarity | None
-) -> list[int | _Anf]:
-    """The changes a fault makes to the outputs; it shows wherever one is set.
+) -> int:
+    """Assignments under which the fault changes some output.
 
     A bridge moves its two nets by disjoint amounts whose OR is v1 XOR v2,
     and the cascade passes each change on unchanged to its own output.  So
-    an APair gives one entry, a_i XOR a_j, and an IntraLevel the XOR of its
-    two wires.  Where x_i != x_j an XPair flips the input at 1 (wired-AND)
-    or at 0 (wired-OR), changing the outputs sensitive to that input.
+    an APair changes the outputs by a_i XOR a_j, and an IntraLevel by the
+    XOR of its two wires.  Where x_i != x_j an XPair flips the input at 1
+    (wired-AND) or at 0 (wired-OR), changing the outputs sensitive to that
+    input.
     """
     if kind is FaultKind.A_PAIR:
         i, j = ids
-        return [good.and_out(i) ^ good.and_out(j)]
+        return good.and_out(i) ^ good.and_out(j)
     if kind is FaultKind.INTRA_LEVEL:
         level, j1, j2 = ids
-        return [good.wire(level, j1) ^ good.wire(level, j2)]
+        return good.wire(level, j1) ^ good.wire(level, j2)
     if kind is not FaultKind.X_PAIR:
         raise ValueError("ExorInternal faults are graded by stimulation masks, not injection")
 
@@ -170,15 +134,11 @@ def _output_changes(
     only_i, only_j = xi & (good.ones ^ xj), xj & (good.ones ^ xi)
     if polarity is Polarity.WIRED_OR:
         only_i, only_j = only_j, only_i  # x_j pulled up where only x_i is 1
-    flips = ((only_i, i), (only_j, j))
-    return [where & col for where, v in flips if where for col in good.sensitivity(v)]
-
-
-def _fault_difference(
-    good: _Good, kind: FaultKind, ids: tuple[int, ...], polarity: Polarity | None
-) -> int:
-    """Assignments under which the fault changes some output."""
-    return functools.reduce(operator.or_, _output_changes(good, kind, ids, polarity), 0)
+    diff = 0
+    for where, v in ((only_i, i), (only_j, j)):
+        if where:
+            diff |= where & good.sensitivity(v)
+    return diff
 
 
 def _pack(
@@ -234,36 +194,73 @@ class OracleResult(NamedTuple):
         return self.status == "detectable"
 
 
+def _change_monomials(
+    network: AndExorNetwork, kind: FaultKind, ids: tuple[int, ...], polarity: Polarity | None
+) -> set[int]:
+    """Monomials of the fault's output changes: none when it is redundant,
+    else holding the least monomial of the changes.
+
+    A monomial is a bitmask of pattern positions, c_j at j - 1 and x_v at
+    p + v - 1; the constant line is 1, so no monomial holds it.  AND output
+    a_g is m(sup(g)): an APair changes the outputs by m(sup_i) + m(sup_j),
+    an IntraLevel by c_j1 + c_j2 plus the AND outputs on either wire.  An
+    XPair flips x_v, w the other input, where x_v = 1 and x_w = 0 under
+    wired-AND, x_v = 0 and x_w = 1 under wired-OR, never if that 0 is the
+    constant line.  On target t each gate reading x_v adds m(sup) +
+    m(sup + {w}) under wired-AND if it does not read x_w, and
+    m(sup - {v} + {w}) + m(sup + {w}) under wired-OR.  The second monomial
+    is the first plus a position, so it cancels when the first does and is
+    never the least: only the first is kept, when odd on some target.
+    """
+    p, (_, readers, masks) = network.p, _gate_tables(network)
+    pin = 1 << (network.constant_line or 0)
+
+    def monomial(mask: int) -> int:  # bit v for x_v -> position p + v - 1
+        return (mask & ~pin) >> 1 << p
+
+    if kind is FaultKind.A_PAIR:
+        i, j = ids
+        return {monomial(masks[i - 1])} ^ {monomial(masks[j - 1])}
+    if kind is FaultKind.INTRA_LEVEL:
+        level, j1, j2 = ids
+        odd = {1 << (j1 - 1)} ^ {1 << (j2 - 1)}
+        for gate_id, target in enumerate(network.gate_targets[:level], start=1):
+            if target in (j1, j2):
+                odd ^= {monomial(masks[gate_id - 1])}
+        return odd
+    if kind is not FaultKind.X_PAIR:
+        raise ValueError("ExorInternal faults are graded by stimulation masks, not injection")
+
+    wired_and = polarity is Polarity.WIRED_AND
+    odd_on_target: set[tuple[int, int]] = set()
+    for v, w in (ids, ids[::-1]):
+        if (w if wired_and else v) == network.constant_line:  # x_v never flips
+            continue
+        for target, _, others in readers[v]:
+            if not wired_and:
+                odd_on_target ^= {(target, monomial(others | 1 << w))}
+            elif not others >> w & 1:
+                odd_on_target ^= {(target, monomial(others | 1 << v))}
+    return {m for _, m in odd_on_target}
+
+
 def exhaustive_detectability(network: AndExorNetwork, fault: BridgingFault) -> OracleResult:
     """Decide the fault over every full assignment; the witness is the
     lexicographically least detecting row.
 
-    Each output change is a GF(2) polynomial in the pattern positions, and
-    a reduced polynomial is zero only if it is zero everywhere.  The witness
-    fixes the positions from the left: 0 whenever some change stays nonzero,
-    else 1.  A constant-one line is the constant 1 polynomial and stays 1 in
-    the witness.  A fault whose lines are not in the network is refused.
+    The fault is redundant exactly when its changes have no monomial
+    (``_change_monomials``).  Otherwise the least, m, read as a row with
+    the constant line at 1, is the witness: a row holds only monomials not
+    after it, so m holds no other one and some change is 1 there, while a
+    row before m holds none.  Faults outside the network are refused.
     """
     _check_lines(network, fault)
-    width = network.n + network.p
-    pinned = None if network.constant_line is None else network.p + network.constant_line - 1
-    one = _Anf({0})
-    cols = [one if k == pinned else _Anf({1 << k}) for k in range(width)]
-    good = _Good(network, cols, one)
-    changes = [f for f in _output_changes(good, fault.kind, fault.ids, fault.polarity) if f]
-    if not changes:
+    monomials = _change_monomials(network, fault.kind, fault.ids, fault.polarity)
+    if not monomials:
         return OracleResult("redundant")
-
-    bits = ""
-    for k in range(width):
-        at_zero = [f.at(1 << k, 0) for f in changes]
-        if k != pinned and any(at_zero):
-            bits += "0"
-            changes = [f for f in at_zero if f]
-        else:
-            bits += "1"
-            changes = [g for g in (f.at(1 << k, 1) for f in changes) if g]
-    return OracleResult("detectable", bits)
+    width = network.n + network.p
+    pinned = 0 if network.constant_line is None else 1 << (network.p + network.constant_line - 1)
+    return OracleResult("detectable", min(format(m | pinned, f"0{width}b")[::-1] for m in monomials))
 
 
 class FaultVerdict(NamedTuple):
@@ -362,7 +359,7 @@ def evaluate_test_set(
         if kind is FaultKind.X_PAIR:
             # per input v: x_v, its complement, and S_v where x_v is 1 and where it is 0
             tables = [(xv, ones ^ xv, xv & sv, (ones ^ xv) & sv)
-                      for xv, sv in ((good.x(v), good.sensitivity(v)[0]) for v in lines)]
+                      for xv, sv in ((good.x(v), good.sensitivity(v)) for v in lines)]
             for (xi, ni, ui, di), (xj, nj, uj, dj) in itertools.combinations(tables, 2):
                 for diff in (ui & nj | uj & ni, di & xj | dj & xi):  # WiredAnd, WiredOr
                     if diff:

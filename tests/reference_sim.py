@@ -6,8 +6,9 @@ difference off the fault-free columns; the scalar walk, the column walk
 with the bridge injected (``eval_good``, ``eval_faulty``,
 ``injected_difference``) and the injection-based oracle below are the
 independent routes.  The library's
-oracle decides on GF(2) polynomials; ``truth_table_detectability`` runs the
-same closed form on the truth-table columns of every assignment instead.
+oracle reads the monomials of the output changes off the gate supports;
+``truth_table_detectability`` runs the closed form of ``_fault_difference``
+on the truth-table columns of every assignment instead.
 The library packs rows by slicing one resolved string; ``resolve_bits``
 and ``reference_pack`` split each row into its c and x parts, fill
 don't-cares and set column bits one at a time.  The library's fallback

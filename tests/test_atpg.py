@@ -313,52 +313,48 @@ class TestGenerateSets:
         assert list(result.sets) == ["T1", "T4"]
         assert result.t2_uncovered == result.t3_uncovered == ()
 
-    def test_one_fault_free_read_per_candidate(self, monkeypatch, bench_parts):
-        # T2 packs its candidates into one fault-free evaluation, and each T3
-        # stage that tries a split into at most one; a candidate split reads
-        # its bit of the sensitivity of each moved input r, in ascending r,
+    def test_generation_packs_no_rows_and_builds_no_good(self, monkeypatch, bench_parts):
+        # T2 and T3 decide each split from the gate-support masks, and T3's
+        # oracle reads them too: nothing is packed or evaluated.  A candidate
+        # split reads the sensitivity of each moved input r, in ascending r,
         # and stops at the first miss
-        offers, splits, built, reads = [], [], [], []
-        offer, split = atpg._Partition.offer, atpg._Partition.split
+        def refuse(*args, **kwargs):
+            raise AssertionError("generation evaluated rows")
 
-        def recorded_offer(partition, rows):
-            offers.append(partition.polarity)
-            offer(partition, rows)
+        for module in (atpg, simulate):
+            monkeypatch.setattr(module, "_pack", refuse)
+            monkeypatch.setattr(module, "_Good", refuse)
+        splits, reads, proofs = [], [], []
+        split, sensitive = atpg._Partition.split, atpg._Partition.sensitive
+        oracle = atpg.exhaustive_detectability
 
-        def recorded_split(partition, row, block, side):
-            splits.append((len(offers), row))
-            return split(partition, row, block, side)
+        def recorded_split(partition, ones, block, side):
+            splits.append(ones)
+            return split(partition, ones, block, side)
 
-        class Recorded(simulate._Good):
-            def __init__(self, *args):
-                super().__init__(*args)
-                built.append(len(offers))
+        def recorded_sensitive(partition, ones, r):
+            shown = sensitive(partition, ones, r)
+            x = atpg._input_pattern(partition.network, ones)[partition.network.p :]
+            reads.append((len(splits), x, r, shown))
+            return shown
 
-            def sensitivity(self, v):
-                sens = super().sensitivity(v)
-                # the candidate's bit is the one whose packed x spells its row's
-                x = splits[-1][1][self.network.p :]
-                bits = range(self.ones.bit_length())
-                k, = (k for k in bits if [col >> k & 1 for col in self.cols[self.network.p :]]
-                      == [int(b) for b in x])
-                reads.append((len(splits), x, v, bool(sens[0] >> k & 1)))
-                return sens
-
-        monkeypatch.setattr(atpg._Partition, "offer", recorded_offer)
         monkeypatch.setattr(atpg._Partition, "split", recorded_split)
-        monkeypatch.setattr("bridgetest.atpg._Good", Recorded)
+        monkeypatch.setattr(atpg._Partition, "sensitive", recorded_sensitive)
+        monkeypatch.setattr(atpg, "exhaustive_detectability",
+                            lambda net, f: proofs.append(f) or oracle(net, f))
         generate_sets(*bench_parts)
-        assert offers[0] is AND and set(offers[1:]) == {OR}
-        assert built.count(1) == 1  # T2
-        # one evaluation per offer at most, and only for an offer a split read
-        assert len(built) == len(set(built)) and set(built) <= {stage for stage, _ in splits}
-        assert len(built) > 2 and len(splits) > len(built)
+        rng = random.Random(17)
+        for index in range(40):
+            circuit = random_circuit(rng, index, max_n=10, max_d=14, width_cap=14)
+            if index % 2:
+                circuit = with_zero_control(circuit, rng)
+            generate_sets(derive_pprm(circuit), expand_network(circuit))
+        assert proofs and len(splits) > 100
         for (split_k, _, r, shown), (next_k, _, next_r, _) in zip(reads, reads[1:]):
             if next_k == split_k:
                 assert shown and next_r > r
-        del offers[:], splits[:], built[:], reads[:]
+        del splits[:], reads[:]
         generate_sets(*_parts(DUP_TEXT))
-        assert built == [1, 2]
         # T2: x1 alone detects nothing (f1 cancels), x1 x2 splits off x3, and
         # gate 2's support repeats gate 1's, so it is not tried again; T3:
         # case (a) splits off x1, then x2
@@ -379,14 +375,15 @@ class TestGenerateSets:
         split = atpg._Partition.split
         decisions = []
 
-        def checked(self, row, block, side):
-            rest = block - side
+        def checked(self, ones, block, side):
+            rest = atpg._bits(block & ~side)
+            row = atpg._input_pattern(self.network, ones)
             expected = bool(rest) and all(
-                detects(self.network, BridgingFault.x_pair(r, min(rest), self.polarity), row)
-                for r in side
+                detects(self.network, BridgingFault.x_pair(r, rest[0], self.polarity), row)
+                for r in atpg._bits(side)
             )
-            accepted = split(self, row, block, side)
-            assert accepted == expected, (row, sorted(block), sorted(side))
+            accepted = split(self, ones, block, side)
+            assert accepted == expected, (row, atpg._bits(block), atpg._bits(side))
             decisions.append((self.polarity, accepted))
             return accepted
 
@@ -399,18 +396,18 @@ class TestGenerateSets:
             net = expand_network(circuit)
             assert (net.constant_line is not None) == zero_control
             generate_sets(derive_pprm(circuit), net, ("T2", "T3"))
-            inputs = frozenset(net.real_inputs())
+            inputs = net.real_inputs()
             if len(inputs) >= 2:
-                side = frozenset(rng.sample(sorted(inputs), rng.randint(1, len(inputs) - 1)))
-                v = rng.randint(0, 1)
-                row = atpg._input_pattern(net, side if v else inputs - side)
-                atpg._Partition(net, AND if v else OR).split(row, inputs, side)
+                side = atpg._mask(rng.sample(inputs, rng.randint(1, len(inputs) - 1)))
+                block, v = atpg._mask(inputs), rng.randint(0, 1)
+                ones = (side if v else block & ~side) | 1 << (net.constant_line or 0)
+                atpg._Partition(net, AND if v else OR).split(ones, block, side)
         assert set(decisions) == {(p, ok) for p in (AND, OR) for ok in (False, True)}
 
     @given(seed=st.integers(0, 2**32 - 1), zero_control=st.booleans())
     def test_batched_splits_match_one_row_detects(self, seed, zero_control):
-        # every split T2 and T3 decide off a packed batch is the verdict of
-        # detects on that one row, for each moved input r and each partner s
+        # every split T2 and T3 decide off the support masks is the verdict
+        # of detects on that one row, for each moved input r and each partner s
         rng = random.Random(seed)
         circuit = random_circuit(rng, seed, max_d=14)
         if zero_control:
@@ -418,13 +415,14 @@ class TestGenerateSets:
         net = expand_network(circuit)
         split = atpg._Partition.split
 
-        def checked(partition, row, block, side):
-            rest = block - side
+        def checked(partition, ones, block, side):
+            rest = atpg._bits(block & ~side)
+            row = atpg._input_pattern(net, ones)
             expected = bool(rest) and all(
                 detects(net, BridgingFault.x_pair(r, s, partition.polarity), row)
-                for r in side for s in rest
+                for r in atpg._bits(side) for s in rest
             )
-            assert split(partition, row, block, side) == expected, (row, sorted(side))
+            assert split(partition, ones, block, side) == expected, (row, atpg._bits(side))
             return expected
 
         with mock.patch.object(atpg._Partition, "split", checked):
@@ -593,6 +591,27 @@ class TestFallbackSearch:
         assert detects(net, or_fault, fb.patterns[0])
         assert [ev.faults[k] for k in fb.unresolved] == [and_fault]
         assert fb.redundant == []
+
+    @pytest.mark.parametrize("classify_only", [False, True])
+    def test_redundant_over_cap_miss_draws_nothing(self, monkeypatch, classify_only):
+        # above the cap no draw can detect a redundant miss, so none is made;
+        # the detectable miss still draws with its own ordinal's seed
+        seeds = []
+        rng_class = atpg.random.Random
+
+        def recorded(seed):
+            seeds.append(seed)
+            return rng_class(seed)
+
+        monkeypatch.setattr(atpg.random, "Random", recorded)
+        text = ".n 20\n.p 3\n.gate c1 : x1 x2\n.gate c2 : x3\n.gate c3 : x4\n.end\n"
+        net = expand_network(parse_circuit(text))
+        or_fault, and_fault = BridgingFault.x_pair(1, 2, OR), BridgingFault.x_pair(1, 2, AND)
+        ev = evaluation_missing(net, [or_fault, and_fault])
+        fb = fallback_search(net, ev, classify_only=classify_only)
+        assert [ev.faults[k] for k in fb.unresolved] == [and_fault] + [or_fault] * classify_only
+        assert seeds == ([] if classify_only else [atpg._RANDOM_SEED * 1000003 + 1])
+        assert len(fb.patterns) == (not classify_only)
 
     def test_wide_circuit_determinism(self):
         text = ".n 20\n.p 3\n.gate c1 : x1 x2\n.gate c2 : x3\n.gate c3 : x4\n.end\n"
