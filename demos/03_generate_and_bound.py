@@ -11,7 +11,6 @@ against 3n + ceil(log2 p) + 2.
 
 from bridgetest import (
     benchmark_circuit,
-    derive_pprm,
     enumerate_faults,
     expand_network,
     generate_sets,
@@ -20,9 +19,8 @@ from bridgetest.cli import RunConfig, run_pipeline
 
 circuit = benchmark_circuit()
 net = expand_network(circuit)
-pprms = derive_pprm(circuit)
 
-result = generate_sets(pprms, net)
+result = generate_sets(net)
 for name, ts in result.sets.items():
     print(f"{name} ({ts.target_class}): {len(ts)} patterns, c1..c3 then x1..x7")
     for row in ts.rows:

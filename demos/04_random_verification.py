@@ -14,7 +14,6 @@ from bridgetest import (
     FaultKind,
     Gate,
     ReversibleCircuit,
-    derive_pprm,
     enumerate_faults,
     exhaustive_detectability,
     expand_network,
@@ -42,7 +41,7 @@ for index in range(20):
     faults = enumerate_faults(net)
 
     # generate, grade, repair: the pipeline `bridgetest verify` runs
-    sets = generate_sets(derive_pprm(circuit), net).ordered_sets()
+    sets = generate_sets(net).ordered_sets()
     run = run_pipeline(net, faults, sets, RunConfig("verify"))
 
     status = {v.fault: v.status for v in run.evaluation.verdicts}

@@ -2,10 +2,10 @@
 realizations of reversible k-CNOT circuits.
 
 The public surface mirrors the pipeline: parse a netlist (`circuit`),
-flatten it (`network`), derive the per-output EXOR-of-ANDs view (`pprm`),
-enumerate the fault universe (`faults`), build the five named test sets
-plus repair patterns (`atpg`), and grade everything bit-accurately with an
-exhaustive oracle on the side (`simulate`).
+flatten it (`network`), enumerate the fault universe (`faults`), build the
+five named test sets plus repair patterns (`atpg`), and grade everything
+bit-accurately with an exhaustive oracle on the side (`simulate`).  The
+per-output EXOR-of-ANDs view (`pprm`) sits beside it, for the benchmark.
 """
 
 from .atpg import (

@@ -11,10 +11,12 @@ Five named sets are built per circuit:
 * T3: parity-matrix driven patterns for wired-OR input pairs.  Case (a)
   handles variables with an odd diagonal count, case (b) pairs a variable
   with an odd joint count, case (c) retries both after restricting chosen
-  variables to 0.  Parity rows are bitmasks read straight off the term
-  multisets.  Every claim is confirmed by simulation before the partition
-  is refined.  Case (c) ends once every wired-OR pair left in an open
-  block is redundant; grading leaves those pairs undetected for fallback.
+  variables to 0.  Parity rows are bitmasks XORed from the gate supports
+  (f_j's terms are the supports of the gates on c_j), so generation reads
+  no PPRM.  Every claim is confirmed by ``_Partition.split`` before the
+  partition is refined.  Case (c) ends once every wired-OR pair left in an
+  open block is redundant; grading leaves those pairs undetected for
+  fallback.
 * T4: ceil(log2 p) halving patterns over the c lines with x all zero; every
   pair of cascade columns is driven to opposite values somewhere.
 * T5: n walking-zero patterns separating AND outputs with distinct support.
@@ -86,24 +88,25 @@ def _mask(variables: Iterable[int]) -> int:
     return mask
 
 
-def _parity_rows(pprm_list: Sequence[PprmFunction], zeros: int) -> dict[int, int]:
+def _parity_rows(network: AndExorNetwork, zeros: int) -> dict[int, int]:
     """Parity-matrix rows as bitmasks, with the inputs in ``zeros`` held at 0.
 
-    Terms touching ``zeros`` drop out (the zero cofactor).  Per output, row v
-    is the XOR of the masks of the surviving terms containing x_v, so its bit
-    j is the parity of the terms containing both x_v and x_j (bit v: x_v
-    alone); the returned row v ORs that over the outputs.  Variables no
-    surviving term reads are absent.
+    Output f_j is c_j XOR one AND per gate on c_j, so its terms are the
+    supports of those gates.  Gates whose support meets ``zeros`` drop out
+    (the zero cofactor).  Per target, row v is the XOR of the support masks
+    of the surviving gates reading x_v, so its bit j is the parity of the
+    gates reading both x_v and x_j (bit v: x_v alone); the returned row v
+    ORs that over the targets.  Variables no surviving gate reads are absent.
     """
-    rows: dict[int, int] = {}
-    for f in pprm_list:
-        acc: dict[int, int] = {}
-        for term in f.term_multiset:
-            mask = _mask(term)
-            if mask & zeros:
-                continue
-            for v in term:
+    per_target: dict[int, dict[int, int]] = {}
+    masks = _gate_tables(network)[2]
+    for sup, mask, target in zip(network.gate_supports, masks, network.gate_targets):
+        if not mask & zeros:
+            acc = per_target.setdefault(target, {})
+            for v in sup:
                 acc[v] = acc.get(v, 0) ^ mask
+    rows: dict[int, int] = {}
+    for acc in per_target.values():
         for v, row in acc.items():
             rows[v] = rows.get(v, 0) | row
     return rows
@@ -222,9 +225,7 @@ def gen_input_and_tests(network: AndExorNetwork) -> tuple[TestSet, tuple[tuple[i
 # ---------------------------------------------------------------------------
 # T3
 
-def gen_input_or_tests(
-    pprm_list: Sequence[PprmFunction], network: AndExorNetwork
-) -> tuple[TestSet, tuple[tuple[int, int], ...]]:
+def gen_input_or_tests(network: AndExorNetwork) -> tuple[TestSet, tuple[tuple[int, int], ...]]:
     """Parity-driven T3 construction for wired-OR input bridges.
 
     The generator refines a partition of the inputs; a pattern is emitted
@@ -257,7 +258,7 @@ def gen_input_or_tests(
         whole = [b for b in partition.blocks if not b & restricted]
         if not whole:
             return
-        rows = _parity_rows(pprm_list, restricted)
+        rows = _parity_rows(network, restricted)
         # cases (a) and (b) split only blocks like these
         read = _mask(v for v, row in rows.items() if row)
         if not any(b & read for b in whole):
@@ -347,11 +348,7 @@ class GenerationResult(NamedTuple):
         return [self.sets[name] for name in SET_NAMES if name in self.sets]
 
 
-def generate_sets(
-    pprm_list: Sequence[PprmFunction],
-    network: AndExorNetwork,
-    selector: Iterable[str] = SET_NAMES,
-) -> GenerationResult:
+def generate_sets(network: AndExorNetwork, selector: Iterable[str] = SET_NAMES) -> GenerationResult:
     """Build the selected named sets for one netlist."""
     wanted = list(selector)
     unknown = [name for name in wanted if name not in SET_NAMES]
@@ -365,7 +362,7 @@ def generate_sets(
     if "T2" in wanted:
         sets["T2"], t2_uncovered = gen_input_and_tests(network)
     if "T3" in wanted:
-        sets["T3"], t3_uncovered = gen_input_or_tests(pprm_list, network)
+        sets["T3"], t3_uncovered = gen_input_or_tests(network)
     if "T4" in wanted:
         sets["T4"] = gen_cascade_pair_tests(network.p, network.n, constant_line=aux)
     if "T5" in wanted:

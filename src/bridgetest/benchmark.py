@@ -24,6 +24,7 @@ from typing import Mapping, Sequence
 
 from .atpg import _mask, _parity_rows, count_terms
 from .circuit import ReversibleCircuit, parse_circuit
+from .network import expand_network
 from .pprm import PprmFunction, derive_pprm
 
 __all__ = [
@@ -178,7 +179,7 @@ def tabulated_discrepancies(circuit: ReversibleCircuit) -> list[dict]:
     """
     if not is_benchmark(circuit):
         return []
-    pprms = derive_pprm(circuit)
+    pprms, network = derive_pprm(circuit), expand_network(circuit)
     # x1 = 0 drops the terms that contain x1
     restricted = [
         PprmFunction.from_terms(f.output_index, (t for t in f.term_multiset if 1 not in t))
@@ -189,7 +190,7 @@ def tabulated_discrepancies(circuit: ReversibleCircuit) -> list[dict]:
         return {(i, j): int(b) for row, i in zip(rows, variables) for b, j in zip(row, variables)}
 
     def derived_bits(zeros: int, variables: range) -> dict:
-        rows = _parity_rows(pprms, zeros)
+        rows = _parity_rows(network, zeros)
         return {(i, j): rows.get(i, 0) >> j & 1 for i in variables for j in variables}
 
     full, sub = range(1, 8), range(2, 8)

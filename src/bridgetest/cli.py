@@ -41,8 +41,9 @@ from .patterns import (
     format_patterns,
     line_tokens,
     parse_test_file,
+    token_rows,
 )
-from .pprm import derive_pprm
+from .pprm import derive_pprm  # noqa: F401  (kept: perfbench/spans.py patches cli.derive_pprm)
 from .report import (
     SCHEMA_VERSION,
     build_coverage_report,
@@ -175,16 +176,21 @@ def _coverage_exit(evaluation: Evaluation) -> int:
 
 
 def _parse_tests_for(network, text: str) -> list[str]:
-    """Parse a test file sized for the network.
-
-    When normalization added a constant line, files written for the
-    original circuit (one x column short) are accepted and padded with the
-    mandatory 1 on that line.
-    """
-    n, p = network.n, network.p
-    if network.constant_line == n and len(next(filter(None, line_tokens(text)), "")) == p + n - 1:
-        return [row + "1" for row in parse_test_file(text, n - 1, p)]
-    return parse_test_file(text, n, p)
+    """Parse a test file sized for the network.  A constant line is always
+    1: files written for the circuit before normalization added it (one x
+    column short) are padded with that 1, and in a full-width row a d there
+    is read as 1 and a 0 refused."""
+    n, p, aux = network.n, network.p, network.constant_line
+    if aux is None:
+        return parse_test_file(text, n, p)
+    tokens = line_tokens(text)  # read for the first row's width, then for the rows
+    if aux == n and len(next(filter(None, tokens), "")) == p + n - 1:
+        return [row + "1" for row in token_rows(tokens, n - 1, p)]
+    rows, k = token_rows(tokens, n, p), p + aux - 1
+    if "0" in "".join(rows)[k :: p + n]:
+        lineno = next(no for no, token in enumerate(tokens, 1) if token and token[k] == "0")
+        raise TestFileError(f"0 on the constant line x{aux}, which is always 1", lineno)
+    return [row[:k] + "1" + row[k + 1 :] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +229,7 @@ def cmd_atpg(args) -> int:
     )
     circuit = _load_circuit(args.circuit)
     network = expand_network(circuit)
-    pprms = derive_pprm(circuit)
-    sets = generate_sets(pprms, network, cfg.sets).ordered_sets()
+    sets = generate_sets(network, cfg.sets).ordered_sets()
     # without repair patterns the union needs no grading
     faults = enumerate_faults(network) if cfg.fallback else None
     run = run_pipeline(network, faults, sets, cfg)
@@ -285,9 +290,8 @@ def cmd_verify(args) -> int:
     )
     circuit = _load_circuit(args.circuit)
     network = expand_network(circuit)
-    pprms = derive_pprm(circuit)
     faults = enumerate_faults(network, include_aux=cfg.include_aux)
-    sets = generate_sets(pprms, network, cfg.sets).ordered_sets()
+    sets = generate_sets(network, cfg.sets).ordered_sets()
     run = run_pipeline(network, faults, sets, cfg)
     report = build_coverage_report(
         circuit, network, faults, run.evaluation, sets, run.union, run.bound,
@@ -303,8 +307,7 @@ def cmd_bench(args) -> int:
         return EXIT_OK
     circuit = benchmark_circuit()
     network = expand_network(circuit)
-    pprms = derive_pprm(circuit)
-    gen = generate_sets(pprms, network)
+    gen = generate_sets(network)
     t2 = tuple(row[network.p :] for row in gen.sets["T2"].rows)
     t3 = tuple(row[network.p :] for row in gen.sets["T3"].rows)
     cells = tabulated_discrepancies(circuit)

@@ -83,12 +83,13 @@ def line_tokens(text: str) -> list[str]:
 
 
 def parse_test_file(text: str, n: int, p: int) -> list[str]:
-    """Read a test-set file into rows; every row must carry exactly p + n symbols.
+    """Read a test-set file into rows; every row must carry exactly p + n symbols."""
+    return token_rows(line_tokens(text), n, p)
 
-    The rows are checked in bulk; only a file that fails is walked line by
-    line for the first bad one.
-    """
-    tokens = line_tokens(text)
+
+def token_rows(tokens: list[str], n: int, p: int) -> list[str]:
+    """The rows of a file's ``line_tokens``, each p + n symbols long: checked
+    in bulk, and only a file that fails is walked for its first bad line."""
     rows = list(filter(None, tokens))
     if "".join(rows).translate(_SYMBOLS) or set(map(len, rows)) - {p + n}:
         for lineno, token in enumerate(tokens, start=1):

@@ -3,7 +3,8 @@
 Each output f_j of a k-CNOT circuit is c_j XOR a multiset of positive
 product terms, one term per gate targeting c_j.  The multiset keeps the
 physical gate order and duplicates; the canonical form cancels duplicate
-terms mod 2 and sorts what survives.
+terms mod 2 and sorts what survives.  Test generation reads the gate
+supports off the network instead; the benchmark's term-count tables use this.
 """
 
 from __future__ import annotations

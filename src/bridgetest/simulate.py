@@ -2,19 +2,22 @@
 exhaustive detectability oracle.
 
 Fault-free values are integer columns, bit t holding a net's value under
-assignment t: grading packs the rows into columns and keeps every net of
-one walk, and single-pattern queries use one-bit columns.  All read
-per-network tables.
+assignment t: grading packs the rows into columns, and single-pattern
+queries use one-bit columns.  All read the per-network gate tables
+(``_gate_tables``).
 
 No faulty netlist is ever evaluated.  Each output is c_j XOR the AND
 outputs of the gates targeting j, so a bridge changes the outputs by the
 XOR of its two nets (APair, IntraLevel), or, for an XPair, by flipping one
 input where the two differ, wherever the outputs are sensitive to it.
-Grading walks a ``FaultList`` a class block at a time over tables built
-once per call, and records verdicts by fault index.  ``_fault_difference``
-reads one fault for ``detects`` and fallback repair.  The oracle reads the
-monomials of the output changes off the gate supports, which covers every
-assignment at once: a fault is redundant exactly when none is left.
+So every change is read off three tables of ``_Good``: the AND outputs,
+the cascade wires at every level, and per input its value and
+sensitivity.  Grading walks a ``FaultList`` a class block at a time over
+one ``_Good`` and records verdicts by fault index; ``_fault_difference``
+reads one fault off the same tables for ``detects`` and fallback repair.
+The oracle reads the monomials of the output changes off the gate
+supports, which covers every assignment at once: a fault is redundant
+exactly when none is left.
 """
 
 from __future__ import annotations
@@ -58,25 +61,20 @@ def _gate_tables(network: AndExorNetwork) -> tuple[tuple, tuple, tuple]:
 
 
 class _Good:
-    """Fault-free values as integer columns, as ``_fault_difference`` reads
-    them.
-
-    ``cols`` holds the c columns then the x columns, and ``ones`` has a bit
-    set for each assignment.  Each read takes its products over
-    ``_gate_tables``, and keeps the AND outputs and sensitivities it
-    computed.
-    """
+    """Fault-free values as integer columns (``cols``: the c columns, then
+    the x columns; ``ones``: a bit per assignment), and the three tables
+    every bridge's output change is read from.  Each is built on first read
+    with products over ``_gate_tables``, so a column is read only where a
+    fault needs it."""
 
     def __init__(self, network: AndExorNetwork, cols: Sequence[int], ones: int) -> None:
         self.network = network
         self.cols = cols
         self.ones = ones
         self.supports, self._readers, _ = _gate_tables(network)
-        self._and: dict[int, int] = {}
-        self._sensitivity: dict[int, int] = {}
-
-    def x(self, i: int) -> int:
-        return self.cols[self.network.p + i - 1]
+        self.ands: list[int | None] = [None] * network.d  # entry g - 1: a_g once read
+        self._levels: list[tuple[int, ...]] | None = None
+        self._xpair: list[tuple[int, int, int, int] | None] = [None] * (network.n + 1)
 
     def product(self, columns: Iterable[int]) -> int:
         col = self.ones
@@ -85,27 +83,38 @@ class _Good:
         return col
 
     def and_out(self, gate_id: int) -> int:
-        if gate_id not in self._and:
-            self._and[gate_id] = self.product(self.supports[gate_id - 1])
-        return self._and[gate_id]
-
-    def sensitivity(self, v: int) -> int:
-        """Where the outputs flip with x_v, computed once: the OR over the
-        targets t of the XOR of AND(sup(g) - {v}) over the gates g on t
-        that read x_v."""
-        if v not in self._sensitivity:
-            per_target: dict[int, int] = {}
-            for target, others, _ in self._readers[v]:
-                per_target[target] = per_target.get(target, 0) ^ self.product(others)
-            self._sensitivity[v] = functools.reduce(operator.or_, per_target.values(), 0)
-        return self._sensitivity[v]
-
-    def wire(self, level: int, j: int) -> int:
-        col = self.cols[j - 1]
-        for gate_id, target in enumerate(self.network.gate_targets[:level], start=1):
-            if target == j:
-                col ^= self.and_out(gate_id)
+        col = self.ands[gate_id - 1]
+        if col is None:
+            col = self.ands[gate_id - 1] = self.product(self.supports[gate_id - 1])
         return col
+
+    def levels(self) -> list[tuple[int, ...]]:
+        """The c wires at every level 0..d, from one walk of the cascade:
+        entry L, position j - 1 is W(j, L).  It reads every AND output."""
+        if self._levels is None:
+            ands = self.ands = [self.product(sup) if a is None else a
+                                for a, sup in zip(self.ands, self.supports)]
+            wires = [self.cols[j] for j in range(self.network.p)]
+            levels = self._levels = [tuple(wires)]
+            for target, a in zip(self.network.gate_targets, ands):
+                wires[target - 1] ^= a
+                levels.append(tuple(wires))
+        return self._levels
+
+    def xpair(self, v: int) -> tuple[int, int, int, int]:
+        """(x_v, its complement, S_v where x_v = 1, S_v where x_v = 0), where
+        S_v, the outputs' sensitivity to x_v, is the OR over the targets t
+        of the XOR of AND(sup(g) - {v}) over the gates g on t reading x_v."""
+        table = self._xpair[v]
+        if table is None:
+            per_target = [0] * (self.network.p + 1)
+            for target, others, _ in self._readers[v]:
+                per_target[target] ^= self.product(others)
+            sv = functools.reduce(operator.or_, per_target)
+            xv = self.cols[self.network.p + v - 1]
+            nv = self.ones ^ xv
+            table = self._xpair[v] = (xv, nv, xv & sv, nv & sv)
+        return table
 
 
 def _fault_difference(
@@ -125,20 +134,14 @@ def _fault_difference(
         return good.and_out(i) ^ good.and_out(j)
     if kind is FaultKind.INTRA_LEVEL:
         level, j1, j2 = ids
-        return good.wire(level, j1) ^ good.wire(level, j2)
+        wires = good.levels()[level]
+        return wires[j1 - 1] ^ wires[j2 - 1]
     if kind is not FaultKind.X_PAIR:
         raise ValueError("ExorInternal faults are graded by stimulation masks, not injection")
-
-    i, j = ids
-    xi, xj = good.x(i), good.x(j)
-    only_i, only_j = xi & (good.ones ^ xj), xj & (good.ones ^ xi)
+    (xi, ni, ui, di), (xj, nj, uj, dj) = good.xpair(ids[0]), good.xpair(ids[1])
     if polarity is Polarity.WIRED_OR:
-        only_i, only_j = only_j, only_i  # x_j pulled up where only x_i is 1
-    diff = 0
-    for where, v in ((only_i, i), (only_j, j)):
-        if where:
-            diff |= where & good.sensitivity(v)
-    return diff
+        return di & xj | dj & xi
+    return ui & nj | uj & ni
 
 
 def _pack(
@@ -316,51 +319,43 @@ def evaluate_test_set(
 ) -> Evaluation:
     """Grade every fault against the rows, verdicts in fault order.
 
-    The rows are packed into columns, bit t holding row t.  A
-    detected fault records the first detecting pattern index; ExorInternal
-    records the index at which its stimulation mask became full.  The
-    ``FaultList`` is graded a class block at a time (``FaultList.blocks``),
-    so no ``BridgingFault`` is built.  An APair or IntraLevel pair changes
-    the outputs by the XOR of its two nets whatever its polarity, so one
-    ``^`` decides both entries.  An XPair (i, j) flips x_i where x_i = 1 and
-    x_j = 0 under wired-AND, and x_j there under wired-OR, where the outputs
-    are sensitive to the flipped input.
+    The rows are packed into columns, bit t holding row t, and every
+    verdict is read off one ``_Good``'s tables, as ``_fault_difference``
+    reads them.  A detected fault records the first detecting pattern
+    index; ExorInternal records the index at which its stimulation mask
+    became full.  The ``FaultList`` is graded a class block at a time
+    (``FaultList.blocks``), so no ``BridgingFault`` is built.  An APair or
+    IntraLevel pair changes the outputs by the XOR of its two nets whatever
+    its polarity, so one ``^`` decides both entries.
     """
     c_cols, x_cols, ones = _pack(network, rows, dc_policy)
     good = _Good(network, c_cols + x_cols, ones)
-    a = [good.product(columns) for columns in good.supports]
+    levels = good.levels()
+    a = good.ands
 
-    # Walk the cascade, keeping the wires of every level 0..d.  Bit
-    # 2*left + right of a gate's mask is set once its EXOR has seen that input
-    # pair; a full mask completes at the latest first sighting of the four.
-    wires, levels, masks = list(c_cols), [tuple(c_cols)], []
-    full_at: dict[int, int] = {}
-    for gate_id, target in enumerate(network.gate_targets, start=1):
-        left, right = wires[target - 1], a[gate_id - 1]
-        seen = (ones ^ (left | right), right & ~left, left & ~right, left & right)
-        masks.append(sum(1 << k for k, col in enumerate(seen) if col))
-        if all(seen):
-            full_at[gate_id] = max((col & -col).bit_length() - 1 for col in seen)
-        wires[target - 1] ^= right
-        levels.append(tuple(wires))
-
-    ev = Evaluation(faults, masks)
+    # ExorInternal, entry k for gate k + 1.  Bit 2*left + right of a gate's
+    # mask is set once its EXOR has seen that input pair; a full mask
+    # completes at the latest first sighting of the four.
+    ev = Evaluation(faults, [])
     status, method, first = ev.status, ev.method, ev.first
-
-    for k, sup in enumerate(network.gate_supports):  # ExorInternal, entry k is gate k + 1
+    for k, (sup, target, right, before) in enumerate(
+            zip(network.gate_supports, network.gate_targets, a, levels)):
+        left = before[target - 1]
+        seen = (ones ^ (left | right), right & ~left, left & ~right, left & right)
+        ev.masks.append(sum(1 << b for b, col in enumerate(seen) if col))
         if network.constant_line is not None and sup <= {network.constant_line}:
             # The AND value is pinned, so two of the four combinations can
             # never be applied: the obligation is unsatisfiable by design.
             status[k], method[k] = REDUNDANT, _CONSTANT_LINE
-        elif k + 1 in full_at:
-            status[k], method[k], first[k] = DETECTED, _STIMULATION, full_at[k + 1]
+        elif all(seen):
+            status[k], method[k] = DETECTED, _STIMULATION
+            first[k] = max((col & -col).bit_length() - 1 for col in seen)
     k = network.d
     for kind, lines, block_levels in faults.blocks():
         if kind is FaultKind.X_PAIR:
-            # per input v: x_v, its complement, and S_v where x_v is 1 and where it is 0
-            tables = [(xv, ones ^ xv, xv & sv, (ones ^ xv) & sv)
-                      for xv, sv in ((good.x(v), good.sensitivity(v)) for v in lines)]
-            for (xi, ni, ui, di), (xj, nj, uj, dj) in itertools.combinations(tables, 2):
+            # the two entries of _fault_difference's XPair read, per pair
+            for (xi, ni, ui, di), (xj, nj, uj, dj) in itertools.combinations(
+                    map(good.xpair, lines), 2):
                 for diff in (ui & nj | uj & ni, di & xj | dj & xi):  # WiredAnd, WiredOr
                     if diff:
                         status[k], method[k] = DETECTED, _SIMULATION

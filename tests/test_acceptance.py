@@ -20,7 +20,6 @@ from bridgetest import (
     bridge_values,
     ceil_log2,
     check_bound,
-    derive_pprm,
     detects,
     enumerate_faults,
     evaluate_test_set,
@@ -55,8 +54,7 @@ def _ok(line: str) -> None:
 def test_criterion_1_fixture_sets(bench):
     start = time.perf_counter()
     net = expand_network(bench)
-    pprms = derive_pprm(bench)
-    result = generate_sets(pprms, net)
+    result = generate_sets(net)
     sets = result.sets
 
     # T1, T4, T5 must reproduce the worked tables byte for byte,
@@ -109,8 +107,7 @@ def test_criterion_1_fixture_sets(bench):
 
 
 def test_criterion_2_parity_fidelity(bench):
-    pprms = derive_pprm(bench)
-    rows = _parity_rows(pprms, 0)
+    rows = _parity_rows(expand_network(bench), 0)
 
     def entry(i: int, j: int) -> int:
         return rows.get(i, 0) >> j & 1
@@ -181,9 +178,8 @@ def sweep():
     for idx in range(SWEEP_SIZE):
         circuit = random_circuit(rng, idx)
         net = expand_network(circuit)
-        pprms = derive_pprm(circuit)
         faults = enumerate_faults(net)
-        result = generate_sets(pprms, net)
+        result = generate_sets(net)
         sets = result.ordered_sets()
 
         base = assemble_union(sets)

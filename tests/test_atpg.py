@@ -111,14 +111,14 @@ class TestTermCounts:
 class TestParityMatrix:
     # parity rows as bitmasks: bit j of row i is entry (i, j)
     @staticmethod
-    def _matrix(pprms, order):
-        rows = _parity_rows(pprms, 0)
+    def _matrix(net, order):
+        rows = _parity_rows(net, 0)
         return ["".join(str(rows.get(i, 0) >> j & 1) for j in order) for i in order]
 
     def test_benchmark_rows(self, bench_parts):
         # full derived matrix  [DERIVED]
-        pprms, _ = bench_parts
-        assert self._matrix(pprms, range(1, 8)) == [
+        _, net = bench_parts
+        assert self._matrix(net, range(1, 8)) == [
             "0000000",
             "0000110",
             "0011111",
@@ -129,8 +129,8 @@ class TestParityMatrix:
         ]
 
     def test_symmetry_and_accessor(self, bench_parts):
-        pprms, _ = bench_parts
-        rows = _parity_rows(pprms, 0)
+        _, net = bench_parts
+        rows = _parity_rows(net, 0)
         for i in range(1, 8):
             for j in range(1, 8):
                 assert rows.get(i, 0) >> j & 1 == rows.get(j, 0) >> i & 1
@@ -138,12 +138,12 @@ class TestParityMatrix:
         assert rows[5] >> 5 & 1 == 0
 
     def test_subset_of_variables(self, bench_parts):
-        pprms, _ = bench_parts
-        assert self._matrix(pprms, (3, 5, 7)) == ["111", "101", "111"]
+        _, net = bench_parts
+        assert self._matrix(net, (3, 5, 7)) == ["111", "101", "111"]
 
     def test_is_zero(self):
-        pprms, _ = _parts(".n 2\n.p 1\n.gate c1 : x1\n.gate c1 : x1\n.end\n")
-        assert not any(_parity_rows(pprms, 0).values())
+        _, net = _parts(".n 2\n.p 1\n.gate c1 : x1\n.gate c1 : x1\n.end\n")
+        assert not any(_parity_rows(net, 0).values())
 
 
 class TestCornerSet:
@@ -204,8 +204,8 @@ class TestInputAndSet:
 class TestInputOrSet:
     def test_benchmark_patterns(self, bench_parts):
         # four case-(a) splits, one case (b), one case (c) at x1 = 0  [DERIVED]
-        pprms, net = bench_parts
-        ts, uncovered = gen_input_or_tests(pprms, net)
+        _, net = bench_parts
+        ts, uncovered = gen_input_or_tests(net)
         assert ts.name == "T3" and ts.rows == [
             "ddd1101111",
             "ddd1110111",
@@ -217,8 +217,8 @@ class TestInputOrSet:
         assert uncovered == ()
 
     def test_benchmark_covers_all_wired_or_pairs(self, bench_parts):
-        pprms, net = bench_parts
-        ts, _ = gen_input_or_tests(pprms, net)
+        _, net = bench_parts
+        ts, _ = gen_input_or_tests(net)
         for i in range(1, 8):
             for j in range(i + 1, 8):
                 fault = BridgingFault.x_pair(i, j, OR)
@@ -227,8 +227,8 @@ class TestInputOrSet:
     def test_emission_is_partition_gated(self):
         # x = 110 would detect the pairs it leaves joined, but no block
         # split justifies it, so the generator stays at n - 1 patterns
-        pprms, net = _parts(XOR3_TEXT)
-        ts, uncovered = gen_input_or_tests(pprms, net)
+        _, net = _parts(XOR3_TEXT)
+        ts, uncovered = gen_input_or_tests(net)
         assert ts.rows == ["d011", "d101"]
         assert uncovered == ()
         probe = "d110"
@@ -236,20 +236,19 @@ class TestInputOrSet:
         assert detects(net, BridgingFault.x_pair(2, 3, OR), probe)
 
     def test_case_a_on_and2(self, and2):
-        pprms, net = derive_pprm(and2), expand_network(and2)
-        ts, uncovered = gen_input_or_tests(pprms, net)
+        ts, uncovered = gen_input_or_tests(expand_network(and2))
         assert ts.rows == ["d01"]
         assert uncovered == ()
 
     def test_duplicate_terms_cancel_into_case_a(self):
-        pprms, net = _parts(DUP_TEXT)
-        ts, uncovered = gen_input_or_tests(pprms, net)
+        _, net = _parts(DUP_TEXT)
+        ts, uncovered = gen_input_or_tests(net)
         assert ts.rows == ["dd011", "dd101"]
         assert uncovered == ()
 
     def test_size_within_partition_budget(self, bench_parts):
-        pprms, net = bench_parts
-        ts, _ = gen_input_or_tests(pprms, net)
+        _, net = bench_parts
+        ts, _ = gen_input_or_tests(net)
         assert len(ts) <= net.n - 1
 
 
@@ -299,8 +298,8 @@ class TestWalkingZeroSet:
 
 class TestGenerateSets:
     def test_full_benchmark_run(self, bench_parts):
-        pprms, net = bench_parts
-        result = generate_sets(pprms, net)
+        _, net = bench_parts
+        result = generate_sets(net)
         assert list(result.sets) == ["T1", "T2", "T3", "T4", "T5"]
         sizes = {name: len(ts) for name, ts in result.sets.items()}
         assert sizes == {"T1": 4, "T2": 6, "T3": 6, "T4": 2, "T5": 7}
@@ -308,8 +307,8 @@ class TestGenerateSets:
         assert result.t3_uncovered == ()
 
     def test_selector(self, bench_parts):
-        pprms, net = bench_parts
-        result = generate_sets(pprms, net, ["T1", "T4"])
+        _, net = bench_parts
+        result = generate_sets(net, ["T1", "T4"])
         assert list(result.sets) == ["T1", "T4"]
         assert result.t2_uncovered == result.t3_uncovered == ()
 
@@ -342,19 +341,19 @@ class TestGenerateSets:
         monkeypatch.setattr(atpg._Partition, "sensitive", recorded_sensitive)
         monkeypatch.setattr(atpg, "exhaustive_detectability",
                             lambda net, f: proofs.append(f) or oracle(net, f))
-        generate_sets(*bench_parts)
+        generate_sets(bench_parts[1])
         rng = random.Random(17)
         for index in range(40):
             circuit = random_circuit(rng, index, max_n=10, max_d=14, width_cap=14)
             if index % 2:
                 circuit = with_zero_control(circuit, rng)
-            generate_sets(derive_pprm(circuit), expand_network(circuit))
+            generate_sets(expand_network(circuit))
         assert proofs and len(splits) > 100
         for (split_k, _, r, shown), (next_k, _, next_r, _) in zip(reads, reads[1:]):
             if next_k == split_k:
                 assert shown and next_r > r
         del splits[:], reads[:]
-        generate_sets(*_parts(DUP_TEXT))
+        generate_sets(_parts(DUP_TEXT)[1])
         # T2: x1 alone detects nothing (f1 cancels), x1 x2 splits off x3, and
         # gate 2's support repeats gate 1's, so it is not tried again; T3:
         # case (a) splits off x1, then x2
@@ -395,7 +394,7 @@ class TestGenerateSets:
                 circuit = with_zero_control(circuit, rng)
             net = expand_network(circuit)
             assert (net.constant_line is not None) == zero_control
-            generate_sets(derive_pprm(circuit), net, ("T2", "T3"))
+            generate_sets(net, ("T2", "T3"))
             inputs = net.real_inputs()
             if len(inputs) >= 2:
                 side = atpg._mask(rng.sample(inputs, rng.randint(1, len(inputs) - 1)))
@@ -426,7 +425,7 @@ class TestGenerateSets:
             return expected
 
         with mock.patch.object(atpg._Partition, "split", checked):
-            generate_sets(derive_pprm(circuit), net, ("T2", "T3"))
+            generate_sets(net, ("T2", "T3"))
 
     @pytest.mark.parametrize("zero_control", [False, True])
     def test_one_partner_decides_a_moved_input(self, zero_control):
@@ -459,15 +458,15 @@ class TestGenerateSets:
                     assert len(seen) == 1, (circuit.name, r, x, dc_policy)
 
     def test_unknown_name(self, bench_parts):
-        pprms, net = bench_parts
+        _, net = bench_parts
         with pytest.raises(ValueError, match="unknown test-set name"):
-            generate_sets(pprms, net, ["T1", "T9"])
+            generate_sets(net, ["T1", "T9"])
 
 
 class TestUnionAndBound:
     def test_benchmark_union(self, bench_parts):
-        pprms, net = bench_parts
-        result = generate_sets(pprms, net)
+        _, net = bench_parts
+        result = generate_sets(net)
         union = assemble_union(result.ordered_sets())
         assert union.pre_dedup_size == 25
         assert union.fallback_count == 0
@@ -480,8 +479,8 @@ class TestUnionAndBound:
 
     def test_dedup_drops_resolved_collisions(self, bench_parts):
         # four T5 rows resolve to the same vectors as earlier T3 rows
-        pprms, net = bench_parts
-        result = generate_sets(pprms, net)
+        _, net = bench_parts
+        result = generate_sets(net)
         union = assemble_union(result.ordered_sets(), dedup=True)
         assert union.pre_dedup_size == 25
         assert union.removed == 4
@@ -493,8 +492,8 @@ class TestUnionAndBound:
         assert check_bound(union, 7, 3).size == 25
 
     def test_fallback_counts_separately(self, bench_parts):
-        pprms, net = bench_parts
-        result = generate_sets(pprms, net)
+        _, net = bench_parts
+        result = generate_sets(net)
         union = assemble_union(result.ordered_sets(), ["0001111111"])
         assert union.origins[-2:] == ["T5", "Fallback"]
         assert union.pre_dedup_size == 26
@@ -655,7 +654,7 @@ class TestFallbackSearch:
             if idx % 2:
                 circuit = with_zero_control(circuit, rng)
             net = expand_network(circuit)
-            sets = generate_sets(derive_pprm(circuit), net, ("T1", "T4")).ordered_sets()
+            sets = generate_sets(net, ("T1", "T4")).ordered_sets()
             union = assemble_union(sets).test_set
             faults = enumerate_faults(net)
             ev = evaluate_test_set(net, faults, union.rows)
@@ -701,7 +700,7 @@ class TestFallbackSearch:
         monkeypatch.setattr(simulate, "detects", no_detects)
         circuit = parse_circuit(REPAIR_TEXT)
         net = expand_network(circuit)
-        sets = generate_sets(derive_pprm(circuit), net, ("T1", "T4")).ordered_sets()
+        sets = generate_sets(net, ("T1", "T4")).ordered_sets()
         union = assemble_union(sets).test_set
         ev = evaluate_test_set(net, enumerate_faults(net), union.rows)
         assert ev.status.count(UNDETECTED) >= 100

@@ -18,12 +18,15 @@ from bridgetest import (
     normalize_zero_controls,
     parse_circuit,
     parse_test_file,
+    patterns,
 )
 from bridgetest.cli import build_parser, main
 from bridgetest.simulate import _Good
 from conftest import DATA
 
 NOTPLUS_TEXT = ".n 2\n.p 1\n.gate c1 :\n.gate c1 : x1 x2\n.end\n"
+Z3_TEXT = ".n 3\n.p 2\n.gate c1 : x1\n.gate c2 :\n.end\n"
+BRIDGE_X2_X4_OR = ("XPair", "x2", "x4", "WiredOr")  # redundant in Z3_TEXT
 WIDE_TEXT = ".n 20\n.p 3\n.gate c1 : x1 x2\n.gate c2 : x3\n.gate c3 : x4\n.end\n"
 
 
@@ -418,6 +421,52 @@ class TestSimulateAndVerify:
         pats = report["test_sets"]["User"]["patterns"]
         assert pats == ["0001", "0011", "0101", "0111", "1001", "1111"]
 
+    def test_padded_file_is_tokenized_once(self, capsys, monkeypatch, tmp_path):
+        # the first row's width and the rows themselves come from one pass
+        circuit = tmp_path / "notplus.rev"
+        circuit.write_text(NOTPLUS_TEXT)
+        tests_file = tmp_path / "notplus.tests"
+        tests_file.write_text("000\n001\n010\n# a comment\n011\n100\n111\n")
+        calls = []
+        tokens = patterns.line_tokens
+
+        def counted(text):
+            calls.append(text)
+            return tokens(text)
+
+        monkeypatch.setattr(patterns, "line_tokens", counted)
+        monkeypatch.setattr(cli, "line_tokens", counted)
+        code, _, err = run(capsys, "simulate", str(circuit), "--tests", str(tests_file))
+        assert (code, err) == (0, "")
+        assert len(calls) == 1
+
+    def test_constant_line_zero_refused(self, capsys, tmp_path):
+        # x4 is the constant line normalization adds, and it is always 1:
+        # graded with x4 = 0, XPair x2 x4 WiredOr would read as detected,
+        # though verify proves it redundant
+        circuit = tmp_path / "z3.rev"
+        circuit.write_text(Z3_TEXT)
+        tests_file = tmp_path / "z3.tests"
+        tests_file.write_text("000101\n\n000100\n")
+        code, out, err = run(capsys, "simulate", str(circuit), "--tests", str(tests_file),
+                             "--include-aux")
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: 0 on the constant line x4, which is always 1\n"
+
+    @pytest.mark.parametrize("dc_policy", ["fill-zero", "fill-one"])
+    def test_constant_line_dont_care_reads_as_one(self, capsys, tmp_path, dc_policy):
+        circuit = tmp_path / "z3.rev"
+        circuit.write_text(Z3_TEXT)
+        tests_file = tmp_path / "z3.tests"
+        tests_file.write_text("00010d\n")
+        args = ["--include-aux", "--dc-policy", dc_policy, "-f", "json", "--no-timestamp"]
+        _, out, _ = run(capsys, "simulate", str(circuit), "--tests", str(tests_file), *args)
+        report = json.loads(out)
+        assert report["test_sets"]["User"]["patterns"] == ["000101"]
+        verdict = next(v for v in report["verdicts"] if (v["class"], v["line_a"], v["line_b"],
+                                                         v["polarity"]) == BRIDGE_X2_X4_OR)
+        assert verdict["verdict"] == "Redundant"
+
 
 class TestGradeCount:
     @pytest.fixture
@@ -525,6 +574,23 @@ class TestBench:
         assert report["t2"]["reference"] == [
             "1000000", "0100000", "0001000", "0000100", "0011000", "0001001",
         ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["atpg", "bench7x3.rev", "--fallback"],
+    ["verify", "bench7x3.rev"],
+    ["bench"],
+])
+def test_commands_read_no_pprm(capsys, monkeypatch, argv):
+    # generation reads the gate supports, so no command derives a PPRM;
+    # cli still names derive_pprm only for the benchmark harness to wrap
+    def refuse(circuit):
+        raise AssertionError("derive_pprm called")
+
+    monkeypatch.setattr(cli, "derive_pprm", refuse)
+    args = [str(DATA / arg) if arg.endswith(".rev") else arg for arg in argv]
+    code, out, err = run(capsys, *args, "--no-timestamp")
+    assert (code, err) == (0, "") and out
 
 
 @pytest.mark.parametrize("text, line, message", [

@@ -153,15 +153,19 @@ def test_hand_built_verdicts():
 def test_grading_computes_each_sensitivity_once(monkeypatch):
     # count the table products, not the reads: the AND outputs take one per
     # gate support, and computing each input's sensitivity columns once takes
-    # at most one per (input, gate reading it) entry of the reader table
-    products = []
-    product = _Good.product
+    # at most one per (input, gate reading it) entry of the reader table.
+    # _fault_difference then reads every pair fault off grading's own _Good
+    # with no product beyond those, and agrees with its verdicts
+    products, goods = [], []
+    product, init = _Good.product, _Good.__init__
 
     def counting(good, columns):
         products.append(columns)
         return product(good, columns)
 
     monkeypatch.setattr(_Good, "product", counting)
+    monkeypatch.setattr(_Good, "__init__",
+                        lambda self, *args: goods.append(self) or init(self, *args))
     rng = random.Random(12)
     circuit = random_circuit(rng, 0, max_n=8, max_p=3, max_d=12, width_cap=11)
     net = expand_network(circuit)
@@ -176,6 +180,14 @@ def test_grading_computes_each_sensitivity_once(monkeypatch):
     assert not sensitivity_products - entries  # every product is a table entry, read once
     assert 0 < sensitivity_products.total() <= sum(len(sup) for sup in net.gate_supports) < len(xpairs)
     assert evaluation.count("detected") > 0
+
+    (good,), graded = goods, len(products)
+    for k, verdict in enumerate(evaluation.verdicts[net.d :], start=net.d):
+        fault = verdict.fault
+        diff = _fault_difference(good, fault.kind, fault.ids, fault.polarity)
+        first = (diff & -diff).bit_length() - 1 if diff else None
+        assert (verdict.status == "detected", verdict.pattern_index) == (bool(diff), first), k
+    assert len(products) == graded
 
 
 @pytest.mark.parametrize("seed", range(4))

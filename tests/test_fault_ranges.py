@@ -22,7 +22,6 @@ from bridgetest import (
     SET_NAMES,
     FaultKind,
     TestSet,
-    derive_pprm,
     enumerate_faults,
     evaluate_test_set,
     expand_network,
@@ -168,7 +167,6 @@ def test_reports_match_reference_renderer():
     statuses, methods = set(), set()
     for rng, circuit in _circuits(5, 6):
         net = expand_network(circuit)
-        pprms = derive_pprm(circuit)
         for include_aux in (False, True):
             faults = enumerate_faults(net, include_aux=include_aux, record_out_of_model=True)
             report = build_fault_report(circuit, net, faults, {}, timestamp=False)
@@ -180,7 +178,7 @@ def test_reports_match_reference_renderer():
             for names, fallback, cap in _RUNS:
                 cfg = RunConfig("verify", names, oracle_cap=cap, fallback=fallback,
                                 include_aux=include_aux)
-                sets = generate_sets(pprms, net, names).ordered_sets()
+                sets = generate_sets(net, names).ordered_sets()
                 run = run_pipeline(net, faults, sets, cfg)
                 report = build_coverage_report(
                     circuit, net, faults, run.evaluation, sets, run.union, run.bound,

@@ -20,7 +20,6 @@ from bridgetest import (
     BridgingFault,
     assemble_union,
     check_bound,
-    derive_pprm,
     enumerate_faults,
     evaluate_test_set,
     expand_network,
@@ -68,13 +67,12 @@ def test_pipeline_matches_reference_sequence():
     for index, circuit in enumerate(_circuits(5)):
         network = expand_network(circuit)
         faults = enumerate_faults(network)
-        pprms = derive_pprm(circuit)
         dc = ("fill-zero", "fill-one")[index // 2 % 2]
         for names, dedup, fallback, cap in itertools.product(
             SELECTIONS, (False, True), (True, False), (DEFAULT_ORACLE_CAP, 0)
         ):
             cfg = RunConfig("verify", names, dc, cap, fallback, dedup)
-            sets = generate_sets(pprms, network, names).ordered_sets()
+            sets = generate_sets(network, names).ordered_sets()
             verdicts, masks, union, bound = reference(network, faults, sets, cfg)
             run = run_pipeline(network, faults, sets, cfg)
             label = (circuit.name, names, dedup, fallback, cap)
@@ -92,7 +90,7 @@ def test_one_fault_object_per_oracle_call(monkeypatch):
     network = expand_network(circuit)
     faults = enumerate_faults(network)
     cfg = RunConfig("atpg", ("T1", "T4"))
-    sets = generate_sets(derive_pprm(circuit), network, cfg.sets).ordered_sets()
+    sets = generate_sets(network, cfg.sets).ordered_sets()
     built, calls = [], []
     new, oracle = BridgingFault.__new__, atpg.exhaustive_detectability
     monkeypatch.setattr(BridgingFault, "__new__",
@@ -116,7 +114,7 @@ def test_five_sets_detect_every_detectable_fault_within_the_bound(seed, zero_con
         circuit = with_zero_control(circuit, rng)
     network = expand_network(circuit)
     cfg = RunConfig("verify", oracle_cap=network.n + network.p)
-    sets = generate_sets(derive_pprm(circuit), network).ordered_sets()
+    sets = generate_sets(network).ordered_sets()
     run = run_pipeline(network, enumerate_faults(network), sets, cfg)
     label = format_circuit(circuit)
     assert run.union.fallback_count == 0, label

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bridgetest import (
     assemble_union,
     check_bound,
-    derive_pprm,
     enumerate_faults,
     evaluate_test_set,
     expand_network,
@@ -31,15 +30,14 @@ from bridgetest.report import (
 
 @pytest.fixture(scope="module")
 def bench_union(bench):
-    return assemble_union(generate_sets(derive_pprm(bench), expand_network(bench)).ordered_sets())
+    return assemble_union(generate_sets(expand_network(bench)).ordered_sets())
 
 
 @pytest.fixture(scope="module")
 def bench_report(bench, bench_union):
     net = expand_network(bench)
-    pprms = derive_pprm(bench)
     faults = enumerate_faults(net)
-    result = generate_sets(pprms, net)
+    result = generate_sets(net)
     union = bench_union
     evaluation = evaluate_test_set(net, faults, union.test_set.rows)
     bound = check_bound(union, 7, 3)
@@ -164,8 +162,7 @@ def test_csv_faults(bench):
 
 def test_csv_needs_rows(bench, bench_report):
     net = expand_network(bench)
-    pprms = derive_pprm(bench)
-    result = generate_sets(pprms, net)
+    result = generate_sets(net)
     union = assemble_union(result.ordered_sets())
     gen = build_generation_report(
         bench, net, result.ordered_sets(), union, check_bound(union, 7, 3),
@@ -191,8 +188,7 @@ def test_text_rendering(bench_report):
 
 def test_text_bound_fail_and_fallback_note(bench, bench_report):
     net = expand_network(bench)
-    pprms = derive_pprm(bench)
-    result = generate_sets(pprms, net)
+    result = generate_sets(net)
     union = assemble_union(result.ordered_sets(), ["0001111111"])
     gen = build_generation_report(
         bench, net, result.ordered_sets(), union, check_bound(union, 7, 3),
@@ -205,8 +201,7 @@ def test_text_bound_fail_and_fallback_note(bench, bench_report):
 
 def test_generation_report_has_no_verdicts(bench):
     net = expand_network(bench)
-    pprms = derive_pprm(bench)
-    result = generate_sets(pprms, net)
+    result = generate_sets(net)
     union = assemble_union(result.ordered_sets())
     gen = build_generation_report(
         bench, net, result.ordered_sets(), union, check_bound(union, 7, 3),

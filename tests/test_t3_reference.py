@@ -3,7 +3,8 @@ against their ``count_terms`` definition.
 
 ``reference_t3.gen_input_or_tests`` rebuilds restricted PPRMs and the whole
 parity matrix for every restriction set and walks every set; the generator
-in ``bridgetest.atpg`` reads bitmask rows and prunes the walk.
+in ``bridgetest.atpg`` XORs bitmask rows from the gate supports, reading no
+PPRM, and prunes the walk.
 ``reference_t2.gen_input_and_tests`` splits blocks recursively into a tree
 and checks each cross pair on its own.  Each generator must emit the same
 patterns as its reference, in the same order, and leave the same pairs for
@@ -80,7 +81,7 @@ def circuits(draw):
 @example(circuit=TWICE)
 def test_t3_matches_reference(circuit):
     pprms, net = derive_pprm(circuit), expand_network(circuit)
-    got_set, got_uncovered = gen_input_or_tests(pprms, net)
+    got_set, got_uncovered = gen_input_or_tests(net)
     for dc_policy in DC_POLICIES:
         ref_set, ref_uncovered = reference_t3(pprms, net, dc_policy=dc_policy)
         assert got_set.rows == ref_set.rows
@@ -100,11 +101,11 @@ def test_t2_matches_reference(circuit):
 
 
 def test_cancel4_needs_a_restriction():
-    pprms, net = derive_pprm(CANCEL4), expand_network(CANCEL4)
-    rows = _parity_rows(pprms, 0)
+    net = expand_network(CANCEL4)
+    rows = _parity_rows(net, 0)
     assert rows.get(1, 0) == rows.get(3, 0) == 0
-    assert _parity_rows(pprms, _mask({4}))[1] != 0
-    t3, uncovered = gen_input_or_tests(pprms, net)
+    assert _parity_rows(net, _mask({4}))[1] != 0
+    t3, uncovered = gen_input_or_tests(net)
     assert t3.rows == ["dd11101", "dd01001"]
     assert uncovered == ((1, 3),)
 
@@ -125,12 +126,12 @@ def test_case_c_ends_at_redundant_blocks(monkeypatch, n):
     pprms, net = derive_pprm(circuit), expand_network(circuit)
     calls = []
 
-    def counted(pprm_list, zeros):
+    def counted(network, zeros):
         calls.append(zeros)
-        return _parity_rows(pprm_list, zeros)
+        return _parity_rows(network, zeros)
 
     monkeypatch.setattr("bridgetest.atpg._parity_rows", counted)
-    t3, uncovered = gen_input_or_tests(pprms, net)
+    t3, uncovered = gen_input_or_tests(net)
     assert len(calls) == 1
     assert uncovered == ((1, 2),)
     assert len(t3) == n - 2
@@ -147,7 +148,7 @@ def test_parity_rows_match_count_terms(circuit, data):
     zeroed = frozenset(data.draw(st.lists(st.sampled_from(inputs), unique=True)))
     active = [v for v in inputs if v not in zeroed]
     expected = build_parity_matrix([restrict(f, zeroed) for f in pprms], active)
-    rows = _parity_rows(pprms, _mask(zeroed))
+    rows = _parity_rows(expand_network(circuit), _mask(zeroed))
     assert tuple(
         tuple(rows.get(i, 0) >> j & 1 for j in expected.order) for i in expected.order
     ) == expected.rows
