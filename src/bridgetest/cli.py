@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -105,13 +107,19 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    # a slice at a time, so that encoding never copies the whole text at once
+    # A slice at a time, so that encoding never copies the whole text at once.
+    # A file is written over in place and cut to length: after a truncate to
+    # zero, ext4 starts writeback of the whole file at close.  Only a regular
+    # file is cut, since /dev/null refuses ftruncate.
     slices = (text[k : k + (1 << 20)] for k in range(0, len(text), 1 << 20))
     if path is None or path == "-":
         sys.stdout.writelines(slices)
     else:
-        with open(path, "w", encoding="utf-8") as out:
+        with open(path, "w", encoding="utf-8",
+                  opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as out:
             out.writelines(slices)
+            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+                out.truncate()
 
 
 def _load_circuit(path: str, *, normalize: bool = True):

@@ -149,16 +149,23 @@ def _pack(
 ) -> tuple[list[int], list[int], int]:
     """c and x columns of a row list, bit t holding row t: with the rows
     joined last row first, column k is ``text[k::p + n]`` read in binary.
-    Rows must be p + n long and all 0 or 1 once filled (``int`` reads ``_``)."""
-    p, n = network.p, network.n
+    Rows must be p + n long and all 0 or 1 once filled (``int`` reads ``_``).
+    The constant line is always 1: a d there reads as 1, and a 0 is refused."""
+    p, n, aux = network.p, network.n, network.constant_line
     if set(map(len, rows)) - {p + n}:
         row = next(row for row in rows if len(row) != p + n)
         raise ValueError(f"pattern has {len(row)} symbols, expected {p + n} (p={p} then n={n})")
-    text = "".join(reversed(rows)).translate(FILL_TABLES[dc_policy])
+    text = "".join(reversed(rows))
+    if aux is not None and "0" in text[p + aux - 1 :: p + n]:
+        raise ValueError(f"0 on the constant line x{aux}, which is always 1")
+    text = text.translate(FILL_TABLES[dc_policy])
     if text.translate(_BITS):
         raise ValueError(f"bad pattern symbol {sorted(set(text) - set('01'))!r}")
     cols = [int(text[k :: p + n] or "0", 2) for k in range(p + n)]
-    return cols[:p], cols[p:], (1 << len(rows)) - 1
+    ones = (1 << len(rows)) - 1
+    if aux is not None:
+        cols[p + aux - 1] = ones  # a d there, whatever the fill
+    return cols[:p], cols[p:], ones
 
 
 def _check_lines(network: AndExorNetwork, fault: BridgingFault) -> None:

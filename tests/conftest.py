@@ -62,6 +62,17 @@ def with_zero_control(circuit: ReversibleCircuit, rng: random.Random) -> Reversi
     return normalize_zero_controls(raw)
 
 
+def random_rows(rng: random.Random, network: AndExorNetwork, count: int) -> list[str]:
+    """``count`` rows of random 0, 1 and d symbols.  A 0 drawn on the
+    constant line reads as 1 there, since the library refuses it; a d stays."""
+    rows = ["".join(rng.choice("01d") for _ in range(network.p + network.n))
+            for _ in range(count)]
+    if network.constant_line is None:
+        return rows
+    k = network.p + network.constant_line - 1
+    return [row[:k] + row[k].replace("0", "1") + row[k + 1 :] for row in rows]
+
+
 def evaluation_missing(network: AndExorNetwork, missed) -> Evaluation:
     """An evaluation over ``enumerate_faults(network)`` in which exactly the
     faults in ``missed`` are undetected; every other entry reads detected."""

@@ -98,11 +98,17 @@ def _columns(
 def resolve_bits(
     network: AndExorNetwork, row: str, dc_policy: str = "fill-zero"
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The row's c and x bits, don't-cares filled one symbol at a time."""
+    """The row's c and x bits, don't-cares filled one symbol at a time,
+    except on the constant line: a d there is 1, and a 0 is refused."""
     fill = {"fill-zero": 0, "fill-one": 1}[dc_policy]
     c = tuple(fill if ch == "d" else int(ch) for ch in row[: network.p])
-    x = tuple(fill if ch == "d" else int(ch) for ch in row[network.p :])
-    return c, x
+    x = [fill if ch == "d" else int(ch) for ch in row[network.p :]]
+    aux = network.constant_line
+    if aux is not None:
+        if row[network.p + aux - 1] == "0":
+            raise ValueError(f"0 on the constant line x{aux}")
+        x[aux - 1] = 1
+    return c, tuple(x)
 
 
 def reference_pack(

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -549,6 +550,72 @@ class TestDeterminism:
         assert main(["verify", str(bench_path), "-f", "json", "--no-timestamp",
                      "-o", str(par), "--jobs", "4"]) == 0
         assert seq.read_bytes() == par.read_bytes()
+
+
+class TestOut:
+    """``--out`` writes over an existing file in place, then cuts it to length."""
+
+    GOLDEN = (DATA / "golden" / "verify_and2.txt").read_bytes()
+
+    def verify(self, capsys, and2_path, out):
+        return run(capsys, "verify", str(and2_path), "--no-timestamp", "--out", str(out))
+
+    def test_dev_null(self, capsys, and2_path):
+        # a character device cannot be cut, so only a regular file is
+        if not os.path.exists("/dev/null"):
+            pytest.skip("no /dev/null")
+        assert self.verify(capsys, and2_path, "/dev/null") == (0, "", "")
+
+    def test_missing_directory_exits_3(self, capsys, and2_path, tmp_path):
+        out = tmp_path / "missing" / "r.txt"
+        message = f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert self.verify(capsys, and2_path, out) == (3, "", message)
+
+    def test_directory_exits_3(self, capsys, and2_path, tmp_path):
+        if os.name == "nt":
+            pytest.skip("Windows names a directory's error differently")
+        message = f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+        assert self.verify(capsys, and2_path, tmp_path) == (3, "", message)
+
+    @pytest.mark.skipif(os.name == "nt", reason="no POSIX permission bits")
+    def test_new_file_mode_follows_umask(self, capsys, and2_path, tmp_path):
+        out = tmp_path / "r.txt"
+        old = os.umask(0o027)
+        try:
+            assert self.verify(capsys, and2_path, out) == (0, "", "")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+        assert out.read_bytes() == self.GOLDEN
+
+    def test_opened_without_truncation(self, capsys, monkeypatch, and2_path, tmp_path):
+        out = tmp_path / "r.txt"
+        out.write_bytes(self.GOLDEN * 2)
+        flags, os_open = [], os.open
+
+        def recorded(path, flag, *args, **kwargs):
+            if os.fspath(path) == str(out):
+                flags.append(flag)
+            return os_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recorded)
+        assert self.verify(capsys, and2_path, out) == (0, "", "")
+        assert len(flags) == 1
+        assert flags[0] & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
+        assert not flags[0] & os.O_TRUNC
+        assert out.read_bytes() == self.GOLDEN
+
+    @pytest.mark.skipif(os.name == "nt" or os.geteuid() == 0,
+                        reason="needs POSIX permission bits that bind the user")
+    def test_write_only_file_is_rewritten(self, capsys, and2_path, tmp_path):
+        out = tmp_path / "r.txt"
+        out.write_bytes(self.GOLDEN * 2)
+        out.chmod(0o200)
+        try:
+            assert self.verify(capsys, and2_path, out) == (0, "", "")
+        finally:
+            out.chmod(0o600)
+        assert out.read_bytes() == self.GOLDEN
 
 
 class TestBench:

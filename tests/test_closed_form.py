@@ -15,7 +15,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from conftest import random_circuit, with_zero_control
+from conftest import random_circuit, random_rows, with_zero_control
 from hypothesis import given
 from hypothesis import strategies as st
 from reference_sim import (
@@ -70,7 +70,7 @@ def _assert_closed_form(net, c_cols, x_cols, ones, lazy_cols=None):
 def test_matches_injection_on_packed_patterns(seed):
     for rng, net in _networks(20, seed):
         count = rng.randint(0, 70)
-        rows = ["".join(rng.choice("01d") for _ in range(net.p + net.n)) for _ in range(count)]
+        rows = random_rows(rng, net, count)
         for dc_policy in DC_POLICIES:
             _assert_closed_form(net, *_pack(net, rows, dc_policy))
 
@@ -121,7 +121,10 @@ def _hand_built(text):
 def test_hand_built_xpairs_match_injection(text):
     net = _hand_built(text)
     width = net.n + net.p
-    rows = ["".join(row) for row in itertools.product("01d", repeat=width)]
+    pinned = None if net.constant_line is None else net.p + net.constant_line - 1
+    # every row the library accepts: the constant line is 1 or d
+    rows = ["".join(row) for row in itertools.product(
+        *("1d" if k == pinned else "01d" for k in range(width)))]
     for dc_policy in DC_POLICIES:
         _assert_closed_form(net, *_pack(net, rows, dc_policy))
     cols = TruthColumns(width)

@@ -13,7 +13,7 @@ import random
 from collections import defaultdict
 
 import pytest
-from conftest import DATA, random_circuit, with_zero_control
+from conftest import DATA, random_circuit, random_rows, with_zero_control
 from reference_report import dict_rows, eager_faults, reference_render
 from reference_sim import reference_grade
 
@@ -44,10 +44,6 @@ def _circuits(seed, count):
     for index in range(count):
         circuit = random_circuit(rng, index, max_n=6, max_p=4, max_d=9, width_cap=10)
         yield rng, with_zero_control(circuit, rng) if index % 2 else circuit
-
-
-def _rows(rng, net, count):
-    return ["".join(rng.choice("01d") for _ in range(net.p + net.n)) for _ in range(count)]
 
 
 @pytest.mark.parametrize("include_aux", (False, True))
@@ -94,7 +90,7 @@ def test_grading_matches_scalar_reference(seed):
     for rng, circuit in _circuits(seed, 8):
         net = expand_network(circuit)
         faults = enumerate_faults(net, include_aux=True)
-        rows = _rows(rng, net, rng.randint(0, 40))
+        rows = random_rows(rng, net, rng.randint(0, 40))
         verdicts, masks = reference_grade(net, list(faults), rows)
         ev = evaluate_test_set(net, faults, rows)
         assert ev.verdicts == verdicts
@@ -133,7 +129,7 @@ def test_grading_edge_cases_match_scalar_reference(include_aux, dc_policy):
         assert net.constant_line is not None
         faults = enumerate_faults(net, include_aux=include_aux)
         for count in (0, 1, 16):
-            rows = _rows(rng, net, count)
+            rows = random_rows(rng, net, count)
             verdicts, masks = reference_grade(net, list(faults), rows, dc_policy)
             ev = evaluate_test_set(net, faults, rows, dc_policy)
             assert ev.verdicts == verdicts, (net.n, include_aux, dc_policy, count)
@@ -151,8 +147,8 @@ _RUNS = ((SET_NAMES, True, 22), (("T1", "T4"), False, 22), (("T1", "T4"), True, 
 
 def _test_file(rng, net, count):
     """A random {0,1,d} test file, with a comment, blank lines and spacing."""
-    rows = ["".join(rng.choice("01d") for _ in range(net.p + net.n)) for _ in range(count)]
-    rows = [f"{row[: net.p]} {row[net.p :]}  # pattern {t + 1}" for t, row in enumerate(rows)]
+    rows = [f"{row[: net.p]} {row[net.p :]}  # pattern {t + 1}"
+            for t, row in enumerate(random_rows(rng, net, count))]
     return "# user patterns\n\n" + "\n".join(rows) + "\n"
 
 

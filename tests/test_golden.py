@@ -2,7 +2,9 @@
 
 Each case runs one command line in-process with ``--no-timestamp`` and
 compares stdout and the exit code with the file of the same name under
-``tests/data/golden/``.  When an output change is intended, re-record with
+``tests/data/golden/``, then runs it again with ``--out`` naming a file
+that already holds a longer text, which the report must replace.  When an
+output change is intended, re-record with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
@@ -135,6 +137,19 @@ def test_report_matches_golden(name):
     code, text = _replay(argv)
     assert code == expected_code
     assert text == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_through_out_over_a_longer_file(name, tmp_path):
+    # --out writes over the old file in place: the report must come out
+    # whole and the old file's longer tail cut off
+    expected_code, argv = CASES[name]
+    golden = (GOLDEN / name).read_bytes()
+    path = tmp_path / name
+    path.write_bytes(golden + b"junk\n" * (len(golden) // 5 + 1))
+    code, text = _replay([*argv, "--out", str(path)])
+    assert (code, text) == (expected_code, "")
+    assert path.read_bytes() == golden
 
 
 def test_every_golden_has_a_case():

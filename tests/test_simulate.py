@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from conftest import random_circuit, with_zero_control
+from conftest import random_circuit, random_rows, with_zero_control
 from hypothesis import example, given
 from hypothesis import strategies as st
 from reference_sim import (
@@ -298,11 +298,6 @@ class TestEvaluateTestSet:
         assert ev.coverage() == 1.0
 
 
-def _random_rows(rng, net, count):
-    width = net.p + net.n
-    return ["".join(rng.choice("01d") for _ in range(width)) for _ in range(count)]
-
-
 @given(
     seed=st.integers(0, 2**32 - 1),
     zero_control=st.booleans(),
@@ -321,7 +316,7 @@ def test_columns_match_scalar_reference(seed, zero_control, count, dc_policy):
         circuit = with_zero_control(circuit, rng)
     net = expand_network(circuit)
     faults = enumerate_faults(net, include_aux=True)
-    rows = _random_rows(rng, net, count)
+    rows = random_rows(rng, net, count)
 
     ev = evaluate_test_set(net, faults, rows, dc_policy)
     verdicts, masks = reference_grade(net, faults, rows, dc_policy)
@@ -347,7 +342,7 @@ def test_pack_matches_reference_resolution(dc_policy, count, zero_control):
         circuit = with_zero_control(circuit, rng)
     net = expand_network(circuit)
     assert (net.constant_line is not None) == zero_control
-    rows = _random_rows(rng, net, count)
+    rows = random_rows(rng, net, count)
     assert _pack(net, rows, dc_policy) == reference_pack(net, rows, dc_policy)
 
 
@@ -364,3 +359,42 @@ def test_pack_rejects_bad_symbols(twoline, row, dc_policy):
     # int(..., 2) alone would read "0_1", " 01" or "+01"
     with pytest.raises(ValueError, match="bad pattern symbol"):
         _pack(twoline, ["0d1", row], dc_policy)
+
+
+# x4 is the constant line normalization adds to Z3; XPair (x2, x4) WiredOr
+# is redundant, since with x4 at 1 the OR never moves it
+Z3_TEXT = ".n 3\n.p 2\n.gate c1 : x1\n.gate c2 :\n.end\n"
+
+
+@pytest.fixture(scope="module")
+def z3():
+    net = expand_network(normalize_zero_controls(parse_circuit(Z3_TEXT, allow_zero_controls=True)))
+    assert net.constant_line == 4
+    return net
+
+
+def _x2_x4_or(faults):
+    return next(k for k, f in enumerate(faults) if (f.kind, f.ids, f.polarity)
+                == (FaultKind.X_PAIR, (2, 4), OR))
+
+
+@pytest.mark.parametrize("dc_policy", DC_POLICIES)
+def test_constant_line_zero_refused_by_library(z3, dc_policy):
+    faults = enumerate_faults(z3, include_aux=True)
+    message = "0 on the constant line x4, which is always 1"
+    with pytest.raises(ValueError, match=message):
+        evaluate_test_set(z3, faults, ["000101", "000100"], dc_policy)
+    with pytest.raises(ValueError, match=message):
+        detects(z3, faults[_x2_x4_or(faults)], "000100", dc_policy)
+
+
+@pytest.mark.parametrize("dc_policy", DC_POLICIES)
+def test_constant_line_dont_care_reads_as_one_in_library(z3, dc_policy):
+    faults = enumerate_faults(z3, include_aux=True)
+    k = _x2_x4_or(faults)
+    assert not exhaustive_detectability(z3, faults[k]).detectable
+    ev = evaluate_test_set(z3, faults, ["00010d"], dc_policy)
+    assert ev.verdicts[k].status == "undetected"
+    assert ev.verdicts == evaluate_test_set(z3, faults, ["000101"], dc_policy).verdicts
+    assert not detects(z3, faults[k], "00010d", dc_policy)
+    assert _pack(z3, ["00010d", "1dd1dd"], dc_policy)[1][3] == 0b11
