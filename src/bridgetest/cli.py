@@ -110,16 +110,20 @@ def _write_text(path: str | None, text: str) -> None:
     # A slice at a time, so that encoding never copies the whole text at once.
     # A file is written over in place and cut to length: after a truncate to
     # zero, ext4 starts writeback of the whole file at close.  Only a regular
-    # file is cut, since /dev/null refuses ftruncate.
+    # file that held data is cut (/dev/null refuses ftruncate), and it is cut
+    # even when the write stops partway, so no old bytes follow the new ones.
     slices = (text[k : k + (1 << 20)] for k in range(0, len(text), 1 << 20))
     if path is None or path == "-":
         sys.stdout.writelines(slices)
     else:
         with open(path, "w", encoding="utf-8",
                   opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as out:
-            out.writelines(slices)
-            if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
-                out.truncate()
+            old = os.fstat(out.fileno())
+            try:
+                out.writelines(slices)
+            finally:
+                if stat.S_ISREG(old.st_mode) and old.st_size:
+                    out.truncate()
 
 
 def _load_circuit(path: str, *, normalize: bool = True):

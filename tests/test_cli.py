@@ -617,6 +617,28 @@ class TestOut:
             out.chmod(0o600)
         assert out.read_bytes() == self.GOLDEN
 
+    @pytest.mark.parametrize("stop", [KeyboardInterrupt, OSError])
+    def test_stopped_write_leaves_no_old_bytes(self, monkeypatch, tmp_path, stop):
+        # a write stopped after its first 1 MiB slice is still cut there
+        out = tmp_path / "r.txt"
+        out.write_bytes(b"z" * (3 << 20))
+        real_open = open
+
+        def stopping_open(*args, **kwargs):
+            f = real_open(*args, **kwargs)
+
+            def writelines(slices):
+                f.write(next(iter(slices)))
+                raise stop
+
+            f.writelines = writelines
+            return f
+
+        monkeypatch.setattr(cli, "open", stopping_open, raising=False)
+        with pytest.raises(stop):
+            cli._write_text(str(out), "a" * (2 << 20))
+        assert out.read_bytes() == b"a" * (1 << 20)
+
 
 class TestBench:
     def test_emit_circuit_parses(self, capsys):
