@@ -3,14 +3,13 @@ Parsing a circuit and reading off its AND-EXOR structure
 ========================================================
 
 Loads the built-in 7-input, 3-output benchmark, prints its canonical
-form, and walks the three views the rest of the toolkit is built on:
-the gate list, the per-output product-term expansion, and the flat
+form, and walks the views the rest of the toolkit is built on: the gate
+list, each output's AND terms read off the gate supports, and the flat
 AND-EXOR netlist.
 """
 
 from bridgetest import (
     benchmark_circuit,
-    derive_pprm,
     expand_network,
     format_circuit,
 )
@@ -23,16 +22,18 @@ print(f"n={circuit.n} inputs, p={circuit.p} targets, d={circuit.d} gates")
 print()
 
 # every output is its initial c line XORed with one AND term per gate
-# targeting it; duplicates cancel mod 2 in the canonical form
-for f in derive_pprm(circuit):
+# targeting it, the gate's support, in gate order; duplicates would cancel
+net = expand_network(circuit)
+for j in range(1, net.p + 1):
     terms = " + ".join(
-        "".join(f"x{v}" for v in sorted(t)) for t in f.canonical_terms
+        "".join(f"x{v}" for v in sorted(support))
+        for support, target in zip(net.gate_supports, net.gate_targets)
+        if target == j
     )
-    print(f"f{f.output_index} = c{f.output_index} + {terms}")
+    print(f"f{j} = c{j} + {terms}")
 print()
 
 # the netlist view: one AND per gate feeding a 2-input EXOR cascade
-net = expand_network(circuit)
 print(f"cascade levels per target line: {net.levels}")
 for gate_id in (1, 13, 19):
     left, right = net.exor_inputs(gate_id)

@@ -43,13 +43,11 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .faults import BridgingFault, FaultKind, Polarity
 from .network import AndExorNetwork
 from .patterns import FILL_TABLES, TestSet
-from .pprm import PprmFunction
 from .simulate import (DEFAULT_ORACLE_CAP, UNDETECTED, Evaluation, _change_monomials,
                        _fault_difference, _gate_tables, _Good, _pack, exhaustive_detectability)
 from .simulate import detects  # noqa: F401  (kept: perfbench/spans.py patches atpg.detects)
 
 __all__ = [
-    "count_terms",
     "gen_corner_set",
     "gen_input_and_tests",
     "gen_input_or_tests",
@@ -68,16 +66,6 @@ __all__ = [
 ]
 
 SET_NAMES = ("T1", "T2", "T3", "T4", "T5")
-
-
-def count_terms(pprm_list: Sequence[PprmFunction], k: int, variables: Iterable[int]) -> int:
-    """Number of physical AND gates of output k whose term contains all of
-    ``variables`` (one or two of them)."""
-    need = frozenset(variables)
-    if not 1 <= len(need) <= 2:
-        raise ValueError("count_terms takes one or two variables")
-    f = pprm_list[k - 1]
-    return sum(1 for t in f.term_multiset if need <= t)
 
 
 def _mask(variables: Iterable[int]) -> int:

@@ -20,12 +20,11 @@ against mechanically.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
-from .atpg import _mask, _parity_rows, count_terms
+from .atpg import _parity_rows
 from .circuit import ReversibleCircuit, parse_circuit
-from .network import expand_network
-from .pprm import PprmFunction, derive_pprm
+from .network import AndExorNetwork, expand_network
 
 __all__ = [
     "BENCHMARK_TEXT",
@@ -157,17 +156,17 @@ REFERENCE_T3_X: tuple[str, ...] = (
 
 
 def derived_term_counts(
-    pprm_list: Sequence[PprmFunction], variables: Sequence[int]
+    network: AndExorNetwork, variables: Sequence[int], zeros: Collection[int] = frozenset()
 ) -> dict[tuple[int, int], tuple[int, ...]]:
-    counts = {}
-    for a in range(len(variables)):
-        for b in range(a, len(variables)):
-            i, j = variables[a], variables[b]
-            vs = {i} if i == j else {i, j}
-            counts[(i, j)] = tuple(
-                count_terms(pprm_list, k, vs) for k in range(1, len(pprm_list) + 1)
-            )
-    return counts
+    """Per cell (i, j), i <= j, and per target: the gates whose support holds
+    x_i and x_j and misses ``zeros`` (the target's AND terms, ``zeros`` at 0)."""
+    kept = [(sup, target) for sup, target in zip(network.gate_supports, network.gate_targets)
+            if sup.isdisjoint(zeros)]
+    return {
+        (i, j): tuple(sum(target == k and i in sup and j in sup for sup, target in kept)
+                      for k in range(1, network.p + 1))
+        for a, i in enumerate(variables) for j in variables[a:]
+    }
 
 
 def tabulated_discrepancies(circuit: ReversibleCircuit) -> list[dict]:
@@ -179,12 +178,7 @@ def tabulated_discrepancies(circuit: ReversibleCircuit) -> list[dict]:
     """
     if not is_benchmark(circuit):
         return []
-    pprms, network = derive_pprm(circuit), expand_network(circuit)
-    # x1 = 0 drops the terms that contain x1
-    restricted = [
-        PprmFunction.from_terms(f.output_index, (t for t in f.term_multiset if 1 not in t))
-        for f in pprms
-    ]
+    network = expand_network(circuit)
 
     def tabulated_bits(rows: Sequence[str], variables: range) -> dict:
         return {(i, j): int(b) for row, i in zip(rows, variables) for b, j in zip(row, variables)}
@@ -193,14 +187,15 @@ def tabulated_discrepancies(circuit: ReversibleCircuit) -> list[dict]:
         rows = _parity_rows(network, zeros)
         return {(i, j): rows.get(i, 0) >> j & 1 for i in variables for j in variables}
 
+    # the restricted tables hold x1 at 0; a mask has bit v for x_v
     full, sub = range(1, 8), range(2, 8)
     tables = (
-        ("term-counts", REFERENCE_TERM_COUNTS, derived_term_counts(pprms, full)),
+        ("term-counts", REFERENCE_TERM_COUNTS, derived_term_counts(network, full)),
         ("restricted-term-counts", REFERENCE_RESTRICTED_TERM_COUNTS,
-         derived_term_counts(restricted, sub)),
+         derived_term_counts(network, sub, zeros={1})),
         ("parity", tabulated_bits(REFERENCE_PARITY_ROWS, full), derived_bits(0, full)),
         ("restricted-parity", tabulated_bits(REFERENCE_RESTRICTED_PARITY_ROWS, sub),
-         derived_bits(_mask({1}), sub)),
+         derived_bits(1 << 1, sub)),
     )
     return [
         {"table": table, "cell": cell, "reference": reference, "derived": derived[cell]}

@@ -100,8 +100,8 @@ class ReversibleCircuit(NamedTuple):
         return tuple(i for i in range(1, self.n + 1) if i != self.constant_line)
 
 
-_C_TOKEN = re.compile(r"^c(\d+)$")
-_X_TOKEN = re.compile(r"^x(\d+)$")
+_C_TOKEN = re.compile(r"^c([0-9]+)$")
+_X_TOKEN = re.compile(r"^x([0-9]+)$")
 
 
 def _column(line: str, k: int) -> int:
@@ -135,7 +135,7 @@ def parse_circuit(
             raise ParseError("content after .end", lineno, _column(line, 0))
 
         if head in (".n", ".p"):
-            if len(toks) != 2 or not toks[1].isdigit():
+            if len(toks) != 2 or not (toks[1].isascii() and toks[1].isdigit()):
                 raise ParseError(f"{head} expects one integer", lineno, _column(line, 0))
             value = int(toks[1])
             if value < 1:

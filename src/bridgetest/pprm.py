@@ -3,8 +3,10 @@
 Each output f_j of a k-CNOT circuit is c_j XOR a multiset of positive
 product terms, one term per gate targeting c_j.  The multiset keeps the
 physical gate order and duplicates; the canonical form cancels duplicate
-terms mod 2 and sorts what survives.  Test generation reads the gate
-supports off the network instead; the benchmark's term-count tables use this.
+terms mod 2 and sorts what survives.  No command and no library function
+reads this view: generation and the benchmark's term-count tables read the
+gate supports off the network.  The module is kept only for the benchmark
+harness under `perfbench/`, which times `cli.derive_pprm`, and for tests.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ import re
 
 from bridgetest.circuit import Gate, ParseError, ReversibleCircuit
 
-_C_TOKEN = re.compile(r"^c(\d+)$")
-_X_TOKEN = re.compile(r"^x(\d+)$")
+_C_TOKEN = re.compile(r"^c([0-9]+)$")
+_X_TOKEN = re.compile(r"^x([0-9]+)$")
 
 
 def _tokens_with_columns(line: str) -> list[tuple[str, int]]:
@@ -47,7 +47,7 @@ def reference_parse_circuit(
             raise ParseError("content after .end", lineno, head_col)
 
         if head in (".n", ".p"):
-            if len(toks) != 2 or not toks[1][0].isdigit():
+            if len(toks) != 2 or not (toks[1][0].isascii() and toks[1][0].isdigit()):
                 raise ParseError(f"{head} expects one integer", lineno, head_col)
             value = int(toks[1][0])
             if value < 1:

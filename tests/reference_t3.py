@@ -4,10 +4,11 @@
 ``restrict`` and the parity matrix from ``count_terms`` for every
 restriction set, and walks every set of up to n - 1 inputs held at 0.  It is
 kept, unchanged but for its patterns being rows, as the reference the fast
-generator in ``bridgetest.atpg`` is compared against; ``restrict``,
-``ParityMatrix`` and ``build_parity_matrix`` (the ``count_terms``
-definition of the matrix) live here, so the reference shares no parity
-code with the generator under test.
+generator in ``bridgetest.atpg`` is compared against; ``count_terms``,
+``restrict``, ``ParityMatrix`` and ``build_parity_matrix`` (the
+``count_terms`` definition of the matrix) live here, so the reference shares
+no parity or term-count code with the generator under test or with
+``bridgetest.benchmark.derived_term_counts``.
 """
 
 from __future__ import annotations
@@ -16,12 +17,18 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from bridgetest.atpg import count_terms
 from bridgetest.faults import BridgingFault, Polarity
 from bridgetest.network import AndExorNetwork
 from bridgetest.patterns import TestSet
 from bridgetest.pprm import PprmFunction
 from bridgetest.simulate import detects
+
+
+def count_terms(pprm_list: Sequence[PprmFunction], k: int, variables: Iterable[int]) -> int:
+    """Number of physical AND gates of output k whose term contains all of
+    ``variables`` (one or two of them)."""
+    need = frozenset(variables)
+    return sum(1 for t in pprm_list[k - 1].term_multiset if need <= t)
 
 
 def restrict(pprm: PprmFunction, zeroed: Iterable[int]) -> PprmFunction:

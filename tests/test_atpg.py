@@ -19,8 +19,6 @@ from bridgetest import (
     assemble_union,
     ceil_log2,
     check_bound,
-    count_terms,
-    derive_pprm,
     detects,
     enumerate_faults,
     evaluate_test_set,
@@ -36,6 +34,7 @@ from bridgetest import (
 )
 from bridgetest import atpg, simulate
 from bridgetest.atpg import _parity_rows
+from bridgetest.benchmark import derived_term_counts
 from bridgetest.simulate import UNDETECTED
 
 AND = Polarity.WIRED_AND
@@ -66,46 +65,34 @@ REPAIR_TEXT = """.n 7
 
 
 @pytest.fixture(scope="module")
-def bench_parts(bench):
-    return derive_pprm(bench), expand_network(bench)
+def bench_net(bench):
+    return expand_network(bench)
 
 
-def _parts(text):
-    circuit = parse_circuit(text)
-    return derive_pprm(circuit), expand_network(circuit)
+def _net(text):
+    return expand_network(parse_circuit(text))
 
 
 class TestTermCounts:
-    # spot values recomputed by hand from the gate list  [DERIVED]
-    def test_single_variable(self, bench_parts):
-        pprms, _ = bench_parts
-        assert count_terms(pprms, 1, {1}) == 6
-        assert count_terms(pprms, 1, {5}) == 4
-        assert count_terms(pprms, 2, {4}) == 3
-        assert count_terms(pprms, 3, {7}) == 2
-        assert count_terms(pprms, 2, {1}) == 0
+    # spot values recomputed by hand from the gate list  [DERIVED]; a cell
+    # holds the counts for targets c1, c2, c3
+    def test_single_variable(self, bench_net):
+        counts = derived_term_counts(bench_net, range(1, 8))
+        assert counts[(1, 1)] == (6, 0, 0)
+        assert counts[(5, 5)] == (4, 2, 2)
+        assert counts[(4, 4)] == (4, 3, 1)
+        assert counts[(7, 7)] == (0, 3, 2)
 
-    def test_pair(self, bench_parts):
-        pprms, _ = bench_parts
-        assert count_terms(pprms, 1, {1, 2}) == 4
-        assert count_terms(pprms, 1, {2, 6}) == 1
-        assert count_terms(pprms, 1, {4, 5}) == 1
-        assert count_terms(pprms, 3, {4, 5}) == 1
-        assert count_terms(pprms, 3, {1, 2}) == 0
-        assert count_terms(pprms, 2, {4, 7}) == 2
+    def test_pair(self, bench_net):
+        counts = derived_term_counts(bench_net, range(1, 8))
+        assert counts[(1, 2)] == (4, 0, 0)
+        assert counts[(2, 6)] == (1, 0, 0)
+        assert counts[(4, 5)] == (1, 1, 1)
+        assert counts[(4, 7)] == (0, 2, 0)
 
     def test_counts_respect_multiset(self):
-        pprms, _ = _parts(DUP_TEXT)
         # both physical copies of the x1 gate count, even though they cancel
-        assert count_terms(pprms, 1, {1}) == 2
-        assert pprms[0].canonical_terms == ()
-
-    def test_arity_guard(self, bench_parts):
-        pprms, _ = bench_parts
-        with pytest.raises(ValueError):
-            count_terms(pprms, 1, set())
-        with pytest.raises(ValueError):
-            count_terms(pprms, 1, {1, 2, 3})
+        assert derived_term_counts(_net(DUP_TEXT), (1,))[(1, 1)] == (2, 1)
 
 
 class TestParityMatrix:
@@ -115,9 +102,9 @@ class TestParityMatrix:
         rows = _parity_rows(net, 0)
         return ["".join(str(rows.get(i, 0) >> j & 1) for j in order) for i in order]
 
-    def test_benchmark_rows(self, bench_parts):
+    def test_benchmark_rows(self, bench_net):
         # full derived matrix  [DERIVED]
-        _, net = bench_parts
+        net = bench_net
         assert self._matrix(net, range(1, 8)) == [
             "0000000",
             "0000110",
@@ -128,8 +115,8 @@ class TestParityMatrix:
             "0010101",
         ]
 
-    def test_symmetry_and_accessor(self, bench_parts):
-        _, net = bench_parts
+    def test_symmetry_and_accessor(self, bench_net):
+        net = bench_net
         rows = _parity_rows(net, 0)
         for i in range(1, 8):
             for j in range(1, 8):
@@ -137,12 +124,12 @@ class TestParityMatrix:
         assert rows[2] >> 6 & 1 == 1
         assert rows[5] >> 5 & 1 == 0
 
-    def test_subset_of_variables(self, bench_parts):
-        _, net = bench_parts
+    def test_subset_of_variables(self, bench_net):
+        net = bench_net
         assert self._matrix(net, (3, 5, 7)) == ["111", "101", "111"]
 
     def test_is_zero(self):
-        _, net = _parts(".n 2\n.p 1\n.gate c1 : x1\n.gate c1 : x1\n.end\n")
+        net = _net(".n 2\n.p 1\n.gate c1 : x1\n.gate c1 : x1\n.end\n")
         assert not any(_parity_rows(net, 0).values())
 
 
@@ -163,10 +150,10 @@ class TestCornerSet:
 
 
 class TestInputAndSet:
-    def test_benchmark_patterns(self, bench_parts):
+    def test_benchmark_patterns(self, bench_net):
         # frozen construction output (differs from the shipped worked set in
         # its last two rows; coverage is verified pairwise below)  [DERIVED]
-        _, net = bench_parts
+        net = bench_net
         ts, uncovered = gen_input_and_tests(net)
         assert ts.name == "T2" and ts.rows == [
             "ddd1000000",
@@ -178,8 +165,8 @@ class TestInputAndSet:
         ]
         assert uncovered == ()
 
-    def test_benchmark_covers_all_wired_and_pairs(self, bench_parts):
-        _, net = bench_parts
+    def test_benchmark_covers_all_wired_and_pairs(self, bench_net):
+        net = bench_net
         ts, _ = gen_input_and_tests(net)
         for i in range(1, 8):
             for j in range(i + 1, 8):
@@ -195,16 +182,16 @@ class TestInputAndSet:
     def test_candidate_rejected_then_accepted(self):
         # f1 cancels to 0, so the single-control candidates detect nothing
         # and the two-control gate must carry the first split
-        _, net = _parts(DUP_TEXT)
+        net = _net(DUP_TEXT)
         ts, uncovered = gen_input_and_tests(net)
         assert ts.rows == ["dd110"]
         assert uncovered == ((1, 2),)
 
 
 class TestInputOrSet:
-    def test_benchmark_patterns(self, bench_parts):
+    def test_benchmark_patterns(self, bench_net):
         # four case-(a) splits, one case (b), one case (c) at x1 = 0  [DERIVED]
-        _, net = bench_parts
+        net = bench_net
         ts, uncovered = gen_input_or_tests(net)
         assert ts.name == "T3" and ts.rows == [
             "ddd1101111",
@@ -216,8 +203,8 @@ class TestInputOrSet:
         ]
         assert uncovered == ()
 
-    def test_benchmark_covers_all_wired_or_pairs(self, bench_parts):
-        _, net = bench_parts
+    def test_benchmark_covers_all_wired_or_pairs(self, bench_net):
+        net = bench_net
         ts, _ = gen_input_or_tests(net)
         for i in range(1, 8):
             for j in range(i + 1, 8):
@@ -227,7 +214,7 @@ class TestInputOrSet:
     def test_emission_is_partition_gated(self):
         # x = 110 would detect the pairs it leaves joined, but no block
         # split justifies it, so the generator stays at n - 1 patterns
-        _, net = _parts(XOR3_TEXT)
+        net = _net(XOR3_TEXT)
         ts, uncovered = gen_input_or_tests(net)
         assert ts.rows == ["d011", "d101"]
         assert uncovered == ()
@@ -241,13 +228,13 @@ class TestInputOrSet:
         assert uncovered == ()
 
     def test_duplicate_terms_cancel_into_case_a(self):
-        _, net = _parts(DUP_TEXT)
+        net = _net(DUP_TEXT)
         ts, uncovered = gen_input_or_tests(net)
         assert ts.rows == ["dd011", "dd101"]
         assert uncovered == ()
 
-    def test_size_within_partition_budget(self, bench_parts):
-        _, net = bench_parts
+    def test_size_within_partition_budget(self, bench_net):
+        net = bench_net
         ts, _ = gen_input_or_tests(net)
         assert len(ts) <= net.n - 1
 
@@ -297,8 +284,8 @@ class TestWalkingZeroSet:
 
 
 class TestGenerateSets:
-    def test_full_benchmark_run(self, bench_parts):
-        _, net = bench_parts
+    def test_full_benchmark_run(self, bench_net):
+        net = bench_net
         result = generate_sets(net)
         assert list(result.sets) == ["T1", "T2", "T3", "T4", "T5"]
         sizes = {name: len(ts) for name, ts in result.sets.items()}
@@ -306,13 +293,13 @@ class TestGenerateSets:
         assert result.t2_uncovered == ()
         assert result.t3_uncovered == ()
 
-    def test_selector(self, bench_parts):
-        _, net = bench_parts
+    def test_selector(self, bench_net):
+        net = bench_net
         result = generate_sets(net, ["T1", "T4"])
         assert list(result.sets) == ["T1", "T4"]
         assert result.t2_uncovered == result.t3_uncovered == ()
 
-    def test_generation_packs_no_rows_and_builds_no_good(self, monkeypatch, bench_parts):
+    def test_generation_packs_no_rows_and_builds_no_good(self, monkeypatch, bench_net):
         # T2 and T3 decide each split from the gate-support masks, and T3's
         # oracle reads them too: nothing is packed or evaluated.  A candidate
         # split reads the sensitivity of each moved input r, in ascending r,
@@ -341,7 +328,7 @@ class TestGenerateSets:
         monkeypatch.setattr(atpg._Partition, "sensitive", recorded_sensitive)
         monkeypatch.setattr(atpg, "exhaustive_detectability",
                             lambda net, f: proofs.append(f) or oracle(net, f))
-        generate_sets(bench_parts[1])
+        generate_sets(bench_net)
         rng = random.Random(17)
         for index in range(40):
             circuit = random_circuit(rng, index, max_n=10, max_d=14, width_cap=14)
@@ -353,7 +340,7 @@ class TestGenerateSets:
             if next_k == split_k:
                 assert shown and next_r > r
         del splits[:], reads[:]
-        generate_sets(_parts(DUP_TEXT)[1])
+        generate_sets(_net(DUP_TEXT))
         # T2: x1 alone detects nothing (f1 cancels), x1 x2 splits off x3, and
         # gate 2's support repeats gate 1's, so it is not tried again; T3:
         # case (a) splits off x1, then x2
@@ -457,15 +444,15 @@ class TestGenerateSets:
                     }
                     assert len(seen) == 1, (circuit.name, r, x, dc_policy)
 
-    def test_unknown_name(self, bench_parts):
-        _, net = bench_parts
+    def test_unknown_name(self, bench_net):
+        net = bench_net
         with pytest.raises(ValueError, match="unknown test-set name"):
             generate_sets(net, ["T1", "T9"])
 
 
 class TestUnionAndBound:
-    def test_benchmark_union(self, bench_parts):
-        _, net = bench_parts
+    def test_benchmark_union(self, bench_net):
+        net = bench_net
         result = generate_sets(net)
         union = assemble_union(result.ordered_sets())
         assert union.pre_dedup_size == 25
@@ -477,9 +464,9 @@ class TestUnionAndBound:
         assert report.construction_size == 25
         assert not report.exceeds_construction
 
-    def test_dedup_drops_resolved_collisions(self, bench_parts):
+    def test_dedup_drops_resolved_collisions(self, bench_net):
         # four T5 rows resolve to the same vectors as earlier T3 rows
-        _, net = bench_parts
+        net = bench_net
         result = generate_sets(net)
         union = assemble_union(result.ordered_sets(), dedup=True)
         assert union.pre_dedup_size == 25
@@ -491,8 +478,8 @@ class TestUnionAndBound:
         # the bound still judges the pre-dedup size
         assert check_bound(union, 7, 3).size == 25
 
-    def test_fallback_counts_separately(self, bench_parts):
-        _, net = bench_parts
+    def test_fallback_counts_separately(self, bench_net):
+        net = bench_net
         result = generate_sets(net)
         union = assemble_union(result.ordered_sets(), ["0001111111"])
         assert union.origins[-2:] == ["T5", "Fallback"]

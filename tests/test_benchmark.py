@@ -1,8 +1,11 @@
 """Built-in benchmark and its shipped reference tables."""
 
-from reference_t3 import restrict
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from bridgetest import BENCHMARK_TEXT, benchmark_circuit, derive_pprm, tabulated_discrepancies
+from bridgetest import BENCHMARK_TEXT, benchmark_circuit, expand_network, tabulated_discrepancies
 from bridgetest.benchmark import (
     REFERENCE_PARITY_ROWS,
     REFERENCE_RESTRICTED_PARITY_ROWS,
@@ -45,13 +48,13 @@ def test_reference_tables_are_complete():
 
 
 def test_derived_term_counts_spot_values(bench):
-    pprms = derive_pprm(bench)
-    counts = derived_term_counts(pprms, range(1, 8))
+    net = expand_network(bench)
+    counts = derived_term_counts(net, range(1, 8))
     assert counts[(1, 1)] == (6, 0, 0)
     assert counts[(3, 3)] == (4, 2, 1)
     assert counts[(4, 7)] == (0, 2, 0)
     assert counts[(7, 7)] == (0, 3, 2)
-    sub = derived_term_counts([restrict(f, {1}) for f in pprms], range(2, 8))
+    sub = derived_term_counts(net, range(2, 8), zeros={1})
     assert sub[(2, 2)] == (2, 0, 0)
     assert sub[(7, 7)] == (0, 3, 2)
 
@@ -85,6 +88,16 @@ def test_discrepancy_list_is_frozen(bench):
         ("restricted-parity", (6, 6)): (0, 1),
     }
     assert len(tabulated_discrepancies(bench)) == 20
+
+
+def test_tables_load_no_pprm():
+    # pytest has loaded bridgetest.pprm already, so ask a fresh interpreter
+    code = ("import sys, bridgetest as b; b.tabulated_discrepancies(b.benchmark_circuit());"
+            " print('bridgetest.pprm' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
 
 
 def test_discrepancies_empty_off_benchmark():

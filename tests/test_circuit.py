@@ -88,6 +88,11 @@ def test_format_round_trip_random():
         (".gate c1 : x1", ".gate before .n and .p", 1, 1),
         ("# nothing\n", "missing .n or .p", 2, 1),
         (".n 2\n.p 1\n.gate c1 : x1", "missing .end", 4, 1),
+        # digits are ASCII only: int() reads '٣' as 3 and refuses '²'
+        (".n ٣\n.p 1\n.end", ".n expects one integer", 1, 1),
+        (".n ²\n.p 1\n.end", ".n expects one integer", 1, 1),
+        (".n 2\n.p 1\n.gate c١ : x١\n.end", "bad target token 'c١'", 3, 7),
+        (".n 2\n.p 1\n.gate c1 : x١\n.end", "bad control token 'x١'", 3, 12),
     ],
 )
 def test_parse_errors(text, message, line, column):
@@ -163,7 +168,7 @@ def test_round_trip_property(n, p, rnd):
 _SPACES = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000")
 _ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029")
 _TOKENS = (".n", ".p", ".gate", ".end", ":", "c1", "c2", "c0", "c9", "x1", "x2", "x0", "x9",
-           "0", "2", "-1", "²", "x1:", "foo", ".wires")
+           "0", "2", "-1", "²", "٣", "c١", "x١", "x1:", "foo", ".wires")
 
 
 @st.composite
@@ -202,7 +207,7 @@ def circuit_texts(draw):
 def _parse_outcome(parse, text, allow_zero_controls):
     try:
         return parse(text, allow_zero_controls=allow_zero_controls)
-    except ValueError as err:  # CircuitError, ParseError, or int() of a digit like '²'
+    except CircuitError as err:  # ParseError too
         return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
 
 

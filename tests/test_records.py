@@ -23,13 +23,13 @@ from bridgetest import (
     GenerationResult,
     OracleResult,
     Polarity,
-    PprmFunction,
     ReversibleCircuit,
     TestSet,
     UnionResult,
     detects,
 )
 from bridgetest.cli import RunConfig
+from bridgetest.pprm import PprmFunction
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 

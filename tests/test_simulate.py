@@ -24,7 +24,6 @@ from bridgetest import (
     FaultKind,
     BridgingFault,
     Polarity,
-    derive_pprm,
     detects,
     enumerate_faults,
     evaluate_test_set,
@@ -35,6 +34,7 @@ from bridgetest import (
     parse_test_file,
 )
 from bridgetest.atpg import gen_corner_set
+from bridgetest.pprm import derive_pprm
 from bridgetest.simulate import _pack
 
 AND = Polarity.WIRED_AND

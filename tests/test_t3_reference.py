@@ -1,5 +1,5 @@
-"""The T2 and T3 generators against their references, and parity rows
-against their ``count_terms`` definition.
+"""The T2 and T3 generators against their references, and parity rows and
+the benchmark's term counts against their ``count_terms`` definition.
 
 ``reference_t3.gen_input_or_tests`` rebuilds restricted PPRMs and the whole
 parity matrix for every restriction set and walks every set; the generator
@@ -19,12 +19,14 @@ from conftest import DATA, random_circuit, with_zero_control
 from hypothesis import example, given
 from hypothesis import strategies as st
 from reference_t2 import gen_input_and_tests as reference_t2
-from reference_t3 import build_parity_matrix, restrict
+from reference_t3 import build_parity_matrix, count_terms, restrict
 from reference_t3 import gen_input_or_tests as reference_t3
 
-from bridgetest import derive_pprm, expand_network, normalize_zero_controls, parse_circuit
+from bridgetest import expand_network, normalize_zero_controls, parse_circuit
 from bridgetest.atpg import _mask, _parity_rows, gen_input_and_tests, gen_input_or_tests
+from bridgetest.benchmark import derived_term_counts
 from bridgetest.circuit import Gate, ReversibleCircuit
+from bridgetest.pprm import derive_pprm
 
 DC_POLICIES = ("fill-zero", "fill-one")
 
@@ -152,3 +154,18 @@ def test_parity_rows_match_count_terms(circuit, data):
     assert tuple(
         tuple(rows.get(i, 0) >> j & 1 for j in expected.order) for i in expected.order
     ) == expected.rows
+
+
+@given(circuit=circuits(), data=st.data())
+def test_derived_term_counts_match_count_terms(circuit, data):
+    # gates counted off the supports, against terms counted in the PPRM multisets
+    pprms = derive_pprm(circuit)
+    inputs = list(range(1, circuit.n + 1))
+    zeroed = frozenset(data.draw(st.lists(st.sampled_from(inputs), unique=True)))
+    variables = sorted(data.draw(st.lists(st.sampled_from(inputs), unique=True)))
+    restricted = [restrict(f, zeroed) for f in pprms]
+    expected = {
+        (i, j): tuple(count_terms(restricted, k, {i, j}) for k in range(1, circuit.p + 1))
+        for i in variables for j in variables if i <= j
+    }
+    assert derived_term_counts(expand_network(circuit), variables, zeroed) == expected
