@@ -121,8 +121,12 @@ def _input_pattern(network: AndExorNetwork, ones: int) -> str:
 
 
 def _bits(mask: int) -> list[int]:
-    """The set bits of ``mask``, ascending."""
-    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+    """The set bits of ``mask``, ascending, one step per set bit."""
+    out = []
+    while mask:
+        out.append((low := mask & -mask).bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class _Partition:

@@ -357,14 +357,15 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _oracle_cap(text: str) -> int:
-    try:
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if cap < 0:
-        raise argparse.ArgumentTypeError(f"must be 0 or more, got {cap}")
-    return cap
+def _count(text: str) -> int:
+    """``--oracle-cap`` or ``--jobs`` in ASCII digits only, as ``parse_circuit``
+    reads ``.n`` and ``.p``: no sign, space, underscore or other script."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    magnitude = text[1:]
+    if text[:1] == "-" and magnitude.isascii() and magnitude.isdigit() and int(magnitude):
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got -{int(magnitude)}")
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 @functools.cache
@@ -390,11 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_grading(sp):
         sp.add_argument("--dc-policy", choices=DC_POLICIES, default="fill-zero",
                         help="how don't-care positions are instantiated")
-        sp.add_argument("--oracle-cap", type=_oracle_cap, default=DEFAULT_ORACLE_CAP,
+        sp.add_argument("--oracle-cap", type=_count, default=DEFAULT_ORACLE_CAP,
                         metavar="N",
                         help="max n+p for exact oracle verdicts in fallback (N >= 0);"
                         " wider circuits get a seeded random search")
-        sp.add_argument("--jobs", type=int, default=1,
+        sp.add_argument("--jobs", type=_count, default=1,
                         help="accepted for older command lines and ignored")
 
     sp = sub.add_parser("parse", help="parse a circuit and echo its canonical form")

@@ -168,15 +168,14 @@ class FaultList(Sequence[BridgingFault]):
         pairs of ``itertools.combinations(lines, 2)``, two entries each."""
         return self._blocks
 
-    def pair_names(self) -> list[tuple[str, str, str]]:
-        """(class, line_a, line_b) per pair in index order, names formatted once."""
-        out = []
+    def level_names(self) -> Iterator[tuple[str, list[str]]]:
+        """``(class label, net names)`` per level of each pair class, in
+        index order, such as ``("IntraLevel", ["w1@0", "w2@0"])``: the
+        level's pairs are ``itertools.combinations`` of its names."""
         for kind, lines, levels in self._blocks:
             label, name = kind.value, _NET_NAMES[kind].format
             for level in levels:
-                names = [name(v, level) for v in lines]
-                out += [(label, a, b) for a, b in itertools.combinations(names, 2)]
-        return out
+                yield label, [name(v, level) for v in lines]
 
     def __iter__(self) -> Iterator[BridgingFault]:
         for gate_id in range(1, self.d + 1):

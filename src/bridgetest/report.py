@@ -5,12 +5,13 @@ byte-stable for a given run configuration.  Its last entry, the fault or
 verdict rows, is a ``Rows`` view over the fault list and the evaluation,
 and the union's patterns are a ``UnionRows`` view that only json reads.
 A render is one ``"".join`` over a flat list of two pieces per row: its
-head (class and net names such as ``a3`` or ``w2@5``, one string shared by
-a pair's two polarity rows), then its polarity label and verdict cell,
-encoded once per distinct verdict.  Only the cells go through the csv
-module, as their detail ("simulation, pattern 3") holds a comma; class
-labels and net names never need quoting.  No row value needs json
-escaping, and ``_json`` writes the header as ``json.dumps(indent=2)`` does.
+head (class and net names such as ``a3`` or ``w2@5``, built by one
+comprehension per class level and shared by a pair's two polarity rows),
+then its polarity label and verdict cell, encoded once per distinct
+verdict.  Only the cells go through the csv module, as their detail
+("simulation, pattern 3") holds a comma; class labels and net names never
+need quoting.  No row value needs json escaping, and ``_json`` writes the
+header as ``json.dumps(indent=2)`` does.
 The timestamp, the only non-deterministic field, can be left out.
 """
 
@@ -18,8 +19,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import re
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -68,16 +70,21 @@ class Rows:
     def __init__(self, faults: FaultList, evaluation: Evaluation | None = None) -> None:
         self.faults, self.evaluation = faults, evaluation
 
-    def pieces(self, head: Callable, encode: Callable,
+    def pieces(self, heads: Callable, encode: Callable,
                labels: Sequence = tuple(_POLARITY_LABELS.values())) -> list[str]:
-        """Two strings per row: ``head((class, line_a, line_b))``, then its
-        label out of ``labels`` (ExorInternal, WiredAnd, WiredOr) and its
-        cell.  ``encode`` is called once, on the distinct (verdict, detail)
+        """Two strings per row: its head, then its label out of ``labels``
+        (ExorInternal, WiredAnd, WiredOr) and its cell.  ``heads(class,
+        pairs)`` returns one head per ``(line_a, line_b)`` pair, called for
+        the ExorInternal rows (``("g1", "")`` on) and once per pair-class
+        level.  ``encode`` is called once, on the distinct (verdict, detail)
         pairs, or on ``[()]`` for fault rows, and returns their cells."""
         d, pairs = self.faults.d, (len(self.faults) - self.faults.d) // 2
         out: list = [None] * (2 * len(self.faults))
-        out[0 : 2 * d : 2] = [head((_EXOR, f"g{g}", "")) for g in range(1, d + 1)]
-        out[2 * d :: 4] = out[2 * d + 2 :: 4] = list(map(head, self.faults.pair_names()))
+        out[0 : 2 * d : 2] = heads(_EXOR, [(f"g{g}", "") for g in range(1, d + 1)])
+        pair_heads: list[str] = []
+        for label, names in self.faults.level_names():
+            pair_heads += heads(label, itertools.combinations(names, 2))
+        out[2 * d :: 4] = out[2 * d + 2 :: 4] = pair_heads
         ev = self.evaluation
         if ev is None:
             end = encode([()])[0]
@@ -223,8 +230,9 @@ def _json(value, indent: str = "\n") -> str:
     return value.json(indent)
 
 
-_JSON_HEAD = ('    {\n      "class": "%s",\n      "line_a": "%s",\n      "line_b": "%s",\n'
-              '      "polarity": "')
+def _json_heads(label: str, pairs: Iterable[tuple[str, str]]) -> list[str]:
+    return [f'    {{\n      "class": "{label}",\n      "line_a": "{a}",\n      "line_b": "{b}",\n'
+            '      "polarity": "' for a, b in pairs]
 
 
 def _json_cells(fields: list[tuple[str, ...]]) -> list[str]:
@@ -244,7 +252,7 @@ def _render_json(report: dict) -> str:
         return _json(report) + "\n"
     # the rows come last: encode the header, then join them in before its "\n}"
     head = _json({k: v for k, v in report.items() if k != key})
-    pieces = report[key].pieces(_JSON_HEAD.__mod__, _json_cells)
+    pieces = report[key].pieces(_json_heads, _json_cells)
     if not pieces:
         return f'{head[:-2]},\n  "{key}": []\n}}\n'
     pieces[-1] = pieces[-1][:-2] + "\n  ]\n}\n"  # the last row takes no comma
@@ -256,7 +264,8 @@ def _render_csv(report: dict) -> str:
     key = _row_key(report)
     if key is None:
         raise ValueError("report has no row section for csv output")
-    pieces = report[key].pieces(",".join, _csv_cells, (",", ",WiredAnd", ",WiredOr"))
+    pieces = report[key].pieces(lambda label, pairs: [f"{label},{a},{b}" for a, b in pairs],
+                                _csv_cells, (",", ",WiredAnd", ",WiredOr"))
     pieces.insert(0, "class,line_a,line_b,polarity,verdict,detail\n" if key == "verdicts"
                   else "class,line_a,line_b,polarity\n")
     return "".join(pieces)
@@ -311,8 +320,9 @@ def _render_text(report: dict) -> str:
             detail = f" ({detail})" if detail else ""
             lines.append(f"  {STATUSES[ev.status[k]]}: {fault.kind.value} {where}{detail}")
     if "faults" in report and "coverage" not in report:
-        pieces = report["faults"].pieces(lambda names: "  " + " ".join(filter(None, names)),
-                                         lambda _: ["\n"], ("", " WiredAnd", " WiredOr"))
+        pieces = report["faults"].pieces(
+            lambda label, pairs: [f"  {label} {a} {b}".rstrip() for a, b in pairs],  # b may be ""
+            lambda _: ["\n"], ("", " WiredAnd", " WiredOr"))
         pieces.insert(0, "\n".join(lines) + "\n")
         return "".join(pieces)
     return "\n".join(lines) + "\n"

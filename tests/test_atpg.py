@@ -73,6 +73,22 @@ def _net(text):
     return expand_network(parse_circuit(text))
 
 
+def _bits(mask):
+    """The set bits of ``mask``, ascending, one bit position at a time: the
+    reference for ``atpg._bits``, which steps from set bit to set bit."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def test_bits_match_bit_position_scan():
+    rng = random.Random(27)
+    masks = [0, 1, 1 << 64, 1 << 299, (1 << 300) - 1, (1 << 65) | 1]
+    for width in (1, 8, 20, 64, 70, 300):
+        masks += [rng.getrandbits(width) for _ in range(50)]
+        masks += [rng.getrandbits(width) | 1 for _ in range(10)]  # bit 0: no constant line
+    for mask in masks:
+        assert atpg._bits(mask) == _bits(mask), hex(mask)
+
+
 class TestTermCounts:
     # spot values recomputed by hand from the gate list  [DERIVED]; a cell
     # holds the counts for targets c1, c2, c3
@@ -362,14 +378,14 @@ class TestGenerateSets:
         decisions = []
 
         def checked(self, ones, block, side):
-            rest = atpg._bits(block & ~side)
+            rest = _bits(block & ~side)
             row = atpg._input_pattern(self.network, ones)
             expected = bool(rest) and all(
                 detects(self.network, BridgingFault.x_pair(r, rest[0], self.polarity), row)
-                for r in atpg._bits(side)
+                for r in _bits(side)
             )
             accepted = split(self, ones, block, side)
-            assert accepted == expected, (row, atpg._bits(block), atpg._bits(side))
+            assert accepted == expected, (row, _bits(block), _bits(side))
             decisions.append((self.polarity, accepted))
             return accepted
 
@@ -402,13 +418,13 @@ class TestGenerateSets:
         split = atpg._Partition.split
 
         def checked(partition, ones, block, side):
-            rest = atpg._bits(block & ~side)
+            rest = _bits(block & ~side)
             row = atpg._input_pattern(net, ones)
             expected = bool(rest) and all(
                 detects(net, BridgingFault.x_pair(r, s, partition.polarity), row)
-                for r in atpg._bits(side) for s in rest
+                for r in _bits(side) for s in rest
             )
-            assert split(partition, ones, block, side) == expected, (row, atpg._bits(side))
+            assert split(partition, ones, block, side) == expected, (row, _bits(side))
             return expected
 
         with mock.patch.object(atpg._Partition, "split", checked):

@@ -120,16 +120,20 @@ class TestArgHandling:
         with pytest.raises(SystemExit) as exc:
             main(["verify", str(bench_path), "--oracle-cap", cap])
         assert exc.value.code == 2
-        assert "--oracle-cap" in capsys.readouterr().err
+        assert "--oracle-cap: must be 0 or more, got -1" in capsys.readouterr().err
 
     def test_oracle_cap_not_an_int(self, capsys, bench_path):
-        # worded like argparse's own int check, e.g. for --jobs
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", str(bench_path), "--oracle-cap", "abc"])
-        err = capsys.readouterr().err
-        assert exc.value.code == 2
-        assert "invalid int value: 'abc'" in err
-        assert "_oracle_cap" not in err
+        # ASCII digits only, as for .n and .p: int() would read a non-ASCII
+        # digit, a sign, a space or an underscore, and the report would echo
+        # the number; worded like argparse's own int check
+        for flag in ("--oracle-cap", "--jobs"):
+            for text in ("abc", "\u0663", "+3", " 3", "3 ", "1_000", "1_0", "-0", "", "3.0", "0x3"):
+                with pytest.raises(SystemExit) as exc:
+                    main(["verify", str(bench_path), flag, text])
+                err = capsys.readouterr().err
+                assert exc.value.code == 2, (flag, text)
+                assert f"{flag}: invalid int value: {text!r}" in err
+                assert "_count" not in err
 
     def test_oracle_cap_limits_accepted(self, bench_path):
         parser = build_parser()

@@ -159,12 +159,32 @@ def _assert_verdicts_render_like_reference(report, faults, evaluation, union):
         assert render_report(report, fmt) == reference_render(reference, fmt)
 
 
+# empty pair classes, whose row heads come from an empty combinations():
+# no gates and one line each (no row at all), p = 1 (no IntraLevel pair),
+# one gate (no APair), and a 0-control gate on a constant line x3
+_EDGE_TEXTS = (
+    ".n 1\n.p 1\n.end\n",
+    ".n 3\n.p 1\n.gate c1 : x1 x2\n.gate c1 : x3\n.end\n",
+    ".n 2\n.p 2\n.gate c2 : x1\n.end\n",
+    ".n 2\n.p 2\n.gate c1 :\n.gate c2 : x1 x2\n.end\n",
+)
+
+
+def _render_circuits():
+    yield from _circuits(5, 6)
+    rng = random.Random(6)
+    for text in _EDGE_TEXTS:
+        yield rng, normalize_zero_controls(parse_circuit(text, allow_zero_controls=True))
+
+
 def test_reports_match_reference_renderer():
-    statuses, methods = set(), set()
-    for rng, circuit in _circuits(5, 6):
+    statuses, methods, shapes = set(), set(), set()
+    for rng, circuit in _render_circuits():
         net = expand_network(circuit)
         for include_aux in (False, True):
             faults = enumerate_faults(net, include_aux=include_aux, record_out_of_model=True)
+            shapes.add((net.p == 1, net.d <= 1, len(faults) == 0,
+                        include_aux and net.constant_line is not None))
             report = build_fault_report(circuit, net, faults, {}, timestamp=False)
             reference = dict_rows(report, eager_faults(net, include_aux=include_aux)[0])
             assert json.loads(render_report(report, "json")) == reference
@@ -198,3 +218,5 @@ def test_reports_match_reference_renderer():
                 methods.update(v.method for v in run.evaluation.verdicts)
     assert statuses == {"detected", "undetected", "redundant", "unresolved"}
     assert methods == {None, "simulation", "stimulation", "exhaustive", "constant-line"}
+    # p = 1, d <= 1, no fault at all, and a constant line among the XPair lines
+    assert all(map(any, zip(*shapes)))
