@@ -42,9 +42,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .faults import BridgingFault, FaultKind, Polarity
 from .network import AndExorNetwork
-from .patterns import FILL_TABLES, TestSet
+from .patterns import TestSet, fill_table
 from .simulate import (DEFAULT_ORACLE_CAP, UNDETECTED, Evaluation, _change_monomials,
-                       _fault_difference, _gate_tables, _Good, _pack, exhaustive_detectability)
+                       _fault_difference, _gate_tables, _pack, exhaustive_detectability)
 from .simulate import detects  # noqa: F401  (kept: perfbench/spans.py patches atpg.detects)
 
 __all__ = [
@@ -387,9 +387,9 @@ def assemble_union(
     origins = [ts.name for ts in sets for _ in ts.rows] + ["Fallback"] * len(fallback)
     pre = len(rows)
     if dedup:
-        first: dict[str, int] = {}  # filled row -> its first index, in row order
+        table, first = fill_table(dc_policy), {}  # first: filled row -> its first index
         for k, row in enumerate(rows):
-            first.setdefault(row.translate(FILL_TABLES[dc_policy]), k)
+            first.setdefault(row.translate(table), k)
         rows, origins = [rows[k] for k in first.values()], [origins[k] for k in first.values()]
     return UnionResult(TestSet("Union", rows), pre, len(fallback), pre - len(rows), origins)
 
@@ -451,17 +451,17 @@ def fallback_search(
 ) -> FallbackResult:
     """Repair coverage for the faults grading left undetected.
 
-    The misses are the ``undetected`` entries of the graded ``evaluation``,
+    Unmet ExorInternal obligations are repaired first, by the corner set's
+    rows, which provably complete every reachable mask.  The pair misses,
+    the other ``undetected`` entries of the graded ``evaluation``, are
     visited in index order.  Each is read once against the repair rows
-    appended so far, packed as columns, and skipped if they detect it.  Up
-    to width ``oracle_cap`` the others get the oracle's exact verdict: a
-    witness pattern, which goes in as its row, or a redundancy proof.  Both
-    entries of an APair or IntraLevel pair take the verdict the oracle gave
-    the first.  Above the cap a random search, seeded by the miss's ordinal
-    among all misses, reads 512 draws at once and gives up as unresolved,
-    drawing nothing when the changes have no monomial (a redundant miss).
-    Unmet ExorInternal obligations are repaired by appending the corner
-    set's rows, which provably complete every reachable mask.
+    appended so far and skipped if they detect it.  Up to width
+    ``oracle_cap`` the others get the oracle's exact verdict: a witness
+    row, or a redundancy proof.  Both entries of an APair or IntraLevel
+    pair take the verdict the oracle gave the first.  Above the cap a
+    random search, seeded by the miss's ordinal among all misses, packs
+    512 drawn rows at once and keeps the first detecting one, or gives up
+    as unresolved, drawing nothing when the changes have no monomial.
 
     With ``classify_only`` no patterns are ever added; redundancy and
     unresolved classifications still come out, so a fixed test set can be
@@ -474,27 +474,23 @@ def fallback_search(
     width = network.n + network.p
     repairs = None  # the rows appended so far, packed; read only once there are any
 
-    def append(rows: Iterable[str]) -> _Good:  # no don't-care to resolve
+    def append(rows: Iterable[str]):  # no don't-care to resolve
         patterns.extend(rows)
-        c, x, ones = _pack(network, patterns, "fill-zero")
-        return _Good(network, c + x, ones)
+        return _pack(network, patterns, "fill-zero")
 
-    def misses() -> Iterator[int]:
-        k = status.find(UNDETECTED)
+    def misses(k: int) -> Iterator[int]:  # from index k on
+        k = status.find(UNDETECTED, k)
         while k >= 0:
             yield k
             k = status.find(UNDETECTED, k + 1)
 
-    corners_added = False
+    # unmet ExorInternal obligations: a miss's ordinal, its random seed, counts them
+    unmet, aux = status.count(UNDETECTED, 0, faults.d), network.constant_line
+    if unmet and not classify_only:
+        repairs = append(gen_corner_set(network.n, network.p, constant_line=aux).rows)
     decided, detectable = None, False  # the last pair the oracle decided, and its verdict
-    pinned = None if network.constant_line is None else network.p + network.constant_line - 1
-    for idx, k in enumerate(misses()):
-        if k < faults.d:  # an ExorInternal obligation
-            if not classify_only and not corners_added:
-                corners = gen_corner_set(network.n, network.p, constant_line=network.constant_line)
-                repairs = append(corners.rows)
-                corners_added = True
-            continue
+    pinned = None if aux is None else network.p + aux - 1
+    for idx, k in enumerate(misses(faults.d), start=unmet):
         kind, ids, polarity = faults.entry(k)
         pair = (kind, ids, kind is FaultKind.X_PAIR and polarity)
         if pair == decided:
@@ -513,22 +509,14 @@ def fallback_search(
             continue
         diff = 0
         if not classify_only and _change_monomials(network, kind, ids, polarity):
-            # Draw t fills bit t of the c columns then the x columns, one
-            # rng.choice per line except the constant line, which stays 1.
-            # All draws are read at once; the first detecting one is kept.
+            # one rng.choice per line, c lines then x lines, except the
+            # constant line, which stays 1; all draws are read at once
             rng = random.Random(_RANDOM_SEED * 1000003 + idx)
-            ones = (1 << _RANDOM_DRAWS) - 1
-            cols = [ones if j == pinned else 0 for j in range(width)]
-            drawn = [j for j in range(width) if j != pinned]
-            for t in range(_RANDOM_DRAWS):
-                for j in drawn:
-                    if rng.choice("01") == "1":
-                        cols[j] |= 1 << t
-            draws = _Good(network, cols, ones)
-            diff = _fault_difference(draws, kind, ids, polarity)
+            draws = ["".join("1" if j == pinned else rng.choice("01") for j in range(width))
+                     for _ in range(_RANDOM_DRAWS)]
+            diff = _fault_difference(_pack(network, draws, "fill-zero"), kind, ids, polarity)
         if not diff:
             unresolved.append(k)
-        else:
-            first = (diff & -diff).bit_length() - 1
-            repairs = append(["".join(str(col >> first & 1) for col in cols)])
+        else:  # the first detecting draw
+            repairs = append([draws[(diff & -diff).bit_length() - 1]])
     return FallbackResult(patterns, redundant, unresolved)

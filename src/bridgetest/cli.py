@@ -55,7 +55,6 @@ from .report import (
 )
 from .simulate import (
     DEFAULT_ORACLE_CAP,
-    METHODS,
     REDUNDANT,
     UNDETECTED,
     UNRESOLVED,
@@ -168,10 +167,10 @@ def run_pipeline(network, faults, sets: list[TestSet], cfg: RunConfig) -> Pipeli
         if fb.patterns:
             union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=dc)
             evaluation = evaluate_test_set(network, faults, union.test_set.rows, dc_policy=dc)
-        status, method = evaluation.status, evaluation.method
+        status = evaluation.status
         for k in fb.redundant:
             if status[k] == UNDETECTED:
-                status[k], method[k] = REDUNDANT, METHODS.index("exhaustive")
+                status[k] = REDUNDANT
         for k in fb.unresolved:
             if status[k] == UNDETECTED:
                 status[k] = UNRESOLVED

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from collections.abc import Iterator, Mapping, Sequence
 from enum import Enum
 from typing import NamedTuple
@@ -204,8 +205,10 @@ class FaultList(Sequence[BridgingFault]):
                 return kind, ids, _POLARITIES[polarity]
             k -= per_level * len(levels)
 
-    def __getitem__(self, idx: int) -> BridgingFault:
-        return BridgingFault(*self.entry(idx))
+    def __getitem__(self, idx: int | slice) -> BridgingFault | list[BridgingFault]:
+        if isinstance(idx, slice):  # a list, as the eager enumeration gave
+            return [self[k] for k in range(self._len)[idx]]
+        return BridgingFault(*self.entry(operator.index(idx)))
 
 
 def enumerate_faults(

@@ -25,8 +25,13 @@ __all__ = [
 ]
 
 DC_POLICIES = ("fill-zero", "fill-one")
-# str.translate tables that resolve don't-cares, one per fill policy
-FILL_TABLES = {"fill-zero": str.maketrans("d", "0"), "fill-one": str.maketrans("d", "1")}
+
+
+def fill_table(dc_policy: str) -> dict[int, int]:
+    """The ``str.translate`` table that resolves don't-cares under a policy."""
+    if dc_policy not in DC_POLICIES:
+        raise ValueError(f"unknown dc_policy {dc_policy!r}, expected one of {DC_POLICIES}")
+    return str.maketrans("d", "0" if dc_policy == "fill-zero" else "1")
 
 
 class TestFileError(ValueError):

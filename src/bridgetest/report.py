@@ -54,13 +54,10 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _detail(method: str | None, pattern_index: int | None) -> str:
-    """A verdict's detail cell: proof method plus 1-based pattern ordinal."""
-    if method is None:
-        return ""
-    if pattern_index is None:
-        return method
-    return f"{method}, pattern {pattern_index + 1}"
+def _detail(status: int, exor: bool, first: int | None) -> str:
+    """A verdict's detail cell: its method (``METHODS``) plus 1-based pattern ordinal."""
+    method = METHODS.get((status, exor), "")
+    return method if first is None or not method else f"{method}, pattern {first + 1}"
 
 
 class Rows:
@@ -95,17 +92,17 @@ class Rows:
         # its first pattern, so most cells follow from ``first``; the
         # ExorInternal entries and the misses are patched in.
         patched = [*range(d), *map(re.Match.start, _MISS.finditer(ev.status))]
-        keys = [*{(ev.status[k], ev.method[k], ev.first[k]) for k in patched}]
+        keys = [*{(ev.status[k], k < d, ev.first[k]) for k in patched}]
         firsts = [*set(ev.first) - {None}]
-        cells = encode([(_STATUS_LABELS[s], _detail(METHODS[m], i)) for s, m, i in keys]
-                       + [("Detected", _detail("simulation", i)) for i in firsts])
+        cells = encode([(_STATUS_LABELS[key[0]], _detail(*key)) for key in keys]
+                       + [("Detected", _detail(DETECTED, False, i)) for i in firsts])
         for k, label in ((d, labels[1]), (d + 1, labels[2])):  # WiredAnd, then WiredOr rows
             tails = dict(zip(firsts, map(label.__add__, cells[len(keys) :])))
             out[2 * k + 1 :: 4] = map(tails.get, ev.first[k::2])
         patches = dict(zip(keys, cells))
         for k in patched:
             label = labels[0] if k < d else labels[1 + (k - d) % 2]
-            out[2 * k + 1] = label + patches[ev.status[k], ev.method[k], ev.first[k]]
+            out[2 * k + 1] = label + patches[ev.status[k], k < d, ev.first[k]]
         return out
 
 
@@ -315,7 +312,7 @@ def _render_text(report: dict) -> str:
         )
         ev, faults = report["verdicts"].evaluation, report["verdicts"].faults
         for k in map(re.Match.start, _MISS.finditer(ev.status)):
-            fault, detail = faults[k], _detail(METHODS[ev.method[k]], ev.first[k])
+            fault, detail = faults[k], _detail(ev.status[k], k < faults.d, ev.first[k])
             where = " ".join(filter(None, (*fault.lines(), _POLARITY_LABELS[fault.polarity])))
             detail = f" ({detail})" if detail else ""
             lines.append(f"  {STATUSES[ev.status[k]]}: {fault.kind.value} {where}{detail}")

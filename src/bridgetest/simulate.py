@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .faults import BridgingFault, FaultKind, FaultList, Polarity
 from .network import AndExorNetwork
-from .patterns import FILL_TABLES
+from .patterns import fill_table
 
 __all__ = [
     "detects",
@@ -144,11 +144,9 @@ def _fault_difference(
     return ui & nj | uj & ni
 
 
-def _pack(
-    network: AndExorNetwork, rows: Sequence[str], dc_policy: str
-) -> tuple[list[int], list[int], int]:
-    """c and x columns of a row list, bit t holding row t: with the rows
-    joined last row first, column k is ``text[k::p + n]`` read in binary.
+def _pack(network: AndExorNetwork, rows: Sequence[str], dc_policy: str) -> _Good:
+    """The ``_Good`` of a row list, bit t of each column holding row t: with
+    the rows joined last row first, column k is ``text[k::p + n]`` in binary.
     Rows must be p + n long and all 0 or 1 once filled (``int`` reads ``_``).
     The constant line is always 1: a d there reads as 1, and a 0 is refused."""
     p, n, aux = network.p, network.n, network.constant_line
@@ -158,14 +156,14 @@ def _pack(
     text = "".join(reversed(rows))
     if aux is not None and "0" in text[p + aux - 1 :: p + n]:
         raise ValueError(f"0 on the constant line x{aux}, which is always 1")
-    text = text.translate(FILL_TABLES[dc_policy])
+    text = text.translate(fill_table(dc_policy))
     if text.translate(_BITS):
         raise ValueError(f"bad pattern symbol {sorted(set(text) - set('01'))!r}")
     cols = [int(text[k :: p + n] or "0", 2) for k in range(p + n)]
     ones = (1 << len(rows)) - 1
     if aux is not None:
         cols[p + aux - 1] = ones  # a d there, whatever the fill
-    return cols[:p], cols[p:], ones
+    return _Good(network, cols, ones)
 
 
 def _check_lines(network: AndExorNetwork, fault: BridgingFault) -> None:
@@ -189,9 +187,8 @@ def detects(
     ExorInternal has no faulty outputs, so passing one is a usage error,
     as is a fault whose lines are not in the network.
     """
-    c, x, ones = _pack(network, [row], dc_policy)
+    good = _pack(network, [row], dc_policy)
     _check_lines(network, fault)
-    good = _Good(network, c + x, ones)
     return _fault_difference(good, fault.kind, fault.ids, fault.polarity) != 0
 
 
@@ -282,32 +279,33 @@ class FaultVerdict(NamedTuple):
 
 STATUSES = ("undetected", "detected", "redundant", "unresolved")
 UNDETECTED, DETECTED, REDUNDANT, UNRESOLVED = range(4)
-METHODS = (None, "simulation", "stimulation", "exhaustive", "constant-line")
-_SIMULATION, _STIMULATION, _CONSTANT_LINE = 1, 2, 4  # indices into METHODS
+# a verdict's method, by (status code, is ExorInternal); other verdicts have none
+METHODS = {(DETECTED, False): "simulation", (DETECTED, True): "stimulation",
+           (REDUNDANT, False): "exhaustive", (REDUNDANT, True): "constant-line"}
 
 
 class Evaluation:
     """Per-fault verdicts of one test set, indexed like the ``FaultList``.
 
-    They are kept as parallel arrays: codes into ``STATUSES`` and
-    ``METHODS``, and the first detecting pattern index (None when there is
-    none).  A reader finds the entries of one verdict by index, for example
-    with ``status.find(UNDETECTED, k)``; ``verdicts`` builds the
+    A verdict is its code into ``STATUSES`` (bytearray ``status``) and its
+    first detecting pattern index (``first``, None when there is none); the
+    method follows from the status and the fault class (``METHODS``).  A
+    reader finds the entries of one verdict by index, for example with
+    ``status.find(UNDETECTED, k)``; ``verdicts`` builds the
     ``FaultVerdict`` list on each read.
     """
 
-    def __init__(self, faults: FaultList, masks: list[int]) -> None:
+    def __init__(self, faults: FaultList) -> None:
         self.faults = faults
-        self.masks = masks
+        self.masks: list[int] = []  # ExorInternal stimulation masks, gate by gate
         self.status = bytearray(len(faults))
-        self.method = bytearray(len(faults))
         self.first: list[int | None] = [None] * len(faults)
 
     @property
     def verdicts(self) -> list[FaultVerdict]:
         return [
-            FaultVerdict(fault, STATUSES[s], first, METHODS[m])
-            for fault, s, first, m in zip(self.faults, self.status, self.first, self.method)
+            FaultVerdict(fault, STATUSES[s], first, METHODS.get((s, k < self.faults.d)))
+            for k, (fault, s, first) in enumerate(zip(self.faults, self.status, self.first))
         ]
 
     def count(self, status: str) -> int:
@@ -335,16 +333,15 @@ def evaluate_test_set(
     IntraLevel pair changes the outputs by the XOR of its two nets whatever
     its polarity, so one ``^`` decides both entries.
     """
-    c_cols, x_cols, ones = _pack(network, rows, dc_policy)
-    good = _Good(network, c_cols + x_cols, ones)
-    levels = good.levels()
+    good = _pack(network, rows, dc_policy)
+    ones, levels = good.ones, good.levels()
     a = good.ands
 
     # ExorInternal, entry k for gate k + 1.  Bit 2*left + right of a gate's
     # mask is set once its EXOR has seen that input pair; a full mask
     # completes at the latest first sighting of the four.
-    ev = Evaluation(faults, [])
-    status, method, first = ev.status, ev.method, ev.first
+    ev = Evaluation(faults)
+    status, first = ev.status, ev.first
     for k, (sup, target, right, before) in enumerate(
             zip(network.gate_supports, network.gate_targets, a, levels)):
         left = before[target - 1]
@@ -353,10 +350,9 @@ def evaluate_test_set(
         if network.constant_line is not None and sup <= {network.constant_line}:
             # The AND value is pinned, so two of the four combinations can
             # never be applied: the obligation is unsatisfiable by design.
-            status[k], method[k] = REDUNDANT, _CONSTANT_LINE
+            status[k] = REDUNDANT
         elif all(seen):
-            status[k], method[k] = DETECTED, _STIMULATION
-            first[k] = max((col & -col).bit_length() - 1 for col in seen)
+            status[k], first[k] = DETECTED, max((col & -col).bit_length() - 1 for col in seen)
     k = network.d
     for kind, lines, block_levels in faults.blocks():
         if kind is FaultKind.X_PAIR:
@@ -365,15 +361,13 @@ def evaluate_test_set(
                     map(good.xpair, lines), 2):
                 for diff in (ui & nj | uj & ni, di & xj | dj & xi):  # WiredAnd, WiredOr
                     if diff:
-                        status[k], method[k] = DETECTED, _SIMULATION
-                        first[k] = (diff & -diff).bit_length() - 1
+                        status[k], first[k] = DETECTED, (diff & -diff).bit_length() - 1
                     k += 1
             continue
         for level in block_levels:  # every wire of the level, or every AND output
             for u, w in itertools.combinations(a if level is None else levels[level], 2):
                 if diff := u ^ w:
                     status[k] = status[k + 1] = DETECTED
-                    method[k] = method[k + 1] = _SIMULATION
                     first[k] = first[k + 1] = (diff & -diff).bit_length() - 1
                 k += 2
     return ev

@@ -77,6 +77,6 @@ def evaluation_missing(network: AndExorNetwork, missed) -> Evaluation:
     """An evaluation over ``enumerate_faults(network)`` in which exactly the
     faults in ``missed`` are undetected; every other entry reads detected."""
     faults = enumerate_faults(network)
-    ev = Evaluation(faults, [])
+    ev = Evaluation(faults)
     ev.status[:] = bytes(UNDETECTED if f in missed else DETECTED for f in faults)
     return ev

@@ -325,7 +325,7 @@ class TestGenerateSets:
 
         for module in (atpg, simulate):
             monkeypatch.setattr(module, "_pack", refuse)
-            monkeypatch.setattr(module, "_Good", refuse)
+        monkeypatch.setattr(simulate, "_Good", refuse)  # only _pack builds one
         splits, reads, proofs = [], [], []
         split, sensitive = atpg._Partition.split, atpg._Partition.sensitive
         oracle = atpg.exhaustive_detectability
@@ -589,7 +589,7 @@ class TestFallbackSearch:
         and_fault = BridgingFault.x_pair(1, 2, AND)
         ev = evaluation_missing(net, [or_fault, and_fault])
         fb = fallback_search(net, ev)
-        assert len(fb.patterns) == 1
+        assert fb.patterns == ["00010101010000000001001"]
         assert detects(net, or_fault, fb.patterns[0])
         assert [ev.faults[k] for k in fb.unresolved] == [and_fault]
         assert fb.redundant == []
@@ -621,12 +621,13 @@ class TestFallbackSearch:
         or_fault = BridgingFault.x_pair(1, 2, OR)
         a = fallback_search(net, evaluation_missing(net, [or_fault]))
         b = fallback_search(net, evaluation_missing(net, [or_fault]))
-        assert a.patterns == b.patterns
+        assert a.patterns == b.patterns == ["11110110110110110001010"]  # drawn with seed 0
 
     @pytest.mark.parametrize("zero_control", [False, True])
     def test_random_draws_match_string_construction(self, zero_control):
-        # the column-packed draws pick the same pattern as building each draw
-        # as a string, one rng.choice per line except the constant line
+        # the draws, packed at once, pick the same pattern as the reference,
+        # which reads each draw string by string: one rng.choice per line
+        # except the constant line
         rng = random.Random(31)
         for idx in range(6):
             circuit = random_circuit(rng, idx, max_n=6, max_p=3, max_d=8, width_cap=8)

@@ -58,6 +58,12 @@ def _bridges(net):
     return [f for f in faults if f.kind is not FaultKind.EXOR_INTERNAL]
 
 
+def _packed(net, rows, dc_policy):
+    # the c columns, x columns and row mask of the packed _Good
+    good = _pack(net, rows, dc_policy)
+    return good.cols[: net.p], good.cols[net.p :], good.ones
+
+
 def _assert_closed_form(net, c_cols, x_cols, ones, lazy_cols=None):
     lazy = _Good(net, c_cols + x_cols if lazy_cols is None else lazy_cols, ones)
     for fault in _bridges(net):
@@ -72,7 +78,7 @@ def test_matches_injection_on_packed_patterns(seed):
         count = rng.randint(0, 70)
         rows = random_rows(rng, net, count)
         for dc_policy in DC_POLICIES:
-            _assert_closed_form(net, *_pack(net, rows, dc_policy))
+            _assert_closed_form(net, *_packed(net, rows, dc_policy))
 
 
 def test_matches_injection_on_truth_tables():
@@ -126,7 +132,7 @@ def test_hand_built_xpairs_match_injection(text):
     rows = ["".join(row) for row in itertools.product(
         *("1d" if k == pinned else "01d" for k in range(width)))]
     for dc_policy in DC_POLICIES:
-        _assert_closed_form(net, *_pack(net, rows, dc_policy))
+        _assert_closed_form(net, *_packed(net, rows, dc_policy))
     cols = TruthColumns(width)
     c_cols = [cols[k] for k in range(net.p)]
     x_cols = [cols[net.p + k] for k in range(net.n)]

@@ -66,6 +66,13 @@ def test_fault_list_matches_eager_enumeration(include_aux, out_of_model):
         for outside in (len(faults), -len(faults) - 1):
             with pytest.raises(IndexError):
                 faults[outside]
+        # a slice is a list, as the eager enumeration gave; other indices
+        # must be integers
+        for cut in (slice(None, None, 2), slice(1, -1), slice(None, None, -3), slice(5, 2)):
+            assert faults[cut] == list(eager)[cut]
+        for index in ("1", 1.0, None):
+            with pytest.raises(TypeError):
+                faults[index]
 
 
 # one 300-line block each: XPair over 300 inputs, IntraLevel over 300

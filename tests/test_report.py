@@ -16,6 +16,7 @@ from bridgetest import (
     expand_network,
     generate_sets,
 )
+from bridgetest.simulate import DETECTED, REDUNDANT, UNDETECTED
 from bridgetest.report import (
     REPORT_FORMATS,
     SCHEMA_VERSION,
@@ -49,9 +50,12 @@ def bench_report(bench, bench_union):
 
 
 def test_verdict_detail_strings():
-    assert _detail(None, None) == ""
-    assert _detail("exhaustive", None) == "exhaustive"
-    assert _detail("simulation", 4) == "simulation, pattern 5"
+    # a cell reads its method off (status, is ExorInternal)
+    assert _detail(UNDETECTED, False, None) == ""
+    assert _detail(REDUNDANT, False, None) == "exhaustive"
+    assert _detail(DETECTED, False, 4) == "simulation, pattern 5"
+    assert _detail(REDUNDANT, True, None) == "constant-line"
+    assert _detail(DETECTED, True, 0) == "stimulation, pattern 1"
 
 
 def test_coverage_report_shape(bench_report):

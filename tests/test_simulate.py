@@ -21,6 +21,8 @@ from reference_sim import (
 
 from bridgetest import (
     DC_POLICIES,
+    TestSet,
+    assemble_union,
     FaultKind,
     BridgingFault,
     Polarity,
@@ -343,7 +345,8 @@ def test_pack_matches_reference_resolution(dc_policy, count, zero_control):
     net = expand_network(circuit)
     assert (net.constant_line is not None) == zero_control
     rows = random_rows(rng, net, count)
-    assert _pack(net, rows, dc_policy) == reference_pack(net, rows, dc_policy)
+    good, want = _pack(net, rows, dc_policy), reference_pack(net, rows, dc_policy)
+    assert (good.cols[: net.p], good.cols[net.p :], good.ones) == want
 
 
 @pytest.mark.parametrize("c, x", [("0", "1"), ("000", "1"), ("00", "")])
@@ -397,4 +400,16 @@ def test_constant_line_dont_care_reads_as_one_in_library(z3, dc_policy):
     assert ev.verdicts[k].status == "undetected"
     assert ev.verdicts == evaluate_test_set(z3, faults, ["000101"], dc_policy).verdicts
     assert not detects(z3, faults[k], "00010d", dc_policy)
-    assert _pack(z3, ["00010d", "1dd1dd"], dc_policy)[1][3] == 0b11
+    assert _pack(z3, ["00010d", "1dd1dd"], dc_policy).cols[z3.p + 3] == 0b11
+
+
+@pytest.mark.parametrize("call", [
+    lambda net, faults: evaluate_test_set(net, faults, ["000"], dc_policy="fill-two"),
+    lambda net, faults: detects(net, faults[1], "000", "zero"),
+    lambda net, faults: assemble_union([TestSet("User", ["000"])], dedup=True, dc_policy="x"),
+], ids=["evaluate_test_set", "detects", "assemble_union"])
+def test_unknown_dc_policy_is_a_value_error(and2, call):
+    net = expand_network(and2)
+    with pytest.raises(ValueError, match=r"unknown dc_policy '.*', expected one of "
+                       + re.escape(repr(DC_POLICIES))):
+        call(net, enumerate_faults(net))
