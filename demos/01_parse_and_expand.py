@@ -33,9 +33,12 @@ for j in range(1, net.p + 1):
     print(f"f{j} = c{j} + {terms}")
 print()
 
-# the netlist view: one AND per gate feeding a 2-input EXOR cascade
-print(f"cascade levels per target line: {net.levels}")
+# the netlist view: one AND per gate feeding a 2-input EXOR cascade, named
+# as reports name them: a3 is gate 3's AND output, w2@5 the wire of target
+# c2 after level 5 (w2@0 is c2 itself)
+print(f"cascade levels per target line: {net.d + 1}")
 for gate_id in (1, 13, 19):
-    left, right = net.exor_inputs(gate_id)
+    target = net.gate_targets[gate_id - 1]
     support = "".join(f"x{v}" for v in sorted(net.gate_supports[gate_id - 1]))
-    print(f"gate {gate_id}: {net.a_net(gate_id)} = AND({support}), EXOR reads ({left}, {right})")
+    print(f"gate {gate_id}: a{gate_id} = AND({support}),"
+          f" EXOR reads (w{target}@{gate_id - 1}, a{gate_id})")

@@ -100,25 +100,27 @@ def _parity_rows(network: AndExorNetwork, zeros: int) -> dict[int, int]:
     return rows
 
 
+def _input_pattern(network: AndExorNetwork, ones: int, c: str | None = None) -> str:
+    """The row with the c lines ``c`` (all don't-care by default), the
+    inputs in the mask ``ones`` (bit v for x_v; bit 0 is dropped) and the
+    constant line at 1, and the other inputs at 0.  The x part is read off
+    ``bin`` with a sentinel bit above x_n, which fixes its width."""
+    ones |= 1 << (network.constant_line or 0)
+    return ("d" * network.p if c is None else c) + bin(ones >> 1 | 1 << network.n)[:2:-1]
+
+
 # ---------------------------------------------------------------------------
 # T1
 
-def gen_corner_set(n: int, p: int, *, constant_line: int | None = None) -> TestSet:
+def gen_corner_set(network: AndExorNetwork) -> TestSet:
     """Four corner patterns; the constant line, if any, stays at 1."""
-    zero_x = "".join("1" if v == constant_line else "0" for v in range(1, n + 1))
-    one_x = "1" * n
-    rows = ["0" * p + zero_x, "0" * p + one_x, "1" * p + zero_x, "1" * p + one_x]
+    every_x = (2 << network.n) - 2
+    rows = [_input_pattern(network, x, c * network.p) for c in "01" for x in (0, every_x)]
     return TestSet("T1", rows, target_class=FaultKind.EXOR_INTERNAL.value)
 
 
 # ---------------------------------------------------------------------------
 # T2, and the input partition it shares with T3
-
-def _input_pattern(network: AndExorNetwork, ones: int) -> str:
-    """The row with the inputs in the mask ``ones`` (bit v for x_v; bit 0
-    is dropped) at 1, the other inputs at 0 and the c lines don't-care."""
-    return "d" * network.p + format(ones >> 1, f"0{network.n}b")[::-1]
-
 
 def _bits(mask: int) -> list[int]:
     """The set bits of ``mask``, ascending, one step per set bit."""
@@ -298,33 +300,30 @@ def gen_input_or_tests(network: AndExorNetwork) -> tuple[TestSet, tuple[tuple[in
 # ---------------------------------------------------------------------------
 # T4
 
-def gen_cascade_pair_tests(p: int, n: int, *, constant_line: int | None = None) -> TestSet:
+def gen_cascade_pair_tests(network: AndExorNetwork) -> TestSet:
     """Halving construction over the c lines, x held at all-zero.
 
     Pattern r of ceil(log2 p) alternates runs of 2^(k-r) ones and zeros over
     a width-2^k grid, truncated to p columns.  Column codes are pairwise
     distinct, so every c pair sees opposite values in some pattern.
     """
+    p = network.p
     k = ceil_log2(p)
-    x_bits = "".join("1" if v == constant_line else "0" for v in range(1, n + 1))
     rows = []
     for r in range(1, k + 1):
         run = 1 << (k - r)
         row = ("1" * run + "0" * run) * (1 << (r - 1))
-        rows.append(row[:p] + x_bits)
+        rows.append(_input_pattern(network, 0, row[:p]))
     return TestSet("T4", rows, target_class=FaultKind.INTRA_LEVEL.value)
 
 
 # ---------------------------------------------------------------------------
 # T5
 
-def gen_walking_zero_tests(n: int, p: int, *, constant_line: int | None = None) -> TestSet:
-    """One pattern per input driving just that input to 0, c lines don't-care."""
-    patterns = []
-    for i in range(1, n + 1):
-        if i == constant_line:
-            continue
-        patterns.append("d" * p + "1" * (i - 1) + "0" + "1" * (n - i))
+def gen_walking_zero_tests(network: AndExorNetwork) -> TestSet:
+    """One pattern per real input driving just that input to 0, c lines don't-care."""
+    ones, k = _input_pattern(network, (2 << network.n) - 2), network.p - 1
+    patterns = [ones[: k + i] + "0" + ones[k + i + 1 :] for i in network.real_inputs()]
     return TestSet("T5", patterns, target_class=FaultKind.A_PAIR.value)
 
 
@@ -346,19 +345,18 @@ def generate_sets(network: AndExorNetwork, selector: Iterable[str] = SET_NAMES) 
     unknown = [name for name in wanted if name not in SET_NAMES]
     if unknown:
         raise ValueError(f"unknown test-set name(s): {', '.join(unknown)}")
-    aux = network.constant_line
     sets: dict[str, TestSet] = {}
     t2_uncovered = t3_uncovered = ()
     if "T1" in wanted:
-        sets["T1"] = gen_corner_set(network.n, network.p, constant_line=aux)
+        sets["T1"] = gen_corner_set(network)
     if "T2" in wanted:
         sets["T2"], t2_uncovered = gen_input_and_tests(network)
     if "T3" in wanted:
         sets["T3"], t3_uncovered = gen_input_or_tests(network)
     if "T4" in wanted:
-        sets["T4"] = gen_cascade_pair_tests(network.p, network.n, constant_line=aux)
+        sets["T4"] = gen_cascade_pair_tests(network)
     if "T5" in wanted:
-        sets["T5"] = gen_walking_zero_tests(network.n, network.p, constant_line=aux)
+        sets["T5"] = gen_walking_zero_tests(network)
     return GenerationResult(sets, t2_uncovered, t3_uncovered)
 
 
@@ -409,14 +407,15 @@ class BoundReport(NamedTuple):
     exceeds_construction: bool
 
 
-def check_bound(union: UnionResult, n: int, p: int) -> BoundReport:
+def check_bound(union: UnionResult, network: AndExorNetwork) -> BoundReport:
     """Compare the pre-dedup union size against 3n + ceil(log2 p) + 2.
 
-    ``n`` is the count of real inputs (the constant line does not count).
-    Fallback patterns sit outside the construction, so their presence is
-    flagged separately even when the size still fits.
+    ``n`` counts the network's real inputs: it leaves out the constant line
+    that normalization adds, so it is not ``network.n`` then.  Fallback
+    patterns sit outside the construction, so their presence is flagged
+    separately even when the size still fits.
     """
-    bound = 3 * n + ceil_log2(p) + 2
+    bound = 3 * len(network.real_inputs()) + ceil_log2(network.p) + 2
     size = union.pre_dedup_size
     return BoundReport(
         size=size,
@@ -443,7 +442,6 @@ class FallbackResult(NamedTuple):
 
 
 def fallback_search(
-    network: AndExorNetwork,
     evaluation: Evaluation,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     *,
@@ -468,6 +466,7 @@ def fallback_search(
     graded with the same verdict vocabulary the repair path uses.
     """
     faults, status = evaluation.faults, evaluation.status
+    network = faults.network
     patterns: list[str] = []
     redundant: list[int] = []
     unresolved: list[int] = []
@@ -487,7 +486,7 @@ def fallback_search(
     # unmet ExorInternal obligations: a miss's ordinal, its random seed, counts them
     unmet, aux = status.count(UNDETECTED, 0, faults.d), network.constant_line
     if unmet and not classify_only:
-        repairs = append(gen_corner_set(network.n, network.p, constant_line=aux).rows)
+        repairs = append(gen_corner_set(network).rows)
     decided, detectable = None, False  # the last pair the oracle decided, and its verdict
     pinned = None if aux is None else network.p + aux - 1
     for idx, k in enumerate(misses(faults.d), start=unmet):

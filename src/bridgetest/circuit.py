@@ -92,9 +92,6 @@ class ReversibleCircuit(NamedTuple):
             if not (1 <= gate.target <= self.p):
                 raise CircuitError(f"gate {pos}: target c{gate.target} out of range 1..{self.p}")
 
-    def gates_for_output(self, j: int) -> tuple[Gate, ...]:
-        return tuple(g for g in self.gates if g.target == j)
-
     def real_inputs(self) -> tuple[int, ...]:
         """Input indices excluding the constant-one line, if any."""
         return tuple(i for i in range(1, self.n + 1) if i != self.constant_line)

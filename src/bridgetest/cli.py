@@ -85,18 +85,19 @@ class RunConfig(NamedTuple):
         value, and reports must be byte-identical across runs that differ
         only in where they are written.
         """
-        out: dict = {"command": self.command}
-        if self.command in ("verify", "atpg"):
+        out = {name: getattr(self, name) for name in _ECHOED[self.command]}
+        if "sets" in out:
             out["sets"] = list(self.sets)
-        out["dc_policy"] = self.dc_policy
-        if self.command in ("verify", "simulate", "atpg"):
-            out["oracle_cap"] = self.oracle_cap
-            out["fallback"] = self.fallback
-        if self.command in ("verify", "atpg"):
-            out["dedup"] = self.dedup
-        if self.command in ("verify", "simulate", "faults"):
-            out["include_aux"] = self.include_aux
         return out
+
+
+# the fields each command's reports echo, in field order
+_ECHOED = {
+    "faults": ("command", "dc_policy", "include_aux"),
+    "atpg": ("command", "sets", "dc_policy", "oracle_cap", "fallback", "dedup"),
+    "simulate": ("command", "dc_policy", "oracle_cap", "fallback", "include_aux"),
+    "verify": RunConfig._fields,
+}
 
 
 def _read_text(path: str) -> str:
@@ -143,6 +144,15 @@ def _parse_sets(arg: str) -> tuple[str, ...]:
     return names
 
 
+def _config(args) -> RunConfig:
+    """The run's configuration: the ``RunConfig`` fields the parsed command
+    line holds, with ``--sets`` read by ``_parse_sets``."""
+    fields = {name: value for name, value in vars(args).items() if name in RunConfig._fields}
+    if "sets" in fields:
+        fields["sets"] = _parse_sets(fields["sets"])
+    return RunConfig(**fields)
+
+
 PipelineResult = namedtuple("PipelineResult", "union evaluation fallback bound")
 
 
@@ -163,7 +173,7 @@ def run_pipeline(network, faults, sets: list[TestSet], cfg: RunConfig) -> Pipeli
     evaluation = fb = None
     if faults is not None:
         evaluation = evaluate_test_set(network, faults, union.test_set.rows, dc_policy=dc)
-        fb = fallback_search(network, evaluation, cfg.oracle_cap, classify_only=not cfg.fallback)
+        fb = fallback_search(evaluation, cfg.oracle_cap, classify_only=not cfg.fallback)
         if fb.patterns:
             union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=dc)
             evaluation = evaluate_test_set(network, faults, union.test_set.rows, dc_policy=dc)
@@ -174,7 +184,7 @@ def run_pipeline(network, faults, sets: list[TestSet], cfg: RunConfig) -> Pipeli
         for k in fb.unresolved:
             if status[k] == UNDETECTED:
                 status[k] = UNRESOLVED
-    bound = check_bound(union, len(network.real_inputs()), network.p)
+    bound = check_bound(union, network)
     return PipelineResult(union, evaluation, fb, bound)
 
 
@@ -214,30 +224,20 @@ def cmd_parse(args) -> int:
 
 
 def cmd_faults(args) -> int:
-    cfg = RunConfig(command="faults", include_aux=args.include_aux)
+    cfg = _config(args)
     circuit = _load_circuit(args.circuit)
-    network = expand_network(circuit)
     faults = enumerate_faults(
-        network,
+        expand_network(circuit),
         include_aux=cfg.include_aux,
         record_out_of_model=args.out_of_model,
     )
-    report = build_fault_report(
-        circuit, network, faults, cfg.echo(), timestamp=not args.no_timestamp
-    )
+    report = build_fault_report(circuit, faults, cfg.echo(), timestamp=not args.no_timestamp)
     _write_text(args.out, render_report(report, args.format))
     return EXIT_OK
 
 
 def cmd_atpg(args) -> int:
-    cfg = RunConfig(
-        command="atpg",
-        sets=_parse_sets(args.sets),
-        dc_policy=args.dc_policy,
-        oracle_cap=args.oracle_cap,
-        fallback=args.fallback,
-        dedup=args.dedup,
-    )
+    cfg = _config(args)
     circuit = _load_circuit(args.circuit)
     network = expand_network(circuit)
     sets = generate_sets(network, cfg.sets).ordered_sets()
@@ -267,13 +267,7 @@ def cmd_atpg(args) -> int:
 
 
 def cmd_grade(args) -> int:
-    cfg = RunConfig(
-        command="simulate",
-        dc_policy=args.dc_policy,
-        oracle_cap=args.oracle_cap,
-        fallback=False,
-        include_aux=args.include_aux,
-    )
+    cfg = _config(args)
     if args.circuit == args.tests == "-":
         raise ValueError("the circuit and --tests cannot both be read from stdin")
     circuit = _load_circuit(args.circuit)
@@ -282,31 +276,23 @@ def cmd_grade(args) -> int:
     sets = [TestSet("User", _parse_tests_for(network, _read_text(args.tests)))]
     run = run_pipeline(network, faults, sets, cfg)
     report = build_coverage_report(
-        circuit, network, faults, run.evaluation, sets, run.union, None,
-        cfg.echo(), timestamp=not args.no_timestamp,
+        circuit, run.evaluation, sets, run.union, None, cfg.echo(),
+        timestamp=not args.no_timestamp,
     )
     _write_text(args.out, render_report(report, args.format))
     return _coverage_exit(run.evaluation)
 
 
 def cmd_verify(args) -> int:
-    cfg = RunConfig(
-        command="verify",
-        sets=_parse_sets(args.sets),
-        dc_policy=args.dc_policy,
-        oracle_cap=args.oracle_cap,
-        fallback=not args.no_fallback,
-        dedup=args.dedup,
-        include_aux=args.include_aux,
-    )
+    cfg = _config(args)
     circuit = _load_circuit(args.circuit)
     network = expand_network(circuit)
     faults = enumerate_faults(network, include_aux=cfg.include_aux)
     sets = generate_sets(network, cfg.sets).ordered_sets()
     run = run_pipeline(network, faults, sets, cfg)
     report = build_coverage_report(
-        circuit, network, faults, run.evaluation, sets, run.union, run.bound,
-        cfg.echo(), timestamp=not args.no_timestamp,
+        circuit, run.evaluation, sets, run.union, run.bound, cfg.echo(),
+        timestamp=not args.no_timestamp,
     )
     _write_text(args.out, render_report(report, args.format))
     return _coverage_exit(run.evaluation)
@@ -432,12 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--include-aux", action="store_true")
     add_grading(sp)
     add_out(sp)
-    sp.set_defaults(func=cmd_grade)
+    sp.set_defaults(func=cmd_grade, fallback=False)
 
     sp = sub.add_parser("verify", help="generate, grade, repair, and check the bound")
     sp.add_argument("circuit")
     sp.add_argument("--sets", default=",".join(SET_NAMES))
-    sp.add_argument("--no-fallback", action="store_true",
+    sp.add_argument("--no-fallback", dest="fallback", action="store_false",
                     help="classify misses but do not add repair patterns")
     sp.add_argument("--dedup", action="store_true")
     sp.add_argument("--include-aux", action="store_true")

@@ -68,13 +68,19 @@ class BridgingFault(_Fault):
 
     ``ids`` is the class-specific index tuple: (gate,) for ExorInternal,
     (i, j) with i < j for XPair and APair, (level, j1, j2) with j1 < j2
-    for IntraLevel.  ExorInternal carries no polarity.
+    for IntraLevel.  ExorInternal carries no polarity.  A kind or polarity
+    given by its value, such as ``"WiredOr"``, is read as the enum member;
+    an unknown one is refused.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: FaultKind, ids: tuple[int, ...],
                 polarity: Polarity | None = None) -> "BridgingFault":
+        if type(kind) is not FaultKind:
+            kind = FaultKind(kind)
+        if polarity is not None and type(polarity) is not Polarity:
+            polarity = Polarity(polarity)
         if kind is FaultKind.EXOR_INTERNAL:
             if len(ids) != 1 or polarity is not None:
                 raise ValueError("ExorInternal takes a single gate id and no polarity")
@@ -129,8 +135,8 @@ _NET_NAMES = {FaultKind.X_PAIR: "x{}", FaultKind.INTRA_LEVEL: "w{}@{}", FaultKin
 
 
 class FaultList(Sequence[BridgingFault]):
-    """Deterministically ordered fault universe of one netlist, as an
-    indexed view over its four class ranges.
+    """Deterministically ordered fault universe of one netlist (``network``),
+    as an indexed view over its four class ranges.
 
     ExorInternal has one entry per gate, first.  Each bridged pair of the
     other classes has two consecutive entries, WiredAnd then WiredOr, so
@@ -145,6 +151,7 @@ class FaultList(Sequence[BridgingFault]):
         x_lines: Sequence[int],
         out_of_model: Mapping[str, int] | None = None,
     ) -> None:
+        self.network = network
         self.d = d = network.d
         self.out_of_model = out_of_model
         self._blocks = (

@@ -156,11 +156,11 @@ def _union_block(union: UnionResult) -> dict:
 
 
 def build_coverage_report(
-    circuit: ReversibleCircuit, network: AndExorNetwork, faults: FaultList,
-    evaluation: Evaluation, sets: Sequence[TestSet], union: UnionResult,
-    bound: BoundReport | None, config: Mapping, *, timestamp: bool = True,
+    circuit: ReversibleCircuit, evaluation: Evaluation, sets: Sequence[TestSet],
+    union: UnionResult, bound: BoundReport | None, config: Mapping, *, timestamp: bool = True,
 ) -> dict:
-    report = _header(circuit, network, config, timestamp)
+    faults = evaluation.faults
+    report = _header(circuit, faults.network, config, timestamp)
     _add_fault_counts(report, faults)
     report["test_sets"] = _sets_block(sets)
     report["union"] = {**_union_block(union), "patterns": UnionRows(union)}
@@ -190,10 +190,9 @@ def build_generation_report(
 
 
 def build_fault_report(
-    circuit: ReversibleCircuit, network: AndExorNetwork, faults: FaultList, config: Mapping,
-    *, timestamp: bool = True,
+    circuit: ReversibleCircuit, faults: FaultList, config: Mapping, *, timestamp: bool = True,
 ) -> dict:
-    report = _header(circuit, network, config, timestamp)
+    report = _header(circuit, faults.network, config, timestamp)
     _add_fault_counts(report, faults)
     report["faults"] = Rows(faults)
     return report

@@ -90,7 +90,7 @@ class _Good:
 
     def levels(self) -> list[tuple[int, ...]]:
         """The c wires at every level 0..d, from one walk of the cascade:
-        entry L, position j - 1 is W(j, L).  It reads every AND output."""
+        entry L, position j - 1 is wj@L.  It reads every AND output."""
         if self._levels is None:
             ands = self.ands = [self.product(sup) if a is None else a
                                 for a, sup in zip(self.ands, self.supports)]
@@ -331,8 +331,11 @@ def evaluate_test_set(
     became full.  The ``FaultList`` is graded a class block at a time
     (``FaultList.blocks``), so no ``BridgingFault`` is built.  An APair or
     IntraLevel pair changes the outputs by the XOR of its two nets whatever
-    its polarity, so one ``^`` decides both entries.
+    its polarity, so one ``^`` decides both entries.  ``faults`` must be
+    the fault list of ``network``: one of another network is refused.
     """
+    if faults.network != network:
+        raise ValueError("the fault list belongs to another network")
     good = _pack(network, rows, dc_policy)
     ones, levels = good.ones, good.levels()
     a = good.ands

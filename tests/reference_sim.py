@@ -374,7 +374,7 @@ def reference_fallback(
     for idx, fault in enumerate(faults):
         if fault.kind is FaultKind.EXOR_INTERNAL:
             if not classify_only and not corners_added:
-                corners = gen_corner_set(network.n, network.p, constant_line=network.constant_line)
+                corners = gen_corner_set(network)
                 out.patterns.extend(corners.rows)
                 corners_added = True
             continue

@@ -13,6 +13,7 @@ from conftest import evaluation_missing, random_circuit
 from reference_sim import FULL_MASK, exor_stimulation_mask
 
 from bridgetest import (
+    AndExorNetwork,
     BridgingFault,
     FaultKind,
     Polarity,
@@ -84,7 +85,7 @@ def test_criterion_1_fixture_sets(bench):
             ), f"wired-OR pair ({i},{j}) missed by T3"
 
     union = assemble_union(result.ordered_sets())
-    bound = check_bound(union, 7, 3)
+    bound = check_bound(union, net)
     assert union.pre_dedup_size == 25
     assert bound.bound == 3 * 7 + ceil_log2(3) + 2 == 25
     assert bound.passed
@@ -184,7 +185,7 @@ def sweep():
 
         base = assemble_union(sets)
         first = evaluate_test_set(net, faults, base.test_set.rows)
-        fb = fallback_search(net, first)
+        fb = fallback_search(first)
         union = assemble_union(sets, fb.patterns)
         final = evaluate_test_set(net, faults, union.test_set.rows)
 
@@ -208,7 +209,7 @@ def sweep():
 
         if not fb.patterns:
             stats["no_fallback_circuits"] += 1
-            bound = check_bound(union, len(net.real_inputs()), net.p)
+            bound = check_bound(union, net)
             if not bound.passed:
                 stats["bound_violations"].append((circuit.name, bound))
         stats["circuits"] += 1
@@ -270,14 +271,14 @@ def test_criterion_5_bridge_semantics():
 
 def test_criterion_6_t4_distinctness():
     for p in range(1, 65):
-        ts = gen_cascade_pair_tests(p, 1)
+        ts = gen_cascade_pair_tests(AndExorNetwork(1, p, (), ()))
         assert len(ts) == ceil_log2(p)
         codes = [tuple(row[j] for row in ts) for j in range(p)]
         assert len(set(codes)) == p, f"duplicate column code at p={p}"
         for a in range(p):
             for b in range(a + 1, p):
                 assert any(row[a] != row[b] for row in ts)
-    assert gen_cascade_pair_tests(3, 1).rows == ["1100", "1010"]
+    assert gen_cascade_pair_tests(AndExorNetwork(1, 3, (), ())).rows == ["1100", "1010"]
     _ok(
         "criterion 6: PASS - pairwise-distinct column codes for p = 1..64,"
         " every c pair driven opposite somewhere, p=3 gives {110, 101}"
@@ -332,7 +333,7 @@ def test_criterion_8_redundancy(tmp_path, and2_path, capsys):
     fault = BridgingFault.x_pair(1, 2, AND)
     assert not exhaustive_detectability(net, fault).detectable
     ev = evaluation_missing(net, [fault])
-    fb = fallback_search(net, ev)
+    fb = fallback_search(ev)
     assert [ev.faults[k] for k in fb.redundant] == [fault] and fb.patterns == []
     _ok(
         "criterion 8: PASS - (x1,x2) wired-AND reported Redundant with an"

@@ -13,6 +13,7 @@ from reference_sim import reference_fallback
 
 from bridgetest import (
     DC_POLICIES,
+    AndExorNetwork,
     BridgingFault,
     FaultKind,
     Polarity,
@@ -149,9 +150,14 @@ class TestParityMatrix:
         assert not any(_parity_rows(net, 0).values())
 
 
+def _lines(n, p, constant_line=None):
+    """A network with no gates: T1, T4 and T5 read only its lines."""
+    return AndExorNetwork(n, p, (), (), constant_line)
+
+
 class TestCornerSet:
-    def test_benchmark(self):
-        ts = gen_corner_set(7, 3)
+    def test_benchmark(self, bench_net):
+        ts = gen_corner_set(bench_net)
         assert ts.name == "T1" and ts.target_class == "ExorInternal"
         assert ts.rows == [
             "0000000000",
@@ -161,7 +167,7 @@ class TestCornerSet:
         ]
 
     def test_constant_line_held_high(self):
-        ts = gen_corner_set(2, 1, constant_line=2)
+        ts = gen_corner_set(_lines(2, 1, constant_line=2))
         assert ts.rows == ["001", "011", "101", "111"]
 
 
@@ -256,16 +262,16 @@ class TestInputOrSet:
 
 
 class TestCascadePairSet:
-    def test_benchmark(self):
-        ts = gen_cascade_pair_tests(3, 7)
+    def test_benchmark(self, bench_net):
+        ts = gen_cascade_pair_tests(bench_net)
         assert ts.name == "T4" and ts.rows == ["1100000000", "1010000000"]
 
     def test_p_one_needs_nothing(self):
-        assert gen_cascade_pair_tests(1, 2).rows == []
+        assert gen_cascade_pair_tests(_lines(2, 1)).rows == []
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 7, 8, 16])
     def test_column_codes_distinct(self, p):
-        ts = gen_cascade_pair_tests(p, 1)
+        ts = gen_cascade_pair_tests(_lines(1, p))
         assert len(ts) == ceil_log2(p)
         codes = [tuple(row[j] for row in ts) for j in range(p)]
         assert len(set(codes)) == p
@@ -277,13 +283,13 @@ class TestCascadePairSet:
                 ), (a + 1, b + 1)
 
     def test_constant_line_held_high(self):
-        ts = gen_cascade_pair_tests(2, 3, constant_line=3)
+        ts = gen_cascade_pair_tests(_lines(3, 2, constant_line=3))
         assert ts.rows == ["10001"]
 
 
 class TestWalkingZeroSet:
-    def test_benchmark(self):
-        ts = gen_walking_zero_tests(7, 3)
+    def test_benchmark(self, bench_net):
+        ts = gen_walking_zero_tests(bench_net)
         assert ts.name == "T5" and ts.rows == [
             "ddd0111111",
             "ddd1011111",
@@ -295,7 +301,7 @@ class TestWalkingZeroSet:
         ]
 
     def test_constant_line_skipped(self):
-        ts = gen_walking_zero_tests(3, 1, constant_line=3)
+        ts = gen_walking_zero_tests(_lines(3, 1, constant_line=3))
         assert ts.rows == ["d011", "d101"]
 
 
@@ -474,7 +480,7 @@ class TestUnionAndBound:
         assert union.pre_dedup_size == 25
         assert union.fallback_count == 0
         assert len(union.test_set) == 25
-        report = check_bound(union, 7, 3)
+        report = check_bound(union, net)
         assert (report.size, report.bound) == (25, 25)
         assert report.passed
         assert report.construction_size == 25
@@ -492,7 +498,7 @@ class TestUnionAndBound:
         lines = [row.replace("d", "0") for row in union.test_set]
         assert len(set(lines)) == 21
         # the bound still judges the pre-dedup size
-        assert check_bound(union, 7, 3).size == 25
+        assert check_bound(union, net).size == 25
 
     def test_fallback_counts_separately(self, bench_net):
         net = bench_net
@@ -501,7 +507,7 @@ class TestUnionAndBound:
         assert union.origins[-2:] == ["T5", "Fallback"]
         assert union.pre_dedup_size == 26
         assert union.fallback_count == 1
-        report = check_bound(union, 7, 3)
+        report = check_bound(union, net)
         assert not report.passed  # 26 > 25
         assert report.construction_size == 25
         assert report.exceeds_construction
@@ -519,7 +525,7 @@ class TestFallbackSearch:
         net = expand_network(and2)
         missed = [BridgingFault.x_pair(1, 2, OR), BridgingFault.x_pair(1, 2, AND)]
         ev = evaluation_missing(net, missed)
-        fb = fallback_search(net, ev)
+        fb = fallback_search(ev)
         assert fb.patterns == ["001"]
         assert [ev.faults[k] for k in fb.redundant] == [missed[1]]
         assert fb.unresolved == []
@@ -528,7 +534,7 @@ class TestFallbackSearch:
         net = expand_network(and2)
         missed = [BridgingFault.x_pair(1, 2, OR), BridgingFault.x_pair(1, 2, AND)]
         ev = evaluation_missing(net, missed)
-        fb = fallback_search(net, ev, classify_only=True)
+        fb = fallback_search(ev, classify_only=True)
         assert fb.patterns == []
         assert [ev.faults[k] for k in fb.redundant] == [missed[1]]
         assert fb.unresolved == []
@@ -543,7 +549,7 @@ class TestFallbackSearch:
         )
         net = expand_network(parse_circuit(DUP_TEXT))
         missed = [BridgingFault.x_pair(1, 3, AND), BridgingFault.x_pair(2, 3, AND)]
-        fb = fallback_search(net, evaluation_missing(net, missed))
+        fb = fallback_search(evaluation_missing(net, missed))
         assert calls == missed[:1]
         assert fb.patterns == ["00110"]
         assert detects(net, missed[1], fb.patterns[0])
@@ -564,7 +570,7 @@ class TestFallbackSearch:
         intra = [BridgingFault.intra_level(0, 1, 2, AND), BridgingFault.intra_level(0, 1, 2, OR)]
         xpairs = [BridgingFault.x_pair(1, 2, AND), BridgingFault.x_pair(1, 2, OR)]
         ev = evaluation_missing(net, redundant_pair + detectable_pair + intra + xpairs)
-        fb = fallback_search(net, ev, classify_only=classify_only)
+        fb = fallback_search(ev, classify_only=classify_only)
         # index order: XPair, IntraLevel, APair; no witness detects a later miss
         assert calls == xpairs + [intra[0], redundant_pair[0], detectable_pair[0]]
         assert [ev.faults[k] for k in fb.redundant] == xpairs[:1] + redundant_pair
@@ -574,9 +580,9 @@ class TestFallbackSearch:
     def test_exor_obligation_appends_corners_once(self):
         net = expand_network(parse_circuit(".n 1\n.p 2\n.gate c1 : x1\n.gate c2 : x1\n.end\n"))
         missed = [BridgingFault.exor_internal(1), BridgingFault.exor_internal(2)]
-        fb = fallback_search(net, evaluation_missing(net, missed))
+        fb = fallback_search(evaluation_missing(net, missed))
         assert fb.patterns == ["000", "001", "110", "111"]
-        fb2 = fallback_search(net, evaluation_missing(net, missed), classify_only=True)
+        fb2 = fallback_search(evaluation_missing(net, missed), classify_only=True)
         assert fb2.patterns == []
 
     def test_wide_circuit_random_path(self):
@@ -588,7 +594,7 @@ class TestFallbackSearch:
         or_fault = BridgingFault.x_pair(1, 2, OR)
         and_fault = BridgingFault.x_pair(1, 2, AND)
         ev = evaluation_missing(net, [or_fault, and_fault])
-        fb = fallback_search(net, ev)
+        fb = fallback_search(ev)
         assert fb.patterns == ["00010101010000000001001"]
         assert detects(net, or_fault, fb.patterns[0])
         assert [ev.faults[k] for k in fb.unresolved] == [and_fault]
@@ -610,7 +616,7 @@ class TestFallbackSearch:
         net = expand_network(parse_circuit(text))
         or_fault, and_fault = BridgingFault.x_pair(1, 2, OR), BridgingFault.x_pair(1, 2, AND)
         ev = evaluation_missing(net, [or_fault, and_fault])
-        fb = fallback_search(net, ev, classify_only=classify_only)
+        fb = fallback_search(ev, classify_only=classify_only)
         assert [ev.faults[k] for k in fb.unresolved] == [and_fault] + [or_fault] * classify_only
         assert seeds == ([] if classify_only else [atpg._RANDOM_SEED * 1000003 + 1])
         assert len(fb.patterns) == (not classify_only)
@@ -619,8 +625,8 @@ class TestFallbackSearch:
         text = ".n 20\n.p 3\n.gate c1 : x1 x2\n.gate c2 : x3\n.gate c3 : x4\n.end\n"
         net = expand_network(parse_circuit(text))
         or_fault = BridgingFault.x_pair(1, 2, OR)
-        a = fallback_search(net, evaluation_missing(net, [or_fault]))
-        b = fallback_search(net, evaluation_missing(net, [or_fault]))
+        a = fallback_search(evaluation_missing(net, [or_fault]))
+        b = fallback_search(evaluation_missing(net, [or_fault]))
         assert a.patterns == b.patterns == ["11110110110110110001010"]  # drawn with seed 0
 
     @pytest.mark.parametrize("zero_control", [False, True])
@@ -637,7 +643,7 @@ class TestFallbackSearch:
             faults = [f for f in enumerate_faults(net) if f.kind.value != "ExorInternal"]
             ev = evaluation_missing(net, set(faults))
             for classify_only in (False, True):
-                fb = fallback_search(net, ev, oracle_cap=0, classify_only=classify_only)
+                fb = fallback_search(ev, oracle_cap=0, classify_only=classify_only)
                 ref = reference_fallback(net, faults, 0, classify_only)
                 assert fb.patterns == ref.patterns
                 assert [ev.faults[k] for k in fb.unresolved] == ref.unresolved
@@ -668,7 +674,7 @@ class TestFallbackSearch:
                 ev.status[: net.d] = bytes([UNDETECTED]) * net.d
             missed = [faults[k] for k, s in enumerate(ev.status) if s == UNDETECTED]
             for classify_only, cap in itertools.product((False, True), (0, 22, 1000)):
-                fb = fallback_search(net, ev, cap, classify_only=classify_only)
+                fb = fallback_search(ev, cap, classify_only=classify_only)
                 ref = reference_fallback(net, missed, cap, classify_only)
                 got = (fb.patterns, [faults[k] for k in fb.redundant],
                        [faults[k] for k in fb.unresolved])
@@ -709,6 +715,6 @@ class TestFallbackSearch:
         ev = evaluate_test_set(net, enumerate_faults(net), union.rows)
         assert ev.status.count(UNDETECTED) >= 100
         assert UNDETECTED not in ev.status[: net.d]
-        fb = fallback_search(net, ev)
+        fb = fallback_search(ev)
         assert len(fb.patterns) >= 10
         assert packs == list(range(1, len(fb.patterns) + 1))  # one pattern per append

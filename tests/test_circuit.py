@@ -33,12 +33,6 @@ def test_parse_benchmark(bench):
     assert bench.real_inputs() == (1, 2, 3, 4, 5, 6, 7)
 
 
-def test_gates_for_output(bench):
-    assert len(bench.gates_for_output(1)) == 12
-    assert len(bench.gates_for_output(2)) == 4
-    assert len(bench.gates_for_output(3)) == 3
-
-
 def test_comments_and_blank_lines():
     text = "\n# header\n.n 2   # inline\n.p 1\n\n.gate c1 : x1 x2\n.end\n# trailing comment\n"
     c = parse_circuit(text)

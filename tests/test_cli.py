@@ -99,9 +99,13 @@ class TestArgHandling:
         code, out, err = run(capsys, "verify", str(bench_path), "--sets", "T1,T9")
         assert code == 2 and "unknown test-set name" in err
 
-    def test_empty_sets(self, capsys, bench_path):
+    def test_empty_sets(self, capsys, bench_path, tmp_path):
         code, out, err = run(capsys, "atpg", str(bench_path), "--sets", ",")
         assert code == 2 and "empty --sets" in err
+        # --sets is read before the circuit: a missing file is not reached
+        for command in ("atpg", "verify"):
+            code, out, err = run(capsys, command, str(tmp_path / "nope.rev"), "--sets", ",")
+            assert (code, err) == (2, "error: empty --sets selection\n")
 
     @pytest.mark.parametrize("command", ["atpg", "verify"])
     def test_duplicate_set_names(self, capsys, bench_path, command):
@@ -471,6 +475,32 @@ class TestSimulateAndVerify:
         verdict = next(v for v in report["verdicts"] if (v["class"], v["line_a"], v["line_b"],
                                                          v["polarity"]) == BRIDGE_X2_X4_OR)
         assert verdict["verdict"] == "Redundant"
+
+
+class TestConfigBlock:
+    """Each command's json ``config`` block under non-default flags, key order
+    included: the goldens pin default flags, or one flag at a time."""
+
+    @pytest.mark.parametrize("argv, config", [
+        (["verify", "--no-fallback", "--include-aux", "--dedup", "--oracle-cap", "5",
+          "--dc-policy", "fill-one", "--sets", "T4,T1"],
+         {"command": "verify", "sets": ["T4", "T1"], "dc_policy": "fill-one", "oracle_cap": 5,
+          "fallback": False, "dedup": True, "include_aux": True}),
+        (["atpg", "--fallback", "--dedup"],
+         {"command": "atpg", "sets": ["T1", "T2", "T3", "T4", "T5"], "dc_policy": "fill-zero",
+          "oracle_cap": 22, "fallback": True, "dedup": True}),
+        (["simulate", "--include-aux", "--tests", str(DATA / "bench7x3_user.tests")],
+         {"command": "simulate", "dc_policy": "fill-zero", "oracle_cap": 22, "fallback": False,
+          "include_aux": True}),
+        (["faults", "--include-aux"],
+         {"command": "faults", "dc_policy": "fill-zero", "include_aux": True}),
+    ], ids=["verify", "atpg", "simulate", "faults"])
+    def test_non_default_flags(self, capsys, argv, config):
+        command, *flags = argv
+        code, out, err = run(capsys, command, str(DATA / "bench7x3.rev"), *flags,
+                             "--format", "json", "--no-timestamp")
+        assert code in (0, 1, 4) and err == ""  # a report, whatever its verdicts
+        assert list(json.loads(out)["config"].items()) == list(config.items())
 
 
 class TestGradeCount:

@@ -6,7 +6,6 @@ from bridgetest import expand_network, parse_circuit
 def test_benchmark_dimensions(bench):
     net = expand_network(bench)
     assert (net.n, net.p, net.d) == (7, 3, 19)
-    assert net.levels == 20
     assert net.constant_line is None
 
 
@@ -19,23 +18,6 @@ def test_benchmark_supports_and_targets(bench):
     assert net.gate_targets[:12] == (1,) * 12
     assert net.gate_targets[12:16] == (2,) * 4
     assert net.gate_targets[16:] == (3,) * 3
-
-
-def test_net_names(bench):
-    net = expand_network(bench)
-    assert net.x_net(3) == "X(3)"
-    assert net.a_net(12) == "A(12)"
-    assert net.cascade_net(2, 0) == "W(2,0)"
-    assert net.cascade_net(1, 19) == "W(1,19)"
-
-
-def test_exor_inputs(bench):
-    net = expand_network(bench)
-    # gate 1 targets c1: its EXOR reads the initial column and A(1)
-    assert net.exor_inputs(1) == ("W(1,0)", "A(1)")
-    # gate 13 is the first c2 gate, so its left input is still W(2,12)
-    assert net.exor_inputs(13) == ("W(2,12)", "A(13)")
-    assert net.exor_inputs(19) == ("W(3,18)", "A(19)")
 
 
 def test_real_inputs_without_aux(bench):

@@ -9,9 +9,11 @@ fallback appended patterns, so the two must agree on every verdict,
 pattern index, mask, union and bound.
 """
 
+import inspect
 import itertools
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -23,11 +25,13 @@ from bridgetest import (
     enumerate_faults,
     evaluate_test_set,
     expand_network,
+    fallback_search,
     format_circuit,
     generate_sets,
     parse_circuit,
 )
 from bridgetest import atpg
+from bridgetest.report import build_coverage_report, build_fault_report
 from bridgetest.cli import RunConfig, run_pipeline
 from bridgetest.simulate import DEFAULT_ORACLE_CAP, UNDETECTED, FaultVerdict
 from conftest import DATA, random_circuit, with_zero_control
@@ -43,7 +47,7 @@ def reference(network, faults, sets, cfg):
     missed = [faults[k] for k, status in enumerate(first.status) if status == UNDETECTED]
     fb = reference_fallback(network, missed, cfg.oracle_cap, not cfg.fallback)
     union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=dc)
-    bound = check_bound(union, len(network.real_inputs()), network.p)
+    bound = check_bound(union, network)
     final = evaluate_test_set(network, faults, union.test_set.rows, dc_policy=dc)
     verdicts = []
     for v in final.verdicts:
@@ -100,6 +104,26 @@ def test_one_fault_object_per_oracle_call(monkeypatch):
     run = run_pipeline(network, faults, sets, cfg)
     assert run.fallback.patterns and len(calls) > 10
     assert built == calls
+
+
+def test_fault_list_of_another_network_refused():
+    # a fault list carries its network; graded against another one, its
+    # indices would be read in the other network's layout
+    text_a = ".n 3\n.p 2\n.gate c1 : x1 x2\n.gate c2 : x3\n.end\n"
+    a = expand_network(parse_circuit(text_a))
+    b = expand_network(parse_circuit(
+        ".n 3\n.p 1\n.gate c1 : x1 x2\n.gate c1 : x3\n.gate c1 : x2\n.end\n"))
+    for network, faults, rows in ((b, enumerate_faults(a), ["0111", "1010"]),
+                                  (a, enumerate_faults(b), ["00111", "01010"])):
+        with pytest.raises(ValueError, match="^the fault list belongs to another network$"):
+            evaluate_test_set(network, faults, rows)
+    # the same circuit expanded again is the same network
+    again = expand_network(parse_circuit(text_a))
+    assert again is not a
+    assert evaluate_test_set(again, enumerate_faults(a), ["00111"]).faults.network is a
+    # the stages handed a fault list, or an evaluation, read the network off it
+    for stage in (fallback_search, build_coverage_report, build_fault_report):
+        assert "network" not in inspect.signature(stage).parameters, stage.__name__
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans())

@@ -27,6 +27,7 @@ from bridgetest import (
     TestSet,
     UnionResult,
     detects,
+    exhaustive_detectability,
 )
 from bridgetest.cli import RunConfig
 from bridgetest.pprm import PprmFunction
@@ -92,10 +93,34 @@ def test_record_semantics(record, text):
     ((FaultKind.INTRA_LEVEL, (1, 2, 2), Polarity.WIRED_OR),
      r"IntraLevel needs \(level, j1, j2\) with j1 < j2"),
     ((FaultKind.INTRA_LEVEL, (1, 1, 2)), "IntraLevel needs a polarity"),
+    # a kind or polarity given by its value is checked as the member
+    (("ExorInternal", (1,), "WiredAnd"), "ExorInternal takes a single gate id and no polarity"),
+    (("APair", (1, 2)), "APair needs a polarity"),
+    (("XPair", (1, 2), "bogus"), "'bogus' is not a valid Polarity"),
+    (("Bogus", (1, 2), "WiredOr"), "'Bogus' is not a valid FaultKind"),
+    ((FaultKind.X_PAIR, (1, 2), FaultKind.X_PAIR),
+     "<FaultKind.X_PAIR: 'XPair'> is not a valid Polarity"),
 ])
 def test_fault_errors(args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         BridgingFault(*args)
+
+
+@pytest.mark.parametrize("kind", ["XPair", FaultKind.X_PAIR])
+@pytest.mark.parametrize("polarity", ["WiredAnd", "WiredOr", Polarity.WIRED_OR])
+def test_fault_by_value_is_the_member_fault(kind, polarity):
+    # built from "XPair" or "WiredAnd", a fault reads as the enum-built one:
+    # the same members, description, oracle witness and detects answers
+    net = AndExorNetwork(2, 1, (frozenset({1}),), (1,))
+    fault = BridgingFault(kind, (1, 2), polarity)
+    member = BridgingFault(FaultKind.X_PAIR, (1, 2), Polarity(polarity))
+    assert fault.kind is FaultKind.X_PAIR and fault.polarity is member.polarity
+    assert fault.describe() == member.describe() == f"XPair (x1,x2) {Polarity(polarity).value}"
+    witness = exhaustive_detectability(net, fault).witness
+    assert witness == exhaustive_detectability(net, member).witness
+    assert detects(net, fault, witness)
+    for row in ("000", "001", "010", "011", "100", "101", "110", "111"):
+        assert detects(net, fault, row) == detects(net, member, row), row
 
 
 def test_pattern_errors():

@@ -41,9 +41,9 @@ def bench_report(bench, bench_union):
     result = generate_sets(net)
     union = bench_union
     evaluation = evaluate_test_set(net, faults, union.test_set.rows)
-    bound = check_bound(union, 7, 3)
+    bound = check_bound(union, net)
     report = build_coverage_report(
-        bench, net, faults, evaluation, result.ordered_sets(), union, bound,
+        bench, evaluation, result.ordered_sets(), union, bound,
         {"dc_policy": "fill-zero"}, timestamp=False,
     )
     return report
@@ -93,7 +93,7 @@ def test_coverage_report_shape(bench_report):
 def test_timestamp_toggle(bench, bench_report):
     net = expand_network(bench)
     faults = enumerate_faults(net)
-    report = build_fault_report(bench, net, faults, {}, timestamp=True)
+    report = build_fault_report(bench, faults, {}, timestamp=True)
     assert list(report)[:2] == ["schema_version", "generated_at"]
     # ISO-8601 with explicit offset
     assert "T" in report["generated_at"] and "+00:00" in report["generated_at"]
@@ -155,7 +155,7 @@ def test_csv_verdicts(bench_report):
 
 def test_csv_faults(bench):
     net = expand_network(bench)
-    report = build_fault_report(bench, net, enumerate_faults(net), {}, timestamp=False)
+    report = build_fault_report(bench, enumerate_faults(net), {}, timestamp=False)
     text = render_report(report, "csv")
     lines = text.splitlines()
     assert lines[0] == "class,line_a,line_b,polarity"
@@ -169,7 +169,7 @@ def test_csv_needs_rows(bench, bench_report):
     result = generate_sets(net)
     union = assemble_union(result.ordered_sets())
     gen = build_generation_report(
-        bench, net, result.ordered_sets(), union, check_bound(union, 7, 3),
+        bench, net, result.ordered_sets(), union, check_bound(union, net),
         {}, timestamp=False,
     )
     with pytest.raises(ValueError, match="no row section"):
@@ -195,7 +195,7 @@ def test_text_bound_fail_and_fallback_note(bench, bench_report):
     result = generate_sets(net)
     union = assemble_union(result.ordered_sets(), ["0001111111"])
     gen = build_generation_report(
-        bench, net, result.ordered_sets(), union, check_bound(union, 7, 3),
+        bench, net, result.ordered_sets(), union, check_bound(union, net),
         {}, timestamp=False,
     )
     text = render_report(gen, "text")
@@ -208,7 +208,7 @@ def test_generation_report_has_no_verdicts(bench):
     result = generate_sets(net)
     union = assemble_union(result.ordered_sets())
     gen = build_generation_report(
-        bench, net, result.ordered_sets(), union, check_bound(union, 7, 3),
+        bench, net, result.ordered_sets(), union, check_bound(union, net),
         {"sets": "T1,T2,T3,T4,T5"}, timestamp=False,
     )
     assert list(gen) == ["schema_version", "circuit", "config", "test_sets", "union", "bound"]
@@ -218,7 +218,7 @@ def test_generation_report_has_no_verdicts(bench):
 def test_out_of_model_block(bench):
     net = expand_network(bench)
     faults = enumerate_faults(net, record_out_of_model=True)
-    report = build_fault_report(bench, net, faults, {}, timestamp=False)
+    report = build_fault_report(bench, faults, {}, timestamp=False)
     assert report["out_of_model"] == {
         "x-a": 266, "x-w": 840, "a-w": 2280, "total": 3386,
     }

@@ -169,7 +169,7 @@ class TestInjection:
 class TestStimulationMasks:
     def test_corners_fill_benchmark_masks(self, bench):
         net = expand_network(bench)
-        corners = gen_corner_set(7, 3).rows
+        corners = gen_corner_set(net).rows
         assert exor_stimulation_mask(net, corners) == [FULL_MASK] * 19
 
     def test_partial_masks(self, twoline):
@@ -180,7 +180,7 @@ class TestStimulationMasks:
         assert masks == [0b0010, 0b0010]
 
     def test_masks_accumulate(self, twoline):
-        corners = gen_corner_set(1, 2).rows
+        corners = gen_corner_set(twoline).rows
         assert exor_stimulation_mask(twoline, corners) == [FULL_MASK, FULL_MASK]
 
 
@@ -264,7 +264,7 @@ class TestEvaluateTestSet:
     def test_benchmark_with_corners(self, bench):
         net = expand_network(bench)
         faults = enumerate_faults(net)
-        ev = evaluate_test_set(net, faults, gen_corner_set(7, 3).rows)
+        ev = evaluate_test_set(net, faults, gen_corner_set(net).rows)
         assert ev.masks == [FULL_MASK] * 19
         for v in ev.verdicts[:19]:
             assert v.status == "detected" and v.method == "stimulation"
@@ -295,7 +295,7 @@ class TestEvaluateTestSet:
         )
         net = expand_network(circuit)
         faults = enumerate_faults(net)
-        ev = evaluate_test_set(net, faults, gen_corner_set(2, 1, constant_line=2).rows)
+        ev = evaluate_test_set(net, faults, gen_corner_set(net).rows)
         assert [(v.status, v.method) for v in ev.verdicts] == [("redundant", "constant-line")]
         assert ev.coverage() == 1.0
 
