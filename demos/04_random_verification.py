@@ -28,8 +28,8 @@ def random_circuit(index: int) -> ReversibleCircuit:
     n, p = rng.randint(2, 6), rng.randint(1, 3)
     gates = [
         Gate(frozenset(rng.sample(range(1, n + 1), rng.randint(1, min(n, 3)))),
-             rng.randint(1, p), gid)
-        for gid in range(1, rng.randint(2, 8) + 1)
+             rng.randint(1, p))
+        for _ in range(rng.randint(2, 8))
     ]
     return ReversibleCircuit(n, p, tuple(gates), name=f"rand{index}")
 

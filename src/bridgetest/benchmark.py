@@ -29,7 +29,6 @@ from .network import AndExorNetwork, expand_network
 __all__ = [
     "BENCHMARK_TEXT",
     "benchmark_circuit",
-    "is_benchmark",
     "REFERENCE_TERM_COUNTS",
     "REFERENCE_RESTRICTED_TERM_COUNTS",
     "REFERENCE_PARITY_ROWS",
@@ -69,17 +68,6 @@ BENCHMARK_TEXT = """\
 
 def benchmark_circuit() -> ReversibleCircuit:
     return parse_circuit(BENCHMARK_TEXT, name="bench7x3")
-
-
-def is_benchmark(circuit: ReversibleCircuit) -> bool:
-    """Structural match: same dimensions and gate list, name ignored."""
-    ref = benchmark_circuit()
-    return (
-        circuit.n == ref.n
-        and circuit.p == ref.p
-        and [(g.controls, g.target) for g in circuit.gates]
-        == [(g.controls, g.target) for g in ref.gates]
-    )
 
 
 # Tabulated per-output counts of AND terms containing x_i (diagonal) or
@@ -169,16 +157,14 @@ def derived_term_counts(
     }
 
 
-def tabulated_discrepancies(circuit: ReversibleCircuit) -> list[dict]:
-    """Cells where the shipped tables disagree with the circuit itself.
+def tabulated_discrepancies() -> list[dict]:
+    """Cells where the shipped tables disagree with the benchmark circuit.
 
-    Returns an empty list for anything but the benchmark.  Each entry
-    names the table, the cell, the tabulated value, and the recomputed one
-    (the recomputed value is the one every generator in this package uses).
+    Each entry names the table, the cell, the tabulated value, and the
+    recomputed one (the recomputed value is the one every generator in
+    this package uses).
     """
-    if not is_benchmark(circuit):
-        return []
-    network = expand_network(circuit)
+    network = expand_network(benchmark_circuit())
 
     def tabulated_bits(rows: Sequence[str], variables: range) -> dict:
         return {(i, j): int(b) for row, i in zip(rows, variables) for b, j in zip(row, variables)}

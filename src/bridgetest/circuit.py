@@ -48,20 +48,17 @@ class ParseError(CircuitError):
 class Gate(NamedTuple):
     """A single k-CNOT: the AND of the control inputs, XORed onto one target line.
 
-    ``id`` is the gate's 1-based position in circuit order and names its
-    AND output net a_id.
+    A gate's 1-based position in circuit order names its AND output net:
+    gate i drives a_i.
     """
 
     controls: frozenset[int]
     target: int
-    id: int
-
-    def sorted_controls(self) -> tuple[int, ...]:
-        return tuple(sorted(self.controls))
 
 
 class ReversibleCircuit(NamedTuple):
-    """An ordered list of k-CNOT gates over n inputs and p target lines."""
+    """An ordered list of k-CNOT gates over n inputs and p target lines, as a
+    circuit file gives it; every stage after ``expand_network`` reads the network."""
 
     n: int
     p: int
@@ -82,8 +79,6 @@ class ReversibleCircuit(NamedTuple):
         if self.constant_line is not None and not (1 <= self.constant_line <= self.n):
             raise CircuitError(f"constant line x{self.constant_line} out of range")
         for pos, gate in enumerate(self.gates, start=1):
-            if gate.id != pos:
-                raise CircuitError(f"gate at position {pos} carries id {gate.id}")
             if not gate.controls and not allow_zero_controls:
                 raise CircuitError(f"gate {pos} has no controls; normalization is disabled")
             for v in gate.controls:
@@ -91,10 +86,6 @@ class ReversibleCircuit(NamedTuple):
                     raise CircuitError(f"gate {pos}: control x{v} out of range 1..{self.n}")
             if not (1 <= gate.target <= self.p):
                 raise CircuitError(f"gate {pos}: target c{gate.target} out of range 1..{self.p}")
-
-    def real_inputs(self) -> tuple[int, ...]:
-        """Input indices excluding the constant-one line, if any."""
-        return tuple(i for i in range(1, self.n + 1) if i != self.constant_line)
 
 
 _C_TOKEN = re.compile(r"^c([0-9]+)$")
@@ -188,7 +179,7 @@ def parse_circuit(
             if not controls and not allow_zero_controls:
                 raise ParseError("gate has no controls (0-CNOT); normalization is disabled",
                                  lineno, _column(line, 0))
-            gates.append(Gate(frozenset(controls), target, len(gates) + 1))
+            gates.append(Gate(frozenset(controls), target))
             continue
 
         raise ParseError(f"unknown directive '{head}'", lineno, _column(line, 0))
@@ -207,7 +198,7 @@ def format_circuit(circuit: ReversibleCircuit) -> str:
     """Print a circuit in the canonical text form (controls in ascending order)."""
     lines = [f".n {circuit.n}", f".p {circuit.p}"]
     for gate in circuit.gates:
-        ctrl = " ".join(f"x{v}" for v in gate.sorted_controls())
+        ctrl = " ".join(f"x{v}" for v in sorted(gate.controls))
         lines.append(f".gate c{gate.target} : {ctrl}".rstrip())
     lines.append(".end")
     return "\n".join(lines) + "\n"
@@ -228,9 +219,7 @@ def normalize_zero_controls(circuit: ReversibleCircuit) -> ReversibleCircuit:
     else:
         aux = circuit.n + 1
         n = circuit.n + 1
-    gates = tuple(
-        g if g.controls else Gate(frozenset({aux}), g.target, g.id) for g in circuit.gates
-    )
+    gates = tuple(g if g.controls else Gate(frozenset({aux}), g.target) for g in circuit.gates)
     out = ReversibleCircuit(n, circuit.p, gates, name=circuit.name, constant_line=aux)
     out.validate()
     return out

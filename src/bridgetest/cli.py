@@ -198,14 +198,14 @@ def _coverage_exit(evaluation: Evaluation) -> int:
 
 def _parse_tests_for(network, text: str) -> list[str]:
     """Parse a test file sized for the network.  A constant line is always
-    1: files written for the circuit before normalization added it (one x
-    column short) are padded with that 1, and in a full-width row a d there
-    is read as 1 and a 0 refused."""
+    1: files written for the circuit before normalization added it as the
+    last x line (one x column short) are padded with that 1, and in a
+    full-width row a d there is read as 1 and a 0 refused."""
     n, p, aux = network.n, network.p, network.constant_line
     if aux is None:
         return parse_test_file(text, n, p)
     tokens = line_tokens(text)  # read for the first row's width, then for the rows
-    if aux == n and len(next(filter(None, tokens), "")) == p + n - 1:
+    if len(next(filter(None, tokens), "")) == p + n - 1:
         return [row + "1" for row in token_rows(tokens, n - 1, p)]
     rows, k = token_rows(tokens, n, p), p + aux - 1
     if "0" in "".join(rows)[k :: p + n]:
@@ -225,21 +225,19 @@ def cmd_parse(args) -> int:
 
 def cmd_faults(args) -> int:
     cfg = _config(args)
-    circuit = _load_circuit(args.circuit)
     faults = enumerate_faults(
-        expand_network(circuit),
+        expand_network(_load_circuit(args.circuit)),
         include_aux=cfg.include_aux,
         record_out_of_model=args.out_of_model,
     )
-    report = build_fault_report(circuit, faults, cfg.echo(), timestamp=not args.no_timestamp)
+    report = build_fault_report(faults, cfg.echo(), timestamp=not args.no_timestamp)
     _write_text(args.out, render_report(report, args.format))
     return EXIT_OK
 
 
 def cmd_atpg(args) -> int:
     cfg = _config(args)
-    circuit = _load_circuit(args.circuit)
-    network = expand_network(circuit)
+    network = expand_network(_load_circuit(args.circuit))
     sets = generate_sets(network, cfg.sets).ordered_sets()
     # without repair patterns the union needs no grading
     faults = enumerate_faults(network) if cfg.fallback else None
@@ -247,15 +245,14 @@ def cmd_atpg(args) -> int:
     union, bound = run.union, run.bound
     if args.format == "text":
         header = [
-            f"# {circuit.name or 'circuit'}: n={network.n} p={network.p} d={network.d}",
+            f"# {network.name or 'circuit'}: n={network.n} p={network.p} d={network.d}",
             f"# columns: {network.p} c lines then {network.n} x lines",
         ]
         body = format_patterns(union)
         _write_text(args.out, "\n".join(header) + "\n" + body)
     else:
         report = build_generation_report(
-            circuit, network, sets, union, bound, cfg.echo(),
-            timestamp=not args.no_timestamp,
+            network, sets, union, bound, cfg.echo(), timestamp=not args.no_timestamp,
         )
         _write_text(args.out, render_report(report, "json"))
     if not bound.passed:
@@ -270,14 +267,12 @@ def cmd_grade(args) -> int:
     cfg = _config(args)
     if args.circuit == args.tests == "-":
         raise ValueError("the circuit and --tests cannot both be read from stdin")
-    circuit = _load_circuit(args.circuit)
-    network = expand_network(circuit)
+    network = expand_network(_load_circuit(args.circuit))
     faults = enumerate_faults(network, include_aux=cfg.include_aux)
     sets = [TestSet("User", _parse_tests_for(network, _read_text(args.tests)))]
     run = run_pipeline(network, faults, sets, cfg)
     report = build_coverage_report(
-        circuit, run.evaluation, sets, run.union, None, cfg.echo(),
-        timestamp=not args.no_timestamp,
+        run.evaluation, sets, run.union, None, cfg.echo(), timestamp=not args.no_timestamp,
     )
     _write_text(args.out, render_report(report, args.format))
     return _coverage_exit(run.evaluation)
@@ -285,14 +280,12 @@ def cmd_grade(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _config(args)
-    circuit = _load_circuit(args.circuit)
-    network = expand_network(circuit)
+    network = expand_network(_load_circuit(args.circuit))
     faults = enumerate_faults(network, include_aux=cfg.include_aux)
     sets = generate_sets(network, cfg.sets).ordered_sets()
     run = run_pipeline(network, faults, sets, cfg)
     report = build_coverage_report(
-        circuit, run.evaluation, sets, run.union, run.bound, cfg.echo(),
-        timestamp=not args.no_timestamp,
+        run.evaluation, sets, run.union, run.bound, cfg.echo(), timestamp=not args.no_timestamp,
     )
     _write_text(args.out, render_report(report, args.format))
     return _coverage_exit(run.evaluation)
@@ -302,19 +295,15 @@ def cmd_bench(args) -> int:
     if args.emit_circuit:
         _write_text(args.out, BENCHMARK_TEXT)
         return EXIT_OK
-    circuit = benchmark_circuit()
-    network = expand_network(circuit)
+    network = expand_network(benchmark_circuit())
     gen = generate_sets(network)
     t2 = tuple(row[network.p :] for row in gen.sets["T2"].rows)
     t3 = tuple(row[network.p :] for row in gen.sets["T3"].rows)
-    cells = tabulated_discrepancies(circuit)
+    cells = tabulated_discrepancies()
     if args.format == "json":
         report = {
             "schema_version": SCHEMA_VERSION,
-            "circuit": {
-                "name": circuit.name, "n": network.n,
-                "p": network.p, "d": network.d,
-            },
+            "circuit": {"name": network.name, "n": network.n, "p": network.p, "d": network.d},
             "discrepancies": cells,
             "t2": {"generated": t2, "reference": REFERENCE_T2_X, "match": t2 == REFERENCE_T2_X},
             "t3": {"generated": t3, "reference": REFERENCE_T3_X, "match": t3 == REFERENCE_T3_X},
@@ -322,7 +311,7 @@ def cmd_bench(args) -> int:
         _write_text(args.out, render_report(report, "json"))
         return EXIT_OK
     lines = [
-        f"benchmark {circuit.name}: n={network.n} p={network.p} d={network.d}",
+        f"benchmark {network.name}: n={network.n} p={network.p} d={network.d}",
         f"tabulated cells disagreeing with recomputation: {len(cells)}"
         " (recomputed values are authoritative)",
     ]

@@ -3,7 +3,9 @@
 Expanding a circuit yields one k-input AND per gate (output net a_i) and a
 2-input EXOR cascade per target line.  Cascade wires are wj@0 = c_j up to
 wj@d = f_j; the EXOR of gate L reads w<target>@(L-1) on its left input and
-a_L on its right input.  Reports name the nets this way.
+a_L on its right input.  Reports name the nets this way.  The network also
+carries the circuit's name, for report headers; two networks that differ
+only in their names are not equal.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ class AndExorNetwork(NamedTuple):
     gate_supports: tuple[frozenset, ...]
     gate_targets: tuple[int, ...]
     constant_line: int | None = None
+    name: str = ""
 
     @property
     def d(self) -> int:
@@ -39,4 +42,5 @@ def expand_network(circuit: ReversibleCircuit) -> AndExorNetwork:
         gate_supports=tuple(g.controls for g in circuit.gates),
         gate_targets=tuple(g.target for g in circuit.gates),
         constant_line=circuit.constant_line,
+        name=circuit.name,
     )

@@ -26,7 +26,6 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .atpg import BoundReport, UnionResult
-from .circuit import ReversibleCircuit
 from .faults import FaultKind, FaultList, Polarity
 from .network import AndExorNetwork
 from .patterns import TestSet
@@ -120,13 +119,11 @@ class UnionRows:
         return f"[{body}{indent}]" if body else "[]"
 
 
-def _header(
-    circuit: ReversibleCircuit, network: AndExorNetwork, config: Mapping, timestamp: bool
-) -> dict:
+def _header(network: AndExorNetwork, config: Mapping, timestamp: bool) -> dict:
     report: dict = {"schema_version": SCHEMA_VERSION}
     if timestamp:
         report["generated_at"] = _timestamp()
-    report["circuit"] = {"name": circuit.name, "n": network.n, "p": network.p, "d": network.d,
+    report["circuit"] = {"name": network.name, "n": network.n, "p": network.p, "d": network.d,
                          "constant_line": network.constant_line}
     report["config"] = dict(config)
     return report
@@ -156,11 +153,11 @@ def _union_block(union: UnionResult) -> dict:
 
 
 def build_coverage_report(
-    circuit: ReversibleCircuit, evaluation: Evaluation, sets: Sequence[TestSet],
-    union: UnionResult, bound: BoundReport | None, config: Mapping, *, timestamp: bool = True,
+    evaluation: Evaluation, sets: Sequence[TestSet], union: UnionResult,
+    bound: BoundReport | None, config: Mapping, *, timestamp: bool = True,
 ) -> dict:
     faults = evaluation.faults
-    report = _header(circuit, faults.network, config, timestamp)
+    report = _header(faults.network, config, timestamp)
     _add_fault_counts(report, faults)
     report["test_sets"] = _sets_block(sets)
     report["union"] = {**_union_block(union), "patterns": UnionRows(union)}
@@ -179,20 +176,18 @@ def build_coverage_report(
 
 
 def build_generation_report(
-    circuit: ReversibleCircuit, network: AndExorNetwork, sets: Sequence[TestSet],
-    union: UnionResult, bound: BoundReport, config: Mapping, *, timestamp: bool = True,
+    network: AndExorNetwork, sets: Sequence[TestSet], union: UnionResult,
+    bound: BoundReport, config: Mapping, *, timestamp: bool = True,
 ) -> dict:
-    report = _header(circuit, network, config, timestamp)
+    report = _header(network, config, timestamp)
     report["test_sets"] = _sets_block(sets)
     report["union"] = _union_block(union)
     report["bound"] = _bound_block(bound)
     return report
 
 
-def build_fault_report(
-    circuit: ReversibleCircuit, faults: FaultList, config: Mapping, *, timestamp: bool = True,
-) -> dict:
-    report = _header(circuit, faults.network, config, timestamp)
+def build_fault_report(faults: FaultList, config: Mapping, *, timestamp: bool = True) -> dict:
+    report = _header(faults.network, config, timestamp)
     _add_fault_counts(report, faults)
     report["faults"] = Rows(faults)
     return report

@@ -45,10 +45,10 @@ def random_circuit(rng: random.Random, index: int = 0, *, max_n: int = 8,
             break
     d = rng.randint(1, max_d)
     gates = []
-    for gid in range(1, d + 1):
+    for _ in range(d):
         k = rng.randint(1, min(n, 4))
         controls = frozenset(rng.sample(range(1, n + 1), k))
-        gates.append(Gate(controls, rng.randint(1, p), gid))
+        gates.append(Gate(controls, rng.randint(1, p)))
     return ReversibleCircuit(n, p, tuple(gates), name=f"rand{index}")
 
 
@@ -56,9 +56,8 @@ def with_zero_control(circuit: ReversibleCircuit, rng: random.Random) -> Reversi
     """``circuit`` with one 0-control gate inserted, then normalized onto a
     constant-one line."""
     gates = list(circuit.gates)
-    gates.insert(rng.randint(0, len(gates)), Gate(frozenset(), rng.randint(1, circuit.p), 0))
-    renumbered = tuple(Gate(g.controls, g.target, pos) for pos, g in enumerate(gates, start=1))
-    raw = ReversibleCircuit(circuit.n, circuit.p, renumbered, name=circuit.name)
+    gates.insert(rng.randint(0, len(gates)), Gate(frozenset(), rng.randint(1, circuit.p)))
+    raw = ReversibleCircuit(circuit.n, circuit.p, tuple(gates), name=circuit.name)
     return normalize_zero_controls(raw)
 
 

@@ -104,7 +104,7 @@ def reference_parse_circuit(
                 raise ParseError(
                     "gate has no controls (0-CNOT); normalization is disabled", lineno, head_col
                 )
-            gates.append(Gate(frozenset(controls), target, len(gates) + 1))
+            gates.append(Gate(frozenset(controls), target))
             continue
 
         raise ParseError(f"unknown directive '{head}'", lineno, head_col)

@@ -146,7 +146,7 @@ def test_criterion_2_parity_fidelity(bench):
     assert int(REFERENCE_PARITY_ROWS[4][4]) == 1
     noted = {
         (d["table"], d["cell"]): (d["reference"], d["derived"])
-        for d in tabulated_discrepancies(bench)
+        for d in tabulated_discrepancies()
     }
     assert noted[("parity", (5, 5))] == (1, 0)
     assert ("parity", (6, 6)) in noted and ("parity", (6, 2)) in noted

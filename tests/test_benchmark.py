@@ -5,7 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bridgetest import BENCHMARK_TEXT, benchmark_circuit, expand_network, tabulated_discrepancies
+from bridgetest import benchmark_circuit, expand_network, tabulated_discrepancies
 from bridgetest.benchmark import (
     REFERENCE_PARITY_ROWS,
     REFERENCE_RESTRICTED_PARITY_ROWS,
@@ -14,23 +14,13 @@ from bridgetest.benchmark import (
     REFERENCE_T3_X,
     REFERENCE_TERM_COUNTS,
     derived_term_counts,
-    is_benchmark,
 )
-from bridgetest.circuit import parse_circuit
 
 
 def test_text_matches_data_file(bench):
     built = benchmark_circuit()
-    assert is_benchmark(built)
-    assert is_benchmark(bench)
+    assert (built.n, built.p, built.gates) == (bench.n, bench.p, bench.gates)
     assert built.n == 7 and built.p == 3 and built.d == 19
-
-
-def test_is_benchmark_rejects_variants(bench):
-    assert not is_benchmark(parse_circuit(".n 2\n.p 1\n.gate c1 : x1 x2\n.end\n"))
-    # same shape, one control moved
-    text = BENCHMARK_TEXT.replace(".gate c1 : x2\n", ".gate c1 : x3\n", 1)
-    assert not is_benchmark(parse_circuit(text))
 
 
 def test_reference_tables_are_complete():
@@ -59,11 +49,11 @@ def test_derived_term_counts_spot_values(bench):
     assert sub[(7, 7)] == (0, 3, 2)
 
 
-def test_discrepancy_list_is_frozen(bench):
+def test_discrepancy_list_is_frozen():
     # every cell where a shipped table disagrees with the circuit  [DERIVED]
     got = {
         (d["table"], d["cell"]): (d["reference"], d["derived"])
-        for d in tabulated_discrepancies(bench)
+        for d in tabulated_discrepancies()
     }
     assert got == {
         ("term-counts", (2, 6)): ((0, 0, 0), (1, 0, 0)),
@@ -87,22 +77,17 @@ def test_discrepancy_list_is_frozen(bench):
         ("restricted-parity", (6, 2)): (0, 1),
         ("restricted-parity", (6, 6)): (0, 1),
     }
-    assert len(tabulated_discrepancies(bench)) == 20
+    assert len(tabulated_discrepancies()) == 20
 
 
 def test_tables_load_no_pprm():
     # pytest has loaded bridgetest.pprm already, so ask a fresh interpreter
-    code = ("import sys, bridgetest as b; b.tabulated_discrepancies(b.benchmark_circuit());"
+    code = ("import sys, bridgetest as b; b.tabulated_discrepancies();"
             " print('bridgetest.pprm' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "False\n"
-
-
-def test_discrepancies_empty_off_benchmark():
-    other = parse_circuit(".n 2\n.p 1\n.gate c1 : x1 x2\n.end\n")
-    assert tabulated_discrepancies(other) == []
 
 
 def test_reference_parity_rows_keep_tabulated_asymmetry():

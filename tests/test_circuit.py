@@ -27,10 +27,9 @@ def test_parse_benchmark(bench):
     assert bench.gates[0].controls == frozenset({1})
     assert bench.gates[0].target == 1
     assert bench.gates[11].controls == frozenset({1, 2, 3, 4, 5})
-    assert bench.gates[18] == Gate(frozenset({3, 4, 5}), 3, 19)
+    assert bench.gates[18] == Gate(frozenset({3, 4, 5}), 3)
     assert [g.target for g in bench.gates] == [1] * 12 + [2] * 4 + [3] * 3
     assert bench.constant_line is None
-    assert bench.real_inputs() == (1, 2, 3, 4, 5, 6, 7)
 
 
 def test_comments_and_blank_lines():
@@ -102,12 +101,10 @@ def test_validate_rejects_bad_structures():
         ReversibleCircuit(0, 1, ()).validate()
     with pytest.raises(CircuitError, match="at least one c line"):
         ReversibleCircuit(1, 0, ()).validate()
-    with pytest.raises(CircuitError, match="carries id"):
-        ReversibleCircuit(1, 1, (Gate(frozenset({1}), 1, 2),)).validate()
     with pytest.raises(CircuitError, match="control x9 out of range"):
-        ReversibleCircuit(1, 1, (Gate(frozenset({9}), 1, 1),)).validate()
+        ReversibleCircuit(1, 1, (Gate(frozenset({9}), 1),)).validate()
     with pytest.raises(CircuitError, match="target c2 out of range"):
-        ReversibleCircuit(1, 1, (Gate(frozenset({1}), 2, 1),)).validate()
+        ReversibleCircuit(1, 1, (Gate(frozenset({1}), 2),)).validate()
     with pytest.raises(CircuitError, match="constant line x5 out of range"):
         ReversibleCircuit(2, 1, (), constant_line=5).validate()
 
@@ -120,7 +117,6 @@ def test_normalize_rewrites_zero_controls():
     assert c.constant_line == 3
     assert c.gates[0].controls == frozenset({3})
     assert c.gates[1].controls == frozenset({1, 2})
-    assert c.real_inputs() == (1, 2)
 
 
 def test_normalize_is_identity_without_zero_controls(bench):
@@ -136,7 +132,7 @@ def test_normalize_shares_one_constant_line():
 
 def test_normalize_reuses_existing_constant_line():
     base = ReversibleCircuit(
-        2, 1, (Gate(frozenset(), 1, 1),), constant_line=2
+        2, 1, (Gate(frozenset(), 1),), constant_line=2
     )
     c = normalize_zero_controls(base)
     assert c.n == 2
@@ -149,9 +145,8 @@ def test_normalize_reuses_existing_constant_line():
 def test_round_trip_property(n, p, rnd):
     d = rnd.randint(0, 6)
     gates = tuple(
-        Gate(frozenset(rnd.sample(range(1, n + 1), rnd.randint(1, n))),
-             rnd.randint(1, p), gid)
-        for gid in range(1, d + 1)
+        Gate(frozenset(rnd.sample(range(1, n + 1), rnd.randint(1, n))), rnd.randint(1, p))
+        for _ in range(d)
     )
     c = ReversibleCircuit(n, p, gates)
     assert parse_circuit(format_circuit(c)) == c

@@ -279,6 +279,19 @@ class TestSimulateAndVerify:
         assert outputs["csv"].startswith("class,line_a,line_b,polarity,verdict,detail\n")
         assert '\ncircuit: say "héllo"  n=2  p=1  d=1\n' in outputs["text"]
 
+    def test_stdin_circuit_is_unnamed(self, capsys, monkeypatch, and2_path):
+        # a circuit read from stdin has no file stem, so its name is empty
+        def read(*argv):
+            monkeypatch.setattr("sys.stdin", io.StringIO(and2_path.read_text()))
+            code, out, err = run(capsys, *argv, "-", "--no-timestamp")
+            assert (code, err) == (0, "")
+            return out
+
+        assert "\ncircuit: (unnamed)  n=2  p=1  d=1\n" in read("verify")
+        report = json.loads(read("verify", "-f", "json"))
+        assert report["circuit"] == {"name": "", "n": 2, "p": 1, "d": 1, "constant_line": None}
+        assert read("atpg").startswith("# circuit: n=2 p=1 d=1\n# columns: 1 c lines then 2 x")
+
     def test_verify_dedup_summary(self, capsys, and2_path):
         code, out, _ = run(capsys, "verify", str(and2_path), "--dedup")
         assert code == 0

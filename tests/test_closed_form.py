@@ -222,7 +222,7 @@ def _shared_term_circuit(rng, n, p, zero_control):
     rng.shuffle(uses)
     if zero_control:
         uses.insert(rng.randrange(len(uses) + 1), (frozenset(), rng.randint(1, p)))
-    gates = tuple(Gate(term, target, gid) for gid, (term, target) in enumerate(uses, start=1))
+    gates = tuple(Gate(term, target) for term, target in uses)
     return normalize_zero_controls(ReversibleCircuit(n, p, gates, name="shared"))
 
 

@@ -192,7 +192,7 @@ def test_reports_match_reference_renderer():
             faults = enumerate_faults(net, include_aux=include_aux, record_out_of_model=True)
             shapes.add((net.p == 1, net.d <= 1, len(faults) == 0,
                         include_aux and net.constant_line is not None))
-            report = build_fault_report(circuit, faults, {}, timestamp=False)
+            report = build_fault_report(faults, {}, timestamp=False)
             reference = dict_rows(report, eager_faults(net, include_aux=include_aux)[0])
             assert json.loads(render_report(report, "json")) == reference
             for fmt in REPORT_FORMATS:
@@ -204,7 +204,7 @@ def test_reports_match_reference_renderer():
                 sets = generate_sets(net, names).ordered_sets()
                 run = run_pipeline(net, faults, sets, cfg)
                 report = build_coverage_report(
-                    circuit, run.evaluation, sets, run.union, run.bound, cfg.echo(),
+                    run.evaluation, sets, run.union, run.bound, cfg.echo(),
                     timestamp=False,
                 )
                 _assert_verdicts_render_like_reference(report, faults, run.evaluation, run.union)
@@ -218,7 +218,7 @@ def test_reports_match_reference_renderer():
                                 include_aux=include_aux)
                 run = run_pipeline(net, faults, sets, cfg)
                 report = build_coverage_report(
-                    circuit, run.evaluation, sets, run.union, None, cfg.echo(),
+                    run.evaluation, sets, run.union, None, cfg.echo(),
                     timestamp=False,
                 )
                 _assert_verdicts_render_like_reference(report, faults, run.evaluation, run.union)

@@ -36,14 +36,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # one instance of each record type, and the repr its dataclass printed
 RECORDS = [
-    (Gate(frozenset({1, 2}), 1, 1),
-     "Gate(controls=frozenset({1, 2}), target=1, id=1)"),
-    (ReversibleCircuit(2, 1, (Gate(frozenset({1}), 1, 1),), name="t"),
-     "ReversibleCircuit(n=2, p=1, gates=(Gate(controls=frozenset({1}), target=1, id=1),),"
+    (Gate(frozenset({1, 2}), 1),
+     "Gate(controls=frozenset({1, 2}), target=1)"),
+    (ReversibleCircuit(2, 1, (Gate(frozenset({1}), 1),), name="t"),
+     "ReversibleCircuit(n=2, p=1, gates=(Gate(controls=frozenset({1}), target=1),),"
      " name='t', constant_line=None)"),
     (AndExorNetwork(2, 1, (frozenset({1}),), (1,)),
      "AndExorNetwork(n=2, p=1, gate_supports=(frozenset({1}),), gate_targets=(1,),"
-     " constant_line=None)"),
+     " constant_line=None, name='')"),
     (PprmFunction(1, (frozenset({1}),), (frozenset({1}),)),
      "PprmFunction(output_index=1, term_multiset=(frozenset({1}),),"
      " canonical_terms=(frozenset({1}),))"),

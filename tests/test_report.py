@@ -1,6 +1,7 @@
 """Report assembly and the three output renderers."""
 
 import csv
+import inspect
 import io
 import json
 
@@ -15,6 +16,8 @@ from bridgetest import (
     evaluate_test_set,
     expand_network,
     generate_sets,
+    normalize_zero_controls,
+    parse_circuit,
 )
 from bridgetest.simulate import DETECTED, REDUNDANT, UNDETECTED
 from bridgetest.report import (
@@ -43,7 +46,7 @@ def bench_report(bench, bench_union):
     evaluation = evaluate_test_set(net, faults, union.test_set.rows)
     bound = check_bound(union, net)
     report = build_coverage_report(
-        bench, evaluation, result.ordered_sets(), union, bound,
+        evaluation, result.ordered_sets(), union, bound,
         {"dc_policy": "fill-zero"}, timestamp=False,
     )
     return report
@@ -93,7 +96,7 @@ def test_coverage_report_shape(bench_report):
 def test_timestamp_toggle(bench, bench_report):
     net = expand_network(bench)
     faults = enumerate_faults(net)
-    report = build_fault_report(bench, faults, {}, timestamp=True)
+    report = build_fault_report(faults, {}, timestamp=True)
     assert list(report)[:2] == ["schema_version", "generated_at"]
     # ISO-8601 with explicit offset
     assert "T" in report["generated_at"] and "+00:00" in report["generated_at"]
@@ -155,7 +158,7 @@ def test_csv_verdicts(bench_report):
 
 def test_csv_faults(bench):
     net = expand_network(bench)
-    report = build_fault_report(bench, enumerate_faults(net), {}, timestamp=False)
+    report = build_fault_report(enumerate_faults(net), {}, timestamp=False)
     text = render_report(report, "csv")
     lines = text.splitlines()
     assert lines[0] == "class,line_a,line_b,polarity"
@@ -169,7 +172,7 @@ def test_csv_needs_rows(bench, bench_report):
     result = generate_sets(net)
     union = assemble_union(result.ordered_sets())
     gen = build_generation_report(
-        bench, net, result.ordered_sets(), union, check_bound(union, net),
+        net, result.ordered_sets(), union, check_bound(union, net),
         {}, timestamp=False,
     )
     with pytest.raises(ValueError, match="no row section"):
@@ -195,7 +198,7 @@ def test_text_bound_fail_and_fallback_note(bench, bench_report):
     result = generate_sets(net)
     union = assemble_union(result.ordered_sets(), ["0001111111"])
     gen = build_generation_report(
-        bench, net, result.ordered_sets(), union, check_bound(union, net),
+        net, result.ordered_sets(), union, check_bound(union, net),
         {}, timestamp=False,
     )
     text = render_report(gen, "text")
@@ -208,7 +211,7 @@ def test_generation_report_has_no_verdicts(bench):
     result = generate_sets(net)
     union = assemble_union(result.ordered_sets())
     gen = build_generation_report(
-        bench, net, result.ordered_sets(), union, check_bound(union, net),
+        net, result.ordered_sets(), union, check_bound(union, net),
         {"sets": "T1,T2,T3,T4,T5"}, timestamp=False,
     )
     assert list(gen) == ["schema_version", "circuit", "config", "test_sets", "union", "bound"]
@@ -218,12 +221,43 @@ def test_generation_report_has_no_verdicts(bench):
 def test_out_of_model_block(bench):
     net = expand_network(bench)
     faults = enumerate_faults(net, record_out_of_model=True)
-    report = build_fault_report(bench, faults, {}, timestamp=False)
+    report = build_fault_report(faults, {}, timestamp=False)
     assert report["out_of_model"] == {
         "x-a": 266, "x-w": 840, "a-w": 2280, "total": 3386,
     }
     text = render_report(report, "text")
     assert "out of model: 3386 (x-a 266, x-w 840, a-w 2280)" in text
+
+
+def test_header_reads_the_network_alone():
+    # after expansion the network is the circuit's one record, so every
+    # header field, the name too, is read off it and no builder takes a circuit
+    text = ".n 2\n.p 2\n.gate c1 :\n.gate c2 : x1 x2\n.end\n"
+    circuit = normalize_zero_controls(parse_circuit(text, allow_zero_controls=True, name="y"))
+    net = expand_network(circuit)
+    assert (net.name, net.constant_line) == ("y", 3)
+    names = []
+    for network in (net, net._replace(name="z")):
+        faults = enumerate_faults(network)
+        sets = generate_sets(network).ordered_sets()
+        union = assemble_union(sets)
+        evaluation = evaluate_test_set(network, faults, union.test_set.rows)
+        bound = check_bound(union, network)
+        for report in (
+            build_fault_report(faults, {}, timestamp=False),
+            build_generation_report(network, sets, union, bound, {}, timestamp=False),
+            build_coverage_report(evaluation, sets, union, bound, {}, timestamp=False),
+        ):
+            assert report["circuit"] == {"name": network.name, "n": network.n, "p": network.p,
+                                         "d": network.d, "constant_line": network.constant_line}
+            names.append(report["circuit"]["name"])
+    assert names == ["y"] * 3 + ["z"] * 3
+    for builder in (build_fault_report, build_generation_report, build_coverage_report):
+        assert "circuit" not in inspect.signature(builder).parameters, builder.__name__
+    # the name is part of the network: the same structure under another name
+    # is another network, and a fault list of one is refused for the other
+    with pytest.raises(ValueError, match="^the fault list belongs to another network$"):
+        evaluate_test_set(net._replace(name="z"), enumerate_faults(net), ["00111"])
 
 
 def test_unknown_format(bench_report):

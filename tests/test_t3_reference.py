@@ -62,7 +62,7 @@ def term_pool_circuit(rng: random.Random, index: int = 0) -> ReversibleCircuit:
         for _ in range(rng.randint(1, 5))
     ]
     gates = tuple(
-        Gate(rng.choice(pool), rng.randint(1, p), gid) for gid in range(1, rng.randint(1, 10) + 1)
+        Gate(rng.choice(pool), rng.randint(1, p)) for _ in range(rng.randint(1, 10))
     )
     circuit = ReversibleCircuit(n, p, gates, name=f"pool{index}")
     return with_zero_control(circuit, rng) if rng.random() < 0.3 else circuit
