@@ -3,27 +3,23 @@ Parsing a circuit and reading off its AND-EXOR structure
 ========================================================
 
 Loads the built-in 7-input, 3-output benchmark, prints its canonical
-form, and walks the views the rest of the toolkit is built on: the gate
-list, each output's AND terms read off the gate supports, and the flat
-AND-EXOR netlist.
+form, and reads two things off the circuit's one record, its AND-EXOR
+network: each output's AND terms, which are the gate supports, and the
+nets that reports name.
 """
 
-from bridgetest import (
-    benchmark_circuit,
-    expand_network,
-    format_circuit,
-)
+from bridgetest import benchmark_circuit, format_circuit
 
-# the benchmark ships with the package; any .rev file parses the same way
-circuit = benchmark_circuit()
-print(format_circuit(circuit))
+# the benchmark ships with the package; any .rev file parses the same way,
+# straight into the gate supports and targets every later stage reads
+net = benchmark_circuit()
+print(format_circuit(net))
 
-print(f"n={circuit.n} inputs, p={circuit.p} targets, d={circuit.d} gates")
+print(f"n={net.n} inputs, p={net.p} targets, d={net.d} gates")
 print()
 
 # every output is its initial c line XORed with one AND term per gate
 # targeting it, the gate's support, in gate order; duplicates would cancel
-net = expand_network(circuit)
 for j in range(1, net.p + 1):
     terms = " + ".join(
         "".join(f"x{v}" for v in sorted(support))

@@ -11,9 +11,8 @@ version of what the acceptance suite runs over 100 circuits.
 import random
 
 from bridgetest import (
+    AndExorNetwork,
     FaultKind,
-    Gate,
-    ReversibleCircuit,
     enumerate_faults,
     exhaustive_detectability,
     expand_network,
@@ -24,20 +23,20 @@ from bridgetest.cli import RunConfig, run_pipeline
 rng = random.Random(2718)
 
 
-def random_circuit(index: int) -> ReversibleCircuit:
+def random_circuit(index: int) -> AndExorNetwork:
+    # gate i ANDs the inputs in supports[i-1] onto c line targets[i-1]
     n, p = rng.randint(2, 6), rng.randint(1, 3)
-    gates = [
-        Gate(frozenset(rng.sample(range(1, n + 1), rng.randint(1, min(n, 3)))),
-             rng.randint(1, p))
-        for _ in range(rng.randint(2, 8))
-    ]
-    return ReversibleCircuit(n, p, tuple(gates), name=f"rand{index}")
+    supports, targets = [], []
+    for _ in range(rng.randint(2, 8)):
+        supports.append(frozenset(rng.sample(range(1, n + 1), rng.randint(1, min(n, 3)))))
+        targets.append(rng.randint(1, p))
+    return AndExorNetwork(n, p, tuple(supports), tuple(targets), name=f"rand{index}")
 
 
 checked = missed = redundant = 0
 for index in range(20):
-    circuit = random_circuit(index)
-    net = expand_network(circuit)
+    # expand_network checks a hand-built network and returns it
+    net = expand_network(random_circuit(index))
     faults = enumerate_faults(net)
 
     # generate, grade, repair: the pipeline `bridgetest verify` runs
@@ -52,7 +51,7 @@ for index in range(20):
         if exhaustive_detectability(net, fault).detectable:
             if status[fault] != "detected":
                 missed += 1
-                print(f"MISS on {circuit.name}: {fault.describe()}")
+                print(f"MISS on {net.name}: {fault.describe()}")
         else:
             redundant += 1
 

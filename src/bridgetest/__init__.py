@@ -1,8 +1,8 @@
 """Bridging-fault test generation and fault simulation for AND-EXOR
 realizations of reversible k-CNOT circuits.
 
-The public surface mirrors the pipeline: parse a netlist (`circuit`),
-flatten it (`network`), enumerate the fault universe (`faults`), build the
+The public surface mirrors the pipeline: parse a netlist into its AND-EXOR
+network (`circuit`), enumerate the fault universe (`faults`), build the
 five named test sets plus repair patterns (`atpg`), and grade everything
 bit-accurately with an exhaustive oracle on the side (`simulate`).  Every
 stage reads the circuit through the network's gate supports.  The
@@ -30,10 +30,10 @@ from .atpg import (
 )
 from .benchmark import BENCHMARK_TEXT, benchmark_circuit, tabulated_discrepancies
 from .circuit import (
+    AndExorNetwork,
     CircuitError,
-    Gate,
     ParseError,
-    ReversibleCircuit,
+    expand_network,
     format_circuit,
     normalize_zero_controls,
     parse_circuit,
@@ -46,7 +46,6 @@ from .faults import (
     bridge_values,
     enumerate_faults,
 )
-from .network import AndExorNetwork, expand_network
 from .patterns import (
     DC_POLICIES,
     TestFileError,
@@ -69,10 +68,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # circuit
-    "CircuitError", "ParseError", "Gate", "ReversibleCircuit",
+    "CircuitError", "ParseError", "AndExorNetwork", "expand_network",
     "parse_circuit", "format_circuit", "normalize_zero_controls",
-    # network
-    "AndExorNetwork", "expand_network",
     # faults
     "Polarity", "FaultKind", "BridgingFault", "FaultList",
     "bridge_values", "enumerate_faults",

@@ -40,8 +40,8 @@ import itertools
 import random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from .circuit import AndExorNetwork
 from .faults import BridgingFault, FaultKind, Polarity
-from .network import AndExorNetwork
 from .patterns import TestSet, fill_table
 from .simulate import (DEFAULT_ORACLE_CAP, UNDETECTED, Evaluation, _change_monomials,
                        _fault_difference, _gate_tables, _pack, exhaustive_detectability)

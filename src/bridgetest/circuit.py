@@ -1,9 +1,18 @@
-"""Reversible k-CNOT circuits: gate-list model, text format, 0-control normalization.
+"""Reversible k-CNOT circuits as AND-EXOR networks: the record, its text
+format, 0-control normalization.
 
 A circuit has n pass-through inputs (x1..xn) and p target lines (c1..cp).
 Every gate ANDs a set of x inputs and XORs the product onto one c line.
 Gate order is structural: the gate at 1-based position L fires at level L,
 and the gate count d is the deepest level of the cascade.
+
+Read as a netlist, gate L is one k-input AND (output net a_L) feeding a
+2-input EXOR on its target line, so the gate list is the network itself.
+Cascade wires are wj@0 = c_j up to wj@d = f_j; the EXOR of gate L reads
+w<target>@(L-1) on its left input and a_L on its right input.  Reports
+name the nets this way.  The network also carries the circuit's name, for
+report headers; two networks that differ only in their names are not
+equal.
 
 The text format is line oriented::
 
@@ -24,8 +33,8 @@ from typing import NamedTuple
 __all__ = [
     "CircuitError",
     "ParseError",
-    "Gate",
-    "ReversibleCircuit",
+    "AndExorNetwork",
+    "expand_network",
     "parse_circuit",
     "format_circuit",
     "normalize_zero_controls",
@@ -45,47 +54,51 @@ class ParseError(CircuitError):
         self.column = column
 
 
-class Gate(NamedTuple):
-    """A single k-CNOT: the AND of the control inputs, XORed onto one target line.
-
-    A gate's 1-based position in circuit order names its AND output net:
-    gate i drives a_i.
-    """
-
-    controls: frozenset[int]
-    target: int
-
-
-class ReversibleCircuit(NamedTuple):
-    """An ordered list of k-CNOT gates over n inputs and p target lines, as a
-    circuit file gives it; every stage after ``expand_network`` reads the network."""
+class AndExorNetwork(NamedTuple):
+    """A circuit's gates in order: gate i ANDs the x inputs in
+    ``gate_supports[i-1]`` onto c line ``gate_targets[i-1]``."""
 
     n: int
     p: int
-    gates: tuple[Gate, ...]
-    name: str = ""
+    gate_supports: tuple[frozenset, ...]
+    gate_targets: tuple[int, ...]
     constant_line: int | None = None
+    name: str = ""
 
     @property
     def d(self) -> int:
         """Gate count; also the deepest cascade level."""
-        return len(self.gates)
+        return len(self.gate_supports)
 
-    def validate(self, allow_zero_controls: bool = False) -> None:
-        if self.n < 1:
-            raise CircuitError("circuit needs at least one x input")
-        if self.p < 1:
-            raise CircuitError("circuit needs at least one c line")
-        if self.constant_line is not None and not (1 <= self.constant_line <= self.n):
-            raise CircuitError(f"constant line x{self.constant_line} out of range")
-        for pos, gate in enumerate(self.gates, start=1):
-            if not gate.controls and not allow_zero_controls:
-                raise CircuitError(f"gate {pos} has no controls; normalization is disabled")
-            for v in gate.controls:
-                if not (1 <= v <= self.n):
-                    raise CircuitError(f"gate {pos}: control x{v} out of range 1..{self.n}")
-            if not (1 <= gate.target <= self.p):
-                raise CircuitError(f"gate {pos}: target c{gate.target} out of range 1..{self.p}")
+    def real_inputs(self) -> tuple[int, ...]:
+        return tuple(i for i in range(1, self.n + 1) if i != self.constant_line)
+
+
+def expand_network(net: AndExorNetwork) -> AndExorNetwork:
+    """Check a network's structure and return the network itself.
+
+    A parsed network passes once ``normalize_zero_controls`` has moved its
+    0-control gates onto the constant line, as this check refuses them;
+    the other checks are for networks built by hand.
+    """
+    if net.n < 1:
+        raise CircuitError("circuit needs at least one x input")
+    if net.p < 1:
+        raise CircuitError("circuit needs at least one c line")
+    if net.constant_line is not None and not (1 <= net.constant_line <= net.n):
+        raise CircuitError(f"constant line x{net.constant_line} out of range")
+    if len(net.gate_supports) != len(net.gate_targets):
+        raise CircuitError(f"{len(net.gate_supports)} gate supports"
+                           f" but {len(net.gate_targets)} gate targets")
+    for pos, (support, target) in enumerate(zip(net.gate_supports, net.gate_targets), start=1):
+        if not support:
+            raise CircuitError(f"gate {pos} has no controls; normalization is disabled")
+        for v in support:
+            if not (1 <= v <= net.n):
+                raise CircuitError(f"gate {pos}: control x{v} out of range 1..{net.n}")
+        if not (1 <= target <= net.p):
+            raise CircuitError(f"gate {pos}: target c{target} out of range 1..{net.p}")
+    return net
 
 
 _C_TOKEN = re.compile(r"^c([0-9]+)$")
@@ -99,8 +112,8 @@ def _column(line: str, k: int) -> int:
 
 def parse_circuit(
     text: str, *, allow_zero_controls: bool = False, name: str = ""
-) -> ReversibleCircuit:
-    """Parse circuit text into a validated ReversibleCircuit.
+) -> AndExorNetwork:
+    """Parse circuit text into a network.
 
     0-control gates are rejected unless ``allow_zero_controls`` is set;
     callers that accept them are expected to run normalize_zero_controls
@@ -108,7 +121,8 @@ def parse_circuit(
     """
     n: int | None = None
     p: int | None = None
-    gates: list[Gate] = []
+    supports: list[frozenset] = []
+    targets: list[int] = []
     ended = False
     last_line = 0
 
@@ -179,7 +193,8 @@ def parse_circuit(
             if not controls and not allow_zero_controls:
                 raise ParseError("gate has no controls (0-CNOT); normalization is disabled",
                                  lineno, _column(line, 0))
-            gates.append(Gate(frozenset(controls), target))
+            supports.append(frozenset(controls))
+            targets.append(target)
             continue
 
         raise ParseError(f"unknown directive '{head}'", lineno, _column(line, 0))
@@ -189,37 +204,34 @@ def parse_circuit(
     if not ended:
         raise ParseError("missing .end", last_line + 1)
 
-    circuit = ReversibleCircuit(n, p, tuple(gates), name=name)
-    circuit.validate(allow_zero_controls=allow_zero_controls)
-    return circuit
+    return AndExorNetwork(n, p, tuple(supports), tuple(targets), name=name)
 
 
-def format_circuit(circuit: ReversibleCircuit) -> str:
+def format_circuit(net: AndExorNetwork) -> str:
     """Print a circuit in the canonical text form (controls in ascending order)."""
-    lines = [f".n {circuit.n}", f".p {circuit.p}"]
-    for gate in circuit.gates:
-        ctrl = " ".join(f"x{v}" for v in sorted(gate.controls))
-        lines.append(f".gate c{gate.target} : {ctrl}".rstrip())
+    lines = [f".n {net.n}", f".p {net.p}"]
+    for support, target in zip(net.gate_supports, net.gate_targets):
+        ctrl = " ".join(f"x{v}" for v in sorted(support))
+        lines.append(f".gate c{target} : {ctrl}".rstrip())
     lines.append(".end")
     return "\n".join(lines) + "\n"
 
 
-def normalize_zero_controls(circuit: ReversibleCircuit) -> ReversibleCircuit:
+def normalize_zero_controls(net: AndExorNetwork) -> AndExorNetwork:
     """Rewrite every 0-CNOT as a 1-CNOT controlled by a constant-one input line.
 
     The constant line is appended as input index n+1 and shared by all
     rewritten gates; its value is pinned to 1 by every pattern generator.
     Circuits without 0-CNOTs are returned unchanged.
     """
-    if all(g.controls for g in circuit.gates):
-        return circuit
-    if circuit.constant_line is not None:
-        aux = circuit.constant_line
-        n = circuit.n
+    if all(net.gate_supports):
+        return net
+    if net.constant_line is not None:
+        aux = net.constant_line
+        n = net.n
     else:
-        aux = circuit.n + 1
-        n = circuit.n + 1
-    gates = tuple(g if g.controls else Gate(frozenset({aux}), g.target) for g in circuit.gates)
-    out = ReversibleCircuit(n, circuit.p, gates, name=circuit.name, constant_line=aux)
-    out.validate()
-    return out
+        aux = net.n + 1
+        n = net.n + 1
+    one = frozenset({aux})
+    supports = tuple(support or one for support in net.gate_supports)
+    return net._replace(n=n, gate_supports=supports, constant_line=aux)

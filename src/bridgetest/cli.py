@@ -33,9 +33,14 @@ from .benchmark import (
     benchmark_circuit,
     tabulated_discrepancies,
 )
-from .circuit import CircuitError, format_circuit, normalize_zero_controls, parse_circuit
+from .circuit import (
+    CircuitError,
+    expand_network,
+    format_circuit,
+    normalize_zero_controls,
+    parse_circuit,
+)
 from .faults import enumerate_faults
-from .network import expand_network
 from .patterns import (
     DC_POLICIES,
     TestFileError,
@@ -101,9 +106,10 @@ _ECHOED = {
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    """A circuit or test file, or stdin, less one leading UTF-8 byte-order
+    mark; a mark anywhere else stays and the parser refuses it."""
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    return text.removeprefix("\ufeff")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -295,7 +301,7 @@ def cmd_bench(args) -> int:
     if args.emit_circuit:
         _write_text(args.out, BENCHMARK_TEXT)
         return EXIT_OK
-    network = expand_network(benchmark_circuit())
+    network = benchmark_circuit()
     gen = generate_sets(network)
     t2 = tuple(row[network.p :] for row in gen.sets["T2"].rows)
     t3 = tuple(row[network.p :] for row in gen.sets["T3"].rows)

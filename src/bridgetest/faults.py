@@ -25,7 +25,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from enum import Enum
 from typing import NamedTuple
 
-from .network import AndExorNetwork
+from .circuit import AndExorNetwork
 
 __all__ = [
     "Polarity",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
-from .circuit import ReversibleCircuit
+from .circuit import AndExorNetwork
 
 __all__ = ["Term", "PprmFunction", "derive_pprm"]
 
@@ -49,10 +49,10 @@ class PprmFunction(NamedTuple):
         return acc
 
 
-def derive_pprm(circuit: ReversibleCircuit) -> list[PprmFunction]:
-    """Read the product-term multiset of every output off the gate list."""
-    per_output: dict[int, list[Term]] = {j: [] for j in range(1, circuit.p + 1)}
-    for gate in circuit.gates:
-        per_output[gate.target].append(gate.controls)
-    return [PprmFunction.from_terms(j, per_output[j]) for j in range(1, circuit.p + 1)]
+def derive_pprm(net: AndExorNetwork) -> list[PprmFunction]:
+    """Read the product-term multiset of every output off the gate supports."""
+    per_output: dict[int, list[Term]] = {j: [] for j in range(1, net.p + 1)}
+    for support, target in zip(net.gate_supports, net.gate_targets):
+        per_output[target].append(support)
+    return [PprmFunction.from_terms(j, per_output[j]) for j in range(1, net.p + 1)]
 

@@ -26,8 +26,8 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .atpg import BoundReport, UnionResult
+from .circuit import AndExorNetwork
 from .faults import FaultKind, FaultList, Polarity
-from .network import AndExorNetwork
 from .patterns import TestSet
 from .simulate import DETECTED, METHODS, STATUSES, Evaluation
 

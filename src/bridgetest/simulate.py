@@ -27,8 +27,8 @@ import itertools
 import operator
 from typing import Iterable, NamedTuple, Sequence
 
+from .circuit import AndExorNetwork
 from .faults import BridgingFault, FaultKind, FaultList, Polarity
-from .network import AndExorNetwork
 from .patterns import fill_table
 
 __all__ = [

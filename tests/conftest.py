@@ -4,9 +4,8 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from bridgetest.circuit import Gate, ReversibleCircuit, normalize_zero_controls, parse_circuit
+from bridgetest import AndExorNetwork, normalize_zero_controls, parse_circuit
 from bridgetest.faults import enumerate_faults
-from bridgetest.network import AndExorNetwork
 from bridgetest.simulate import DETECTED, UNDETECTED, Evaluation
 
 settings.register_profile("ci", derandomize=True, deadline=None, max_examples=60)
@@ -36,7 +35,7 @@ def and2(and2_path):
 
 
 def random_circuit(rng: random.Random, index: int = 0, *, max_n: int = 8,
-                   max_p: int = 4, max_d: int = 10, width_cap: int = 12) -> ReversibleCircuit:
+                   max_p: int = 4, max_d: int = 10, width_cap: int = 12) -> AndExorNetwork:
     """Well-formed random circuit inside the exhaustive-oracle envelope."""
     while True:
         n = rng.randint(1, max_n)
@@ -44,21 +43,21 @@ def random_circuit(rng: random.Random, index: int = 0, *, max_n: int = 8,
         if n + p <= width_cap:
             break
     d = rng.randint(1, max_d)
-    gates = []
+    supports, targets = [], []
     for _ in range(d):
         k = rng.randint(1, min(n, 4))
-        controls = frozenset(rng.sample(range(1, n + 1), k))
-        gates.append(Gate(controls, rng.randint(1, p)))
-    return ReversibleCircuit(n, p, tuple(gates), name=f"rand{index}")
+        supports.append(frozenset(rng.sample(range(1, n + 1), k)))
+        targets.append(rng.randint(1, p))
+    return AndExorNetwork(n, p, tuple(supports), tuple(targets), name=f"rand{index}")
 
 
-def with_zero_control(circuit: ReversibleCircuit, rng: random.Random) -> ReversibleCircuit:
+def with_zero_control(circuit: AndExorNetwork, rng: random.Random) -> AndExorNetwork:
     """``circuit`` with one 0-control gate inserted, then normalized onto a
     constant-one line."""
-    gates = list(circuit.gates)
-    gates.insert(rng.randint(0, len(gates)), Gate(frozenset(), rng.randint(1, circuit.p)))
-    raw = ReversibleCircuit(circuit.n, circuit.p, tuple(gates), name=circuit.name)
-    return normalize_zero_controls(raw)
+    at = rng.randint(0, circuit.d)
+    supports = (*circuit.gate_supports[:at], frozenset(), *circuit.gate_supports[at:])
+    targets = (*circuit.gate_targets[:at], rng.randint(1, circuit.p), *circuit.gate_targets[at:])
+    return normalize_zero_controls(circuit._replace(gate_supports=supports, gate_targets=targets))
 
 
 def random_rows(rng: random.Random, network: AndExorNetwork, count: int) -> list[str]:

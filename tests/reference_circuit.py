@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from bridgetest.circuit import Gate, ParseError, ReversibleCircuit
+from bridgetest.circuit import AndExorNetwork, ParseError
 
 _C_TOKEN = re.compile(r"^c([0-9]+)$")
 _X_TOKEN = re.compile(r"^x([0-9]+)$")
@@ -23,8 +23,8 @@ def _tokens_with_columns(line: str) -> list[tuple[str, int]]:
 
 def reference_parse_circuit(
     text: str, *, allow_zero_controls: bool = False, name: str = ""
-) -> ReversibleCircuit:
-    """Parse circuit text into a validated ReversibleCircuit.
+) -> AndExorNetwork:
+    """Parse circuit text into a network.
 
     0-control gates are rejected unless ``allow_zero_controls`` is set;
     callers that accept them are expected to run normalize_zero_controls
@@ -32,7 +32,8 @@ def reference_parse_circuit(
     """
     n: int | None = None
     p: int | None = None
-    gates: list[Gate] = []
+    supports: list[frozenset] = []
+    targets: list[int] = []
     ended = False
     last_line = 0
 
@@ -104,7 +105,8 @@ def reference_parse_circuit(
                 raise ParseError(
                     "gate has no controls (0-CNOT); normalization is disabled", lineno, head_col
                 )
-            gates.append(Gate(frozenset(controls), target))
+            supports.append(frozenset(controls))
+            targets.append(target)
             continue
 
         raise ParseError(f"unknown directive '{head}'", lineno, head_col)
@@ -114,7 +116,5 @@ def reference_parse_circuit(
     if not ended:
         raise ParseError("missing .end", last_line + 1)
 
-    circuit = ReversibleCircuit(n, p, tuple(gates), name=name)
-    circuit.validate(allow_zero_controls=allow_zero_controls)
-    return circuit
+    return AndExorNetwork(n, p, tuple(supports), tuple(targets), name=name)
 

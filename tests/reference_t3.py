@@ -17,8 +17,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from bridgetest import AndExorNetwork
 from bridgetest.faults import BridgingFault, Polarity
-from bridgetest.network import AndExorNetwork
 from bridgetest.patterns import TestSet
 from bridgetest.pprm import PprmFunction
 from bridgetest.simulate import detects

@@ -115,8 +115,8 @@ def test_criterion_2_parity_fidelity(bench):
 
     # independent oracle straight off the gate list, no product-term layer
     per_target: dict[int, list[frozenset]] = {1: [], 2: [], 3: []}
-    for gate in bench.gates:
-        per_target[gate.target].append(gate.controls)
+    for support, target in zip(bench.gate_supports, bench.gate_targets):
+        per_target[target].append(support)
 
     def oracle_bit(i: int, j: int) -> int:
         need = {i, j}

@@ -19,7 +19,7 @@ from bridgetest.benchmark import (
 
 def test_text_matches_data_file(bench):
     built = benchmark_circuit()
-    assert (built.n, built.p, built.gates) == (bench.n, bench.p, bench.gates)
+    assert built == bench
     assert built.n == 7 and built.p == 3 and built.d == 19
 
 

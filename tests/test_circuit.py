@@ -1,4 +1,5 @@
-"""Parser, printer, and normalization for the gate-list circuit model."""
+"""Parser, printer, normalization and structure checks for the circuit's
+network."""
 
 import random
 
@@ -7,10 +8,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bridgetest.circuit import (
+    AndExorNetwork,
     CircuitError,
-    Gate,
     ParseError,
-    ReversibleCircuit,
+    expand_network,
     format_circuit,
     normalize_zero_controls,
     parse_circuit,
@@ -24,11 +25,11 @@ def test_parse_benchmark(bench):
     assert bench.n == 7
     assert bench.p == 3
     assert bench.d == 19
-    assert bench.gates[0].controls == frozenset({1})
-    assert bench.gates[0].target == 1
-    assert bench.gates[11].controls == frozenset({1, 2, 3, 4, 5})
-    assert bench.gates[18] == Gate(frozenset({3, 4, 5}), 3)
-    assert [g.target for g in bench.gates] == [1] * 12 + [2] * 4 + [3] * 3
+    assert bench.gate_supports[0] == frozenset({1})
+    assert bench.gate_targets[0] == 1
+    assert bench.gate_supports[11] == frozenset({1, 2, 3, 4, 5})
+    assert (bench.gate_supports[18], bench.gate_targets[18]) == (frozenset({3, 4, 5}), 3)
+    assert bench.gate_targets == (1,) * 12 + (2,) * 4 + (3,) * 3
     assert bench.constant_line is None
 
 
@@ -39,9 +40,7 @@ def test_comments_and_blank_lines():
 
 
 def test_format_round_trip(bench):
-    assert parse_circuit(format_circuit(bench)) == ReversibleCircuit(
-        bench.n, bench.p, bench.gates
-    )
+    assert parse_circuit(format_circuit(bench)) == bench._replace(name="")
 
 
 def test_format_round_trip_random():
@@ -97,16 +96,20 @@ def test_parse_errors(text, message, line, column):
 
 
 def test_validate_rejects_bad_structures():
+    one = frozenset({1})
     with pytest.raises(CircuitError, match="at least one x input"):
-        ReversibleCircuit(0, 1, ()).validate()
+        expand_network(AndExorNetwork(0, 1, (), ()))
     with pytest.raises(CircuitError, match="at least one c line"):
-        ReversibleCircuit(1, 0, ()).validate()
+        expand_network(AndExorNetwork(1, 0, (), ()))
     with pytest.raises(CircuitError, match="control x9 out of range"):
-        ReversibleCircuit(1, 1, (Gate(frozenset({9}), 1),)).validate()
+        expand_network(AndExorNetwork(1, 1, (frozenset({9}),), (1,)))
     with pytest.raises(CircuitError, match="target c2 out of range"):
-        ReversibleCircuit(1, 1, (Gate(frozenset({1}), 2),)).validate()
+        expand_network(AndExorNetwork(1, 1, (one,), (2,)))
     with pytest.raises(CircuitError, match="constant line x5 out of range"):
-        ReversibleCircuit(2, 1, (), constant_line=5).validate()
+        expand_network(AndExorNetwork(2, 1, (), (), constant_line=5))
+    # the two gate tuples are separate fields, so they can disagree in length
+    with pytest.raises(CircuitError, match="^2 gate supports but 1 gate targets$"):
+        expand_network(AndExorNetwork(1, 1, (one, one), (1,)))
 
 
 def test_normalize_rewrites_zero_controls():
@@ -115,8 +118,8 @@ def test_normalize_rewrites_zero_controls():
     c = normalize_zero_controls(raw)
     assert c.n == 3
     assert c.constant_line == 3
-    assert c.gates[0].controls == frozenset({3})
-    assert c.gates[1].controls == frozenset({1, 2})
+    assert c.gate_supports == (frozenset({3}), frozenset({1, 2}))
+    assert c.gate_targets == raw.gate_targets
 
 
 def test_normalize_is_identity_without_zero_controls(bench):
@@ -127,28 +130,26 @@ def test_normalize_shares_one_constant_line():
     text = ".n 1\n.p 2\n.gate c1 :\n.gate c2 :\n.end"
     c = normalize_zero_controls(parse_circuit(text, allow_zero_controls=True))
     assert c.n == 2
-    assert c.gates[0].controls == c.gates[1].controls == frozenset({2})
+    assert c.gate_supports == (frozenset({2}), frozenset({2}))
 
 
 def test_normalize_reuses_existing_constant_line():
-    base = ReversibleCircuit(
-        2, 1, (Gate(frozenset(), 1),), constant_line=2
-    )
+    base = AndExorNetwork(2, 1, (frozenset(),), (1,), constant_line=2)
     c = normalize_zero_controls(base)
     assert c.n == 2
     assert c.constant_line == 2
-    assert c.gates[0].controls == frozenset({2})
+    assert c.gate_supports == (frozenset({2}),)
 
 
 @given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=4),
        st.randoms(use_true_random=False))
 def test_round_trip_property(n, p, rnd):
     d = rnd.randint(0, 6)
-    gates = tuple(
-        Gate(frozenset(rnd.sample(range(1, n + 1), rnd.randint(1, n))), rnd.randint(1, p))
+    gates = [
+        (frozenset(rnd.sample(range(1, n + 1), rnd.randint(1, n))), rnd.randint(1, p))
         for _ in range(d)
-    )
-    c = ReversibleCircuit(n, p, gates)
+    ]
+    c = AndExorNetwork(n, p, tuple(g[0] for g in gates), tuple(g[1] for g in gates))
     assert parse_circuit(format_circuit(c)) == c
 
 

@@ -42,7 +42,7 @@ class TestParse:
         code, out, err = run(capsys, "parse", str(bench_path))
         assert code == 0 and err == ""
         assert out == format_circuit(bench)
-        assert parse_circuit(out).gates == bench.gates
+        assert parse_circuit(out, name="bench7x3") == bench
 
     def test_normalize_flag(self, capsys, tmp_path):
         src = tmp_path / "notplus.rev"
@@ -59,6 +59,27 @@ class TestParse:
         monkeypatch.setattr("sys.stdin", io.StringIO(".n 1\n.p 1\n.gate c1 : x1\n.end\n"))
         code, out, err = run(capsys, "parse", "-")
         assert code == 0 and ".gate c1 : x1" in out
+
+    def test_byte_order_mark_opening_a_circuit_file(self, capsys, tmp_path, bench_path, bench):
+        # one mark at the start is dropped; one that opens a later line is text
+        lines = bench_path.read_text().splitlines(keepends=True)
+        marked = tmp_path / "bom.rev"
+        marked.write_text("\ufeff" + "".join(lines), encoding="utf-8")
+        assert run(capsys, "parse", str(marked)) == (0, format_circuit(bench), "")
+        marked.write_text("".join(lines[:2]) + "\ufeff" + "".join(lines[2:]), encoding="utf-8")
+        code, out, err = run(capsys, "parse", str(marked))
+        assert (code, out) == (2, "")
+        assert err == "error: line 3, column 1: unknown directive '\ufeff.p'\n"
+
+    def test_byte_order_mark_opening_stdin(self, capsys, monkeypatch):
+        text = ".n 1\n.p 1\n.gate c1 : x1\n.end\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+        assert run(capsys, "parse", "-") == (0, text, "")
+        # dropped once: a second mark is the first token's text
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff\ufeff" + text))
+        code, out, err = run(capsys, "parse", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: line 1, column 1: unknown directive '\ufeff.n'\n"
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.rev"
@@ -417,6 +438,17 @@ class TestSimulateAndVerify:
         report = json.loads(out)
         assert report["coverage"]["undetected"] == 0
         assert report["coverage"]["unresolved"] > 0
+
+    def test_byte_order_mark_opening_a_test_file(self, capsys, tmp_path, bench_path):
+        plain = DATA / "bench7x3_user.tests"
+        marked = tmp_path / "bom.tests"
+        marked.write_text("\ufeff" + plain.read_text(), encoding="utf-8")
+        argv = ["simulate", str(bench_path), "--format", "csv", "--no-timestamp", "--tests"]
+        expected = run(capsys, *argv, str(plain))
+        assert expected[0] == 1
+        assert run(capsys, *argv, str(marked)) == expected
+        marked.write_text("0000000000\n\ufeff0000000000\n", encoding="utf-8")
+        assert run(capsys, *argv, str(marked)) == (2, "", "error: line 2: bad symbol '\\ufeff'\n")
 
     def test_simulate_bad_test_file_exit_2(self, capsys, tmp_path, bench_path):
         tests_file = tmp_path / "bad.tests"

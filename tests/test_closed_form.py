@@ -27,6 +27,7 @@ from reference_sim import (
 
 from bridgetest import (
     DC_POLICIES,
+    AndExorNetwork,
     BridgingFault,
     FaultKind,
     Polarity,
@@ -38,8 +39,6 @@ from bridgetest import (
     normalize_zero_controls,
     parse_circuit,
 )
-from bridgetest.circuit import Gate, ReversibleCircuit
-from bridgetest.network import AndExorNetwork
 from bridgetest.simulate import _fault_difference, _gate_tables, _Good, _pack
 
 
@@ -222,8 +221,8 @@ def _shared_term_circuit(rng, n, p, zero_control):
     rng.shuffle(uses)
     if zero_control:
         uses.insert(rng.randrange(len(uses) + 1), (frozenset(), rng.randint(1, p)))
-    gates = tuple(Gate(term, target) for term, target in uses)
-    return normalize_zero_controls(ReversibleCircuit(n, p, gates, name="shared"))
+    supports, targets = zip(*uses)
+    return normalize_zero_controls(AndExorNetwork(n, p, supports, targets, name="shared"))
 
 
 @pytest.mark.parametrize("zero_control", [False, True])

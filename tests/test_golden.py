@@ -1,10 +1,10 @@
 """Recorded reports, replayed byte for byte.
 
-Each case runs one command line in-process with ``--no-timestamp`` and
-compares stdout and the exit code with the file of the same name under
-``tests/data/golden/``, then runs it again with ``--out`` naming a file
-that already holds a longer text, which the report must replace.  When an
-output change is intended, re-record with
+Each case runs one command line in-process, with ``--no-timestamp`` where
+the subcommand takes it, and compares stdout and the exit code with the
+file of the same name under ``tests/data/golden/``, then runs it again
+with ``--out`` naming a file that already holds a longer text, which the
+report must replace.  When an output change is intended, re-record with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
@@ -117,6 +117,10 @@ CASES = {
     "verify_rand24x8_cap1000.txt": (
         0, ["verify", "rand24x8.rev", "--sets", "T1,T4", "--oracle-cap", "1000", "--format", "text"]
     ),
+    # the canonical text form: sorted controls, comments dropped, and a
+    # 0-control gate moved onto the constant line that normalization appends
+    "parse_bench7x3.txt": (0, ["parse", "bench7x3.rev"]),
+    "parse_rand5z_normalize.txt": (0, ["parse", "rand5z.rev", "--normalize"]),
 }
 
 _FILE_SUFFIXES = (".rev", ".tests")
@@ -124,7 +128,8 @@ _FILE_SUFFIXES = (".rev", ".tests")
 
 def _replay(argv: list[str]) -> tuple[int, str]:
     full = [str(DATA / a) if a.endswith(_FILE_SUFFIXES) else a for a in argv]
-    full.append("--no-timestamp")
+    if argv[0] != "parse":  # the one subcommand that writes no report
+        full.append("--no-timestamp")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(full)

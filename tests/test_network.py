@@ -5,6 +5,7 @@ from bridgetest import expand_network, parse_circuit
 
 def test_benchmark_dimensions(bench):
     net = expand_network(bench)
+    assert net is bench  # a valid network comes back as itself
     assert (net.n, net.p, net.d) == (7, 3, 19)
     assert net.constant_line is None
 

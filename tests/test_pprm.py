@@ -3,8 +3,8 @@ restriction that the T3 reference uses."""
 
 import random
 
+from bridgetest import expand_network
 from bridgetest.pprm import PprmFunction, Term, derive_pprm
-from bridgetest.network import expand_network
 
 from conftest import random_circuit
 from reference_sim import eval_good

@@ -19,11 +19,9 @@ from bridgetest import (
     FallbackResult,
     FaultKind,
     FaultVerdict,
-    Gate,
     GenerationResult,
     OracleResult,
     Polarity,
-    ReversibleCircuit,
     TestSet,
     UnionResult,
     detects,
@@ -36,11 +34,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # one instance of each record type, and the repr its dataclass printed
 RECORDS = [
-    (Gate(frozenset({1, 2}), 1),
-     "Gate(controls=frozenset({1, 2}), target=1)"),
-    (ReversibleCircuit(2, 1, (Gate(frozenset({1}), 1),), name="t"),
-     "ReversibleCircuit(n=2, p=1, gates=(Gate(controls=frozenset({1}), target=1),),"
-     " name='t', constant_line=None)"),
     (AndExorNetwork(2, 1, (frozenset({1}),), (1,)),
      "AndExorNetwork(n=2, p=1, gate_supports=(frozenset({1}),), gate_targets=(1,),"
      " constant_line=None, name='')"),
@@ -70,8 +63,8 @@ RECORDS = [
      "FallbackResult(patterns=['101'], redundant=[4], unresolved=[])"),
 ]
 # the records whose fields are all hashable
-HASHABLE = (Gate, ReversibleCircuit, AndExorNetwork, PprmFunction, BridgingFault, OracleResult,
-            FaultVerdict, BoundReport, RunConfig)
+HASHABLE = (AndExorNetwork, PprmFunction, BridgingFault, OracleResult, FaultVerdict, BoundReport,
+            RunConfig)
 
 
 @pytest.mark.parametrize("record, text", RECORDS, ids=lambda r: type(r).__name__)

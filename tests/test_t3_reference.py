@@ -22,10 +22,9 @@ from reference_t2 import gen_input_and_tests as reference_t2
 from reference_t3 import build_parity_matrix, count_terms, restrict
 from reference_t3 import gen_input_or_tests as reference_t3
 
-from bridgetest import expand_network, normalize_zero_controls, parse_circuit
+from bridgetest import AndExorNetwork, expand_network, normalize_zero_controls, parse_circuit
 from bridgetest.atpg import _mask, _parity_rows, gen_input_and_tests, gen_input_or_tests
 from bridgetest.benchmark import derived_term_counts
-from bridgetest.circuit import Gate, ReversibleCircuit
 from bridgetest.pprm import derive_pprm
 
 DC_POLICIES = ("fill-zero", "fill-one")
@@ -47,7 +46,7 @@ DUP = parse_circuit(
 AND2 = parse_circuit((DATA / "and2.rev").read_text(), name="and2")
 
 
-def term_pool_circuit(rng: random.Random, index: int = 0) -> ReversibleCircuit:
+def term_pool_circuit(rng: random.Random, index: int = 0) -> AndExorNetwork:
     """Gates drawn from a few shared product terms, some inputs idle and
     sometimes a 0-control gate.  Shared terms make parity rows cancel: a term
     that feeds one output twice cancels under every restriction, and
@@ -61,10 +60,9 @@ def term_pool_circuit(rng: random.Random, index: int = 0) -> ReversibleCircuit:
         frozenset(rng.sample(used, rng.randint(1, min(3, len(used)))))
         for _ in range(rng.randint(1, 5))
     ]
-    gates = tuple(
-        Gate(rng.choice(pool), rng.randint(1, p)) for _ in range(rng.randint(1, 10))
-    )
-    circuit = ReversibleCircuit(n, p, gates, name=f"pool{index}")
+    gates = [(rng.choice(pool), rng.randint(1, p)) for _ in range(rng.randint(1, 10))]
+    supports, targets = zip(*gates)
+    circuit = AndExorNetwork(n, p, supports, targets, name=f"pool{index}")
     return with_zero_control(circuit, rng) if rng.random() < 0.3 else circuit
 
 
@@ -112,7 +110,7 @@ def test_cancel4_needs_a_restriction():
     assert uncovered == ((1, 3),)
 
 
-def or_chain(n: int) -> ReversibleCircuit:
+def or_chain(n: int) -> AndExorNetwork:
     """c1 = x1 XOR x2 XOR x1x2, whose wired-OR pair (1, 2) is redundant,
     and a chain of 2-input gates over x3..xn on c2."""
     lines = [f".n {n}", ".p 2", ".gate c1 : x1", ".gate c1 : x2", ".gate c1 : x1 x2"]
