@@ -56,7 +56,7 @@ print()
 # a gate all four input combinations.  The corner set exists for exactly that.
 from bridgetest import gen_corner_set
 
-with_corners = rows + gen_corner_set(net).rows
+with_corners = rows + gen_corner_set(net)
 evaluation = evaluate_test_set(net, faults, with_corners)
 print(f"with the corner set added: {evaluation.count('detected')} of"
       f" {len(faults)} detected, masks = {[bin(m) for m in evaluation.masks]}")

@@ -20,17 +20,18 @@ from bridgetest.cli import RunConfig, run_pipeline
 circuit = benchmark_circuit()
 net = expand_network(circuit)
 
+# each set is its rows, under its name in T1..T5 order
 result = generate_sets(net)
-for name, ts in result.sets.items():
-    print(f"{name} ({ts.target_class}): {len(ts)} patterns, c1..c3 then x1..x7")
-    for row in ts.rows:
+for name, rows in result.sets.items():
+    print(f"{name}: {len(rows)} patterns, c1..c3 then x1..x7")
+    for row in rows:
         print(f"  {row}")
 print()
 
 # grade the union, let the fallback repair or classify whatever is left, and
 # check the bound: the pipeline `bridgetest verify --dedup` runs
 faults = enumerate_faults(net)
-run = run_pipeline(net, faults, result.ordered_sets(), RunConfig("verify", dedup=True))
+run = run_pipeline(net, faults, result.sets, RunConfig("verify", dedup=True))
 evaluation = run.evaluation
 print(f"union of {run.union.pre_dedup_size}: {evaluation.count('detected')} of"
       f" {len(faults)} faults detected, {evaluation.count('undetected')} left")
@@ -45,4 +46,4 @@ bound = run.bound
 print(f"bound: {bound.size} <= {bound.bound} -> {'pass' if bound.passed else 'FAIL'}")
 
 # duplicates across sets are dropped for the actual tester load
-print(f"after dedup: {len(run.union.test_set)} patterns ({run.union.removed} removed)")
+print(f"after dedup: {len(run.union.rows)} patterns ({run.union.removed} removed)")

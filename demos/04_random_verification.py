@@ -40,7 +40,7 @@ for index in range(20):
     faults = enumerate_faults(net)
 
     # generate, grade, repair: the pipeline `bridgetest verify` runs
-    sets = generate_sets(net).ordered_sets()
+    sets = generate_sets(net).sets
     run = run_pipeline(net, faults, sets, RunConfig("verify"))
 
     status = {v.fault: v.status for v in run.evaluation.verdicts}

@@ -49,7 +49,6 @@ from .faults import (
 from .patterns import (
     DC_POLICIES,
     TestFileError,
-    TestSet,
     format_patterns,
     parse_test_file,
 )
@@ -74,7 +73,7 @@ __all__ = [
     "Polarity", "FaultKind", "BridgingFault", "FaultList",
     "bridge_values", "enumerate_faults",
     # patterns
-    "DC_POLICIES", "TestSet", "TestFileError",
+    "DC_POLICIES", "TestFileError",
     "parse_test_file", "format_patterns",
     # simulate
     "DEFAULT_ORACLE_CAP", "Evaluation", "FaultVerdict", "OracleResult",

@@ -38,11 +38,11 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .circuit import AndExorNetwork
 from .faults import BridgingFault, FaultKind, Polarity
-from .patterns import TestSet, fill_table
+from .patterns import fill_table
 from .simulate import (DEFAULT_ORACLE_CAP, UNDETECTED, Evaluation, _change_monomials,
                        _fault_difference, _gate_tables, _pack, exhaustive_detectability)
 from .simulate import detects  # noqa: F401  (kept: perfbench/spans.py patches atpg.detects)
@@ -112,11 +112,10 @@ def _input_pattern(network: AndExorNetwork, ones: int, c: str | None = None) -> 
 # ---------------------------------------------------------------------------
 # T1
 
-def gen_corner_set(network: AndExorNetwork) -> TestSet:
+def gen_corner_set(network: AndExorNetwork) -> list[str]:
     """Four corner patterns; the constant line, if any, stays at 1."""
     every_x = (2 << network.n) - 2
-    rows = [_input_pattern(network, x, c * network.p) for c in "01" for x in (0, every_x)]
-    return TestSet("T1", rows, target_class=FaultKind.EXOR_INTERNAL.value)
+    return [_input_pattern(network, x, c * network.p) for c in "01" for x in (0, every_x)]
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +182,7 @@ class _Partition:
         return tuple(sorted(pairs))
 
 
-def gen_input_and_tests(network: AndExorNetwork) -> tuple[TestSet, tuple[tuple[int, int], ...]]:
+def gen_input_and_tests(network: AndExorNetwork) -> tuple[list[str], tuple[tuple[int, int], ...]]:
     """Binary-split T2 construction for wired-AND input bridges.
 
     Blocks are split depth first, the gate-supported side before the rest.
@@ -212,14 +211,13 @@ def gen_input_and_tests(network: AndExorNetwork) -> tuple[TestSet, tuple[tuple[i
                 todo += [part for part in (block & ~side, side) if part & (part - 1)]
                 break
 
-    test_set = TestSet("T2", patterns, target_class="XPair/WiredAnd")
-    return test_set, partition.uncovered()
+    return patterns, partition.uncovered()
 
 
 # ---------------------------------------------------------------------------
 # T3
 
-def gen_input_or_tests(network: AndExorNetwork) -> tuple[TestSet, tuple[tuple[int, int], ...]]:
+def gen_input_or_tests(network: AndExorNetwork) -> tuple[list[str], tuple[tuple[int, int], ...]]:
     """Parity-driven T3 construction for wired-OR input bridges.
 
     The generator refines a partition of the inputs; a pattern is emitted
@@ -293,14 +291,13 @@ def gen_input_or_tests(network: AndExorNetwork) -> tuple[TestSet, tuple[tuple[in
             break
         stage(_mask(restricted))
 
-    test_set = TestSet("T3", patterns, target_class="XPair/WiredOr")
-    return test_set, partition.uncovered()
+    return patterns, partition.uncovered()
 
 
 # ---------------------------------------------------------------------------
 # T4
 
-def gen_cascade_pair_tests(network: AndExorNetwork) -> TestSet:
+def gen_cascade_pair_tests(network: AndExorNetwork) -> list[str]:
     """Halving construction over the c lines, x held at all-zero.
 
     Pattern r of ceil(log2 p) alternates runs of 2^(k-r) ones and zeros over
@@ -314,29 +311,29 @@ def gen_cascade_pair_tests(network: AndExorNetwork) -> TestSet:
         run = 1 << (k - r)
         row = ("1" * run + "0" * run) * (1 << (r - 1))
         rows.append(_input_pattern(network, 0, row[:p]))
-    return TestSet("T4", rows, target_class=FaultKind.INTRA_LEVEL.value)
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # T5
 
-def gen_walking_zero_tests(network: AndExorNetwork) -> TestSet:
+def gen_walking_zero_tests(network: AndExorNetwork) -> list[str]:
     """One pattern per real input driving just that input to 0, c lines don't-care."""
     ones, k = _input_pattern(network, (2 << network.n) - 2), network.p - 1
-    patterns = [ones[: k + i] + "0" + ones[k + i + 1 :] for i in network.real_inputs()]
-    return TestSet("T5", patterns, target_class=FaultKind.A_PAIR.value)
+    return [ones[: k + i] + "0" + ones[k + i + 1 :] for i in network.real_inputs()]
 
 
 # ---------------------------------------------------------------------------
 # pipeline helpers
 
 class GenerationResult(NamedTuple):
-    sets: dict[str, TestSet]
+    """Each selected set's rows under its name, in ``SET_NAMES`` order
+    whatever order they were selected in, and the input pairs T2 and T3
+    left unseparated."""
+
+    sets: dict[str, list[str]]
     t2_uncovered: tuple[tuple[int, int], ...] = ()
     t3_uncovered: tuple[tuple[int, int], ...] = ()
-
-    def ordered_sets(self) -> list[TestSet]:
-        return [self.sets[name] for name in SET_NAMES if name in self.sets]
 
 
 def generate_sets(network: AndExorNetwork, selector: Iterable[str] = SET_NAMES) -> GenerationResult:
@@ -345,7 +342,7 @@ def generate_sets(network: AndExorNetwork, selector: Iterable[str] = SET_NAMES) 
     unknown = [name for name in wanted if name not in SET_NAMES]
     if unknown:
         raise ValueError(f"unknown test-set name(s): {', '.join(unknown)}")
-    sets: dict[str, TestSet] = {}
+    sets: dict[str, list[str]] = {}
     t2_uncovered = t3_uncovered = ()
     if "T1" in wanted:
         sets["T1"] = gen_corner_set(network)
@@ -361,35 +358,40 @@ def generate_sets(network: AndExorNetwork, selector: Iterable[str] = SET_NAMES) 
 
 
 class UnionResult(NamedTuple):
-    test_set: TestSet
+    rows: list[str]
+    origins: list[str]  # per row: its set's name, or "Fallback"
     pre_dedup_size: int
     fallback_count: int
-    removed: int = 0
-    origins: Sequence[str] = ()  # per row: its set's name, or "Fallback"
+
+    @property
+    def removed(self) -> int:
+        """The rows dedup dropped."""
+        return self.pre_dedup_size - len(self.rows)
 
 
 def assemble_union(
-    sets: Sequence[TestSet],
+    sets: Mapping[str, Sequence[str]],
     fallback: Sequence[str] = (),
     *,
     dedup: bool = False,
     dc_policy: str = "fill-zero",
 ) -> UnionResult:
-    """Concatenate the named sets' rows in order, then the fallback rows.
+    """Concatenate the named sets' rows in the mapping's order, then the fallback rows.
 
     The pre-deduplication size is recorded for the bound check even when
     ``dedup`` keeps only the first of the rows that collide after
     don't-care instantiation.
     """
-    rows = [row for ts in sets for row in ts.rows] + list(fallback)
-    origins = [ts.name for ts in sets for _ in ts.rows] + ["Fallback"] * len(fallback)
+    rows = [row for set_rows in sets.values() for row in set_rows] + list(fallback)
+    origins = [name for name, set_rows in sets.items() for _ in set_rows]
+    origins += ["Fallback"] * len(fallback)
     pre = len(rows)
     if dedup:
         table, first = fill_table(dc_policy), {}  # first: filled row -> its first index
         for k, row in enumerate(rows):
             first.setdefault(row.translate(table), k)
         rows, origins = [rows[k] for k in first.values()], [origins[k] for k in first.values()]
-    return UnionResult(TestSet("Union", rows), pre, len(fallback), pre - len(rows), origins)
+    return UnionResult(rows, origins, pre, len(fallback))
 
 
 def ceil_log2(p: int) -> int:
@@ -401,10 +403,19 @@ def ceil_log2(p: int) -> int:
 class BoundReport(NamedTuple):
     size: int
     bound: int
-    passed: bool
     fallback_count: int
-    construction_size: int
-    exceeds_construction: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.size <= self.bound
+
+    @property
+    def construction_size(self) -> int:
+        return self.size - self.fallback_count
+
+    @property
+    def exceeds_construction(self) -> bool:
+        return self.fallback_count > 0
 
 
 def check_bound(union: UnionResult, network: AndExorNetwork) -> BoundReport:
@@ -416,15 +427,7 @@ def check_bound(union: UnionResult, network: AndExorNetwork) -> BoundReport:
     separately even when the size still fits.
     """
     bound = 3 * len(network.real_inputs()) + ceil_log2(network.p) + 2
-    size = union.pre_dedup_size
-    return BoundReport(
-        size=size,
-        bound=bound,
-        passed=size <= bound,
-        fallback_count=union.fallback_count,
-        construction_size=size - union.fallback_count,
-        exceeds_construction=union.fallback_count > 0,
-    )
+    return BoundReport(union.pre_dedup_size, bound, union.fallback_count)
 
 
 # the over-cap random search: its seed and the draws it grades per fault
@@ -486,7 +489,7 @@ def fallback_search(
     # unmet ExorInternal obligations: a miss's ordinal, its random seed, counts them
     unmet, aux = status.count(UNDETECTED, 0, faults.d), network.constant_line
     if unmet and not classify_only:
-        repairs = append(gen_corner_set(network).rows)
+        repairs = append(gen_corner_set(network))
     decided, detectable = None, False  # the last pair the oracle decided, and its verdict
     pinned = None if aux is None else network.p + aux - 1
     for idx, k in enumerate(misses(faults.d), start=unmet):

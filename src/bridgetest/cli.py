@@ -44,7 +44,6 @@ from .faults import enumerate_faults
 from .patterns import (
     DC_POLICIES,
     TestFileError,
-    TestSet,
     format_patterns,
     line_tokens,
     parse_test_file,
@@ -162,7 +161,7 @@ def _config(args) -> RunConfig:
 PipelineResult = namedtuple("PipelineResult", "union evaluation fallback bound")
 
 
-def run_pipeline(network, faults, sets: list[TestSet], cfg: RunConfig) -> PipelineResult:
+def run_pipeline(network, faults, sets: dict[str, list[str]], cfg: RunConfig) -> PipelineResult:
     """Grade the union of ``sets``, repair or classify its misses, check the bound.
 
     The union is graded once.  Fallback then handles the undetected faults
@@ -178,11 +177,11 @@ def run_pipeline(network, faults, sets: list[TestSet], cfg: RunConfig) -> Pipeli
     union = assemble_union(sets, dedup=cfg.dedup, dc_policy=dc)
     evaluation = fb = None
     if faults is not None:
-        evaluation = evaluate_test_set(network, faults, union.test_set.rows, dc_policy=dc)
+        evaluation = evaluate_test_set(network, faults, union.rows, dc_policy=dc)
         fb = fallback_search(evaluation, cfg.oracle_cap, classify_only=not cfg.fallback)
         if fb.patterns:
             union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=dc)
-            evaluation = evaluate_test_set(network, faults, union.test_set.rows, dc_policy=dc)
+            evaluation = evaluate_test_set(network, faults, union.rows, dc_policy=dc)
         status = evaluation.status
         for k in fb.redundant:
             if status[k] == UNDETECTED:
@@ -244,7 +243,7 @@ def cmd_faults(args) -> int:
 def cmd_atpg(args) -> int:
     cfg = _config(args)
     network = expand_network(_load_circuit(args.circuit))
-    sets = generate_sets(network, cfg.sets).ordered_sets()
+    sets = generate_sets(network, cfg.sets).sets
     # without repair patterns the union needs no grading
     faults = enumerate_faults(network) if cfg.fallback else None
     run = run_pipeline(network, faults, sets, cfg)
@@ -275,7 +274,7 @@ def cmd_grade(args) -> int:
         raise ValueError("the circuit and --tests cannot both be read from stdin")
     network = expand_network(_load_circuit(args.circuit))
     faults = enumerate_faults(network, include_aux=cfg.include_aux)
-    sets = [TestSet("User", _parse_tests_for(network, _read_text(args.tests)))]
+    sets = {"User": _parse_tests_for(network, _read_text(args.tests))}
     run = run_pipeline(network, faults, sets, cfg)
     report = build_coverage_report(
         run.evaluation, sets, run.union, None, cfg.echo(), timestamp=not args.no_timestamp,
@@ -288,7 +287,7 @@ def cmd_verify(args) -> int:
     cfg = _config(args)
     network = expand_network(_load_circuit(args.circuit))
     faults = enumerate_faults(network, include_aux=cfg.include_aux)
-    sets = generate_sets(network, cfg.sets).ordered_sets()
+    sets = generate_sets(network, cfg.sets).sets
     run = run_pipeline(network, faults, sets, cfg)
     report = build_coverage_report(
         run.evaluation, sets, run.union, run.bound, cfg.echo(), timestamp=not args.no_timestamp,
@@ -303,8 +302,8 @@ def cmd_bench(args) -> int:
         return EXIT_OK
     network = benchmark_circuit()
     gen = generate_sets(network)
-    t2 = tuple(row[network.p :] for row in gen.sets["T2"].rows)
-    t3 = tuple(row[network.p :] for row in gen.sets["T3"].rows)
+    t2 = tuple(row[network.p :] for row in gen.sets["T2"])
+    t3 = tuple(row[network.p :] for row in gen.sets["T3"])
     cells = tabulated_discrepancies()
     if args.format == "json":
         report = {

@@ -11,7 +11,7 @@ line; '#' starts a comment.
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .atpg import UnionResult
@@ -19,7 +19,6 @@ if TYPE_CHECKING:
 __all__ = [
     "DC_POLICIES",
     "TestFileError",
-    "TestSet",
     "parse_test_file",
     "format_patterns",
 ]
@@ -38,35 +37,6 @@ class TestFileError(ValueError):
     def __init__(self, message: str, line: int) -> None:
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-class TestSet:
-    """A named, ordered list of rows aimed at one fault class; the name is
-    the rows' origin.  Its length and iteration are the rows'."""
-
-    __slots__ = ("name", "rows", "target_class")
-    __test__ = False  # domain class, not a pytest suite
-
-    def __init__(self, name: str, rows: list[str] | None = None, target_class: str = "") -> None:
-        self.name = name
-        self.rows = [] if rows is None else rows
-        self.target_class = target_class
-
-    def __repr__(self) -> str:
-        return (f"TestSet(name={self.name!r}, rows={self.rows!r},"
-                f" target_class={self.target_class!r})")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not TestSet:
-            return NotImplemented
-        return (self.name, self.rows, self.target_class) == (
-            other.name, other.rows, other.target_class)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.rows)
 
 
 _SYMBOLS = str.maketrans("", "", "01d")  # deletes every valid symbol
@@ -112,7 +82,7 @@ def format_patterns(union: UnionResult) -> str:
     """Emit the union's rows one per line, with a comment line where the origin changes."""
     lines = []
     last_origin = None
-    for row, origin in zip(union.test_set.rows, union.origins):
+    for row, origin in zip(union.rows, union.origins):
         if origin != last_origin:
             lines.append(f"# {origin}")
             last_origin = origin

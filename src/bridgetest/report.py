@@ -28,7 +28,6 @@ from json.encoder import encode_basestring_ascii as _json_str
 from .atpg import BoundReport, UnionResult
 from .circuit import AndExorNetwork
 from .faults import FaultKind, FaultList, Polarity
-from .patterns import TestSet
 from .simulate import DETECTED, METHODS, STATUSES, Evaluation
 
 __all__ = [
@@ -110,7 +109,7 @@ class UnionRows:
     ``{"pattern", "origin"}`` object per row."""
 
     def __init__(self, union: UnionResult) -> None:
-        self.rows, self.origins = union.test_set.rows, union.origins
+        self.rows, self.origins = union.rows, union.origins
 
     def json(self, indent: str) -> str:
         row = '{0}  {{{0}    "pattern": %s,{0}    "origin": %s{0}  }}'.format(indent)
@@ -136,9 +135,14 @@ def _add_fault_counts(report: dict, faults: FaultList) -> None:
         report["out_of_model"] = {**oom, "total": sum(oom.values())}
 
 
-def _sets_block(sets: Sequence[TestSet]) -> dict:
-    return {ts.name: {"size": len(ts), "target_class": ts.target_class, "patterns": ts.rows}
-            for ts in sets}
+# the fault class each generated set aims at; a user file's set aims at none
+_TARGET_CLASSES = {"T1": _EXOR, "T2": "XPair/WiredAnd", "T3": "XPair/WiredOr",
+                   "T4": FaultKind.INTRA_LEVEL.value, "T5": FaultKind.A_PAIR.value}
+
+
+def _sets_block(sets: Mapping[str, list[str]]) -> dict:
+    return {name: {"size": len(rows), "target_class": _TARGET_CLASSES.get(name, ""),
+                   "patterns": rows} for name, rows in sets.items()}
 
 
 def _bound_block(bound: BoundReport) -> dict:
@@ -148,12 +152,12 @@ def _bound_block(bound: BoundReport) -> dict:
 
 
 def _union_block(union: UnionResult) -> dict:
-    return {"size": len(union.test_set), "pre_dedup_size": union.pre_dedup_size,
+    return {"size": len(union.rows), "pre_dedup_size": union.pre_dedup_size,
             "removed": union.removed, "fallback_count": union.fallback_count}
 
 
 def build_coverage_report(
-    evaluation: Evaluation, sets: Sequence[TestSet], union: UnionResult,
+    evaluation: Evaluation, sets: Mapping[str, list[str]], union: UnionResult,
     bound: BoundReport | None, config: Mapping, *, timestamp: bool = True,
 ) -> dict:
     faults = evaluation.faults
@@ -176,7 +180,7 @@ def build_coverage_report(
 
 
 def build_generation_report(
-    network: AndExorNetwork, sets: Sequence[TestSet], union: UnionResult,
+    network: AndExorNetwork, sets: Mapping[str, list[str]], union: UnionResult,
     bound: BoundReport, config: Mapping, *, timestamp: bool = True,
 ) -> dict:
     report = _header(network, config, timestamp)

@@ -123,7 +123,7 @@ def dict_rows(report: dict, faults, evaluation: Evaluation | None = None, union=
     if union is not None:
         out["union"] = {**report["union"], "patterns": [
             {"pattern": row, "origin": origin}
-            for row, origin in zip(union.test_set.rows, union.origins, strict=True)
+            for row, origin in zip(union.rows, union.origins, strict=True)
         ]}
     return out
 

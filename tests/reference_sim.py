@@ -375,7 +375,7 @@ def reference_fallback(
         if fault.kind is FaultKind.EXOR_INTERNAL:
             if not classify_only and not corners_added:
                 corners = gen_corner_set(network)
-                out.patterns.extend(corners.rows)
+                out.patterns.extend(corners)
                 corners_added = True
             continue
         if any(detects(network, fault, row) for row in out.patterns):

@@ -15,7 +15,6 @@ from typing import Sequence
 
 from bridgetest import AndExorNetwork
 from bridgetest.faults import BridgingFault, Polarity
-from bridgetest.patterns import TestSet
 from bridgetest.pprm import PprmFunction
 from bridgetest.simulate import detects
 
@@ -68,7 +67,7 @@ def gen_input_and_tests(
     network: AndExorNetwork,
     *,
     dc_policy: str = "fill-zero",
-) -> tuple[TestSet, PartitionTree]:
+) -> tuple[list[str], PartitionTree]:
     """Binary-split T2 construction for wired-AND input bridges.
 
     For the current block, gates whose support properly intersects it are
@@ -117,5 +116,4 @@ def gen_input_and_tests(
         return TreeNode(block=block)
 
     root = split(tuple(variables)) if variables else None
-    test_set = TestSet("T2", patterns, target_class="XPair/WiredAnd")
-    return test_set, PartitionTree(root)
+    return patterns, PartitionTree(root)

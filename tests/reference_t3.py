@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 from bridgetest import AndExorNetwork
 from bridgetest.faults import BridgingFault, Polarity
-from bridgetest.patterns import TestSet
 from bridgetest.pprm import PprmFunction
 from bridgetest.simulate import detects
 
@@ -71,7 +70,7 @@ def gen_input_or_tests(
     network: AndExorNetwork,
     *,
     dc_policy: str = "fill-zero",
-) -> tuple[TestSet, tuple[tuple[int, int], ...]]:
+) -> tuple[list[str], tuple[tuple[int, int], ...]]:
     """Parity-driven T3 construction for wired-OR input bridges.
 
     The generator refines a partition of the inputs; a pattern is emitted
@@ -180,5 +179,4 @@ def gen_input_or_tests(
     uncovered = []
     for block in sorted(multi_blocks(), key=min):
         uncovered.extend(itertools.combinations(sorted(block), 2))
-    test_set = TestSet("T3", patterns, target_class="XPair/WiredOr")
-    return test_set, tuple(sorted(uncovered))
+    return patterns, tuple(sorted(uncovered))

@@ -60,11 +60,11 @@ def test_criterion_1_fixture_sets(bench):
 
     # T1, T4, T5 must reproduce the worked tables byte for byte,
     # don't-care symbols included
-    assert sets["T1"].rows == [
+    assert sets["T1"] == [
         "0000000000", "0001111111", "1110000000", "1111111111",
     ]
-    assert sets["T4"].rows == ["1100000000", "1010000000"]
-    assert sets["T5"].rows == [
+    assert sets["T4"] == ["1100000000", "1010000000"]
+    assert sets["T5"] == [
         "ddd0111111", "ddd1011111", "ddd1101111", "ddd1110111",
         "ddd1111011", "ddd1111101", "ddd1111110",
     ]
@@ -84,7 +84,7 @@ def test_criterion_1_fixture_sets(bench):
                 for row in sets["T3"]
             ), f"wired-OR pair ({i},{j}) missed by T3"
 
-    union = assemble_union(result.ordered_sets())
+    union = assemble_union(result.sets)
     bound = check_bound(union, net)
     assert union.pre_dedup_size == 25
     assert bound.bound == 3 * 7 + ceil_log2(3) + 2 == 25
@@ -181,13 +181,13 @@ def sweep():
         net = expand_network(circuit)
         faults = enumerate_faults(net)
         result = generate_sets(net)
-        sets = result.ordered_sets()
+        sets = result.sets
 
         base = assemble_union(sets)
-        first = evaluate_test_set(net, faults, base.test_set.rows)
+        first = evaluate_test_set(net, faults, base.rows)
         fb = fallback_search(first)
         union = assemble_union(sets, fb.patterns)
-        final = evaluate_test_set(net, faults, union.test_set.rows)
+        final = evaluate_test_set(net, faults, union.rows)
 
         if fb.unresolved:
             stats["unresolved"].append((circuit.name, [faults[k] for k in fb.unresolved]))
@@ -203,7 +203,7 @@ def sweep():
             if k in redundant and oracle.detectable:
                 stats["unconfirmed_redundant"].append((circuit.name, fault))
 
-        masks = exor_stimulation_mask(net, result.sets["T1"].rows)
+        masks = exor_stimulation_mask(net, result.sets["T1"])
         if masks != [FULL_MASK] * net.d:
             stats["mask_violations"].append(circuit.name)
 
@@ -271,14 +271,14 @@ def test_criterion_5_bridge_semantics():
 
 def test_criterion_6_t4_distinctness():
     for p in range(1, 65):
-        ts = gen_cascade_pair_tests(AndExorNetwork(1, p, (), ()))
-        assert len(ts) == ceil_log2(p)
-        codes = [tuple(row[j] for row in ts) for j in range(p)]
+        rows = gen_cascade_pair_tests(AndExorNetwork(1, p, (), ()))
+        assert len(rows) == ceil_log2(p)
+        codes = [tuple(row[j] for row in rows) for j in range(p)]
         assert len(set(codes)) == p, f"duplicate column code at p={p}"
         for a in range(p):
             for b in range(a + 1, p):
-                assert any(row[a] != row[b] for row in ts)
-    assert gen_cascade_pair_tests(AndExorNetwork(1, 3, (), ())).rows == ["1100", "1010"]
+                assert any(row[a] != row[b] for row in rows)
+    assert gen_cascade_pair_tests(AndExorNetwork(1, 3, (), ())) == ["1100", "1010"]
     _ok(
         "criterion 6: PASS - pairwise-distinct column codes for p = 1..64,"
         " every c pair driven opposite somewhere, p=3 gives {110, 101}"

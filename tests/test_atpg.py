@@ -157,9 +157,8 @@ def _lines(n, p, constant_line=None):
 
 class TestCornerSet:
     def test_benchmark(self, bench_net):
-        ts = gen_corner_set(bench_net)
-        assert ts.name == "T1" and ts.target_class == "ExorInternal"
-        assert ts.rows == [
+        rows = gen_corner_set(bench_net)
+        assert rows == [
             "0000000000",
             "0001111111",
             "1110000000",
@@ -167,8 +166,8 @@ class TestCornerSet:
         ]
 
     def test_constant_line_held_high(self):
-        ts = gen_corner_set(_lines(2, 1, constant_line=2))
-        assert ts.rows == ["001", "011", "101", "111"]
+        rows = gen_corner_set(_lines(2, 1, constant_line=2))
+        assert rows == ["001", "011", "101", "111"]
 
 
 class TestInputAndSet:
@@ -176,8 +175,8 @@ class TestInputAndSet:
         # frozen construction output (differs from the shipped worked set in
         # its last two rows; coverage is verified pairwise below)  [DERIVED]
         net = bench_net
-        ts, uncovered = gen_input_and_tests(net)
-        assert ts.name == "T2" and ts.rows == [
+        rows, uncovered = gen_input_and_tests(net)
+        assert rows == [
             "ddd1000000",
             "ddd0100000",
             "ddd0001000",
@@ -189,24 +188,24 @@ class TestInputAndSet:
 
     def test_benchmark_covers_all_wired_and_pairs(self, bench_net):
         net = bench_net
-        ts, _ = gen_input_and_tests(net)
+        rows, _ = gen_input_and_tests(net)
         for i in range(1, 8):
             for j in range(i + 1, 8):
                 fault = BridgingFault.x_pair(i, j, AND)
-                assert any(detects(net, fault, row) for row in ts), (i, j)
+                assert any(detects(net, fault, row) for row in rows), (i, j)
 
     def test_unsplittable_block(self, and2):
         # the only gate's support equals the whole block: nothing can split
-        ts, uncovered = gen_input_and_tests(expand_network(and2))
-        assert ts.rows == []
+        rows, uncovered = gen_input_and_tests(expand_network(and2))
+        assert rows == []
         assert uncovered == ((1, 2),)
 
     def test_candidate_rejected_then_accepted(self):
         # f1 cancels to 0, so the single-control candidates detect nothing
         # and the two-control gate must carry the first split
         net = _net(DUP_TEXT)
-        ts, uncovered = gen_input_and_tests(net)
-        assert ts.rows == ["dd110"]
+        rows, uncovered = gen_input_and_tests(net)
+        assert rows == ["dd110"]
         assert uncovered == ((1, 2),)
 
 
@@ -214,8 +213,8 @@ class TestInputOrSet:
     def test_benchmark_patterns(self, bench_net):
         # four case-(a) splits, one case (b), one case (c) at x1 = 0  [DERIVED]
         net = bench_net
-        ts, uncovered = gen_input_or_tests(net)
-        assert ts.name == "T3" and ts.rows == [
+        rows, uncovered = gen_input_or_tests(net)
+        assert rows == [
             "ddd1101111",
             "ddd1110111",
             "ddd1111101",
@@ -227,70 +226,70 @@ class TestInputOrSet:
 
     def test_benchmark_covers_all_wired_or_pairs(self, bench_net):
         net = bench_net
-        ts, _ = gen_input_or_tests(net)
+        rows, _ = gen_input_or_tests(net)
         for i in range(1, 8):
             for j in range(i + 1, 8):
                 fault = BridgingFault.x_pair(i, j, OR)
-                assert any(detects(net, fault, row) for row in ts), (i, j)
+                assert any(detects(net, fault, row) for row in rows), (i, j)
 
     def test_emission_is_partition_gated(self):
         # x = 110 would detect the pairs it leaves joined, but no block
         # split justifies it, so the generator stays at n - 1 patterns
         net = _net(XOR3_TEXT)
-        ts, uncovered = gen_input_or_tests(net)
-        assert ts.rows == ["d011", "d101"]
+        rows, uncovered = gen_input_or_tests(net)
+        assert rows == ["d011", "d101"]
         assert uncovered == ()
         probe = "d110"
         assert detects(net, BridgingFault.x_pair(1, 3, OR), probe)
         assert detects(net, BridgingFault.x_pair(2, 3, OR), probe)
 
     def test_case_a_on_and2(self, and2):
-        ts, uncovered = gen_input_or_tests(expand_network(and2))
-        assert ts.rows == ["d01"]
+        rows, uncovered = gen_input_or_tests(expand_network(and2))
+        assert rows == ["d01"]
         assert uncovered == ()
 
     def test_duplicate_terms_cancel_into_case_a(self):
         net = _net(DUP_TEXT)
-        ts, uncovered = gen_input_or_tests(net)
-        assert ts.rows == ["dd011", "dd101"]
+        rows, uncovered = gen_input_or_tests(net)
+        assert rows == ["dd011", "dd101"]
         assert uncovered == ()
 
     def test_size_within_partition_budget(self, bench_net):
         net = bench_net
-        ts, _ = gen_input_or_tests(net)
-        assert len(ts) <= net.n - 1
+        rows, _ = gen_input_or_tests(net)
+        assert len(rows) <= net.n - 1
 
 
 class TestCascadePairSet:
     def test_benchmark(self, bench_net):
-        ts = gen_cascade_pair_tests(bench_net)
-        assert ts.name == "T4" and ts.rows == ["1100000000", "1010000000"]
+        rows = gen_cascade_pair_tests(bench_net)
+        assert rows == ["1100000000", "1010000000"]
 
     def test_p_one_needs_nothing(self):
-        assert gen_cascade_pair_tests(_lines(2, 1)).rows == []
+        assert gen_cascade_pair_tests(_lines(2, 1)) == []
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 7, 8, 16])
     def test_column_codes_distinct(self, p):
-        ts = gen_cascade_pair_tests(_lines(1, p))
-        assert len(ts) == ceil_log2(p)
-        codes = [tuple(row[j] for row in ts) for j in range(p)]
+        rows = gen_cascade_pair_tests(_lines(1, p))
+        assert len(rows) == ceil_log2(p)
+        codes = [tuple(row[j] for row in rows) for j in range(p)]
         assert len(set(codes)) == p
         # distinct codes mean every pair differs in some pattern
         for a in range(p):
             for b in range(a + 1, p):
                 assert any(
-                    row[a] != row[b] for row in ts
+                    row[a] != row[b] for row in rows
                 ), (a + 1, b + 1)
 
     def test_constant_line_held_high(self):
-        ts = gen_cascade_pair_tests(_lines(3, 2, constant_line=3))
-        assert ts.rows == ["10001"]
+        rows = gen_cascade_pair_tests(_lines(3, 2, constant_line=3))
+        assert rows == ["10001"]
 
 
 class TestWalkingZeroSet:
     def test_benchmark(self, bench_net):
-        ts = gen_walking_zero_tests(bench_net)
-        assert ts.name == "T5" and ts.rows == [
+        rows = gen_walking_zero_tests(bench_net)
+        assert rows == [
             "ddd0111111",
             "ddd1011111",
             "ddd1101111",
@@ -301,8 +300,8 @@ class TestWalkingZeroSet:
         ]
 
     def test_constant_line_skipped(self):
-        ts = gen_walking_zero_tests(_lines(3, 1, constant_line=3))
-        assert ts.rows == ["d011", "d101"]
+        rows = gen_walking_zero_tests(_lines(3, 1, constant_line=3))
+        assert rows == ["d011", "d101"]
 
 
 class TestGenerateSets:
@@ -310,7 +309,7 @@ class TestGenerateSets:
         net = bench_net
         result = generate_sets(net)
         assert list(result.sets) == ["T1", "T2", "T3", "T4", "T5"]
-        sizes = {name: len(ts) for name, ts in result.sets.items()}
+        sizes = {name: len(rows) for name, rows in result.sets.items()}
         assert sizes == {"T1": 4, "T2": 6, "T3": 6, "T4": 2, "T5": 7}
         assert result.t2_uncovered == ()
         assert result.t3_uncovered == ()
@@ -320,6 +319,17 @@ class TestGenerateSets:
         result = generate_sets(net, ["T1", "T4"])
         assert list(result.sets) == ["T1", "T4"]
         assert result.t2_uncovered == result.t3_uncovered == ()
+
+    def test_selector_order_is_not_the_set_order(self, bench_net):
+        # the sets come in SET_NAMES order whatever order they were asked
+        # for, and the union's rows follow the mapping's order
+        sets = generate_sets(bench_net, ("T5", "T2")).sets
+        assert list(sets) == ["T2", "T5"]
+        assert assemble_union(sets).origins == ["T2"] * 6 + ["T5"] * 7
+        backwards = {"T5": sets["T5"], "T2": sets["T2"]}
+        union = assemble_union(backwards)
+        assert union.origins == ["T5"] * 7 + ["T2"] * 6
+        assert union.rows == sets["T5"] + sets["T2"]
 
     def test_generation_packs_no_rows_and_builds_no_good(self, monkeypatch, bench_net):
         # T2 and T3 decide each split from the gate-support masks, and T3's
@@ -476,10 +486,10 @@ class TestUnionAndBound:
     def test_benchmark_union(self, bench_net):
         net = bench_net
         result = generate_sets(net)
-        union = assemble_union(result.ordered_sets())
+        union = assemble_union(result.sets)
         assert union.pre_dedup_size == 25
         assert union.fallback_count == 0
-        assert len(union.test_set) == 25
+        assert len(union.rows) == 25
         report = check_bound(union, net)
         assert (report.size, report.bound) == (25, 25)
         assert report.passed
@@ -490,12 +500,12 @@ class TestUnionAndBound:
         # four T5 rows resolve to the same vectors as earlier T3 rows
         net = bench_net
         result = generate_sets(net)
-        union = assemble_union(result.ordered_sets(), dedup=True)
+        union = assemble_union(result.sets, dedup=True)
         assert union.pre_dedup_size == 25
         assert union.removed == 4
-        assert len(union.test_set) == 21
+        assert len(union.rows) == 21
         assert union.origins == ["T1"] * 4 + ["T2"] * 6 + ["T3"] * 6 + ["T4"] * 2 + ["T5"] * 3
-        lines = [row.replace("d", "0") for row in union.test_set]
+        lines = [row.replace("d", "0") for row in union.rows]
         assert len(set(lines)) == 21
         # the bound still judges the pre-dedup size
         assert check_bound(union, net).size == 25
@@ -503,7 +513,7 @@ class TestUnionAndBound:
     def test_fallback_counts_separately(self, bench_net):
         net = bench_net
         result = generate_sets(net)
-        union = assemble_union(result.ordered_sets(), ["0001111111"])
+        union = assemble_union(result.sets, ["0001111111"])
         assert union.origins[-2:] == ["T5", "Fallback"]
         assert union.pre_dedup_size == 26
         assert union.fallback_count == 1
@@ -664,8 +674,8 @@ class TestFallbackSearch:
             if idx % 2:
                 circuit = with_zero_control(circuit, rng)
             net = expand_network(circuit)
-            sets = generate_sets(net, ("T1", "T4")).ordered_sets()
-            union = assemble_union(sets).test_set
+            sets = generate_sets(net, ("T1", "T4")).sets
+            union = assemble_union(sets)
             faults = enumerate_faults(net)
             ev = evaluate_test_set(net, faults, union.rows)
             pairs = ev.status.count(UNDETECTED)
@@ -710,8 +720,8 @@ class TestFallbackSearch:
         monkeypatch.setattr(simulate, "detects", no_detects)
         circuit = parse_circuit(REPAIR_TEXT)
         net = expand_network(circuit)
-        sets = generate_sets(net, ("T1", "T4")).ordered_sets()
-        union = assemble_union(sets).test_set
+        sets = generate_sets(net, ("T1", "T4")).sets
+        union = assemble_union(sets)
         ev = evaluate_test_set(net, enumerate_faults(net), union.rows)
         assert ev.status.count(UNDETECTED) >= 100
         assert UNDETECTED not in ev.status[: net.d]

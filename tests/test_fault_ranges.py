@@ -21,7 +21,6 @@ from bridgetest import (
     DC_POLICIES,
     SET_NAMES,
     FaultKind,
-    TestSet,
     enumerate_faults,
     evaluate_test_set,
     expand_network,
@@ -201,7 +200,7 @@ def test_reports_match_reference_renderer():
             for names, fallback, cap in _RUNS:
                 cfg = RunConfig("verify", names, oracle_cap=cap, fallback=fallback,
                                 include_aux=include_aux)
-                sets = generate_sets(net, names).ordered_sets()
+                sets = generate_sets(net, names).sets
                 run = run_pipeline(net, faults, sets, cfg)
                 report = build_coverage_report(
                     run.evaluation, sets, run.union, run.bound, cfg.echo(),
@@ -213,7 +212,7 @@ def test_reports_match_reference_renderer():
             # simulate-style: a user test file, graded without fallback
             for dc_policy in DC_POLICIES:
                 text = _test_file(rng, net, rng.randint(0, 30))
-                sets = [TestSet("User", parse_test_file(text, net.n, net.p))]
+                sets = {"User": parse_test_file(text, net.n, net.p)}
                 cfg = RunConfig("simulate", dc_policy=dc_policy, fallback=False,
                                 include_aux=include_aux)
                 run = run_pipeline(net, faults, sets, cfg)

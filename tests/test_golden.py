@@ -101,6 +101,12 @@ CASES = {
     ),
     # dedup drops T5 rows that repeat T3 ones: the origin comments stay put
     "atpg_bench7x3_dedup.txt": (0, ["atpg", "bench7x3.rev", "--dedup"]),
+    # a --sets list out of canonical order: the config echoes it as given,
+    # while the test sets, the union and its origin comments run T2 then T5
+    "verify_bench7x3_sets_T5T2.json": (
+        0, ["verify", "bench7x3.rev", "--sets", "T5,T2", "--format", "json"]
+    ),
+    "atpg_bench7x3_sets_T5T2.txt": (0, ["atpg", "bench7x3.rev", "--sets", "T5,T2"]),
     # many misses above the cap: every repair row comes from the random
     # search, seeded by the miss's ordinal among all misses
     "atpg_rand8x4_random.txt": (

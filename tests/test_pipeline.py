@@ -43,12 +43,12 @@ SELECTIONS = (SET_NAMES, ("T1", "T4"), ("T3", "T5"), ("T4",))
 def reference(network, faults, sets, cfg):
     dc = cfg.dc_policy
     base = assemble_union(sets, dc_policy=dc)
-    first = evaluate_test_set(network, faults, base.test_set.rows, dc_policy=dc)
+    first = evaluate_test_set(network, faults, base.rows, dc_policy=dc)
     missed = [faults[k] for k, status in enumerate(first.status) if status == UNDETECTED]
     fb = reference_fallback(network, missed, cfg.oracle_cap, not cfg.fallback)
     union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=dc)
     bound = check_bound(union, network)
-    final = evaluate_test_set(network, faults, union.test_set.rows, dc_policy=dc)
+    final = evaluate_test_set(network, faults, union.rows, dc_policy=dc)
     verdicts = []
     for v in final.verdicts:
         if v.status == "undetected" and v.fault in fb.redundant:
@@ -76,7 +76,7 @@ def test_pipeline_matches_reference_sequence():
             SELECTIONS, (False, True), (True, False), (DEFAULT_ORACLE_CAP, 0)
         ):
             cfg = RunConfig("verify", names, dc, cap, fallback, dedup)
-            sets = generate_sets(network, names).ordered_sets()
+            sets = generate_sets(network, names).sets
             verdicts, masks, union, bound = reference(network, faults, sets, cfg)
             run = run_pipeline(network, faults, sets, cfg)
             label = (circuit.name, names, dedup, fallback, cap)
@@ -94,7 +94,7 @@ def test_one_fault_object_per_oracle_call(monkeypatch):
     network = expand_network(circuit)
     faults = enumerate_faults(network)
     cfg = RunConfig("atpg", ("T1", "T4"))
-    sets = generate_sets(network, cfg.sets).ordered_sets()
+    sets = generate_sets(network, cfg.sets).sets
     built, calls = [], []
     new, oracle = BridgingFault.__new__, atpg.exhaustive_detectability
     monkeypatch.setattr(BridgingFault, "__new__",
@@ -138,10 +138,10 @@ def test_five_sets_detect_every_detectable_fault_within_the_bound(seed, zero_con
         circuit = with_zero_control(circuit, rng)
     network = expand_network(circuit)
     cfg = RunConfig("verify", oracle_cap=network.n + network.p)
-    sets = generate_sets(network).ordered_sets()
+    sets = generate_sets(network).sets
     run = run_pipeline(network, enumerate_faults(network), sets, cfg)
     label = format_circuit(circuit)
     assert run.union.fallback_count == 0, label
     bound = 3 * len(network.real_inputs()) + (network.p - 1).bit_length() + 2
-    assert run.bound.passed and len(run.union.test_set) <= bound == run.bound.bound, label
+    assert run.bound.passed and len(run.union.rows) <= bound == run.bound.bound, label
     assert run.evaluation.count("undetected") == run.evaluation.count("unresolved") == 0, label

@@ -1,8 +1,8 @@
 """Record types: what they print, hash and refuse, and what the CLI loads.
 
-The records are ``typing.NamedTuple``s (``TestSet`` is a plain class), so
-that starting the CLI does not import ``dataclasses``.  They keep the
-dataclass repr, equality, field-tuple hash and read-only fields.
+The records are ``typing.NamedTuple``s, so that starting the CLI does not
+import ``dataclasses``.  They keep the dataclass repr, equality,
+field-tuple hash and read-only fields.
 """
 
 import os
@@ -22,7 +22,6 @@ from bridgetest import (
     GenerationResult,
     OracleResult,
     Polarity,
-    TestSet,
     UnionResult,
     detects,
     exhaustive_detectability,
@@ -47,18 +46,14 @@ RECORDS = [
     (FaultVerdict(BridgingFault.exor_internal(3), "detected", 0, "stimulation"),
      "FaultVerdict(fault=BridgingFault(kind=<FaultKind.EXOR_INTERNAL: 'ExorInternal'>,"
      " ids=(3,), polarity=None), status='detected', pattern_index=0, method='stimulation')"),
-    (BoundReport(7, 9, True, 0, 7, False),
-     "BoundReport(size=7, bound=9, passed=True, fallback_count=0, construction_size=7,"
-     " exceeds_construction=False)"),
+    (BoundReport(7, 9, 0), "BoundReport(size=7, bound=9, fallback_count=0)"),
     (RunConfig("verify"),
      "RunConfig(command='verify', sets=('T1', 'T2', 'T3', 'T4', 'T5'), dc_policy='fill-zero',"
      " oracle_cap=22, fallback=True, dedup=False, include_aux=False)"),
-    (GenerationResult({"T5": TestSet("T5", ["d01"], "APair")}, ((1, 2),)),
-     "GenerationResult(sets={'T5': TestSet(name='T5', rows=['d01'], target_class='APair')},"
-     " t2_uncovered=((1, 2),), t3_uncovered=())"),
-    (UnionResult(TestSet("Union", ["101"]), 1, 0, 0, ["T1"]),
-     "UnionResult(test_set=TestSet(name='Union', rows=['101'], target_class=''),"
-     " pre_dedup_size=1, fallback_count=0, removed=0, origins=['T1'])"),
+    (GenerationResult({"T5": ["d01"]}, ((1, 2),)),
+     "GenerationResult(sets={'T5': ['d01']}, t2_uncovered=((1, 2),), t3_uncovered=())"),
+    (UnionResult(["101"], ["T1"], 1, 0),
+     "UnionResult(rows=['101'], origins=['T1'], pre_dedup_size=1, fallback_count=0)"),
     (FallbackResult(["101"], [4], []),
      "FallbackResult(patterns=['101'], redundant=[4], unresolved=[])"),
 ]
@@ -127,17 +122,6 @@ def test_pattern_errors():
         message = rf"^pattern has {len(row)} symbols, expected 4 \(p=1 then n=3\)$"
         with pytest.raises(ValueError, match=message):
             detects(net, fault, row)
-
-
-def test_test_set_is_its_rows():
-    empty = TestSet("T2", [])
-    assert not empty and len(empty) == 0 and list(empty) == []
-    assert repr(empty) == "TestSet(name='T2', rows=[], target_class='')"
-    full = TestSet("T4", ["01", "10"], "IntraLevel")
-    assert full and len(full) == 2 and list(full) == ["01", "10"]
-    assert full == TestSet("T4", ["01", "10"], "IntraLevel") != TestSet("T4", ["01"])
-    full.rows.append("11")  # its rows stay a list the caller may extend
-    assert len(full) == 3
 
 
 def test_cli_start_loads_no_dataclasses():

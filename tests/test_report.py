@@ -34,7 +34,7 @@ from bridgetest.report import (
 
 @pytest.fixture(scope="module")
 def bench_union(bench):
-    return assemble_union(generate_sets(expand_network(bench)).ordered_sets())
+    return assemble_union(generate_sets(expand_network(bench)).sets)
 
 
 @pytest.fixture(scope="module")
@@ -43,10 +43,10 @@ def bench_report(bench, bench_union):
     faults = enumerate_faults(net)
     result = generate_sets(net)
     union = bench_union
-    evaluation = evaluate_test_set(net, faults, union.test_set.rows)
+    evaluation = evaluate_test_set(net, faults, union.rows)
     bound = check_bound(union, net)
     report = build_coverage_report(
-        evaluation, result.ordered_sets(), union, bound,
+        evaluation, result.sets, union, bound,
         {"dc_policy": "fill-zero"}, timestamp=False,
     )
     return report
@@ -111,7 +111,7 @@ def test_json_round_trip_and_stability(bench_report, bench_union):
     # origins, and the rest as the report holds it
     csv_rows = csv.DictReader(io.StringIO(render_report(bench_report, "csv")))
     assert loaded.pop("verdicts") == list(csv_rows)
-    union_rows = zip(bench_union.test_set.rows, bench_union.origins, strict=True)
+    union_rows = zip(bench_union.rows, bench_union.origins, strict=True)
     assert loaded["union"].pop("patterns") == [
         {"pattern": row, "origin": origin} for row, origin in union_rows
     ]
@@ -170,9 +170,9 @@ def test_csv_faults(bench):
 def test_csv_needs_rows(bench, bench_report):
     net = expand_network(bench)
     result = generate_sets(net)
-    union = assemble_union(result.ordered_sets())
+    union = assemble_union(result.sets)
     gen = build_generation_report(
-        net, result.ordered_sets(), union, check_bound(union, net),
+        net, result.sets, union, check_bound(union, net),
         {}, timestamp=False,
     )
     with pytest.raises(ValueError, match="no row section"):
@@ -196,9 +196,9 @@ def test_text_rendering(bench_report):
 def test_text_bound_fail_and_fallback_note(bench, bench_report):
     net = expand_network(bench)
     result = generate_sets(net)
-    union = assemble_union(result.ordered_sets(), ["0001111111"])
+    union = assemble_union(result.sets, ["0001111111"])
     gen = build_generation_report(
-        net, result.ordered_sets(), union, check_bound(union, net),
+        net, result.sets, union, check_bound(union, net),
         {}, timestamp=False,
     )
     text = render_report(gen, "text")
@@ -209,9 +209,9 @@ def test_text_bound_fail_and_fallback_note(bench, bench_report):
 def test_generation_report_has_no_verdicts(bench):
     net = expand_network(bench)
     result = generate_sets(net)
-    union = assemble_union(result.ordered_sets())
+    union = assemble_union(result.sets)
     gen = build_generation_report(
-        net, result.ordered_sets(), union, check_bound(union, net),
+        net, result.sets, union, check_bound(union, net),
         {"sets": "T1,T2,T3,T4,T5"}, timestamp=False,
     )
     assert list(gen) == ["schema_version", "circuit", "config", "test_sets", "union", "bound"]
@@ -239,9 +239,9 @@ def test_header_reads_the_network_alone():
     names = []
     for network in (net, net._replace(name="z")):
         faults = enumerate_faults(network)
-        sets = generate_sets(network).ordered_sets()
+        sets = generate_sets(network).sets
         union = assemble_union(sets)
-        evaluation = evaluate_test_set(network, faults, union.test_set.rows)
+        evaluation = evaluate_test_set(network, faults, union.rows)
         bound = check_bound(union, network)
         for report in (
             build_fault_report(faults, {}, timestamp=False),

@@ -21,7 +21,6 @@ from reference_sim import (
 
 from bridgetest import (
     DC_POLICIES,
-    TestSet,
     assemble_union,
     FaultKind,
     BridgingFault,
@@ -169,7 +168,7 @@ class TestInjection:
 class TestStimulationMasks:
     def test_corners_fill_benchmark_masks(self, bench):
         net = expand_network(bench)
-        corners = gen_corner_set(net).rows
+        corners = gen_corner_set(net)
         assert exor_stimulation_mask(net, corners) == [FULL_MASK] * 19
 
     def test_partial_masks(self, twoline):
@@ -180,7 +179,7 @@ class TestStimulationMasks:
         assert masks == [0b0010, 0b0010]
 
     def test_masks_accumulate(self, twoline):
-        corners = gen_corner_set(twoline).rows
+        corners = gen_corner_set(twoline)
         assert exor_stimulation_mask(twoline, corners) == [FULL_MASK, FULL_MASK]
 
 
@@ -264,7 +263,7 @@ class TestEvaluateTestSet:
     def test_benchmark_with_corners(self, bench):
         net = expand_network(bench)
         faults = enumerate_faults(net)
-        ev = evaluate_test_set(net, faults, gen_corner_set(net).rows)
+        ev = evaluate_test_set(net, faults, gen_corner_set(net))
         assert ev.masks == [FULL_MASK] * 19
         for v in ev.verdicts[:19]:
             assert v.status == "detected" and v.method == "stimulation"
@@ -295,7 +294,7 @@ class TestEvaluateTestSet:
         )
         net = expand_network(circuit)
         faults = enumerate_faults(net)
-        ev = evaluate_test_set(net, faults, gen_corner_set(net).rows)
+        ev = evaluate_test_set(net, faults, gen_corner_set(net))
         assert [(v.status, v.method) for v in ev.verdicts] == [("redundant", "constant-line")]
         assert ev.coverage() == 1.0
 
@@ -406,7 +405,7 @@ def test_constant_line_dont_care_reads_as_one_in_library(z3, dc_policy):
 @pytest.mark.parametrize("call", [
     lambda net, faults: evaluate_test_set(net, faults, ["000"], dc_policy="fill-two"),
     lambda net, faults: detects(net, faults[1], "000", "zero"),
-    lambda net, faults: assemble_union([TestSet("User", ["000"])], dedup=True, dc_policy="x"),
+    lambda net, faults: assemble_union({"User": ["000"]}, dedup=True, dc_policy="x"),
 ], ids=["evaluate_test_set", "detects", "assemble_union"])
 def test_unknown_dc_policy_is_a_value_error(and2, call):
     net = expand_network(and2)
