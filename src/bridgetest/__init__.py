@@ -12,14 +12,12 @@ benchmark harness under `perfbench/`, which times `cli.derive_pprm`.
 """
 
 from .atpg import (
-    BoundReport,
     FallbackResult,
     GenerationResult,
     SET_NAMES,
     UnionResult,
     assemble_union,
     ceil_log2,
-    check_bound,
     fallback_search,
     gen_cascade_pair_tests,
     gen_corner_set,
@@ -27,6 +25,7 @@ from .atpg import (
     gen_input_or_tests,
     gen_walking_zero_tests,
     generate_sets,
+    size_bound,
 )
 from .benchmark import BENCHMARK_TEXT, benchmark_circuit, tabulated_discrepancies
 from .circuit import (
@@ -82,8 +81,7 @@ __all__ = [
     "SET_NAMES", "GenerationResult", "generate_sets",
     "gen_corner_set", "gen_input_and_tests", "gen_input_or_tests",
     "gen_cascade_pair_tests", "gen_walking_zero_tests",
-    "UnionResult", "assemble_union", "ceil_log2",
-    "BoundReport", "check_bound",
+    "UnionResult", "assemble_union", "ceil_log2", "size_bound",
     "FallbackResult", "fallback_search",
     # benchmark
     "BENCHMARK_TEXT", "benchmark_circuit", "tabulated_discrepancies",

@@ -58,9 +58,8 @@ __all__ = [
     "generate_sets",
     "UnionResult",
     "assemble_union",
-    "BoundReport",
     "ceil_log2",
-    "check_bound",
+    "size_bound",
     "FallbackResult",
     "fallback_search",
 ]
@@ -378,7 +377,7 @@ def assemble_union(
 ) -> UnionResult:
     """Concatenate the named sets' rows in the mapping's order, then the fallback rows.
 
-    The pre-deduplication size is recorded for the bound check even when
+    The pre-deduplication size is recorded for the size bound even when
     ``dedup`` keeps only the first of the rows that collide after
     don't-care instantiation.
     """
@@ -400,34 +399,14 @@ def ceil_log2(p: int) -> int:
     return (p - 1).bit_length()
 
 
-class BoundReport(NamedTuple):
-    size: int
-    bound: int
-    fallback_count: int
-
-    @property
-    def passed(self) -> bool:
-        return self.size <= self.bound
-
-    @property
-    def construction_size(self) -> int:
-        return self.size - self.fallback_count
-
-    @property
-    def exceeds_construction(self) -> bool:
-        return self.fallback_count > 0
-
-
-def check_bound(union: UnionResult, network: AndExorNetwork) -> BoundReport:
-    """Compare the pre-dedup union size against 3n + ceil(log2 p) + 2.
+def size_bound(network: AndExorNetwork) -> int:
+    """The paper's bound on the union's size, 3n + ceil(log2 p) + 2.
 
     ``n`` counts the network's real inputs: it leaves out the constant line
-    that normalization adds, so it is not ``network.n`` then.  Fallback
-    patterns sit outside the construction, so their presence is flagged
-    separately even when the size still fits.
+    that normalization adds, so it is not ``network.n`` then.  The union's
+    size before dedup is held to it.
     """
-    bound = 3 * len(network.real_inputs()) + ceil_log2(network.p) + 2
-    return BoundReport(union.pre_dedup_size, bound, union.fallback_count)
+    return 3 * len(network.real_inputs()) + ceil_log2(network.p) + 2
 
 
 # the over-cap random search: its seed and the draws it grades per fault

@@ -19,13 +19,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .atpg import (
-    SET_NAMES,
-    assemble_union,
-    check_bound,
-    fallback_search,
-    generate_sets,
-)
+from .atpg import SET_NAMES, assemble_union, fallback_search, generate_sets, size_bound
 from .benchmark import (
     BENCHMARK_TEXT,
     REFERENCE_T2_X,
@@ -41,14 +35,7 @@ from .circuit import (
     parse_circuit,
 )
 from .faults import enumerate_faults
-from .patterns import (
-    DC_POLICIES,
-    TestFileError,
-    format_patterns,
-    line_tokens,
-    parse_test_file,
-    token_rows,
-)
+from .patterns import DC_POLICIES, TestFileError, format_patterns, parse_test_file
 from .pprm import derive_pprm  # noqa: F401  (kept: perfbench/spans.py patches cli.derive_pprm)
 from .report import (
     SCHEMA_VERSION,
@@ -158,11 +145,11 @@ def _config(args) -> RunConfig:
     return RunConfig(**fields)
 
 
-PipelineResult = namedtuple("PipelineResult", "union evaluation fallback bound")
+PipelineResult = namedtuple("PipelineResult", "union evaluation fallback")
 
 
 def run_pipeline(network, faults, sets: dict[str, list[str]], cfg: RunConfig) -> PipelineResult:
-    """Grade the union of ``sets``, repair or classify its misses, check the bound.
+    """Grade the union of ``sets``, and repair or classify its misses.
 
     The union is graded once.  Fallback then handles the undetected faults
     (repair patterns only when ``cfg.fallback``) and returns fault indices.
@@ -189,8 +176,7 @@ def run_pipeline(network, faults, sets: dict[str, list[str]], cfg: RunConfig) ->
         for k in fb.unresolved:
             if status[k] == UNDETECTED:
                 status[k] = UNRESOLVED
-    bound = check_bound(union, network)
-    return PipelineResult(union, evaluation, fb, bound)
+    return PipelineResult(union, evaluation, fb)
 
 
 def _coverage_exit(evaluation: Evaluation) -> int:
@@ -199,24 +185,6 @@ def _coverage_exit(evaluation: Evaluation) -> int:
     if evaluation.count("unresolved"):
         return EXIT_UNRESOLVED
     return EXIT_OK
-
-
-def _parse_tests_for(network, text: str) -> list[str]:
-    """Parse a test file sized for the network.  A constant line is always
-    1: files written for the circuit before normalization added it as the
-    last x line (one x column short) are padded with that 1, and in a
-    full-width row a d there is read as 1 and a 0 refused."""
-    n, p, aux = network.n, network.p, network.constant_line
-    if aux is None:
-        return parse_test_file(text, n, p)
-    tokens = line_tokens(text)  # read for the first row's width, then for the rows
-    if len(next(filter(None, tokens), "")) == p + n - 1:
-        return [row + "1" for row in token_rows(tokens, n - 1, p)]
-    rows, k = token_rows(tokens, n, p), p + aux - 1
-    if "0" in "".join(rows)[k :: p + n]:
-        lineno = next(no for no, token in enumerate(tokens, 1) if token and token[k] == "0")
-        raise TestFileError(f"0 on the constant line x{aux}, which is always 1", lineno)
-    return [row[:k] + "1" + row[k + 1 :] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +214,8 @@ def cmd_atpg(args) -> int:
     sets = generate_sets(network, cfg.sets).sets
     # without repair patterns the union needs no grading
     faults = enumerate_faults(network) if cfg.fallback else None
-    run = run_pipeline(network, faults, sets, cfg)
-    union, bound = run.union, run.bound
+    union = run_pipeline(network, faults, sets, cfg).union
+    bound = size_bound(network)
     if args.format == "text":
         header = [
             f"# {network.name or 'circuit'}: n={network.n} p={network.p} d={network.d}",
@@ -260,11 +228,8 @@ def cmd_atpg(args) -> int:
             network, sets, union, bound, cfg.echo(), timestamp=not args.no_timestamp,
         )
         _write_text(args.out, render_report(report, "json"))
-    if not bound.passed:
-        print(
-            f"warning: union size {bound.size} exceeds bound {bound.bound}",
-            file=sys.stderr,
-        )
+    if union.pre_dedup_size > bound:
+        print(f"warning: union size {union.pre_dedup_size} exceeds bound {bound}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -274,7 +239,7 @@ def cmd_grade(args) -> int:
         raise ValueError("the circuit and --tests cannot both be read from stdin")
     network = expand_network(_load_circuit(args.circuit))
     faults = enumerate_faults(network, include_aux=cfg.include_aux)
-    sets = {"User": _parse_tests_for(network, _read_text(args.tests))}
+    sets = {"User": parse_test_file(_read_text(args.tests), network)}
     run = run_pipeline(network, faults, sets, cfg)
     report = build_coverage_report(
         run.evaluation, sets, run.union, None, cfg.echo(), timestamp=not args.no_timestamp,
@@ -290,7 +255,8 @@ def cmd_verify(args) -> int:
     sets = generate_sets(network, cfg.sets).sets
     run = run_pipeline(network, faults, sets, cfg)
     report = build_coverage_report(
-        run.evaluation, sets, run.union, run.bound, cfg.echo(), timestamp=not args.no_timestamp,
+        run.evaluation, sets, run.union, size_bound(network), cfg.echo(),
+        timestamp=not args.no_timestamp,
     )
     _write_text(args.out, render_report(report, args.format))
     return _coverage_exit(run.evaluation)

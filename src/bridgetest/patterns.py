@@ -5,7 +5,8 @@ symbols, then the n input symbols, exactly the text of one test-file line.
 Pattern lists are lists of rows from parsing to the report; rows are
 checked where their text comes in.  Don't-care symbols are instantiated at
 simulation time by a fill policy.  Test-set files hold one pattern per
-line; '#' starts a comment.
+line; '#' starts a comment.  A file is read for one network, whose
+constant line, if normalization added one, holds 1 in every row.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .atpg import UnionResult
+    from .circuit import AndExorNetwork
 
 __all__ = [
     "DC_POLICIES",
@@ -44,7 +46,7 @@ _BLANKS = str.maketrans("", "", "\t\x0b\x0c\r\x1c\x1d\x1e\x1f ")  # ASCII whites
 _COMMENT = re.compile("#.*")
 
 
-def line_tokens(text: str) -> list[str]:
+def _line_tokens(text: str) -> list[str]:
     """Each line of a test file without its comment and whitespace: whole-text
     passes, or ``str.split`` per line when a symbol other than 0, 1, d and
     ASCII whitespace is left, so that Unicode whitespace goes too."""
@@ -57,13 +59,29 @@ def line_tokens(text: str) -> list[str]:
     return tokens
 
 
-def parse_test_file(text: str, n: int, p: int) -> list[str]:
-    """Read a test-set file into rows; every row must carry exactly p + n symbols."""
-    return token_rows(line_tokens(text), n, p)
+def parse_test_file(text: str, network: AndExorNetwork) -> list[str]:
+    """Read a test-set file into rows of p + n symbols for ``network``.
+
+    A constant line is always 1.  A file written for the circuit before
+    normalization added it (one x column short) gets that 1 in its column,
+    and in a full-width row a d there reads as 1 and a 0 is refused.
+    """
+    n, p, aux = network.n, network.p, network.constant_line
+    tokens = _line_tokens(text)
+    if aux is None:
+        return _token_rows(tokens, n, p)
+    k = p + aux - 1
+    if len(next(filter(None, tokens), "")) == p + n - 1:
+        return [row[:k] + "1" + row[k:] for row in _token_rows(tokens, n - 1, p)]
+    rows = _token_rows(tokens, n, p)
+    if "0" in "".join(rows)[k :: p + n]:
+        lineno = next(no for no, token in enumerate(tokens, 1) if token and token[k] == "0")
+        raise TestFileError(f"0 on the constant line x{aux}, which is always 1", lineno)
+    return [row[:k] + "1" + row[k + 1 :] for row in rows]
 
 
-def token_rows(tokens: list[str], n: int, p: int) -> list[str]:
-    """The rows of a file's ``line_tokens``, each p + n symbols long: checked
+def _token_rows(tokens: list[str], n: int, p: int) -> list[str]:
+    """The rows of a file's ``_line_tokens``, each p + n symbols long: checked
     in bulk, and only a file that fails is walked for its first bad line."""
     rows = list(filter(None, tokens))
     if "".join(rows).translate(_SYMBOLS) or set(map(len, rows)) - {p + n}:

@@ -25,7 +25,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .atpg import BoundReport, UnionResult
+from .atpg import UnionResult
 from .circuit import AndExorNetwork
 from .faults import FaultKind, FaultList, Polarity
 from .simulate import DETECTED, METHODS, STATUSES, Evaluation
@@ -145,10 +145,13 @@ def _sets_block(sets: Mapping[str, list[str]]) -> dict:
                    "patterns": rows} for name, rows in sets.items()}
 
 
-def _bound_block(bound: BoundReport) -> dict:
-    return {"size": bound.size, "bound": bound.bound, "passed": bound.passed,
-            "construction_size": bound.construction_size, "fallback_count": bound.fallback_count,
-            "exceeds_construction": bound.exceeds_construction}
+def _bound_block(union: UnionResult, bound: int) -> dict:
+    # fallback rows sit outside the construction, so they are flagged even
+    # when the size still fits
+    size, fallback = union.pre_dedup_size, union.fallback_count
+    return {"size": size, "bound": bound, "passed": size <= bound,
+            "construction_size": size - fallback, "fallback_count": fallback,
+            "exceeds_construction": fallback > 0}
 
 
 def _union_block(union: UnionResult) -> dict:
@@ -158,7 +161,7 @@ def _union_block(union: UnionResult) -> dict:
 
 def build_coverage_report(
     evaluation: Evaluation, sets: Mapping[str, list[str]], union: UnionResult,
-    bound: BoundReport | None, config: Mapping, *, timestamp: bool = True,
+    bound: int | None, config: Mapping, *, timestamp: bool = True,
 ) -> dict:
     faults = evaluation.faults
     report = _header(faults.network, config, timestamp)
@@ -166,7 +169,7 @@ def build_coverage_report(
     report["test_sets"] = _sets_block(sets)
     report["union"] = {**_union_block(union), "patterns": UnionRows(union)}
     if bound is not None:
-        report["bound"] = _bound_block(bound)
+        report["bound"] = _bound_block(union, bound)
     total = len(evaluation.status)
     redundant = evaluation.count("redundant")
     report["coverage"] = {
@@ -181,12 +184,12 @@ def build_coverage_report(
 
 def build_generation_report(
     network: AndExorNetwork, sets: Mapping[str, list[str]], union: UnionResult,
-    bound: BoundReport, config: Mapping, *, timestamp: bool = True,
+    bound: int, config: Mapping, *, timestamp: bool = True,
 ) -> dict:
     report = _header(network, config, timestamp)
     report["test_sets"] = _sets_block(sets)
     report["union"] = _union_block(union)
-    report["bound"] = _bound_block(bound)
+    report["bound"] = _bound_block(union, bound)
     return report
 
 

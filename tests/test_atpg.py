@@ -19,7 +19,6 @@ from bridgetest import (
     Polarity,
     assemble_union,
     ceil_log2,
-    check_bound,
     detects,
     enumerate_faults,
     evaluate_test_set,
@@ -32,10 +31,12 @@ from bridgetest import (
     gen_walking_zero_tests,
     generate_sets,
     parse_circuit,
+    size_bound,
 )
 from bridgetest import atpg, simulate
 from bridgetest.atpg import _parity_rows
 from bridgetest.benchmark import derived_term_counts
+from bridgetest.report import build_generation_report
 from bridgetest.simulate import UNDETECTED
 
 AND = Polarity.WIRED_AND
@@ -482,6 +483,10 @@ class TestGenerateSets:
             generate_sets(net, ["T1", "T9"])
 
 
+def _bound_block(net, sets, union):
+    return build_generation_report(net, sets, union, size_bound(net), {}, timestamp=False)["bound"]
+
+
 class TestUnionAndBound:
     def test_benchmark_union(self, bench_net):
         net = bench_net
@@ -490,11 +495,11 @@ class TestUnionAndBound:
         assert union.pre_dedup_size == 25
         assert union.fallback_count == 0
         assert len(union.rows) == 25
-        report = check_bound(union, net)
-        assert (report.size, report.bound) == (25, 25)
-        assert report.passed
-        assert report.construction_size == 25
-        assert not report.exceeds_construction
+        report = _bound_block(net, result.sets, union)
+        assert (report["size"], report["bound"]) == (25, 25)
+        assert report["passed"]
+        assert report["construction_size"] == 25
+        assert not report["exceeds_construction"]
 
     def test_dedup_drops_resolved_collisions(self, bench_net):
         # four T5 rows resolve to the same vectors as earlier T3 rows
@@ -508,7 +513,7 @@ class TestUnionAndBound:
         lines = [row.replace("d", "0") for row in union.rows]
         assert len(set(lines)) == 21
         # the bound still judges the pre-dedup size
-        assert check_bound(union, net).size == 25
+        assert _bound_block(net, result.sets, union)["size"] == 25
 
     def test_fallback_counts_separately(self, bench_net):
         net = bench_net
@@ -517,10 +522,10 @@ class TestUnionAndBound:
         assert union.origins[-2:] == ["T5", "Fallback"]
         assert union.pre_dedup_size == 26
         assert union.fallback_count == 1
-        report = check_bound(union, net)
-        assert not report.passed  # 26 > 25
-        assert report.construction_size == 25
-        assert report.exceeds_construction
+        report = _bound_block(net, result.sets, union)
+        assert not report["passed"]  # 26 > 25
+        assert report["construction_size"] == 25
+        assert report["exceeds_construction"]
 
     def test_ceil_log2(self):
         assert [ceil_log2(p) for p in (1, 2, 3, 4, 5, 8, 9, 64)] == [

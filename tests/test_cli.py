@@ -219,10 +219,10 @@ class TestFaults:
 
 
 class TestAtpg:
-    def test_text_is_a_valid_test_file(self, capsys, bench_path):
+    def test_text_is_a_valid_test_file(self, capsys, bench_path, bench):
         code, out, err = run(capsys, "atpg", str(bench_path))
         assert code == 0 and err == ""
-        rows = parse_test_file(out, 7, 3)
+        rows = parse_test_file(out, bench)
         assert len(rows) == 25
         assert rows[0] == "0000000000"
         assert rows[4] == "ddd1000000"
@@ -239,21 +239,21 @@ class TestAtpg:
         assert report["union"]["pre_dedup_size"] == 25
         assert report["bound"]["passed"] is True
 
-    def test_dedup(self, capsys, bench_path):
+    def test_dedup(self, capsys, bench_path, bench):
         code, out, err = run(capsys, "atpg", str(bench_path), "--dedup")
-        assert len(parse_test_file(out, 7, 3)) == 21
+        assert len(parse_test_file(out, bench)) == 21
 
-    def test_sets_selection(self, capsys, bench_path):
+    def test_sets_selection(self, capsys, bench_path, bench):
         code, out, err = run(capsys, "atpg", str(bench_path), "--sets", "T4")
-        assert parse_test_file(out, 7, 3) == ["1100000000", "1010000000"]
+        assert parse_test_file(out, bench) == ["1100000000", "1010000000"]
 
-    def test_fallback_adds_nothing_when_covered(self, capsys, and2_path):
+    def test_fallback_adds_nothing_when_covered(self, capsys, and2_path, and2):
         code_plain, out_plain, _ = run(capsys, "atpg", str(and2_path))
         code_fb, out_fb, _ = run(capsys, "atpg", str(and2_path), "--fallback")
         assert code_plain == code_fb == 0
         # the only miss is provably redundant, so no repair pattern appears
         assert out_plain == out_fb
-        assert len(parse_test_file(out_fb, 2, 1)) == 7
+        assert len(parse_test_file(out_fb, and2)) == 7
 
     def test_bound_overrun_warns_on_stderr(self, capsys, bench_path):
         # T1 and T4 miss some faults, and the repair patterns push the
@@ -482,14 +482,13 @@ class TestSimulateAndVerify:
         tests_file = tmp_path / "notplus.tests"
         tests_file.write_text("000\n001\n010\n# a comment\n011\n100\n111\n")
         calls = []
-        tokens = patterns.line_tokens
+        tokens = patterns._line_tokens
 
         def counted(text):
             calls.append(text)
             return tokens(text)
 
-        monkeypatch.setattr(patterns, "line_tokens", counted)
-        monkeypatch.setattr(cli, "line_tokens", counted)
+        monkeypatch.setattr(patterns, "_line_tokens", counted)
         code, _, err = run(capsys, "simulate", str(circuit), "--tests", str(tests_file))
         assert (code, err) == (0, "")
         assert len(calls) == 1
@@ -768,9 +767,9 @@ def test_commands_read_no_pprm(capsys, monkeypatch, argv):
      "pattern has 5 symbols, expected 10 (p=3 then n=7)"),
     ("0000000000\n0000000000d\n", 2, "pattern has 11 symbols, expected 10 (p=3 then n=7)"),
 ])
-def test_test_file_errors_name_their_line(text, line, message):
+def test_test_file_errors_name_their_line(text, line, message, bench):
     with pytest.raises(bridgetest.TestFileError) as err:
-        parse_test_file(text, 7, 3)
+        parse_test_file(text, bench)
     assert err.value.line == line
     assert str(err.value) == f"line {line}: {message}"
 

@@ -28,6 +28,7 @@ from bridgetest import (
     normalize_zero_controls,
     parse_circuit,
     parse_test_file,
+    size_bound,
 )
 from bridgetest.cli import RunConfig, run_pipeline
 from bridgetest.report import (
@@ -203,7 +204,7 @@ def test_reports_match_reference_renderer():
                 sets = generate_sets(net, names).sets
                 run = run_pipeline(net, faults, sets, cfg)
                 report = build_coverage_report(
-                    run.evaluation, sets, run.union, run.bound, cfg.echo(),
+                    run.evaluation, sets, run.union, size_bound(net), cfg.echo(),
                     timestamp=False,
                 )
                 _assert_verdicts_render_like_reference(report, faults, run.evaluation, run.union)
@@ -212,7 +213,7 @@ def test_reports_match_reference_renderer():
             # simulate-style: a user test file, graded without fallback
             for dc_policy in DC_POLICIES:
                 text = _test_file(rng, net, rng.randint(0, 30))
-                sets = {"User": parse_test_file(text, net.n, net.p)}
+                sets = {"User": parse_test_file(text, net)}
                 cfg = RunConfig("simulate", dc_policy=dc_policy, fallback=False,
                                 include_aux=include_aux)
                 run = run_pipeline(net, faults, sets, cfg)

@@ -120,6 +120,12 @@ CASES = {
     "atpg_rand24x8_fallback.txt": (
         0, ["atpg", "rand24x8.rev", "--fallback", "--sets", "T1,T4", "--oracle-cap", "1000"]
     ),
+    # the json bound block of a union over the bound: passed false, and the
+    # construction's 7 rows apart from the fallback's 212
+    "atpg_rand24x8_fallback.json": (
+        0, ["atpg", "rand24x8.rev", "--fallback", "--sets", "T1,T4", "--oracle-cap", "1000",
+            "--format", "json"]
+    ),
     "verify_rand24x8_cap1000.txt": (
         0, ["verify", "rand24x8.rev", "--sets", "T1,T4", "--oracle-cap", "1000", "--format", "text"]
     ),

@@ -6,7 +6,7 @@ with ``reference_fallback`` (one ``detects`` call per repair pattern, no
 proof cache), grade the whole final union again, then classify what
 fallback proved.  The pipeline grades the final union again only when
 fallback appended patterns, so the two must agree on every verdict,
-pattern index, mask, union and bound.
+pattern index, mask and union.
 """
 
 import inspect
@@ -21,7 +21,6 @@ from bridgetest import (
     SET_NAMES,
     BridgingFault,
     assemble_union,
-    check_bound,
     enumerate_faults,
     evaluate_test_set,
     expand_network,
@@ -29,6 +28,7 @@ from bridgetest import (
     format_circuit,
     generate_sets,
     parse_circuit,
+    size_bound,
 )
 from bridgetest import atpg
 from bridgetest.report import build_coverage_report, build_fault_report
@@ -47,7 +47,6 @@ def reference(network, faults, sets, cfg):
     missed = [faults[k] for k, status in enumerate(first.status) if status == UNDETECTED]
     fb = reference_fallback(network, missed, cfg.oracle_cap, not cfg.fallback)
     union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=dc)
-    bound = check_bound(union, network)
     final = evaluate_test_set(network, faults, union.rows, dc_policy=dc)
     verdicts = []
     for v in final.verdicts:
@@ -56,7 +55,7 @@ def reference(network, faults, sets, cfg):
         elif v.status == "undetected" and v.fault in fb.unresolved:
             v = FaultVerdict(v.fault, "unresolved", None, None)
         verdicts.append(v)
-    return verdicts, final.masks, union, bound
+    return verdicts, final.masks, union
 
 
 def _circuits(count):
@@ -77,12 +76,12 @@ def test_pipeline_matches_reference_sequence():
         ):
             cfg = RunConfig("verify", names, dc, cap, fallback, dedup)
             sets = generate_sets(network, names).sets
-            verdicts, masks, union, bound = reference(network, faults, sets, cfg)
+            verdicts, masks, union = reference(network, faults, sets, cfg)
             run = run_pipeline(network, faults, sets, cfg)
             label = (circuit.name, names, dedup, fallback, cap)
             assert run.evaluation.verdicts == verdicts, label
             assert run.evaluation.masks == masks, label
-            assert run.union == union and run.bound == bound, label
+            assert run.union == union, label
             both += union.removed > 0 and union.fallback_count > 0
     assert both >= 5
 
@@ -143,5 +142,5 @@ def test_five_sets_detect_every_detectable_fault_within_the_bound(seed, zero_con
     label = format_circuit(circuit)
     assert run.union.fallback_count == 0, label
     bound = 3 * len(network.real_inputs()) + (network.p - 1).bit_length() + 2
-    assert run.bound.passed and len(run.union.rows) <= bound == run.bound.bound, label
+    assert len(run.union.rows) <= run.union.pre_dedup_size <= bound == size_bound(network), label
     assert run.evaluation.count("undetected") == run.evaluation.count("unresolved") == 0, label

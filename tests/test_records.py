@@ -14,7 +14,6 @@ import pytest
 
 from bridgetest import (
     AndExorNetwork,
-    BoundReport,
     BridgingFault,
     FallbackResult,
     FaultKind,
@@ -46,7 +45,6 @@ RECORDS = [
     (FaultVerdict(BridgingFault.exor_internal(3), "detected", 0, "stimulation"),
      "FaultVerdict(fault=BridgingFault(kind=<FaultKind.EXOR_INTERNAL: 'ExorInternal'>,"
      " ids=(3,), polarity=None), status='detected', pattern_index=0, method='stimulation')"),
-    (BoundReport(7, 9, 0), "BoundReport(size=7, bound=9, fallback_count=0)"),
     (RunConfig("verify"),
      "RunConfig(command='verify', sets=('T1', 'T2', 'T3', 'T4', 'T5'), dc_policy='fill-zero',"
      " oracle_cap=22, fallback=True, dedup=False, include_aux=False)"),
@@ -58,8 +56,7 @@ RECORDS = [
      "FallbackResult(patterns=['101'], redundant=[4], unresolved=[])"),
 ]
 # the records whose fields are all hashable
-HASHABLE = (AndExorNetwork, PprmFunction, BridgingFault, OracleResult, FaultVerdict, BoundReport,
-            RunConfig)
+HASHABLE = (AndExorNetwork, PprmFunction, BridgingFault, OracleResult, FaultVerdict, RunConfig)
 
 
 @pytest.mark.parametrize("record, text", RECORDS, ids=lambda r: type(r).__name__)

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from bridgetest import (
     assemble_union,
-    check_bound,
     enumerate_faults,
     evaluate_test_set,
     expand_network,
     generate_sets,
     normalize_zero_controls,
     parse_circuit,
+    size_bound,
 )
 from bridgetest.simulate import DETECTED, REDUNDANT, UNDETECTED
 from bridgetest.report import (
@@ -44,9 +44,8 @@ def bench_report(bench, bench_union):
     result = generate_sets(net)
     union = bench_union
     evaluation = evaluate_test_set(net, faults, union.rows)
-    bound = check_bound(union, net)
     report = build_coverage_report(
-        evaluation, result.sets, union, bound,
+        evaluation, result.sets, union, size_bound(net),
         {"dc_policy": "fill-zero"}, timestamp=False,
     )
     return report
@@ -172,7 +171,7 @@ def test_csv_needs_rows(bench, bench_report):
     result = generate_sets(net)
     union = assemble_union(result.sets)
     gen = build_generation_report(
-        net, result.sets, union, check_bound(union, net),
+        net, result.sets, union, size_bound(net),
         {}, timestamp=False,
     )
     with pytest.raises(ValueError, match="no row section"):
@@ -198,7 +197,7 @@ def test_text_bound_fail_and_fallback_note(bench, bench_report):
     result = generate_sets(net)
     union = assemble_union(result.sets, ["0001111111"])
     gen = build_generation_report(
-        net, result.sets, union, check_bound(union, net),
+        net, result.sets, union, size_bound(net),
         {}, timestamp=False,
     )
     text = render_report(gen, "text")
@@ -211,7 +210,7 @@ def test_generation_report_has_no_verdicts(bench):
     result = generate_sets(net)
     union = assemble_union(result.sets)
     gen = build_generation_report(
-        net, result.sets, union, check_bound(union, net),
+        net, result.sets, union, size_bound(net),
         {"sets": "T1,T2,T3,T4,T5"}, timestamp=False,
     )
     assert list(gen) == ["schema_version", "circuit", "config", "test_sets", "union", "bound"]
@@ -242,7 +241,7 @@ def test_header_reads_the_network_alone():
         sets = generate_sets(network).sets
         union = assemble_union(sets)
         evaluation = evaluate_test_set(network, faults, union.rows)
-        bound = check_bound(union, network)
+        bound = size_bound(network)
         for report in (
             build_fault_report(faults, {}, timestamp=False),
             build_generation_report(network, sets, union, bound, {}, timestamp=False),

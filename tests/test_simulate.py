@@ -191,7 +191,7 @@ class TestOracle:
         assert res.detectable
         assert res.witness is not None and detects(net, fault, res.witness)
         # the witness is a row, as a test file holds it
-        assert parse_test_file(res.witness, net.n, net.p) == [res.witness]
+        assert parse_test_file(res.witness, net) == [res.witness]
         # nothing lexicographically earlier detects
         v = int(res.witness, 2)
         for u in range(v):
