@@ -381,8 +381,10 @@ def assemble_union(
     ``dedup`` keeps only the first of the rows that collide after
     don't-care instantiation.
     """
-    rows = [row for set_rows in sets.values() for row in set_rows] + list(fallback)
-    origins = [name for name, set_rows in sets.items() for _ in set_rows]
+    rows = list(itertools.chain(*sets.values(), fallback))
+    origins = []
+    for name, set_rows in sets.items():
+        origins += [name] * len(set_rows)
     origins += ["Fallback"] * len(fallback)
     pre = len(rows)
     if dedup:

@@ -101,10 +101,6 @@ def expand_network(net: AndExorNetwork) -> AndExorNetwork:
     return net
 
 
-_C_TOKEN = re.compile(r"^c([0-9]+)$")
-_X_TOKEN = re.compile(r"^x([0-9]+)$")
-
-
 def _column(line: str, k: int) -> int:
     """1-based column of the k-th token of ``line``, found only for an error."""
     return [m.start() + 1 for m in re.finditer(r"\S+", line)][k]
@@ -167,24 +163,29 @@ def parse_circuit(
                 raise ParseError(".gate before .n and .p", lineno, _column(line, 0))
             if len(toks) < 3 or toks[2] != ":":
                 raise ParseError(".gate expects 'c<j> : x<i> ...'", lineno, _column(line, 0))
+            # a line token is c<j> or x<i>, its number in ASCII digits
             tgt = toks[1]
-            if _X_TOKEN.match(tgt):
-                raise ParseError(f"target must be a c line (got '{tgt}')", lineno, _column(line, 1))
-            m = _C_TOKEN.match(tgt)
-            if not m:
+            digits = tgt[1:]
+            numbered = digits.isascii() and digits.isdigit()
+            if tgt[0] != "c" or not numbered:
+                if tgt[0] == "x" and numbered:
+                    raise ParseError(f"target must be a c line (got '{tgt}')",
+                                     lineno, _column(line, 1))
                 raise ParseError(f"bad target token '{tgt}'", lineno, _column(line, 1))
-            target = int(m.group(1))
+            target = int(digits)
             if not (1 <= target <= p):
                 raise ParseError(f"target c{target} out of range 1..{p}", lineno, _column(line, 1))
 
             controls: list[int] = []
             for k, tok in enumerate(toks[3:], start=3):
-                if _C_TOKEN.match(tok):
-                    raise ParseError(f"control on target line '{tok}'", lineno, _column(line, k))
-                m = _X_TOKEN.match(tok)
-                if not m:
+                digits = tok[1:]
+                numbered = digits.isascii() and digits.isdigit()
+                if tok[0] != "x" or not numbered:
+                    if tok[0] == "c" and numbered:
+                        raise ParseError(f"control on target line '{tok}'",
+                                         lineno, _column(line, k))
                     raise ParseError(f"bad control token '{tok}'", lineno, _column(line, k))
-                v = int(m.group(1))
+                v = int(digits)
                 if not (1 <= v <= n):
                     raise ParseError(f"control x{v} out of range 1..{n}", lineno, _column(line, k))
                 if v in controls:

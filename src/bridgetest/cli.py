@@ -15,7 +15,6 @@ import os
 import stat
 import sys
 from collections import namedtuple
-from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
@@ -92,21 +91,34 @@ _ECHOED = {
 
 
 def _read_text(path: str) -> str:
-    """A circuit or test file, or stdin, less one leading UTF-8 byte-order
-    mark; a mark anywhere else stays and the parser refuses it."""
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    r"""A circuit or test file, or stdin, read as UTF-8 whatever the locale,
+    less one leading byte-order mark; a mark anywhere else stays and the
+    parser refuses it.  A file's line ends read as "\n"; a text-only stdin
+    (``io.StringIO``) is read as text."""
+    if path == "-":
+        stdin = sys.stdin
+        text = stdin.buffer.read().decode("utf-8") if hasattr(stdin, "buffer") else stdin.read()
+    else:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     return text.removeprefix("\ufeff")
 
 
 def _write_text(path: str | None, text: str) -> None:
     # A slice at a time, so that encoding never copies the whole text at once.
+    # stdout takes UTF-8 bytes whatever the locale, as an --out file does; a
+    # text-only stdout (io.StringIO) takes the text.
     # A file is written over in place and cut to length: after a truncate to
     # zero, ext4 starts writeback of the whole file at close.  Only a regular
     # file that held data is cut (/dev/null refuses ftruncate), and it is cut
     # even when the write stops partway, so no old bytes follow the new ones.
     slices = (text[k : k + (1 << 20)] for k in range(0, len(text), 1 << 20))
     if path is None or path == "-":
-        sys.stdout.writelines(slices)
+        if hasattr(sys.stdout, "buffer"):
+            sys.stdout.flush()
+            sys.stdout.buffer.writelines(piece.encode("utf-8") for piece in slices)
+        else:
+            sys.stdout.writelines(slices)
     else:
         with open(path, "w", encoding="utf-8",
                   opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as out:
@@ -119,7 +131,11 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _load_circuit(path: str, *, normalize: bool = True):
-    name = "" if path == "-" else Path(path).stem
+    # the file name less its last suffix, as pathlib's stem reads it
+    name = "" if path == "-" else os.path.basename(path)
+    dot = name.rfind(".")
+    if 0 < dot < len(name) - 1:
+        name = name[:dot]
     circuit = parse_circuit(_read_text(path), allow_zero_controls=normalize, name=name)
     if normalize:
         circuit = normalize_zero_controls(circuit)
@@ -400,9 +416,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser by name, out of ``build_parser()``."""
+    return next(action.choices for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # One argparse pass: a command's own parser reads the arguments after it.
+    # Any other command line, or arguments that parser leaves over, go through
+    # the full parser, for its version, help and error text.
+    command = _commands().get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if command is None or rest:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CircuitError, TestFileError, ValueError) as exc:

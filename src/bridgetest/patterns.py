@@ -1,11 +1,13 @@
-"""Test patterns with don't-care bits, and the test-set file format.
+r"""Test patterns with don't-care bits, and the test-set file format.
 
 A pattern is a row: a symbol string over {0,1,d}, first the p target-line
 symbols, then the n input symbols, exactly the text of one test-file line.
 Pattern lists are lists of rows from parsing to the report; rows are
 checked where their text comes in.  Don't-care symbols are instantiated at
 simulation time by a fill policy.  Test-set files hold one pattern per
-line; '#' starts a comment.  A file is read for one network, whose
+line; '#' starts a comment.  A line ends wherever ``str.splitlines`` ends
+one: "\n", "\r\n" and "\r", and also "\x0b", "\x0c", "\x1c" to "\x1e",
+"\x85", "\u2028" and "\u2029".  A file is read for one network, whose
 constant line, if normalization added one, holds 1 in every row.
 """
 
@@ -41,22 +43,27 @@ class TestFileError(ValueError):
         self.line = line
 
 
-_SYMBOLS = str.maketrans("", "", "01d")  # deletes every valid symbol
+_ROW_TEXT = str.maketrans("", "", "01d\n")  # deletes every valid symbol and line end
 _BLANKS = str.maketrans("", "", "\t\x0b\x0c\r\x1c\x1d\x1e\x1f ")  # ASCII whitespace but "\n"
+_LINE_ENDS = "\r\x0b\x0c\x1c\x1d\x1e"  # the ASCII line ends of str.splitlines but "\n"
 _COMMENT = re.compile("#.*")
 
 
-def _line_tokens(text: str) -> list[str]:
-    """Each line of a test file without its comment and whitespace: whole-text
-    passes, or ``str.split`` per line when a symbol other than 0, 1, d and
-    ASCII whitespace is left, so that Unicode whitespace goes too."""
-    lines = "\n".join(text.splitlines())
-    if "#" in lines:
-        lines = _COMMENT.sub("", lines)
-    tokens = lines.translate(_BLANKS).split("\n")
-    if "".join(tokens).translate(_SYMBOLS):
-        tokens = ["".join(line.split()) for line in lines.split("\n")]
-    return tokens
+def _line_tokens(text: str) -> tuple[list[str], bool]:
+    r"""Each line of a test file without its comment and whitespace, and
+    whether whole-text passes found only 0, 1 and d in them.  When they
+    find another symbol the lines are split by ``str.split``, so that
+    Unicode whitespace goes too, and are left for ``_token_rows`` to walk.
+    ASCII text whose only line end is "\n" is split as it is: joining its
+    ``splitlines`` would only drop a final newline."""
+    if not text.isascii() or any(end in text for end in _LINE_ENDS):
+        text = "\n".join(text.splitlines())
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    lines = text.translate(_BLANKS)
+    if not lines.translate(_ROW_TEXT):
+        return lines.split("\n"), True
+    return ["".join(line.split()) for line in text.split("\n")], False
 
 
 def parse_test_file(text: str, network: AndExorNetwork) -> list[str]:
@@ -67,24 +74,25 @@ def parse_test_file(text: str, network: AndExorNetwork) -> list[str]:
     and in a full-width row a d there reads as 1 and a 0 is refused.
     """
     n, p, aux = network.n, network.p, network.constant_line
-    tokens = _line_tokens(text)
+    tokens, checked = _line_tokens(text)
     if aux is None:
-        return _token_rows(tokens, n, p)
+        return _token_rows(tokens, checked, n, p)
     k = p + aux - 1
     if len(next(filter(None, tokens), "")) == p + n - 1:
-        return [row[:k] + "1" + row[k:] for row in _token_rows(tokens, n - 1, p)]
-    rows = _token_rows(tokens, n, p)
+        return [row[:k] + "1" + row[k:] for row in _token_rows(tokens, checked, n - 1, p)]
+    rows = _token_rows(tokens, checked, n, p)
     if "0" in "".join(rows)[k :: p + n]:
         lineno = next(no for no, token in enumerate(tokens, 1) if token and token[k] == "0")
         raise TestFileError(f"0 on the constant line x{aux}, which is always 1", lineno)
     return [row[:k] + "1" + row[k + 1 :] for row in rows]
 
 
-def _token_rows(tokens: list[str], n: int, p: int) -> list[str]:
+def _token_rows(tokens: list[str], checked: bool, n: int, p: int) -> list[str]:
     """The rows of a file's ``_line_tokens``, each p + n symbols long: checked
-    in bulk, and only a file that fails is walked for its first bad line."""
+    in bulk, and only a file that fails, or whose symbols ``_line_tokens``
+    could not check, is walked for its first bad line."""
     rows = list(filter(None, tokens))
-    if "".join(rows).translate(_SYMBOLS) or set(map(len, rows)) - {p + n}:
+    if not checked or set(map(len, rows)) - {p + n}:
         for lineno, token in enumerate(tokens, start=1):
             if token.strip("01d"):
                 raise TestFileError(f"bad symbol {sorted(set(token) - set('01d'))[0]!r}", lineno)

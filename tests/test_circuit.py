@@ -158,7 +158,8 @@ def test_round_trip_property(n, p, rnd):
 _SPACES = (" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000")
 _ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029")
 _TOKENS = (".n", ".p", ".gate", ".end", ":", "c1", "c2", "c0", "c9", "x1", "x2", "x0", "x9",
-           "0", "2", "-1", "²", "٣", "c١", "x١", "x1:", "foo", ".wires")
+           "0", "2", "-1", "²", "٣", "c١", "x١", "x1:", "foo", ".wires",
+           "c01", "x01", "c", "x", "cx1", "x1x", "c+1", "x-1")
 
 
 @st.composite

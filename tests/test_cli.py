@@ -37,6 +37,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def byte_stdin(text: str) -> io.TextIOWrapper:
+    """A stdin holding ``text`` in UTF-8 under a Latin-1 locale: reading
+    its text layer would turn a byte-order mark into three letters."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="latin-1")
+
+
 class TestParse:
     def test_echo_canonical(self, capsys, bench_path, bench):
         code, out, err = run(capsys, "parse", str(bench_path))
@@ -56,6 +62,10 @@ class TestParse:
         assert ".n 3" in out
 
     def test_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", byte_stdin(".n 1\n.p 1\n.gate c1 : x1\n.end\n"))
+        code, out, err = run(capsys, "parse", "-")
+        assert code == 0 and ".gate c1 : x1" in out
+        # a text-only stdin is read as text
         monkeypatch.setattr("sys.stdin", io.StringIO(".n 1\n.p 1\n.gate c1 : x1\n.end\n"))
         code, out, err = run(capsys, "parse", "-")
         assert code == 0 and ".gate c1 : x1" in out
@@ -73,10 +83,10 @@ class TestParse:
 
     def test_byte_order_mark_opening_stdin(self, capsys, monkeypatch):
         text = ".n 1\n.p 1\n.gate c1 : x1\n.end\n"
-        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + text))
+        monkeypatch.setattr("sys.stdin", byte_stdin("\ufeff" + text))
         assert run(capsys, "parse", "-") == (0, text, "")
         # dropped once: a second mark is the first token's text
-        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff\ufeff" + text))
+        monkeypatch.setattr("sys.stdin", byte_stdin("\ufeff\ufeff" + text))
         code, out, err = run(capsys, "parse", "-")
         assert (code, out) == (2, "")
         assert err == "error: line 1, column 1: unknown directive '\ufeff.n'\n"
@@ -96,14 +106,66 @@ class TestParse:
 class TestArgHandling:
     def test_parser_built_once(self, capsys):
         # the cached parser must come out of a rejected command line unchanged
-        assert build_parser() is build_parser()
+        parser = build_parser()
+        assert build_parser() is parser
         with pytest.raises(SystemExit) as exc:
             main(["verify", str(DATA / "and2.rev"), "--format", "xml"])
         assert exc.value.code == 2
+        # refused by the subcommand's parser alone, then by the full parser
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(DATA / "and2.rev")])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(DATA / "and2.rev"), "--bogus"])
+        assert exc.value.code == 2
+        assert build_parser() is parser
         capsys.readouterr()
         code, out, err = run(capsys, "verify", str(DATA / "and2.rev"), "--no-timestamp")
         assert (code, err) == (0, "")
         assert out == (DATA / "golden" / "verify_and2.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("argv", [
+        # the benchmark's command lines: verify, atpg and simulate
+        ["verify", "{rand8x4}", "--format", "json", "--no-timestamp", "--jobs", "1",
+         "--out", "{out}"],
+        ["atpg", "{idle12}", "--fallback", "--jobs", "1", "--out", "{out}"],
+        ["simulate", "{bench7x3}", "--tests", "{user}", "--format", "csv", "--jobs", "1",
+         "--out", "{out}"],
+        ["verify", "{and2}", "--format", "xml"],
+        ["simulate", "{and2}"],
+        ["verify", "{and2}", "--bogus"],
+        ["verify", "{and2}", "--version"],
+        ["verify", "-h"],
+        ["verify", "{and2}", "--form", "json", "--no-timestamp"],
+        ["verify", "--no-timestamp", "--", "{and2}"],
+        ["frobnicate", "{and2}"],
+        [],
+        ["--version"],
+    ])
+    def test_dispatch_matches_the_full_parser(self, capsys, tmp_path, argv):
+        # main() reads argv with the subcommand's parser alone when it can;
+        # the outcome must be what one pass of the full parser gives
+        out = tmp_path / "out"
+        files = {"rand8x4": DATA / "rand8x4.rev", "idle12": DATA / "idle12.rev",
+                 "bench7x3": DATA / "bench7x3.rev", "user": DATA / "bench7x3_user.tests",
+                 "and2": DATA / "and2.rev", "out": out}
+        argv = [arg.format(**files) for arg in argv]
+
+        def reference(argv):
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+
+        def outcome(entry):
+            try:
+                code = entry(list(argv))
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            captured = capsys.readouterr()
+            report = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            return code, captured.out, captured.err, report
+
+        assert outcome(main) == outcome(reference)
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -303,7 +365,7 @@ class TestSimulateAndVerify:
     def test_stdin_circuit_is_unnamed(self, capsys, monkeypatch, and2_path):
         # a circuit read from stdin has no file stem, so its name is empty
         def read(*argv):
-            monkeypatch.setattr("sys.stdin", io.StringIO(and2_path.read_text()))
+            monkeypatch.setattr("sys.stdin", byte_stdin(and2_path.read_text()))
             code, out, err = run(capsys, *argv, "-", "--no-timestamp")
             assert (code, err) == (0, "")
             return out
@@ -403,12 +465,12 @@ class TestSimulateAndVerify:
     def test_simulate_refuses_stdin_for_both_files(self, capsys, monkeypatch):
         # one stream cannot hold the circuit and the tests: refused before
         # anything is read, rather than grading an empty test set
-        stdin = io.StringIO((DATA / "and2.rev").read_text())
+        stdin = byte_stdin((DATA / "and2.rev").read_text())
         monkeypatch.setattr("sys.stdin", stdin)
         code, out, err = run(capsys, "simulate", "-", "--tests", "-")
         assert (code, out) == (2, "")
         assert err == "error: the circuit and --tests cannot both be read from stdin\n"
-        assert stdin.tell() == 0
+        assert stdin.buffer.tell() == 0
 
     def test_simulate_undetected_exit_1(self, capsys, tmp_path, bench_path):
         tests_file = tmp_path / "weak.tests"
@@ -590,19 +652,38 @@ class TestGradeCount:
 class TestModuleEntry:
     """``python -m bridgetest`` runs the same main() in a fresh interpreter."""
 
-    def run_module(self, *argv):
+    def run_module(self, *argv, stdin=None, encoding=None):
+        """Run the module; ``encoding`` sets PYTHONIOENCODING, the encoding
+        Python gives stdin and stdout.  Its output is read as UTF-8."""
         root = DATA.parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(root / "src"), env.get("PYTHONPATH")])
         )
+        if encoding is not None:
+            env["PYTHONIOENCODING"] = encoding
         return subprocess.run([sys.executable, "-m", "bridgetest", *argv], cwd=root, env=env,
-                              capture_output=True, text=True, timeout=120)
+                              input=stdin, capture_output=True, encoding="utf-8", timeout=120)
 
     def test_verify_prints_the_golden_report(self):
         proc = self.run_module("verify", "tests/data/and2.rev", "--no-timestamp")
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == (DATA / "golden" / "verify_and2.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+    def test_stdout_is_utf8_whatever_the_locale(self, encoding):
+        # the text report holds a non-ASCII sign; it goes out as UTF-8 bytes
+        proc = self.run_module("verify", "tests/data/and2.rev", "--no-timestamp",
+                               encoding=encoding)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == (DATA / "golden" / "verify_and2.txt").read_text(encoding="utf-8")
+
+    def test_stdin_is_utf8_whatever_the_locale(self):
+        # a byte-order mark opening stdin is dropped, as it is from a file
+        text = (DATA / "and2.rev").read_text(encoding="utf-8")
+        proc = self.run_module("parse", "-", stdin="\ufeff" + text, encoding="latin-1")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == format_circuit(parse_circuit(text))
 
     def test_missing_circuit_exits_3(self):
         proc = self.run_module("verify", "tests/data/no_such_circuit.rev")

@@ -28,9 +28,14 @@ _ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u
 def file_texts(draw):
     """(text, n, p, constant_line): rows of mostly valid symbols, mostly of
     one width, with blank lines, comments, whitespace inside rows and mixed
-    line endings.  With a constant line (always x_n, as normalization adds
-    it) the rows are full width or one x column short, and a full row's
-    constant-line column holds mostly 1 or d."""
+    line endings.  Half the files end their lines with "\n" alone and
+    separate symbols with ASCII whitespace that ends no line.  With a
+    constant line (always x_n, as normalization adds it) the rows are full
+    width or one x column short, and a full row's constant-line column holds
+    mostly 1 or d."""
+    plain = draw(st.booleans())
+    spaces = (" ", "\t", "\x1f") if plain else _SPACES
+    ends = ("\n",) if plain else ("\n",) * 4 + _ENDS
     n, p = draw(st.integers(1, 5)), draw(st.integers(1, 3))
     aux = draw(st.sampled_from((None, n)))
     width = p + n - (aux is not None and draw(st.booleans()))
@@ -42,13 +47,13 @@ def file_texts(draw):
             for k in range(row_width):
                 constant = aux is not None and k == p + aux - 1
                 symbols = st.sampled_from("1d" * 10 + "0" if constant else "01d" * 40 + "xD2_#")
-                text += draw(symbols) + draw(st.sampled_from(("",) * 30 + _SPACES))
+                text += draw(symbols) + draw(st.sampled_from(("",) * 30 + spaces))
             text += draw(st.sampled_from(("", "", " # 01x", "#")))
         elif kind == "comment":
             text += draw(st.sampled_from(("# header", "#", "  # 0 1 d")))
         else:
-            text += draw(st.sampled_from(("", " ", "\t", "\xa0")))
-        text += draw(st.sampled_from(("\n",) * 4 + _ENDS))
+            text += draw(st.sampled_from(("", " ", "\t") if plain else ("", " ", "\t", "\xa0")))
+        text += draw(st.sampled_from(ends))
     return text, n, p, aux
 
 
@@ -73,6 +78,17 @@ def _outcome(parse, *args):
 @example(("0 d01\n\n1 110\n", 3, 1, 3))
 @example(("0 d0\n1 11d\n", 3, 1, 3))  # a short first row, then a full one
 @example(("0 d01\n1 11\n", 3, 1, 3))  # a full first row, then a short one
+# "\n" line ends alone: the text is split as it is
+@example(("# header\n010\n011 # note\n", 2, 1, None))  # comments
+@example(("010\n\n011\n", 2, 1, None))  # a blank line
+@example(("010\n011\n0x1\n", 2, 1, None))  # a bad symbol on line 3
+@example(("010\n011\n01", 2, 1, None))  # a short last row, no final newline
+@example(("0 1d\n1 01\n", 2, 1, 2))  # constant-line rows, full width then short
+@example(("0 1d\n1 00\n", 2, 1, 2))  # a 0 on the constant line
+# other line ends still go through str.splitlines
+@example(("010\r\n011\r\n0x1\r\n", 2, 1, None))
+@example(("010\x1e011\n", 2, 1, None))
+@example(("010\x85011\n", 2, 1, None))
 def test_parser_matches_reference(case):
     # the bulk check and the line walk against one line at a time
     text, n, p, aux = case
