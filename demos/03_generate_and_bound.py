@@ -36,10 +36,14 @@ run = run_pipeline(net, faults, result.sets, RunConfig("verify", dedup=True))
 evaluation = run.evaluation
 print(f"union of {run.union.pre_dedup_size}: {evaluation.count('detected')} of"
       f" {len(faults)} faults detected, {evaluation.count('undetected')} left")
-for k in run.fallback.redundant:  # fault indices, each proved by the exhaustive oracle
-    print(f"  {faults[k].describe()}: redundant (exhaustive proof)")
-if run.fallback.patterns:
-    print(f"  repair patterns added: {run.fallback.patterns}")
+# fallback writes its verdicts into the evaluation; a redundant verdict's
+# method names its proof (exhaustive, or constant-line for an EXOR obligation)
+for verdict in evaluation.verdicts:
+    if verdict.status == "redundant":
+        print(f"  {verdict.fault.describe()}: redundant ({verdict.method} proof)")
+if run.union.fallback_count:
+    repairs = [row for row, origin in zip(run.union.rows, run.union.origins) if origin == "Fallback"]
+    print(f"  repair patterns added: {repairs}")
 print()
 
 # the bound is a number read off the network; it is held against the union

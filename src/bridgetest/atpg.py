@@ -30,7 +30,8 @@ T5's n, the union stays within 3n + ceil(log2 p) + 2 whenever no fallback
 pattern is needed.
 Fallback repair finds the misses by index in a graded ``Evaluation``, reads
 each once against the repair patterns appended so far, consults the
-exhaustive oracle for the rest, and returns its verdicts as index lists.
+exhaustive oracle for the rest, and writes each redundant or unresolved
+verdict into that evaluation as it decides it.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .circuit import AndExorNetwork
 from .faults import BridgingFault, FaultKind, Polarity
 from .patterns import fill_table
-from .simulate import (DEFAULT_ORACLE_CAP, UNDETECTED, Evaluation, _change_monomials,
-                       _fault_difference, _gate_tables, _pack, exhaustive_detectability)
+from .simulate import (DEFAULT_ORACLE_CAP, REDUNDANT, UNDETECTED, UNRESOLVED, Evaluation,
+                       _change_monomials, _fault_difference, _gate_tables, _pack,
+                       exhaustive_detectability)
 from .simulate import detects  # noqa: F401  (kept: perfbench/spans.py patches atpg.detects)
 
 __all__ = [
@@ -417,11 +419,11 @@ _RANDOM_DRAWS = 512
 
 
 class FallbackResult(NamedTuple):
-    """Repair rows, and the fault indices proved redundant (all by the
-    exhaustive oracle) or left unresolved, each in ascending order."""
+    """Repair rows, and the fault indices left unresolved, ascending: the
+    evaluation holds every verdict, and ``unresolved`` stays only for
+    ``perfbench/spans.py``, which counts them."""
 
     patterns: list[str]
-    redundant: list[int]
     unresolved: list[int]
 
 
@@ -431,7 +433,8 @@ def fallback_search(
     *,
     classify_only: bool = False,
 ) -> FallbackResult:
-    """Repair coverage for the faults grading left undetected.
+    """Repair coverage for the faults grading left undetected, writing each
+    redundant or unresolved verdict into ``evaluation.status``.
 
     Unmet ExorInternal obligations are repaired first, by the corner set's
     rows, which provably complete every reachable mask.  The pair misses,
@@ -443,16 +446,16 @@ def fallback_search(
     pair take the verdict the oracle gave the first.  Above the cap a
     random search, seeded by the miss's ordinal among all misses, packs
     512 drawn rows at once and keeps the first detecting one, or gives up
-    as unresolved, drawing nothing when the changes have no monomial.
+    as unresolved, drawing nothing when the changes have no monomial.  A
+    miss the repair rows detect stays undetected until they are graded.
 
     With ``classify_only`` no patterns are ever added; redundancy and
-    unresolved classifications still come out, so a fixed test set can be
-    graded with the same verdict vocabulary the repair path uses.
+    unresolved verdicts are still written, so a fixed test set is graded
+    with the same verdict vocabulary the repair path uses.
     """
     faults, status = evaluation.faults, evaluation.status
     network = faults.network
     patterns: list[str] = []
-    redundant: list[int] = []
     unresolved: list[int] = []
     width = network.n + network.p
     repairs = None  # the rows appended so far, packed; read only once there are any
@@ -478,7 +481,7 @@ def fallback_search(
         pair = (kind, ids, kind is FaultKind.X_PAIR and polarity)
         if pair == decided:
             if not detectable:  # a detectable pair's witness is kept, or not wanted
-                redundant.append(k)
+                status[k] = REDUNDANT
             continue
         if patterns and _fault_difference(repairs, kind, ids, polarity):
             continue
@@ -486,7 +489,7 @@ def fallback_search(
             res = exhaustive_detectability(network, BridgingFault(kind, ids, polarity))
             decided, detectable = pair, res.detectable
             if not res.detectable:
-                redundant.append(k)
+                status[k] = REDUNDANT
             elif not classify_only:
                 repairs = append([res.witness])
             continue
@@ -499,7 +502,8 @@ def fallback_search(
                      for _ in range(_RANDOM_DRAWS)]
             diff = _fault_difference(_pack(network, draws, "fill-zero"), kind, ids, polarity)
         if not diff:
+            status[k] = UNRESOLVED
             unresolved.append(k)
         else:  # the first detecting draw
             repairs = append([draws[(diff & -diff).bit_length() - 1]])
-    return FallbackResult(patterns, redundant, unresolved)
+    return FallbackResult(patterns, unresolved)

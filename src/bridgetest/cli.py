@@ -43,14 +43,7 @@ from .report import (
     build_generation_report,
     render_report,
 )
-from .simulate import (
-    DEFAULT_ORACLE_CAP,
-    REDUNDANT,
-    UNDETECTED,
-    UNRESOLVED,
-    Evaluation,
-    evaluate_test_set,
-)
+from .simulate import DEFAULT_ORACLE_CAP, Evaluation, evaluate_test_set
 
 EXIT_OK = 0
 EXIT_COVERAGE = 1
@@ -130,6 +123,17 @@ def _write_text(path: str | None, text: str) -> None:
                     out.truncate()
 
 
+def _write_stderr(line: str) -> None:
+    # UTF-8 bytes whatever the locale, as stdout takes; a lone surrogate (out
+    # of argv) reads as a backslash escape.  A text-only stderr takes text.
+    if hasattr(sys.stderr, "buffer"):
+        sys.stderr.flush()
+        sys.stderr.buffer.write(f"{line}\n".encode("utf-8", "backslashreplace"))
+        sys.stderr.buffer.flush()
+    else:
+        sys.stderr.write(f"{line}\n")
+
+
 def _load_circuit(path: str, *, normalize: bool = True):
     # the file name less its last suffix, as pathlib's stem reads it
     name = "" if path == "-" else os.path.basename(path)
@@ -161,38 +165,26 @@ def _config(args) -> RunConfig:
     return RunConfig(**fields)
 
 
-PipelineResult = namedtuple("PipelineResult", "union evaluation fallback")
+PipelineResult = namedtuple("PipelineResult", "union evaluation")
 
 
 def run_pipeline(network, faults, sets: dict[str, list[str]], cfg: RunConfig) -> PipelineResult:
     """Grade the union of ``sets``, and repair or classify its misses.
 
-    The union is graded once.  Fallback then handles the undetected faults
-    (repair patterns only when ``cfg.fallback``) and returns fault indices.
-    If it appended patterns, the whole fault list is graded again against
-    the final union: dedup keeps first occurrences in order, so the graded
-    base is a prefix of the final union and every verdict and pattern index
-    of the first grading stays.  A miss still undetected then takes
-    fallback's ``exhaustive`` proof, or ``unresolved``.  With ``faults``
-    None nothing is graded and fallback does not run.
+    Fallback writes its verdicts into the evaluation it is given, and adds
+    repair patterns only when ``cfg.fallback``.  If it added any, the
+    final union is graded again, and fallback classifies the misses of
+    that evaluation without adding patterns.
     """
     dc = cfg.dc_policy
     union = assemble_union(sets, dedup=cfg.dedup, dc_policy=dc)
-    evaluation = fb = None
-    if faults is not None:
+    evaluation = evaluate_test_set(network, faults, union.rows, dc_policy=dc)
+    fb = fallback_search(evaluation, cfg.oracle_cap, classify_only=not cfg.fallback)
+    if fb.patterns:
+        union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=dc)
         evaluation = evaluate_test_set(network, faults, union.rows, dc_policy=dc)
-        fb = fallback_search(evaluation, cfg.oracle_cap, classify_only=not cfg.fallback)
-        if fb.patterns:
-            union = assemble_union(sets, fb.patterns, dedup=cfg.dedup, dc_policy=dc)
-            evaluation = evaluate_test_set(network, faults, union.rows, dc_policy=dc)
-        status = evaluation.status
-        for k in fb.redundant:
-            if status[k] == UNDETECTED:
-                status[k] = REDUNDANT
-        for k in fb.unresolved:
-            if status[k] == UNDETECTED:
-                status[k] = UNRESOLVED
-    return PipelineResult(union, evaluation, fb)
+        fallback_search(evaluation, cfg.oracle_cap, classify_only=True)
+    return PipelineResult(union, evaluation)
 
 
 def _coverage_exit(evaluation: Evaluation) -> int:
@@ -228,9 +220,10 @@ def cmd_atpg(args) -> int:
     cfg = _config(args)
     network = expand_network(_load_circuit(args.circuit))
     sets = generate_sets(network, cfg.sets).sets
-    # without repair patterns the union needs no grading
-    faults = enumerate_faults(network) if cfg.fallback else None
-    union = run_pipeline(network, faults, sets, cfg).union
+    if cfg.fallback:
+        union = run_pipeline(network, enumerate_faults(network), sets, cfg).union
+    else:  # without repair patterns the union needs no grading
+        union = assemble_union(sets, dedup=cfg.dedup, dc_policy=cfg.dc_policy)
     bound = size_bound(network)
     if args.format == "text":
         header = [
@@ -245,7 +238,7 @@ def cmd_atpg(args) -> int:
         )
         _write_text(args.out, render_report(report, "json"))
     if union.pre_dedup_size > bound:
-        print(f"warning: union size {union.pre_dedup_size} exceeds bound {bound}", file=sys.stderr)
+        _write_stderr(f"warning: union size {union.pre_dedup_size} exceeds bound {bound}")
     return EXIT_OK
 
 
@@ -437,10 +430,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CircuitError, TestFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write_stderr(f"error: {exc}")
         return EXIT_USAGE
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write_stderr(f"error: {exc}")
         return EXIT_IO
 
 

@@ -4,9 +4,9 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from bridgetest import AndExorNetwork, normalize_zero_controls, parse_circuit
+from bridgetest import AndExorNetwork, fallback_search, normalize_zero_controls, parse_circuit
 from bridgetest.faults import enumerate_faults
-from bridgetest.simulate import DETECTED, UNDETECTED, Evaluation
+from bridgetest.simulate import DETECTED, REDUNDANT, UNDETECTED, UNRESOLVED, Evaluation
 
 settings.register_profile("ci", derandomize=True, deadline=None, max_examples=60)
 settings.load_profile("ci")
@@ -78,3 +78,19 @@ def evaluation_missing(network: AndExorNetwork, missed) -> Evaluation:
     ev = Evaluation(faults)
     ev.status[:] = bytes(UNDETECTED if f in missed else DETECTED for f in faults)
     return ev
+
+
+def run_fallback(ev: Evaluation, *args, **kwargs):
+    """``fallback_search(ev, ...)``, and the indices it marked redundant and
+    unresolved in ``ev.status``, each ascending.  Fallback may only move an
+    undetected entry to one of those two verdicts, and its ``unresolved``
+    must list the entries it marked unresolved."""
+    before = bytes(ev.status)
+    fb = fallback_search(ev, *args, **kwargs)
+    changed = [k for k, (old, new) in enumerate(zip(before, ev.status)) if old != new]
+    assert all(before[k] == UNDETECTED for k in changed)
+    redundant = [k for k in changed if ev.status[k] == REDUNDANT]
+    unresolved = [k for k in changed if ev.status[k] == UNRESOLVED]
+    assert len(redundant) + len(unresolved) == len(changed)
+    assert fb.unresolved == unresolved
+    return fb, redundant, unresolved

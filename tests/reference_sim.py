@@ -326,13 +326,22 @@ def _witness(network: AndExorNetwork, diff: int) -> OracleResult:
     return OracleResult("detectable", row)
 
 
-def reference_oracle(network: AndExorNetwork, fault: BridgingFault) -> OracleResult:
-    """The exhaustive oracle by injection over every truth-table column."""
+def reference_difference(network: AndExorNetwork, fault: BridgingFault) -> int:
+    """The assignments, of all 2^(n+p), that hold a constant line at 1 and
+    under which the injected bridge changes some output: bit v for the row
+    ``format(v, "0{n+p}b")``."""
     width = network.n + network.p
     c_cols = [_input_column(j, width) for j in range(network.p)]
     x_cols = [_input_column(network.p + i, width) for i in range(network.n)]
-    ones = (1 << (1 << width)) - 1
-    return _witness(network, injected_difference(network, c_cols, x_cols, ones, fault))
+    diff = injected_difference(network, c_cols, x_cols, (1 << (1 << width)) - 1, fault)
+    if network.constant_line is not None:
+        diff &= x_cols[network.constant_line - 1]
+    return diff
+
+
+def reference_oracle(network: AndExorNetwork, fault: BridgingFault) -> OracleResult:
+    """The exhaustive oracle by injection over every truth-table column."""
+    return _witness(network, reference_difference(network, fault))
 
 
 def truth_table_detectability(network: AndExorNetwork, fault: BridgingFault) -> OracleResult:

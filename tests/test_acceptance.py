@@ -9,7 +9,7 @@ import random
 import time
 
 import pytest
-from conftest import evaluation_missing, random_circuit
+from conftest import evaluation_missing, random_circuit, run_fallback
 from reference_sim import FULL_MASK, exor_stimulation_mask
 
 from bridgetest import (
@@ -25,7 +25,6 @@ from bridgetest import (
     evaluate_test_set,
     exhaustive_detectability,
     expand_network,
-    fallback_search,
     gen_cascade_pair_tests,
     generate_sets,
     parse_circuit,
@@ -185,14 +184,14 @@ def sweep():
 
         base = assemble_union(sets)
         first = evaluate_test_set(net, faults, base.rows)
-        fb = fallback_search(first)
+        fb, redundant, unresolved = run_fallback(first)
         union = assemble_union(sets, fb.patterns)
         final = evaluate_test_set(net, faults, union.rows)
 
-        if fb.unresolved:
-            stats["unresolved"].append((circuit.name, [faults[k] for k in fb.unresolved]))
+        if unresolved:
+            stats["unresolved"].append((circuit.name, [faults[k] for k in unresolved]))
 
-        redundant = set(fb.redundant)
+        redundant = set(redundant)
         for k, fault in enumerate(faults):
             if fault.kind is FaultKind.EXOR_INTERNAL:
                 continue
@@ -333,8 +332,8 @@ def test_criterion_8_redundancy(tmp_path, and2_path, capsys):
     fault = BridgingFault.x_pair(1, 2, AND)
     assert not exhaustive_detectability(net, fault).detectable
     ev = evaluation_missing(net, [fault])
-    fb = fallback_search(ev)
-    assert [ev.faults[k] for k in fb.redundant] == [fault] and fb.patterns == []
+    fb, redundant, _ = run_fallback(ev)
+    assert [ev.faults[k] for k in redundant] == [fault] and fb.patterns == []
     _ok(
         "criterion 8: PASS - (x1,x2) wired-AND reported Redundant with an"
         " exhaustive proof and verify exits 0"

@@ -6,7 +6,7 @@ import random
 from unittest import mock
 
 import pytest
-from conftest import evaluation_missing, random_circuit, with_zero_control
+from conftest import evaluation_missing, random_circuit, run_fallback, with_zero_control
 from hypothesis import given
 from hypothesis import strategies as st
 from reference_sim import reference_fallback
@@ -540,19 +540,19 @@ class TestFallbackSearch:
         net = expand_network(and2)
         missed = [BridgingFault.x_pair(1, 2, OR), BridgingFault.x_pair(1, 2, AND)]
         ev = evaluation_missing(net, missed)
-        fb = fallback_search(ev)
+        fb, redundant, unresolved = run_fallback(ev)
         assert fb.patterns == ["001"]
-        assert [ev.faults[k] for k in fb.redundant] == [missed[1]]
-        assert fb.unresolved == []
+        assert [ev.faults[k] for k in redundant] == [missed[1]]
+        assert unresolved == []
 
     def test_classify_only_adds_nothing(self, and2):
         net = expand_network(and2)
         missed = [BridgingFault.x_pair(1, 2, OR), BridgingFault.x_pair(1, 2, AND)]
         ev = evaluation_missing(net, missed)
-        fb = fallback_search(ev, classify_only=True)
+        fb, redundant, unresolved = run_fallback(ev, classify_only=True)
         assert fb.patterns == []
-        assert [ev.faults[k] for k in fb.redundant] == [missed[1]]
-        assert fb.unresolved == []
+        assert [ev.faults[k] for k in redundant] == [missed[1]]
+        assert unresolved == []
 
     def test_greedy_reuse_of_appended_patterns(self, monkeypatch):
         # the first miss's witness also detects the second, a different pair:
@@ -564,11 +564,11 @@ class TestFallbackSearch:
         )
         net = expand_network(parse_circuit(DUP_TEXT))
         missed = [BridgingFault.x_pair(1, 3, AND), BridgingFault.x_pair(2, 3, AND)]
-        fb = fallback_search(evaluation_missing(net, missed))
+        fb, redundant, unresolved = run_fallback(evaluation_missing(net, missed))
         assert calls == missed[:1]
         assert fb.patterns == ["00110"]
         assert detects(net, missed[1], fb.patterns[0])
-        assert (fb.redundant, fb.unresolved) == ([], [])
+        assert (redundant, unresolved) == ([], [])
 
     @pytest.mark.parametrize("classify_only", [False, True])
     def test_one_proof_per_apair_or_intra_level_pair(self, monkeypatch, classify_only):
@@ -585,11 +585,11 @@ class TestFallbackSearch:
         intra = [BridgingFault.intra_level(0, 1, 2, AND), BridgingFault.intra_level(0, 1, 2, OR)]
         xpairs = [BridgingFault.x_pair(1, 2, AND), BridgingFault.x_pair(1, 2, OR)]
         ev = evaluation_missing(net, redundant_pair + detectable_pair + intra + xpairs)
-        fb = fallback_search(ev, classify_only=classify_only)
+        fb, redundant, unresolved = run_fallback(ev, classify_only=classify_only)
         # index order: XPair, IntraLevel, APair; no witness detects a later miss
         assert calls == xpairs + [intra[0], redundant_pair[0], detectable_pair[0]]
-        assert [ev.faults[k] for k in fb.redundant] == xpairs[:1] + redundant_pair
-        assert fb.redundant == sorted(fb.redundant) and fb.unresolved == []
+        assert [ev.faults[k] for k in redundant] == xpairs[:1] + redundant_pair
+        assert unresolved == []
         assert len(fb.patterns) == (0 if classify_only else 3)
 
     def test_exor_obligation_appends_corners_once(self):
@@ -609,11 +609,11 @@ class TestFallbackSearch:
         or_fault = BridgingFault.x_pair(1, 2, OR)
         and_fault = BridgingFault.x_pair(1, 2, AND)
         ev = evaluation_missing(net, [or_fault, and_fault])
-        fb = fallback_search(ev)
+        fb, redundant, unresolved = run_fallback(ev)
         assert fb.patterns == ["00010101010000000001001"]
         assert detects(net, or_fault, fb.patterns[0])
-        assert [ev.faults[k] for k in fb.unresolved] == [and_fault]
-        assert fb.redundant == []
+        assert [ev.faults[k] for k in unresolved] == [and_fault]
+        assert redundant == []
 
     @pytest.mark.parametrize("classify_only", [False, True])
     def test_redundant_over_cap_miss_draws_nothing(self, monkeypatch, classify_only):
@@ -631,8 +631,8 @@ class TestFallbackSearch:
         net = expand_network(parse_circuit(text))
         or_fault, and_fault = BridgingFault.x_pair(1, 2, OR), BridgingFault.x_pair(1, 2, AND)
         ev = evaluation_missing(net, [or_fault, and_fault])
-        fb = fallback_search(ev, classify_only=classify_only)
-        assert [ev.faults[k] for k in fb.unresolved] == [and_fault] + [or_fault] * classify_only
+        fb, _, unresolved = run_fallback(ev, classify_only=classify_only)
+        assert [ev.faults[k] for k in unresolved] == [and_fault] + [or_fault] * classify_only
         assert seeds == ([] if classify_only else [atpg._RANDOM_SEED * 1000003 + 1])
         assert len(fb.patterns) == (not classify_only)
 
@@ -657,12 +657,15 @@ class TestFallbackSearch:
             net = expand_network(circuit)
             faults = [f for f in enumerate_faults(net) if f.kind.value != "ExorInternal"]
             ev = evaluation_missing(net, set(faults))
+            graded = bytes(ev.status)
             for classify_only in (False, True):
-                fb = fallback_search(ev, oracle_cap=0, classify_only=classify_only)
+                ev.status[:] = graded  # fallback wrote the last run's verdicts
+                fb, redundant, unresolved = run_fallback(ev, oracle_cap=0,
+                                                         classify_only=classify_only)
                 ref = reference_fallback(net, faults, 0, classify_only)
                 assert fb.patterns == ref.patterns
-                assert [ev.faults[k] for k in fb.unresolved] == ref.unresolved
-                assert fb.redundant == ref.redundant == []
+                assert [ev.faults[k] for k in unresolved] == ref.unresolved
+                assert redundant == ref.redundant == []
                 assert bool(fb.patterns) != classify_only
             assert (net.constant_line is not None) == zero_control
 
@@ -688,20 +691,20 @@ class TestFallbackSearch:
             if idx % 4 >= 2:
                 ev.status[: net.d] = bytes([UNDETECTED]) * net.d
             missed = [faults[k] for k, s in enumerate(ev.status) if s == UNDETECTED]
+            graded = bytes(ev.status)
             for classify_only, cap in itertools.product((False, True), (0, 22, 1000)):
-                fb = fallback_search(ev, cap, classify_only=classify_only)
+                ev.status[:] = graded  # fallback wrote the last run's verdicts
+                fb, redundant, unresolved = run_fallback(ev, cap, classify_only=classify_only)
                 ref = reference_fallback(net, missed, cap, classify_only)
-                got = (fb.patterns, [faults[k] for k in fb.redundant],
-                       [faults[k] for k in fb.unresolved])
+                got = (fb.patterns, [faults[k] for k in redundant],
+                       [faults[k] for k in unresolved])
                 assert got == (ref.patterns, ref.redundant, ref.unresolved), (idx, classify_only, cap)
-                assert fb.redundant == sorted(fb.redundant)
-                assert fb.unresolved == sorted(fb.unresolved)
                 seen["patterns"] += len(fb.patterns)
-                seen["redundant"] += len(fb.redundant)
-                seen["unresolved"] += len(fb.unresolved)
+                seen["redundant"] += len(redundant)
+                seen["unresolved"] += len(unresolved)
                 if not classify_only:  # the reference settles each pair miss one way
                     corners = 4 * (pairs < len(missed))
-                    settled = len(fb.patterns) - corners + len(fb.redundant) + len(fb.unresolved)
+                    settled = len(fb.patterns) - corners + len(redundant) + len(unresolved)
                     seen["corners"] += corners
                     seen["reused"] += pairs - settled
         assert all(seen.values()), seen

@@ -324,6 +324,14 @@ class TestAtpg:
         assert code == 0
         assert err == "warning: union size 26 exceeds bound 25\n"
 
+    def test_text_only_stderr_takes_text(self, monkeypatch, bench_path):
+        # a stderr with no byte buffer (io.StringIO) gets the warning as text
+        err = io.StringIO()
+        monkeypatch.setattr("sys.stderr", err)
+        argv = ["atpg", str(bench_path), "--fallback", "--sets", "T1,T4", "-o", os.devnull]
+        assert main(argv) == 0
+        assert err.getvalue() == "warning: union size 26 exceeds bound 25\n"
+
 
 class TestSimulateAndVerify:
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
@@ -684,6 +692,16 @@ class TestModuleEntry:
         proc = self.run_module("parse", "-", stdin="\ufeff" + text, encoding="latin-1")
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == format_circuit(parse_circuit(text))
+
+    def test_stderr_is_utf8_whatever_the_locale(self, tmp_path):
+        # the error quotes a control token with an Arabic-Indic digit: both
+        # locales get the same UTF-8 bytes, not a backslash escape
+        circuit = tmp_path / "bad.rev"
+        circuit.write_text(".n 2\n.p 1\n.gate c1 : x\u0661\n.end\n", encoding="utf-8")
+        for encoding in ("utf-8", "ascii"):
+            proc = self.run_module("parse", str(circuit), encoding=encoding)
+            assert (proc.returncode, proc.stdout) == (2, ""), encoding
+            assert proc.stderr == "error: line 3, column 12: bad control token 'x\u0661'\n", encoding
 
     def test_missing_circuit_exits_3(self):
         proc = self.run_module("verify", "tests/data/no_such_circuit.rev")

@@ -101,7 +101,7 @@ def test_one_fault_object_per_oracle_call(monkeypatch):
     monkeypatch.setattr(atpg, "exhaustive_detectability",
                         lambda net, f: calls.append(f) or oracle(net, f))
     run = run_pipeline(network, faults, sets, cfg)
-    assert run.fallback.patterns and len(calls) > 10
+    assert run.union.fallback_count and len(calls) > 10
     assert built == calls
 
 

@@ -52,8 +52,7 @@ RECORDS = [
      "GenerationResult(sets={'T5': ['d01']}, t2_uncovered=((1, 2),), t3_uncovered=())"),
     (UnionResult(["101"], ["T1"], 1, 0),
      "UnionResult(rows=['101'], origins=['T1'], pre_dedup_size=1, fallback_count=0)"),
-    (FallbackResult(["101"], [4], []),
-     "FallbackResult(patterns=['101'], redundant=[4], unresolved=[])"),
+    (FallbackResult(["101"], [4]), "FallbackResult(patterns=['101'], unresolved=[4])"),
 ]
 # the records whose fields are all hashable
 HASHABLE = (AndExorNetwork, PprmFunction, BridgingFault, OracleResult, FaultVerdict, RunConfig)
