@@ -29,24 +29,22 @@ Each set emits at most n - 1 patterns; with T1's 4, T4's ceil(log2 p), and
 T5's n, the union stays within 3n + ceil(log2 p) + 2 whenever no fallback
 pattern is needed.
 Fallback repair finds the misses by index in a graded ``Evaluation``, reads
-each once against the repair patterns appended so far, consults the
-exhaustive oracle for the rest, and writes each redundant or unresolved
-verdict into that evaluation as it decides it.
+each once against the repair patterns appended so far, takes the exact
+oracle's verdict for the rest at any width, and writes each redundant or
+unresolved verdict into that evaluation as it decides it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import random
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .circuit import AndExorNetwork
 from .faults import BridgingFault, FaultKind, Polarity
 from .patterns import fill_table
 from .simulate import (DEFAULT_ORACLE_CAP, REDUNDANT, UNDETECTED, UNRESOLVED, Evaluation,
-                       _change_monomials, _fault_difference, _gate_tables, _pack,
-                       exhaustive_detectability)
+                       _fault_difference, _gate_tables, _pack, exhaustive_detectability)
 from .simulate import detects  # noqa: F401  (kept: perfbench/spans.py patches atpg.detects)
 
 __all__ = [
@@ -413,14 +411,10 @@ def size_bound(network: AndExorNetwork) -> int:
     return 3 * len(network.real_inputs()) + ceil_log2(network.p) + 2
 
 
-# the over-cap random search: its seed and the draws it grades per fault
-_RANDOM_SEED = 271828
-_RANDOM_DRAWS = 512
-
-
 class FallbackResult(NamedTuple):
-    """Repair rows, and the fault indices left unresolved, ascending: the
-    evaluation holds every verdict, and ``unresolved`` stays only for
+    """Repair rows, and the fault indices left unresolved (proven redundant
+    on a circuit wider than the oracle cap), ascending: the evaluation
+    holds every verdict, and ``unresolved`` stays only for
     ``perfbench/spans.py``, which counts them."""
 
     patterns: list[str]
@@ -440,14 +434,13 @@ def fallback_search(
     rows, which provably complete every reachable mask.  The pair misses,
     the other ``undetected`` entries of the graded ``evaluation``, are
     visited in index order.  Each is read once against the repair rows
-    appended so far and skipped if they detect it.  Up to width
-    ``oracle_cap`` the others get the oracle's exact verdict: a witness
-    row, or a redundancy proof.  Both entries of an APair or IntraLevel
-    pair take the verdict the oracle gave the first.  Above the cap a
-    random search, seeded by the miss's ordinal among all misses, packs
-    512 drawn rows at once and keeps the first detecting one, or gives up
-    as unresolved, drawing nothing when the changes have no monomial.  A
-    miss the repair rows detect stays undetected until they are graded.
+    appended so far and skipped if they detect it.  The others get the
+    oracle's exact verdict at any width.  A witness row is appended, or,
+    with ``classify_only``, the miss stays undetected.  A redundancy proof
+    reads ``redundant`` up to width ``oracle_cap`` and ``unresolved``
+    above it: the cap only labels a proof.  Both entries of an APair or
+    IntraLevel pair take the verdict the oracle gave the first.  A miss
+    the repair rows detect stays undetected until they are graded.
 
     With ``classify_only`` no patterns are ever added; redundancy and
     unresolved verdicts are still written, so a fixed test set is graded
@@ -457,7 +450,7 @@ def fallback_search(
     network = faults.network
     patterns: list[str] = []
     unresolved: list[int] = []
-    width = network.n + network.p
+    proven = REDUNDANT if network.n + network.p <= oracle_cap else UNRESOLVED
     repairs = None  # the rows appended so far, packed; read only once there are any
 
     def append(rows: Iterable[str]):  # no don't-care to resolve
@@ -470,40 +463,22 @@ def fallback_search(
             yield k
             k = status.find(UNDETECTED, k + 1)
 
-    # unmet ExorInternal obligations: a miss's ordinal, its random seed, counts them
-    unmet, aux = status.count(UNDETECTED, 0, faults.d), network.constant_line
-    if unmet and not classify_only:
+    # unmet ExorInternal obligations
+    if not classify_only and status.count(UNDETECTED, 0, faults.d):
         repairs = append(gen_corner_set(network))
     decided, detectable = None, False  # the last pair the oracle decided, and its verdict
-    pinned = None if aux is None else network.p + aux - 1
-    for idx, k in enumerate(misses(faults.d), start=unmet):
+    for k in misses(faults.d):
         kind, ids, polarity = faults.entry(k)
         pair = (kind, ids, kind is FaultKind.X_PAIR and polarity)
-        if pair == decided:
-            if not detectable:  # a detectable pair's witness is kept, or not wanted
-                status[k] = REDUNDANT
-            continue
-        if patterns and _fault_difference(repairs, kind, ids, polarity):
-            continue
-        if width <= oracle_cap:
+        if pair != decided:
+            if patterns and _fault_difference(repairs, kind, ids, polarity):
+                continue
             res = exhaustive_detectability(network, BridgingFault(kind, ids, polarity))
             decided, detectable = pair, res.detectable
-            if not res.detectable:
-                status[k] = REDUNDANT
-            elif not classify_only:
+            if detectable and not classify_only:
                 repairs = append([res.witness])
-            continue
-        diff = 0
-        if not classify_only and _change_monomials(network, kind, ids, polarity):
-            # one rng.choice per line, c lines then x lines, except the
-            # constant line, which stays 1; all draws are read at once
-            rng = random.Random(_RANDOM_SEED * 1000003 + idx)
-            draws = ["".join("1" if j == pinned else rng.choice("01") for j in range(width))
-                     for _ in range(_RANDOM_DRAWS)]
-            diff = _fault_difference(_pack(network, draws, "fill-zero"), kind, ids, polarity)
-        if not diff:
-            status[k] = UNRESOLVED
-            unresolved.append(k)
-        else:  # the first detecting draw
-            repairs = append([draws[(diff & -diff).bit_length() - 1]])
+        if not detectable:  # a detectable pair's witness is kept, or not wanted
+            status[k] = proven
+            if proven == UNRESOLVED:
+                unresolved.append(k)
     return FallbackResult(patterns, unresolved)

@@ -4,7 +4,7 @@ Subcommands: parse, faults, atpg, simulate, verify, bench.
 
 Exit codes: 0 success; 1 at least one fault left undetected; 2 usage,
 circuit, or test-file error; 3 I/O error; 4 nothing undetected but some
-fault's detectability could not be resolved.
+fault unresolved: proven redundant on a circuit wider than the oracle cap.
 """
 
 from __future__ import annotations
@@ -135,8 +135,10 @@ def _write_stderr(line: str) -> None:
 
 
 def _load_circuit(path: str, *, normalize: bool = True):
-    # the file name less its last suffix, as pathlib's stem reads it
-    name = "" if path == "-" else os.path.basename(path)
+    # the file name less its last suffix, as pathlib's stem reads it; bytes
+    # that are not UTF-8 read as backslash escapes, as on stderr
+    name = "" if path == "-" else os.fsencode(os.path.basename(path)).decode(
+        "utf-8", "backslashreplace")
     dot = name.rfind(".")
     if 0 < dot < len(name) - 1:
         name = name[:dot]
@@ -347,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="how don't-care positions are instantiated")
         sp.add_argument("--oracle-cap", type=_count, default=DEFAULT_ORACLE_CAP,
                         metavar="N",
-                        help="max n+p for exact oracle verdicts in fallback (N >= 0);"
-                        " wider circuits get a seeded random search")
+                        help="max n+p at which fallback reports a proven redundancy"
+                        " as redundant (N >= 0); wider circuits report it unresolved")
         sp.add_argument("--jobs", type=_count, default=1,
                         help="accepted for older command lines and ignored")
 

@@ -40,7 +40,7 @@ __all__ = [
     "evaluate_test_set",
 ]
 
-DEFAULT_ORACLE_CAP = 22
+DEFAULT_ORACLE_CAP = 22  # up to this n + p a redundancy proof reads redundant, above it unresolved
 _BITS = str.maketrans("", "", "01")  # deletes filled symbols
 
 

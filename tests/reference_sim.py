@@ -15,13 +15,11 @@ don't-cares and set column bits one at a time.  The library's fallback
 finds the misses by index in a graded evaluation, reads each once against
 all repair rows, packed, and remembers the last oracle verdict;
 ``reference_fallback`` takes a list of missed faults, asks ``detects``
-pattern by pattern, proves every fault again, builds each random draw as a
-string and picks one by injection.
+pattern by pattern and proves every fault again.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -373,14 +371,14 @@ def reference_fallback(
     pattern at a time.
 
     Proving a pair's second polarity again changes nothing: it is either
-    detected by the first polarity's witness or redundant like it.  Above
-    ``oracle_cap`` the 512 draws of the ``idx``-th miss are strings, one
-    ``rng.choice`` per line except the constant line, which stays 1, and
-    the first draw the injected bridge changes is kept.
+    detected by the first polarity's witness or redundant like it.  Every
+    miss the rows so far leave undetected takes the oracle's verdict at any
+    width; a redundancy proof counts as unresolved above ``oracle_cap``.
     """
     out = ReferenceFallback()
+    proofs = out.redundant if network.n + network.p <= oracle_cap else out.unresolved
     corners_added = False
-    for idx, fault in enumerate(faults):
+    for fault in faults:
         if fault.kind is FaultKind.EXOR_INTERNAL:
             if not classify_only and not corners_added:
                 corners = gen_corner_set(network)
@@ -389,27 +387,9 @@ def reference_fallback(
             continue
         if any(detects(network, fault, row) for row in out.patterns):
             continue
-        if network.n + network.p <= oracle_cap:
-            res = exhaustive_detectability(network, fault)
-            if not res.detectable:
-                out.redundant.append(fault)
-            elif not classify_only:
-                out.patterns.append(res.witness)
-            continue
-        diff = 0
-        if not classify_only:
-            rng = random.Random(271828 * 1000003 + idx)
-            draws = [
-                "".join(rng.choice("01") for _ in range(network.p))
-                + "".join(
-                    "1" if v == network.constant_line else rng.choice("01")
-                    for v in range(1, network.n + 1)
-                )
-                for _ in range(512)
-            ]
-            diff = injected_difference(network, *reference_pack(network, draws, "fill-zero"), fault)
-        if not diff:
-            out.unresolved.append(fault)
-        else:
-            out.patterns.append(draws[(diff & -diff).bit_length() - 1])
+        res = exhaustive_detectability(network, fault)
+        if not res.detectable:
+            proofs.append(fault)
+        elif not classify_only:
+            out.patterns.append(res.witness)
     return out

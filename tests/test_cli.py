@@ -489,8 +489,24 @@ class TestSimulateAndVerify:
         assert code == 1
 
     def test_simulate_unresolved_exit_4(self, capsys, tmp_path):
-        # above the oracle cap nothing can be proven about the misses, and
-        # grading a fixed set never invents patterns
+        # above the oracle cap a miss proven redundant reads unresolved; the
+        # five sets leave only such misses, so exit 4, and a cap at the
+        # width reads the same faults redundant
+        circuit = tmp_path / "wide.rev"
+        circuit.write_text(WIDE_TEXT)
+        tests_file = tmp_path / "wide.tests"
+        assert run(capsys, "atpg", str(circuit), "--no-timestamp", "-o", str(tests_file))[0] == 0
+        argv = ["simulate", str(circuit), "--tests", str(tests_file), "-f", "json",
+                "--no-timestamp"]
+        for cap, code, counts in (("22", 4, (0, 0, 241)), ("23", 0, (0, 241, 0))):
+            got, out, _ = run(capsys, *argv, "--oracle-cap", cap)
+            coverage = json.loads(out)["coverage"]
+            assert got == code
+            assert (coverage["undetected"], coverage["redundant"], coverage["unresolved"]) == counts
+
+    def test_simulate_detectable_miss_over_cap_exit_1(self, capsys, tmp_path):
+        # the oracle decides a miss at any width: above the cap a detectable
+        # one reads undetected, and grading a fixed set never invents patterns
         circuit = tmp_path / "wide.rev"
         circuit.write_text(WIDE_TEXT)
         tests_file = tmp_path / "wide.tests"
@@ -500,14 +516,18 @@ class TestSimulateAndVerify:
             "111" + "0" * 20 + "\n"
             "111" + "1" * 20 + "\n"
         )
-        code, out, err = run(
+        code, out, _ = run(
             capsys, "simulate", str(circuit), "--tests", str(tests_file),
             "-f", "json", "--no-timestamp",
         )
-        assert code == 4
+        assert code == 1
         report = json.loads(out)
-        assert report["coverage"]["undetected"] == 0
-        assert report["coverage"]["unresolved"] > 0
+        assert report["union"]["size"] == 4
+        coverage = report["coverage"]
+        assert (coverage["undetected"], coverage["unresolved"]) == (161, 241)
+        bridge = {"class": "XPair", "line_a": "x1", "line_b": "x2", "polarity": "WiredOr"}
+        [verdict] = [v for v in report["verdicts"] if bridge.items() <= v.items()]
+        assert verdict["verdict"] == "Undetected"
 
     def test_byte_order_mark_opening_a_test_file(self, capsys, tmp_path, bench_path):
         plain = DATA / "bench7x3_user.tests"
@@ -702,6 +722,22 @@ class TestModuleEntry:
             proc = self.run_module("parse", str(circuit), encoding=encoding)
             assert (proc.returncode, proc.stdout) == (2, ""), encoding
             assert proc.stderr == "error: line 3, column 12: bad control token 'x\u0661'\n", encoding
+
+    def test_circuit_name_not_utf8_gets_its_report(self, tmp_path):
+        # the byte 0xff in the file name reads as a backslash escape in the
+        # header, on stdout and through --out
+        circuit = os.fsdecode(os.fsencode(tmp_path) + b"/bad\xff.rev")
+        with open(circuit, "w", encoding="utf-8") as fh:
+            fh.write((DATA / "and2.rev").read_text(encoding="utf-8"))
+        golden = (DATA / "golden" / "verify_and2.txt").read_text(encoding="utf-8")
+        expected = golden.replace("\ncircuit: and2  ", "\ncircuit: bad\\xff  ", 1)
+        assert expected != golden
+        proc = self.run_module("verify", circuit, "--no-timestamp")
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", expected)
+        out = tmp_path / "report.txt"
+        proc = self.run_module("verify", circuit, "--no-timestamp", "-o", str(out))
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "")
+        assert out.read_text(encoding="utf-8") == expected
 
     def test_missing_circuit_exits_3(self):
         proc = self.run_module("verify", "tests/data/no_such_circuit.rev")

@@ -33,7 +33,7 @@ CASES = {
     # T2, T3 and T5 left out so the sets miss faults and fallback repairs them;
     # the 0-control gate adds a constant line and a constant-line verdict
     "atpg_rand5z_fallback.txt": (0, ["atpg", "rand5z.rev", "--fallback", "--sets", "T1,T4"]),
-    "atpg_rand5z_random.txt": (
+    "atpg_rand5z_cap0.txt": (
         0, ["atpg", "rand5z.rev", "--fallback", "--sets", "T1,T4", "--oracle-cap", "0"]
     ),
     "verify_rand5z.txt": (0, ["verify", "rand5z.rev", "--sets", "T1,T4"]),
@@ -51,7 +51,7 @@ CASES = {
     "verify_bench7x3_fill_one.json": (
         0, ["verify", "bench7x3.rev", "--format", "json", "--dc-policy", "fill-one"]
     ),
-    # above the cap the random search runs and cannot prove the redundant bridge
+    # above the cap the oracle's proof of the redundant bridge reads unresolved
     "verify_and2_cap2.txt": (4, ["verify", "and2.rev", "--oracle-cap", "2"]),
     # two idle inputs: T3 case (c) gives up on their block, and the oracle
     # proves their bridges redundant, so fallback adds no pattern
@@ -107,9 +107,9 @@ CASES = {
         0, ["verify", "bench7x3.rev", "--sets", "T5,T2", "--format", "json"]
     ),
     "atpg_bench7x3_sets_T5T2.txt": (0, ["atpg", "bench7x3.rev", "--sets", "T5,T2"]),
-    # many misses above the cap: every repair row comes from the random
-    # search, seeded by the miss's ordinal among all misses
-    "atpg_rand8x4_random.txt": (
+    # many misses above the cap: every repair row is the oracle's witness, as
+    # below it, and only the proofs read unresolved
+    "atpg_rand8x4_cap0.txt": (
         0, ["atpg", "rand8x4.rev", "--fallback", "--sets", "T1,T4", "--oracle-cap", "0"]
     ),
     "verify_rand8x4_cap0.txt": (

@@ -33,7 +33,8 @@ from bridgetest import (
 from bridgetest import atpg
 from bridgetest.report import build_coverage_report, build_fault_report
 from bridgetest.cli import RunConfig, run_pipeline
-from bridgetest.simulate import DEFAULT_ORACLE_CAP, UNDETECTED, FaultVerdict
+from bridgetest.simulate import (DEFAULT_ORACLE_CAP, REDUNDANT, UNDETECTED, UNRESOLVED,
+                                 FaultVerdict)
 from conftest import DATA, random_circuit, with_zero_control
 from reference_sim import reference_fallback
 
@@ -84,6 +85,38 @@ def test_pipeline_matches_reference_sequence():
             assert run.union == union, label
             both += union.removed > 0 and union.fallback_count > 0
     assert both >= 5
+
+
+def test_oracle_cap_only_relabels_proofs():
+    # the oracle is exact at any width, so the cap only decides whether a
+    # proof reads redundant or unresolved: cap 0 and cap n + p give the same
+    # union, first detections and masks, and statuses that differ only
+    # there, in both fallback modes, with and without dedup, in both fills,
+    # with a constant line and with its faults enumerated
+    seen = dict.fromkeys(("relabelled", "repaired", "constant line"), 0)
+    for index, circuit in enumerate(_circuits(40)):
+        network = expand_network(circuit)
+        width = network.n + network.p
+        dc = ("fill-zero", "fill-one")[index // 2 % 2]
+        for names, dedup, fallback, aux in itertools.product(
+            SELECTIONS, (False, True), (True, False), (False, True)
+        ):
+            faults = enumerate_faults(network, include_aux=aux)
+            sets = generate_sets(network, names).sets
+            wide, exact = (run_pipeline(network, faults, sets,
+                                        RunConfig("verify", names, dc, cap, fallback, dedup, aux))
+                           for cap in (0, width))
+            label = (circuit.name, names, dedup, fallback, aux)
+            assert wide.union == exact.union, label
+            assert wide.evaluation.first == exact.evaluation.first, label
+            assert wide.evaluation.masks == exact.evaluation.masks, label
+            assert UNRESOLVED not in exact.evaluation.status, label
+            assert wide.evaluation.status.replace(bytes([UNRESOLVED]), bytes([REDUNDANT])) \
+                == exact.evaluation.status, label
+            seen["relabelled"] += UNRESOLVED in wide.evaluation.status
+            seen["repaired"] += exact.union.fallback_count > 0
+            seen["constant line"] += network.constant_line is not None
+    assert all(count >= 100 for count in seen.values()), seen
 
 
 def test_one_fault_object_per_oracle_call(monkeypatch):
