@@ -10,6 +10,7 @@ how a whole list of rows is graded in one call.
 
 from bridgetest import (
     BridgingFault,
+    FaultKind,
     Polarity,
     bridge_values,
     detects,
@@ -33,7 +34,7 @@ print()
 # nets flips exactly when they differ, and the EXOR cascade passes the flip
 # on, so whatever the polarity the output changes by a1 XOR a2: the
 # fault-free AND outputs decide detection without a faulty evaluation.
-fault = BridgingFault.a_pair(1, 2, Polarity.WIRED_AND)
+fault = BridgingFault(FaultKind.A_PAIR, (1, 2), Polarity.WIRED_AND)
 row = "010"  # c1 then x1 x2
 x = row[net.p :]
 a = [int(all(x[v - 1] == "1" for v in support)) for support in net.gate_supports]

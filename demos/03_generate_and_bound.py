@@ -11,7 +11,6 @@ against 3n + ceil(log2 p) + 2.
 
 from bridgetest import (
     benchmark_circuit,
-    enumerate_faults,
     expand_network,
     generate_sets,
     size_bound,
@@ -31,11 +30,10 @@ print()
 
 # grade the union and let the fallback repair or classify whatever is left:
 # the pipeline `bridgetest verify --dedup` runs
-faults = enumerate_faults(net)
-run = run_pipeline(net, faults, result.sets, RunConfig("verify", dedup=True))
+run = run_pipeline(net, result.sets, RunConfig("verify", dedup=True))
 evaluation = run.evaluation
 print(f"union of {run.union.pre_dedup_size}: {evaluation.count('detected')} of"
-      f" {len(faults)} faults detected, {evaluation.count('undetected')} left")
+      f" {len(evaluation.faults)} faults detected, {evaluation.count('undetected')} left")
 # fallback writes its verdicts into the evaluation; a redundant verdict's
 # method names its proof (exhaustive, or constant-line for an EXOR obligation)
 for verdict in evaluation.verdicts:

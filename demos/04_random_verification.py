@@ -13,7 +13,6 @@ import random
 from bridgetest import (
     AndExorNetwork,
     FaultKind,
-    enumerate_faults,
     exhaustive_detectability,
     expand_network,
     generate_sets,
@@ -37,14 +36,13 @@ checked = missed = redundant = 0
 for index in range(20):
     # expand_network checks a hand-built network and returns it
     net = expand_network(random_circuit(index))
-    faults = enumerate_faults(net)
 
     # generate, grade, repair: the pipeline `bridgetest verify` runs
     sets = generate_sets(net).sets
-    run = run_pipeline(net, faults, sets, RunConfig("verify"))
+    run = run_pipeline(net, sets, RunConfig("verify"))
 
     status = {v.fault: v.status for v in run.evaluation.verdicts}
-    for fault in faults:
+    for fault in run.evaluation.faults:
         if fault.kind is FaultKind.EXOR_INTERNAL:
             continue
         checked += 1

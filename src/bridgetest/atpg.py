@@ -225,12 +225,12 @@ def gen_input_or_tests(network: AndExorNetwork) -> tuple[list[str], tuple[tuple[
     entry, case (b) a variable paired with an odd joint entry, and case (c)
     repeats both on the function restricted at a growing set of variables
     held at 0 (single variables in ascending order, then pairs, and so on,
-    never deeper than n - 1).  A restriction stage is skipped when no block
-    it leaves whole holds a variable with a nonzero parity row, and the walk
-    ends once the oracle proves every wired-OR pair in each open block
-    redundant: every split leaves a pair across it, so such a block never
-    splits.  Pairs left in unsplit blocks go to the caller as
-    ``t3_uncovered``; fallback sees them only as grading misses.
+    never deeper than n - 1).  A restriction stage is skipped when every
+    open block meets the restriction, and the walk ends once the oracle
+    proves every wired-OR pair in each open block redundant: every split
+    leaves a pair across it, so such a block never splits.  Pairs left in
+    unsplit blocks go to the caller as ``t3_uncovered``; fallback sees them
+    only as grading misses.
     """
     variables = list(network.real_inputs())
     partition = _Partition(network, Polarity.WIRED_OR)
@@ -242,18 +242,14 @@ def gen_input_or_tests(network: AndExorNetwork) -> tuple[list[str], tuple[tuple[
     @functools.cache
     def has_detectable_pair(block: int) -> bool:
         pairs = itertools.combinations(_bits(block), 2)
-        faults = (BridgingFault.x_pair(r, s, Polarity.WIRED_OR) for r, s in pairs)
+        faults = (BridgingFault(FaultKind.X_PAIR, pair, Polarity.WIRED_OR) for pair in pairs)
         return any(exhaustive_detectability(network, f).detectable for f in faults)
 
     def stage(restricted: int) -> None:
-        whole = [b for b in partition.blocks if not b & restricted]
-        if not whole:
+        # cases (a) and (b) split only blocks the restriction leaves whole
+        if all(b & restricted for b in partition.blocks):
             return
         rows = _parity_rows(network, restricted)
-        # cases (a) and (b) split only blocks like these
-        read = _mask(v for v, row in rows.items() if row)
-        if not any(b & read for b in whole):
-            return
         active = [v for v in variables if not restricted >> v & 1]
         active_mask = _mask(active)
 

@@ -43,7 +43,7 @@ from .report import (
     build_generation_report,
     render_report,
 )
-from .simulate import DEFAULT_ORACLE_CAP, Evaluation, evaluate_test_set
+from .simulate import DEFAULT_ORACLE_CAP, evaluate_test_set
 
 EXIT_OK = 0
 EXIT_COVERAGE = 1
@@ -170,8 +170,9 @@ def _config(args) -> RunConfig:
 PipelineResult = namedtuple("PipelineResult", "union evaluation")
 
 
-def run_pipeline(network, faults, sets: dict[str, list[str]], cfg: RunConfig) -> PipelineResult:
-    """Grade the union of ``sets``, and repair or classify its misses.
+def run_pipeline(network, sets: dict[str, list[str]], cfg: RunConfig) -> PipelineResult:
+    """Grade the union of ``sets`` against ``enumerate_faults(network,
+    include_aux=cfg.include_aux)``, and repair or classify its misses.
 
     Fallback writes its verdicts into the evaluation it is given, and adds
     repair patterns only when ``cfg.fallback``.  If it added any, the
@@ -179,6 +180,7 @@ def run_pipeline(network, faults, sets: dict[str, list[str]], cfg: RunConfig) ->
     that evaluation without adding patterns.
     """
     dc = cfg.dc_policy
+    faults = enumerate_faults(network, include_aux=cfg.include_aux)
     union = assemble_union(sets, dedup=cfg.dedup, dc_policy=dc)
     evaluation = evaluate_test_set(network, faults, union.rows, dc_policy=dc)
     fb = fallback_search(evaluation, cfg.oracle_cap, classify_only=not cfg.fallback)
@@ -189,10 +191,17 @@ def run_pipeline(network, faults, sets: dict[str, list[str]], cfg: RunConfig) ->
     return PipelineResult(union, evaluation)
 
 
-def _coverage_exit(evaluation: Evaluation) -> int:
-    if evaluation.count("undetected"):
+def _graded(args, cfg: RunConfig, network, sets: dict[str, list[str]], bound: int | None) -> int:
+    """The tail ``simulate`` and ``verify`` share: run the pipeline on
+    ``sets``, write the coverage report, and return its exit code."""
+    run = run_pipeline(network, sets, cfg)
+    report = build_coverage_report(
+        run.evaluation, sets, run.union, bound, cfg.echo(), timestamp=not args.no_timestamp,
+    )
+    _write_text(args.out, render_report(report, args.format))
+    if run.evaluation.count("undetected"):
         return EXIT_COVERAGE
-    if evaluation.count("unresolved"):
+    if run.evaluation.count("unresolved"):
         return EXIT_UNRESOLVED
     return EXIT_OK
 
@@ -223,7 +232,7 @@ def cmd_atpg(args) -> int:
     network = expand_network(_load_circuit(args.circuit))
     sets = generate_sets(network, cfg.sets).sets
     if cfg.fallback:
-        union = run_pipeline(network, enumerate_faults(network), sets, cfg).union
+        union = run_pipeline(network, sets, cfg).union
     else:  # without repair patterns the union needs no grading
         union = assemble_union(sets, dedup=cfg.dedup, dc_policy=cfg.dc_policy)
     bound = size_bound(network)
@@ -249,28 +258,14 @@ def cmd_grade(args) -> int:
     if args.circuit == args.tests == "-":
         raise ValueError("the circuit and --tests cannot both be read from stdin")
     network = expand_network(_load_circuit(args.circuit))
-    faults = enumerate_faults(network, include_aux=cfg.include_aux)
     sets = {"User": parse_test_file(_read_text(args.tests), network)}
-    run = run_pipeline(network, faults, sets, cfg)
-    report = build_coverage_report(
-        run.evaluation, sets, run.union, None, cfg.echo(), timestamp=not args.no_timestamp,
-    )
-    _write_text(args.out, render_report(report, args.format))
-    return _coverage_exit(run.evaluation)
+    return _graded(args, cfg, network, sets, None)
 
 
 def cmd_verify(args) -> int:
     cfg = _config(args)
     network = expand_network(_load_circuit(args.circuit))
-    faults = enumerate_faults(network, include_aux=cfg.include_aux)
-    sets = generate_sets(network, cfg.sets).sets
-    run = run_pipeline(network, faults, sets, cfg)
-    report = build_coverage_report(
-        run.evaluation, sets, run.union, size_bound(network), cfg.echo(),
-        timestamp=not args.no_timestamp,
-    )
-    _write_text(args.out, render_report(report, args.format))
-    return _coverage_exit(run.evaluation)
+    return _graded(args, cfg, network, generate_sets(network, cfg.sets).sets, size_bound(network))
 
 
 def cmd_bench(args) -> int:
@@ -337,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_out(sp, formats=("text", "json", "csv")):
-        if formats:
-            sp.add_argument("--format", "-f", choices=formats, default=formats[0])
+        sp.add_argument("--format", "-f", choices=formats, default=formats[0])
         sp.add_argument("--out", "-o", default=None, metavar="PATH",
                         help="write output here instead of stdout")
         sp.add_argument("--no-timestamp", action="store_true",

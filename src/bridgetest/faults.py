@@ -96,25 +96,6 @@ class BridgingFault(_Fault):
                 raise ValueError("IntraLevel needs a polarity")
         return tuple.__new__(cls, (kind, ids, polarity))
 
-    @staticmethod
-    def exor_internal(gate_id: int) -> "BridgingFault":
-        return BridgingFault(FaultKind.EXOR_INTERNAL, (gate_id,))
-
-    @staticmethod
-    def x_pair(i: int, j: int, polarity: Polarity) -> "BridgingFault":
-        lo, hi = sorted((i, j))
-        return BridgingFault(FaultKind.X_PAIR, (lo, hi), polarity)
-
-    @staticmethod
-    def a_pair(i: int, j: int, polarity: Polarity) -> "BridgingFault":
-        lo, hi = sorted((i, j))
-        return BridgingFault(FaultKind.A_PAIR, (lo, hi), polarity)
-
-    @staticmethod
-    def intra_level(level: int, j1: int, j2: int, polarity: Polarity) -> "BridgingFault":
-        lo, hi = sorted((j1, j2))
-        return BridgingFault(FaultKind.INTRA_LEVEL, (level, lo, hi), polarity)
-
     def lines(self) -> tuple[str, str]:
         """Compact net names of the two bridged nets, "" for ExorInternal's second."""
         if self.kind is FaultKind.EXOR_INTERNAL:

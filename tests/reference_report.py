@@ -40,20 +40,22 @@ def eager_faults(
     n, p, d = network.n, network.p, network.d
     x_lines = list(range(1, n + 1)) if include_aux else list(network.real_inputs())
     by_kind = {
-        FaultKind.EXOR_INTERNAL: [BridgingFault.exor_internal(g) for g in range(1, d + 1)],
+        FaultKind.EXOR_INTERNAL: [
+            BridgingFault(FaultKind.EXOR_INTERNAL, (g,)) for g in range(1, d + 1)
+        ],
         FaultKind.X_PAIR: [
-            BridgingFault.x_pair(i, j, pol)
+            BridgingFault(FaultKind.X_PAIR, (i, j), pol)
             for i, j in itertools.combinations(x_lines, 2)
             for pol in _POLARITIES
         ],
         FaultKind.INTRA_LEVEL: [
-            BridgingFault.intra_level(level, j1, j2, pol)
+            BridgingFault(FaultKind.INTRA_LEVEL, (level, j1, j2), pol)
             for level in range(d + 1)
             for j1, j2 in itertools.combinations(range(1, p + 1), 2)
             for pol in _POLARITIES
         ],
         FaultKind.A_PAIR: [
-            BridgingFault.a_pair(i, j, pol)
+            BridgingFault(FaultKind.A_PAIR, (i, j), pol)
             for i, j in itertools.combinations(range(1, d + 1), 2)
             for pol in _POLARITIES
         ],

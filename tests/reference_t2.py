@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from bridgetest import AndExorNetwork
-from bridgetest.faults import BridgingFault, Polarity
+from bridgetest.faults import BridgingFault, FaultKind, Polarity
 from bridgetest.pprm import PprmFunction
 from bridgetest.simulate import detects
 
@@ -105,7 +105,8 @@ def gen_input_and_tests(
                 (r, s) for r in sorted(inter) for s in sorted(bset - inter)
             ]
             if not all(
-                detects(network, BridgingFault.x_pair(r, s, Polarity.WIRED_AND), pattern, dc_policy)
+                detects(network, BridgingFault(FaultKind.X_PAIR, (min(r, s), max(r, s)),
+                                               Polarity.WIRED_AND), pattern, dc_policy)
                 for r, s in targeted
             ):
                 continue

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from bridgetest import AndExorNetwork
-from bridgetest.faults import BridgingFault, Polarity
+from bridgetest.faults import BridgingFault, FaultKind, Polarity
 from bridgetest.pprm import PprmFunction
 from bridgetest.simulate import detects
 
@@ -109,7 +109,8 @@ def gen_input_or_tests(
         if not cross:
             return False
         if not all(
-            detects(network, BridgingFault.x_pair(r, s, Polarity.WIRED_OR), pattern, dc_policy)
+            detects(network, BridgingFault(FaultKind.X_PAIR, (min(r, s), max(r, s)),
+                                           Polarity.WIRED_OR), pattern, dc_policy)
             for r, s in cross
         ):
             return False

@@ -75,11 +75,11 @@ def test_criterion_1_fixture_sets(bench):
     for i in range(1, 8):
         for j in range(i + 1, 8):
             assert any(
-                detects(net, BridgingFault.x_pair(i, j, AND), row)
+                detects(net, BridgingFault(FaultKind.X_PAIR, (i, j), AND), row)
                 for row in sets["T2"]
             ), f"wired-AND pair ({i},{j}) missed by T2"
             assert any(
-                detects(net, BridgingFault.x_pair(i, j, OR), row)
+                detects(net, BridgingFault(FaultKind.X_PAIR, (i, j), OR), row)
                 for row in sets["T3"]
             ), f"wired-OR pair ({i},{j}) missed by T3"
 
@@ -329,7 +329,7 @@ def test_criterion_8_redundancy(tmp_path, and2_path, capsys):
 
     # same verdict straight from the library, to pin the proving route
     net = expand_network(parse_circuit(and2_path.read_text()))
-    fault = BridgingFault.x_pair(1, 2, AND)
+    fault = BridgingFault(FaultKind.X_PAIR, (1, 2), AND)
     assert not exhaustive_detectability(net, fault).detectable
     ev = evaluation_missing(net, [fault])
     fb, redundant, _ = run_fallback(ev)

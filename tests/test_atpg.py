@@ -193,7 +193,7 @@ class TestInputAndSet:
         rows, _ = gen_input_and_tests(net)
         for i in range(1, 8):
             for j in range(i + 1, 8):
-                fault = BridgingFault.x_pair(i, j, AND)
+                fault = BridgingFault(FaultKind.X_PAIR, (i, j), AND)
                 assert any(detects(net, fault, row) for row in rows), (i, j)
 
     def test_unsplittable_block(self, and2):
@@ -231,7 +231,7 @@ class TestInputOrSet:
         rows, _ = gen_input_or_tests(net)
         for i in range(1, 8):
             for j in range(i + 1, 8):
-                fault = BridgingFault.x_pair(i, j, OR)
+                fault = BridgingFault(FaultKind.X_PAIR, (i, j), OR)
                 assert any(detects(net, fault, row) for row in rows), (i, j)
 
     def test_emission_is_partition_gated(self):
@@ -242,8 +242,8 @@ class TestInputOrSet:
         assert rows == ["d011", "d101"]
         assert uncovered == ()
         probe = "d110"
-        assert detects(net, BridgingFault.x_pair(1, 3, OR), probe)
-        assert detects(net, BridgingFault.x_pair(2, 3, OR), probe)
+        assert detects(net, BridgingFault(FaultKind.X_PAIR, (1, 3), OR), probe)
+        assert detects(net, BridgingFault(FaultKind.X_PAIR, (2, 3), OR), probe)
 
     def test_case_a_on_and2(self, and2):
         rows, uncovered = gen_input_or_tests(expand_network(and2))
@@ -399,8 +399,9 @@ class TestGenerateSets:
             rest = _bits(block & ~side)
             row = atpg._input_pattern(self.network, ones)
             expected = bool(rest) and all(
-                detects(self.network, BridgingFault.x_pair(r, rest[0], self.polarity), row)
-                for r in _bits(side)
+                detects(self.network,
+                        BridgingFault(FaultKind.X_PAIR, (min(r, s), max(r, s)), self.polarity), row)
+                for r in _bits(side) for s in rest[:1]
             )
             accepted = split(self, ones, block, side)
             assert accepted == expected, (row, _bits(block), _bits(side))
@@ -439,7 +440,8 @@ class TestGenerateSets:
             rest = _bits(block & ~side)
             row = atpg._input_pattern(net, ones)
             expected = bool(rest) and all(
-                detects(net, BridgingFault.x_pair(r, s, partition.polarity), row)
+                detects(net, BridgingFault(FaultKind.X_PAIR, (min(r, s), max(r, s)),
+                                           partition.polarity), row)
                 for r in _bits(side) for s in rest
             )
             assert split(partition, ones, block, side) == expected, (row, _bits(side))
@@ -473,7 +475,8 @@ class TestGenerateSets:
             for dc_policy in DC_POLICIES:
                 for r in side:
                     seen = {
-                        detects(net, BridgingFault.x_pair(r, s, polarity), pattern, dc_policy)
+                        detects(net, BridgingFault(FaultKind.X_PAIR, (min(r, s), max(r, s)),
+                                                   polarity), pattern, dc_policy)
                         for s in rest
                     }
                     assert len(seen) == 1, (circuit.name, r, x, dc_policy)
@@ -539,7 +542,7 @@ class TestUnionAndBound:
 class TestFallbackSearch:
     def test_oracle_witness_and_redundancy(self, and2):
         net = expand_network(and2)
-        missed = [BridgingFault.x_pair(1, 2, OR), BridgingFault.x_pair(1, 2, AND)]
+        missed = [BridgingFault(FaultKind.X_PAIR, (1, 2), pol) for pol in (OR, AND)]
         ev = evaluation_missing(net, missed)
         fb, redundant, unresolved = run_fallback(ev)
         assert fb.patterns == ["001"]
@@ -548,7 +551,7 @@ class TestFallbackSearch:
 
     def test_classify_only_adds_nothing(self, and2):
         net = expand_network(and2)
-        missed = [BridgingFault.x_pair(1, 2, OR), BridgingFault.x_pair(1, 2, AND)]
+        missed = [BridgingFault(FaultKind.X_PAIR, (1, 2), pol) for pol in (OR, AND)]
         ev = evaluation_missing(net, missed)
         fb, redundant, unresolved = run_fallback(ev, classify_only=True)
         assert fb.patterns == []
@@ -564,7 +567,7 @@ class TestFallbackSearch:
             atpg, "exhaustive_detectability", lambda net, f: calls.append(f) or oracle(net, f)
         )
         net = expand_network(parse_circuit(DUP_TEXT))
-        missed = [BridgingFault.x_pair(1, 3, AND), BridgingFault.x_pair(2, 3, AND)]
+        missed = [BridgingFault(FaultKind.X_PAIR, ids, AND) for ids in ((1, 3), (2, 3))]
         fb, redundant, unresolved = run_fallback(evaluation_missing(net, missed))
         assert calls == missed[:1]
         assert fb.patterns == ["00110"]
@@ -581,10 +584,10 @@ class TestFallbackSearch:
             atpg, "exhaustive_detectability", lambda net, f: calls.append(f) or oracle(net, f)
         )
         net = expand_network(parse_circuit(DUP_TEXT))
-        redundant_pair = [BridgingFault.a_pair(1, 2, AND), BridgingFault.a_pair(1, 2, OR)]
-        detectable_pair = [BridgingFault.a_pair(1, 3, AND), BridgingFault.a_pair(1, 3, OR)]
-        intra = [BridgingFault.intra_level(0, 1, 2, AND), BridgingFault.intra_level(0, 1, 2, OR)]
-        xpairs = [BridgingFault.x_pair(1, 2, AND), BridgingFault.x_pair(1, 2, OR)]
+        redundant_pair = [BridgingFault(FaultKind.A_PAIR, (1, 2), pol) for pol in (AND, OR)]
+        detectable_pair = [BridgingFault(FaultKind.A_PAIR, (1, 3), pol) for pol in (AND, OR)]
+        intra = [BridgingFault(FaultKind.INTRA_LEVEL, (0, 1, 2), pol) for pol in (AND, OR)]
+        xpairs = [BridgingFault(FaultKind.X_PAIR, (1, 2), pol) for pol in (AND, OR)]
         ev = evaluation_missing(net, redundant_pair + detectable_pair + intra + xpairs)
         fb, redundant, unresolved = run_fallback(ev, classify_only=classify_only)
         # index order: XPair, IntraLevel, APair; no witness detects a later miss
@@ -595,7 +598,7 @@ class TestFallbackSearch:
 
     def test_exor_obligation_appends_corners_once(self):
         net = expand_network(parse_circuit(".n 1\n.p 2\n.gate c1 : x1\n.gate c2 : x1\n.end\n"))
-        missed = [BridgingFault.exor_internal(1), BridgingFault.exor_internal(2)]
+        missed = [BridgingFault(FaultKind.EXOR_INTERNAL, (g,)) for g in (1, 2)]
         fb = fallback_search(evaluation_missing(net, missed))
         assert fb.patterns == ["000", "001", "110", "111"]
         fb2 = fallback_search(evaluation_missing(net, missed), classify_only=True)
@@ -608,7 +611,7 @@ class TestFallbackSearch:
         # witness, or stays undetected when classifying
         text = ".n 20\n.p 3\n.gate c1 : x1 x2\n.gate c2 : x3\n.gate c3 : x4\n.end\n"
         net = expand_network(parse_circuit(text))
-        or_fault, and_fault = BridgingFault.x_pair(1, 2, OR), BridgingFault.x_pair(1, 2, AND)
+        or_fault, and_fault = (BridgingFault(FaultKind.X_PAIR, (1, 2), pol) for pol in (OR, AND))
         ev = evaluation_missing(net, [or_fault, and_fault])
         fb, redundant, unresolved = run_fallback(ev, classify_only=classify_only)
         assert [ev.faults[k] for k in unresolved] == [and_fault]
@@ -621,7 +624,7 @@ class TestFallbackSearch:
         # the repair row is the oracle's witness whatever the cap
         text = ".n 20\n.p 3\n.gate c1 : x1 x2\n.gate c2 : x3\n.gate c3 : x4\n.end\n"
         net = expand_network(parse_circuit(text))
-        or_fault = BridgingFault.x_pair(1, 2, OR)
+        or_fault = BridgingFault(FaultKind.X_PAIR, (1, 2), OR)
         runs = [fallback_search(evaluation_missing(net, [or_fault]), cap) for cap in (0, 22, 23)]
         assert [fb.patterns for fb in runs] == [["00001000000000000000000"]] * 3
 

@@ -13,6 +13,7 @@ import bridgetest
 from bridgetest import (
     AndExorNetwork,
     BridgingFault,
+    FaultKind,
     Polarity,
     cli,
     format_circuit,
@@ -919,5 +920,5 @@ def test_bad_pattern_symbols_are_listed(c, x, message):
     # it is refused before the fault is read
     net = AndExorNetwork(len(x), len(c), (), ())
     with pytest.raises(ValueError) as err:
-        bridgetest.detects(net, BridgingFault.a_pair(1, 2, Polarity.WIRED_AND), c + x)
+        bridgetest.detects(net, BridgingFault(FaultKind.A_PAIR, (1, 2), Polarity.WIRED_AND), c + x)
     assert str(err.value) == message

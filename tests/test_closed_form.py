@@ -146,15 +146,17 @@ def test_hand_built_verdicts():
     zero = _hand_built(ZERO_CONTROL)
     assert zero.constant_line == 3
     for polarity in Polarity:
-        pair = BridgingFault.x_pair(1, 2, polarity)
+        pair = BridgingFault(FaultKind.X_PAIR, (1, 2), polarity)
         assert exhaustive_detectability(both, pair).detectable
         assert not exhaustive_detectability(cancelling, pair).detectable
-        assert exhaustive_detectability(cancelling, BridgingFault.x_pair(1, 3, polarity)).detectable
+        pair_13 = BridgingFault(FaultKind.X_PAIR, (1, 3), polarity)
+        assert exhaustive_detectability(cancelling, pair_13).detectable
         # the constant line stays 1 in a witness: where x_i = 0, wired-AND
         # pulls x3 down, which c2 shows through gate 2, and wired-OR pulls
         # x_i up
         for i in (1, 2):
-            result = exhaustive_detectability(zero, BridgingFault.x_pair(i, 3, polarity))
+            fault = BridgingFault(FaultKind.X_PAIR, (i, 3), polarity)
+            result = exhaustive_detectability(zero, fault)
             assert result.detectable and result.witness[zero.p + 2] == "1"
 
 
@@ -260,10 +262,11 @@ WIDE_SUPPORTS = (frozenset(range(1, 21)), frozenset(range(15, 40)), frozenset({4
 @pytest.mark.parametrize("constant_line", [None, 17])
 def test_apair_oracle_memory(constant_line):
     net = AndExorNetwork(60, 4, WIDE_SUPPORTS, (1, 2, 1), constant_line)
-    assert _oracle_peak(net, BridgingFault.a_pair(1, 2, Polarity.WIRED_OR)) < 64 * 1024
+    assert _oracle_peak(net, BridgingFault(FaultKind.A_PAIR, (1, 2), Polarity.WIRED_OR)) < 64 * 1024
 
 
 @pytest.mark.parametrize("constant_line", [None, 17])
 def test_xpair_oracle_memory(constant_line):
     net = AndExorNetwork(60, 4, WIDE_SUPPORTS, (1, 2, 1), constant_line)
-    assert _oracle_peak(net, BridgingFault.x_pair(18, 40, Polarity.WIRED_AND)) < 64 * 1024
+    fault = BridgingFault(FaultKind.X_PAIR, (18, 40), Polarity.WIRED_AND)
+    assert _oracle_peak(net, fault) < 64 * 1024

@@ -159,8 +159,8 @@ def _test_file(rng, net, count):
     return "# user patterns\n\n" + "\n".join(rows) + "\n"
 
 
-def _assert_verdicts_render_like_reference(report, faults, evaluation, union):
-    reference = dict_rows(report, faults, evaluation, union)
+def _assert_verdicts_render_like_reference(report, evaluation, union):
+    reference = dict_rows(report, evaluation.faults, evaluation, union)
     assert json.loads(render_report(report, "json")) == reference
     for fmt in REPORT_FORMATS:
         assert render_report(report, fmt) == reference_render(reference, fmt)
@@ -202,12 +202,12 @@ def test_reports_match_reference_renderer():
                 cfg = RunConfig("verify", names, oracle_cap=cap, fallback=fallback,
                                 include_aux=include_aux)
                 sets = generate_sets(net, names).sets
-                run = run_pipeline(net, faults, sets, cfg)
+                run = run_pipeline(net, sets, cfg)
                 report = build_coverage_report(
                     run.evaluation, sets, run.union, size_bound(net), cfg.echo(),
                     timestamp=False,
                 )
-                _assert_verdicts_render_like_reference(report, faults, run.evaluation, run.union)
+                _assert_verdicts_render_like_reference(report, run.evaluation, run.union)
                 statuses.update(v.status for v in run.evaluation.verdicts)
 
             # simulate-style: a user test file, graded without fallback
@@ -216,12 +216,12 @@ def test_reports_match_reference_renderer():
                 sets = {"User": parse_test_file(text, net)}
                 cfg = RunConfig("simulate", dc_policy=dc_policy, fallback=False,
                                 include_aux=include_aux)
-                run = run_pipeline(net, faults, sets, cfg)
+                run = run_pipeline(net, sets, cfg)
                 report = build_coverage_report(
                     run.evaluation, sets, run.union, None, cfg.echo(),
                     timestamp=False,
                 )
-                _assert_verdicts_render_like_reference(report, faults, run.evaluation, run.union)
+                _assert_verdicts_render_like_reference(report, run.evaluation, run.union)
                 methods.update(v.method for v in run.evaluation.verdicts)
     assert statuses == {"detected", "undetected", "redundant", "unresolved"}
     assert methods == {None, "simulation", "stimulation", "exhaustive", "constant-line"}

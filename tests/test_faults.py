@@ -50,13 +50,16 @@ def test_single_flip_lemma():
 
 class TestFaultConstruction:
     def test_pair_ids_sorted(self):
-        f = BridgingFault.x_pair(5, 2, AND)
-        assert f.ids == (2, 5)
-        g = BridgingFault.intra_level(3, 2, 1, OR)
-        assert g.ids == (3, 1, 2)
+        # the constructor takes a pair's ids in order and refuses them reversed
+        assert BridgingFault(FaultKind.X_PAIR, (2, 5), AND).ids == (2, 5)
+        assert BridgingFault(FaultKind.INTRA_LEVEL, (3, 1, 2), OR).ids == (3, 1, 2)
+        with pytest.raises(ValueError):
+            BridgingFault(FaultKind.X_PAIR, (5, 2), AND)
+        with pytest.raises(ValueError):
+            BridgingFault(FaultKind.INTRA_LEVEL, (3, 2, 1), OR)
 
     def test_exor_internal_shape(self):
-        f = BridgingFault.exor_internal(4)
+        f = BridgingFault(FaultKind.EXOR_INTERNAL, (4,))
         assert f.ids == (4,) and f.polarity is None
         with pytest.raises(ValueError):
             BridgingFault(FaultKind.EXOR_INTERNAL, (4,), AND)
@@ -74,13 +77,13 @@ class TestFaultConstruction:
             BridgingFault(FaultKind.INTRA_LEVEL, (0, 2, 2), AND)
 
     def test_lines_and_describe(self):
-        assert BridgingFault.exor_internal(5).lines() == ("g5", "")
-        assert BridgingFault.x_pair(1, 2, AND).lines() == ("x1", "x2")
-        assert BridgingFault.a_pair(1, 2, OR).lines() == ("a1", "a2")
-        assert BridgingFault.intra_level(0, 1, 2, AND).lines() == ("w1@0", "w2@0")
-        assert BridgingFault.exor_internal(5).describe() == "ExorInternal g5"
+        assert BridgingFault(FaultKind.EXOR_INTERNAL, (5,)).lines() == ("g5", "")
+        assert BridgingFault(FaultKind.X_PAIR, (1, 2), AND).lines() == ("x1", "x2")
+        assert BridgingFault(FaultKind.A_PAIR, (1, 2), OR).lines() == ("a1", "a2")
+        assert BridgingFault(FaultKind.INTRA_LEVEL, (0, 1, 2), AND).lines() == ("w1@0", "w2@0")
+        assert BridgingFault(FaultKind.EXOR_INTERNAL, (5,)).describe() == "ExorInternal g5"
         assert (
-            BridgingFault.intra_level(7, 1, 3, OR).describe()
+            BridgingFault(FaultKind.INTRA_LEVEL, (7, 1, 3), OR).describe()
             == "IntraLevel (w1@7,w3@7) WiredOr"
         )
 
@@ -107,15 +110,15 @@ class TestEnumeration:
         assert boundaries == sorted(boundaries)
         # within XPair: lexicographic ids, WiredAnd before WiredOr
         xs = [f for f in faults if f.kind is FaultKind.X_PAIR]
-        assert xs[0] == BridgingFault.x_pair(1, 2, AND)
-        assert xs[1] == BridgingFault.x_pair(1, 2, OR)
-        assert xs[-1] == BridgingFault.x_pair(6, 7, OR)
+        assert xs[0] == BridgingFault(FaultKind.X_PAIR, (1, 2), AND)
+        assert xs[1] == BridgingFault(FaultKind.X_PAIR, (1, 2), OR)
+        assert xs[-1] == BridgingFault(FaultKind.X_PAIR, (6, 7), OR)
         keys = [(f.ids, f.polarity is OR) for f in xs]
         assert keys == sorted(keys)
         # IntraLevel sweeps level 0 first (the initial c column)
         ws = [f for f in faults if f.kind is FaultKind.INTRA_LEVEL]
-        assert ws[0] == BridgingFault.intra_level(0, 1, 2, AND)
-        assert ws[-1] == BridgingFault.intra_level(19, 2, 3, OR)
+        assert ws[0] == BridgingFault(FaultKind.INTRA_LEVEL, (0, 1, 2), AND)
+        assert ws[-1] == BridgingFault(FaultKind.INTRA_LEVEL, (19, 2, 3), OR)
 
     def test_enumeration_deterministic(self, bench):
         net = expand_network(bench)

@@ -11,7 +11,6 @@ from reference_patterns import reference_parse_tests_for
 import bridgetest
 from bridgetest import (
     AndExorNetwork,
-    enumerate_faults,
     expand_network,
     format_patterns,
     generate_sets,
@@ -114,5 +113,5 @@ def test_union_round_trips_through_a_test_file(seed):
     rng = random.Random(seed)
     network = expand_network(with_zero_control(random_circuit(rng, seed), rng))
     sets = generate_sets(network).sets
-    union = run_pipeline(network, enumerate_faults(network), sets, RunConfig("atpg")).union
+    union = run_pipeline(network, sets, RunConfig("atpg")).union
     assert parse_test_file(format_patterns(union), network) == union.rows

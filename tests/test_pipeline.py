@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from bridgetest import (
     SET_NAMES,
     BridgingFault,
+    FaultKind,
     assemble_union,
     enumerate_faults,
     evaluate_test_set,
@@ -27,6 +28,7 @@ from bridgetest import (
     fallback_search,
     format_circuit,
     generate_sets,
+    normalize_zero_controls,
     parse_circuit,
     size_bound,
 )
@@ -41,8 +43,9 @@ from reference_sim import reference_fallback
 SELECTIONS = (SET_NAMES, ("T1", "T4"), ("T3", "T5"), ("T4",))
 
 
-def reference(network, faults, sets, cfg):
+def reference(network, sets, cfg):
     dc = cfg.dc_policy
+    faults = enumerate_faults(network, include_aux=cfg.include_aux)
     base = assemble_union(sets, dc_policy=dc)
     first = evaluate_test_set(network, faults, base.rows, dc_policy=dc)
     missed = [faults[k] for k, status in enumerate(first.status) if status == UNDETECTED]
@@ -70,15 +73,14 @@ def test_pipeline_matches_reference_sequence():
     both = 0  # runs where dedup removed patterns and fallback appended some
     for index, circuit in enumerate(_circuits(5)):
         network = expand_network(circuit)
-        faults = enumerate_faults(network)
         dc = ("fill-zero", "fill-one")[index // 2 % 2]
         for names, dedup, fallback, cap in itertools.product(
             SELECTIONS, (False, True), (True, False), (DEFAULT_ORACLE_CAP, 0)
         ):
             cfg = RunConfig("verify", names, dc, cap, fallback, dedup)
             sets = generate_sets(network, names).sets
-            verdicts, masks, union = reference(network, faults, sets, cfg)
-            run = run_pipeline(network, faults, sets, cfg)
+            verdicts, masks, union = reference(network, sets, cfg)
+            run = run_pipeline(network, sets, cfg)
             label = (circuit.name, names, dedup, fallback, cap)
             assert run.evaluation.verdicts == verdicts, label
             assert run.evaluation.masks == masks, label
@@ -101,9 +103,8 @@ def test_oracle_cap_only_relabels_proofs():
         for names, dedup, fallback, aux in itertools.product(
             SELECTIONS, (False, True), (True, False), (False, True)
         ):
-            faults = enumerate_faults(network, include_aux=aux)
             sets = generate_sets(network, names).sets
-            wide, exact = (run_pipeline(network, faults, sets,
+            wide, exact = (run_pipeline(network, sets,
                                         RunConfig("verify", names, dc, cap, fallback, dedup, aux))
                            for cap in (0, width))
             label = (circuit.name, names, dedup, fallback, aux)
@@ -124,7 +125,6 @@ def test_one_fault_object_per_oracle_call(monkeypatch):
     # run builds is the one handed to the oracle
     circuit = parse_circuit((DATA / "rand8x4.rev").read_text())
     network = expand_network(circuit)
-    faults = enumerate_faults(network)
     cfg = RunConfig("atpg", ("T1", "T4"))
     sets = generate_sets(network, cfg.sets).sets
     built, calls = [], []
@@ -133,9 +133,25 @@ def test_one_fault_object_per_oracle_call(monkeypatch):
                         lambda cls, *args, **kw: built.append(new(cls, *args, **kw)) or built[-1])
     monkeypatch.setattr(atpg, "exhaustive_detectability",
                         lambda net, f: calls.append(f) or oracle(net, f))
-    run = run_pipeline(network, faults, sets, cfg)
+    run = run_pipeline(network, sets, cfg)
     assert run.union.fallback_count and len(calls) > 10
     assert built == calls
+
+
+@pytest.mark.parametrize("include_aux", [False, True])
+def test_pipeline_enumerates_the_faults_of_its_config(include_aux):
+    # run_pipeline grades the network's own fault list, with the constant
+    # line's XPair entries exactly when the config includes them
+    text = ".n 2\n.p 2\n.gate c1 :\n.gate c2 : x1 x2\n.gate c1 : x2\n.end\n"
+    network = expand_network(normalize_zero_controls(parse_circuit(text, allow_zero_controls=True)))
+    assert network.constant_line == 3
+    cfg = RunConfig("verify", include_aux=include_aux)
+    run = run_pipeline(network, generate_sets(network).sets, cfg)
+    faults, expected = run.evaluation.faults, enumerate_faults(network, include_aux=include_aux)
+    assert faults.network is network
+    assert (faults.blocks(), len(faults)) == (expected.blocks(), len(expected))
+    aux = [f for f in faults if f.kind is FaultKind.X_PAIR and network.constant_line in f.ids]
+    assert len(aux) == (4 if include_aux else 0)
 
 
 def test_fault_list_of_another_network_refused():
@@ -171,7 +187,7 @@ def test_five_sets_detect_every_detectable_fault_within_the_bound(seed, zero_con
     network = expand_network(circuit)
     cfg = RunConfig("verify", oracle_cap=network.n + network.p)
     sets = generate_sets(network).sets
-    run = run_pipeline(network, enumerate_faults(network), sets, cfg)
+    run = run_pipeline(network, sets, cfg)
     label = format_circuit(circuit)
     assert run.union.fallback_count == 0, label
     bound = 3 * len(network.real_inputs()) + (network.p - 1).bit_length() + 2

@@ -42,7 +42,7 @@ RECORDS = [
      "BridgingFault(kind=<FaultKind.A_PAIR: 'APair'>, ids=(1, 2),"
      " polarity=<Polarity.WIRED_OR: 'WiredOr'>)"),
     (OracleResult("detectable", "101"), "OracleResult(status='detectable', witness='101')"),
-    (FaultVerdict(BridgingFault.exor_internal(3), "detected", 0, "stimulation"),
+    (FaultVerdict(BridgingFault(FaultKind.EXOR_INTERNAL, (3,)), "detected", 0, "stimulation"),
      "FaultVerdict(fault=BridgingFault(kind=<FaultKind.EXOR_INTERNAL: 'ExorInternal'>,"
      " ids=(3,), polarity=None), status='detected', pattern_index=0, method='stimulation')"),
     (RunConfig("verify"),
@@ -111,7 +111,7 @@ def test_pattern_errors():
     # a pattern is a row with no record of its own: detects refuses a bad
     # one with _pack's message, so outside rows are still checked
     net = AndExorNetwork(3, 1, (frozenset({1, 2}),), (1,))
-    fault = BridgingFault.x_pair(1, 2, Polarity.WIRED_OR)
+    fault = BridgingFault(FaultKind.X_PAIR, (1, 2), Polarity.WIRED_OR)
     with pytest.raises(ValueError, match=r"^bad pattern symbol \['2', 'x'\]$"):
         detects(net, fault, "0xd2")  # the don't-care is filled, not listed
     for row in ("011", "01101"):

@@ -101,7 +101,7 @@ class TestInjection:
     def test_x_pair_or(self, and2):
         # f1 = x1 x2; bridging the two inputs wired-OR turns 01 into 11
         net = expand_network(and2)
-        fault = BridgingFault.x_pair(1, 2, OR)
+        fault = BridgingFault(FaultKind.X_PAIR, (1, 2), OR)
         pat = "001"
         assert eval_good(net, pat).outputs == (0,)
         faulty = eval_faulty(net, fault, pat)
@@ -112,15 +112,15 @@ class TestInjection:
     def test_x_pair_and_masked(self, and2):
         # same stimulus wired-AND lands on 00: the AND output cannot change
         net = expand_network(and2)
-        fault = BridgingFault.x_pair(1, 2, AND)
+        fault = BridgingFault(FaultKind.X_PAIR, (1, 2), AND)
         pat = "001"
         assert eval_faulty(net, fault, pat).outputs == (0,)
         assert not detects(net, fault, pat)
 
     def test_a_pair(self):
         net = _net(".n 2\n.p 1\n.gate c1 : x1\n.gate c1 : x2\n.end\n")
-        fault_and = BridgingFault.a_pair(1, 2, AND)
-        fault_or = BridgingFault.a_pair(1, 2, OR)
+        fault_and = BridgingFault(FaultKind.A_PAIR, (1, 2), AND)
+        fault_or = BridgingFault(FaultKind.A_PAIR, (1, 2), OR)
         pat = "010"  # a = (1, 0), good output 1
         assert eval_good(net, pat).outputs == (1,)
         sim = eval_faulty(net, fault_and, pat)
@@ -132,7 +132,7 @@ class TestInjection:
         assert not detects(net, fault_or, "011")
 
     def test_intra_level_zero_hits_initial_column(self, twoline):
-        fault = BridgingFault.intra_level(0, 1, 2, OR)
+        fault = BridgingFault(FaultKind.INTRA_LEVEL, (0, 1, 2), OR)
         pat = "011"
         assert eval_good(twoline, pat).outputs == (1, 0)
         sim = eval_faulty(twoline, fault, pat)
@@ -140,7 +140,7 @@ class TestInjection:
         assert sim.outputs == (0, 0)
 
     def test_intra_level_mid_cascade(self, twoline):
-        fault = BridgingFault.intra_level(1, 1, 2, AND)
+        fault = BridgingFault(FaultKind.INTRA_LEVEL, (1, 1, 2), AND)
         # level 1 sits between the two gates: W(1,1)=1, W(2,1)=0 under c=00
         pat = "001"
         sim = eval_faulty(twoline, fault, pat)
@@ -152,17 +152,17 @@ class TestInjection:
         assert not detects(twoline, fault, "101")
 
     def test_intra_level_at_outputs(self, twoline):
-        fault = BridgingFault.intra_level(2, 1, 2, AND)
+        fault = BridgingFault(FaultKind.INTRA_LEVEL, (2, 1, 2), AND)
         assert not detects(twoline, fault, "001")  # both end 1
         assert detects(twoline, fault, "011")  # (1,0) -> (0,0)
 
     def test_exor_internal_not_injectable(self, twoline):
         with pytest.raises(ValueError, match="stimulation masks"):
-            eval_faulty(twoline, BridgingFault.exor_internal(1), "001")
+            eval_faulty(twoline, BridgingFault(FaultKind.EXOR_INTERNAL, (1,)), "001")
         with pytest.raises(ValueError, match="stimulation masks"):
-            exhaustive_detectability(twoline, BridgingFault.exor_internal(1))
+            exhaustive_detectability(twoline, BridgingFault(FaultKind.EXOR_INTERNAL, (1,)))
         with pytest.raises(ValueError, match="stimulation masks"):
-            detects(twoline, BridgingFault.exor_internal(1), "001")
+            detects(twoline, BridgingFault(FaultKind.EXOR_INTERNAL, (1,)), "001")
 
 
 class TestStimulationMasks:
@@ -186,7 +186,7 @@ class TestStimulationMasks:
 class TestOracle:
     def test_witness_is_smallest_and_detects(self, and2):
         net = expand_network(and2)
-        fault = BridgingFault.x_pair(1, 2, OR)
+        fault = BridgingFault(FaultKind.X_PAIR, (1, 2), OR)
         res = exhaustive_detectability(net, fault)
         assert res.detectable
         assert res.witness is not None and detects(net, fault, res.witness)
@@ -200,26 +200,26 @@ class TestOracle:
     def test_redundant_verdict(self, and2):
         # wired-AND across the inputs of a single 2-input AND changes nothing
         net = expand_network(and2)
-        res = exhaustive_detectability(net, BridgingFault.x_pair(1, 2, AND))
+        res = exhaustive_detectability(net, BridgingFault(FaultKind.X_PAIR, (1, 2), AND))
         assert res.status == "redundant" and res.witness is None
 
     def test_constant_line_pinned(self):
         text = ".n 2\n.p 1\n.gate c1 :\n.gate c1 : x1 x2\n.end\n"
         circuit = normalize_zero_controls(parse_circuit(text, allow_zero_controls=True))
         net = expand_network(circuit)
-        res = exhaustive_detectability(net, BridgingFault.x_pair(1, 2, OR))
+        res = exhaustive_detectability(net, BridgingFault(FaultKind.X_PAIR, (1, 2), OR))
         assert res.detectable
         # the witness must hold the constant line at 1
         assert res.witness[net.p + 2] == "1"
         assert res.witness == "0011"
 
     @pytest.mark.parametrize("fault", [
-        BridgingFault.intra_level(0, 1, 3, AND),  # no line c3: was read as x1's column
-        BridgingFault.intra_level(3, 1, 2, OR),  # levels run 0..d
-        BridgingFault.a_pair(1, 5, AND),  # no gate 5: was an IndexError
-        BridgingFault.a_pair(0, 1, OR),
-        BridgingFault.x_pair(1, 3, OR),
-        BridgingFault.exor_internal(3),
+        BridgingFault(FaultKind.INTRA_LEVEL, (0, 1, 3), AND),  # no line c3: was read as x1's column
+        BridgingFault(FaultKind.INTRA_LEVEL, (3, 1, 2), OR),  # levels run 0..d
+        BridgingFault(FaultKind.A_PAIR, (1, 5), AND),  # no gate 5: was an IndexError
+        BridgingFault(FaultKind.A_PAIR, (0, 1), OR),
+        BridgingFault(FaultKind.X_PAIR, (1, 3), OR),
+        BridgingFault(FaultKind.EXOR_INTERNAL, (3,)),
     ])
     def test_faults_outside_the_network_are_refused(self, fault):
         net = _net(".n 2\n.p 2\n.gate c1 : x1\n.gate c2 : x2\n.end\n")
@@ -231,8 +231,9 @@ class TestOracle:
 
     def test_faults_on_the_network_edges_are_read(self):
         net = _net(".n 2\n.p 2\n.gate c1 : x1\n.gate c2 : x2\n.end\n")
-        for fault in (BridgingFault.intra_level(2, 1, 2, AND), BridgingFault.a_pair(1, 2, OR),
-                      BridgingFault.x_pair(1, 2, OR)):
+        for fault in (BridgingFault(FaultKind.INTRA_LEVEL, (2, 1, 2), AND),
+                      BridgingFault(FaultKind.A_PAIR, (1, 2), OR),
+                      BridgingFault(FaultKind.X_PAIR, (1, 2), OR)):
             res = exhaustive_detectability(net, fault)
             assert res.detectable and detects(net, fault, res.witness)
 
@@ -271,7 +272,7 @@ class TestEvaluateTestSet:
     def test_detection_records_first_pattern(self, and2):
         net = expand_network(and2)
         faults = enumerate_faults(net)
-        k = faults.index(BridgingFault.x_pair(1, 2, OR))
+        k = faults.index(BridgingFault(FaultKind.X_PAIR, (1, 2), OR))
         ev = evaluate_test_set(net, faults, ["000", "001", "010"])
         assert ev.verdicts[k].status == "detected"
         assert ev.verdicts[k].pattern_index == 1
@@ -282,7 +283,7 @@ class TestEvaluateTestSet:
         # detects none of them
         net = expand_network(and2)
         faults = enumerate_faults(net)
-        k = faults.index(BridgingFault.x_pair(1, 2, OR))
+        k = faults.index(BridgingFault(FaultKind.X_PAIR, (1, 2), OR))
         ev = evaluate_test_set(net, faults, ["000"])
         assert ev.verdicts[k].status == "undetected"
         assert ev.count("undetected") == len(faults) == 3

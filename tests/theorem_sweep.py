@@ -25,8 +25,8 @@ import sys
 import time
 from typing import Iterator
 
-from bridgetest import (AndExorNetwork, enumerate_faults, expand_network, format_circuit,
-                        generate_sets, normalize_zero_controls, size_bound)
+from bridgetest import (AndExorNetwork, expand_network, format_circuit, generate_sets,
+                        normalize_zero_controls, size_bound)
 from bridgetest.cli import RunConfig, run_pipeline
 
 # n/p/d: for each (n, p) with n <= 4 and p <= 3, the deepest d <= 5 with at
@@ -68,10 +68,9 @@ def violation(network: AndExorNetwork, run) -> str | None:
 def check(network: AndExorNetwork):
     """Run the pipeline on ``network``; returns the faults, the run and the
     violation, if any."""
-    faults = enumerate_faults(network)
     cfg = RunConfig("verify", oracle_cap=network.n + network.p)
-    run = run_pipeline(network, faults, generate_sets(network).sets, cfg)
-    return faults, run, violation(network, run)
+    run = run_pipeline(network, generate_sets(network).sets, cfg)
+    return run.evaluation.faults, run, violation(network, run)
 
 
 def sweep(shapes) -> tuple[int, str | None]:
